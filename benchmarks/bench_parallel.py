@@ -3,11 +3,14 @@
 Measures the ``workers`` knob on the paper's two expensive phases:
 
 * **MC-heavy** — a grouped-SUM query over a database with conjunctive
-  annotations, which forces Monte-Carlo onto the generic per-world
-  evaluation path; worlds are drawn and evaluated in deterministic
-  shards that spread across the process pool.  Also sweeps the
-  sequential-stopping (ε, δ) interval path, whose doubling rounds shard
-  the same way.
+  annotations; worlds are drawn and evaluated in deterministic shards
+  that spread across the process pool (each shard valuates the symbolic
+  answer over its worlds as one numpy batch; without numpy it loops over
+  them).  Also sweeps the sequential-stopping (ε, δ) interval path,
+  whose doubling rounds shard the same way.  The ``mc_codegen`` series
+  times the per-world loop itself, compiled against interpreted, on a
+  bag-semantics join — NATURALS has no batched form, so that loop runs
+  with or without numpy.
 * **Compilation-heavy** — an Experiment-A-style ``HAVING SUM(v) >= c``
   query: every group's answer annotation is an aggregation comparison
   over its own variable pool (clause structure mimicking join
@@ -40,7 +43,7 @@ import time
 
 from benchmarks.common import BenchReport, print_series, smoke_mode
 from repro.algebra.expressions import Var, sprod, ssum
-from repro.algebra.semiring import BOOLEAN
+from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.sprout import SproutEngine
@@ -81,7 +84,7 @@ def worker_sweep(argv=None) -> list[int]:
 
 
 def build_mc_hard_database(rows: int, groups: int = 4, seed: int = 0):
-    """Conjunctively annotated fact table: the per-world MC path."""
+    """Conjunctively annotated fact table (correlated factors per row)."""
     rng = random.Random(seed)
     registry = VariableRegistry()
     db = PVCDatabase(registry=registry, semiring=BOOLEAN)
@@ -99,18 +102,19 @@ def mc_hard_query():
 
 
 def build_mc_join_database(rows: int, dim_rows: int = 50, seed: int = 0):
-    """A conjunctively annotated fact table plus a certain dimension.
+    """A conjunctively annotated fact table plus a certain dimension,
+    under bag semantics.
 
-    The conjunctions force Monte-Carlo onto the per-world path (the
-    vectorized batch evaluator requires single-variable annotations) and
-    the join makes per-world evaluation the cost center: the compiled
-    kernel hoists the deterministic dimension — instantiation and hash
-    index — out of the world loop entirely, while the interpreter
-    rebuilds the world's relations every time.
+    NATURALS keeps Monte-Carlo on the per-world loop (only Boolean
+    annotations valuate as numpy batches) and the join makes per-world
+    evaluation the cost center: the compiled kernel hoists the
+    deterministic dimension — instantiation and hash index — out of the
+    world loop entirely, while the interpreter rebuilds the world's
+    relations every time.
     """
     rng = random.Random(seed)
     registry = VariableRegistry()
-    db = PVCDatabase(registry=registry, semiring=BOOLEAN)
+    db = PVCDatabase(registry=registry, semiring=NATURALS)
     fact = db.create_table("fact", ["k", "v"])
     for i in range(rows):
         x, y = f"r{i}", f"q{i}"
@@ -290,7 +294,7 @@ def main() -> None:
             "not speedup; the answers must still be identical"
         )
 
-    # MC-heavy: fixed-budget estimation on the per-world path.
+    # MC-heavy: fixed-budget estimation, sharded.
     mc_rows, mc_samples = (16, 1200) if smoke else (30, 6000)
     db = build_mc_hard_database(rows=mc_rows)
     query = mc_hard_query()
@@ -302,7 +306,7 @@ def main() -> None:
         workers,
     )
     print_series(
-        f"MC-heavy fixed budget ({mc_samples} worlds, per-world path)",
+        f"MC-heavy fixed budget ({mc_samples} worlds)",
         ["workers", "mean_ms", "speedup"],
         rows,
     )
@@ -339,10 +343,11 @@ def main() -> None:
         rows,
     )
 
-    # Codegen on/off on the serial per-world MC path: same drawn worlds,
-    # different evaluator — the answers must be bit-identical.  A join
-    # workload, so per-world evaluation (not world sampling, which both
-    # evaluators share) dominates the wall-clock.
+    # Codegen on/off on the serial per-world MC loop: same drawn worlds,
+    # different evaluator — the answers must be bit-identical.  A
+    # bag-semantics join, so the loop runs whether or not numpy is there
+    # and per-world evaluation (not world sampling, which both evaluators
+    # share) dominates the wall-clock.
     cg_mc_rows, cg_samples = (12, 800) if smoke else (40, 4000)
     db = build_mc_join_database(rows=cg_mc_rows)
     query = mc_join_query()

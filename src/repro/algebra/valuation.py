@@ -10,19 +10,57 @@ A mapping of the variables into a concrete semiring ``S`` extends uniquely
 with conditional expressions ``[Φ θ Ψ]`` evaluating to ``1_S``/``0_S``
 per Equation (2).  Each valuation defines one possible world of a
 pvc-database (Definition 6).
+
+:func:`evaluate` applies one valuation; :func:`evaluate_batch` applies a
+whole *batch* of Boolean valuations at once, one numpy vector per
+sub-expression.  It is an optional accelerator in the style of
+:mod:`repro.prob.kernels`: :func:`batch_exact` says for which
+expressions it reproduces :func:`evaluate` exactly — same values, same
+Python types — and callers keep the scalar path for everything else.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import reduce
 from typing import Mapping
 
 from repro.algebra.conditions import Compare
-from repro.algebra.expressions import Expr, Prod, SConst, Sum, Var
-from repro.algebra.semimodule import AggSum, MConst, Tensor
+from repro.algebra.expressions import ONE, Expr, Prod, SConst, Sum, Var
+from repro.algebra.monoid import (
+    CappedSumMonoid,
+    MaxMonoid,
+    MinMonoid,
+    SumMonoid,
+)
+from repro.algebra.semimodule import (
+    AggSum,
+    MConst,
+    ModuleExpr,
+    Tensor,
+    module_terms,
+)
 from repro.algebra.semiring import Semiring
 from repro.errors import AlgebraError
 
-__all__ = ["Valuation", "evaluate"]
+try:  # optional accelerator; only evaluate_batch needs it
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+__all__ = [
+    "Valuation",
+    "evaluate",
+    "batch_exact",
+    "evaluate_batch",
+    "batch_values",
+]
+
+#: Magnitude bounds keeping integers exact in float64: the sum of
+#: magnitudes under ``Σ_SUM``, a single value where nothing is added.
+_EXACT_SUM = 2**52
+_EXACT_INT = 2**53
 
 
 class Valuation:
@@ -104,3 +142,146 @@ def evaluate(expr: Expr, assignment: Mapping[str, object], semiring: Semiring):
             result = monoid.add(result, evaluate(child, assignment, semiring))
         return result
     raise AlgebraError(f"cannot evaluate expression of type {type(expr).__name__}")
+
+
+# -- batched valuation ---------------------------------------------------------
+
+
+def _weighted_terms(expr: ModuleExpr) -> list | None:
+    """``[(Φᵢ, mᵢ), ...]`` of a canonical ``Σ Φᵢ⊗mᵢ`` (Figure 2), constant
+    summands as ``1_K⊗m``; ``None`` for hand-built nested shapes."""
+    terms = []
+    for term in module_terms(expr):
+        if isinstance(term, MConst):
+            terms.append((ONE, term.value))
+        elif isinstance(term, Tensor) and isinstance(term.arg, MConst):
+            terms.append((term.phi, term.arg.value))
+        else:
+            return None
+    return terms
+
+
+def batch_exact(expr: Expr) -> bool:
+    """True when :func:`evaluate_batch` equals :func:`evaluate` on ``expr``
+    in every Boolean world, bit for bit and type for type.
+
+    Batched aggregates are computed in float64, so they must stay clear
+    of everything float64 could change: float SUM inputs (the matrix
+    product adds in another order than the per-world fold), integers
+    beyond float64's exact range, negative values under a saturating
+    SUM (order-dependent), and value sets mixing ints with floats (the
+    result's Python type would depend on which value wins).  PROD and
+    custom monoids have no batched form.
+    """
+    if isinstance(expr, (Var, SConst)):
+        return True
+    if isinstance(expr, (Sum, Prod, Compare)):
+        return all(batch_exact(child) for child in expr.children)
+    if not isinstance(expr, ModuleExpr):
+        return False
+    terms = _weighted_terms(expr)
+    if terms is None or not all(batch_exact(phi) for phi, _ in terms):
+        return False
+    values = [value for _, value in terms]
+    integral = all(type(v) is int for v in values)
+    if isinstance(expr, MConst):  # e.g. the constant of [Γ ≤ 2.5]
+        return type(values[0]) is float or (
+            integral and abs(values[0]) <= _EXACT_INT
+        )
+    monoid = expr.monoid
+    if isinstance(monoid, SumMonoid):
+        if not integral or sum(abs(v) for v in values) > _EXACT_SUM:
+            return False
+        return not isinstance(monoid, CappedSumMonoid) or min(values) >= 0
+    if isinstance(monoid, (MinMonoid, MaxMonoid)):
+        if integral:
+            return all(abs(v) <= _EXACT_INT for v in values)
+        return all(type(v) is float for v in values)
+    return False
+
+
+def evaluate_batch(expr: Expr, presence: Mapping, size: int, memo: dict):
+    """Evaluate ``expr`` in ``size`` Boolean worlds at once.
+
+    ``presence`` maps each variable to a bool vector — its truth value
+    per world.  The homomorphisms of :func:`evaluate` become column
+    operations: ⊕ → ``|``, ⊗ → ``&``, ``[Φ θ Ψ]`` → element-wise
+    compare, ``Φ⊗m`` → select, ``Σ_M`` → matrix product or min/max
+    fold.  Semiring expressions yield bool vectors, semimodule
+    expressions float64 vectors (see :func:`batch_values`).  ``memo``
+    caches sub-expression vectors across the calls of one batch —
+    factors shared between result rows are common after joins — so
+    returned vectors must not be written to.  Requires numpy and
+    :func:`batch_exact` expressions.
+    """
+    if isinstance(expr, Var):
+        try:
+            return presence[expr.name]
+        except KeyError:
+            raise AlgebraError(
+                f"valuation does not assign variable {expr.name!r}"
+            ) from None
+    result = memo.get(expr)
+    if result is not None:
+        return result
+    if isinstance(expr, SConst):
+        result = _np.full(size, bool(expr.value))
+    elif isinstance(expr, Sum):
+        result = reduce(
+            operator.or_,
+            (evaluate_batch(c, presence, size, memo) for c in expr.children),
+        )
+    elif isinstance(expr, Prod):
+        result = reduce(
+            operator.and_,
+            (evaluate_batch(c, presence, size, memo) for c in expr.children),
+        )
+    elif isinstance(expr, Compare):
+        result = expr.op(
+            evaluate_batch(expr.left, presence, size, memo),
+            evaluate_batch(expr.right, presence, size, memo),
+        )
+    elif isinstance(expr, MConst):
+        result = _np.full(size, expr.value, dtype=float)
+    elif isinstance(expr, ModuleExpr):
+        result = _aggregate_batch(expr, presence, size, memo)
+    else:
+        raise AlgebraError(
+            f"cannot batch-evaluate expression of type {type(expr).__name__}"
+        )
+    memo[expr] = result
+    return result
+
+
+def _aggregate_batch(expr: ModuleExpr, presence, size: int, memo: dict):
+    """``Σ_M Φᵢ⊗mᵢ`` over the batch: one ``terms × worlds`` bool matrix."""
+    terms = _weighted_terms(expr)
+    weights = _np.asarray([value for _, value in terms], dtype=float)
+    matrix = _np.vstack(
+        [evaluate_batch(phi, presence, size, memo) for phi, _ in terms]
+    )
+    monoid = expr.monoid
+    if isinstance(monoid, SumMonoid):
+        totals = weights @ matrix
+        if isinstance(monoid, CappedSumMonoid):
+            # Non-negative values: the saturating fold equals the capped total.
+            return _np.minimum(totals, monoid.cap)
+        return totals
+    if isinstance(monoid, (MinMonoid, MaxMonoid)):
+        fold = _np.minimum if isinstance(monoid, MinMonoid) else _np.maximum
+        return fold.reduce(
+            _np.where(matrix, weights[:, None], monoid.zero),
+            axis=0,
+            initial=monoid.zero,
+        )
+    raise AlgebraError(f"no batched form for the {monoid.name} monoid")
+
+
+def batch_values(expr: ModuleExpr, column) -> list:
+    """The Python values :func:`evaluate` yields for a float64 vector of
+    :func:`evaluate_batch`: integer constants give ints back (``±∞``, the
+    MIN/MAX neutral, stays a float); float constants stay floats."""
+    values = column.tolist()
+    if type(_weighted_terms(expr)[0][1]) is int:
+        return [int(v) if math.isfinite(v) else v for v in values]
+    return values

@@ -16,13 +16,27 @@ The sampler is **batched**:
   available, a single ``random.Random.choices(k=samples)`` call per
   variable otherwise);
 * only the variables and relations actually referenced by the query are
-  sampled and instantiated;
-* for the common shape — selections/projections/grouping over
-  tuple-independent tables under set semantics — whole *batches of
-  worlds* are evaluated at once from per-row presence vectors, without
-  materialising any per-world relation;
-* the generic per-world fallback memoises repeated worlds, so databases
-  with few effective variables never evaluate the same world twice.
+  sampled;
+* under set semantics, step I runs **once per run**, symbolically — the
+  same ``prepare`` → ``execute_symbolic`` call the exact engine makes —
+  and every result row's annotation and semimodule values are then
+  valuated over the whole batch of drawn worlds as numpy columns
+  (:func:`repro.algebra.valuation.evaluate_batch`).  By the homomorphism
+  property ``ν(Q(T)) = Q(ν(T))`` of the paper's Section 3 this equals
+  running the query in every sampled world, for any query shape — joins,
+  unions, HAVING, aggregates over filtered aggregates — and any
+  (correlated) annotations.
+  Large batches are valuated in world chunks of bounded array size, with
+  a deadline checkpoint between chunks;
+* the per-world loop (a compiled kernel, or the interpreter) remains
+  where it is the only exact path: numpy absent or disabled, bag
+  semantics (non-Boolean semirings), semimodule values stored in base
+  tables, and aggregates float64 could alter — float SUM inputs,
+  integers beyond 2**52/2**53, PROD and custom monoids (see
+  :func:`repro.algebra.valuation.batch_exact`).  It memoises repeated
+  worlds, so databases with few effective variables never evaluate the
+  same world twice, and it is the oracle the batched path is tested
+  against.
 
 The sampler is also **sharded** when a ``workers`` count is requested:
 each batch is split by the deterministic planner of
@@ -46,17 +60,15 @@ import math
 import random
 import time
 from statistics import NormalDist
+from typing import NamedTuple
 
-from repro.algebra.expressions import SConst, Var
-from repro.algebra.monoid import (
-    CappedSumMonoid,
-    CountMonoid,
-    MaxMonoid,
-    MinMonoid,
-    SumMonoid,
-)
 from repro.algebra.semimodule import ModuleExpr
-from repro.algebra.valuation import Valuation
+from repro.algebra.valuation import (
+    Valuation,
+    batch_exact,
+    batch_values,
+    evaluate_batch,
+)
 from repro.codegen import (
     CodegenUnsupported,
     codegen_enabled,
@@ -65,22 +77,26 @@ from repro.codegen import (
 )
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.spec import ProbInterval
+from repro.errors import AlgebraError, QueryValidationError
 from repro.parallel import pool as parallel_pool
 from repro.parallel.reducer import merge_counts
 from repro.parallel.shards import plan_shards, resolve_workers, spawn_seeds
 from repro.prob import kernels
-from repro.query.executor import execute_deterministic, prepare
-from repro.resilience.deadline import Deadline, deadline_scope
-from repro.resilience.faults import fault_point
-from repro.query.ast import (
-    BaseRelation,
-    Extend,
-    GroupAgg,
-    Project,
-    Query,
-    Select,
+from repro.query.ast import Query
+from repro.query.executor import (
+    PreparedQuery,
+    execute_deterministic,
+    execute_symbolic,
+    prepare,
 )
 from repro.query.validate import validate_query
+from repro.resilience.deadline import (
+    Deadline,
+    DeadlineExceeded,
+    check_deadline,
+    deadline_scope,
+)
+from repro.resilience.faults import fault_point
 
 try:  # optional accelerator; the engine is fully functional without it
     import numpy as _np
@@ -90,8 +106,30 @@ except ImportError:  # pragma: no cover
 __all__ = ["MonteCarloEngine"]
 
 
-class _Fallback(Exception):
-    """Raised internally when the batched fast path does not apply."""
+#: Bound on ``expression nodes × worlds`` of one batched chunk: the
+#: evaluator holds one vector per distinct sub-expression, so this caps
+#: its working set (bool cells; the float matrices of ``Σ_M`` cost 8×).
+_BATCH_CELLS = 1 << 24
+
+
+class _RunContext(NamedTuple):
+    """What every round and every shard of one run shares.
+
+    Built once in the parent; forked shard workers inherit it (it is
+    never pickled per task), so no round or shard re-plans, re-runs
+    step I, re-compiles a kernel or re-reads a variable's distribution.
+    """
+
+    db: PVCDatabase
+    query: Query
+    referenced: tuple
+    #: The variables of the referenced tables, see ``_supports``.
+    supports: dict
+    codegen: bool | None
+    prepared: PreparedQuery
+    #: ``(rows, nodes)`` of the symbolic answer when the batch evaluator
+    #: applies (see ``_symbolic_rows``), else ``None``: per-world loop.
+    symbolic: tuple | None
 
 
 class MonteCarloEngine:
@@ -131,8 +169,24 @@ class MonteCarloEngine:
             assignment[name] = self.random.choices(values, weights=weights)[0]
         return Valuation(assignment, self.db.semiring)
 
+    def _supports(self, names) -> dict:
+        """``{name: (support values, weights, probabilities)}`` — what one
+        categorical draw of each variable needs, read off the registry
+        once per run.  ``probabilities`` is the normalised numpy array
+        ``Generator.choice`` takes, ``None`` when numpy is off."""
+        use_numpy = _np is not None and kernels.numpy_enabled()
+        supports = {}
+        for name in names:
+            values, weights = zip(*self.db.registry[name].items())
+            probabilities = None
+            if use_numpy:
+                probabilities = _np.asarray(weights, dtype=float)
+                probabilities = probabilities / probabilities.sum()
+            supports[name] = (values, weights, probabilities)
+        return supports
+
     def _sample_index_columns(
-        self, names, samples: int, rng=None, np_rng=None
+        self, variables, samples: int, rng=None, np_rng=None
     ) -> dict:
         """Batched draws as ``{name: (support_values, index_column)}``.
 
@@ -143,20 +197,22 @@ class MonteCarloEngine:
         evaluator can turn them into presence vectors with one fancy
         index per variable instead of a per-sample Python loop.
 
-        ``rng``/``np_rng`` override the engine's own streams; the sharded
-        scheme passes per-shard streams here so draws are independent of
-        both the worker count and the engine's mutable state.
+        ``variables`` names the variables to draw — or is their
+        :meth:`_supports` mapping, which runs build once instead of per
+        round and shard.  ``rng``/``np_rng`` override the engine's own
+        streams; the sharded scheme passes per-shard streams here so draws
+        are independent of both the worker count and the engine's mutable
+        state.
         """
         if rng is None:
             rng = self.random
             np_rng = self._np_rng
+        if not isinstance(variables, dict):
+            variables = self._supports(variables)
         drawn: dict = {}
         use_numpy = np_rng is not None and kernels.numpy_enabled()
-        for name in names:
-            values, weights = zip(*self.db.registry[name].items())
+        for name, (values, weights, probabilities) in variables.items():
             if use_numpy:
-                probabilities = _np.asarray(weights, dtype=float)
-                probabilities = probabilities / probabilities.sum()
                 indices = np_rng.choice(
                     len(values), size=samples, p=probabilities
                 )
@@ -186,42 +242,62 @@ class MonteCarloEngine:
         if samples <= 0:
             raise ValueError("need at least one sample")
         validate_query(query, self.db.catalog())
-        referenced = list(dict.fromkeys(query.base_relations()))
         workers = resolve_workers(workers)
+        context = self._run_context(query)
         self.last_run_info = {"samples": samples, "batched": False}
         if workers is None:
-            counts, batched = self._sampled_counts(query, referenced, samples)
+            counts, batched = self._sampled_counts(context, samples)
             self.last_run_info["batched"] = batched
         else:
             counts, info = self._sharded_counts(
-                query, referenced, samples, workers, shard_size
+                context, samples, workers, shard_size
             )
             self.last_run_info.update(info)
         return {values: count / samples for values, count in counts.items()}
 
-    def _referenced_variables(self, referenced) -> list[str]:
+    def _prepare(self, query: Query) -> PreparedQuery:
+        return prepare(
+            query, self.db.catalog(), self.db.cardinalities(), optimize=False
+        )
+
+    def _run_context(self, query: Query) -> _RunContext:
+        """Plan, run step I and read the variables' distributions — once.
+
+        When the per-world loop will serve the run and codegen is on, the
+        kernel is compiled here too: it rides the prepared plan's
+        ``op_cache`` (a cheap picklable payload) into forked shards.
+        """
+        referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
         for name in referenced:
             needed |= self.db.tables[name].variables
-        return sorted(needed)
+        prepared = self._prepare(query)
+        symbolic = None
+        if _np is not None and kernels.numpy_enabled():
+            symbolic = self._symbolic_rows(prepared)
+        if symbolic is None and codegen_enabled(self.codegen):
+            kernel_for(prepared, self.db.semiring)
+        return _RunContext(
+            self.db,
+            query,
+            referenced,
+            self._supports(sorted(needed)),
+            self.codegen,
+            prepared,
+            symbolic,
+        )
 
     def _sampled_counts(
-        self, query: Query, referenced, samples: int, prepared=None
+        self, context: _RunContext, samples: int
     ) -> tuple[dict[tuple, int], bool]:
-        """Draw ``samples`` worlds and count answer-tuple occurrences.
-
-        Tries the vectorized whole-batch evaluator first; returns the
-        counts and whether the batched path handled the query.  Callers
-        that evaluate many rounds pass ``prepared`` so the plan (and any
-        compiled kernel riding its cache) is built once, not per round.
-        """
-        drawn = self._sample_index_columns(
-            self._referenced_variables(referenced), samples
-        )
-        return self._evaluate_drawn(query, referenced, drawn, samples, prepared)
+        """Draw ``samples`` worlds from the engine's own streams and count
+        answer-tuple occurrences; also returns whether the batched
+        evaluator handled them."""
+        drawn = self._sample_index_columns(context.supports, samples)
+        return self._evaluate_drawn(context, drawn, samples)
 
     def _evaluate_drawn(
-        self, query: Query, referenced, drawn, samples: int, prepared=None
+        self, context: _RunContext, drawn, samples: int
     ) -> tuple[dict[tuple, int], bool]:
         """Count answer tuples over already-drawn index columns.
 
@@ -231,48 +307,21 @@ class MonteCarloEngine:
         makes sharded evaluation (any split of the columns, any worker
         count) merge to identical totals.
         """
-        if _np is not None and kernels.numpy_enabled():
-            try:
-                counts = self._batched_counts(query, drawn, samples)
-            except _Fallback:
-                counts = None
-            if counts is not None:
-                return counts, True
-        return (
-            self._per_world_counts(query, referenced, drawn, samples, prepared),
-            False,
+        if context.symbolic is not None:
+            counts = self._batched_counts(
+                context.query, drawn, samples, context.symbolic
+            )
+            return counts, True
+        counts = self._per_world_counts(
+            context.query, context.referenced, drawn, samples, context.prepared
         )
+        return counts, False
 
     # -- deterministic sharding -----------------------------------------------
 
-    def _shard_context(self, query: Query, referenced) -> tuple:
-        """The per-run context shared by every shard of every round.
-
-        The plan is prepared — and, when codegen is on, compiled — once
-        here in the parent: forked shard workers inherit the prepared
-        query through the context (the :class:`CompiledPlan` riding its
-        ``op_cache`` is itself a cheap picklable payload), so no shard
-        re-plans or re-compiles.
-        """
-        names = self._referenced_variables(referenced)
-        prepared = prepare(
-            query, self.db.catalog(), self.db.cardinalities(), optimize=False
-        )
-        if codegen_enabled(self.codegen):
-            kernel_for(prepared, self.db.semiring)
-        return (
-            self.db,
-            query,
-            tuple(referenced),
-            tuple(names),
-            self.codegen,
-            prepared,
-        )
-
     def _sharded_counts(
         self,
-        query: Query,
-        referenced,
+        context: _RunContext,
         samples: int,
         workers: int,
         shard_size: int | None = None,
@@ -299,10 +348,7 @@ class MonteCarloEngine:
             results, info = shared.run(payloads)
         else:
             results, info = parallel_pool.execute(
-                _evaluate_shard,
-                self._shard_context(query, referenced),
-                payloads,
-                workers,
+                _evaluate_shard, context, payloads, workers
             )
         counts = merge_counts(result[0] for result in results)
         batched = all(result[1] for result in results)
@@ -388,7 +434,6 @@ class MonteCarloEngine:
             raise ValueError("delta must be in (0, 1)")
         validate_query(query, self.db.catalog())
         workers = resolve_workers(workers)
-        referenced = list(dict.fromkeys(query.base_relations()))
         if max_samples is None:
             # Past this Hoeffding alone pushes every width under ε even
             # with the round-wise δ split (k ≤ 64 covers any feasible n).
@@ -396,19 +441,15 @@ class MonteCarloEngine:
                 2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
             )
         self.last_run_info = {"samples": 0, "batched": True}
+        context = self._run_context(query)
         shared = (
-            parallel_pool.SharedPool(
-                _evaluate_shard,
-                self._shard_context(query, referenced),
-                workers,
-            )
+            parallel_pool.SharedPool(_evaluate_shard, context, workers)
             if workers is not None
             else None
         )
         try:
             yield from self._interval_rounds(
-                query,
-                referenced,
+                context,
                 epsilon,
                 delta,
                 max_samples,
@@ -442,8 +483,7 @@ class MonteCarloEngine:
 
     def _interval_rounds(
         self,
-        query,
-        referenced,
+        context,
         epsilon,
         delta,
         max_samples,
@@ -463,14 +503,6 @@ class MonteCarloEngine:
         batched = True
         codegen_used = False
         round_info: dict = {}
-        prepared = None
-        if workers is None:
-            # Plan (and, through the kernel cache, compile) once for the
-            # whole doubling loop; sharded rounds get the same hoisting
-            # from _shard_context.
-            prepared = prepare(
-                query, self.db.catalog(), self.db.cardinalities(), optimize=False
-            )
         while True:
             round_no += 1
             fault_point("engine.montecarlo.round")
@@ -487,20 +519,28 @@ class MonteCarloEngine:
                     time.perf_counter() - start,
                     deadline.remaining(),
                 )
-            if workers is None:
-                counts, round_batched = self._sampled_counts(
-                    query, referenced, batch, prepared
-                )
-                round_info = dict(self.last_run_info)
-            else:
-                # The scope hands the deadline to the pool watchdog, so
+            try:
+                # The scope lets the chunked batch evaluator stop between
+                # chunks and hands the deadline to the pool watchdog, so
                 # a wedged shard worker is killed (and the round rerun
                 # inline) instead of hanging past the time budget.
                 with deadline_scope(deadline):
-                    counts, round_info = self._sharded_counts(
-                        query, referenced, batch, workers, shard_size, shared
-                    )
-                round_batched = round_info["batched"]
+                    if workers is None:
+                        counts, round_batched = self._sampled_counts(
+                            context, batch
+                        )
+                        round_info = dict(self.last_run_info)
+                    else:
+                        counts, round_info = self._sharded_counts(
+                            context, batch, workers, shard_size, shared
+                        )
+                        round_batched = round_info["batched"]
+            except DeadlineExceeded:
+                if deadline is None or not deadline.expired():
+                    raise  # an outer scope's deadline: not ours to absorb
+                # Out of time mid-round: the unfinished round is dropped
+                # whole and the run ends on the samples it already has.
+                counts, batch, round_batched = {}, 0, True
             batched = batched and round_batched
             drawn_total += batch
             for values, count in counts.items():
@@ -516,7 +556,7 @@ class MonteCarloEngine:
                 (interval.width for interval in intervals.values()),
                 default=0.0,
             )
-            converged = max_width <= epsilon
+            converged = drawn_total > 0 and max_width <= epsilon
             elapsed = time.perf_counter() - start
             out_of_time = time_limit is not None and elapsed >= time_limit
             done = converged or drawn_total >= max_samples or out_of_time
@@ -603,9 +643,7 @@ class MonteCarloEngine:
         semiring = self.db.semiring
         tables = [(name, self.db.tables[name]) for name in referenced]
         if prepared is None:
-            prepared = prepare(
-                query, self.db.catalog(), self.db.cardinalities(), optimize=False
-            )
+            prepared = self._prepare(query)
         bound = None
         if codegen_enabled(self.codegen):
             kernel = kernel_for(prepared, semiring)
@@ -652,246 +690,125 @@ class MonteCarloEngine:
 
     # -- vectorized batch evaluation ------------------------------------------
 
-    def _batched_counts(
-        self, query: Query, drawn, samples: int
-    ) -> dict[tuple, int] | None:
-        """Evaluate all sampled worlds at once from presence vectors.
+    def _symbolic_rows(self, prepared: PreparedQuery):
+        """Step I, symbolically: ``(rows, nodes)`` for the batch evaluator,
+        or ``None`` when only the per-world loop is exact.
 
-        Supports set semantics (Boolean semiring) over simple
-        tuple-independent tables — every row annotated ``1_K`` or with a
-        single Boolean variable and carrying constant values — for query
-        shapes built from selection, projection, attribute duplication
-        and one grouping/aggregation over SUM/COUNT/MIN/MAX.  Raises
-        :class:`_Fallback` for anything else.
+        ``rows`` holds ``(values, annotation, slots)`` per result tuple,
+        ``slots`` being the positions of its semimodule values; ``nodes``
+        is the total expression size, which sizes the world chunks.
+        Semimodule values stored in base tables stay per-world: two such
+        rows can valuate to one tuple in some worlds, which a set-valued
+        world holds once — values built by ``$`` never collide, their
+        group keys differ.
         """
         if not self.db.semiring.is_boolean:
-            raise _Fallback
+            return None
+        if any(
+            isinstance(value, ModuleExpr)
+            for name in set(prepared.query.base_relations())
+            for row in self.db.tables[name].rows
+            for value in row.values
+        ):
+            return None
+        try:
+            table = execute_symbolic(prepared, self.db)
+        except (AlgebraError, QueryValidationError):
+            # Some predicates only make sense on concrete values, e.g. an
+            # aggregate compared with a string: worlds still evaluate.
+            return None
+        rows = []
+        nodes = 0
+        for row in table.rows:
+            slots = tuple(
+                i for i, v in enumerate(row.values) if isinstance(v, ModuleExpr)
+            )
+            for expr in (row.annotation, *(row.values[i] for i in slots)):
+                if not batch_exact(expr):
+                    return None
+                nodes += expr.size()
+            rows.append((row.values, row.annotation, slots))
+        return rows, nodes
+
+    def _batched_counts(
+        self, query: Query, drawn, samples: int, symbolic=None
+    ) -> dict[tuple, int] | None:
+        """Valuate the symbolic answer over all drawn worlds at once.
+
+        Every result row's annotation becomes a presence vector over the
+        batch and every semimodule value a value vector; a row without
+        semimodule values counts its present worlds, one with them counts
+        the distinct value combinations among its present worlds.  Worlds
+        are valuated in chunks of at most ``_BATCH_CELLS`` cells — counts
+        add over disjoint sets of worlds, which is what sharding relies
+        on too.  Returns ``None`` when the batch evaluator does not apply
+        (callers holding a run context pass its ``symbolic`` and never
+        see that).
+        """
+        if symbolic is None:
+            symbolic = self._symbolic_rows(self._prepare(query))
+            if symbolic is None:
+                return None
+        rows, nodes = symbolic
         coerce = self.db.semiring.coerce
-        presence = {}
+        columns = {}
         for name, (values, indices) in drawn.items():
-            # One bool per *support value*, then one fancy index — no
-            # per-sample Python loop.
-            coerced = _np.fromiter(
+            # One bool per *support value*; a fancy index per chunk then
+            # turns draws into presence — no per-sample Python loop.
+            truth = _np.fromiter(
                 (bool(coerce(v)) for v in values), dtype=bool, count=len(values)
             )
-            presence[name] = coerced[_np.asarray(indices)]
-        kind, attributes, payload = self._translate(query, presence, samples)
-        if kind == "rows":
-            merged: dict[tuple, object] = {}
-            for values, mask in payload:
-                existing = merged.get(values)
-                merged[values] = mask if existing is None else existing | mask
-            return {
-                values: int(mask.sum())
-                for values, mask in merged.items()
-                if mask.any()
-            }
-        counts, _ = payload
-        return {values: count for values, count in counts.items() if count}
-
-    def _translate(self, query: Query, presence, samples: int):
-        """Recursively lower a query to batched form.
-
-        Returns ``("rows", attributes, [(values, presence_mask), ...])``
-        for non-aggregated relations and
-        ``("counts", attributes, ({values: sample_count}, groupby))``
-        after a grouping operator — the grouping attributes ride along
-        because they decide which later projections stay exact.
-        """
-        if isinstance(query, BaseRelation):
-            return self._translate_base(query.name, presence, samples)
-        if isinstance(query, Select):
-            kind, attributes, payload = self._translate(
-                query.child, presence, samples
-            )
-            if kind == "rows":
-                kept = []
-                for values, mask in payload:
-                    verdict = query.predicate.evaluate(
-                        dict(zip(attributes, values))
-                    )
-                    if verdict is True:
-                        kept.append((values, mask))
-                    elif verdict is not False:
-                        raise _Fallback  # symbolic predicate result
-                return kind, attributes, kept
-            counts, groupby = payload
-            filtered = {}
-            for values, count in counts.items():
-                verdict = query.predicate.evaluate(dict(zip(attributes, values)))
-                if verdict is True:
-                    filtered[values] = count
-                elif verdict is not False:
-                    raise _Fallback
-            return kind, attributes, (filtered, groupby)
-        if isinstance(query, Project):
-            kind, attributes, payload = self._translate(
-                query.child, presence, samples
-            )
-            indexes = [attributes.index(a) for a in query.attributes]
-            if kind == "rows":
-                merged: dict[tuple, object] = {}
-                for values, mask in payload:
-                    projected = tuple(values[i] for i in indexes)
-                    existing = merged.get(projected)
-                    merged[projected] = (
-                        mask if existing is None else existing | mask
-                    )
-                return kind, list(query.attributes), list(merged.items())
-            # Counts have lost per-sample identity, but merging stays
-            # exact when the grouping attributes survive the projection:
-            # tuples from different groups remain distinct, and within a
-            # group each sample carries exactly one aggregate tuple, so
-            # buckets sharing a projection are disjoint sample sets.
-            counts, groupby = payload
-            if not set(groupby).issubset(query.attributes):
-                raise _Fallback
-            projected_counts: dict[tuple, int] = {}
-            for values, count in counts.items():
-                projected = tuple(values[i] for i in indexes)
-                projected_counts[projected] = (
-                    projected_counts.get(projected, 0) + count
-                )
-            return kind, list(query.attributes), (projected_counts, groupby)
-        if isinstance(query, Extend):
-            kind, attributes, payload = self._translate(
-                query.child, presence, samples
-            )
-            if kind != "rows":
-                raise _Fallback
-            index = attributes.index(query.source)
-            extended = [
-                (values + (values[index],), mask) for values, mask in payload
-            ]
-            return kind, attributes + [query.target], extended
-        if isinstance(query, GroupAgg):
-            kind, attributes, payload = self._translate(
-                query.child, presence, samples
-            )
-            if kind != "rows":
-                raise _Fallback
-            return self._translate_groupagg(query, attributes, payload, samples)
-        raise _Fallback  # Product, Union: generic path
-
-    def _translate_base(self, name: str, presence, samples: int):
-        table = self.db.tables[name]
-        if len(table) * samples > 50_000_000:
-            raise _Fallback  # presence matrix would not be worth the memory
-        ones = _np.ones(samples, dtype=bool)
-        merged: dict[tuple, object] = {}
-        for row in table.rows:
-            annotation = row.annotation
-            if isinstance(annotation, SConst) and annotation.value == 1:
-                mask = ones
-            elif isinstance(annotation, Var):
-                mask = presence[annotation.name]
-            else:
-                raise _Fallback  # correlated/complex annotation
-            if any(isinstance(v, ModuleExpr) for v in row.values):
-                raise _Fallback
-            # Set semantics: rows with identical values collapse to one
-            # tuple per world — present when any of their events fires.
-            existing = merged.get(row.values)
-            merged[row.values] = mask if existing is None else existing | mask
-        return "rows", list(table.schema.attributes), list(merged.items())
-
-    def _translate_groupagg(self, query: GroupAgg, attributes, rows, samples: int):
-        group_indexes = [attributes.index(a) for a in query.groupby]
-        spec_indexes = []
-        for spec in query.aggregations:
-            if spec.attribute is None:
-                spec_indexes.append(None)
-            else:
-                spec_indexes.append(attributes.index(spec.attribute))
-
-        groups: dict[tuple, list] = {}
-        for values, mask in rows:
-            key = tuple(values[i] for i in group_indexes)
-            groups.setdefault(key, []).append((values, mask))
-        if not query.groupby:
-            # $∅ always produces one tuple, holding the monoid-neutral
-            # aggregates in worlds where no input row is present.
-            groups.setdefault((), [])
-
+            columns[name] = (truth, _np.asarray(indices))
+        chunk = max(1, _BATCH_CELLS // max(nodes, 1))
         counts: dict[tuple, int] = {}
-        for key, members in groups.items():
-            if members:
-                matrix = _np.vstack([mask for _, mask in members])
-            else:
-                matrix = _np.zeros((0, samples), dtype=bool)
-            if query.groupby:
-                present = matrix.any(axis=0)
+        for start in range(0, samples, chunk):
+            if start:
+                check_deadline("Monte-Carlo batch valuation")
+            size = min(chunk, samples - start)
+            presence = {
+                name: truth[indices[start : start + size]]
+                for name, (truth, indices) in columns.items()
+            }
+            memo: dict = {}
+            for values, annotation, slots in rows:
+                present = evaluate_batch(annotation, presence, size, memo)
+                if not slots:
+                    hits = int(_np.count_nonzero(present))
+                    if hits:
+                        counts[values] = counts.get(values, 0) + hits
+                    continue
                 if not present.any():
                     continue
-            else:
-                present = _np.ones(matrix.shape[1], dtype=bool)
-            columns = []
-            for spec, index in zip(query.aggregations, spec_indexes):
-                columns.append(
-                    self._aggregate_column(spec, index, members, matrix)
-                )
-            selected = [column[present] for column in columns]
-            if len(selected) == 1:
-                unique, unique_counts = _np.unique(
-                    selected[0], return_counts=True
-                )
-                for value, count in zip(
-                    unique.tolist(), unique_counts.tolist()
-                ):
-                    counts[key + (_as_int(value),)] = count
-            else:
-                local: dict[tuple, int] = {}
-                for sample_values in zip(*(c.tolist() for c in selected)):
-                    row_key = key + tuple(_as_int(v) for v in sample_values)
-                    local[row_key] = local.get(row_key, 0) + 1
-                counts.update(local)
-        names = list(query.groupby) + [s.output for s in query.aggregations]
-        return "counts", names, (counts, query.groupby)
-
-    def _aggregate_column(self, spec, index, members, matrix):
-        """Per-sample aggregate values of one group as a numpy array."""
-        monoid = spec.monoid
-        if isinstance(monoid, CountMonoid):
-            return matrix.sum(axis=0)
-        values = [row_values[index] for row_values, _ in members]
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise _Fallback
-        array = _np.asarray(values, dtype=float)
-        if isinstance(monoid, SumMonoid):
-            # Summation order differs from the per-world fold, so float
-            # inputs could produce answer keys differing in the last ulp
-            # from the exact engines'.  Integer sums within float64's
-            # exact range are order-independent; anything else falls back.
-            if not all(type(v) is int for v in values):
-                raise _Fallback
-            if sum(abs(v) for v in values) > 2**52:
-                raise _Fallback
-            totals = array @ matrix
-            if isinstance(monoid, CappedSumMonoid):
-                # A saturating fold over non-negative values equals the
-                # capped total; negative values would make the fold
-                # order-dependent, so they take the generic path.
-                if any(v < 0 for v in values):
-                    raise _Fallback
-                return _np.minimum(totals, monoid.cap)
-            return totals
-        if isinstance(monoid, (MinMonoid, MaxMonoid)):
-            # Selection never creates values, but the float64 cast does:
-            # ints beyond 2**53 would round and fabricate answer keys.
-            if any(type(v) is int and abs(v) > 2**53 for v in values):
-                raise _Fallback
-            if isinstance(monoid, MinMonoid):
-                filled = _np.where(matrix, array[:, None], math.inf)
-                return filled.min(axis=0, initial=math.inf)
-            filled = _np.where(matrix, array[:, None], -math.inf)
-            return filled.max(axis=0, initial=-math.inf)
-        raise _Fallback  # PROD and custom monoids: generic path
+                vectors = [
+                    evaluate_batch(values[i], presence, size, memo)[present]
+                    for i in slots
+                ]
+                if len(vectors) == 1:
+                    # The common case; sorts several times faster than
+                    # the row-wise unique below.
+                    combos, hits = _np.unique(vectors[0], return_counts=True)
+                    combos = combos[None, :]
+                else:
+                    combos, hits = _np.unique(
+                        _np.vstack(vectors), axis=1, return_counts=True
+                    )
+                typed = [
+                    batch_values(values[i], column)
+                    for i, column in zip(slots, combos)
+                ]
+                key = list(values)
+                for j, hit in enumerate(hits.tolist()):
+                    for i, column in zip(slots, typed):
+                        key[i] = column[j]
+                    answer = tuple(key)
+                    counts[answer] = counts.get(answer, 0) + hit
+        return counts
 
 
-def _evaluate_shard(context, payload):
+def _evaluate_shard(context: _RunContext, payload):
     """Process-pool task: draw and evaluate one shard of sampled worlds.
 
-    ``context`` is shared by every shard of a round (inherited by forked
+    ``context`` is shared by every shard of a run (inherited by forked
     workers, never pickled per task); the payload is just the shard's
     ``(seed, size)``.  The shard draws from its own spawned streams — a
     ``numpy.random.SeedSequence``-seeded ``Generator`` on the numpy path,
@@ -900,30 +817,18 @@ def _evaluate_shard(context, payload):
 
     Returns ``(counts, batched, distinct_worlds, codegen_used)``.
     """
-    db, query, referenced, names, codegen, prepared = context
     seed, size = payload
-    engine = MonteCarloEngine(db, codegen=codegen)
+    engine = MonteCarloEngine(context.db, codegen=context.codegen)
     np_rng = None
     if _np is not None and kernels.numpy_enabled():
         np_rng = _np.random.default_rng(_np.random.SeedSequence(seed))
     drawn = engine._sample_index_columns(
-        list(names), size, rng=random.Random(seed), np_rng=np_rng
+        context.supports, size, rng=random.Random(seed), np_rng=np_rng
     )
-    counts, batched = engine._evaluate_drawn(
-        query, list(referenced), drawn, size, prepared=prepared
-    )
+    counts, batched = engine._evaluate_drawn(context, drawn, size)
     return (
         counts,
         batched,
         engine.last_run_info.get("distinct_worlds", 0),
         engine.last_run_info.get("codegen_used", False),
     )
-
-
-def _as_int(value):
-    """Match the dict path's Python value types for aggregate results."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, _np.integer if _np is not None else int):
-        return int(value)
-    return value

@@ -11,6 +11,7 @@ from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.algebra.valuation import Valuation, evaluate
 from repro.errors import AlgebraError
+from repro.prob.kernels import numpy_available
 
 
 class TestSemiringEvaluation:
@@ -147,3 +148,85 @@ def ssum_of(terms):
     from repro.algebra.expressions import ssum
 
     return ssum([phi for phi, _ in terms])
+
+
+@pytest.mark.skipif(
+    not numpy_available(), reason="the batch evaluator needs numpy"
+)
+class TestBatchedValuation:
+    """``evaluate_batch`` is ``evaluate`` over all worlds at once."""
+
+    def worlds(self, names):
+        import itertools
+
+        return list(itertools.product([False, True], repeat=len(names)))
+
+    def assert_matches_evaluate(self, expr):
+        from repro.algebra.semimodule import ModuleExpr
+        from repro.algebra.valuation import (
+            batch_exact,
+            batch_values,
+            evaluate_batch,
+        )
+
+        assert batch_exact(expr)
+        names = sorted(expr.variables)
+        worlds = self.worlds(names)
+        import numpy
+
+        presence = {
+            name: numpy.array([world[i] for world in worlds])
+            for i, name in enumerate(names)
+        }
+        column = evaluate_batch(expr, presence, len(worlds), {})
+        if isinstance(expr, ModuleExpr):
+            column = batch_values(expr, column)
+        else:
+            column = column.tolist()
+        expected = [
+            evaluate(expr, dict(zip(names, world)), BOOLEAN) for world in worlds
+        ]
+        assert column == expected
+        assert [type(v) for v in column] == [type(v) for v in expected]
+
+    def test_semiring_expressions(self):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        self.assert_matches_evaluate(x * y + z)
+        self.assert_matches_evaluate((x + y) * (y + z) * ONE)
+        self.assert_matches_evaluate(compare(x + y * z, "!=", ZERO))
+
+    def test_aggregates_keep_python_types(self):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        total = aggsum(SUM, [tensor(x * y, MConst(SUM, 3)),
+                             tensor(z, MConst(SUM, 4)), MConst(SUM, 1)])
+        self.assert_matches_evaluate(total)  # ints stay ints
+        low = aggsum(MIN, [tensor(x, MConst(MIN, 5)), tensor(y + z, MConst(MIN, 2))])
+        self.assert_matches_evaluate(low)  # ints, and +inf where empty
+        high = aggsum(MAX, [tensor(x, MConst(MAX, 2.0)), tensor(y, MConst(MAX, 0.5))])
+        self.assert_matches_evaluate(high)  # floats stay floats, 2.0 is not 2
+        self.assert_matches_evaluate(compare(total, "<=", 4) * compare(low, ">", 2.5))
+
+    def test_capped_sum_saturates(self):
+        from repro.algebra.monoid import CappedSumMonoid
+
+        capped = CappedSumMonoid(5)
+        expr = aggsum(capped, [tensor(Var(n), MConst(capped, 3)) for n in "xyz"])
+        self.assert_matches_evaluate(expr)
+
+    def test_inexact_aggregates_are_refused(self):
+        from repro.algebra.monoid import PROD, CappedSumMonoid
+        from repro.algebra.valuation import batch_exact
+
+        def agg(monoid, *values):
+            return aggsum(
+                monoid,
+                [tensor(Var(f"v{i}"), MConst(monoid, v)) for i, v in enumerate(values)],
+            )
+
+        assert not batch_exact(agg(SUM, 0.1, 0.2))  # float summation order
+        assert not batch_exact(agg(SUM, 2**52, 1))  # beyond float64's integers
+        assert not batch_exact(agg(MIN, 2**53 + 1, 2))
+        assert not batch_exact(agg(MIN, 2, 2.0))  # the winner decides the type
+        assert not batch_exact(agg(CappedSumMonoid(9), 4, -1))  # fold order
+        assert not batch_exact(agg(PROD, 2, 3))
+        assert not batch_exact(compare(agg(SUM, 0.5, 0.25), "<=", 1) * Var("x"))

@@ -7,9 +7,24 @@ from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
+from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
-from repro.query.ast import AggSpec, GroupAgg, Project, Select, relation
-from repro.query.predicates import cmp_
+from repro.query.ast import (
+    AggSpec,
+    GroupAgg,
+    Project,
+    Select,
+    product_of,
+    relation,
+)
+from repro.query.predicates import cmp_, eq
+
+
+#: ``_batched_counts`` itself (not the engine's choice to call it) needs
+#: numpy importable.
+needs_numpy = pytest.mark.skipif(
+    not kernels.numpy_available(), reason="the batch evaluator needs numpy"
+)
 
 
 def simple_db():
@@ -67,6 +82,7 @@ def two_table_db():
 
 
 class TestBatchedSampler:
+    @needs_numpy
     def test_batched_and_per_world_paths_agree_exactly(self):
         """The vectorized batch evaluator is a pure optimisation: on the
         same sampled columns it must produce identical counts."""
@@ -133,16 +149,23 @@ class TestBatchedSampler:
         for key, p in exact.items():
             assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.03)
 
-    def test_complex_annotations_fall_back(self):
-        """Rows with non-atomic annotations are outside the fast path's
-        simple-TI assumption; the generic path must handle them."""
+    def test_complex_annotations_are_batched(self):
+        """Non-atomic (correlated) annotations valuate as columns like any
+        other: the batch evaluator engages and, on the same drawn
+        columns, counts exactly what the per-world loop counts."""
         db = simple_db()
         r = db.tables["R"]
         r.add((2, 30), Var("x") * Var("y"))  # conjunctive annotation
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
         engine = MonteCarloEngine(db, seed=3)
         estimate = engine.tuple_probabilities(query, 5000)
-        assert engine.last_run_info["batched"] is False
+        if kernels.numpy_enabled():
+            assert engine.last_run_info["batched"] is True
+        if kernels.numpy_available():
+            drawn = engine._sample_index_columns(["x", "y"], 500)
+            assert engine._batched_counts(query, drawn, 500) == (
+                engine._per_world_counts(query, ["R"], drawn, 500)
+            )
         exact = NaiveEngine(db).tuple_probabilities(query)
         for key, p in exact.items():
             assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.03)
@@ -191,6 +214,7 @@ class TestBatchedSampler:
         )
         assert engine.last_run_info["distinct_worlds"] <= 4
 
+    @needs_numpy
     def test_capped_sum_saturates_in_batched_path(self):
         """CappedSumMonoid is a SumMonoid subclass: the batched matrix
         product must saturate at the cap like the per-world fold does."""
@@ -369,3 +393,90 @@ class TestSequentialStopping:
             engine.estimate_intervals(relation("R"), epsilon=0.0)
         with pytest.raises(ValueError):
             engine.estimate_intervals(relation("R"), delta=1.5)
+
+
+class TestSeededStreamsArePinned:
+    """Seeded answers are part of the contract: an engine change must not
+    reorder, re-argue or add a single RNG call.  The values below were
+    recorded at the commit *before* step I moved out of the world loop
+    (PR 11), on the pure-Python streams, which do not depend on a numpy
+    build; the three statements mirror the ``sampled_joins`` benchmark
+    workload (join + grouped SUM, join under sequential stopping, grouped
+    SUM over a tuple-independent table)."""
+
+    @staticmethod
+    def database():
+        import random
+
+        rng = random.Random(5)
+        registry = VariableRegistry()
+        db = PVCDatabase(registry=registry, semiring=BOOLEAN)
+        fact = db.create_table("fact", ["k", "v"])
+        for i in range(4):
+            registry.bernoulli(f"r{i}", 0.5)
+            registry.bernoulli(f"q{i}", 0.6)
+            fact.add(
+                (rng.randrange(3), rng.randint(1, 2)),
+                Var(f"r{i}") * Var(f"q{i}"),
+            )
+        dim = db.create_table("dim", ["dk", "cat"])
+        for k in range(3):
+            dim.add((k, k % 2))
+        ti = db.create_table("T", ["a", "v"])
+        for i in range(4):
+            registry.bernoulli(f"t{i}", 0.4)
+            ti.add((i % 2, rng.randint(1, 2)), Var(f"t{i}"))
+        return db
+
+    JOIN = Select(
+        product_of(relation("fact"), relation("dim")), eq("k", "dk")
+    )
+    JOIN_FIXED = GroupAgg(
+        Project(JOIN, ["cat", "v"]), ["cat"], [AggSpec.of("t", "SUM", "v")]
+    )
+    JOIN_SEQUENTIAL = Project(JOIN, ["k", "cat"])
+    TI_BATCHED = GroupAgg(relation("T"), ["a"], [AggSpec.of("t", "SUM", "v")])
+
+    #: ``workers`` → counts out of 200 worlds, seed 11.
+    FIXED = {
+        None: {(0, 1): 35, (0, 2): 58, (0, 3): 36, (1, 1): 60},
+        2: {(0, 1): 19, (0, 2): 76, (0, 3): 26, (1, 1): 62},
+    }
+    TI = {
+        None: {(0, 1): 117, (1, 1): 40, (1, 2): 51, (1, 3): 32},
+        2: {(0, 1): 130, (1, 1): 55, (1, 2): 57, (1, 3): 28},
+    }
+    #: ``workers`` → intervals when ε = 0.2 stops (after 256 worlds).
+    SEQUENTIAL = {
+        None: {(1, 1): (0.266886473, 0.412794468),
+               (2, 0): (0.587205532, 0.733113527)},
+        2: {(1, 1): (0.270498493, 0.416809093),
+            (2, 0): (0.567185819, 0.715000019)},
+    }
+
+    @pytest.fixture(autouse=True)
+    def python_streams(self):
+        previous = kernels.set_numpy_enabled(False)
+        yield
+        kernels.set_numpy_enabled(previous)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_estimates_equal_the_recorded_ones(self, workers):
+        db = self.database()
+        for query, recorded in (
+            (self.JOIN_FIXED, self.FIXED), (self.TI_BATCHED, self.TI)
+        ):
+            estimate = MonteCarloEngine(db, seed=11).tuple_probabilities(
+                query, 200, workers=workers
+            )
+            assert {k: round(p * 200) for k, p in estimate.items()} == (
+                recorded[workers]
+            )
+        intervals, info = MonteCarloEngine(db, seed=11).estimate_intervals(
+            self.JOIN_SEQUENTIAL, epsilon=0.2, delta=0.05, workers=workers
+        )
+        assert info["samples"] == 256
+        assert set(intervals) == set(self.SEQUENTIAL[workers])
+        for key, (low, high) in self.SEQUENTIAL[workers].items():
+            assert intervals[key].low == pytest.approx(low, abs=1e-8)
+            assert intervals[key].high == pytest.approx(high, abs=1e-8)

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.algebra.expressions import Var
 from repro.algebra.semiring import BOOLEAN
 from repro.core.compile import Compiler
 from repro.engine.spec import ProbInterval
@@ -240,6 +241,80 @@ class TestMonteCarloDeadline:
                 delta=0.01,
                 time_limit=limit,
             )
+        assert elapsed < limit + OVERSHOOT
+
+
+    def test_chunked_batch_valuation_stops_between_chunks(self, monkeypatch):
+        """A Boolean join valuates as one symbolic batch, in world chunks
+        of bounded array size.  When valuation turns slow mid-run — so
+        the final round, sized from the rate observed so far, is far too
+        big — the deadline checkpoint between chunks drops that round
+        instead of finishing it (which would take ~2.5s here)."""
+        from repro.engine import montecarlo
+        from repro.prob import kernels
+        from repro.query.sql import parse_sql
+
+        if not kernels.numpy_enabled():
+            pytest.skip("the batch evaluator needs numpy")
+        session = demo_session()
+        nodes = montecarlo.MonteCarloEngine(session.db)._run_context(
+            parse_sql(JOIN_QUERY)
+        ).symbolic[1]
+        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 100 * nodes)
+        sizes = []
+        valuate = montecarlo.evaluate_batch
+
+        def slow_after_10k_worlds(expr, presence, size, memo):
+            sizes.append(size)
+            if len(sizes) > 400:  # 4 answer rows per chunk of 100 worlds
+                time.sleep(0.01)
+            return valuate(expr, presence, size, memo)
+
+        monkeypatch.setattr(montecarlo, "evaluate_batch", slow_after_10k_worlds)
+        limit = 0.1
+        result, elapsed = timed(
+            session.sql,
+            JOIN_QUERY,
+            engine="montecarlo",
+            mode="sample",
+            epsilon=1e-6,
+            delta=0.01,
+            time_limit=limit,
+        )
+        assert result.stats["batched"] is True
+        assert result.stats["deadline_hit"] is True
+        assert result.stats["samples"] > 0
+        assert elapsed < limit + OVERSHOOT
+        assert max(sizes) <= 100  # peak vector length, whatever the round
+
+    def test_world_fault_point_fires_on_the_per_world_path(self):
+        """Bag semantics has no batched form: a NATURALS join still runs
+        world by world, through ``engine.montecarlo.world``, and the
+        round clamp bounds its overshoot."""
+        from repro import NATURALS, connect
+
+        session = connect(semiring=NATURALS, seed=3)
+        session.registry.integer("m", {1: 0.5, 2: 0.5})
+        session.registry.integer("n", {0: 0.4, 3: 0.6})
+        session.table("A", ["k", "x"]).insert((1, 10), annotation=Var("m"))
+        session.table("B", ["j", "y"]).insert((1, 20), annotation=Var("n"))
+        limit = 0.1
+        plan = FaultPlan().add(
+            "engine.montecarlo.world", "slow", delay=0.001, times=None
+        )
+        with fault_plan(plan):
+            result, elapsed = timed(
+                session.sql,
+                "SELECT x, y FROM A, B WHERE k = j",
+                engine="montecarlo",
+                mode="sample",
+                epsilon=1e-6,
+                delta=0.01,
+                time_limit=limit,
+            )
+        assert result.stats["batched"] is False
+        assert plan.hits["engine.montecarlo.world"] == result.stats["samples"]
+        assert result.stats["deadline_hit"] is True
         assert elapsed < limit + OVERSHOOT
 
 
