@@ -76,7 +76,8 @@ class Expr:
         raise NotImplementedError
 
     def _finalize(self):
-        """Populate the structural caches; call last in every ``__init__``."""
+        """Populate the structural caches; call last in every ``__init__``
+        (:class:`Sum` and :class:`Prod` do the same inline)."""
         self._key = self._compute_key()
         self._vars = self._compute_vars()
         self._hash = self._compute_hash()
@@ -250,17 +251,12 @@ class Sum(SemiringExpr):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
+        # What ``_finalize`` computes, inline: the join loops and the
+        # normaliser build one of these per result row.
         self.children = children
-        self._finalize()
-
-    def _compute_key(self):
-        return ("+",) + tuple(c.key for c in self.children)
-
-    def _compute_hash(self):
-        return hash(("+",) + tuple(c._hash for c in self.children))
-
-    def _compute_vars(self):
-        return frozenset().union(*(c.variables for c in self.children))
+        self._key = ("+",) + tuple([c._key for c in children])
+        self._vars = frozenset().union(*[c._vars for c in children])
+        self._hash = hash(("+",) + tuple([c._hash for c in children]))
 
     def substitute(self, mapping):
         variables = self.variables
@@ -278,17 +274,10 @@ class Prod(SemiringExpr):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
-        self.children = children
-        self._finalize()
-
-    def _compute_key(self):
-        return ("*",) + tuple(c.key for c in self.children)
-
-    def _compute_hash(self):
-        return hash(("*",) + tuple(c._hash for c in self.children))
-
-    def _compute_vars(self):
-        return frozenset().union(*(c.variables for c in self.children))
+        self.children = children  # inline ``_finalize``, as in Sum
+        self._key = ("*",) + tuple([c._key for c in children])
+        self._vars = frozenset().union(*[c._vars for c in children])
+        self._hash = hash(("*",) + tuple([c._hash for c in children]))
 
     def substitute(self, mapping):
         variables = self.variables
@@ -327,11 +316,17 @@ def ssum(terms: Iterable) -> SemiringExpr:
     """
     flat: list[SemiringExpr] = []
     for term in terms:
-        term = _coerce(term)
-        if isinstance(term, Sum):
-            flat.extend(term.children)
-        elif not term.is_zero():
+        kind = type(term)
+        if kind is Var or kind is Prod:  # the common cases, decided early
             flat.append(term)
+        elif kind is Sum:
+            flat.extend(term.children)
+        else:
+            term = _coerce(term)
+            if isinstance(term, Sum):
+                flat.extend(term.children)
+            elif not term.is_zero():
+                flat.append(term)
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -348,13 +343,19 @@ def sprod(factors: Iterable) -> SemiringExpr:
     """
     flat: list[SemiringExpr] = []
     for factor in factors:
-        factor = _coerce(factor)
-        if factor.is_zero():
-            return ZERO
-        if isinstance(factor, Prod):
-            flat.extend(factor.children)
-        elif not factor.is_one():
+        kind = type(factor)
+        if kind is Var or kind is Sum:  # the common cases, decided early
             flat.append(factor)
+        elif kind is Prod:
+            flat.extend(factor.children)
+        else:
+            factor = _coerce(factor)
+            if factor.is_zero():
+                return ZERO
+            if isinstance(factor, Prod):
+                flat.extend(factor.children)
+            elif not factor.is_one():
+                flat.append(factor)
     if not flat:
         return ONE
     if len(flat) == 1:

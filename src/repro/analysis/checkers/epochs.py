@@ -14,6 +14,14 @@ structural and therefore statically checkable:
     the epoch in the same function: no ``self._version`` write and no
     ``self.invalidate_caches()`` / ``self.bump_epoch()`` call.
 
+A class that also keeps *maintained facts* (a ``self._facts`` entry
+stamped with the epoch, which mutators adjust instead of dropping) owes
+one thing more: a method that mutates row storage and re-stamps the
+facts (assigns ``self._facts`` anything but ``None``) must maintain them
+in the same function — a ``.count_row(...)`` call.  Leaving the stamp
+stale is always allowed (readers reject it and recount); re-stamping
+unmaintained facts would serve them as current.
+
 ``__init__``-family methods are exempt (they populate storage before
 any cache exists), as are ``*_locked`` helpers whose callers own the
 bump, matching the lock checker's conventions.  Classes without cache
@@ -31,7 +39,13 @@ from repro.analysis.registry import EXEMPT_METHODS, LOCKED_SUFFIX
 from repro.analysis.runner import AnalysisContext, BaseChecker
 from repro.analysis.source import SourceModule
 
-__all__ = ["CacheEpochChecker", "ROW_STORAGE_ATTRS", "EPOCH_BUMP_CALLS"]
+__all__ = [
+    "CacheEpochChecker",
+    "ROW_STORAGE_ATTRS",
+    "EPOCH_BUMP_CALLS",
+    "FACTS_ATTR",
+    "FACTS_MAINTAIN_CALLS",
+]
 
 #: Attributes holding the row storage the memoised views derive from.
 ROW_STORAGE_ATTRS = frozenset({"rows", "_tuples"})
@@ -41,6 +55,12 @@ EPOCH_BUMP_CALLS = frozenset({"invalidate_caches", "bump_epoch"})
 
 #: The epoch counter attribute; any write to it counts as a bump.
 EPOCH_ATTR = "_version"
+
+#: The maintained-facts entry, stamped with the epoch like a cache.
+FACTS_ATTR = "_facts"
+
+#: ``<facts>.<name>(...)`` calls that adjust the facts for a row.
+FACTS_MAINTAIN_CALLS = frozenset({"count_row"})
 
 #: Method names treated as mutations of the receiver (superset of the
 #: lock checker's list: sort/reverse reorder rows, which invalidates
@@ -79,14 +99,16 @@ def _self_attribute(node: ast.expr) -> str | None:
     return None
 
 
+def _assign_targets(node: ast.Assign | ast.AnnAssign | ast.AugAssign) -> list:
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
 def _class_cache_attrs(cls: ast.ClassDef) -> set[str]:
     """The ``*_cache`` attributes a class assigns on ``self`` anywhere."""
     caches: set[str] = set()
     for node in ast.walk(cls):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
+            targets = _assign_targets(node)
             for target in targets:
                 attr = _self_attribute(target)
                 if attr is not None and attr.endswith("_cache"):
@@ -98,9 +120,7 @@ def _row_mutations(fn: ast.AST) -> Iterator[tuple[ast.AST, str, str]]:
     """Yield ``(node, attr, how)`` for each row-storage mutation in ``fn``."""
     for node in ast.walk(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
+            targets = _assign_targets(node)
             for target in targets:
                 attr = _self_attribute(target)
                 if attr in ROW_STORAGE_ATTRS:
@@ -125,9 +145,7 @@ def _bumps_epoch(fn: ast.AST) -> bool:
     """Whether ``fn`` writes ``self._version`` or calls a bump helper."""
     for node in ast.walk(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
+            targets = _assign_targets(node)
             for target in targets:
                 if _self_attribute(target) == EPOCH_ATTR:
                     return True
@@ -143,8 +161,31 @@ def _bumps_epoch(fn: ast.AST) -> bool:
     return False
 
 
+def _facts_restamps(fn: ast.AST) -> Iterator[ast.AST]:
+    """Assignments of anything but ``None`` to ``self._facts`` in ``fn``."""
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = _assign_targets(node)
+            value = node.value
+            if isinstance(value, ast.Constant) and value.value is None:
+                continue
+            for target in targets:
+                if _self_attribute(target) == FACTS_ATTR:
+                    yield node
+
+
+def _maintains_facts(fn: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in FACTS_MAINTAIN_CALLS
+        for node in ast.walk(fn)
+    )
+
+
 class CacheEpochChecker(BaseChecker):
-    """Row-storage mutations in cache-bearing classes must bump the epoch."""
+    """Row-storage mutations in cache-bearing classes must bump the epoch,
+    and may re-stamp maintained facts only after adjusting them."""
 
     name = "epochs"
     rules = ("cache-epoch",)
@@ -165,9 +206,30 @@ class CacheEpochChecker(BaseChecker):
                     LOCKED_SUFFIX
                 ):
                     continue
-                if _bumps_epoch(item):
+                mutations = list(_row_mutations(item))
+                if not mutations:
                     continue
-                for node, attr, how in _row_mutations(item):
+                if _bumps_epoch(item):
+                    if not _maintains_facts(item):
+                        for node in _facts_restamps(item):
+                            yield Finding(
+                                file=module.path,
+                                line=node.lineno,
+                                rule_id="cache-epoch",
+                                severity="error",
+                                message=(
+                                    f"{statement.name}.{item.name} mutates "
+                                    f"self.{mutations[0][1]} and re-stamps "
+                                    f"self.{FACTS_ATTR} without maintaining "
+                                    f"the facts: readers will take them as "
+                                    f"current; adjust them with "
+                                    f"{sorted(FACTS_MAINTAIN_CALLS)} for the "
+                                    f"rows that changed, or leave the stamp "
+                                    f"stale"
+                                ),
+                            )
+                    continue
+                for node, attr, how in mutations:
                     yield Finding(
                         file=module.path,
                         line=getattr(node, "lineno", item.lineno),

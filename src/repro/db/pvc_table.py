@@ -31,7 +31,14 @@ from repro.errors import DistributionError, QueryValidationError, SchemaError
 from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 
-__all__ = ["PVCRow", "PVCTable", "PVCDatabase", "merge_annotated_rows", "tuple_getter"]
+__all__ = [
+    "PVCRow",
+    "PVCTable",
+    "PVCDatabase",
+    "TableFacts",
+    "merge_annotated_rows",
+    "tuple_getter",
+]
 
 
 def tuple_getter(indices):
@@ -95,6 +102,58 @@ class PVCRow:
         }
 
 
+class TableFacts:
+    """What a table's rows say about independence, kept by its write path.
+
+    :func:`repro.query.tractability.tuple_independent_relations` and
+    :attr:`PVCTable.variables` read these instead of scanning rows:
+
+    * ``dependent`` — rows that disqualify the table outright: a
+      non-:class:`Var` annotation with variables, or a semimodule value;
+    * ``annotation_rows`` — variable → number of rows whose annotation
+      mentions it, and ``mentions``, the sum of those counts (so "some
+      variable annotates two rows" is ``mentions != len(annotation_rows)``
+      and cross-table reuse is a test on the key sets);
+    * ``value_rows`` — the same count for variables inside semimodule
+      values (they matter to ``variables`` only).
+    """
+
+    __slots__ = ("dependent", "mentions", "annotation_rows", "value_rows")
+
+    def __init__(self, rows: Iterable["PVCRow"] = ()):
+        self.dependent = 0
+        self.mentions = 0
+        self.annotation_rows: dict[str, int] = {}
+        self.value_rows: dict[str, int] = {}
+        for row in rows:
+            self.count_row(row, 1)
+
+    def count_row(self, row: "PVCRow", sign: int) -> None:
+        """Account for ``row`` entering (``sign=1``) or leaving (``-1``)."""
+        annotation = row.annotation
+        names = annotation.variables
+        dependent = False
+        if names:
+            dependent = not isinstance(annotation, Var)
+            self.mentions += sign * len(names)
+            _adjust(self.annotation_rows, names, sign)
+        for value in row.values:
+            if isinstance(value, ModuleExpr):
+                dependent = True
+                _adjust(self.value_rows, value.variables, sign)
+        if dependent:
+            self.dependent += sign
+
+
+def _adjust(counts: dict, names, sign: int) -> None:
+    for name in names:
+        count = counts.get(name, 0) + sign
+        if count:
+            counts[name] = count
+        else:
+            del counts[name]
+
+
 class PVCTable:
     """A pvc-table: schema, rows, annotations.
 
@@ -112,6 +171,7 @@ class PVCTable:
         "_scan_cache",
         "_index_cache",
         "_column_cache",
+        "_facts",
     )
 
     def __init__(self, schema: Schema, rows: Iterable[PVCRow] = ()):
@@ -135,6 +195,15 @@ class PVCTable:
         self._scan_cache = None
         self._index_cache: dict = {}
         self._column_cache: dict = {}
+        #: ``(epoch, TableFacts)``, stamped like the caches above.  The
+        #: mutators *maintain* a current entry instead of dropping it:
+        #: they read it before touching ``rows``, bump the epoch, adjust
+        #: the facts for exactly the rows that changed and only then
+        #: re-stamp, so a concurrent reader sees either a current stamp
+        #: with finished facts or a stale stamp (and counts the rows
+        #: itself, see :meth:`facts`).  A table created with rows starts
+        #: without an entry.
+        self._facts = None if self.rows else (0, TableFacts())
 
     @property
     def epoch(self) -> int:
@@ -147,20 +216,54 @@ class PVCTable:
         self._scan_cache = None
         self._index_cache.clear()
         self._column_cache.clear()
+        self._facts = None
+
+    def facts(self) -> TableFacts:
+        """The table's independence facts; shared — callers must not
+        mutate them.  O(1) when the write path kept them current, one
+        pass over this table's rows otherwise (built from rows, or
+        edited in place and then :meth:`invalidate_caches`)."""
+        version = self._version  # read first: writers change rows, then bump
+        cached = self._facts
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        facts = TableFacts(self.rows)
+        self._facts = (version, facts)
+        return facts
 
     def add(self, values: Sequence, annotation: SemiringExpr = ONE):
         """Append a row; the default annotation ``1_K`` means "certain"."""
         values = tuple(values)
-        if len(values) != len(self.schema):
+        if len(values) != len(self.schema.attributes):
             raise SchemaError(
                 f"tuple of arity {len(values)} does not match schema "
                 f"{self.schema!r}"
             )
         row = PVCRow(values, annotation)
+        facts = self._facts
         self.rows.append(row)
         previous = self._version
         self._version += 1
-        self._patch_append(previous, row)
+        if facts is not None and facts[0] == previous:
+            facts = facts[1]
+            plain = type(annotation) is Var
+            if plain:
+                for value in values:
+                    if isinstance(value, ModuleExpr):
+                        plain = False
+                        break
+            if plain:
+                # ``facts.count_row(row, 1)`` for a tuple-independent row,
+                # inline: bulk loads spend their time in this method.
+                counts = facts.annotation_rows
+                name = annotation.name
+                counts[name] = counts.get(name, 0) + 1
+                facts.mentions += 1
+            else:
+                facts.count_row(row, 1)
+            self._facts = (self._version, facts)
+        if self._scan_cache is not None:
+            self._patch_append(previous, row)
 
     def _patch_append(self, previous: int, row: PVCRow) -> None:
         """Carry current caches across an append without a rebuild.
@@ -243,34 +346,38 @@ class PVCTable:
         cache-patch counters).
         """
         rows = self.rows
+        facts = self._facts
         new_rows: list[PVCRow] = []
+        replaced: list[tuple[PVCRow, PVCRow]] = []
         touched: set[tuple] = set()
-        variables: frozenset = frozenset()
+        variables: set = set()
         matched = 0
-        changed = 0
         for row in rows:
             if predicate(row):
                 matched += 1
                 new_row = rewrite(row)
+                variables |= row.annotation.variables
                 if (
                     new_row.values != row.values
                     or new_row.annotation is not row.annotation
                 ):
                     touched.add(row.values)
                     touched.add(new_row.values)
-                    variables |= row.annotation.variables
                     variables |= new_row.annotation.variables
-                    changed += 1
+                    replaced.append((row, new_row))
                     row = new_row
-                else:
-                    variables |= row.annotation.variables
             new_rows.append(row)
-        info = {"rows": matched, "changed": changed, "variables": variables}
-        if not changed:
+        info = {
+            "rows": matched,
+            "changed": len(replaced),
+            "variables": frozenset(variables),
+        }
+        if not replaced:
             return info
         previous = self._version
         self.rows = new_rows
         self._version += 1
+        self._maintain_facts(facts, previous, replaced)
         info.update(self._refresh_caches(previous, touched))
         return info
 
@@ -283,24 +390,42 @@ class PVCTable:
         :meth:`update_rows`.
         """
         rows = self.rows
+        facts = self._facts
         kept: list[PVCRow] = []
-        touched: set[tuple] = set()
-        variables: frozenset = frozenset()
+        removed: list[PVCRow] = []
         for row in rows:
             if predicate(row):
-                touched.add(row.values)
-                variables |= row.annotation.variables
+                removed.append(row)
             else:
                 kept.append(row)
-        removed = len(rows) - len(kept)
-        info = {"rows": removed, "variables": variables}
+        info = {
+            "rows": len(removed),
+            "variables": frozenset().union(
+                *(row.annotation.variables for row in removed)
+            ),
+        }
         if not removed:
             return info
         previous = self._version
         self.rows = kept
         self._version += 1
-        info.update(self._refresh_caches(previous, touched))
+        self._maintain_facts(facts, previous, [(row, None) for row in removed])
+        info.update(
+            self._refresh_caches(previous, {row.values for row in removed})
+        )
         return info
+
+    def _maintain_facts(self, cached, previous: int, replaced) -> None:
+        """Carry the facts entry ``cached`` (read before the mutation)
+        across it: ``replaced`` lists ``(old row, new row or None)``.
+        An entry that was not current at ``previous`` stays stale."""
+        if cached is not None and cached[0] == previous:
+            facts = cached[1]
+            for old_row, new_row in replaced:
+                facts.count_row(old_row, -1)
+                if new_row is not None:
+                    facts.count_row(new_row, 1)
+            self._facts = (self._version, facts)
 
     def _refresh_caches(self, previous: int, touched: set) -> dict:
         """Re-merge the scan and patch index buckets after a mutation.
@@ -472,14 +597,10 @@ class PVCTable:
 
     @property
     def variables(self) -> frozenset:
-        """All variables mentioned by annotations or semimodule values."""
-        names: frozenset = frozenset()
-        for row in self.rows:
-            names |= row.annotation.variables
-            for value in row.values:
-                if isinstance(value, ModuleExpr):
-                    names |= value.variables
-        return names
+        """All variables mentioned by annotations or semimodule values
+        (read from the maintained :meth:`facts`, not from the rows)."""
+        facts = self.facts()
+        return frozenset(facts.annotation_rows).union(facts.value_rows)
 
     def instantiate(self, valuation: Valuation, semiring: Semiring) -> Relation:
         """The possible world of this table under ``valuation`` (Def. 6).
@@ -545,6 +666,12 @@ class PVCDatabase:
         #: subscribe themselves and vanish with their owners, so a
         #: discarded session can never leak a subscription.
         self._listeners: list = []
+        #: ``(table_epochs(), names)`` — the one memo of
+        #: :func:`repro.query.tractability.tuple_independent_relations`,
+        #: shared by every session over this database.  Keyed on the
+        #: tables alone: a probability reassignment moves only the
+        #: registry epoch and cannot change which tables are independent.
+        self.independence_memo: tuple | None = None
 
     @property
     def generation(self) -> int:
@@ -570,6 +697,17 @@ class PVCDatabase:
         return tuple(
             sorted((name, table.epoch) for name, table in self.tables.items())
         ) + (("$registry", self.registry.epoch),)
+
+    def table_epochs(self) -> tuple:
+        """``((name, table, epoch), ...)`` without the registry.
+
+        The validity key of what depends on table contents only.  It
+        holds the tables themselves, so a table swapped for another at
+        the same epoch still changes the key.
+        """
+        return tuple(
+            [(name, table, table.epoch) for name, table in self.tables.items()]
+        )
 
     def subscribe(self, listener) -> None:
         """Register a weakly-held mutation listener (idempotent)."""
@@ -902,10 +1040,11 @@ class PVCDatabase:
 
     @property
     def variables(self) -> frozenset:
-        names: frozenset = frozenset()
+        names: set = set()
         for table in self.tables.values():
-            names |= table.variables
-        return names
+            facts = table.facts()
+            names.update(facts.annotation_rows, facts.value_rows)
+        return frozenset(names)
 
     def __repr__(self):
         inner = ", ".join(

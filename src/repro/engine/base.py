@@ -727,8 +727,10 @@ def select_engine_name(
       compilation may be exponential there; pass ``engine='sprout'`` to
       force it anyway.
 
-    ``tuple_independent`` lets callers (the session) pass a cached scan
-    instead of re-walking every table row per query.
+    The classification costs O(query): which tables are
+    tuple-independent is read from facts the tables' write paths
+    maintain (:func:`~repro.query.tractability.tuple_independent_relations`),
+    never from their rows.  ``tuple_independent`` overrides that set.
     """
     if tuple_independent is None:
         tuple_independent = tuple_independent_relations(db)

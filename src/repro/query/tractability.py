@@ -27,8 +27,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.algebra.semimodule import ModuleExpr
-from repro.algebra.expressions import Var
 from repro.db.pvc_table import PVCDatabase
 from repro.db.schema import Schema
 from repro.query.ast import (
@@ -227,7 +225,7 @@ def root_attribute_classes(
     return {cls for cls, indices in at.items() if len(indices) == leaf_count}
 
 
-def tuple_independent_relations(db: PVCDatabase) -> set[str]:
+def tuple_independent_relations(db: PVCDatabase) -> frozenset:
     """Base tables that are tuple-independent.
 
     A table qualifies when every tuple is annotated with its own variable
@@ -235,29 +233,42 @@ def tuple_independent_relations(db: PVCDatabase) -> set[str]:
     multiplicity, trivially independent of everything), no variable is
     reused (within or across tables), and no tuple value is a semimodule
     expression.
+
+    No row is read: each table's write path maintains the counts this
+    needs (:class:`~repro.db.pvc_table.TableFacts`), so the work is
+    O(#tables) plus C-level set operations over the variable names, and
+    the answer is memoised on the database against its table epochs.  A
+    table whose facts are missing or stale (built from rows, or edited
+    in place) is counted once, alone.  The epochs are read before and
+    after: an answer computed while a writer moved one of them is
+    discarded, never returned or published.
     """
-    usage: dict[str, int] = {}
-    candidates: set[str] = set()
-    for name, table in db.tables.items():
-        independent = True
-        for row in table:
-            if not isinstance(row.annotation, Var) and row.annotation.variables:
-                independent = False
-            if any(isinstance(v, ModuleExpr) for v in row.values):
-                independent = False
-            for variable in row.annotation.variables:
-                usage[variable] = usage.get(variable, 0) + 1
-        if independent:
-            candidates.add(name)
-    return {
+    while True:
+        epochs = db.table_epochs()
+        memo = db.independence_memo
+        if memo is not None and memo[0] == epochs:
+            return memo[1]
+        answer = _independent_tables(db)
+        if db.table_epochs() == epochs:
+            db.independence_memo = (epochs, answer)
+            return answer
+
+
+def _independent_tables(db: PVCDatabase) -> frozenset:
+    facts = {name: table.facts() for name, table in db.tables.items()}
+    seen: set[str] = set()
+    shared: set[str] = set()  # variables annotating rows of two tables
+    for table_facts in facts.values():
+        names = table_facts.annotation_rows
+        shared.update(seen.intersection(names))
+        seen.update(names)
+    return frozenset(
         name
-        for name in candidates
-        if all(
-            usage[row.annotation.name] == 1
-            for row in db.tables[name]
-            if isinstance(row.annotation, Var)
-        )
-    }
+        for name, table_facts in facts.items()
+        if not table_facts.dependent
+        and table_facts.mentions == len(table_facts.annotation_rows)
+        and table_facts.annotation_rows.keys().isdisjoint(shared)
+    )
 
 
 def classify_query(

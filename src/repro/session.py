@@ -205,7 +205,6 @@ class Session:
         #: ``close()`` never clears it.
         self.plan_cache = plan_cache
         self._engines: dict[str, Engine] = {}
-        self._tuple_independent: tuple | None = None
 
     @property
     def compiler(self) -> Compiler:
@@ -366,12 +365,7 @@ class Session:
         name = engine
         auto = name == "auto"
         if auto:
-            name, _ = select_engine_name(
-                self.db,
-                query,
-                spec=spec,
-                tuple_independent=self.tuple_independent_relations(),
-            )
+            name, _ = select_engine_name(self.db, query, spec=spec)
             if name == "approx" and (spec is None or spec.is_exact):
                 # Hard query under exact intent: degrade to *guaranteed*
                 # approximation — deterministic ε-bounds — rather than an
@@ -513,25 +507,16 @@ class Session:
 
     # -- analysis and lower-level access --------------------------------------
 
-    def tuple_independent_relations(self) -> set[str]:
-        """The database's tuple-independent tables, cached per state.
+    def tuple_independent_relations(self) -> frozenset:
+        """The database's tuple-independent tables.
 
         :func:`~repro.query.tractability.tuple_independent_relations`
-        scans every row of every table; under ``engine="auto"`` it would
-        otherwise run on each query.  The scan is memoized against the
-        database generation, which moves on *every* mutation — the old
-        fingerprint (table count, total rows, registry size) was blind to
-        equal-size updates.
+        over this session's database: read from the independence facts
+        each table's write path maintains and memoised on the database
+        itself, so every session (tenant) over it shares one answer and
+        no call scans rows.
         """
-        generation = (len(self.db.tables), self.db.generation)
-        if self._tuple_independent is None or (
-            self._tuple_independent[0] != generation
-        ):
-            self._tuple_independent = (
-                generation,
-                tuple_independent_relations(self.db),
-            )
-        return self._tuple_independent[1]
+        return tuple_independent_relations(self.db)
 
     def classify(self, query) -> Classification:
         """Static ``Q_ind``/``Q_hie`` classification of ``query``."""
@@ -643,14 +628,13 @@ class Session:
         shared server-level cache, injected via ``cache=``, serves other
         tenants and must survive one tenant's close (clearing it here
         used to flush every tenant's warm entries).  Cached engine
-        adapters and the tuple-independence scan are always dropped; the
-        session stays usable afterwards — data and registry are
-        untouched; later runs simply recompile.
+        adapters are always dropped; the session stays usable
+        afterwards — data and registry are untouched; later runs simply
+        recompile.
         """
         if self._owns_cache:
             self.cache.clear()
         self._engines.clear()
-        self._tuple_independent = None
 
     def __enter__(self) -> "Session":
         return self

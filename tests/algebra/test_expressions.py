@@ -135,3 +135,68 @@ class TestStructure:
     def test_repr_roundtrip_style(self):
         assert repr(Var("x")) == "x"
         assert "+" in repr(Var("x") + Var("y"))
+
+
+class TestInlinedConstructors:
+    """``Sum``/``Prod`` compute key, variables and hash inline and the
+    smart constructors decide exact ``Var``/``Sum``/``Prod`` operands
+    early; structure must be what the generic formulation produces."""
+
+    @staticmethod
+    def _reference(constructor_tag, neutral, absorbing, node, operands):
+        """The smart constructors as they were: coerce, then test."""
+        from repro.algebra.expressions import _coerce
+
+        flat = []
+        for operand in operands:
+            operand = _coerce(operand)
+            if absorbing is not None and operand == absorbing:
+                return absorbing
+            if isinstance(operand, node):
+                flat.extend(operand.children)
+            elif operand != neutral:
+                flat.append(operand)
+        if not flat:
+            return neutral
+        if len(flat) == 1:
+            return flat[0]
+        children = tuple(sorted(flat, key=lambda e: e.key))
+        return constructor_tag, children
+
+    def _check(self, built, reference):
+        if not isinstance(reference, tuple):
+            assert built is reference or built == reference
+            return
+        tag, children = reference
+        assert type(built) is {"+": Sum, "*": Prod}[tag]
+        assert built.children == children
+        assert built.key == (tag,) + tuple(c.key for c in children)
+        assert hash(built) == hash((tag,) + tuple(hash(c) for c in children))
+        assert built.variables == frozenset().union(
+            *(c.variables for c in children)
+        )
+
+    def test_matches_the_generic_formulation(self):
+        import itertools
+
+        class SubVar(Var):
+            __slots__ = ()
+
+        a, b, c = Var("a"), Var("b"), Var("c")
+        atoms = [
+            a, b, SubVar("s"), ZERO, ONE, SConst(2), 0, 1, True, 3,
+            Sum((a, b)), Prod((b, c)), Sum((Prod((a, b)), c)),
+            Prod((Sum((a, c)), b)),
+        ]
+        for operands in itertools.chain(
+            itertools.product(atoms, repeat=2),
+            [(), (a,), (a, b, c), (c, Prod((a, b)), Sum((a, b)), 1, a)],
+        ):
+            self._check(
+                ssum(operands),
+                self._reference("+", ZERO, None, Sum, operands),
+            )
+            self._check(
+                sprod(operands),
+                self._reference("*", ONE, ZERO, Prod, operands),
+            )

@@ -186,6 +186,77 @@ class TestCacheEpochRule:
         assert [f.rule_id for f in result.baselined] == ["cache-epoch"]
 
 
+FACTS_CLASS_HEADER = CACHE_CLASS_HEADER + """\
+            self._facts = (0, Facts())
+"""
+
+
+class TestMaintainedFactsRule:
+    """A mutator may maintain-and-re-stamp the facts or leave the stamp
+    stale — never re-stamp what it did not maintain."""
+
+    def test_flags_restamp_without_maintaining(self, analyze):
+        result = analyze(
+            FACTS_CLASS_HEADER
+            + """
+        def add(self, row):
+            facts = self._facts
+            self.rows.append(row)
+            self._version += 1
+            self._facts = (self._version, facts[1])
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-epoch"]
+        assert "without maintaining" in result.findings[0].message
+
+    def test_passes_maintain_then_restamp(self, analyze):
+        result = analyze(
+            FACTS_CLASS_HEADER
+            + """
+        def add(self, row):
+            facts = self._facts
+            self.rows.append(row)
+            self._version += 1
+            facts[1].count_row(row, 1)
+            self._facts = (self._version, facts[1])
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_passes_stale_stamp(self, analyze):
+        # Bumping the epoch alone (or dropping the entry) leaves the facts
+        # stale; readers reject the stamp and recount.
+        result = analyze(
+            FACTS_CLASS_HEADER
+            + """
+        def add(self, row):
+            self.rows.append(row)
+            self._version += 1
+
+        def wipe(self):
+            self.rows.clear()
+            self._version += 1
+            self._facts = None
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_lazy_recount_is_not_a_mutator(self, analyze):
+        result = analyze(
+            FACTS_CLASS_HEADER
+            + """
+        def facts(self):
+            self._facts = (self._version, Facts(self.rows))
+            return self._facts[1]
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+
 class TestShippedClassesSatisfyTheDiscipline:
     def test_pvc_table_and_relation_are_clean(self, analyze):
         from pathlib import Path

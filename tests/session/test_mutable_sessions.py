@@ -263,15 +263,30 @@ class TestTupleIndependenceMemo:
         s.db.insert("r", (3,), annotation=Var("shared"))
         assert "r" not in s.tuple_independent_relations()
 
-    def test_equal_size_probability_update_moves_the_key(self):
+    def test_equal_size_value_update_moves_the_key(self):
         """The old (tables, rows, registry-size) fingerprint was blind to
         this: same row count, same registry size, different state."""
         s = _seeded_session()
         before = s.tuple_independent_relations()
-        s.table("items").update({"name": "inkjet"}, p=0.9)
+        s.table("items").update({"name": "inkjet"}, {"price": 1})
         after = s.tuple_independent_relations()
         assert after is not before  # recomputed, not served stale
         assert after == before  # ...and still independent, of course
+
+    def test_probability_update_keeps_the_memo(self):
+        """A ``p=`` reassignment moves only the registry epoch; it cannot
+        change independence, so no tenant recomputes anything."""
+        s = _seeded_session()
+        before = s.tuple_independent_relations()
+        s.table("items").update({"name": "inkjet"}, p=0.9)
+        assert s.tuple_independent_relations() is before
+
+    def test_memo_is_shared_by_sessions_over_one_database(self):
+        s = _seeded_session()
+        other = connect(database=s.db)
+        assert other.tuple_independent_relations() is (
+            s.tuple_independent_relations()
+        )
 
 
 if __name__ == "__main__":
