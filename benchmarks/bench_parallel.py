@@ -46,6 +46,7 @@ from repro.algebra.expressions import Var, sprod, ssum
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
+from repro.engine.spec import EvalSpec
 from repro.engine.sprout import SproutEngine
 from repro.parallel import resolve_workers
 from repro.prob.variables import VariableRegistry
@@ -184,13 +185,12 @@ def measure_mc_fixed(db, query, samples, workers, runs, seed=1):
     times, fingerprint = [], None
     for run in range(runs):
         engine = MonteCarloEngine(db, seed=seed)
+        spec = None if workers is None else EvalSpec(workers=workers)
         start = time.perf_counter()
-        estimate = engine.tuple_probabilities(query, samples, workers=workers)
+        result = engine.run(query, spec, samples=samples)
         times.append(time.perf_counter() - start)
-        fingerprint = sorted(estimate.items(), key=lambda kv: repr(kv[0]))
-        assert "parallel_fallback" not in engine.last_run_info, (
-            engine.last_run_info
-        )
+        fingerprint = _fingerprint_rows(result)
+        assert "parallel_fallback" not in result.stats, result.stats
     return times, fingerprint
 
 
@@ -206,12 +206,10 @@ def measure_mc_codegen(db, query, samples, codegen, runs, seed=1):
     for run in range(runs):
         engine = MonteCarloEngine(db, seed=seed, codegen=codegen)
         start = time.perf_counter()
-        estimate = engine.tuple_probabilities(query, samples)
+        result = engine.run(query, samples=samples)
         times.append(time.perf_counter() - start)
-        fingerprint = sorted(estimate.items(), key=lambda kv: repr(kv[0]))
-        assert engine.last_run_info.get("codegen_used", False) is codegen, (
-            engine.last_run_info
-        )
+        fingerprint = _fingerprint_rows(result)
+        assert result.stats.get("codegen_used", False) is codegen, result.stats
     return times, fingerprint
 
 

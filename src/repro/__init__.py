@@ -40,7 +40,8 @@ Quickstart (the primary API is the :func:`connect` session facade)::
     print(result.rows[0].value_distribution("total"))
 
 The underlying layers (registries, pvc-databases, the algebra, the
-engines) remain public — ``SproutEngine(db).run(query)`` works unchanged.
+engines) remain public — ``SproutEngine(db).run(query)`` works without
+a session.
 """
 
 from repro.algebra import (
@@ -100,19 +101,16 @@ from repro.db import (
     tuple_independent_table,
 )
 from repro.engine import (
-    ApproxAdapter,
+    ApproxEngine,
     CompilationCache,
     Engine,
     EvalSpec,
-    MonteCarloAdapter,
     MonteCarloEngine,
-    NaiveAdapter,
     NaiveEngine,
     PlanCache,
     ProbInterval,
     QueryResult,
     ResultRow,
-    SproutAdapter,
     SproutEngine,
     create_engine,
 )
@@ -145,7 +143,6 @@ from repro.query import (
     count_,
     eq,
     equijoin,
-    evaluate_query,
     explain_plan,
     is_hierarchical,
     lit,
@@ -188,17 +185,16 @@ __all__ = [
     # query
     "Query", "Select", "Project", "Product", "Union", "GroupAgg", "AggSpec",
     "relation", "product_of", "equijoin", "attr", "lit", "eq", "cmp_",
-    "conj", "evaluate_query", "validate_query", "parse_sql", "optimize",
+    "conj", "validate_query", "parse_sql", "optimize",
     "optimize_traced", "Rule", "plan_query", "explain_plan",
     "classify_query", "is_hierarchical", "tuple_independent_relations",
     # session facade
     "connect", "Session", "TableHandle",
     "QueryBuilder", "AggTerm", "sum_", "count_", "min_", "max_", "prod_",
     # engines
-    "SproutEngine", "NaiveEngine", "MonteCarloEngine",
+    "SproutEngine", "ApproxEngine", "NaiveEngine", "MonteCarloEngine",
     "QueryResult", "ResultRow", "EvalSpec", "ProbInterval",
-    "Engine", "SproutAdapter", "ApproxAdapter", "NaiveAdapter",
-    "MonteCarloAdapter", "create_engine", "CompilationCache", "PlanCache",
+    "Engine", "create_engine", "CompilationCache", "PlanCache",
     # errors
     "ReproError", "AlgebraError", "ParseError", "DistributionError",
     "CompilationError", "SchemaError", "QueryValidationError",

@@ -1,7 +1,8 @@
 """Stats/fingerprint lint.
 
 Answer fingerprinting (:mod:`repro.server.codec`) hashes a result's
-stats after dropping the keys declared in ``VOLATILE_STAT_KEYS`` —
+stats after dropping the keys declared in ``VOLATILE_STAT_KEYS``
+(:mod:`repro.engine.stats`) —
 wall-clock times, cache hit counts, worker counts and other values that
 legitimately differ between two runs of the same query.  A stats key
 that is volatile **but not declared so** silently breaks fingerprint
@@ -15,11 +16,11 @@ declared, either in ``DETERMINISTIC_STAT_KEYS`` (same value for the
 same query+data, fingerprint-relevant) or in ``VOLATILE_STAT_KEYS``
 (dropped before hashing).  The declarations themselves are read
 statically from the scanned tree — the module defining both frozensets
-as literals (``repro/server/codec.py``) is discovered, not imported.
+as literals (``repro/engine/stats.py``) is discovered, not imported.
 
 Tracked mappings, by naming convention: locals named ``stats`` /
 ``info`` or ending in ``stats`` / ``_info``, and attributes named
-``.stats`` / ``.last_run_info``.  Keys must be string literals (or loop
+``.stats``.  Keys must be string literals (or loop
 variables over a literal tuple — the ``for key in ("a", "b")`` delta
 idiom); anything else is ``stats-dynamic-key``.
 """
@@ -50,7 +51,7 @@ def _tracked_name(node: ast.expr) -> str | None:
         if name in ("stats", "info") or name.endswith(("stats", "_info")):
             return name
     if isinstance(node, ast.Attribute):
-        if node.attr in ("stats", "last_run_info"):
+        if node.attr == "stats":
             return node.attr
     return None
 

@@ -38,6 +38,7 @@ __all__ = [
     "CodegenUnsupported",
     "compile_plan",
     "kernel_for",
+    "bound_kernel_for",
     "codegen_enabled",
     "codegen_strict",
     "runtime_stats",
@@ -73,3 +74,24 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
         compiled = None
     cache[key] = compiled
     return compiled
+
+
+def bound_kernel_for(prepared, db, names, supports=None, codegen=None):
+    """The prepared query's kernel bound to ``db`` for the per-world
+    engines, or ``None`` when codegen is off (``codegen`` as in
+    :func:`codegen_enabled`) or the plan or the database's annotations
+    have no compiled form (``REPRO_CODEGEN_STRICT`` raises instead).
+
+    ``names``/``supports`` are as in :meth:`CompiledPlan.bind`.
+    """
+    if not codegen_enabled(codegen):
+        return None
+    kernel = kernel_for(prepared, db.semiring)
+    if kernel is None:
+        return None
+    try:
+        return kernel.bind(db, names, supports)
+    except CodegenUnsupported:
+        if codegen_strict():
+            raise
+        return None

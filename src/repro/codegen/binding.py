@@ -187,15 +187,6 @@ class BoundPlan:
                     f"database has no table named {name!r}"
                 )
             tables[name] = table
-        #: Epoch vector of everything this binding snapshotted: the
-        #: scanned tables plus the registry (variable supports feed the
-        #: coerced valuation layout).  A bound plan is a point-in-time
-        #: artifact; :meth:`is_current` lets callers reuse it across runs
-        #: only while none of its inputs mutated.
-        self.epochs = tuple(
-            sorted((name, table.epoch) for name, table in tables.items())
-        )
-        self.registry_epoch = getattr(db.registry, "epoch", None)
         static_names = {
             name for name, table in tables.items() if not table.variables
         }
@@ -352,22 +343,6 @@ class BoundPlan:
                         mapping[values] = combined
             world[name] = mapping
         return self._compiled.fn(world, self._statics, trace, check_deadline)
-
-    def is_current(self, db) -> bool:
-        """Whether this binding's snapshot still matches ``db``.
-
-        True iff every table it read is at the epoch it was bound at and
-        the registry is unchanged.  Callers caching bound plans across
-        runs (the naive oracle) must re-bind when this goes false; the
-        compiled kernel itself is data-independent and survives.
-        """
-        if self.registry_epoch != getattr(db.registry, "epoch", None):
-            return False
-        for name, epoch in self.epochs:
-            table = db.tables.get(name)
-            if table is None or table.epoch != epoch:
-                return False
-        return True
 
     def run_indices(self, key, trace=None, check_deadline=None) -> dict:
         """Evaluate the world selected by per-variable support indices."""

@@ -3,7 +3,7 @@
 * :class:`~repro.engine.sprout.SproutEngine` — the paper's architecture:
   Figure-4 rewriting followed by d-tree compilation (exact, efficient on
   tractable queries).
-* :class:`~repro.engine.approximate.ApproxAdapter` — budgeted partial
+* :class:`~repro.engine.approximate.ApproxEngine` — budgeted partial
   compilation with deterministic probability bounds, refined until every
   interval width ≤ ε (the paper's anytime approximation scheme).
 * :class:`~repro.engine.naive.NaiveEngine` — explicit possible-world
@@ -11,38 +11,37 @@
 * :class:`~repro.engine.montecarlo.MonteCarloEngine` — sampling baseline
   in the spirit of MCDB, with a sequential-stopping (ε, δ) mode.
 
-All are available behind the uniform :class:`~repro.engine.base.Engine`
-protocol (adapters returning the same
-:class:`~repro.engine.sprout.QueryResult` type, every probability a
+All four implement the uniform :class:`~repro.engine.base.Engine`
+protocol themselves (``run(query, spec=None, **options)`` returning the
+same :class:`~repro.engine.sprout.QueryResult` type, every probability a
 :class:`~repro.engine.spec.ProbInterval`), which is what the
 :class:`~repro.session.Session` facade dispatches on — *how* to evaluate
-travels as one :class:`~repro.engine.spec.EvalSpec`.
+travels as one :class:`~repro.engine.spec.EvalSpec`.  The registry of
+``QueryResult.stats`` keys lives in :mod:`repro.engine.stats`.
 """
 
-from repro.engine.approximate import ApproxAdapter
+from repro.engine.approximate import ApproxEngine
 from repro.engine.base import (
     ENGINE_NAMES,
     CompilationCache,
     Engine,
-    MonteCarloAdapter,
-    NaiveAdapter,
     PlanCache,
-    SproutAdapter,
     create_engine,
     select_engine_name,
 )
 from repro.engine.montecarlo import MonteCarloEngine
-from repro.engine.naive import NaiveEngine, evaluate_deterministic
+from repro.engine.naive import NaiveEngine
 from repro.engine.spec import EVAL_MODES, EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult, ResultRow, SproutEngine
+from repro.engine.stats import DETERMINISTIC_STAT_KEYS, VOLATILE_STAT_KEYS
 
 __all__ = [
     "SproutEngine",
     "QueryResult",
     "ResultRow",
     "NaiveEngine",
-    "evaluate_deterministic",
     "MonteCarloEngine",
+    "ApproxEngine",
     "Engine",
     "ENGINE_NAMES",
     "EVAL_MODES",
@@ -50,10 +49,8 @@ __all__ = [
     "ProbInterval",
     "CompilationCache",
     "PlanCache",
-    "SproutAdapter",
-    "ApproxAdapter",
-    "NaiveAdapter",
-    "MonteCarloAdapter",
     "create_engine",
     "select_engine_name",
+    "VOLATILE_STAT_KEYS",
+    "DETERMINISTIC_STAT_KEYS",
 ]

@@ -16,7 +16,7 @@ deterministic), and the Shannon budget doubles per round until
 
 Intervals nest monotonically across rounds (each refinement is
 intersected with the previous bracket), which is what makes
-:meth:`ApproxAdapter.run_iter` a true anytime iterator: consumers can
+:meth:`ApproxEngine.run_iter` a true anytime iterator: consumers can
 stop at any snapshot and still hold sound, ever-tighter answers — e.g.
 stop as soon as ``QueryResult.top_k(k).stats["top_k_decided"]`` flips.
 """
@@ -27,8 +27,6 @@ import time
 
 from repro.algebra.simplify import Normalizer
 from repro.core.approx import ApproximateCompiler, bounds_task
-from repro.core.compile import Compiler
-from repro.db.pvc_table import PVCDatabase
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult, ResultRow, SproutEngine
 from repro.errors import QueryTimeoutError, QueryValidationError
@@ -38,7 +36,7 @@ from repro.query.ast import Query
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.faults import fault_point
 
-__all__ = ["ApproxAdapter"]
+__all__ = ["ApproxEngine"]
 
 #: Past this per-row Shannon allowance exact compilation is typically
 #: cheaper than further refinement (matches ``approximate_probability``).
@@ -48,37 +46,14 @@ _MAX_ROW_BUDGET = 1 << 20
 _INITIAL_ROW_BUDGET = 8
 
 
-class ApproxAdapter:
-    """Budgeted d-tree approximation behind the ``Engine`` protocol."""
+class ApproxEngine(SproutEngine):
+    """Budgeted d-tree approximation with deterministic bounds.
+
+    Step I (planning and symbolic rewriting), the plan memo and the
+    distribution source are the exact engine's; only step II differs.
+    """
 
     name = "approx"
-
-    def __init__(
-        self,
-        db: PVCDatabase,
-        distribution_source=None,
-        plan_source=None,
-        **compiler_options,
-    ):
-        self.db = db
-        #: Step I (symbolic rewriting) is shared with the exact engine —
-        #: including its prepared-plan cache.
-        self.engine = SproutEngine(
-            db,
-            distribution_source=distribution_source,
-            plan_source=plan_source,
-            **compiler_options,
-        )
-        self.distribution_source = distribution_source
-        self.compiler_options = compiler_options
-
-    def _row_compiler(self):
-        """Distribution source for the result rows' exact accessors."""
-        if self.distribution_source is not None:
-            return self.distribution_source
-        return Compiler(
-            self.db.registry, self.db.semiring, **self.compiler_options
-        )
 
     def run(self, query: Query, spec: EvalSpec | None = None, **options) -> QueryResult:
         """Refine until the spec is satisfied; return the final snapshot."""
@@ -124,12 +99,12 @@ class ApproxAdapter:
         #: exhaustion) and into the pool watchdog around fan-out rounds.
         deadline = Deadline.after(spec.time_limit)
         start = time.perf_counter()
-        table = self.engine.rewrite(query)
+        table = self.rewrite(query)
         rewrite_seconds = time.perf_counter() - start
 
         registry = self.db.registry
         semiring = self.db.semiring
-        row_compiler = self._row_compiler()
+        row_compiler = self._compiler()
         annotations = [row.annotation for row in table]
         intervals: list[ProbInterval | None] = [None] * len(annotations)
         pending = set(range(len(annotations)))

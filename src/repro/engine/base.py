@@ -1,19 +1,22 @@
-"""The pluggable ``Engine`` protocol and its adapters.
+"""The pluggable ``Engine`` protocol, the engine factory and the caches.
 
 Every engine in the library answers the same question — ``P[t ∈ answer]``
 for a ``Q``-algebra query over a pvc-database — behind one front door:
 
 * :class:`Engine` — the protocol (``name`` + ``run(query, spec=None) ->
   QueryResult``); engines that can refine answers incrementally also
-  expose ``run_iter`` (see :meth:`repro.session.Session.run_iter`);
-* :class:`SproutAdapter` / :class:`ApproxAdapter` / :class:`NaiveAdapter`
-  / :class:`MonteCarloAdapter` — adapters returning the **same**
-  :class:`QueryResult` type, with probabilities as
-  :class:`~repro.engine.spec.ProbInterval` values (zero-width when exact)
-  and uniform per-run diagnostics in ``QueryResult.stats``;
+  expose ``run_iter`` (see :meth:`repro.session.Session.run_iter`).
+  :class:`~repro.engine.sprout.SproutEngine`,
+  :class:`~repro.engine.approximate.ApproxEngine`,
+  :class:`~repro.engine.naive.NaiveEngine` and
+  :class:`~repro.engine.montecarlo.MonteCarloEngine` implement it
+  themselves, all returning the **same** :class:`QueryResult` type, with
+  probabilities as :class:`~repro.engine.spec.ProbInterval` values
+  (zero-width when exact) and uniform per-run diagnostics in
+  ``QueryResult.stats``;
 * :class:`~repro.engine.spec.EvalSpec` — *how* to answer (``exact``,
   ``approx`` with deterministic ε-bounds, or ``sample`` with (ε, δ)
-  confidence intervals), threaded from the session through every adapter;
+  confidence intervals), threaded from the session into every engine;
 * :func:`create_engine` — the factory keyed on engine names;
 * :func:`select_engine_name` — the ``engine="auto"`` policy: exact
   compilation for queries the Section-6 analysis proves tractable;
@@ -23,33 +26,27 @@ for a ``Q``-algebra query over a pvc-database — behind one front door:
   unqualified estimate;
 * :class:`CompilationCache` — a shared distribution cache keyed on
   normalized annotations, so repeated and overlapping rows across runs
-  never recompile the same d-tree.
+  never recompile the same d-tree;
+* :class:`PlanCache` — the one memo of prepared physical plans.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
-from repro.algebra.expressions import ONE, Expr
-from repro.codegen import runtime_stats
+from repro.algebra.expressions import Expr
 from repro.core.compile import Compiler
 from repro.db.mutations import LineageIndex
 from repro.db.pvc_table import PVCDatabase
-from repro.engine.approximate import ApproxAdapter
+from repro.engine.approximate import ApproxEngine
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.spec import EvalSpec
-from repro.engine.sprout import QueryResult, ResultRow, SproutEngine
-from repro.errors import QueryTimeoutError, QueryValidationError
+from repro.engine.sprout import QueryResult, SproutEngine
+from repro.errors import QueryValidationError
 from repro.prob.distribution import Distribution
-from repro.resilience.deadline import (
-    DeadlineExceeded,
-    deadline_from_spec,
-    deadline_scope,
-)
 from repro.query.ast import Query
 from repro.query.tractability import (
     Classification,
@@ -62,10 +59,6 @@ __all__ = [
     "ENGINE_NAMES",
     "CompilationCache",
     "PlanCache",
-    "SproutAdapter",
-    "ApproxAdapter",
-    "NaiveAdapter",
-    "MonteCarloAdapter",
     "create_engine",
     "select_engine_name",
 ]
@@ -85,17 +78,6 @@ class Engine(Protocol):
     ) -> QueryResult:
         """Evaluate ``query`` under ``spec``; rows carry ProbIntervals."""
         ...
-
-
-def _reject_non_exact(name: str, spec: EvalSpec | None) -> None:
-    """Exact engines only accept exact (or absent) specs."""
-    if spec is not None and not spec.is_exact:
-        raise QueryValidationError(
-            f"engine {name!r} computes exact answers only; use "
-            f"engine='approx' for spec mode 'approx' and "
-            f"engine='montecarlo' for spec mode 'sample' "
-            f"(or engine='auto' to dispatch on the spec)"
-        )
 
 
 class CompilationCache:
@@ -340,13 +322,15 @@ class CompilationCache:
 
 
 class PlanCache:
-    """Shared bounded LRU of prepared physical plans.
+    """Bounded LRU of prepared physical plans — the one plan memo.
 
-    Keyed on ``(query, db_fingerprint)`` — query AST nodes compare and
-    hash structurally, and the fingerprint (per-table cardinalities)
-    invalidates plans whose greedy join order was chosen for different
-    statistics.  One instance can back many sessions: the query server
-    hands every tenant session the same cache, so a statement one tenant
+    Keyed on ``(query, fingerprint)`` — query AST nodes compare and hash
+    structurally, and the fingerprint (the row counts of the tables the
+    query reads, see :meth:`SproutEngine.prepare
+    <repro.engine.sprout.SproutEngine.prepare>`) invalidates plans whose
+    greedy join order was chosen for different statistics.  Every session
+    owns one unless handed a shared instance: the query server hands
+    every tenant session the same cache, so a statement one tenant
     prepared skips the optimizer and physical planner for every other
     tenant.  Thread-safe like :class:`CompilationCache`.
     """
@@ -412,267 +396,6 @@ class PlanCache:
         )
 
 
-class SproutAdapter:
-    """The paper's two-step pipeline behind the :class:`Engine` protocol."""
-
-    name = "sprout"
-
-    def __init__(
-        self,
-        db: PVCDatabase,
-        distribution_source=None,
-        plan_source=None,
-        **compiler_options,
-    ):
-        self.engine = SproutEngine(
-            db,
-            distribution_source=distribution_source,
-            plan_source=plan_source,
-            **compiler_options,
-        )
-
-    def run(
-        self, query: Query, spec: EvalSpec | None = None, **options
-    ) -> QueryResult:
-        _reject_non_exact(self.name, spec)
-        if spec is not None and spec.workers is not None:
-            options.setdefault("workers", spec.workers)
-        deadline = deadline_from_spec(spec)
-        with deadline_scope(deadline):
-            result = self.engine.run(query, **options)
-        result.engine = self.name
-        result.stats["db_generation"] = self.engine.db.generation
-        if result.stats.get("deadline_hit"):
-            # The engine degraded to a sound partial answer: compiled
-            # rows are exact, the rest report [0, 1].  Under the
-            # "raise" policy the partial still travels on the error.
-            if spec is not None and spec.on_timeout == "raise":
-                raise QueryTimeoutError(
-                    f"exact compilation exceeded time_limit="
-                    f"{spec.time_limit:g}s after "
-                    f"{result.stats.get('rows_exact', 0)} of "
-                    f"{len(result.rows)} rows",
-                    partial=result,
-                    elapsed=deadline.elapsed() if deadline else None,
-                )
-        return result
-
-
-def _codegen_stats(stats: dict, before: dict) -> dict:
-    """Merge this run's codegen counter deltas into ``stats``.
-
-    The counters are process-wide (kernels are cached across runs and
-    sessions), so per-run stats report the *delta* over the run; all of
-    these are volatile — excluded from result fingerprints like
-    ``wall_seconds``.
-    """
-    after = runtime_stats()
-    for key in ("kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"):
-        stats[key] = after[key] - before[key]
-    return stats
-
-
-def _concrete_rows(schema, probabilities, compare_key=repr):
-    """Sorted ResultRows for engines reporting concrete tuples only."""
-    return [
-        ResultRow(schema, values, ONE, None, _probability=probability)
-        for values, probability in sorted(
-            probabilities.items(), key=lambda kv: compare_key(kv[0])
-        )
-    ]
-
-
-class NaiveAdapter:
-    """Possible-worlds enumeration behind the :class:`Engine` protocol.
-
-    Rows carry *concrete* values (aggregates are instantiated per world),
-    so there are no symbolic annotations to expose; the probabilities are
-    exact and precomputed.
-    """
-
-    name = "naive"
-
-    def __init__(self, db: PVCDatabase):
-        self.engine = NaiveEngine(db)
-
-    def run(
-        self, query: Query, spec: EvalSpec | None = None, **options
-    ) -> QueryResult:
-        if options:
-            raise QueryValidationError(
-                f"naive engine takes no run options, got {sorted(options)}"
-            )
-        _reject_non_exact(self.name, spec)
-        self.engine.codegen = spec.codegen if spec is not None else None
-        counters = runtime_stats()
-        start = time.perf_counter()
-        deadline = deadline_from_spec(spec)
-        try:
-            with deadline_scope(deadline):
-                probabilities = self.engine.tuple_probabilities(query)
-        except DeadlineExceeded as exc:
-            # Mid-enumeration the answer tuple set itself is incomplete,
-            # so there is no sound partial to degrade to: the naive
-            # engine always raises on timeout, under either policy.
-            raise QueryTimeoutError(
-                f"naive enumeration exceeded time_limit="
-                f"{spec.time_limit:g}s; possible-worlds enumeration has "
-                f"no sound partial answer",
-                partial=None,
-                elapsed=time.perf_counter() - start,
-            ) from exc
-        elapsed = time.perf_counter() - start
-        schema = query.schema(self.engine.db.catalog())
-        rows = _concrete_rows(schema, probabilities)
-        stats = {"wall_seconds": elapsed, "rows": len(rows)}
-        stats.update(self.engine.last_run_info)
-        stats["db_generation"] = self.engine.db.generation
-        _codegen_stats(stats, counters)
-        return QueryResult(
-            schema,
-            rows,
-            {"enumeration_seconds": elapsed},
-            engine=self.name,
-            stats=stats,
-        )
-
-
-class MonteCarloAdapter:
-    """MCDB-style sampling behind the :class:`Engine` protocol.
-
-    Without a spec (or with ``samples=``) it reports plain empirical
-    frequencies from a fixed budget, as before.  With ``spec`` mode
-    ``"sample"`` it runs the sequential-stopping estimator: worlds are
-    drawn in doubling rounds until every answer tuple's (ε, δ) confidence
-    interval is narrower than ``spec.epsilon`` (or the budget/time limit
-    trips), and rows carry those intervals.
-    """
-
-    name = "montecarlo"
-
-    def __init__(self, db: PVCDatabase, seed: int | None = None, samples: int = 1000):
-        self.engine = MonteCarloEngine(db, seed=seed)
-        self.samples = samples
-
-    def _interval_result(self, query: Query, intervals, info) -> QueryResult:
-        schema = query.schema(self.engine.db.catalog())
-        rows = _concrete_rows(schema, intervals)
-        stats = dict(info)
-        stats["rows"] = len(rows)
-        stats["db_generation"] = self.engine.db.generation
-        return QueryResult(
-            schema,
-            rows,
-            {"sampling_seconds": info.get("wall_seconds", 0.0)},
-            engine=self.name,
-            stats=stats,
-        )
-
-    def run(
-        self,
-        query: Query,
-        spec: EvalSpec | None = None,
-        samples: int | None = None,
-        **options,
-    ) -> QueryResult:
-        if options:
-            raise QueryValidationError(
-                f"montecarlo engine takes only 'spec' and 'samples' run "
-                f"options, got {sorted(options)}"
-            )
-        if spec is not None and spec.mode == "approx":
-            raise QueryValidationError(
-                "spec mode 'approx' means deterministic d-tree bounds; "
-                "use engine='approx' (Monte-Carlo provides (ε, δ) "
-                "confidence intervals via spec mode 'sample')"
-            )
-        self.engine.codegen = spec.codegen if spec is not None else None
-        counters = runtime_stats()
-        if spec is not None and spec.mode == "sample":
-            if samples is not None:
-                raise QueryValidationError(
-                    "pass the sample budget as spec.budget, not samples=, "
-                    "when running under an EvalSpec"
-                )
-            intervals, info = self.engine.estimate_intervals(
-                query,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                max_samples=spec.budget,
-                time_limit=spec.time_limit,
-                workers=spec.workers,
-            )
-            result = self._interval_result(query, intervals, info)
-            _codegen_stats(result.stats, counters)
-            if info.get("deadline_hit") and spec.on_timeout == "raise":
-                raise QueryTimeoutError(
-                    f"sampling exceeded time_limit={spec.time_limit:g}s "
-                    f"after {info.get('samples', 0)} samples",
-                    partial=result,
-                    elapsed=info.get("wall_seconds"),
-                )
-            return result
-        if spec is not None and not (
-            spec.execution_only
-            and (spec.workers is not None or spec.codegen is not None)
-        ):
-            # Remaining mode is "exact": sampling cannot honour that.
-            # The single exception is a pure-execution spec — only the
-            # workers and/or codegen knobs set — which runs the legacy
-            # fixed-budget estimator below without touching its answer
-            # semantics.
-            raise QueryValidationError(
-                "montecarlo engine cannot guarantee exact answers; use "
-                "engine='sprout' or 'naive', or spec mode 'sample'"
-            )
-        workers = spec.workers if spec is not None else None
-        budget = self.samples if samples is None else samples
-        start = time.perf_counter()
-        probabilities = self.engine.tuple_probabilities(
-            query, samples=budget, workers=workers
-        )
-        elapsed = time.perf_counter() - start
-        schema = query.schema(self.engine.db.catalog())
-        rows = _concrete_rows(schema, probabilities)
-        stats = {"wall_seconds": elapsed, "rows": len(rows)}
-        stats.update(self.engine.last_run_info)
-        stats["db_generation"] = self.engine.db.generation
-        _codegen_stats(stats, counters)
-        return QueryResult(
-            schema,
-            rows,
-            {"sampling_seconds": elapsed},
-            engine=self.name,
-            stats=stats,
-        )
-
-    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
-        """Yield a refined :class:`QueryResult` after every sampling round."""
-        if options:
-            raise QueryValidationError(
-                f"montecarlo engine takes only a 'spec' run_iter option, "
-                f"got {sorted(options)}"
-            )
-        spec = EvalSpec.make(spec)
-        if spec.mode != "sample":
-            raise QueryValidationError(
-                "anytime Monte-Carlo needs spec mode 'sample'"
-            )
-        self.engine.codegen = spec.codegen
-        counters = runtime_stats()
-        for intervals, info in self.engine.estimate_intervals_iter(
-            query,
-            epsilon=spec.epsilon,
-            delta=spec.delta,
-            max_samples=spec.budget,
-            time_limit=spec.time_limit,
-            workers=spec.workers,
-        ):
-            result = self._interval_result(query, intervals, info)
-            _codegen_stats(result.stats, counters)
-            yield result
-
-
 def create_engine(
     name: str,
     db: PVCDatabase,
@@ -683,25 +406,19 @@ def create_engine(
     samples: int = 1000,
     **compiler_options,
 ) -> Engine:
-    """Instantiate the engine adapter registered under ``name``."""
-    if name == "sprout":
-        return SproutAdapter(
-            db,
-            distribution_source=distribution_source,
-            plan_source=plan_source,
-            **compiler_options,
-        )
-    if name == "approx":
-        return ApproxAdapter(
+    """Instantiate the engine registered under ``name``."""
+    if name in ("sprout", "approx"):
+        engine_class = SproutEngine if name == "sprout" else ApproxEngine
+        return engine_class(
             db,
             distribution_source=distribution_source,
             plan_source=plan_source,
             **compiler_options,
         )
     if name == "naive":
-        return NaiveAdapter(db)
+        return NaiveEngine(db)
     if name == "montecarlo":
-        return MonteCarloAdapter(db, seed=seed, samples=samples)
+        return MonteCarloEngine(db, seed=seed, samples=samples)
     raise QueryValidationError(
         f"unknown engine {name!r}; expected one of {list(ENGINE_NAMES)} or 'auto'"
     )

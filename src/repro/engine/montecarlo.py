@@ -48,7 +48,7 @@ plan and the seed derivation never depend on the worker count, a seeded
 run is **bit-identical** for any ``workers`` setting — including the
 sequential-stopping interval path, which shards every doubling round the
 same way.  A worker crash or pickle failure degrades to inline shard
-evaluation with the reason recorded in ``last_run_info``.
+evaluation with the reason recorded in ``stats["parallel_fallback"]``.
 
 Estimates remain plain empirical frequencies either way, and a fixed
 ``seed`` makes runs reproducible.
@@ -70,14 +70,15 @@ from repro.algebra.valuation import (
     evaluate_batch,
 )
 from repro.codegen import (
-    CodegenUnsupported,
+    bound_kernel_for,
     codegen_enabled,
-    codegen_strict,
     kernel_for,
+    runtime_stats,
 )
 from repro.db.pvc_table import PVCDatabase
-from repro.engine.spec import ProbInterval
-from repro.errors import AlgebraError, QueryValidationError
+from repro.engine.spec import EvalSpec, ProbInterval
+from repro.engine.sprout import QueryResult, concrete_result
+from repro.errors import AlgebraError, QueryTimeoutError, QueryValidationError
 from repro.parallel import pool as parallel_pool
 from repro.parallel.reducer import merge_counts
 from repro.parallel.shards import plan_shards, resolve_workers, spawn_seeds
@@ -120,7 +121,9 @@ class _RunContext(NamedTuple):
     step I, re-compiles a kernel or re-reads a variable's distribution.
     """
 
-    db: PVCDatabase
+    #: The engine whose run this is; shards evaluate through it with
+    #: their own RNG streams, never touching its streams.
+    engine: "MonteCarloEngine"
     query: Query
     referenced: tuple
     #: The variables of the referenced tables, see ``_supports``.
@@ -133,31 +136,40 @@ class _RunContext(NamedTuple):
 
 
 class MonteCarloEngine:
-    """Approximate query answering by sampling possible worlds."""
+    """Approximate query answering by sampling possible worlds.
+
+    :meth:`run` without a spec (or with ``samples=``) reports plain
+    empirical frequencies from a fixed budget.  With ``spec`` mode
+    ``"sample"`` it runs the sequential-stopping estimator: worlds are
+    drawn in doubling rounds until every answer tuple's (ε, δ) confidence
+    interval is narrower than ``spec.epsilon`` (or the budget/time limit
+    trips), and rows carry those intervals.
+    """
+
+    name = "montecarlo"
 
     def __init__(
         self,
         db: PVCDatabase,
         seed: int | None = None,
+        samples: int = 1000,
         codegen: bool | None = None,
     ):
         self.db = db
+        #: Fixed budget of :meth:`run` when neither ``samples=`` nor a
+        #: ``"sample"`` spec says otherwise.
+        self.samples = samples
         #: Per-world execution strategy of the generic fallback: ``None``
         #: follows the ``REPRO_CODEGEN`` environment knob, ``True``/
-        #: ``False`` force the compiled kernels on or off.  Compiled and
-        #: interpreted per-world evaluation are bit-identical, so this —
-        #: like ``workers`` — never changes a seeded answer.
+        #: ``False`` force the compiled kernels on or off; a run's
+        #: ``spec.codegen`` takes precedence.  Compiled and interpreted
+        #: per-world evaluation are bit-identical, so this — like
+        #: ``workers`` — never changes a seeded answer.
         self.codegen = codegen
         self.random = random.Random(seed)
         self._np_rng = (
             _np.random.default_rng(seed) if _np is not None else None
         )
-        #: Diagnostics of the most recent run: sample budget, whether the
-        #: vectorized batch evaluator handled the query, and how many
-        #: distinct worlds the fallback actually evaluated.  Internal —
-        #: the engine adapters surface these uniformly as
-        #: ``QueryResult.stats``; read that instead.
-        self.last_run_info: dict = {}
 
     # -- sampling ------------------------------------------------------------
 
@@ -223,6 +235,104 @@ class MonteCarloEngine:
             drawn[name] = (values, indices)
         return drawn
 
+    # -- the Engine protocol -------------------------------------------------
+
+    def run(
+        self,
+        query: Query,
+        spec: EvalSpec | None = None,
+        samples: int | None = None,
+        **options,
+    ) -> QueryResult:
+        """Estimate ``P[t ∈ answer]``; see the class docstring for modes."""
+        if options:
+            raise QueryValidationError(
+                f"montecarlo engine takes only 'spec' and 'samples' run "
+                f"options, got {sorted(options)}"
+            )
+        if spec is not None and spec.mode == "approx":
+            raise QueryValidationError(
+                "spec mode 'approx' means deterministic d-tree bounds; "
+                "use engine='approx' (Monte-Carlo provides (ε, δ) "
+                "confidence intervals via spec mode 'sample')"
+            )
+        counters = runtime_stats()
+        if spec is not None and spec.mode == "sample":
+            if samples is not None:
+                raise QueryValidationError(
+                    "pass the sample budget as spec.budget, not samples=, "
+                    "when running under an EvalSpec"
+                )
+            intervals, info = self.estimate_intervals(
+                query, **self._interval_options(spec)
+            )
+            result = concrete_result(
+                self, query, intervals, info, "sampling_seconds", counters
+            )
+            if info.get("deadline_hit") and spec.on_timeout == "raise":
+                raise QueryTimeoutError(
+                    f"sampling exceeded time_limit={spec.time_limit:g}s "
+                    f"after {info['samples']} samples",
+                    partial=result,
+                    elapsed=info["wall_seconds"],
+                )
+            return result
+        if spec is not None and not (
+            spec.execution_only
+            and (spec.workers is not None or spec.codegen is not None)
+        ):
+            # Remaining mode is "exact": sampling cannot honour that.
+            # The single exception is a pure-execution spec — only the
+            # workers and/or codegen knobs set — which runs the
+            # fixed-budget estimator below without touching its answer
+            # semantics.
+            raise QueryValidationError(
+                "montecarlo engine cannot guarantee exact answers; use "
+                "engine='sprout' or 'naive', or spec mode 'sample'"
+            )
+        start = time.perf_counter()
+        probabilities, info = self._estimate(
+            query,
+            self.samples if samples is None else samples,
+            workers=spec.workers if spec is not None else None,
+            codegen=spec.codegen if spec is not None else None,
+        )
+        info = {"wall_seconds": time.perf_counter() - start, **info}
+        return concrete_result(
+            self, query, probabilities, info, "sampling_seconds", counters
+        )
+
+    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
+        """Yield a refined :class:`QueryResult` after every sampling round."""
+        if options:
+            raise QueryValidationError(
+                f"montecarlo engine takes only a 'spec' run_iter option, "
+                f"got {sorted(options)}"
+            )
+        spec = EvalSpec.make(spec)
+        if spec.mode != "sample":
+            raise QueryValidationError(
+                "anytime Monte-Carlo needs spec mode 'sample'"
+            )
+        counters = runtime_stats()
+        for intervals, info in self.estimate_intervals_iter(
+            query, **self._interval_options(spec)
+        ):
+            yield concrete_result(
+                self, query, intervals, info, "sampling_seconds", counters
+            )
+
+    def _interval_options(self, spec: EvalSpec) -> dict:
+        """A ``"sample"`` spec as :meth:`estimate_intervals` keywords."""
+        return {
+            "epsilon": spec.epsilon,
+            "delta": spec.delta,
+            "max_samples": spec.budget,
+            "time_limit": spec.time_limit,
+            "workers": spec.workers,
+            "codegen": spec.codegen,
+        }
+
     # -- estimation ----------------------------------------------------------
 
     def tuple_probabilities(
@@ -239,34 +349,44 @@ class MonteCarloEngine:
         scheme, whose seeded results are bit-identical across worker
         counts; ``workers >= 2`` evaluates the shards on a process pool.
         """
+        return self._estimate(query, samples, workers, shard_size)[0]
+
+    def _estimate(
+        self, query: Query, samples: int, workers=None, shard_size=None, codegen=None
+    ) -> tuple[dict[tuple, float], dict]:
+        """:meth:`tuple_probabilities` plus the run's diagnostics."""
         if samples <= 0:
             raise ValueError("need at least one sample")
         validate_query(query, self.db.catalog())
         workers = resolve_workers(workers)
-        context = self._run_context(query)
-        self.last_run_info = {"samples": samples, "batched": False}
+        context = self._run_context(query, codegen)
         if workers is None:
-            counts, batched = self._sampled_counts(context, samples)
-            self.last_run_info["batched"] = batched
+            counts, info = self._sampled_counts(context, samples)
         else:
             counts, info = self._sharded_counts(
                 context, samples, workers, shard_size
             )
-            self.last_run_info.update(info)
-        return {values: count / samples for values, count in counts.items()}
+        probabilities = {
+            values: count / samples for values, count in counts.items()
+        }
+        return probabilities, {"samples": samples, **info}
 
     def _prepare(self, query: Query) -> PreparedQuery:
         return prepare(
             query, self.db.catalog(), self.db.cardinalities(), optimize=False
         )
 
-    def _run_context(self, query: Query) -> _RunContext:
+    def _run_context(
+        self, query: Query, codegen: bool | None = None
+    ) -> _RunContext:
         """Plan, run step I and read the variables' distributions — once.
 
         When the per-world loop will serve the run and codegen is on, the
         kernel is compiled here too: it rides the prepared plan's
         ``op_cache`` (a cheap picklable payload) into forked shards.
         """
+        if codegen is None:
+            codegen = self.codegen
         referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
         for name in referenced:
@@ -275,47 +395,54 @@ class MonteCarloEngine:
         symbolic = None
         if _np is not None and kernels.numpy_enabled():
             symbolic = self._symbolic_rows(prepared)
-        if symbolic is None and codegen_enabled(self.codegen):
+        if symbolic is None and codegen_enabled(codegen):
             kernel_for(prepared, self.db.semiring)
         return _RunContext(
-            self.db,
+            self,
             query,
             referenced,
             self._supports(sorted(needed)),
-            self.codegen,
+            codegen,
             prepared,
             symbolic,
         )
 
     def _sampled_counts(
         self, context: _RunContext, samples: int
-    ) -> tuple[dict[tuple, int], bool]:
+    ) -> tuple[dict[tuple, int], dict]:
         """Draw ``samples`` worlds from the engine's own streams and count
-        answer-tuple occurrences; also returns whether the batched
-        evaluator handled them."""
+        answer-tuple occurrences; see :meth:`_evaluate_drawn`."""
         drawn = self._sample_index_columns(context.supports, samples)
         return self._evaluate_drawn(context, drawn, samples)
 
     def _evaluate_drawn(
         self, context: _RunContext, drawn, samples: int
-    ) -> tuple[dict[tuple, int], bool]:
+    ) -> tuple[dict[tuple, int], dict]:
         """Count answer tuples over already-drawn index columns.
 
         Counts are an exact, deterministic function of the drawn columns
         — whether the vectorized batch evaluator, the compiled per-world
         kernel, or the interpreted fallback computes them — which is what
         makes sharded evaluation (any split of the columns, any worker
-        count) merge to identical totals.
+        count) merge to identical totals.  The second value says which
+        ran: ``batched``, or the per-world loop's diagnostics.
         """
         if context.symbolic is not None:
             counts = self._batched_counts(
                 context.query, drawn, samples, context.symbolic
             )
-            return counts, True
-        counts = self._per_world_counts(
-            context.query, context.referenced, drawn, samples, context.prepared
+            info = {"batched": True}
+            return counts, info
+        counts, info = self._per_world_counts(
+            context.query,
+            context.referenced,
+            drawn,
+            samples,
+            context.prepared,
+            context.codegen,
         )
-        return counts, False
+        info["batched"] = False
+        return counts, info
 
     # -- deterministic sharding -----------------------------------------------
 
@@ -350,16 +477,15 @@ class MonteCarloEngine:
             results, info = parallel_pool.execute(
                 _evaluate_shard, context, payloads, workers
             )
-        counts = merge_counts(result[0] for result in results)
-        batched = all(result[1] for result in results)
-        distinct = sum(result[2] for result in results)
-        codegen_used = any(result[3] for result in results)
+        counts = merge_counts(shard_counts for shard_counts, _ in results)
+        shard_infos = [shard_info for _, shard_info in results]
         stats = {
-            "batched": batched,
+            "batched": all(i["batched"] for i in shard_infos),
             "shards": len(sizes),
-            "codegen_used": codegen_used,
+            "codegen_used": any(i.get("codegen_used") for i in shard_infos),
         }
         stats.update(info)
+        distinct = sum(i.get("distinct_worlds", 0) for i in shard_infos)
         if distinct:
             stats["distinct_worlds"] = distinct
         return counts, stats
@@ -374,6 +500,7 @@ class MonteCarloEngine:
         initial_batch: int = 256,
         workers: int | str | None = None,
         shard_size: int | None = None,
+        codegen: bool | None = None,
     ) -> tuple[dict[tuple, ProbInterval], dict]:
         """Sequential-stopping (ε, δ) estimation of ``P[t ∈ answer]``.
 
@@ -391,6 +518,7 @@ class MonteCarloEngine:
             initial_batch=initial_batch,
             workers=workers,
             shard_size=shard_size,
+            codegen=codegen,
         ):
             pass
         return intervals, info
@@ -405,6 +533,7 @@ class MonteCarloEngine:
         initial_batch: int = 256,
         workers: int | str | None = None,
         shard_size: int | None = None,
+        codegen: bool | None = None,
     ):
         """Yield ``(intervals, info)`` snapshots of an (ε, δ) estimation.
 
@@ -426,7 +555,8 @@ class MonteCarloEngine:
         through the deterministic sharded scheme, so seeded interval
         trajectories — every snapshot, every stopping decision except a
         wall-clock ``time_limit`` trip — are bit-identical across worker
-        counts.
+        counts.  ``codegen`` overrides the engine's per-world execution
+        strategy for this run.
         """
         if epsilon <= 0.0:
             raise ValueError("sequential stopping needs epsilon > 0")
@@ -440,8 +570,7 @@ class MonteCarloEngine:
             max_samples = math.ceil(
                 2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
             )
-        self.last_run_info = {"samples": 0, "batched": True}
-        context = self._run_context(query)
+        context = self._run_context(query, codegen)
         shared = (
             parallel_pool.SharedPool(_evaluate_shard, context, workers)
             if workers is not None
@@ -526,15 +655,14 @@ class MonteCarloEngine:
                 # inline) instead of hanging past the time budget.
                 with deadline_scope(deadline):
                     if workers is None:
-                        counts, round_batched = self._sampled_counts(
+                        counts, round_info = self._sampled_counts(
                             context, batch
                         )
-                        round_info = dict(self.last_run_info)
                     else:
                         counts, round_info = self._sharded_counts(
                             context, batch, workers, shard_size, shared
                         )
-                        round_batched = round_info["batched"]
+                    round_batched = round_info["batched"]
             except DeadlineExceeded:
                 if deadline is None or not deadline.expired():
                     raise  # an outer scope's deadline: not ours to absorb
@@ -579,7 +707,6 @@ class MonteCarloEngine:
                 info["shards"] = round_info.get("shards", 0)
                 if "parallel_fallback" in round_info:
                     info["parallel_fallback"] = round_info["parallel_fallback"]
-            self.last_run_info = dict(info)
             yield intervals, info
             if done:
                 return
@@ -623,8 +750,14 @@ class MonteCarloEngine:
     # -- generic per-world fallback -------------------------------------------
 
     def _per_world_counts(
-        self, query: Query, referenced, drawn, samples: int, prepared=None
-    ) -> dict[tuple, int]:
+        self,
+        query: Query,
+        referenced,
+        drawn,
+        samples: int,
+        prepared=None,
+        codegen: bool | None = None,
+    ) -> tuple[dict[tuple, int], dict]:
         """Evaluate sampled worlds one by one, memoising repeated worlds.
 
         Only the relations referenced by the query are instantiated, and
@@ -635,8 +768,11 @@ class MonteCarloEngine:
         world is one call that maps support indices straight onto
         precoerced semiring values and runs the fused plan function, no
         per-world relation objects or Valuation dicts at all.  Compiled
-        and interpreted evaluation yield bit-identical supports.
+        and interpreted evaluation yield bit-identical supports.  Returns
+        the counts and ``{"codegen_used", "distinct_worlds"}``.
         """
+        if codegen is None:
+            codegen = self.codegen
         names = list(drawn)
         supports = [drawn[name][0] for name in names]
         index_columns = [drawn[name][1] for name in names]
@@ -644,17 +780,7 @@ class MonteCarloEngine:
         tables = [(name, self.db.tables[name]) for name in referenced]
         if prepared is None:
             prepared = self._prepare(query)
-        bound = None
-        if codegen_enabled(self.codegen):
-            kernel = kernel_for(prepared, semiring)
-            if kernel is not None:
-                try:
-                    bound = kernel.bind(self.db, names, supports)
-                except CodegenUnsupported:
-                    if codegen_strict():
-                        raise
-                    bound = None
-        self.last_run_info["codegen_used"] = bound is not None
+        bound = bound_kernel_for(prepared, self.db, names, supports, codegen)
         counts: dict[tuple, int] = {}
         world_cache: dict[tuple, list] = {}
         distinct = 0
@@ -679,14 +805,14 @@ class MonteCarloEngine:
                         for name, table in tables
                     }
                     result = execute_deterministic(
-                        prepared, world, semiring, codegen=self.codegen
+                        prepared, world, semiring, codegen=codegen
                     )
                     support = list(result.support())
                 world_cache[key] = support
             for values in support:
                 counts[values] = counts.get(values, 0) + 1
-        self.last_run_info["distinct_worlds"] = distinct
-        return counts
+        info = {"codegen_used": bound is not None, "distinct_worlds": distinct}
+        return counts, info
 
     # -- vectorized batch evaluation ------------------------------------------
 
@@ -815,20 +941,14 @@ def _evaluate_shard(context: _RunContext, payload):
     a private ``random.Random`` otherwise — so its columns are a pure
     function of the seed, independent of which process evaluates it.
 
-    Returns ``(counts, batched, distinct_worlds, codegen_used)``.
+    Returns ``(counts, info)`` as :meth:`MonteCarloEngine._evaluate_drawn`.
     """
     seed, size = payload
-    engine = MonteCarloEngine(context.db, codegen=context.codegen)
+    engine = context.engine
     np_rng = None
     if _np is not None and kernels.numpy_enabled():
         np_rng = _np.random.default_rng(_np.random.SeedSequence(seed))
     drawn = engine._sample_index_columns(
         context.supports, size, rng=random.Random(seed), np_rng=np_rng
     )
-    counts, batched = engine._evaluate_drawn(context, drawn, size)
-    return (
-        counts,
-        batched,
-        engine.last_run_info.get("distinct_worlds", 0),
-        engine.last_run_info.get("codegen_used", False),
-    )
+    return engine._evaluate_drawn(context, drawn, size)

@@ -20,38 +20,27 @@ join planner.
 
 from __future__ import annotations
 
-from typing import Mapping
+import time
+from typing import Iterator
 
-from repro.codegen import CodegenUnsupported, codegen_enabled, codegen_strict, kernel_for
+from repro.codegen import bound_kernel_for, runtime_stats
 from repro.db.pvc_table import PVCDatabase
-from repro.db.relation import Relation
 from repro.db.worlds import enumerate_database_worlds
-from repro.errors import QueryValidationError
+from repro.engine.spec import EvalSpec, reject_non_exact
+from repro.engine.sprout import QueryResult, concrete_result
+from repro.errors import QueryTimeoutError, QueryValidationError
 from repro.prob.distribution import Distribution
 from repro.prob.space import ProbabilitySpace
 from repro.query.ast import Query
-from repro.query.executor import PreparedQuery, execute_deterministic, prepare
-from repro.resilience.deadline import check_deadline
+from repro.query.executor import execute_deterministic, prepare
+from repro.resilience.deadline import (
+    DeadlineExceeded,
+    check_deadline,
+    deadline_from_spec,
+    deadline_scope,
+)
 
-__all__ = ["NaiveEngine", "evaluate_deterministic"]
-
-
-def evaluate_deterministic(
-    query: Query, world: Mapping[str, Relation]
-) -> Relation:
-    """Evaluate a query on one deterministic world.
-
-    Compatibility shim over the shared physical executor; callers that
-    evaluate many worlds should :func:`~repro.query.executor.prepare` once
-    and call :func:`~repro.query.executor.execute_deterministic` per world.
-    """
-    if not world:
-        raise QueryValidationError("cannot evaluate a query on an empty world")
-    catalog = {name: relation.schema for name, relation in world.items()}
-    cardinalities = {name: len(relation) for name, relation in world.items()}
-    semiring = next(iter(world.values())).semiring
-    prepared = prepare(query, catalog, cardinalities, optimize=False)
-    return execute_deterministic(prepared, world, semiring)
+__all__ = ["NaiveEngine"]
 
 
 class NaiveEngine:
@@ -59,64 +48,77 @@ class NaiveEngine:
 
     ``codegen`` selects per-world execution: ``None`` (default) follows
     the ``REPRO_CODEGEN`` environment knob, ``True``/``False`` force the
-    compiled kernels on or off.  With a kernel available the enumeration
-    loop becomes tight: the plan is compiled once, bound once (hoisting
-    deterministic tables, hash indexes and static subplans out of the
-    loop), and each world runs one fused function — with answers
-    bit-identical to the interpreted loop.
+    compiled kernels on or off; a run's ``spec.codegen`` takes precedence.
+    With a kernel available the enumeration loop becomes tight: the plan
+    is compiled once, bound once (hoisting deterministic tables, hash
+    indexes and static subplans out of the loop), and each world runs one
+    fused function — with answers bit-identical to the interpreted loop.
     """
+
+    name = "naive"
 
     def __init__(self, db: PVCDatabase, codegen: bool | None = None):
         self.db = db
         self.codegen = codegen
-        #: Diagnostics of the most recent run (``codegen_used``); the
-        #: engine adapters surface these as ``QueryResult.stats``.
-        self.last_run_info: dict = {}
-        #: Memoized ``(prepared, bound)`` of the last successful bind.
-        #: Binding hoists static tables and columnar layouts (O(rows));
-        #: the bound plan records the epoch vector it snapshotted, so it
-        #: is reused across runs exactly until a mutation touches one of
-        #: its inputs.
-        self._bound_cache: tuple | None = None
 
-    def _bind(self, prepared: PreparedQuery):
-        """A bound compiled plan for the whole-database world order, or
-        ``None`` when codegen is off or the plan has no compiled form."""
-        if not codegen_enabled(self.codegen):
-            return None
-        cached = self._bound_cache
-        if (
-            cached is not None
-            and cached[0] is prepared
-            and cached[1].is_current(self.db)
-        ):
-            return cached[1]
-        kernel = kernel_for(prepared, self.db.semiring)
-        if kernel is None:
-            return None
-        try:
-            bound = kernel.bind(self.db, sorted(self.db.variables))
-        except CodegenUnsupported:
-            if codegen_strict():
-                raise
-            return None
-        self._bound_cache = (prepared, bound)
-        return bound
+    def _worlds(
+        self, query: Query, codegen: bool | None
+    ) -> tuple[Iterator[tuple[dict, float]], bool]:
+        """The one enumeration loop behind every oracle sweep.
 
-    def _prepare(self, query: Query) -> PreparedQuery:
-        """Validate and plan once; every enumerated world reuses the plan.
-
-        No logical rewrites, no hash-join extraction: the oracle
-        evaluates the query as written (validation happens inside
-        :func:`~repro.query.executor.prepare`).
+        Returns an iterator of ``({answer tuple: multiplicity},
+        probability)`` over all possible worlds, and whether a compiled
+        kernel evaluates them.  The query is validated and planned here,
+        once, with no logical rewrites and no hash-join extraction: the
+        oracle evaluates it as written.
         """
-        return prepare(
+        db, semiring = self.db, self.db.semiring
+        prepared = prepare(
             query,
-            self.db.catalog(),
-            self.db.cardinalities(),
+            db.catalog(),
+            db.cardinalities(),
             optimize=False,
             extract_joins=False,
         )
+        names = sorted(db.variables)
+        bound = bound_kernel_for(prepared, db, names, codegen=codegen)
+        if bound is not None:
+            worlds = (
+                (valuation.assignment, probability)
+                for valuation, probability in ProbabilitySpace(
+                    db.registry, semiring
+                ).enumerate_worlds(names)
+            )
+            evaluate = bound.run_assignment
+        else:
+            worlds = enumerate_database_worlds(db)
+
+            def evaluate(world):
+                result = execute_deterministic(
+                    prepared, world, semiring, codegen=codegen
+                )
+                return dict(result.tuples())
+
+        def sweep():
+            for world, probability in worlds:
+                # Cooperative checkpoint per world: enumeration is the
+                # exponential loop here, and a partial sweep is *not* a
+                # sound answer (tuples and masses are both incomplete),
+                # so ``run`` converts this into QueryTimeoutError.
+                check_deadline("possible-worlds enumeration")
+                yield evaluate(world), probability
+
+        return sweep(), bound is not None
+
+    def _estimate(self, query: Query, codegen: bool | None) -> tuple[dict, dict]:
+        """``({answer tuple: probability}, info)`` by a full sweep."""
+        worlds, codegen_used = self._worlds(query, codegen)
+        probabilities: dict[tuple, float] = {}
+        for answer, probability in worlds:
+            for values in answer:
+                probabilities[values] = probabilities.get(values, 0.0) + probability
+        info = {"codegen_used": codegen_used}
+        return probabilities, info
 
     def tuple_probabilities(self, query: Query) -> dict[tuple, float]:
         """``P[t ∈ answer]`` for every possible answer tuple ``t``.
@@ -125,57 +127,15 @@ class NaiveEngine:
         values, so e.g. ⟨'M&S', 15⟩ and ⟨'M&S', 50⟩ are distinct answers
         whose probabilities generally do not sum to 1.
         """
-        prepared = self._prepare(query)
-        semiring = self.db.semiring
-        bound = self._bind(prepared)
-        self.last_run_info = {"codegen_used": bound is not None}
-        probabilities: dict[tuple, float] = {}
-        if bound is not None:
-            space = ProbabilitySpace(self.db.registry, semiring)
-            for valuation, probability in space.enumerate_worlds(
-                sorted(self.db.variables)
-            ):
-                check_deadline("possible-worlds enumeration")
-                for values in bound.run_assignment(valuation.assignment):
-                    probabilities[values] = (
-                        probabilities.get(values, 0.0) + probability
-                    )
-            return probabilities
-        for world, probability in enumerate_database_worlds(self.db):
-            # Cooperative checkpoint per world: enumeration is the
-            # exponential loop here, and a partial sweep is *not* a
-            # sound answer (tuples and masses are both incomplete), so
-            # the adapter converts this into QueryTimeoutError.
-            check_deadline("possible-worlds enumeration")
-            result = execute_deterministic(
-                prepared, world, semiring, codegen=self.codegen
-            )
-            for values in result.support():
-                probabilities[values] = probabilities.get(values, 0.0) + probability
-        return probabilities
+        return self._estimate(query, self.codegen)[0]
 
     def multiplicity_distribution(self, query: Query, values: tuple) -> Distribution:
         """Distribution of the multiplicity of one answer tuple."""
-        prepared = self._prepare(query)
-        semiring = self.db.semiring
-        bound = self._bind(prepared)
-        self.last_run_info = {"codegen_used": bound is not None}
+        values = tuple(values)
+        zero = self.db.semiring.zero
         accum: dict = {}
-        if bound is not None:
-            values = tuple(values)
-            space = ProbabilitySpace(self.db.registry, semiring)
-            for valuation, probability in space.enumerate_worlds(
-                sorted(self.db.variables)
-            ):
-                mapping = bound.run_assignment(valuation.assignment)
-                mult = mapping.get(values, semiring.zero)
-                accum[mult] = accum.get(mult, 0.0) + probability
-            return Distribution(accum)
-        for world, probability in enumerate_database_worlds(self.db):
-            result = execute_deterministic(
-                prepared, world, semiring, codegen=self.codegen
-            )
-            mult = result.multiplicity(values)
+        for answer, probability in self._worlds(query, self.codegen)[0]:
+            mult = answer.get(values, zero)
             accum[mult] = accum.get(mult, 0.0) + probability
         return Distribution(accum)
 
@@ -185,23 +145,44 @@ class NaiveEngine:
         The heaviest oracle: the exact distribution of the full query
         answer across worlds, used to validate joint behaviours.
         """
-        prepared = self._prepare(query)
-        semiring = self.db.semiring
-        bound = self._bind(prepared)
-        self.last_run_info = {"codegen_used": bound is not None}
         accum: dict = {}
-        if bound is not None:
-            space = ProbabilitySpace(self.db.registry, semiring)
-            for valuation, probability in space.enumerate_worlds(
-                sorted(self.db.variables)
-            ):
-                key = frozenset(bound.run_assignment(valuation.assignment))
-                accum[key] = accum.get(key, 0.0) + probability
-            return Distribution(accum)
-        for world, probability in enumerate_database_worlds(self.db):
-            result = execute_deterministic(
-                prepared, world, semiring, codegen=self.codegen
-            )
-            key = frozenset(result.support())
+        for answer, probability in self._worlds(query, self.codegen)[0]:
+            key = frozenset(answer)
             accum[key] = accum.get(key, 0.0) + probability
         return Distribution(accum)
+
+    def run(
+        self, query: Query, spec: EvalSpec | None = None, **options
+    ) -> QueryResult:
+        """Every answer tuple with its exact probability.
+
+        Rows carry *concrete* values (aggregates are instantiated per
+        world), so there are no symbolic annotations to expose.  Mid-
+        enumeration the answer tuple set itself is incomplete, so there
+        is no sound partial to degrade to: a ``spec.time_limit`` trip
+        raises :class:`~repro.errors.QueryTimeoutError` under either
+        ``on_timeout`` policy.
+        """
+        if options:
+            raise QueryValidationError(
+                f"naive engine takes no run options, got {sorted(options)}"
+            )
+        reject_non_exact(self.name, spec)
+        codegen = self.codegen
+        if spec is not None and spec.codegen is not None:
+            codegen = spec.codegen
+        counters = runtime_stats()
+        start = time.perf_counter()
+        try:
+            with deadline_scope(deadline_from_spec(spec)):
+                probabilities, info = self._estimate(query, codegen)
+        except DeadlineExceeded as exc:
+            raise QueryTimeoutError(
+                f"{exc}; a partial possible-worlds sweep is no sound answer",
+                partial=None,
+                elapsed=time.perf_counter() - start,
+            ) from exc
+        info = {"wall_seconds": time.perf_counter() - start, **info}
+        return concrete_result(
+            self, query, probabilities, info, "enumeration_seconds", counters
+        )

@@ -6,8 +6,8 @@ Two small types shared by every engine:
   budgeted d-tree approximation with deterministic bounds (``approx``),
   or by sequential-stopping Monte-Carlo with an (ε, δ) guarantee
   (``sample``).  One spec object travels ``Session.run/sql`` → the
-  :class:`~repro.engine.base.Engine` protocol → the adapters, so every
-  engine interprets ``epsilon``/``delta``/``budget``/``time_limit`` the
+  :class:`~repro.engine.base.Engine` protocol, so every engine
+  interprets ``epsilon``/``delta``/``budget``/``time_limit`` the
   same way.
 * :class:`ProbInterval` — *what* comes back: every probability in a
   :class:`~repro.engine.sprout.QueryResult` is an interval ``[low, high]``
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from repro.errors import QueryValidationError
 from repro.parallel.shards import validate_workers
 
-__all__ = ["EvalSpec", "ProbInterval", "EVAL_MODES"]
+__all__ = ["EvalSpec", "ProbInterval", "EVAL_MODES", "reject_non_exact"]
 
 #: The recognised evaluation modes, in guarantee order.
 EVAL_MODES = ("exact", "approx", "sample")
@@ -331,7 +331,7 @@ class EvalSpec:
         """True when the spec only tunes *execution* (the workers knob)
         and leaves every answer-quality field at its default.
 
-        The Monte-Carlo adapter uses this to distinguish "shard my legacy
+        The Monte-Carlo engine uses this to distinguish "shard my legacy
         fixed-budget run" (allowed) from an explicit exact-mode request
         (still an error: sampling cannot guarantee exact answers).
         ``on_timeout`` is a degradation policy, not a quality field, so
@@ -341,4 +341,15 @@ class EvalSpec:
         return (
             replace(self, workers=None, on_timeout="partial", codegen=None)
             == EvalSpec()
+        )
+
+
+def reject_non_exact(name: str, spec: EvalSpec | None) -> None:
+    """Exact engines only accept exact (or absent) specs."""
+    if spec is not None and not spec.is_exact:
+        raise QueryValidationError(
+            f"engine {name!r} computes exact answers only; use "
+            f"engine='approx' for spec mode 'approx' and "
+            f"engine='montecarlo' for spec mode 'sample' "
+            f"(or engine='auto' to dispatch on the spec)"
         )

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.algebra.expressions import SemiringExpr
+from repro.algebra.expressions import ONE, SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import Valuation
 from repro.core.compile import Compiler, distribution_task
@@ -26,14 +26,19 @@ from repro.core.joint import JointCompiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.db.relation import Relation
 from repro.db.schema import Schema
-from repro.engine.spec import ProbInterval
-from repro.errors import CompilationError
+from repro.engine.spec import EvalSpec, ProbInterval, reject_non_exact
+from repro.errors import CompilationError, QueryTimeoutError
 from repro.parallel import pool as parallel_pool
 from repro.parallel.reducer import merge_stat_sums
 from repro.parallel.shards import resolve_workers
 from repro.prob.distribution import Distribution
 from repro.query.ast import Query
-from repro.resilience.deadline import DeadlineExceeded, current_deadline
+from repro.resilience.deadline import (
+    DeadlineExceeded,
+    current_deadline,
+    deadline_from_spec,
+    deadline_scope,
+)
 from repro.resilience.faults import fault_point
 from repro.query.executor import (
     PreparedQuery,
@@ -41,8 +46,9 @@ from repro.query.executor import (
     execute_symbolic,
     prepare,
 )
+from repro.codegen import runtime_stats  # after repro.query: they import each other
 
-__all__ = ["SproutEngine", "QueryResult", "ResultRow"]
+__all__ = ["SproutEngine", "QueryResult", "ResultRow", "concrete_result"]
 
 
 def _base_compiler(source) -> Compiler:
@@ -298,11 +304,39 @@ class QueryResult:
         return f"QueryResult(engine={self.engine!r}, rows={len(self.rows)})"
 
 
+def concrete_result(
+    engine, query: Query, probabilities, info: dict, timing: str, counters: dict
+) -> QueryResult:
+    """The result of an engine that reports concrete tuples only (naive,
+    Monte-Carlo): sorted rows with no symbolic annotation to expose and
+    the probability precomputed.  ``info`` — the run's diagnostics,
+    ``wall_seconds`` included — becomes ``stats`` here, once, together
+    with the deltas of the process-wide codegen counters since
+    ``counters`` (a :func:`repro.codegen.runtime_stats` snapshot taken
+    when the run began)."""
+    schema = query.schema(engine.db.catalog())
+    rows = [
+        ResultRow(schema, values, ONE, None, _probability=probability)
+        for values, probability in sorted(
+            probabilities.items(), key=lambda kv: repr(kv[0])
+        )
+    ]
+    stats = {**info, "rows": len(rows), "db_generation": engine.db.generation}
+    after = runtime_stats()
+    for key in ("kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"):
+        stats[key] = after[key] - counters[key]
+    return QueryResult(
+        schema, rows, {timing: info["wall_seconds"]}, engine=engine.name, stats=stats
+    )
+
+
 class SproutEngine:
     """End-to-end probabilistic query answering on pvc-databases.
 
     >>> # See examples/quickstart.py for a complete walk-through.
     """
+
+    name = "sprout"
 
     def __init__(
         self,
@@ -319,83 +353,104 @@ class SproutEngine:
         #: :class:`Compiler` per query, so repeated and overlapping
         #: annotations never recompile.
         self.distribution_source = distribution_source
-        #: Optional shared prepared-plan source (e.g. a server-wide
-        #: :class:`~repro.engine.base.PlanCache`).  Looked up by
-        #: structural query equality plus database statistics, so a plan
-        #: prepared by one session is reused by every session sharing the
-        #: cache.
+        #: Optional prepared-plan memo (a
+        #: :class:`~repro.engine.base.PlanCache`; every session owns or
+        #: shares one).  Without it every run plans afresh.
         self.plan_source = plan_source
-        self._prepared_cache: tuple | None = None
 
     def prepare(self, query: Query) -> PreparedQuery:
         """Run stages 1-2 of step I: logical optimizer + physical planner.
 
-        Memoized per query object and per database statistics, so a query
-        evaluated repeatedly (benchmark loops, cached sessions) is planned
-        once.  With a shared ``plan_source`` the lookup extends across
-        sessions: structurally equal queries over a database with the same
-        statistics reuse one prepared plan.
+        Memoised in ``plan_source`` on structural query equality plus the
+        row counts of the tables the query reads — exactly the statistics
+        the greedy join planner consumes, so a write to any other table
+        keeps the plan.
 
         Mutation safety: a :class:`PreparedQuery` is *data-independent*
         (its per-op caches hold compiled accessors, never row data), so
-        reuse across mutations is sound.  The cardinality fingerprint is
-        still the right key — it is exactly what the greedy join planner
-        consumed, so an equal-size update reuses the plan (as a fresh
-        session would plan identically) while inserts/deletes re-plan
-        (as a fresh session would).  That keeps post-mutation answers
-        bit-identical to a from-scratch session, row order included.
+        reuse across mutations is sound.  An equal-size update reuses the
+        plan (as a fresh session would plan identically) while
+        inserts/deletes on a read table re-plan (as a fresh session
+        would).  That keeps post-mutation answers bit-identical to a
+        from-scratch session, row order included.
         """
-        fingerprint = tuple(
-            (name, len(table)) for name, table in self.db.tables.items()
-        )
-        cached = self._prepared_cache
-        if (
-            cached is not None
-            and cached[0] is query
-            and cached[1] == fingerprint
-        ):
-            return cached[2]
+        plans, tables = self.plan_source, self.db.tables
         prepared = None
-        if self.plan_source is not None:
-            prepared = self.plan_source.get(query, fingerprint)
-        if prepared is None:
-            prepared = prepare(
-                query, self.db.catalog(), self.db.cardinalities(), optimize=True
+        if plans is not None:
+            # An unknown relation is left out: the lookup then misses and
+            # ``prepare`` raises the validation error.
+            fingerprint = tuple(
+                (name, len(tables[name]))
+                for name in query.base_relations()
+                if name in tables
             )
-            if self.plan_source is not None:
-                self.plan_source.put(query, fingerprint, prepared)
-        self._prepared_cache = (query, fingerprint, prepared)
+            prepared = plans.get(query, fingerprint)
+        if prepared is None:
+            prepared = prepare(query, self.db.catalog(), self.db.cardinalities())
+            if plans is not None:
+                plans.put(query, fingerprint, prepared)
         return prepared
 
     def rewrite(self, query: Query) -> PVCTable:
         """Step I only: the pvc-table of symbolic result tuples (⟦·⟧)."""
         return execute_symbolic(self.prepare(query), self.db)
 
+    def _compiler(self):
+        """The distribution source result rows compile through."""
+        if self.distribution_source is not None:
+            return self.distribution_source
+        return Compiler(
+            self.db.registry, self.db.semiring, **self.compiler_options
+        )
+
     def run(
         self,
         query: Query,
+        spec: EvalSpec | None = None,
+        *,
         compute_probabilities: bool = True,
         workers: int | str | None = None,
     ) -> QueryResult:
         """Evaluate ``query``; returns rows, probabilities and timings.
 
-        ``workers`` parallelises step II: independent result-row
-        annotations (per-group aggregates, multi-tuple answers) compile
-        concurrently on a process pool, and the per-chunk distributions
-        merge back into the session's compilation cache.  Compilation is
-        deterministic, so results are identical for any worker count;
-        pool failures degrade to the serial path with
-        ``stats["parallel_fallback"]`` recording why.
+        ``workers`` (or ``spec.workers``) parallelises step II:
+        independent result-row annotations (per-group aggregates,
+        multi-tuple answers) compile concurrently on a process pool, and
+        the per-chunk distributions merge back into the session's
+        compilation cache.  Compilation is deterministic, so results are
+        identical for any worker count; pool failures degrade to the
+        serial path with ``stats["parallel_fallback"]`` recording why.
+
+        Under ``spec.time_limit`` rows compiled in time stay exact and the
+        rest report ``[0, 1]`` (``stats["deadline_hit"]``); the
+        ``"raise"`` policy raises with that partial attached.
         """
+        reject_non_exact(self.name, spec)
+        if workers is None and spec is not None:
+            workers = spec.workers
+        deadline = deadline_from_spec(spec)
+        with deadline_scope(deadline):
+            result = self._run(query, compute_probabilities, workers)
+        if (
+            result.stats.get("deadline_hit")
+            and spec is not None
+            and spec.on_timeout == "raise"
+        ):
+            raise QueryTimeoutError(
+                f"exact compilation exceeded time_limit="
+                f"{spec.time_limit:g}s after "
+                f"{result.stats['rows_exact']} of {len(result.rows)} rows",
+                partial=result,
+                elapsed=deadline.elapsed() if deadline else None,
+            )
+        return result
+
+    def _run(self, query, compute_probabilities, workers) -> QueryResult:
         start = time.perf_counter()
         table = execute_symbolic(self.prepare(query), self.db)
         rewrite_seconds = time.perf_counter() - start
 
-        compiler = self.distribution_source
-        if compiler is None:
-            compiler = Compiler(
-                self.db.registry, self.db.semiring, **self.compiler_options
-            )
+        compiler = self._compiler()
         hits_before = getattr(compiler, "hits", None)
         misses_before = getattr(compiler, "misses", None)
         rows = [
@@ -419,7 +474,7 @@ class SproutEngine:
             # zero-width intervals, the rest report the vacuous [0, 1].
             deadline = current_deadline()
             rows_exact = 0
-            for index, row in enumerate(rows):
+            for row in rows:
                 if deadline_hit or (deadline is not None and deadline.expired()):
                     deadline_hit = True
                     row._probability = ProbInterval.unknown()
@@ -450,7 +505,10 @@ class SproutEngine:
         if hits_before is not None:
             stats["cache_hits"] = compiler.hits - hits_before
             stats["cache_misses"] = compiler.misses - misses_before
-        return QueryResult(table.schema, rows, timings, stats=stats)
+        stats["db_generation"] = self.db.generation
+        return QueryResult(
+            table.schema, rows, timings, engine=self.name, stats=stats
+        )
 
     def _parallel_distributions(
         self, rows: list[ResultRow], source, workers: int

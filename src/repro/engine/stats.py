@@ -1,0 +1,71 @@
+"""The registry of ``QueryResult.stats`` keys, next to what emits them.
+
+Every stats key an engine writes is classified here as *volatile* (may
+differ between two runs of the same query on the same data) or
+*deterministic* (a function of query, data and seed).  Answer
+fingerprinting (:func:`repro.server.codec.fingerprint`) drops the
+volatile keys; the ``statskeys`` checker of :mod:`repro.analysis`
+enforces statically that every ``stats[...]`` write in ``engine/``,
+``codegen/`` and ``server/`` uses a key declared in one of the two sets.
+"""
+
+from __future__ import annotations
+
+__all__ = ["VOLATILE_STAT_KEYS", "DETERMINISTIC_STAT_KEYS"]
+
+#: Stats keys that legitimately differ between two runs of the same
+#: query — wall-clock, cache warmth, and how work was parallelised —
+#: and are therefore excluded from conformance fingerprints.
+VOLATILE_STAT_KEYS = frozenset({
+    "wall_seconds",
+    "cache_hits",
+    "cache_misses",
+    "workers",
+    "shards",
+    "parallel_compiled",
+    "parallel_mutex_nodes",
+    "parallel_fallback",
+    # Deadline outcomes depend on wall-clock, not on the answer: a run
+    # that trips spec.time_limit still returns sound intervals, and how
+    # many rows it finished exactly varies with machine load.
+    "deadline_hit",
+    "rows_exact",
+    # Codegen diagnostics: whether the compiled kernels ran (and how
+    # warm the kernel cache was) never changes an answer — compiled and
+    # interpreted execution are bit-identical by construction — so runs
+    # differing only in REPRO_CODEGEN fingerprint identically.
+    "codegen_used",
+    "kernels_compiled",
+    "kernel_cache_hits",
+    "codegen_compile_seconds",
+    # Whether the vectorised batch evaluator ran depends on numpy being
+    # importable, so the same seeded run fingerprints differently across
+    # the with/without-numpy CI legs unless this is dropped too.
+    "batched",
+    # Mutation/epoch accounting.  db_generation counts *every* mutation
+    # ever applied to the database, so a warm session that answered
+    # through three updates reports a different generation than a fresh
+    # session rebuilt from the same final data — while their answers are
+    # bit-identical.  The incremental-maintenance counters likewise
+    # describe how caches were patched, never what the answer is.
+    "db_generation",
+    "rows_changed",
+    "variables_invalidated",
+    "mutations_applied",
+})
+
+#: Stats keys that are a deterministic function of the query, the data
+#: and the seed — the keys fingerprints keep.  Every stats key the
+#: engines emit must appear in exactly one of these two sets.
+DETERMINISTIC_STAT_KEYS = frozenset({
+    "rows",
+    "samples",
+    "rounds",
+    "expansions",
+    "converged",
+    "max_width",
+    "epsilon",
+    "distinct_worlds",
+    "top_k_decided",
+})
+

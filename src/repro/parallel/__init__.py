@@ -20,7 +20,7 @@ pieces the engines build on:
 
 The user-facing knob is ``workers`` (``int | "auto"``, default serial),
 threaded from :meth:`repro.session.Session.run` through
-:class:`repro.engine.spec.EvalSpec` into every engine adapter.
+:class:`repro.engine.spec.EvalSpec` into every engine.
 """
 
 from repro.parallel.pool import (

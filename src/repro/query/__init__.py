@@ -57,7 +57,6 @@ from repro.query.executor import (
     execute_symbolic,
     prepare,
 )
-from repro.query.rewrite import evaluate_query
 from repro.query.sql import parse_sql
 from repro.query.tractability import (
     Classification,
@@ -91,7 +90,6 @@ __all__ = [
     "eq",
     "cmp_",
     "conj",
-    "evaluate_query",
     "optimize",
     "optimize_traced",
     "Rule",

@@ -9,7 +9,7 @@ dependency-free modules:
   rounds and approximate refinement via an ambient
   :func:`deadline_scope`.  Cooperative checkpoints
   (:func:`check_deadline`) raise :class:`DeadlineExceeded`, which the
-  engine adapters convert into either a sound partial answer
+  engines convert into either a sound partial answer
   (``spec.on_timeout == "partial"``) or a typed
   :class:`~repro.errors.QueryTimeoutError` carrying that partial answer
   (``spec.on_timeout == "raise"``).
@@ -17,8 +17,8 @@ dependency-free modules:
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness.  A seeded :class:`FaultPlan` binds crash/hang/slow/pickle/
   transient-IO :class:`FaultSpec` entries to *named fault points*
-  (:func:`fault_point` calls instrumented in the pool, the engine
-  adapters and the server).  When no plan is installed every fault
+  (:func:`fault_point` calls instrumented in the pool, the engines
+  and the server).  When no plan is installed every fault
   point is a strict no-op.
 
 Together with the pool watchdog (``parallel.pool``), server drain

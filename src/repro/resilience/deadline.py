@@ -1,7 +1,7 @@
 """Wall-clock deadlines with ambient propagation.
 
 A :class:`Deadline` is an absolute point on the monotonic clock,
-usually derived from ``EvalSpec.time_limit``.  Engine adapters enter a
+usually derived from ``EvalSpec.time_limit``.  Engines enter a
 :func:`deadline_scope` around a run; inner loops — the ⊔-node loop of
 exact compilation, Sprout's per-row compilation, Monte-Carlo rounds —
 call :func:`check_deadline` (or read :func:`current_deadline`) without
@@ -19,7 +19,7 @@ grace period.
 
 ``DeadlineExceeded`` is internal control flow; user-facing timeout
 failures are :class:`repro.errors.QueryTimeoutError`, raised by the
-adapters and carrying the best sound partial result when one exists.
+engines and carrying the best sound partial result when one exists.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 class DeadlineExceeded(ReproError):
     """A cooperative cancellation checkpoint found its deadline expired.
 
-    Internal control flow: adapters catch it and degrade to a partial
+    Internal control flow: engines catch it and degrade to a partial
     answer or convert it into :class:`repro.errors.QueryTimeoutError`.
     """
 
@@ -111,7 +111,7 @@ def deadline_from_spec(spec) -> "Deadline | None":
 
 
 #: The ambient deadline of the current logical task.  ``deadline_scope``
-#: is entered once per adapter run; nested scopes shadow the outer one
+#: is entered once per engine run; nested scopes shadow the outer one
 #: (innermost wins).
 _ACTIVE: "ContextVar[Deadline | None]" = ContextVar(
     "repro_active_deadline", default=None

@@ -5,7 +5,7 @@ work, *writable*) :class:`~repro.db.pvc_table.PVCDatabase` for many
 tenants:
 
 * **Per-tenant sessions over shared base data.**  Each tenant name maps
-  to its own :class:`~repro.session.Session` (engine adapters, Monte-
+  to its own :class:`~repro.session.Session` (engines, Monte-
   Carlo RNG state), all opened over the *same* database, the same
   server-wide :class:`~repro.engine.base.CompilationCache` and the same
   :class:`~repro.engine.base.PlanCache` — so one tenant's compile work
@@ -232,7 +232,7 @@ class QueryServer:
 
         All tenants share the database, the distribution cache and the
         plan cache; the session carries only the per-tenant engine
-        adapters and RNG state.  Tenant state is bounded by
+        engines and RNG state.  Tenant state is bounded by
         ``config.max_tenants``: creating one more evicts the least-
         recently-used idle tenant, and raises
         :class:`ServerOverloadedError` when every tenant is busy.
@@ -281,7 +281,7 @@ class QueryServer:
             raise ServerOverloadedError(self.config.retry_after)
         session = self._sessions.pop(victim)
         # Safe on a shared cache: close() releases only session-owned
-        # state (engine adapters, memos); the server-wide distribution
+        # state (engines, memos); the server-wide distribution
         # and plan caches keep every other tenant's warm entries.
         session.close()
         self._tenant_locks.pop(victim, None)

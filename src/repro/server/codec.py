@@ -37,6 +37,7 @@ from repro.algebra.expressions import SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult
+from repro.engine.stats import VOLATILE_STAT_KEYS
 from repro.errors import QueryValidationError
 from repro.resilience.faults import fault_point
 
@@ -50,68 +51,7 @@ __all__ = [
     "result_to_json",
     "result_from_json",
     "fingerprint",
-    "VOLATILE_STAT_KEYS",
-    "DETERMINISTIC_STAT_KEYS",
 ]
-
-#: Stats keys that legitimately differ between two runs of the same
-#: query — wall-clock, cache warmth, and how work was parallelised —
-#: and are therefore excluded from conformance fingerprints.
-VOLATILE_STAT_KEYS = frozenset({
-    "wall_seconds",
-    "cache_hits",
-    "cache_misses",
-    "workers",
-    "shards",
-    "parallel_compiled",
-    "parallel_mutex_nodes",
-    "parallel_fallback",
-    # Deadline outcomes depend on wall-clock, not on the answer: a run
-    # that trips spec.time_limit still returns sound intervals, and how
-    # many rows it finished exactly varies with machine load.
-    "deadline_hit",
-    "rows_exact",
-    # Codegen diagnostics: whether the compiled kernels ran (and how
-    # warm the kernel cache was) never changes an answer — compiled and
-    # interpreted execution are bit-identical by construction — so runs
-    # differing only in REPRO_CODEGEN fingerprint identically.
-    "codegen_used",
-    "kernels_compiled",
-    "kernel_cache_hits",
-    "codegen_compile_seconds",
-    # Whether the vectorised batch evaluator ran depends on numpy being
-    # importable, so the same seeded run fingerprints differently across
-    # the with/without-numpy CI legs unless this is dropped too.
-    "batched",
-    # Mutation/epoch accounting.  db_generation counts *every* mutation
-    # ever applied to the database, so a warm session that answered
-    # through three updates reports a different generation than a fresh
-    # session rebuilt from the same final data — while their answers are
-    # bit-identical.  The incremental-maintenance counters likewise
-    # describe how caches were patched, never what the answer is.
-    "db_generation",
-    "rows_changed",
-    "variables_invalidated",
-    "mutations_applied",
-})
-
-#: Stats keys that are a deterministic function of the query, the data
-#: and the seed — the keys :func:`fingerprint` keeps.  Every stats key
-#: the engines emit must appear in exactly one of these two sets; the
-#: ``statskeys`` checker of :mod:`repro.analysis` enforces the union
-#: statically against every ``stats[...]``/``last_run_info[...]`` write
-#: in ``engine/``, ``codegen/`` and ``server/``.
-DETERMINISTIC_STAT_KEYS = frozenset({
-    "rows",
-    "samples",
-    "rounds",
-    "expansions",
-    "converged",
-    "max_width",
-    "epsilon",
-    "distinct_worlds",
-    "top_k_decided",
-})
 
 
 @dataclass(frozen=True)
@@ -287,7 +227,8 @@ def fingerprint(result) -> str:
     """A canonical string for answer-conformance comparison.
 
     Accepts a local :class:`QueryResult`, a decoded client-side
-    :class:`RemoteResult`, or an already encoded wire payload.  Timings and the :data:`VOLATILE_STAT_KEYS` are dropped;
+    :class:`RemoteResult`, or an already encoded wire payload.  Timings
+    and the :data:`~repro.engine.stats.VOLATILE_STAT_KEYS` are dropped;
     everything that defines the *answer* — tuples, interval endpoints,
     engine, deterministic convergence counters — is kept, serialised with
     sorted keys so equal answers produce byte-equal fingerprints.

@@ -6,7 +6,8 @@ owns the pieces every caller previously hand-assembled — the
 :class:`~repro.prob.variables.VariableRegistry`, the
 :class:`~repro.db.pvc_table.PVCDatabase`, a persistent
 :class:`~repro.core.compile.Compiler` behind a
-:class:`~repro.engine.base.CompilationCache` — and exposes:
+:class:`~repro.engine.base.CompilationCache`, a
+:class:`~repro.engine.base.PlanCache` — and exposes:
 
 * fluent table definition with auto-minted Bernoulli variables::
 
@@ -44,6 +45,7 @@ from repro.engine.base import (
     ENGINE_NAMES,
     CompilationCache,
     Engine,
+    PlanCache,
     create_engine,
     select_engine_name,
 )
@@ -142,7 +144,7 @@ class Session:
         samples: int = 1000,
         database: PVCDatabase | None = None,
         cache: CompilationCache | None = None,
-        plan_cache=None,
+        plan_cache: PlanCache | None = None,
         **compiler_options,
     ):
         if engine != "auto" and engine not in ENGINE_NAMES:
@@ -198,12 +200,11 @@ class Session:
         #: cache entries whose lineage they touch (weakly subscribed, so
         #: discarded sessions leave nothing behind).
         self.cache.watch(self.db)
-        #: Optional shared prepared-plan cache (see
-        #: :class:`~repro.engine.base.PlanCache`); ``None`` keeps the
-        #: engines' private per-query memo.  Always treated as shared:
-        #: entries self-invalidate via cardinality fingerprints, so
-        #: ``close()`` never clears it.
-        self.plan_cache = plan_cache
+        #: The one memo of prepared plans, owned like :attr:`cache` unless
+        #: a shared instance was injected.  Entries self-invalidate via
+        #: cardinality fingerprints.
+        self._owns_plan_cache = plan_cache is None
+        self.plan_cache = PlanCache() if plan_cache is None else plan_cache
         self._engines: dict[str, Engine] = {}
 
     @property
@@ -251,10 +252,10 @@ class Session:
     # -- engines --------------------------------------------------------------
 
     def engine(self, name: str) -> Engine:
-        """The (cached) engine adapter registered under ``name``."""
-        adapter = self._engines.get(name)
-        if adapter is None:
-            adapter = create_engine(
+        """The (cached) engine registered under ``name``."""
+        engine = self._engines.get(name)
+        if engine is None:
+            engine = create_engine(
                 name,
                 self.db,
                 distribution_source=self.cache,
@@ -263,8 +264,8 @@ class Session:
                 samples=self.samples,
                 **self.compiler_options,
             )
-            self._engines[name] = adapter
-        return adapter
+            self._engines[name] = engine
+        return engine
 
     def _lower(self, query) -> Query:
         """Accept AST nodes, builders, and SQL strings uniformly."""
@@ -301,9 +302,9 @@ class Session:
         ``montecarlo`` ↦ sampled (ε, δ) intervals.  ``workers`` is a pure
         *execution* knob and never implies a mode: on its own it yields
         an exact-mode, execution-only spec that keeps every engine's
-        answer semantics unchanged (the Monte-Carlo adapter shards its
-        legacy fixed-budget estimator rather than switching to
-        sequential stopping).
+        answer semantics unchanged (the Monte-Carlo engine shards its
+        fixed-budget estimator rather than switching to sequential
+        stopping).
         """
         if spec is None and all(
             value is None
@@ -330,12 +331,12 @@ class Session:
         )
         if engine_name == "montecarlo" and built.mode == "exact":
             # Only the session can tell an *explicit* exact request from
-            # the default mode a workers-only spec carries; the adapter
+            # the default mode a workers-only spec carries; the engine
             # sees identical EvalSpec values for both.  Reject explicit
             # requests here so `workers=` can never launder an exact
             # request into samples; a pure-execution spec (workers only,
             # no quality fields, no explicit mode) stays allowed — the
-            # adapter shards its legacy estimator for it.
+            # engine shards its fixed-budget estimator for it.
             explicitly_exact = mode == "exact" or spec == "exact" or (
                 isinstance(spec, EvalSpec)
                 and spec.mode == "exact"
@@ -493,12 +494,12 @@ class Session:
                 else _replace(spec, mode=native)
             )
         query, name, spec = self._resolve(query, engine, None, spec, options)
-        adapter = self.engine(name)
-        run_iter = getattr(adapter, "run_iter", None)
+        chosen = self.engine(name)
+        run_iter = getattr(chosen, "run_iter", None)
         if run_iter is not None and spec is not None and not spec.is_exact:
             yield from run_iter(query, spec=spec, **options)
         else:
-            yield adapter.run(query, spec=spec, **options)
+            yield chosen.run(query, spec=spec, **options)
 
     def sql(self, text: str, engine: str | None = None, **options) -> QueryResult:
         """Parse SQL and evaluate it through :meth:`run` (same keywords,
@@ -592,7 +593,7 @@ class Session:
     def deterministic_baseline(self, query):
         """The paper's Q0 timing baseline; see
         :meth:`repro.engine.sprout.SproutEngine.deterministic_baseline`."""
-        return self.engine("sprout").engine.deterministic_baseline(
+        return self.engine("sprout").deterministic_baseline(
             self._lower(query)
         )
 
@@ -627,13 +628,15 @@ class Session:
         compiler's d-tree memo) *only when this session owns it* — a
         shared server-level cache, injected via ``cache=``, serves other
         tenants and must survive one tenant's close (clearing it here
-        used to flush every tenant's warm entries).  Cached engine
-        adapters are always dropped; the session stays usable
-        afterwards — data and registry are untouched; later runs simply
-        recompile.
+        used to flush every tenant's warm entries); likewise the
+        :class:`PlanCache`.  Cached engines are always dropped; the
+        session stays usable afterwards — data and registry are
+        untouched; later runs simply re-plan and recompile.
         """
         if self._owns_cache:
             self.cache.clear()
+        if self._owns_plan_cache:
+            self.plan_cache.clear()
         self._engines.clear()
 
     def __enter__(self) -> "Session":
@@ -660,7 +663,7 @@ def connect(
     samples: int = 1000,
     database: PVCDatabase | None = None,
     cache: CompilationCache | None = None,
-    plan_cache=None,
+    plan_cache: PlanCache | None = None,
     **compiler_options,
 ) -> Session:
     """Open a :class:`Session` — the primary entry point of the library.

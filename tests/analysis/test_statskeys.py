@@ -98,7 +98,7 @@ class TestUndeclaredKey:
             + """
     class Engine:
         def run(self):
-            self.last_run_info = {"samples": 10, "mystery": True}
+            self.stats = {"samples": 10, "mystery": True}
     """,
             CHECKERS,
             options=OPTIONS,
@@ -238,18 +238,19 @@ class TestVolatileOmissionRedetection:
     between the with/without-numpy CI legs.
     """
 
-    def _modules(self, codec_text: str) -> list[SourceModule]:
-        codec_path = SRC_REPRO / "server" / "codec.py"
+    REGISTRY = SRC_REPRO / "engine" / "stats.py"
+
+    def _modules(self, registry_text: str) -> list[SourceModule]:
         montecarlo_path = SRC_REPRO / "engine" / "montecarlo.py"
         return [
-            SourceModule.parse(codec_path, text=codec_text),
+            SourceModule.parse(self.REGISTRY, text=registry_text),
             SourceModule.parse(montecarlo_path),
         ]
 
     def test_omitting_batched_is_flagged(self):
-        codec_text = (SRC_REPRO / "server" / "codec.py").read_text()
-        assert '"batched",' in codec_text
-        broken = codec_text.replace('"batched",', "")
+        registry_text = self.REGISTRY.read_text()
+        assert '"batched",' in registry_text
+        broken = registry_text.replace('"batched",', "")
         context = AnalysisContext(modules=self._modules(broken))
         findings = list(StatsKeyChecker().check_project(context))
         batched = [f for f in findings if "'batched'" in f.message]
@@ -258,13 +259,12 @@ class TestVolatileOmissionRedetection:
         assert any(f.file.endswith("montecarlo.py") for f in batched)
 
     def test_committed_declarations_are_complete(self):
-        codec_text = (SRC_REPRO / "server" / "codec.py").read_text()
-        context = AnalysisContext(modules=self._modules(codec_text))
+        context = AnalysisContext(modules=self._modules(self.REGISTRY.read_text()))
         findings = list(StatsKeyChecker().check_project(context))
         assert findings == []
 
     def test_fingerprint_sets_are_disjoint(self):
-        from repro.server.codec import (
+        from repro.engine.stats import (
             DETERMINISTIC_STAT_KEYS,
             VOLATILE_STAT_KEYS,
         )

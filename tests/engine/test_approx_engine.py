@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Var, connect
-from repro.engine.approximate import ApproxAdapter
+from repro.engine.approximate import ApproxEngine
 from repro.engine.base import Engine, create_engine
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.errors import QueryValidationError
@@ -32,12 +32,12 @@ def hard_query(s):
     return s.table("W").select("a")
 
 
-class TestAdapter:
+class TestEngine:
     def test_satisfies_engine_protocol(self, hard_session):
-        adapter = hard_session.engine("approx")
-        assert isinstance(adapter, Engine)
-        assert isinstance(adapter, ApproxAdapter)
-        assert isinstance(create_engine("approx", hard_session.db), ApproxAdapter)
+        engine = hard_session.engine("approx")
+        assert isinstance(engine, Engine)
+        assert isinstance(engine, ApproxEngine)
+        assert isinstance(create_engine("approx", hard_session.db), ApproxEngine)
 
     def test_intervals_contain_the_oracle(self, hard_session):
         q = hard_query(hard_session)
@@ -81,12 +81,12 @@ class TestAdapter:
             assert interval.value == pytest.approx(exact[row.values])
 
     def test_rejects_sample_spec_and_options(self, hard_session):
-        adapter = hard_session.engine("approx")
+        engine = hard_session.engine("approx")
         q = hard_query(hard_session).build()
         with pytest.raises(QueryValidationError, match="montecarlo"):
-            adapter.run(q, spec=EvalSpec(mode="sample"))
+            engine.run(q, spec=EvalSpec(mode="sample"))
         with pytest.raises(QueryValidationError, match="run options"):
-            adapter.run(q, compute_probabilities=True)
+            engine.run(q, compute_probabilities=True)
 
     def test_rows_keep_symbolic_accessors(self, hard_session):
         result = hard_session.run(hard_query(hard_session), engine="approx")

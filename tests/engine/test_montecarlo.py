@@ -7,6 +7,7 @@ from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
+from repro.engine.spec import EvalSpec
 from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import (
@@ -110,7 +111,7 @@ class TestBatchedSampler:
                 sorted(db.tables["R"].variables), 300
             )
             batched = engine._batched_counts(query, drawn, 300)
-            generic = engine._per_world_counts(query, ["R"], drawn, 300)
+            generic, _ = engine._per_world_counts(query, ["R"], drawn, 300)
             assert batched == generic
 
     def test_seeded_determinism_of_batched_runs(self):
@@ -136,12 +137,10 @@ class TestBatchedSampler:
     def test_batched_fast_path_engages_and_agrees_with_compiled(self):
         db = two_table_db()
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
-        engine = MonteCarloEngine(db, seed=2)
-        estimate = engine.tuple_probabilities(query, 8000)
-        from repro.prob import kernels
-
+        result = MonteCarloEngine(db, seed=2).run(query, samples=8000)
+        estimate = result.tuple_probabilities()
         if kernels.numpy_enabled():
-            assert engine.last_run_info["batched"] is True
+            assert result.stats["batched"] is True
         # The oracle runs on the two-variable database: the extra table's
         # 30 variables are irrelevant to the query but would make naive
         # world enumeration intractable.
@@ -158,13 +157,14 @@ class TestBatchedSampler:
         r.add((2, 30), Var("x") * Var("y"))  # conjunctive annotation
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
         engine = MonteCarloEngine(db, seed=3)
-        estimate = engine.tuple_probabilities(query, 5000)
+        result = engine.run(query, samples=5000)
+        estimate = result.tuple_probabilities()
         if kernels.numpy_enabled():
-            assert engine.last_run_info["batched"] is True
+            assert result.stats["batched"] is True
         if kernels.numpy_available():
             drawn = engine._sample_index_columns(["x", "y"], 500)
             assert engine._batched_counts(query, drawn, 500) == (
-                engine._per_world_counts(query, ["R"], drawn, 500)
+                engine._per_world_counts(query, ["R"], drawn, 500)[0]
             )
         exact = NaiveEngine(db).tuple_probabilities(query)
         for key, p in exact.items():
@@ -181,9 +181,9 @@ class TestBatchedSampler:
             db.registry.bernoulli(f"f{i}", 0.5)
             r.add((0, 0.1 * (i + 1)), Var(f"f{i}"))
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
-        engine = MonteCarloEngine(db, seed=1)
-        estimate = engine.tuple_probabilities(query, 4000)
-        assert engine.last_run_info["batched"] is False
+        result = MonteCarloEngine(db, seed=1).run(query, samples=4000)
+        estimate = result.tuple_probabilities()
+        assert result.stats["batched"] is False
         exact = NaiveEngine(db).tuple_probabilities(query)
         for key, p in exact.items():
             assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.04)
@@ -198,21 +198,24 @@ class TestBatchedSampler:
         r.add((1, 2**53 + 1), Var("hx"))
         r.add((1, 2**53 + 2), Var("hy"))
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
-        engine = MonteCarloEngine(db, seed=1)
-        estimate = engine.tuple_probabilities(query, 500)
-        assert engine.last_run_info["batched"] is False
+        result = MonteCarloEngine(db, seed=1).run(query, samples=500)
+        estimate = result.tuple_probabilities()
+        assert result.stats["batched"] is False
         assert all(v in (2**53 + 1, 2**53 + 2) for (_, v) in estimate)
 
     def test_repeated_worlds_are_memoised(self):
         db = simple_db()  # two variables: only four distinct worlds
         engine = MonteCarloEngine(db, seed=8)
-        engine._per_world_counts(
+        _, info = engine._per_world_counts(
             relation("R"),
             ["R"],
             engine._sample_index_columns(["x", "y"], 1000),
             1000,
         )
-        assert engine.last_run_info["distinct_worlds"] <= 4
+        assert info["distinct_worlds"] <= 4
+        result = engine.run(relation("R"), samples=1000, spec=EvalSpec(codegen=False))
+        if not result.stats["batched"]:
+            assert result.stats["distinct_worlds"] <= 4
 
     @needs_numpy
     def test_capped_sum_saturates_in_batched_path(self):
@@ -228,7 +231,7 @@ class TestBatchedSampler:
             sorted(db.tables["R"].variables), 400
         )
         batched = engine._batched_counts(query, drawn, 400)
-        generic = engine._per_world_counts(query, ["R"], drawn, 400)
+        generic, _ = engine._per_world_counts(query, ["R"], drawn, 400)
         assert batched == generic
         assert all(values[-1] <= 12 for values in batched)
 
@@ -298,14 +301,15 @@ class TestShardedSampler:
         )
         assert legacy == explicit
 
-    def test_run_info_reports_sharding(self):
+    def test_run_stats_report_sharding(self):
         db = two_table_db()
         engine = MonteCarloEngine(db, seed=2)
-        engine.tuple_probabilities(relation("R"), 1024, workers=2, shard_size=256)
-        info = engine.last_run_info
-        assert info["shards"] == 4
-        assert info["workers"] == 2
-        assert "parallel_fallback" not in info
+        stats = engine.run(
+            relation("R"), samples=2048, spec=EvalSpec(workers=2)
+        ).stats
+        assert stats["shards"] == 4  # DEFAULT_SHARD_SIZE is 512
+        assert stats["workers"] == 2
+        assert "parallel_fallback" not in stats
 
     def test_sequential_stopping_trajectory_identical_across_workers(self):
         db = simple_db()

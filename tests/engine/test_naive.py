@@ -1,6 +1,7 @@
 """Tests for the brute-force possible-worlds engine."""
 
 import math
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
 from repro.db.relation import Relation
 from repro.db.schema import Schema
-from repro.engine.naive import NaiveEngine, evaluate_deterministic
+from repro.engine.naive import NaiveEngine
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import (
     AggSpec,
@@ -21,7 +22,9 @@ from repro.query.ast import (
     Union,
     relation,
 )
+from repro.query.executor import execute_deterministic, prepare
 from repro.query.predicates import cmp_, eq
+from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
 
 
 def simple_db():
@@ -43,39 +46,79 @@ class TestDeterministicEvaluation:
         rel.add((2, 30), True)
         return {"R": rel}
 
-    def test_select(self):
-        result = evaluate_deterministic(
-            Select(relation("R"), eq("a", 1)), self.world()
+    def evaluate(self, query):
+        """Plan as written (``optimize=False``) and run on the one world."""
+        world = self.world()
+        prepared = prepare(
+            query,
+            {name: rel.schema for name, rel in world.items()},
+            {name: len(rel) for name, rel in world.items()},
+            optimize=False,
         )
+        return execute_deterministic(prepared, world, BOOLEAN)
+
+    def test_select(self):
+        result = self.evaluate(Select(relation("R"), eq("a", 1)))
         assert result.support() == {(1, 10), (1, 20)}
 
     def test_project(self):
-        result = evaluate_deterministic(
-            Project(relation("R"), ["a"]), self.world()
-        )
+        result = self.evaluate(Project(relation("R"), ["a"]))
         assert result.support() == {(1,), (2,)}
 
     def test_extend(self):
-        result = evaluate_deterministic(
-            Extend(relation("R"), "a2", "a"), self.world()
-        )
+        result = self.evaluate(Extend(relation("R"), "a2", "a"))
         assert (1, 10, 1) in result.support()
 
     def test_group_aggregate(self):
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
-        result = evaluate_deterministic(query, self.world())
+        result = self.evaluate(query)
         assert result.support() == {(1, 10), (2, 30)}
 
     def test_count_star(self):
         query = GroupAgg(relation("R"), [], [AggSpec.of("n", "COUNT")])
-        result = evaluate_deterministic(query, self.world())
+        result = self.evaluate(query)
         assert result.support() == {(3,)}
 
     def test_unknown_relation_raises(self):
         from repro.errors import QueryValidationError
 
         with pytest.raises(QueryValidationError):
-            evaluate_deterministic(relation("Z"), self.world())
+            self.evaluate(relation("Z"))
+
+
+class TestDeadlineCheckpoint:
+    """Every oracle sweep runs through the one worlds iterator, so every
+    sweep carries its per-world deadline checkpoint."""
+
+    SWEEPS = {
+        "tuple_probabilities": lambda e, q: e.tuple_probabilities(q),
+        "multiplicity_distribution": lambda e, q: e.multiplicity_distribution(
+            q, (1, 10)
+        ),
+        "answer_relation_distribution": lambda e, q: (
+            e.answer_relation_distribution(q)
+        ),
+    }
+
+    @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "interp"])
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_sweep_raises_under_an_expired_scope(self, sweep, codegen):
+        engine = NaiveEngine(simple_db(), codegen=codegen)
+        deadline = Deadline(0.001)
+        time.sleep(0.005)
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceeded, match="possible-worlds"):
+                self.SWEEPS[sweep](engine, relation("R"))
+
+    def test_run_turns_the_trip_into_a_timeout_without_a_spec(self):
+        from repro.errors import QueryTimeoutError
+
+        deadline = Deadline(0.001)
+        time.sleep(0.005)
+        with deadline_scope(deadline):
+            with pytest.raises(QueryTimeoutError) as caught:
+                NaiveEngine(simple_db()).run(relation("R"))
+        assert caught.value.partial is None
 
 
 class TestTupleProbabilities:

@@ -67,7 +67,7 @@ class TestMonteCarloDegradation:
         # batches, where the pool actually engages (and here, "fails").
         serial = connect(seed=9, database=session.db).engine(
             "montecarlo"
-        ).engine.estimate_intervals(
+        ).estimate_intervals(
             session.table("R").select("kind").build(),
             epsilon=0.05,
             workers=1,
@@ -76,7 +76,7 @@ class TestMonteCarloDegradation:
         _broken_pool(monkeypatch, "pickle_error")
         degraded = connect(seed=9, database=session.db).engine(
             "montecarlo"
-        ).engine.estimate_intervals(
+        ).estimate_intervals(
             session.table("R").select("kind").build(),
             epsilon=0.05,
             workers=4,

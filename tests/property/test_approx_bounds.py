@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro.algebra.semiring import BOOLEAN
 from repro.core.approx import ApproximateCompiler
 from repro.core.compile import Compiler
-from repro.engine.base import NaiveAdapter, create_engine
+from repro.engine.base import create_engine
+from repro.engine.naive import NaiveEngine
 from repro.engine.spec import EvalSpec
 from repro.prob.space import ProbabilitySpace
 
@@ -123,9 +124,9 @@ class TestEngineSoundness:
         st.integers(min_value=1, max_value=64),
     )
     def test_any_budget_intervals_contain_oracle(self, db, query, budget):
-        oracle = NaiveAdapter(db).run(query).tuple_probabilities()
-        adapter = create_engine("approx", db)
-        result = adapter.run(
+        oracle = NaiveEngine(db).run(query).tuple_probabilities()
+        engine = create_engine("approx", db)
+        result = engine.run(
             query, spec=EvalSpec(mode="approx", epsilon=0.0, budget=budget)
         )
         assert result.stats["expansions"] <= budget
@@ -143,8 +144,8 @@ class TestEngineSoundness:
     @ENGINE_SETTINGS
     @given(query_databases(), queries())
     def test_converged_widths_meet_epsilon(self, db, query):
-        adapter = create_engine("approx", db)
-        result = adapter.run(query, spec=EvalSpec(mode="approx", epsilon=0.05))
+        engine = create_engine("approx", db)
+        result = engine.run(query, spec=EvalSpec(mode="approx", epsilon=0.05))
         if result.stats["converged"]:
             for row in result:
                 assert row.probability().width <= 0.05 + 1e-9
@@ -152,10 +153,10 @@ class TestEngineSoundness:
     @ENGINE_SETTINGS
     @given(query_databases(), queries())
     def test_snapshots_nest_and_final_contains_oracle(self, db, query):
-        oracle = NaiveAdapter(db).run(query).tuple_probabilities()
-        adapter = create_engine("approx", db)
+        oracle = NaiveEngine(db).run(query).tuple_probabilities()
+        engine = create_engine("approx", db)
         previous = None
-        for snapshot in adapter.run_iter(
+        for snapshot in engine.run_iter(
             query, spec=EvalSpec(mode="approx", epsilon=1e-9, budget=256)
         ):
             current = {}
@@ -180,7 +181,6 @@ class TestMonteCarloCoverage:
         from repro.algebra.expressions import Var
         from repro.db.pvc_table import PVCDatabase
         from repro.engine.montecarlo import MonteCarloEngine
-        from repro.engine.naive import NaiveEngine
         from repro.prob.variables import VariableRegistry
         from repro.query.ast import relation
 

@@ -25,6 +25,7 @@ from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
+from repro.engine.spec import EvalSpec
 from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Product, Project, Select, relation
@@ -91,7 +92,7 @@ def assert_same_counts(db, query, seed, samples=101):
     referenced, drawn = draw_columns(engine, query, samples)
     batched = engine._batched_counts(query, drawn, samples)
     assert batched is not None, "integer data must not fall back"
-    oracle = engine._per_world_counts(query, referenced, drawn, samples)
+    oracle, _ = engine._per_world_counts(query, referenced, drawn, samples)
     assert typed(batched) == typed(oracle)
 
 
@@ -122,15 +123,21 @@ def test_seeded_estimates_equal_a_per_world_run(db, query, seed, workers):
     if not kernels.numpy_enabled():
         return  # the run itself then takes the per-world loop
     options = {"samples": 150, "workers": workers, "shard_size": 64}
-    engine = MonteCarloEngine(db, seed=seed)
-    estimate = engine.tuple_probabilities(query, **options)
-    assert engine.last_run_info["batched"] is True
-    oracle_engine = MonteCarloEngine(db, seed=seed)
+    spec = None if workers is None else EvalSpec(workers=workers)
+
+    def batched():
+        run = MonteCarloEngine(db, seed=seed).run(query, spec, samples=150)
+        return run.stats["batched"]
+
+    estimate = MonteCarloEngine(db, seed=seed).tuple_probabilities(query, **options)
+    assert batched() is True
     with mock.patch.object(
         MonteCarloEngine, "_symbolic_rows", lambda *args: None
     ):
-        oracle = oracle_engine.tuple_probabilities(query, **options)
-    assert oracle_engine.last_run_info["batched"] is False
+        oracle = MonteCarloEngine(db, seed=seed).tuple_probabilities(
+            query, **options
+        )
+        assert batched() is False
     assert typed(estimate) == typed(oracle)
 
 
@@ -212,7 +219,7 @@ def test_semimodule_values_in_base_tables_dedupe_per_world():
     engine = MonteCarloEngine(db, seed=3)
     referenced, drawn = draw_columns(engine, query, 300)
     assert engine._batched_counts(query, drawn, 300) is None
-    counts = engine._per_world_counts(query, referenced, drawn, 300)
+    counts, _ = engine._per_world_counts(query, referenced, drawn, 300)
     assert counts[(1, 0)] == 300  # never 2 per world
     estimate = MonteCarloEngine(db, seed=3).tuple_probabilities(query, 300)
     assert estimate[(1, 0)] == 1.0

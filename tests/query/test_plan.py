@@ -20,7 +20,7 @@ from repro.query import (
     eq,
     relation,
 )
-from repro.query.plan import (
+from repro.query.optimizer import (
     collapse_projections,
     merge_selections,
     optimize,

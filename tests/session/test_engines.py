@@ -1,13 +1,14 @@
-"""The Engine protocol: three adapters, one QueryResult type — and the
+"""The Engine protocol: four engines, one QueryResult type — and the
 serial-vs-parallel conformance matrix (every engine × worker count)."""
 
 import pytest
 
 from repro import (
+    ApproxEngine,
     Engine,
-    MonteCarloAdapter,
-    NaiveAdapter,
-    SproutAdapter,
+    MonteCarloEngine,
+    NaiveEngine,
+    SproutEngine,
     connect,
     count_,
     create_engine,
@@ -35,20 +36,24 @@ def grouped(s):
 
 
 class TestProtocol:
-    def test_adapters_satisfy_protocol(self, session):
-        for name in ("sprout", "naive", "montecarlo"):
-            assert isinstance(session.engine(name), Engine)
+    def test_engines_satisfy_protocol(self, session):
+        for name in ("sprout", "approx", "naive", "montecarlo"):
+            engine = session.engine(name)
+            assert isinstance(engine, Engine)
+            assert engine.name == name
 
     def test_create_engine_dispatch(self, session):
-        assert isinstance(create_engine("sprout", session.db), SproutAdapter)
-        assert isinstance(create_engine("naive", session.db), NaiveAdapter)
-        assert isinstance(
-            create_engine("montecarlo", session.db), MonteCarloAdapter
-        )
+        for name, engine_class in [
+            ("sprout", SproutEngine),
+            ("approx", ApproxEngine),
+            ("naive", NaiveEngine),
+            ("montecarlo", MonteCarloEngine),
+        ]:
+            assert type(create_engine(name, session.db)) is engine_class
         with pytest.raises(QueryValidationError):
             create_engine("quantum", session.db)
 
-    def test_adapters_are_cached_per_session(self, session):
+    def test_engines_are_cached_per_session(self, session):
         assert session.engine("naive") is session.engine("naive")
 
 

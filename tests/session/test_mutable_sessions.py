@@ -22,8 +22,9 @@ from repro import connect, count_, sum_
 from repro.algebra import Var
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
-from repro.engine.base import CompilationCache
+from repro.engine.base import CompilationCache, PlanCache
 from repro.prob.variables import VariableRegistry
+from repro.server import demo_session
 from repro.session import Session
 
 
@@ -243,6 +244,65 @@ class TestSharedCacheLifecycle:
         # The closed tenant can keep querying too (recompiles on demand).
         closed = tenant_a.run(query, engine="sprout")
         assert _fingerprint(closed) == _fingerprint(result)
+
+
+class TestPlanMemo:
+    """The session's :class:`PlanCache` is the one plan memo, keyed on the
+    row counts of exactly the tables a query reads."""
+
+    JOIN = "SELECT label FROM R, T WHERE kind = rkind"  # reads R and T, not B
+
+    def test_same_sql_text_plans_once(self):
+        s = _seeded_session()  # a plain connect(): no plan_cache= passed
+        sql = "SELECT name FROM items WHERE price >= 100"
+        assert _fingerprint(s.sql(sql)) == _fingerprint(s.sql(sql))
+        stats = s.plan_cache.stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
+
+    def test_write_to_an_unrelated_table_keeps_the_plan(self):
+        s = demo_session()
+        s.sql(self.JOIN, engine="sprout")
+        rows = len(s.table("B"))
+        s.table("B").insert((99, 70), p=0.5)
+        s.table("B").delete({"slot": 0})
+        assert len(s.table("B")) != rows
+        before = s.plan_cache.stats()
+        warm = s.sql(self.JOIN, engine="sprout")
+        after = s.plan_cache.stats()
+        assert (after["hits"], after["misses"]) == (
+            before["hits"] + 1,
+            before["misses"],
+        )
+        cold = fresh_session(s).sql(self.JOIN, engine="sprout")
+        assert _fingerprint(warm) == _fingerprint(cold)  # row order included
+
+    def test_write_to_a_read_table_replans(self):
+        s = demo_session()
+        s.sql(self.JOIN, engine="sprout")
+        # T (4 rows) overtakes R (8 rows): the greedy join order flips,
+        # exactly as it does for a session built on the final data.
+        for i in range(6):
+            s.table("T").insert(("a", f"extra-{i}"), p=0.5)
+        before = s.plan_cache.stats()
+        warm = s.sql(self.JOIN, engine="sprout")
+        after = s.plan_cache.stats()
+        assert (after["hits"], after["misses"]) == (
+            before["hits"],
+            before["misses"] + 1,
+        )
+        cold = fresh_session(s).sql(self.JOIN, engine="sprout")
+        assert _fingerprint(warm) == _fingerprint(cold)  # row order included
+
+    def test_close_clears_an_owned_plan_cache_only(self):
+        shared = PlanCache()
+        owner, tenant = _seeded_session(), connect(plan_cache=shared)
+        tenant.table("t", ["a"]).insert((1,), p=0.5)
+        owner.sql("SELECT name FROM items")
+        tenant.sql("SELECT a FROM t")
+        owner.close()
+        tenant.close()
+        assert len(owner.plan_cache) == 0
+        assert len(shared) == 1
 
 
 class TestTupleIndependenceMemo:

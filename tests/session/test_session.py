@@ -283,14 +283,14 @@ class TestContextManager:
             pytest.approx(0.5)
         )
 
-    def test_close_clears_compilation_cache_and_adapters(self, shop_session):
+    def test_close_clears_compilation_cache_and_engines(self, shop_session):
         s = shop_session
         affordable(s).run(engine="sprout")
         assert len(s.cache) > 0
-        adapter = s.engine("sprout")
+        engine = s.engine("sprout")
         s.close()
         assert len(s.cache) == 0
-        assert s.engine("sprout") is not adapter
+        assert s.engine("sprout") is not engine
         assert s.compiler is s.cache.compiler
 
     def test_exceptions_propagate(self):
