@@ -17,6 +17,9 @@ same query+data, fingerprint-relevant) or in ``VOLATILE_STAT_KEYS``
 (dropped before hashing).  The declarations themselves are read
 statically from the scanned tree — the module defining both frozensets
 as literals (``repro/engine/stats.py``) is discovered, not imported.
+The reverse is ``stats-unwritten``: a declared key that no scanned
+module writes is reported where it is declared, so the registry cannot
+keep classifying keys nothing emits.
 
 Tracked mappings, by naming convention: locals named ``stats`` /
 ``info`` or ending in ``stats`` / ``_info``, and attributes named
@@ -56,27 +59,31 @@ def _tracked_name(node: ast.expr) -> str | None:
     return None
 
 
-def _literal_str_elements(node: ast.expr) -> tuple[str, ...] | None:
+def _literal_str_elements(node: ast.expr) -> dict[str, int] | None:
+    """The string elements of a literal collection, with their lines."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        keys = []
+        keys = {}
         for element in node.elts:
             if isinstance(element, ast.Constant) and isinstance(
                 element.value, str
             ):
-                keys.append(element.value)
+                keys[element.value] = element.lineno
             else:
                 return None
-        return tuple(keys)
+        return keys
     return None
 
 
-def collect_declared_keys(modules: list[SourceModule]) -> set[str] | None:
-    """The union of both declaration frozensets, read statically.
+def collect_declared_keys(
+    modules: list[SourceModule],
+) -> dict[str, tuple[str, int]] | None:
+    """Both declaration frozensets, read statically: key → the
+    ``(path, line)`` declaring it.
 
     Returns ``None`` when no scanned module declares them — the lint
     then has nothing to check against and stays silent.
     """
-    declared: set[str] | None = None
+    declared: dict[str, tuple[str, int]] | None = None
     for module in modules:
         for statement in module.tree.body:
             if not isinstance(statement, ast.Assign):
@@ -97,24 +104,46 @@ def collect_declared_keys(modules: list[SourceModule]) -> set[str] | None:
                     value = value.args[0]
                 keys = _literal_str_elements(value)
                 if keys is not None:
-                    declared = (declared or set()) | set(keys)
+                    declared = declared or {}
+                    for key, line in keys.items():
+                        declared[key] = (module.path, line)
     return declared
 
 
 class StatsKeyChecker(BaseChecker):
     name = "statskeys"
-    rules = ("stats-undeclared-key", "stats-dynamic-key")
+    rules = ("stats-undeclared-key", "stats-dynamic-key", "stats-unwritten")
 
     def check_project(self, context: AnalysisContext) -> Iterator[Finding]:
         declared = collect_declared_keys(context.modules)
         if declared is None:
             return
+        #: Every literal key :meth:`_judge` saw written during this run.
+        self._written: set[str] = set()
         include_all = bool(context.options.get("statskeys_include_all"))
+        names = set(declared)
+        scanned: set[str] = set()
         for module in context.modules:
             parts = set(module.path.replace("\\", "/").split("/"))
             if not include_all and not (parts & _SCANNED_PARTS):
                 continue
-            yield from self._check_module_keys(module, declared)
+            scanned.add(module.path)
+            yield from self._check_module_keys(module, names)
+        for key in sorted(names - self._written):
+            path, line = declared[key]
+            if path not in scanned:
+                continue  # declared in a tree the lint is not run over
+            yield Finding(
+                file=path,
+                line=line,
+                rule_id="stats-unwritten",
+                severity="error",
+                message=(
+                    f"stats key {key!r} is declared but no scanned module "
+                    f"writes it; delete the declaration (or write the key "
+                    f"where the lint can see it)"
+                ),
+            )
 
     def _check_module_keys(
         self, module: SourceModule, declared: set[str]
@@ -158,7 +187,7 @@ class StatsKeyChecker(BaseChecker):
             if isinstance(node.target, ast.Name):
                 keys = _literal_str_elements(node.iter)
                 if keys is not None:
-                    inner[node.target.id] = keys
+                    inner[node.target.id] = tuple(keys)
                 else:
                     inner.pop(node.target.id, None)
             yield from self._visit_body(module, node.body, declared, inner)
@@ -308,6 +337,7 @@ class StatsKeyChecker(BaseChecker):
         key: str,
         declared: set[str],
     ) -> Iterator[Finding]:
+        self._written.add(key)
         if key in declared:
             return
         yield Finding(

@@ -3,9 +3,9 @@
 Runtime modules declare their lock discipline next to the state itself
 with a plain class (or module) attribute, e.g.::
 
-    class CompilationCache:
+    class BoundedLRU:
         _shared_state_ = {
-            "_lock": ("hits", "misses", "evictions", "_distributions"),
+            "_lock": ("hits", "misses", "evictions", "_entries"),
         }
 
 meaning: the listed attributes may only be *mutated* while holding

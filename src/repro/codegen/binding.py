@@ -246,8 +246,8 @@ class BoundPlan:
             if name in static_names:
                 continue
             table = tables[name]
-            annotations = table.annotation_column()
             raw_rows = table.rows
+            annotations = [row.annotation for row in raw_rows]
             fast = None
             if use_numpy and all(
                 isinstance(annotation, Var) for annotation in annotations

@@ -19,24 +19,61 @@ database *mutable* without flushing those caches wholesale:
   probability update invalidates exactly the distributions whose lineage
   mentions the reassigned variables and nothing else.
 
-Invalidation granularity, by cache:
+Every cache, its key and its rule
+---------------------------------
 
-==================  =====================================================
-cache               invalidated by
-==================  =====================================================
-table scan/index    the owning table's epoch (any row change); touched
-                    hash-index buckets are *patched*, the rest survive
-compiled d-trees    ``changed_variables`` lineage only (value edits,
-                    inserts and deletes never recompile existing entries)
-prepared plans      cardinality fingerprint (shape changes only)
-fused kernels       plan identity (data-independent; never invalidated)
-==================  =====================================================
+The paper's two steps fix what a cached object may depend on: a scan or
+hash index is a function of one table's rows (step I), a compiled
+distribution a function of its variables' marginals only (step II).  So
+validity lives in the *key* wherever it can; this is the whole list.
+The first three are :class:`repro.cache.BoundedLRU` subclasses (one
+bound, one lock, one set of counters); the rest are fields of the object
+they are derived from and go when it goes.
+
+=====================  ==========================  ==========================
+cache                  key                         dropped or rebuilt when
+=====================  ==========================  ==========================
+statement              normalised SQL text         LRU eviction only: text →
+(``StatementCache``)                               AST reads no data
+plan (``PlanCache``)   query + row counts of the   LRU eviction; an insert or
+                       tables it reads             delete on a read table
+                                                   changes the key, equal-size
+                                                   updates and writes to other
+                                                   tables keep the plan
+distribution           normalised annotation       LRU eviction, and the one
+(``CompilationCache``)                             explicit rule: a ``p=``
+                                                   update drops the entries
+                                                   whose lineage mentions the
+                                                   ``changed_variables``
+                                                   (:class:`LineageIndex`);
+                                                   value edits, inserts and
+                                                   deletes drop nothing
+kernel on plan         the prepared plan object    never: a fused kernel (and
+(``kernel_for``)       (``op_cache``) + semiring   the interpreter's compiled
+                                                   accessors beside it) is
+                                                   data-independent and lives
+                                                   and dies with its plan
+table record           the table's epoch, read     any row change: ``add``
+(``PVCTable._views``)  before the rows             patches a current record
+                                                   forward, update/delete and
+                                                   ``invalidate_caches`` drop
+                                                   it; rebuilt on next read
+table facts            the table's epoch, read     never dropped by the
+(``PVCTable.facts``)   before the rows             mutators, which adjust and
+                                                   re-stamp it; recounted
+                                                   after ``invalidate_caches``
+world-relation index   the relation's epoch +      any ``Relation.add``
+(``Relation``)         key attributes
+independence memo      the table-epoch vector      any row change in any
+(``PVCDatabase``)      (no registry epoch)         table; ``p=`` updates keep
+                                                   it
+=====================  ==========================  ==========================
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = ["Delta", "DeltaLog", "LineageIndex"]
@@ -65,9 +102,6 @@ class Delta:
     epoch: int = 0
     #: The database generation after the mutation.
     generation: int = 0
-    #: Cache-patch diagnostics (e.g. ``buckets_patched``), for the
-    #: benchmark and ``/stats``; never part of answer fingerprints.
-    info: dict = field(default_factory=dict, compare=False)
 
 
 class DeltaLog:
@@ -153,6 +187,10 @@ class LineageIndex:
         for key in doomed:
             self.discard(key)
         return doomed
+
+    def clear(self) -> None:
+        self._by_variable.clear()
+        self._by_key.clear()
 
     def dependents(self, name: str) -> frozenset:
         return frozenset(self._by_variable.get(name, ()))

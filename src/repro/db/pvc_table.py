@@ -164,38 +164,31 @@ class PVCTable:
     1
     """
 
-    __slots__ = (
-        "schema",
-        "rows",
-        "_version",
-        "_scan_cache",
-        "_index_cache",
-        "_column_cache",
-        "_facts",
-    )
+    __slots__ = ("schema", "rows", "_version", "_view_cache", "_facts")
 
     def __init__(self, schema: Schema, rows: Iterable[PVCRow] = ()):
         self.schema = schema
         self.rows: list[PVCRow] = list(rows)
         #: Monotonic epoch (the :class:`~repro.db.relation.Relation`
         #: ``_version`` discipline): bumped by every mutation, and the
-        #: validity key of every cache below.  The row *count* is not a
-        #: safe key — an equal-size in-place update leaves it unchanged
-        #: while changing the data, which used to serve stale scans.
+        #: validity key of everything derived from ``rows``.  The row
+        #: *count* is not a safe key — an equal-size in-place update leaves
+        #: it unchanged while changing the data, which used to serve stale
+        #: scans.
         self._version = 0
-        #: Caches for the physical executor, keyed on the epoch: the
-        #: merged set-of-tuples scan (plus a values→position map for
-        #: incremental patching), per-key-set hash indexes, and the
-        #: columnar (per-column + annotation) views.  Mutate rows through
-        #: :meth:`add`/:meth:`update_rows`/:meth:`delete_rows`, which
-        #: bump the epoch and patch or drop the caches; any other
-        #: in-place edit of ``rows`` must call :meth:`invalidate_caches`
-        #: (statically enforced by the ``cache-epoch`` checker of
-        #: :mod:`repro.analysis`).
-        self._scan_cache = None
-        self._index_cache: dict = {}
-        self._column_cache: dict = {}
-        #: ``(epoch, TableFacts)``, stamped like the caches above.  The
+        #: ``(epoch, scan, positions, indexes)`` — everything the physical
+        #: executor derives lazily from ``rows``, as one record under one
+        #: stamp: the merged set-of-tuples scan, its values→position map
+        #: (for patching an append in), and the hash indexes over the scan
+        #: by key set.  Only :meth:`_current_views` judges the stamp.
+        #: Mutate rows through :meth:`add` (carries a current record
+        #: forward) or :meth:`update_rows`/:meth:`delete_rows` (drop it);
+        #: any other in-place edit of ``rows`` must call
+        #: :meth:`invalidate_caches` (statically enforced by the
+        #: ``cache-epoch`` checker of :mod:`repro.analysis`).
+        self._view_cache = None
+        #: ``(epoch, TableFacts)``, stamped like the record above but kept
+        #: apart from it: the facts must exist before any scan does.  The
         #: mutators *maintain* a current entry instead of dropping it:
         #: they read it before touching ``rows``, bump the epoch, adjust
         #: the facts for exactly the rows that changed and only then
@@ -211,11 +204,9 @@ class PVCTable:
         return self._version
 
     def invalidate_caches(self) -> None:
-        """Bump the epoch and drop every cached scan/index/column view."""
+        """Bump the epoch and drop the scan/index record and the facts."""
         self._version += 1
-        self._scan_cache = None
-        self._index_cache.clear()
-        self._column_cache.clear()
+        self._view_cache = None
         self._facts = None
 
     def facts(self) -> TableFacts:
@@ -241,6 +232,9 @@ class PVCTable:
             )
         row = PVCRow(values, annotation)
         facts = self._facts
+        views = self._view_cache  # None throughout a bulk load
+        if views is not None:
+            views = self._current_views()
         self.rows.append(row)
         previous = self._version
         self._version += 1
@@ -262,11 +256,12 @@ class PVCTable:
             else:
                 facts.count_row(row, 1)
             self._facts = (self._version, facts)
-        if self._scan_cache is not None:
-            self._patch_append(previous, row)
+        if views is not None:
+            self._patch_append(views, row)
 
-    def _patch_append(self, previous: int, row: PVCRow) -> None:
-        """Carry current caches across an append without a rebuild.
+    def _patch_append(self, views: tuple, row: PVCRow) -> None:
+        """Carry ``views`` — the record :meth:`add` read before touching
+        ``rows``, current at that point — across the append.
 
         An appended row merges into the scan at its existing entry (the
         first-occurrence position is unchanged) or lands at the end —
@@ -274,82 +269,51 @@ class PVCTable:
         put it, because the new row is last in row order.  ``ssum``
         flattens nested sums and canonicalises child order, so the
         incrementally merged annotation is structurally identical to the
-        rebuilt one.  Stale caches (``version != previous``) are left
-        behind; the epoch guard rejects them lazily.
+        rebuilt one.  Only the record read beforehand is patched: one a
+        reader published since may already contain the row.
         """
-        cached = self._scan_cache
-        if cached is None or cached[0] != previous:
-            return
-        scan, positions = cached[1], cached[2]
-        if row.annotation.is_zero():
-            # The merged view is unchanged; re-stamp everything current.
-            self._scan_cache = (self._version, scan, positions)
-            for key_indices, entry in list(self._index_cache.items()):
-                if entry[0] == previous:
-                    self._index_cache[key_indices] = (self._version, entry[1])
-                else:
-                    del self._index_cache[key_indices]
-            for name, entry in list(self._column_cache.items()):
-                if entry[0] == previous:
-                    self._column_cache[name] = (self._version, entry[1])
-                else:
-                    del self._column_cache[name]
-            return
-        position = positions.get(row.values)
-        if position is None:
-            entry = (row.values, row.annotation)
-            positions[row.values] = len(scan)
-            scan.append(entry)
-        else:
-            entry = (row.values, ssum([scan[position][1], row.annotation]))
-            scan[position] = entry
-        self._scan_cache = (self._version, scan, positions)
-        for key_indices, cached_index in list(self._index_cache.items()):
-            if cached_index[0] != previous:
-                del self._index_cache[key_indices]
-                continue
-            buckets = cached_index[1]
-            key = tuple_getter(key_indices)(row.values)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [entry]
-            elif position is None:
-                bucket.append(entry)
+        _, scan, positions, indexes = views
+        if not row.annotation.is_zero():  # else the merged view is unchanged
+            # The new record gets its own index map, taken before the scan
+            # changes: an index a reader is still building from the old
+            # scan lands in the old map and is never served as current.
+            indexes = dict(indexes)
+            position = positions.get(row.values)
+            if position is None:
+                entry = (row.values, row.annotation)
+                positions[row.values] = len(scan)
+                scan.append(entry)
             else:
-                for i, existing in enumerate(bucket):
-                    if existing[0] == row.values:
-                        bucket[i] = entry
-                        break
-            self._index_cache[key_indices] = (self._version, buckets)
-        values_entry = self._column_cache.get("values")
-        if values_entry is not None and values_entry[0] == previous:
-            columns = values_entry[1]
-            for i, value in enumerate(row.values):
-                columns[i].append(value)
-            self._column_cache["values"] = (self._version, columns)
-        annotations_entry = self._column_cache.get("annotations")
-        if annotations_entry is not None and annotations_entry[0] == previous:
-            column = annotations_entry[1]
-            column.append(row.annotation)
-            self._column_cache["annotations"] = (self._version, column)
+                entry = (row.values, ssum([scan[position][1], row.annotation]))
+                scan[position] = entry
+            for key_indices, buckets in indexes.items():
+                key = tuple_getter(key_indices)(row.values)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [entry]
+                elif position is None:
+                    bucket.append(entry)
+                else:
+                    for i, existing in enumerate(bucket):
+                        if existing[0] == row.values:
+                            bucket[i] = entry
+                            break
+        self._view_cache = (self._version, scan, positions, indexes)
 
     def update_rows(self, predicate, rewrite) -> dict:
         """Rewrite every row matching ``predicate`` via ``rewrite(row)``.
 
         ``rewrite`` returns the replacement :class:`PVCRow`.  The rows
         list is rebuilt and swapped atomically (concurrent readers keep a
-        consistent pre-mutation snapshot), the epoch is bumped, and the
-        cached scan and hash indexes are *patched*: only the merged
-        entries and index buckets whose key tuples were touched are
-        rebuilt, the rest survive by reference.  Returns mutation info
-        (``rows`` matched, ``changed``, touched ``variables``, and
-        cache-patch counters).
+        consistent pre-mutation snapshot), the epoch is bumped and the
+        scan/index record is dropped — the next read rebuilds it from
+        the rows, like a fresh table.  Returns mutation info (``rows``
+        matched and the touched ``variables``).
         """
         rows = self.rows
         facts = self._facts
         new_rows: list[PVCRow] = []
         replaced: list[tuple[PVCRow, PVCRow]] = []
-        touched: set[tuple] = set()
         variables: set = set()
         matched = 0
         for row in rows:
@@ -361,34 +325,21 @@ class PVCTable:
                     new_row.values != row.values
                     or new_row.annotation is not row.annotation
                 ):
-                    touched.add(row.values)
-                    touched.add(new_row.values)
                     variables |= new_row.annotation.variables
                     replaced.append((row, new_row))
                     row = new_row
             new_rows.append(row)
-        info = {
-            "rows": matched,
-            "changed": len(replaced),
-            "variables": frozenset(variables),
-        }
-        if not replaced:
-            return info
-        previous = self._version
-        self.rows = new_rows
-        self._version += 1
-        self._maintain_facts(facts, previous, replaced)
-        info.update(self._refresh_caches(previous, touched))
-        return info
+        if replaced:
+            previous = self._version
+            self.rows = new_rows
+            self._version += 1
+            self._view_cache = None
+            self._maintain_facts(facts, previous, replaced)
+        return {"rows": matched, "variables": frozenset(variables)}
 
     def delete_rows(self, predicate) -> dict:
-        """Remove every row matching ``predicate``; patch the caches.
-
-        Deletion never reorders the survivors, so the merged scan keeps
-        its first-occurrence order and only the index buckets containing
-        a removed key tuple are rebuilt.  Returns mutation info like
-        :meth:`update_rows`.
-        """
+        """Remove every row matching ``predicate``; drops the scan/index
+        record.  Returns mutation info like :meth:`update_rows`."""
         rows = self.rows
         facts = self._facts
         kept: list[PVCRow] = []
@@ -398,22 +349,20 @@ class PVCTable:
                 removed.append(row)
             else:
                 kept.append(row)
-        info = {
+        if removed:
+            previous = self._version
+            self.rows = kept
+            self._version += 1
+            self._view_cache = None
+            self._maintain_facts(
+                facts, previous, [(row, None) for row in removed]
+            )
+        return {
             "rows": len(removed),
             "variables": frozenset().union(
                 *(row.annotation.variables for row in removed)
             ),
         }
-        if not removed:
-            return info
-        previous = self._version
-        self.rows = kept
-        self._version += 1
-        self._maintain_facts(facts, previous, [(row, None) for row in removed])
-        info.update(
-            self._refresh_caches(previous, {row.values for row in removed})
-        )
-        return info
 
     def _maintain_facts(self, cached, previous: int, replaced) -> None:
         """Carry the facts entry ``cached`` (read before the mutation)
@@ -426,64 +375,6 @@ class PVCTable:
                 if new_row is not None:
                     facts.count_row(new_row, 1)
             self._facts = (self._version, facts)
-
-    def _refresh_caches(self, previous: int, touched: set) -> dict:
-        """Re-merge the scan and patch index buckets after a mutation.
-
-        ``touched`` is the set of value tuples whose merged entry may
-        have changed.  The merged scan is rebuilt from the current rows
-        (first-occurrence order must match a from-scratch session
-        bit-for-bit, and update/delete can move an entry's position);
-        hash indexes are patched copy-on-write — only buckets whose key
-        contains a touched value tuple are rebuilt, untouched bucket
-        lists are carried over by reference.  Columnar views realign
-        wholesale and are simply dropped.
-        """
-        self._column_cache.clear()
-        cached = self._scan_cache
-        if cached is None or cached[0] != previous:
-            self._scan_cache = None
-            self._index_cache.clear()
-            return {"buckets_patched": 0, "caches_dropped": True}
-        old_scan, old_positions = cached[1], cached[2]
-        new_scan = merge_annotated_rows(
-            (row.values, row.annotation) for row in self.rows
-        )
-        new_positions = {values: i for i, (values, _) in enumerate(new_scan)}
-        self._scan_cache = (self._version, new_scan, new_positions)
-        # Narrow ``touched`` to the keys whose merged entry really
-        # differs (an update may touch a value tuple whose merged
-        # annotation ends up unchanged).
-        changed_keys = set()
-        for values in touched:
-            old_index = old_positions.get(values)
-            new_index = new_positions.get(values)
-            if (old_index is None) != (new_index is None):
-                changed_keys.add(values)
-            elif old_index is not None and (
-                old_scan[old_index][1] != new_scan[new_index][1]
-            ):
-                changed_keys.add(values)
-        buckets_patched = 0
-        for key_indices, cached_index in list(self._index_cache.items()):
-            if cached_index[0] != previous:
-                del self._index_cache[key_indices]
-                continue
-            key_of = tuple_getter(key_indices)
-            touched_keys = {key_of(values) for values in changed_keys}
-            buckets = dict(cached_index[1])
-            for key in touched_keys:
-                buckets.pop(key, None)
-            for entry in new_scan:
-                key = key_of(entry[0])
-                if key in touched_keys:
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(entry)
-            buckets_patched += len(touched_keys)
-            self._index_cache[key_indices] = (self._version, buckets)
-        return {"buckets_patched": buckets_patched, "caches_dropped": False}
 
     def add_block(
         self,
@@ -520,6 +411,33 @@ class PVCTable:
                 continue
             self.add(tuple(values), compare(Var(name), "=", i + 1))
 
+    def _current_views(self) -> tuple | None:
+        """The scan/index record if its stamp is current, else ``None`` —
+        the one place that stamp is compared with the epoch."""
+        views = self._view_cache
+        if views is not None and views[0] == self._version:
+            return views
+        return None
+
+    def _views(self) -> tuple:
+        """The current ``(epoch, scan, positions, indexes)`` record,
+        built from the rows when there is none.
+
+        The stamp is the epoch read *before* the rows (writers change
+        rows, then bump), so a write landing mid-build leaves a record
+        stamped older than its content: the next call rejects and
+        rebuilds it, and a stale view can never be stamped current.
+        """
+        views = self._current_views()
+        if views is None:
+            version = self._version
+            scan = merge_annotated_rows(
+                (row.values, row.annotation) for row in self.rows
+            )
+            positions = {values: i for i, (values, _) in enumerate(scan)}
+            views = self._view_cache = (version, scan, positions, {})
+        return views
+
     def scan_rows(self) -> list:
         """The merged set-of-tuples view as ``(values, annotation)`` pairs.
 
@@ -529,65 +447,28 @@ class PVCTable:
         The result is cached (keyed on the epoch, which every mutator
         bumps) and shared — callers must not mutate it.
         """
-        cached = self._scan_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        scan = merge_annotated_rows(
-            (row.values, row.annotation) for row in self.rows
-        )
-        positions = {values: i for i, (values, _) in enumerate(scan)}
-        self._scan_cache = (self._version, scan, positions)
-        self._index_cache.clear()
-        return scan
+        return self._views()[1]
 
     def hash_index(self, key_indices: tuple) -> dict:
         """Buckets of :meth:`scan_rows` keyed on the given value positions.
 
-        Built once per key set and cached alongside the scan; the physical
-        executor uses it so repeated hash joins against a base table never
-        rebuild the table's hash index.
+        Built once per key set and kept in the record of the scan it was
+        built from; the physical executor uses it so repeated hash joins
+        against a base table never rebuild the table's hash index.
         """
-        cached = self._index_cache.get(key_indices)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        key_of = tuple_getter(key_indices)
-        buckets: dict[tuple, list] = {}
-        for row in self.scan_rows():
-            key = key_of(row[0])
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = bucket = []
-            bucket.append(row)
-        self._index_cache[key_indices] = (self._version, buckets)
+        _, scan, _, indexes = self._views()
+        buckets = indexes.get(key_indices)
+        if buckets is None:
+            key_of = tuple_getter(key_indices)
+            buckets = {}
+            for row in scan:
+                key = key_of(row[0])
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                bucket.append(row)
+            indexes[key_indices] = buckets
         return buckets
-
-    def value_columns(self) -> list:
-        """Columnar view of the raw rows: one list per attribute, aligned
-        with ``rows`` order (semimodule values appear unevaluated).
-
-        Memoised like the scan/hash-index caches (keyed on the epoch),
-        so repeated plan bindings — the codegen per-world layout in
-        particular — never re-split rows into columns.
-        """
-        cached = self._column_cache.get("values")
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        columns = [
-            [row.values[i] for row in self.rows]
-            for i in range(len(self.schema))
-        ]
-        self._column_cache["values"] = (self._version, columns)
-        return columns
-
-    def annotation_column(self) -> list:
-        """The annotation column ``Φ`` of the raw rows, memoised like
-        :meth:`value_columns`."""
-        cached = self._column_cache.get("annotations")
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        column = [row.annotation for row in self.rows]
-        self._column_cache["annotations"] = (self._version, column)
-        return column
 
     def __iter__(self) -> Iterator[PVCRow]:
         return iter(self.rows)
@@ -686,17 +567,6 @@ class PVCDatabase:
         for table in self.tables.values():
             generation += table.epoch
         return generation
-
-    def epochs(self) -> tuple:
-        """The epoch vector ``((table, epoch), ...)`` plus the registry.
-
-        Cache entries that read table data record this vector; a cache
-        hit requires it to match exactly, so no entry built before a
-        mutation can ever serve a post-mutation read.
-        """
-        return tuple(
-            sorted((name, table.epoch) for name, table in self.tables.items())
-        ) + (("$registry", self.registry.epoch),)
 
     def table_epochs(self) -> tuple:
         """``((name, table, epoch), ...)`` without the registry.
@@ -1002,11 +872,6 @@ class PVCDatabase:
                 cardinality_changed=False,
                 epoch=table.epoch,
                 generation=self.generation,
-                info={
-                    key: value
-                    for key, value in info.items()
-                    if key in ("buckets_patched", "caches_dropped", "changed")
-                },
             ))
         return matched
 
@@ -1014,8 +879,8 @@ class PVCDatabase:
         """Delete rows matching ``where``; returns the number removed.
 
         Removing rows never changes any compiled distribution (lineage
-        is untouched), so only the table's own scan/index caches are
-        patched and plans re-key on the new cardinality.
+        is untouched), so only the table's own scan/index record is
+        dropped and plans re-key on the new cardinality.
         """
         table = self[table_name]
         predicate = self._row_predicate(table, where)
@@ -1030,11 +895,6 @@ class PVCDatabase:
                 cardinality_changed=True,
                 epoch=table.epoch,
                 generation=self.generation,
-                info={
-                    key: value
-                    for key, value in info.items()
-                    if key in ("buckets_patched", "caches_dropped")
-                },
             ))
         return removed
 

@@ -29,7 +29,7 @@ __all__ = ["Relation"]
 class Relation:
     """A deterministic relation: tuples with semiring multiplicities."""
 
-    __slots__ = ("schema", "semiring", "_tuples", "_version", "_index_cache", "_column_cache")
+    __slots__ = ("schema", "semiring", "_tuples", "_version", "_index_cache")
 
     def __init__(
         self,
@@ -40,13 +40,12 @@ class Relation:
         self.schema = schema
         self.semiring = semiring
         self._tuples: dict[tuple, object] = {}
-        #: Mutation counter keying the memoised hash-index and column
-        #: views.  The row *count* is not a safe key here (unlike
-        #: PVCTable, which is append-only): ``add`` can change a
+        #: Mutation counter keying the memoised hash indexes (the
+        #: :class:`~repro.db.pvc_table.PVCTable` epoch discipline).  The
+        #: row *count* is not a safe key: ``add`` can change a
         #: multiplicity — or cancel a tuple — without changing ``len``.
         self._version = 0
         self._index_cache: dict = {}
-        self._column_cache: dict = {}
         for values, multiplicity in tuples:
             self.add(values, multiplicity)
 
@@ -60,10 +59,9 @@ class Relation:
         return self._version
 
     def invalidate_caches(self) -> None:
-        """Bump the epoch and drop the memoised index/column views."""
+        """Bump the epoch and drop the memoised hash indexes."""
         self._version += 1
         self._index_cache.clear()
-        self._column_cache.clear()
 
     def add(self, values: Sequence, multiplicity=None):
         """Add a tuple (alternative use: multiplicities combine additively)."""
@@ -77,11 +75,11 @@ class Relation:
             multiplicity = self.semiring.one
         current = self._tuples.get(values, self.semiring.zero)
         combined = self.semiring.add(current, multiplicity)
-        self._version += 1
         if combined == self.semiring.zero:
             self._tuples.pop(values, None)
         else:
             self._tuples[values] = combined
+        self._version += 1  # after the change: readers stamp epoch-first
 
     @classmethod
     def from_mapping(
@@ -108,8 +106,9 @@ class Relation:
         from repro.db.pvc_table import tuple_getter
 
         key = tuple(attributes)
+        version = self._version  # read first: the stamp of what we build
         cached = self._index_cache.get(key)
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == version:
             return cached[1]
         key_of = tuple_getter([self.schema.index(a) for a in attributes])
         buckets: dict[tuple, list] = {}
@@ -119,29 +118,8 @@ class Relation:
             if bucket is None:
                 buckets[bucket_key] = bucket = []
             bucket.append((values, multiplicity))
-        self._index_cache[key] = (self._version, buckets)
+        self._index_cache[key] = (version, buckets)
         return buckets
-
-    def column(self, attribute: str) -> list:
-        """The values of one attribute across all tuples, in tuple order.
-
-        Memoised per attribute until the relation mutates — the columnar
-        view repeated plans share instead of re-splitting rows.
-        """
-        cached = self._column_cache.get(attribute)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        index = self.schema.index(attribute)
-        values = [row[index] for row in self._tuples]
-        self._column_cache[attribute] = (self._version, values)
-        return values
-
-    def columns(self, attributes: Sequence[str] | None = None) -> list:
-        """Columnar view: one list per attribute (all attributes when
-        ``attributes`` is None), aligned with :meth:`tuples` order."""
-        if attributes is None:
-            attributes = self.schema.attributes
-        return [self.column(attribute) for attribute in attributes]
 
     def multiplicity(self, values: Sequence):
         """The multiplicity of a tuple (``0_S`` if absent)."""

@@ -32,11 +32,10 @@ for a ``Q``-algebra query over a pvc-database — behind one front door:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
 from repro.algebra.expressions import Expr
+from repro.cache import BoundedLRU
 from repro.core.compile import Compiler
 from repro.db.mutations import LineageIndex
 from repro.db.pvc_table import PVCDatabase
@@ -80,7 +79,7 @@ class Engine(Protocol):
         ...
 
 
-class CompilationCache:
+class CompilationCache(BoundedLRU):
     """Distribution cache keyed on normalized annotations.
 
     Wraps one persistent :class:`Compiler`, whose d-tree memo already
@@ -93,49 +92,41 @@ class CompilationCache:
     :class:`Compiler`, so it can stand in wherever result rows expect a
     distribution source.
 
-    ``max_entries`` bounds the cache: entries evict least-recently-used
-    (a lookup refreshes recency) and ``evictions`` counts what was
-    dropped.  ``None`` keeps the legacy unbounded behavior of a private
-    per-session cache; the query server shares one *bounded* instance
-    across every tenant session.
+    ``max_entries`` bounds the cache (see :class:`~repro.cache.BoundedLRU`).
+    ``None`` keeps the legacy unbounded behavior of a private per-session
+    cache; the query server shares one *bounded* instance across every
+    tenant session.
 
     All operations are safe under concurrent access from threads (the
-    server's executor pool): one reentrant lock serializes lookups,
-    stores, :meth:`absorb` and :meth:`clear`.  Compilation itself also
-    runs under the lock — the wrapped compiler's memo tables are not
-    designed for concurrent mutation, and under the GIL serializing the
-    CPU-bound compile costs nothing (multi-core compilation goes through
-    the :mod:`repro.parallel` process pool instead).
+    server's executor pool): the LRU's reentrant lock also serializes
+    compilation, :meth:`absorb` and :meth:`clear` — the wrapped
+    compiler's memo tables are not designed for concurrent mutation, and
+    under the GIL serializing the CPU-bound compile costs nothing
+    (multi-core compilation goes through the :mod:`repro.parallel`
+    process pool instead).
     """
 
-    #: Lock discipline, enforced statically by ``repro.analysis`` (the
-    #: ``locks`` checker): the listed fields are mutated only while
-    #: holding ``self._lock``.
+    #: Lock discipline for what this class writes beside the LRU's own
+    #: methods (``misses``: an absorbed entry counts as one).
     _shared_state_ = {
         "_lock": (
-            "hits",
             "misses",
-            "evictions",
             "invalidations",
             "data_generation",
             "compiler",
-            "_distributions",
             "_lineage",
-            "_watched",
         ),
     }
 
     def __init__(self, compiler: Compiler, max_entries: int | None = None):
-        if max_entries is not None and max_entries <= 0:
-            raise QueryValidationError(
-                f"max_entries must be a positive integer or None, "
-                f"got {max_entries!r}"
-            )
+        #: Variable → dependent cache keys: the lineage index driving
+        #: selective invalidation.  A compiled distribution depends on
+        #: nothing but the distributions of its variables, so this is the
+        #: *exact* dependency set — value edits, inserts and deletes never
+        #: invalidate anything here.
+        self._lineage = LineageIndex()
+        super().__init__(max_entries, on_evict=self._lineage.discard)
         self.compiler = compiler
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         #: Entries dropped by lineage invalidation (vs LRU ``evictions``).
         self.invalidations = 0
         #: Bumped whenever stored distributions may have become invalid
@@ -144,16 +135,6 @@ class CompilationCache:
         #: worker result computed against a pre-mutation registry can
         #: never be stored after the invalidation ran.
         self.data_generation = 0
-        self._distributions: OrderedDict[Expr, Distribution] = OrderedDict()
-        #: Variable → dependent cache keys: the lineage index driving
-        #: selective invalidation.  A compiled distribution depends on
-        #: nothing but the distributions of its variables, so this is the
-        #: *exact* dependency set — value edits, inserts and deletes never
-        #: invalidate anything here.
-        self._lineage = LineageIndex()
-        #: ids of databases whose mutation feed we already subscribed to.
-        self._watched: set = set()
-        self._lock = threading.RLock()
 
     @property
     def semiring(self):
@@ -164,27 +145,17 @@ class CompilationCache:
         return self.compiler.registry
 
     def _store_locked(self, key: Expr, distribution: Distribution) -> None:
-        """Insert as most-recent and evict past the bound (lock held)."""
-        self._distributions[key] = distribution
-        self._distributions.move_to_end(key)
+        """Store ``distribution`` with its lineage (lock held)."""
         self._lineage.record(key, key.variables)
-        if self.max_entries is not None:
-            while len(self._distributions) > self.max_entries:
-                evicted, _ = self._distributions.popitem(last=False)
-                self._lineage.discard(evicted)
-                self.evictions += 1
+        self.store(key, distribution)
 
     def distribution(self, expr: Expr) -> Distribution:
         with self._lock:
             key = self.compiler.normalize(expr)
-            cached = self._distributions.get(key)
+            cached = self.lookup(key)
             if cached is None:
-                self.misses += 1
                 cached = self.compiler.distribution(key)
                 self._store_locked(key, cached)
-            else:
-                self.hits += 1
-                self._distributions.move_to_end(key)
             return cached
 
     def normalize(self, expr: Expr) -> Expr:
@@ -194,11 +165,7 @@ class CompilationCache:
 
     def cached(self, key: Expr) -> Distribution | None:
         """The stored distribution of an already-normalized key, if any."""
-        with self._lock:
-            cached = self._distributions.get(key)
-            if cached is not None:
-                self._distributions.move_to_end(key)
-            return cached
+        return self.peek(key)
 
     def absorb(
         self,
@@ -221,7 +188,7 @@ class CompilationCache:
         with self._lock:
             if generation is not None and generation != self.data_generation:
                 return
-            if key not in self._distributions:
+            if key not in self:
                 self.misses += 1
                 self._store_locked(key, distribution)
 
@@ -247,8 +214,8 @@ class CompilationCache:
         recompiles on demand).
         """
         with self._lock:
-            self._distributions.clear()
-            self._lineage = LineageIndex()
+            super().clear()
+            self._lineage.clear()
             self.data_generation += 1
             self._rebuild_compiler_locked()
 
@@ -266,7 +233,7 @@ class CompilationCache:
         with self._lock:
             doomed = self._lineage.pop(names)
             for key in doomed:
-                self._distributions.pop(key, None)
+                self.discard(key)
             self.invalidations += len(doomed)
             self.data_generation += 1
             self._rebuild_compiler_locked()
@@ -290,38 +257,19 @@ class CompilationCache:
         it once for the shared database, so one tenant's probability
         update invalidates the affected entries for every tenant.
         """
-        with self._lock:
-            if id(db) in self._watched:
-                return
-            self._watched.add(id(db))
         db.subscribe(self.on_mutation)
 
     def stats(self) -> dict:
-        """Counters snapshot (entries/hits/misses/evictions/bound)."""
+        """The LRU counters plus ``invalidations``/``data_generation``."""
         with self._lock:
             return {
-                "entries": len(self._distributions),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
+                **super().stats(),
                 "invalidations": self.invalidations,
                 "data_generation": self.data_generation,
             }
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._distributions)
 
-    def __repr__(self):
-        return (
-            f"CompilationCache({len(self)} entries, "
-            f"{self.hits} hits, {self.misses} misses, "
-            f"{self.evictions} evictions)"
-        )
-
-
-class PlanCache:
+class PlanCache(BoundedLRU):
     """Bounded LRU of prepared physical plans — the one plan memo.
 
     Keyed on ``(query, fingerprint)`` — query AST nodes compare and hash
@@ -335,65 +283,14 @@ class PlanCache:
     tenant.  Thread-safe like :class:`CompilationCache`.
     """
 
-    _shared_state_ = {
-        "_lock": ("hits", "misses", "evictions", "_plans"),
-    }
-
     def __init__(self, max_entries: int | None = 256):
-        if max_entries is not None and max_entries <= 0:
-            raise QueryValidationError(
-                f"max_entries must be a positive integer or None, "
-                f"got {max_entries!r}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._plans: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        super().__init__(max_entries)
 
     def get(self, query: Query, fingerprint: tuple):
-        with self._lock:
-            entry = self._plans.get((query, fingerprint))
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._plans.move_to_end((query, fingerprint))
-            return entry
+        return self.lookup((query, fingerprint))
 
     def put(self, query: Query, fingerprint: tuple, prepared) -> None:
-        with self._lock:
-            self._plans[(query, fingerprint)] = prepared
-            self._plans.move_to_end((query, fingerprint))
-            if self.max_entries is not None:
-                while len(self._plans) > self.max_entries:
-                    self._plans.popitem(last=False)
-                    self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._plans),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def __repr__(self):
-        return (
-            f"PlanCache({len(self)} entries, {self.hits} hits, "
-            f"{self.misses} misses, {self.evictions} evictions)"
-        )
+        self.store((query, fingerprint), prepared)
 
 
 def create_engine(

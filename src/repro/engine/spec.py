@@ -20,7 +20,7 @@ Two small types shared by every engine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import QueryValidationError
 from repro.parallel.shards import validate_workers
@@ -256,10 +256,7 @@ class EvalSpec:
             )
         supplied = {k: v for k, v in overrides.items() if v is not None}
         if supplied:
-            unknown = set(supplied) - {
-                "mode", "epsilon", "delta", "budget", "time_limit",
-                "workers", "on_timeout", "codegen",
-            }
+            unknown = set(supplied) - set(_SPEC_FIELDS)
             if unknown:
                 raise QueryValidationError(
                     f"unknown EvalSpec fields {sorted(unknown)}"
@@ -276,16 +273,7 @@ class EvalSpec:
         Defaults are included, so a decoded spec is exactly the encoded
         one (``EvalSpec.from_json(spec.to_json()) == spec``).
         """
-        return {
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "budget": self.budget,
-            "time_limit": self.time_limit,
-            "workers": self.workers,
-            "on_timeout": self.on_timeout,
-            "codegen": self.codegen,
-        }
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     @classmethod
     def from_json(cls, payload) -> "EvalSpec":
@@ -301,26 +289,19 @@ class EvalSpec:
                 f"cannot decode {payload!r} as an EvalSpec; expected an "
                 f"object with spec fields"
             )
-        unknown = set(payload) - {
-            "mode", "epsilon", "delta", "budget", "time_limit",
-            "workers", "on_timeout", "codegen",
-        }
+        unknown = set(payload) - set(_SPEC_FIELDS)
         if unknown:
             raise QueryValidationError(
                 f"unknown EvalSpec fields {sorted(unknown)}"
             )
-        defaults = cls()
-        fields = {}
-        for field in (
-            "mode", "epsilon", "delta", "budget", "time_limit",
-            "workers", "on_timeout", "codegen",
-        ):
-            value = payload.get(field)
-            # Explicit null and absent both mean "the default": budget,
-            # time_limit and workers legitimately default to None, and
-            # clients round-tripping to_json() re-send those nulls.
-            fields[field] = getattr(defaults, field) if value is None else value
-        return cls(**fields)
+        # Explicit null and absent both mean "the default": budget,
+        # time_limit and workers legitimately default to None, and
+        # clients round-tripping to_json() re-send those nulls.
+        return cls(**{
+            name: payload[name]
+            for name in _SPEC_FIELDS
+            if payload.get(name) is not None
+        })
 
     @property
     def is_exact(self) -> bool:
@@ -342,6 +323,10 @@ class EvalSpec:
             replace(self, workers=None, on_timeout="partial", codegen=None)
             == EvalSpec()
         )
+
+
+#: The spec's field names, in declaration (and wire) order.
+_SPEC_FIELDS = tuple(field.name for field in fields(EvalSpec))
 
 
 def reject_non_exact(name: str, spec: EvalSpec | None) -> None:

@@ -42,16 +42,11 @@ VOLATILE_STAT_KEYS = frozenset({
     # importable, so the same seeded run fingerprints differently across
     # the with/without-numpy CI legs unless this is dropped too.
     "batched",
-    # Mutation/epoch accounting.  db_generation counts *every* mutation
-    # ever applied to the database, so a warm session that answered
-    # through three updates reports a different generation than a fresh
-    # session rebuilt from the same final data — while their answers are
-    # bit-identical.  The incremental-maintenance counters likewise
-    # describe how caches were patched, never what the answer is.
+    # db_generation counts *every* mutation ever applied to the
+    # database, so a warm session that answered through three updates
+    # reports a different generation than a fresh session rebuilt from
+    # the same final data — while their answers are bit-identical.
     "db_generation",
-    "rows_changed",
-    "variables_invalidated",
-    "mutations_applied",
 })
 
 #: Stats keys that are a deterministic function of the query, the data

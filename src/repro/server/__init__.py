@@ -44,7 +44,6 @@ from repro.server.codec import (
     result_to_json,
 )
 from repro.server.statements import (
-    PreparedStatement,
     StatementCache,
     normalise_statement,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "result_from_json",
     "fingerprint",
     "StatementCache",
-    "PreparedStatement",
     "normalise_statement",
     "demo_database",
     "demo_session",

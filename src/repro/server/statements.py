@@ -19,15 +19,11 @@ few extra misses for guaranteed semantic identity.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from repro.cache import BoundedLRU
 from repro.errors import QueryValidationError
-from repro.query.ast import Query
 from repro.query.sql import parse_sql
 
-__all__ = ["normalise_statement", "PreparedStatement", "StatementCache"]
+__all__ = ["normalise_statement", "StatementCache"]
 
 
 def normalise_statement(text: str) -> str:
@@ -71,84 +67,19 @@ def normalise_statement(text: str) -> str:
     return key
 
 
-@dataclass
-class PreparedStatement:
-    """One cached statement: its normalised text and parsed query AST."""
-
-    key: str
-    query: Query
-    uses: int = 1
-
-
-class StatementCache:
+class StatementCache(BoundedLRU):
     """Bounded LRU from normalised SQL text to parsed query ASTs.
 
-    Thread-safe (the server parses on executor threads).  Counters
-    mirror :class:`~repro.engine.base.CompilationCache`: ``hits`` are
+    Thread-safe (the server parses on executor threads).  ``hits`` are
     cross-request (and, on a shared server, cross-tenant) statement
     reuses, ``evictions`` count entries dropped past ``max_entries``.
     Parse errors propagate to the caller and cache nothing.
     """
 
-    #: Lock discipline, enforced statically by the ``locks`` checker of
-    #: ``repro.analysis``: counters and the LRU map mutate only under
-    #: ``self._lock``.
-    _shared_state_ = {
-        "_lock": ("hits", "misses", "evictions", "_statements"),
-    }
-
     def __init__(self, max_entries: int | None = 256):
-        if max_entries is not None and max_entries <= 0:
-            raise QueryValidationError(
-                f"max_entries must be a positive integer or None, "
-                f"got {max_entries!r}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
-        self._lock = threading.RLock()
+        super().__init__(max_entries)
 
     def get_or_parse(self, text: str, parser=parse_sql):
         """``(query, hit)`` for ``text``, parsing (and caching) on miss."""
         key = normalise_statement(text)
-        with self._lock:
-            entry = self._statements.get(key)
-            if entry is not None:
-                self.hits += 1
-                entry.uses += 1
-                self._statements.move_to_end(key)
-                return entry.query, True
-            query = parser(key)
-            self.misses += 1
-            self._statements[key] = PreparedStatement(key, query)
-            if self.max_entries is not None:
-                while len(self._statements) > self.max_entries:
-                    self._statements.popitem(last=False)
-                    self.evictions += 1
-            return query, False
-
-    def clear(self) -> None:
-        with self._lock:
-            self._statements.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._statements),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._statements)
-
-    def __repr__(self):
-        return (
-            f"StatementCache({len(self)} entries, {self.hits} hits, "
-            f"{self.misses} misses, {self.evictions} evictions)"
-        )
+        return self.lookup_or_build(key, lambda: parser(key))

@@ -28,7 +28,7 @@ CACHE_CLASS_HEADER = """\
         def __init__(self, rows):
             self.rows = list(rows)
             self._version = 0
-            self._scan_cache = None
+            self._view_cache = None
 """
 
 
@@ -43,7 +43,7 @@ class TestCacheEpochRule:
             CHECKERS,
         )
         assert rule_ids(result) == ["cache-epoch"]
-        assert "_scan_cache" in result.findings[0].message
+        assert "_view_cache" in result.findings[0].message
 
     def test_passes_append_with_bump(self, analyze):
         result = analyze(
@@ -77,7 +77,7 @@ class TestCacheEpochRule:
             + """
         def invalidate_caches(self):
             self._version += 1
-            self._scan_cache = None
+            self._view_cache = None
 
         def update_rows(self, rewrite):
             self.rows = [rewrite(row) for row in self.rows]
@@ -279,9 +279,7 @@ class TestShippedClassesSatisfyTheDiscipline:
             self.schema = schema
             self.rows = []
             self._version = 0
-            self._scan_cache = None
-            self._index_cache = {}
-            self._column_cache = {}
+            self._view_cache = None
 
         def update_rows(self, predicate, rewrite):
             new_rows = []

@@ -368,5 +368,40 @@ class TestAdmissionRaceRedetection:
         assert "_inflight" in app.QueryServer._shared_state_["_counters_lock"]
 
 
+class TestBoundedLRUDiscipline:
+    """The one LRU carries the one declaration for its counters and map;
+    the statement, plan and distribution caches inherit both."""
+
+    def source(self):
+        from pathlib import Path
+
+        import repro.cache
+
+        return Path(repro.cache.__file__).read_text(encoding="utf-8")
+
+    def test_shipped_lru_is_clean(self, analyze):
+        assert analyze(self.source(), CHECKERS).clean
+
+    def test_counting_outside_the_lock_is_flagged(self, analyze):
+        racy = self.source() + """
+    def count_hit(self):
+        self.hits += 1
+"""
+        result = analyze(racy, CHECKERS)
+        assert rule_ids(result) == ["race-unguarded-write"]
+        assert "BoundedLRU field 'hits'" in result.findings[0].message
+
+    def test_every_bounded_cache_is_the_lru(self):
+        from repro.cache import BoundedLRU
+        from repro.engine.base import CompilationCache, PlanCache
+        from repro.server.statements import StatementCache
+
+        assert set(BoundedLRU._shared_state_["_lock"]) == {
+            "hits", "misses", "evictions", "_entries",
+        }
+        for cache in (CompilationCache, PlanCache, StatementCache):
+            assert issubclass(cache, BoundedLRU)
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))

@@ -15,9 +15,18 @@ CHECKERS = [StatsKeyChecker()]
 OPTIONS = {"statskeys_include_all": True}
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-DECLARATIONS = """\
+DECLARED = """\
     DETERMINISTIC_STAT_KEYS = frozenset({"rows", "samples"})
     VOLATILE_STAT_KEYS = frozenset({"wall_seconds", "workers"})
+"""
+
+#: The declarations plus one writer of all four keys, so fixtures about
+#: the other rules are not also ``stats-unwritten`` findings.
+DECLARATIONS = DECLARED + """
+    def _emit_all(elapsed):
+        stats = {"rows": 0, "samples": 0, "wall_seconds": elapsed}
+        stats["workers"] = 1
+        return stats
 """
 
 
@@ -129,6 +138,63 @@ class TestUndeclaredKey:
             options=OPTIONS,
         )
         assert clean.clean
+
+
+class TestUnwrittenKey:
+    def test_flags_declared_key_nobody_writes(self, analyze):
+        result = analyze(
+            DECLARED
+            + """
+    def run(stats, elapsed):
+        stats["rows"] = 1
+        stats.update({"samples": 2})
+        stats.setdefault("wall_seconds", elapsed)
+    """,
+            CHECKERS,
+            options=OPTIONS,
+        )
+        assert rule_ids(result) == ["stats-unwritten"]
+        finding = result.findings[0]
+        assert "'workers'" in finding.message
+        assert finding.line == 2  # reported where it is declared
+
+    def test_passes_when_every_declared_key_is_written(self, analyze):
+        result = analyze(
+            DECLARED
+            + """
+    def run(stats, extra):
+        for key in ("rows", "samples", "wall_seconds"):
+            stats[key] = extra[key]
+        info = {"workers": 1}
+        return info
+    """,
+            CHECKERS,
+            options=OPTIONS,
+        )
+        assert result.clean
+
+    def test_redeclaring_a_dead_key_in_the_shipped_registry_is_flagged(self):
+        # ``rows_changed`` sat in VOLATILE_STAT_KEYS for four PRs with no
+        # writer anywhere; put it back and the whole-tree run must object.
+        from repro.analysis.source import collect_modules
+
+        registry = SRC_REPRO / "engine" / "stats.py"
+        text = registry.read_text().replace(
+            '"db_generation",', '"db_generation",\n    "rows_changed",'
+        )
+        modules, _ = collect_modules([str(SRC_REPRO)])
+        modules = [
+            SourceModule.parse(registry, text=text)
+            if module.path.endswith("engine/stats.py")
+            else module
+            for module in modules
+        ]
+        findings = list(
+            StatsKeyChecker().check_project(AnalysisContext(modules=modules))
+        )
+        assert [(f.rule_id, "'rows_changed'" in f.message) for f in findings] == [
+            ("stats-unwritten", True)
+        ]
 
 
 class TestDynamicKey:
@@ -261,7 +327,8 @@ class TestVolatileOmissionRedetection:
     def test_committed_declarations_are_complete(self):
         context = AnalysisContext(modules=self._modules(self.REGISTRY.read_text()))
         findings = list(StatsKeyChecker().check_project(context))
-        assert findings == []
+        # Two modules are not the tree: most keys have their writer elsewhere.
+        assert [f for f in findings if f.rule_id != "stats-unwritten"] == []
 
     def test_fingerprint_sets_are_disjoint(self):
         from repro.engine.stats import (

@@ -1,9 +1,10 @@
-"""Mutable pvc-tables: epochs, incremental cache patching, delta feed.
+"""Mutable pvc-tables: epochs, the scan/index record, delta feed.
 
-The headline regression here is the stale-cache bug this PR fixes: the
-scan/index/column caches used to be keyed on ``len(self.rows)``, so an
+The headline regression here is the stale-cache bug PR 10 fixed: the
+scan/index caches used to be keyed on ``len(self.rows)``, so an
 **equal-size in-place update** (same row count, different data) kept
-serving the pre-update caches.  Epoch-keyed caches must never do that.
+serving the pre-update caches.  Epoch-keyed caches must never do that —
+nor may a view built before a write be stamped with the epoch after it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ import pytest
 
 from repro.algebra.expressions import ONE, Var, ssum
 from repro.db.mutations import Delta, DeltaLog, LineageIndex
-from repro.db.pvc_table import PVCDatabase, PVCTable, merge_annotated_rows
+from repro.db.pvc_table import (
+    PVCDatabase,
+    PVCTable,
+    merge_annotated_rows,
+    tuple_getter,
+)
 from repro.db.schema import Schema
 from repro.errors import (
     DistributionError,
@@ -80,17 +86,6 @@ class TestEpochDiscipline:
         assert ("M&S",) not in index
         assert index[("Ocado",)] == [((1, "Ocado"), Var("x1"))]
 
-    def test_equal_size_update_invalidates_column_caches(self):
-        table = small_table()
-        assert table.value_columns()[1][0] == "M&S"
-        assert table.annotation_column()[0] == Var("x1")
-        table.update_rows(
-            lambda row: row.values[1] == "M&S",
-            lambda row: row.__class__((1, "Ocado"), Var("x9")),
-        )
-        assert table.value_columns()[1][0] == "Ocado"
-        assert table.annotation_column()[0] == Var("x9")
-
     def test_database_generation_moves_on_every_mutation(self):
         db = fresh_db()
         generation = db.generation
@@ -106,14 +101,6 @@ class TestEpochDiscipline:
         db.delete("items", {"name": "inkjet"})
         assert db.generation > generation
 
-    def test_epoch_vector_includes_registry_sentinel(self):
-        db = fresh_db()
-        db.insert("items", ("inkjet", 99), p=0.7)
-        epochs = dict(db.epochs())
-        assert "$registry" in epochs
-        db.update("items", {"name": "inkjet"}, p=0.2)
-        assert dict(db.epochs())["$registry"] > epochs["$registry"]
-
 
 class TestIncrementalPatching:
     def test_append_patches_cached_scan_in_place(self):
@@ -122,7 +109,7 @@ class TestIncrementalPatching:
         table.hash_index((1,))
         table.add((4, "Spar"), Var("x4"))
         # Patched caches are current (no rebuild) and correct.
-        assert table._scan_cache[0] == table.epoch
+        assert table._view_cache[0] == table.epoch
         assert table.scan_rows()[-1] == ((4, "Spar"), Var("x4"))
         assert table.hash_index((1,))[("Spar",)] == [((4, "Spar"), Var("x4"))]
 
@@ -142,22 +129,9 @@ class TestIncrementalPatching:
         before = list(table.scan_rows())
         table.add((9, "Ghost"), ssum([]))  # zero annotation
         assert table.scan_rows() == before
-        assert table._scan_cache[0] == table.epoch
+        assert table._view_cache[0] == table.epoch
 
-    def test_update_patches_only_touched_buckets(self):
-        table = small_table()
-        table.hash_index((1,))
-        untouched = table.hash_index((1,))[("Boots",)]
-        info = table.update_rows(
-            lambda row: row.values[1] == "M&S",
-            lambda row: row.__class__((1, "Ocado"), row.annotation),
-        )
-        assert info["buckets_patched"] == 2  # M&S removed, Ocado added
-        assert not info["caches_dropped"]
-        # The untouched bucket list survived by reference.
-        assert table.hash_index((1,))[("Boots",)] is untouched
-
-    def test_delete_patches_scan_and_buckets(self):
+    def test_delete_refreshes_scan_and_buckets(self):
         table = small_table()
         table.scan_rows()
         table.hash_index((1,))
@@ -183,14 +157,68 @@ class TestIncrementalPatching:
         assert table.scan_rows() == fresh.scan_rows()
         assert table.hash_index((1,)) == fresh.hash_index((1,))
 
-    def test_cold_caches_stay_cold(self):
+
+def _append_merging(table):
+    table.add((1, "M&S"), Var("x9"))  # merges into the first scan entry
+
+
+def _update(table):
+    table.update_rows(
+        lambda row: row.values[0] == 1,
+        lambda row: row.__class__((1, "Ocado"), row.annotation),
+    )
+
+
+def _delete(table):
+    table.delete_rows(lambda row: row.values[0] == 2)
+
+
+@pytest.mark.parametrize("write", [_append_merging, _update, _delete])
+class TestWriteBetweenBuildAndStamp:
+    """A write that lands after a reader built its view but before the
+    reader stamped it must not leave the pre-write view stamped current:
+    every later read equals a table built from the final rows."""
+
+    def assert_like_fresh(self, table):
+        fresh = PVCTable(table.schema, list(table.rows))
+        assert table.scan_rows() == fresh.scan_rows()
+        assert table.hash_index((1,)) == fresh.hash_index((1,))
+
+    def test_scan_rows(self, write, monkeypatch):
         table = small_table()
-        info = table.update_rows(
-            lambda row: row.values[0] == 1,
-            lambda row: row.__class__((1, "Ocado"), row.annotation),
+
+        def merge_then_write(rows):
+            merged = merge_annotated_rows(rows)
+            monkeypatch.undo()
+            write(table)
+            return merged
+
+        monkeypatch.setattr(
+            "repro.db.pvc_table.merge_annotated_rows", merge_then_write
         )
-        assert info["caches_dropped"]
-        assert table._scan_cache is None
+        table.scan_rows()
+        self.assert_like_fresh(table)
+
+    def test_hash_index(self, write, monkeypatch):
+        table = small_table()
+        scan = table.scan_rows()
+
+        def getter_that_writes(indices):
+            key_of = tuple_getter(indices)
+
+            def key_of_then_write(values):
+                if values == scan[-1][0]:  # the build's last row
+                    monkeypatch.undo()
+                    write(table)
+                return key_of(values)
+
+            return key_of_then_write
+
+        monkeypatch.setattr(
+            "repro.db.pvc_table.tuple_getter", getter_that_writes
+        )
+        table.hash_index((1,))
+        self.assert_like_fresh(table)
 
 
 class TestDatabaseMutationAPI:

@@ -133,3 +133,41 @@ class TestGroupAggregate:
         rel = bag(["g", "v"], [((1, 10), 7)])
         result = rel.group_aggregate(["g"], [("n", COUNT, None)])
         assert result.multiplicity((1, 7)) == 1
+
+
+class TestHashIndexMemo:
+    """The per-key-set hash index is memoised until the relation mutates."""
+
+    def rel(self):
+        return bag(["a", "b"], [((1, "x"), 2), ((2, "y"), 1)])
+
+    def test_hash_index_memoised(self):
+        r = self.rel()
+        index = r.hash_index(["a"])
+        assert index[(1,)] == [((1, "x"), 2)]
+        assert r.hash_index(["a"]) is index
+
+    def test_mutation_invalidates(self):
+        r = self.rel()
+        index = r.hash_index(["a"])
+        r.add((3, "z"), 1)
+        assert (3,) in r.hash_index(["a"])
+        assert r.hash_index(["a"]) is not index
+
+    def test_multiplicity_change_without_len_change_invalidates(self):
+        """The trap a row-count key would miss: ``add`` can change a
+        multiplicity — or cancel a tuple — without changing ``len``."""
+        r = self.rel()
+        index = r.hash_index(["a"])
+        assert index[(1,)] == [((1, "x"), 2)]
+        r.add((1, "x"), 3)  # merged: same len(), new multiplicity
+        assert len(r) == 2
+        assert r.hash_index(["a"])[(1,)] == [((1, "x"), 5)]
+
+    def test_from_mapping_starts_clean(self):
+        r = Relation.from_mapping(
+            Schema(["a"]), NATURALS, {(1,): 2, (2,): 1}
+        )
+        assert sorted(r.hash_index(["a"])) == [(1,), (2,)]
+        r.add((3,), 1)
+        assert sorted(r.hash_index(["a"])) == [(1,), (2,), (3,)]

@@ -1,4 +1,4 @@
-"""Property: the maintained independence facts equal a row scan.
+"""Property: what a table keeps about its rows equals a fresh look at them.
 
 ``tuple_independent_relations`` and ``PVCTable.variables`` no longer read
 rows — each table's write path keeps the counts they need.  The state
@@ -7,9 +7,16 @@ table (including writes that bypass the database, tables registered
 pre-filled, aliases sharing variables, and in-place edits followed by
 ``invalidate_caches``) and after every step compares both with the old
 row-scanning implementations, kept here verbatim as oracles.
+
+The same steps, interleaved with ``scan_rows()``/``hash_index(k)`` reads,
+check the other thing a table derives from its rows: after every step
+the scan/index record answers like ``PVCTable(schema, list(rows))``, and
+``facts()`` equals a recount.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -20,7 +27,7 @@ from repro.algebra.expressions import ONE, ZERO, Var, sprod, ssum
 from repro.algebra.monoid import SUM
 from repro.algebra.semimodule import MConst, ModuleExpr, tensor
 from repro.algebra.semiring import NATURALS
-from repro.db.pvc_table import PVCDatabase, PVCRow, PVCTable
+from repro.db.pvc_table import PVCDatabase, PVCRow, PVCTable, TableFacts
 from repro.db.schema import Schema
 from repro.errors import DistributionError
 from repro.prob.distribution import Distribution
@@ -87,6 +94,7 @@ payloads = st.one_of(
     ),
 )
 probabilities = st.sampled_from((0.25, 0.5, 1.0))
+KEY_SETS = ((0,), (1,), (0, 1), ())
 
 
 class IndependenceFacts(RuleBasedStateMachine):
@@ -175,6 +183,31 @@ class IndependenceFacts(RuleBasedStateMachine):
         if table.rows:
             table.rows[0] = PVCRow(table.rows[0].values, annotation)
             table.invalidate_caches()
+
+    @rule(name=tables)
+    def read_scan(self, name):
+        self.db[name].scan_rows()
+
+    @rule(name=tables, key_indices=st.sampled_from(KEY_SETS))
+    def read_index(self, name, key_indices):
+        self.db[name].hash_index(key_indices)
+
+    @invariant()
+    def views_and_facts_equal_a_fresh_table(self):
+        for table in self.db.tables.values():
+            fresh = PVCTable(table.schema, list(table.rows))
+            # Read through a shallow copy: it serves the record ``table``
+            # holds but never builds one into it, so whether the next
+            # write finds a record to carry is decided by the rules alone.
+            probe = copy.copy(table)
+            assert probe.scan_rows() == fresh.scan_rows()
+            for key_indices in KEY_SETS:
+                assert probe.hash_index(key_indices) == (
+                    fresh.hash_index(key_indices)
+                )
+            kept, recount = table.facts(), TableFacts(table.rows)
+            for field in TableFacts.__slots__:
+                assert getattr(kept, field) == getattr(recount, field)
 
     @invariant()
     def facts_equal_a_row_scan(self):

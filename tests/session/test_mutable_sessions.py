@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import connect, count_, sum_
-from repro.algebra import Var
+from repro.algebra import BOOLEAN, Var
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.engine.base import CompilationCache, PlanCache
@@ -244,6 +244,24 @@ class TestSharedCacheLifecycle:
         # The closed tenant can keep querying too (recompiles on demand).
         closed = tenant_a.run(query, engine="sprout")
         assert _fingerprint(closed) == _fingerprint(result)
+
+
+    def test_watch_reaches_a_database_rebuilt_over_the_same_registry(self):
+        # ``watch`` used to remember ``id(db)``: a database built after
+        # another was dropped can get the same id, was taken for watched,
+        # never subscribed, and kept answering the old marginal.
+        registry = VariableRegistry()
+        registry.bernoulli("v", 0.5)
+        cache = CompilationCache(Compiler(registry, BOOLEAN))
+        for p in (0.9, 0.1, 0.8, 0.2):  # build, watch, update, drop
+            db = PVCDatabase(registry=registry)
+            db.create_table("items", ["name"])
+            db.insert("items", ("inkjet",), annotation=Var("v"))
+            cache.watch(db)
+            cache.distribution(Var("v"))
+            db.update("items", {"name": "inkjet"}, p=p)
+            assert cache.distribution(Var("v"))[True] == pytest.approx(p)
+            del db
 
 
 class TestPlanMemo:
