@@ -2,12 +2,15 @@
 
 Before this benchmark's PR, any mutation was only safe if the session
 threw away *every* cache (compiled distributions, the persistent
-compiler's d-tree memo, bound plans, the tuple-independence scan) — the
-``flush_all`` series reproduces that discipline by closing the session
-after each write.  The ``incremental`` series uses the delta-aware
-pipeline: per-table epochs patch the scan/index caches, and lineage
-invalidation drops only the compiled distributions whose variables a
-probability update actually touched.
+compiler's d-tree memo, memoised plans) — the ``flush_all`` series
+reproduces that discipline by closing the session after each write.
+The ``incremental`` series uses the delta-aware pipeline: each table's
+one epoch-stamped ``(scan, positions, indexes)`` record is carried
+forward by an insert and dropped (rebuilt on the next read) by an
+update or delete, the tuple-independence facts are maintained on the
+write path rather than rescanned, and lineage invalidation drops only
+the compiled distributions whose variables a probability update
+actually touched.
 
 The workload interleaves warm queries (a selection, a per-group COUNT
 and a global SUM over one probabilistic table) with writes at a

@@ -149,12 +149,6 @@ def compile_annotation(expr, slots: dict, semiring):
     )
 
 
-def _static_scans(op) -> set:
-    from repro.query.physical import Scan
-
-    return {node.name for node in op.walk() if isinstance(node, Scan)}
-
-
 class BoundPlan:
     """A compiled plan with all world-invariant work pre-evaluated."""
 
@@ -206,32 +200,27 @@ class BoundPlan:
             for key, name, attributes, _indices in compiled.index_sites:
                 if name in static_names:
                     statics[key] = static_world[name].hash_index(attributes)
-            from repro.query.executor import _DeterministicExecutor
+            from repro.query.executor import execute_rows
 
-            executor = _DeterministicExecutor(static_world, semiring, {})
-            scopes = getattr(compiled, "block_scans", None) or {}
+            op_cache: dict = {}
             for key, kind, op, extra in compiled.block_sites:
-                # The emitter's declared scope is authoritative (and what
-                # the kernel verifier proves); fall back to walking the
-                # subtree for compiled plans predating the metadata.
-                scope = scopes.get(key)
-                if scope is None:
-                    scope = _static_scans(op)
-                if not set(scope) <= static_names:
+                # The emitter's declared scope is what the kernel verifier
+                # proves the block reads.
+                if not set(compiled.block_scans[key]) <= static_names:
                     continue
-                tuples = executor.tuples(op)
+                rows = execute_rows(op, static_world, semiring, op_cache)
                 if kind == "dict":
-                    statics[key] = tuples
+                    statics[key] = dict(rows)
                 elif kind == "list":
-                    statics[key] = list(tuples.items())
+                    statics[key] = rows
                 elif kind == "index":
                     buckets: dict = {}
-                    for values, multiplicity in tuples.items():
-                        bucket_key = tuple(values[i] for i in extra)
+                    for row in rows:
+                        bucket_key = tuple(row[0][i] for i in extra)
                         bucket = buckets.get(bucket_key)
                         if bucket is None:
                             buckets[bucket_key] = bucket = []
-                        bucket.append((values, multiplicity))
+                        bucket.append(row)
                     statics[key] = buckets
         self._statics = statics
 

@@ -259,13 +259,13 @@ class _Emitter:
             self.emit_group_agg(op, tv, depth)
         else:
             # Pipeline root (or a shared pipeline subtree): plain
-            # assignment, exactly the interpreter's dict construction.
+            # assignment — the interpreter's rows are distinct, in order.
             loops = self.prepare_stream(op, depth, fuse_root=True)
             self.emit(depth, f"{tv} = {{}}")
             loops(lambda v, m, d: self.emit(d, f"{tv}[{v}] = {m}"), depth)
 
     def emit_merge(self, tv: str, v: str, m: str, d: int) -> None:
-        """The interpreter's ``_merge_into``: sum annotations, drop zeros."""
+        """The interpreter's concrete ``merge``: sum annotations, drop zeros."""
         cu = self.sym("u")
         cb = self.sym("x")
         self.emit(d, f"{cu} = {tv}.get({v})")
@@ -415,7 +415,7 @@ class _Emitter:
         right = op.right
         if isinstance(right, _MERGE_OPS) or right in self.shared:
             # Already a materialised dict: iterate its items per left
-            # row, exactly as the interpreter iterates the right mapping.
+            # row, exactly as the interpreter iterates the right rows.
             rv_var = self.materialize(right)
             right_iter = self._dict_loops(rv_var)
         else:
@@ -734,21 +734,6 @@ class CompiledPlan:
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
-        if "block_scans" not in state:
-            # Pickles from before the scope metadata existed: recover the
-            # scopes from the plan subtrees carried by block_sites.
-            self.block_scans = {
-                key: tuple(
-                    sorted(
-                        {
-                            node.name
-                            for node in op.walk()
-                            if isinstance(node, Scan)
-                        }
-                    )
-                )
-                for key, _kind, op, _extra in self.block_sites
-            }
         self._fn = None
 
     def __repr__(self):

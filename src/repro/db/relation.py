@@ -3,22 +3,18 @@
 A possible world of a pvc-database is an ordinary relational database in
 which every tuple carries a *multiplicity from the concrete semiring*
 (Definition 6 and Table 1): a truth value under set semantics (Boolean
-semiring) or a natural number under bag semantics.  This module implements
-positive relational algebra with aggregation directly on such relations;
-it is the substrate of the brute-force possible-worlds engine that serves
-as the library's exactness oracle.
-
-The operator semantics mirror Figure 4 with annotations replaced by
-concrete multiplicities: joint use multiplies, alternative use adds, and
-the ``$`` operator folds ``multiplicity ⊗ value`` contributions in the
-aggregation monoid.
+semiring) or a natural number under bag semantics.  :class:`Relation` is
+the container of one such table — what ``PVCTable.instantiate`` builds
+per world and what the per-world engines return.  It is not an algebra:
+the operators of Figure 4 live once, in :mod:`repro.query.executor`,
+whose concrete domain reads relations through :meth:`Relation.tuples`
+and :meth:`Relation.hash_index`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.algebra.monoid import CountMonoid, Monoid
 from repro.algebra.semiring import Semiring
 from repro.db.schema import Schema
 from repro.errors import SchemaError
@@ -138,110 +134,6 @@ class Relation:
 
     def __contains__(self, values) -> bool:
         return tuple(values) in self._tuples
-
-    # -- positive relational algebra ----------------------------------------
-
-    def select(self, predicate: Callable[[dict], bool]) -> "Relation":
-        """σ: keep tuples satisfying ``predicate`` (given as attr dict)."""
-        result = Relation(self.schema, self.semiring)
-        for values, mult in self._tuples.items():
-            if predicate(self.row_dict(values)):
-                result.add(values, mult)
-        return result
-
-    def project(self, attributes: Sequence[str]) -> "Relation":
-        """π: multiplicities of merged tuples combine additively."""
-        indices = [self.schema.index(a) for a in attributes]
-        result = Relation(self.schema.project(attributes), self.semiring)
-        for values, mult in self._tuples.items():
-            result.add(tuple(values[i] for i in indices), mult)
-        return result
-
-    def product(self, other: "Relation") -> "Relation":
-        """×: joint use of data multiplies multiplicities."""
-        if self.semiring != other.semiring:
-            raise SchemaError("cannot combine relations over different semirings")
-        result = Relation(self.schema.concat(other.schema), self.semiring)
-        for left_values, left_mult in self._tuples.items():
-            for right_values, right_mult in other._tuples.items():
-                result.add(
-                    left_values + right_values,
-                    self.semiring.mul(left_mult, right_mult),
-                )
-        return result
-
-    def union(self, other: "Relation") -> "Relation":
-        """∪: alternative use of data adds multiplicities."""
-        if self.schema.attributes != other.schema.attributes:
-            raise SchemaError(
-                f"union of incompatible schemas {self.schema!r} and "
-                f"{other.schema!r}"
-            )
-        result = Relation(self.schema, self.semiring)
-        for values, mult in self._tuples.items():
-            result.add(values, mult)
-        for values, mult in other._tuples.items():
-            result.add(values, mult)
-        return result
-
-    def extend(self, new_attribute: str, source_attribute: str) -> "Relation":
-        """δ: append a copy of ``source_attribute`` named ``new_attribute``."""
-        index = self.schema.index(source_attribute)
-        result = Relation(self.schema.extend(new_attribute), self.semiring)
-        for values, mult in self._tuples.items():
-            result.add(values + (values[index],), mult)
-        return result
-
-    def group_aggregate(
-        self,
-        groupby: Sequence[str],
-        aggregations: Sequence[tuple[str, Monoid, str | None]],
-    ) -> "Relation":
-        """$: group by ``groupby``, aggregate ``(out_name, monoid, in_attr)``.
-
-        For COUNT the input attribute may be ``None`` (every present tuple
-        contributes 1).  A grouped result tuple exists once per non-empty
-        group; with no group-by attributes a single tuple always exists,
-        holding the neutral element on empty input (Figure 4).
-        """
-        group_indices = [self.schema.index(a) for a in groupby]
-        agg_indices = [
-            None if attr is None else self.schema.index(attr)
-            for _, _, attr in aggregations
-        ]
-        schema = Schema(
-            tuple(groupby) + tuple(name for name, _, _ in aggregations),
-            aggregation_attributes=[name for name, _, _ in aggregations],
-        )
-        groups: dict[tuple, list] = {}
-        for values, mult in self._tuples.items():
-            key = tuple(values[i] for i in group_indices)
-            groups.setdefault(key, []).append((values, mult))
-        if not groupby and not groups:
-            groups[()] = []  # $∅ always produces one tuple.
-        result = Relation(schema, self.semiring)
-        for key, members in groups.items():
-            aggregated = []
-            for (name, monoid, attr), index in zip(aggregations, agg_indices):
-                acc = monoid.zero
-                for values, mult in members:
-                    contribution = (
-                        1
-                        if attr is None or isinstance(monoid, CountMonoid)
-                        else values[index]
-                    )
-                    acc = monoid.add(
-                        acc, monoid.act(mult, contribution, self.semiring)
-                    )
-                aggregated.append(acc)
-            result.add(key + tuple(aggregated), self.semiring.one)
-        return result
-
-    # -- helpers --------------------------------------------------------------
-
-    def row_dict(self, values: Sequence) -> dict:
-        """View a value tuple as an attribute→value dict."""
-        return dict(zip(self.schema.attributes, values))
 
     def __eq__(self, other):
         return (

@@ -7,8 +7,8 @@ Exponential in the number of variables, hence only usable on small
 databases — which is precisely its job: it is the independent ground truth
 the compiled engine is verified against in the test suite.
 
-Per-world evaluation runs through the **deterministic mode of the shared
-physical executor** (:mod:`repro.query.executor`): the query is planned
+Per-world evaluation runs through the **concrete domain of the shared
+plan walk** (:mod:`repro.query.executor`): the query is planned
 once and the same plan is executed on every enumerated world.  To keep
 the oracle independent of the machinery it verifies, the plan is built
 *without* logical rewrites and *without* hash-join extraction — ``σ(×…)``

@@ -1,18 +1,22 @@
 """The physical executor — stage 3 of the step-I pipeline.
 
-Executes the physical plans of :mod:`repro.query.physical` in two modes
-sharing one operator tree:
+A possible world is a semiring homomorphism applied to the annotations
+of a pvc-table, so ``ν(Q(T)) = Q(ν(T))``: positive relational algebra
+with ``$`` (Figure 4 / Definition 6) is *one* set of operators over
+whatever the annotations are.  :class:`_PlanWalk` is that set, written
+once over the plans of :mod:`repro.query.physical` — joint use
+multiplies annotations, alternative use sums them — and two *domains*
+answer only what differs:
 
-* **symbolic** (:func:`execute_symbolic`) — the Figure-4 construction:
-  rows carry semiring *expressions*; joint use multiplies annotations,
-  alternative use sums them, symbolic comparisons multiply conditional
-  expressions ``[A θ B]`` into the annotation, and ``$`` builds
-  semimodule expressions.  Produces the pvc-table of step I, identical
-  (in annotation *values*) to the seed's tree-walking interpreter.
-* **deterministic** (:func:`execute_deterministic`) — the same plan over
-  one possible world: rows carry concrete semiring multiplicities.  This
-  is the per-world path of the brute-force oracle and the Monte-Carlo
-  fallback, so all three engines execute step I through this module.
+* **symbolic** (:func:`execute_symbolic`) — annotations are semiring
+  *expressions* over a pvc-database; symbolic comparisons multiply
+  ``[A θ B]`` into the annotation and ``$`` builds semimodule
+  expressions.  Produces the pvc-table of step I.
+* **concrete** (:func:`execute_deterministic`, :func:`execute_rows`) —
+  annotations are multiplicities in 𝔹/ℕ over one possible world: the
+  interpreter behind the brute-force oracle and the per-world
+  Monte-Carlo loop wherever no compiled kernel runs, and the kernels'
+  conformance oracle.
 
 :func:`prepare` bundles validation, the rule-based logical optimizer and
 the physical planner into a reusable :class:`PreparedQuery`, so engines
@@ -26,15 +30,15 @@ from typing import Mapping
 
 from repro.algebra.conditions import compare
 from repro.algebra.expressions import ONE, ZERO, SemiringExpr, sprod, ssum
-from repro.codegen import codegen_enabled, kernel_for
 from repro.algebra.monoid import COUNT, SUM, CountMonoid
 from repro.algebra.semimodule import MConst, ModuleExpr, aggsum, tensor
+from repro.codegen import codegen_enabled, kernel_for
 from repro.db.pvc_table import (
     PVCDatabase,
     PVCRow,
     PVCTable,
-    merge_annotated_rows as _merge_rows,
-    tuple_getter as _tuple_getter,
+    merge_annotated_rows,
+    tuple_getter,
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema
@@ -49,14 +53,13 @@ from repro.query.physical import (
     HashJoin,
     NestedLoopProduct,
     PhysicalOp,
-    PhysicalOp as _Op,
     ProjectOp,
     ReorderOp,
     Scan,
     UnionOp,
     plan_query,
 )
-from repro.query.predicates import AttrRef, Predicate
+from repro.query.predicates import AttrRef
 from repro.query.validate import validate_query
 
 __all__ = [
@@ -65,6 +68,7 @@ __all__ = [
     "evaluate",
     "execute_symbolic",
     "execute_deterministic",
+    "execute_rows",
 ]
 
 
@@ -116,7 +120,7 @@ def evaluate(query: Query, db: PVCDatabase, *, optimize: bool = True) -> PVCTabl
 
 def execute_symbolic(prepared: PreparedQuery, db: PVCDatabase) -> PVCTable:
     """Execute the plan symbolically, constructing annotations in ``K``."""
-    rows = _SymbolicExecutor(db, prepared.op_cache).rows(prepared.plan)
+    rows = _PlanWalk(_SymbolicDomain(db), prepared.op_cache).rows(prepared.plan)
     return PVCTable(
         prepared.plan.schema,
         (PVCRow(values, annotation) for values, annotation in rows),
@@ -133,48 +137,34 @@ def execute_deterministic(
     """Execute the plan on one deterministic world (concrete multiplicities).
 
     By default this runs the plan's compiled kernel (see
-    :mod:`repro.codegen`), falling back to the tree-walking interpreter
-    when the plan has no compiled form.  ``codegen=False`` — or the
-    ``REPRO_CODEGEN=0`` environment escape hatch — forces the
-    interpreter; the two produce bit-identical relations.
+    :mod:`repro.codegen`), falling back to the interpreter — the plan
+    walk over the concrete domain — when the plan has no compiled form.
+    ``codegen=False`` — or the ``REPRO_CODEGEN=0`` environment escape
+    hatch — forces the interpreter; the two produce bit-identical
+    relations.
     """
-    from repro.codegen import codegen_enabled, kernel_for
     from repro.resilience.deadline import check_deadline
 
-    if codegen_enabled(codegen):
-        kernel = kernel_for(prepared, semiring)
-        if kernel is not None:
-            return Relation.from_mapping(
-                prepared.plan.schema,
-                semiring,
-                kernel.execute(world, check_deadline=check_deadline),
-            )
-    executor = _DeterministicExecutor(world, semiring, prepared.op_cache)
-    return Relation.from_mapping(
-        prepared.plan.schema, semiring, executor.tuples(prepared.plan)
-    )
+    kernel = kernel_for(prepared, semiring) if codegen_enabled(codegen) else None
+    if kernel is not None:
+        tuples = kernel.execute(world, check_deadline=check_deadline)
+    else:
+        tuples = dict(
+            execute_rows(prepared.plan, world, semiring, prepared.op_cache)
+        )
+    return Relation.from_mapping(prepared.plan.schema, semiring, tuples)
 
 
-# -- predicate compilation ----------------------------------------------------
+def execute_rows(
+    op: PhysicalOp, world: Mapping[str, Relation], semiring, op_cache: dict
+) -> list:
+    """The interpreter on one world: the ``(values, multiplicity)`` pairs
+    of the subplan ``op`` — distinct values, no zero multiplicity.
+    ``op_cache`` is a :attr:`PreparedQuery.op_cache` (or a fresh dict)."""
+    return _PlanWalk(_ConcreteDomain(world, semiring), op_cache).rows(op)
 
 
-def _compile_atoms(predicate: Predicate, schema: Schema) -> list:
-    """Lower a conjunction to ``(left_index, left_const, op, right_index,
-    right_const)`` tuples resolving operands positionally — no per-row
-    attribute dictionaries on the hot filter path."""
-    compiled = []
-    for atom in predicate.atoms():
-        left, right = atom.left, atom.right
-        if isinstance(left, AttrRef):
-            left_index, left_const = schema.index(left.name), None
-        else:
-            left_index, left_const = None, left.value
-        if isinstance(right, AttrRef):
-            right_index, right_const = schema.index(right.name), None
-        else:
-            right_index, right_const = None, right.value
-        compiled.append((left_index, left_const, atom.op, right_index, right_const))
-    return compiled
+# -- the two annotation domains -----------------------------------------------
 
 
 def _mul(a: SemiringExpr, b: SemiringExpr) -> SemiringExpr:
@@ -186,214 +176,39 @@ def _mul(a: SemiringExpr, b: SemiringExpr) -> SemiringExpr:
     return sprod((a, b))
 
 
-# -- symbolic execution -------------------------------------------------------
+class _SymbolicDomain:
+    """Annotations are expressions of the free semiring ``K`` over the
+    variables of a pvc-database — the Figure-4 construction."""
 
+    mul = staticmethod(_mul)
+    is_zero = staticmethod(SemiringExpr.is_zero)
+    #: ``[A θ B]``, multiplied into the annotation (Figure 4, σ rule).
+    condition = staticmethod(compare)
+    merge = staticmethod(merge_annotated_rows)
 
-class _OpCompileCache:
-    """Per-plan memo of compiled per-operator accessors.
-
-    Keyed on operator identity (the :class:`PreparedQuery` keeps the plan
-    alive); shared across executions and across the symbolic and
-    deterministic modes, so per-world engines compile each operator once.
-    """
-
-    def __init__(self, cache: dict):
-        self.cache = cache
-
-    def _cached(self, op: _Op, factory):
-        key = id(op)
-        entry = self.cache.get(key)
-        if entry is None:
-            entry = self.cache[key] = factory(op)
-        return entry
-
-    def _filter_atoms(self, op: Filter) -> list:
-        return self._cached(
-            op, lambda op: _compile_atoms(op.predicate, op.child.schema)
-        )
-
-    def _join_keys(self, op: HashJoin) -> tuple:
-        def compile_keys(op):
-            left_schema, right_schema = op.left.schema, op.right.schema
-            right_indices = tuple(
-                right_schema.index(a) for a in op.right_keys
-            )
-            left_getter = _tuple_getter(
-                [left_schema.index(a) for a in op.left_keys]
-            )
-            return left_getter, right_indices, _tuple_getter(right_indices)
-
-        return self._cached(op, compile_keys)
-
-    def _attribute_getter(self, op) -> object:
-        return self._cached(
-            op,
-            lambda op: _tuple_getter(
-                [op.child.schema.index(a) for a in op.attributes]
-            ),
-        )
-
-    def _group_accessors(self, op: GroupAggOp) -> tuple:
-        def compile_group(op):
-            child_schema = op.child.schema
-            group_indices = [child_schema.index(a) for a in op.groupby]
-            agg_indices = tuple(
-                None
-                if spec.attribute is None
-                else child_schema.index(spec.attribute)
-                for spec in op.aggregations
-            )
-            return _tuple_getter(group_indices), agg_indices
-
-        return self._cached(op, compile_group)
-
-
-class _SymbolicExecutor(_OpCompileCache):
-    """Evaluates plans to lists of ``(values, annotation)`` pairs."""
-
-    def __init__(self, db: PVCDatabase, cache: dict):
-        super().__init__(cache)
+    def __init__(self, db: PVCDatabase):
         self.db = db
 
-    def rows(self, op: _Op) -> list:
-        method = self._DISPATCH[type(op)]
-        return method(self, op)
+    def scan(self, name: str) -> list:
+        return self.db[name].scan_rows()
 
-    def _scan(self, op: Scan) -> list:
-        return self.db[op.name].scan_rows()
+    def index(self, name: str, attributes) -> dict:
+        table = self.db[name]
+        return table.hash_index(tuple(table.schema.index(a) for a in attributes))
 
-    def _empty(self, op: EmptyResult) -> list:
-        return []
-
-    def _filter(self, op: Filter) -> list:
-        child_rows = self.rows(op.child)
-        atoms = self._filter_atoms(op)
-        result = []
-        for values, annotation in child_rows:
-            keep = True
-            symbolic = None
-            for left_index, left_const, cmp_op, right_index, right_const in atoms:
-                left = values[left_index] if left_index is not None else left_const
-                right = values[right_index] if right_index is not None else right_const
-                if isinstance(left, ModuleExpr) or isinstance(right, ModuleExpr):
-                    # Symbolic condition: Φ ·_K [A θ B] (Figure 4, σ rule).
-                    condition = compare(left, cmp_op, right)
-                    symbolic = (
-                        condition if symbolic is None else _mul(symbolic, condition)
-                    )
-                elif not cmp_op(left, right):
-                    keep = False
-                    break
-            if not keep:
-                continue
-            if symbolic is not None:
-                annotation = _mul(annotation, symbolic)
-            result.append((values, annotation))
-        return result
-
-    def _hash_join(self, op: HashJoin) -> list:
-        left_key, right_indices, right_key = self._join_keys(op)
-        if isinstance(op.right, Scan):
-            # Base-table build side: reuse the table's cached hash index.
-            buckets = self.db[op.right.name].hash_index(right_indices)
-        else:
-            buckets = {}
-            for values, annotation in self.rows(op.right):
-                key = right_key(values)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = []
-                bucket.append((values, annotation))
-        result = []
-        empty = ()
-        for values, annotation in self.rows(op.left):
-            for right_values, right_annotation in buckets.get(
-                left_key(values), empty
-            ):
-                result.append(
-                    (values + right_values, _mul(annotation, right_annotation))
-                )
-        return result
-
-    def _product(self, op: NestedLoopProduct) -> list:
-        right_rows = self.rows(op.right)
-        result = []
-        for values, annotation in self.rows(op.left):
-            if annotation.is_zero():
-                continue
-            for right_values, right_annotation in right_rows:
-                result.append(
-                    (values + right_values, _mul(annotation, right_annotation))
-                )
-        return result
-
-    def _project(self, op: ProjectOp) -> list:
-        getter = self._attribute_getter(op)
-        return _merge_rows(
-            (getter(values), annotation)
-            for values, annotation in self.rows(op.child)
+    def group_row(self, op: GroupAggOp, agg_indices, key, members) -> tuple:
+        gammas = tuple(
+            _gamma(spec, index, members)
+            for spec, index in zip(op.aggregations, agg_indices)
         )
-
-    def _reorder(self, op: ReorderOp) -> list:
-        getter = self._attribute_getter(op)
-        return [
-            (getter(values), annotation)
-            for values, annotation in self.rows(op.child)
-        ]
-
-    def _extend(self, op: ExtendOp) -> list:
-        index = self._cached(op, lambda op: op.child.schema.index(op.source))
-        return [
-            (values + (values[index],), annotation)
-            for values, annotation in self.rows(op.child)
-        ]
-
-    def _union(self, op: UnionOp) -> list:
-        left = self.rows(op.left)
-        right = self.rows(op.right)
-        return _merge_rows(left + right)
-
-    def _group_agg(self, op: GroupAggOp) -> list:
-        group_key, agg_indices = self._group_accessors(op)
-        groups: dict[tuple, list] = {}
-        for values, annotation in self.rows(op.child):
-            if annotation.is_zero():
-                continue
-            key = group_key(values)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = []
-            group.append((values, annotation))
-        if not op.groupby and not groups:
-            groups[()] = []  # $∅ always yields one tuple (Figure 4).
-
-        result = []
-        for key, members in groups.items():
-            values = list(key)
-            for spec, index in zip(op.aggregations, agg_indices):
-                values.append(_gamma(spec, index, members))
-            if op.groupby:
-                # Non-emptiness guard [Σ_K Φ ≠ 0_K].
-                annotation = compare(
-                    ssum(annotation for _, annotation in members), "!=", ZERO
-                )
-            else:
-                annotation = ONE
-            result.append((tuple(values), annotation))
-        return result
-
-    _DISPATCH = {
-        Scan: _scan,
-        EmptyResult: _empty,
-        Filter: _filter,
-        HashJoin: _hash_join,
-        NestedLoopProduct: _product,
-        ProjectOp: _project,
-        ReorderOp: _reorder,
-        ExtendOp: _extend,
-        UnionOp: _union,
-        GroupAggOp: _group_agg,
-    }
+        if op.groupby:
+            # Non-emptiness guard [Σ_K Φ ≠ 0_K].
+            annotation = compare(
+                ssum(annotation for _, annotation in members), "!=", ZERO
+            )
+        else:
+            annotation = ONE
+        return key + gammas, annotation
 
 
 def _gamma(spec, index, members) -> ModuleExpr:
@@ -414,26 +229,20 @@ def _gamma(spec, index, members) -> ModuleExpr:
     return aggsum(monoid, terms)
 
 
-# -- deterministic execution --------------------------------------------------
+class _ConcreteDomain:
+    """Annotations are multiplicities of a concrete semiring over one
+    possible world ``{name: Relation}`` — the image of the symbolic
+    domain under the world's valuation."""
 
-
-class _DeterministicExecutor(_OpCompileCache):
-    """Evaluates plans to ``{values: multiplicity}`` mappings over one
-    possible world — the same operator tree as the symbolic mode, with
-    annotations replaced by concrete semiring multiplicities.
-
-    A fresh executor runs per world, but the compile cache is the
-    prepared query's, so predicates and key getters compile once across
-    all enumerated/sampled worlds."""
-
-    def __init__(self, world: Mapping[str, Relation], semiring, cache: dict):
-        super().__init__(cache)
+    def __init__(self, world: Mapping[str, Relation], semiring):
         self.world = world
         self.semiring = semiring
-
-    def tuples(self, op: _Op) -> dict:
-        method = self._DISPATCH[type(op)]
-        return method(self, op)
+        self.mul = semiring.mul
+        zero = semiring.zero
+        self.is_zero = lambda multiplicity: multiplicity == zero
+        # A comparison on a semimodule value never holds in a concrete
+        # world (mirrors ``Predicate.evaluate(row) is True`` exactly).
+        self.condition = lambda left, op, right: zero
 
     def _relation(self, name: str) -> Relation:
         try:
@@ -443,135 +252,227 @@ class _DeterministicExecutor(_OpCompileCache):
                 f"world has no relation named {name!r}"
             ) from None
 
-    def _scan(self, op: Scan) -> dict:
-        return dict(self._relation(op.name).tuples())
+    def scan(self, name: str) -> list:
+        return list(self._relation(name).tuples())
 
-    def _empty(self, op: EmptyResult) -> dict:
-        return {}
+    def index(self, name: str, attributes) -> dict:
+        return self._relation(name).hash_index(attributes)
 
-    def _filter(self, op: Filter) -> dict:
-        atoms = self._filter_atoms(op)
-        result = {}
-        for values, multiplicity in self.tuples(op.child).items():
-            keep = True
+    def merge(self, rows) -> list:
+        add, zero = self.semiring.add, self.semiring.zero
+        merged: dict = {}
+        for values, multiplicity in rows:
+            current = merged.get(values)
+            if current is None:
+                merged[values] = multiplicity
+                continue
+            combined = add(current, multiplicity)
+            if combined == zero:
+                del merged[values]
+            else:
+                merged[values] = combined
+        return list(merged.items())
+
+    def group_row(self, op: GroupAggOp, agg_indices, key, members) -> tuple:
+        semiring = self.semiring
+        aggregated = []
+        for spec, index in zip(op.aggregations, agg_indices):
+            monoid = spec.monoid
+            constant = index is None or isinstance(monoid, CountMonoid)
+            acc = monoid.zero
+            for values, multiplicity in members:
+                contribution = 1 if constant else values[index]
+                acc = monoid.add(
+                    acc, monoid.act(multiplicity, contribution, semiring)
+                )
+            aggregated.append(acc)
+        return key + tuple(aggregated), semiring.one
+
+
+# -- per-operator compilation -------------------------------------------------
+
+
+def _compile_atoms(op: Filter) -> list:
+    """Lower a conjunction to ``(left_index, left_const, op, right_index,
+    right_const)`` tuples resolving operands positionally — no per-row
+    attribute dictionaries on the hot filter path."""
+    schema = op.child.schema
+    compiled = []
+    for atom in op.predicate.atoms():
+        left, right = atom.left, atom.right
+        if isinstance(left, AttrRef):
+            left_index, left_const = schema.index(left.name), None
+        else:
+            left_index, left_const = None, left.value
+        if isinstance(right, AttrRef):
+            right_index, right_const = schema.index(right.name), None
+        else:
+            right_index, right_const = None, right.value
+        compiled.append((left_index, left_const, atom.op, right_index, right_const))
+    return compiled
+
+
+def _compile_join_keys(op: HashJoin) -> tuple:
+    left_schema, right_schema = op.left.schema, op.right.schema
+    return (
+        tuple_getter([left_schema.index(a) for a in op.left_keys]),
+        tuple_getter([right_schema.index(a) for a in op.right_keys]),
+    )
+
+
+def _compile_attribute_getter(op: ProjectOp | ReorderOp):
+    return tuple_getter([op.child.schema.index(a) for a in op.attributes])
+
+
+def _compile_extend_index(op: ExtendOp) -> int:
+    return op.child.schema.index(op.source)
+
+
+def _compile_group_accessors(op: GroupAggOp) -> tuple:
+    child_schema = op.child.schema
+    group_indices = [child_schema.index(a) for a in op.groupby]
+    agg_indices = tuple(
+        None if spec.attribute is None else child_schema.index(spec.attribute)
+        for spec in op.aggregations
+    )
+    return tuple_getter(group_indices), agg_indices
+
+
+# -- the walk -----------------------------------------------------------------
+
+
+class _PlanWalk:
+    """Evaluates a plan to a list of ``(values, annotation)`` pairs over
+    an annotation domain (symbolic or concrete).
+
+    ``cache`` memoises the compiled per-operator accessors on operator
+    identity (the :class:`PreparedQuery` keeps the plan alive); it is the
+    prepared query's, shared across executions and across both domains,
+    so the per-world engines compile each operator once.  Child row
+    lists may be shared with a table's scan cache: no operator mutates
+    its input.
+    """
+
+    def __init__(self, domain, cache: dict):
+        self.domain = domain
+        self.cache = cache
+
+    def rows(self, op: PhysicalOp) -> list:
+        return self._DISPATCH[type(op)](self, op)
+
+    def _compiled(self, op: PhysicalOp, compile_op):
+        key = id(op)
+        entry = self.cache.get(key)
+        if entry is None:
+            entry = self.cache[key] = compile_op(op)
+        return entry
+
+    def _scan(self, op: Scan) -> list:
+        return self.domain.scan(op.name)
+
+    def _empty(self, op: EmptyResult) -> list:
+        return []
+
+    def _filter(self, op: Filter) -> list:
+        atoms = self._compiled(op, _compile_atoms)
+        domain = self.domain
+        mul, is_zero, condition = domain.mul, domain.is_zero, domain.condition
+        result = []
+        for values, annotation in self.rows(op.child):
             for left_index, left_const, cmp_op, right_index, right_const in atoms:
                 left = values[left_index] if left_index is not None else left_const
                 right = values[right_index] if right_index is not None else right_const
                 if isinstance(left, ModuleExpr) or isinstance(right, ModuleExpr):
-                    keep = False  # mirrors `evaluate(row) is True` exactly
+                    annotation = mul(annotation, condition(left, cmp_op, right))
+                    if is_zero(annotation):
+                        break  # a 0-annotated tuple is not in the relation
+                elif not cmp_op(left, right):
                     break
-                if not cmp_op(left, right):
-                    keep = False
-                    break
-            if keep:
-                result[values] = multiplicity
+            else:
+                result.append((values, annotation))
         return result
 
-    def _hash_join(self, op: HashJoin) -> dict:
-        left_key, _, right_key = self._join_keys(op)
+    def _hash_join(self, op: HashJoin) -> list:
+        left_key, right_key = self._compiled(op, _compile_join_keys)
         if isinstance(op.right, Scan):
-            # Base-relation build side: the world relation's hash index.
-            buckets = self._relation(op.right.name).hash_index(op.right_keys)
+            # Base-table build side: reuse the table's cached hash index.
+            buckets = self.domain.index(op.right.name, op.right_keys)
         else:
             buckets = {}
-            for values, multiplicity in self.tuples(op.right).items():
-                key = right_key(values)
+            for row in self.rows(op.right):
+                key = right_key(row[0])
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = bucket = []
-                bucket.append((values, multiplicity))
-        mul = self.semiring.mul
-        result: dict = {}
+                bucket.append(row)
+        mul = self.domain.mul
+        result = []
         empty = ()
-        for values, multiplicity in self.tuples(op.left).items():
-            for right_values, right_multiplicity in buckets.get(
+        for values, annotation in self.rows(op.left):
+            for right_values, right_annotation in buckets.get(
                 left_key(values), empty
             ):
-                result[values + right_values] = mul(
-                    multiplicity, right_multiplicity
+                result.append(
+                    (values + right_values, mul(annotation, right_annotation))
                 )
         return result
 
-    def _product(self, op: NestedLoopProduct) -> dict:
-        right_tuples = self.tuples(op.right)
-        mul = self.semiring.mul
-        result: dict = {}
-        for values, multiplicity in self.tuples(op.left).items():
-            for right_values, right_multiplicity in right_tuples.items():
-                result[values + right_values] = mul(
-                    multiplicity, right_multiplicity
+    def _product(self, op: NestedLoopProduct) -> list:
+        right_rows = self.rows(op.right)
+        mul, is_zero = self.domain.mul, self.domain.is_zero
+        result = []
+        for values, annotation in self.rows(op.left):
+            if is_zero(annotation):
+                continue
+            for right_values, right_annotation in right_rows:
+                result.append(
+                    (values + right_values, mul(annotation, right_annotation))
                 )
         return result
 
-    def _merge_into(self, result: dict, values: tuple, multiplicity) -> None:
-        semiring = self.semiring
-        current = result.get(values)
-        if current is None:
-            result[values] = multiplicity
-            return
-        combined = semiring.add(current, multiplicity)
-        if combined == semiring.zero:
-            del result[values]
-        else:
-            result[values] = combined
+    def _project(self, op: ProjectOp) -> list:
+        getter = self._compiled(op, _compile_attribute_getter)
+        return self.domain.merge(
+            (getter(values), annotation)
+            for values, annotation in self.rows(op.child)
+        )
 
-    def _project(self, op: ProjectOp) -> dict:
-        getter = self._attribute_getter(op)
-        result: dict = {}
-        for values, multiplicity in self.tuples(op.child).items():
-            self._merge_into(result, getter(values), multiplicity)
-        return result
+    def _reorder(self, op: ReorderOp) -> list:
+        getter = self._compiled(op, _compile_attribute_getter)
+        return [
+            (getter(values), annotation)
+            for values, annotation in self.rows(op.child)
+        ]
 
-    def _reorder(self, op: ReorderOp) -> dict:
-        getter = self._attribute_getter(op)
-        return {
-            getter(values): multiplicity
-            for values, multiplicity in self.tuples(op.child).items()
-        }
+    def _extend(self, op: ExtendOp) -> list:
+        index = self._compiled(op, _compile_extend_index)
+        return [
+            (values + (values[index],), annotation)
+            for values, annotation in self.rows(op.child)
+        ]
 
-    def _extend(self, op: ExtendOp) -> dict:
-        index = self._cached(op, lambda op: op.child.schema.index(op.source))
-        return {
-            values + (values[index],): multiplicity
-            for values, multiplicity in self.tuples(op.child).items()
-        }
+    def _union(self, op: UnionOp) -> list:
+        return self.domain.merge(self.rows(op.left) + self.rows(op.right))
 
-    def _union(self, op: UnionOp) -> dict:
-        result = dict(self.tuples(op.left))
-        for values, multiplicity in self.tuples(op.right).items():
-            self._merge_into(result, values, multiplicity)
-        return result
-
-    def _group_agg(self, op: GroupAggOp) -> dict:
-        group_key, agg_indices = self._group_accessors(op)
+    def _group_agg(self, op: GroupAggOp) -> list:
+        group_key, agg_indices = self._compiled(op, _compile_group_accessors)
+        is_zero = self.domain.is_zero
         groups: dict[tuple, list] = {}
-        for values, multiplicity in self.tuples(op.child).items():
-            key = group_key(values)
+        for row in self.rows(op.child):
+            if is_zero(row[1]):
+                continue
+            key = group_key(row[0])
             group = groups.get(key)
             if group is None:
                 groups[key] = group = []
-            group.append((values, multiplicity))
+            group.append(row)
         if not op.groupby and not groups:
-            groups[()] = []  # $∅ always produces one tuple.
-        semiring = self.semiring
-        result: dict = {}
-        for key, members in groups.items():
-            aggregated = []
-            for spec, index in zip(op.aggregations, agg_indices):
-                monoid = spec.monoid
-                acc = monoid.zero
-                for values, multiplicity in members:
-                    contribution = (
-                        1
-                        if index is None or isinstance(monoid, CountMonoid)
-                        else values[index]
-                    )
-                    acc = monoid.add(
-                        acc, monoid.act(multiplicity, contribution, semiring)
-                    )
-                aggregated.append(acc)
-            result[key + tuple(aggregated)] = semiring.one
-        return result
+            groups[()] = []  # $∅ always yields one tuple (Figure 4).
+        group_row = self.domain.group_row
+        return [
+            group_row(op, agg_indices, key, members)
+            for key, members in groups.items()
+        ]
 
     _DISPATCH = {
         Scan: _scan,

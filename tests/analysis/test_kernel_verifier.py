@@ -203,15 +203,6 @@ class TestBlockScansPickle:
         assert clone.block_scans == entry.compiled.block_scans
         assert verify_kernel(clone, entry.name) == []
 
-    def test_legacy_pickle_without_block_scans_recovers_scopes(self):
-        entry = next(e for e in build_corpus() if e.compiled.block_scans)
-        compiled = entry.compiled
-        state = compiled.__getstate__()
-        del state["block_scans"]
-        clone = type(compiled).__new__(type(compiled))
-        clone.__setstate__(state)
-        assert clone.block_scans == compiled.block_scans
-
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))

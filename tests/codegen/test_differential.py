@@ -1,6 +1,6 @@
 """Compiled kernels vs the interpreter, world by world.
 
-The interpreter (:mod:`repro.query.executor`, deterministic mode) is the
+The interpreter (:mod:`repro.query.executor`, the concrete domain) is the
 conformance oracle: on every enumerated world the kernel must return the
 same ``{values: multiplicity}`` mapping — equal as a dict *and* in the
 same insertion order, because downstream fingerprints serialise rows in

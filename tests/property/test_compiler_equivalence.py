@@ -185,6 +185,39 @@ class TestOptimizerPipelineEquivalence:
             assert abs(fast[key] - probability) < 1e-7, key
 
 
+class TestRowLevelHomomorphism:
+    """``ν(Q(T)) = Q(ν(T))``, row by row: a possible world is a semiring
+    homomorphism applied to the annotations, so instantiating the
+    symbolic step-I result under ``ν`` *is* the interpreter's result on
+    the world ``ν(db)`` — same plan, same walk, two annotation domains."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(query_databases(), queries(), st.booleans())
+    def test_world_of_symbolic_result_is_result_on_world(
+        self, db, query, optimize
+    ):
+        from repro.query.executor import (
+            execute_deterministic,
+            execute_symbolic,
+            prepare,
+        )
+
+        prepared = prepare(
+            query, db.catalog(), db.cardinalities(), optimize=optimize
+        )
+        symbolic = execute_symbolic(prepared, db)
+        space = ProbabilitySpace(db.registry, BOOLEAN)
+        for valuation, _ in space.enumerate_worlds(sorted(db.variables)):
+            world = {
+                name: table.instantiate(valuation, BOOLEAN)
+                for name, table in db.tables.items()
+            }
+            concrete = execute_deterministic(
+                prepared, world, BOOLEAN, codegen=False
+            )
+            assert symbolic.instantiate(valuation, BOOLEAN) == concrete
+
+
 def _restrict(expr, registry):
     """Drop variables the (smaller) integer registries do not declare."""
     from repro.algebra.expressions import ONE

@@ -9,6 +9,9 @@ from repro.algebra.parser import parse_expr
 from repro.algebra.semimodule import AggSum, MConst, ModuleExpr, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
+from repro.engine.montecarlo import MonteCarloEngine
+from repro.engine.naive import NaiveEngine
+from repro.engine.sprout import SproutEngine
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import (
     AggSpec,
@@ -146,6 +149,30 @@ class TestAggregationRewriting:
         result = evaluate_query(query, db)
         assert len(result) == 1
         assert result.rows[0].values[0].is_module_zero()
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            SproutEngine,
+            NaiveEngine,
+            lambda db: MonteCarloEngine(db, seed=11, samples=200),
+        ],
+        ids=["sprout", "naive", "montecarlo"],
+    )
+    def test_selection_folding_to_zero_drops_the_tuple(self, db, engine):
+        """``[0_SUM ≥ 5]`` constant-folds to ``0_K``, and a ``0_K``-annotated
+        tuple is not in the relation (Definition 6): σ drops it in step I,
+        so the exact engine returns the row set the per-world engines do."""
+        query = Select(
+            GroupAgg(
+                Select(relation("R"), eq("a", 999)),
+                [],
+                [AggSpec.of("t", "SUM", "v")],
+            ),
+            cmp_("t", ">=", 5),
+        )
+        assert evaluate_query(query, db).rows == []
+        assert engine(db).run(query).rows == []
 
     def test_selection_on_aggregate_multiplies_condition(self, db):
         agg = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
