@@ -16,6 +16,7 @@ Run with::
 """
 
 from repro import BOOLEAN, Compiler, cmp_, connect, eq, max_
+from repro.prob import kernels
 
 
 def build_session():
@@ -91,13 +92,23 @@ def main():
 
     # Figure 6: the d-tree of the Gap group's semimodule expression
     # (a fresh compiler, so the node/expansion counts are this tree's own).
+    # Algorithm 1 verbatim — with the numpy kernels on, rule 6's base case
+    # would tabulate this 8-variable residual instead of expanding it.
     gap_row = next(r for r in s.rewrite(grouped) if r.values[0] == "Gap")
-    compiler = Compiler(s.registry, BOOLEAN)
-    tree = compiler.compile(gap_row.values[1])
+    kernels_were_on = kernels.set_numpy_enabled(False)
+    try:
+        compiler = Compiler(s.registry, BOOLEAN)
+        tree = compiler.compile(gap_row.values[1])
+    finally:
+        kernels.set_numpy_enabled(kernels_were_on)
     print("\nDecomposition tree of the ⟨Gap⟩ aggregation value (Figure 6):")
     print(tree.pretty("  "))
     print(f"\n(d-tree: {tree.dag_size()} nodes, "
           f"{compiler.mutex_nodes_created} Shannon expansions)")
+    if kernels_were_on:
+        tabulated = Compiler(s.registry, BOOLEAN).compile(gap_row.values[1])
+        print("With the numpy kernels on, the same expression compiles to:")
+        print(tabulated.pretty("  "))
 
 
 if __name__ == "__main__":

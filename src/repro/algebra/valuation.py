@@ -17,13 +17,15 @@ sub-expression.  It is an optional accelerator in the style of
 :mod:`repro.prob.kernels`: :func:`batch_exact` says for which
 expressions it reproduces :func:`evaluate` exactly — same values, same
 Python types — and callers keep the scalar path for everything else.
+The batch is either sampled (Monte-Carlo) or, for a handful of
+variables, *every* valuation there is (:func:`all_valuations`).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping
 
 from repro.algebra.conditions import Compare
@@ -54,6 +56,7 @@ __all__ = [
     "evaluate",
     "batch_exact",
     "evaluate_batch",
+    "all_valuations",
     "batch_values",
 ]
 
@@ -275,6 +278,21 @@ def _aggregate_batch(expr: ModuleExpr, presence, size: int, memo: dict):
             initial=monoid.zero,
         )
     raise AlgebraError(f"no batched form for the {monoid.name} monoid")
+
+
+@lru_cache(maxsize=16)
+def _world_bits(count: int):
+    """``count × 2^count`` bools: row ``i`` is bit ``i`` of the world number."""
+    bits = (_np.arange(1 << count) >> _np.arange(count)[:, None] & 1).astype(bool)
+    bits.setflags(write=False)
+    return bits
+
+
+def all_valuations(names) -> dict:
+    """Every Boolean valuation of ``names`` as a ``presence`` mapping for
+    :func:`evaluate_batch`: ``2^k`` worlds, world ``w`` setting
+    ``names[i]`` to bit ``i`` of ``w``."""
+    return dict(zip(names, _world_bits(len(names))))
 
 
 def batch_values(expr: ModuleExpr, column) -> list:

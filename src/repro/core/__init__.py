@@ -22,6 +22,7 @@ from repro.core.dtree import (
     MPlusNode,
     MutexNode,
     PlusNode,
+    TableLeaf,
     TensorNode,
     TimesNode,
     VarLeaf,
@@ -38,6 +39,7 @@ __all__ = [
     "DTree",
     "ConstLeaf",
     "VarLeaf",
+    "TableLeaf",
     "PlusNode",
     "TimesNode",
     "MPlusNode",

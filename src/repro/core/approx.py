@@ -23,8 +23,12 @@ presence probability ``P[Φ ≠ 0_S]`` of tuple annotations:
   within the same budget, each substitution re-tightening the value
   intervals until the comparison folds.
 
-Increasing the budget refines the interval monotonically; with an
-unbounded budget the interval collapses to the exact probability.
+The budget counts *residuals resolved*: one unit buys either one
+Shannon expansion step or — for a residual small enough for rule 6's
+base case (:func:`repro.core.compile.table_leaf`) — its whole truth
+table, which comes back as zero-width bounds.  Increasing the budget
+refines the interval monotonically; with an unbounded budget the
+interval collapses to the exact probability.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from repro.algebra.expressions import (
 from repro.algebra.simplify import Normalizer
 from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.core import decompose
-from repro.core.compile import Compiler
+from repro.core.compile import Compiler, table_leaf
+from repro.core.dtree import CompileContext
 from repro.errors import CompilationError
 from repro.prob.variables import VariableRegistry
 
@@ -134,9 +139,11 @@ class ApproximateCompiler:
         #: expires further Shannon expansions return unknown bounds, the
         #: same sound degradation as budget exhaustion.
         self.deadline = deadline
-        #: Shannon expansions actually performed (for diagnostics; the
+        #: Budget units actually spent — residuals resolved, by one
+        #: expansion step or one table each (for diagnostics; the
         #: remaining allowance is ``budget``).
         self.expansions = 0
+        self._context = CompileContext(registry, semiring)
         #: ``normalizer`` may be shared across refinement rounds (and
         #: across the rows of one query): normalisation and restriction
         #: are pure, so the fused restrict cache carries over soundly.
@@ -235,6 +242,10 @@ class ApproximateCompiler:
             return ProbabilityBounds.unknown()
         self.budget -= 1
         self.expansions += 1
+        table = table_leaf(expr, self.registry, self.semiring)
+        if table is not None:
+            absent = table.distribution(self._context)[self.semiring.zero]
+            return ProbabilityBounds.exact(1.0 - absent)
         counts = count_occurrences(expr)
         name = max(expr.variables, key=lambda n: (counts.get(n, 0), n))
         low = high = 0.0

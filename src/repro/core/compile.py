@@ -12,13 +12,21 @@ semiring or semimodule expression (Section 5):
    recognises read-once expressions;
 6. otherwise, eliminate one variable by **Shannon expansion** into
    mutually exclusive branches (``⊔ₓ``), choosing by default a variable
-   with the most occurrences (the paper's heuristic).
+   with the most occurrences (the paper's heuristic) — unless the
+   residual is small enough for rule 6's *base case*
+   (:func:`table_leaf`): over a handful of Boolean variables it is
+   cheaper to valuate the expression in all ``2^k`` worlds as one numpy
+   batch than to expand it, and the residual becomes one
+   :class:`~repro.core.dtree.TableLeaf`.
 
 Rules 1-5 run in polynomial time; rule 6 is the potential exponential
 blow-up, which the tractable query classes of Section 6 never trigger.
 The compiler memoises structurally equal sub-expressions, so repeated
 sub-problems across Shannon branches compile once and the resulting
-"tree" is a DAG.
+"tree" is a DAG.  The base case is an accelerator in the style of
+:mod:`repro.prob.kernels`, selected by the same numpy switch and by
+nothing else: with the kernels off — or on a residual it does not cover
+— compilation is Algorithm 1 verbatim.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.algebra.expressions import (
 from repro.algebra.semimodule import AggSum, Tensor, aggsum
 from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.algebra.simplify import Normalizer
-from repro.algebra.valuation import evaluate
+from repro.algebra.valuation import batch_exact, evaluate
 from repro.core import decompose
 from repro.core.dtree import (
     CompareNode,
@@ -50,12 +58,14 @@ from repro.core.dtree import (
     MPlusNode,
     MutexNode,
     PlusNode,
+    TableLeaf,
     TensorNode,
     TimesNode,
     VarLeaf,
 )
 from repro.core.pruning import prune
 from repro.errors import CompilationError
+from repro.prob import kernels
 from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 from repro.resilience.deadline import check_deadline
@@ -64,8 +74,45 @@ __all__ = [
     "Compiler",
     "compile_expression",
     "distribution_task",
+    "table_leaf",
     "HEURISTICS",
 ]
+
+#: Rule 6's base case tabulates a residual of ``nodes`` AST nodes over
+#: ``k`` variables when ``nodes × 2^k`` stays within this many cells —
+#: about what *one* ⊔ step (restrict, re-normalise, re-hash both
+#: branches) costs, so a table never loses to the expansion it replaces.
+#: Sized by Experiment C's ``#v`` sweep (EXPERIMENTS.md), whose residuals
+#: straddle the budget; a larger budget was slower there.
+_TABLE_CELLS = 1 << 17
+#: No connected residual over more variables fits ``_TABLE_CELLS``; the
+#: cap spares larger ones the size walk.
+_TABLE_VARIABLES = 12
+
+
+def table_leaf(
+    expr: Expr, registry: VariableRegistry, semiring: Semiring
+) -> TableLeaf | None:
+    """Rule 6's base case: ``expr`` as a :class:`TableLeaf`, or ``None``
+    when it must be Shannon-expanded.
+
+    Shared by every Shannon loop (exact and approximate).  Applies when
+    the numpy kernels are on, valuations are Boolean (semiring and every
+    variable's distribution), the batch evaluator reproduces
+    :func:`~repro.algebra.valuation.evaluate` exactly on ``expr``, and
+    the full truth table fits ``_TABLE_CELLS``.
+    """
+    names = expr.variables
+    if (
+        not semiring.is_boolean
+        or not kernels.numpy_enabled()
+        or len(names) > _TABLE_VARIABLES
+        or expr.size() << len(names) > _TABLE_CELLS
+        or not batch_exact(expr)
+        or not all(value in (0, 1) for name in names for value in registry[name])
+    ):
+        return None
+    return TableLeaf(expr, sorted(names))
 
 
 def _most_occurrences(expr: Expr, candidates: frozenset, counts=None) -> str:
@@ -114,7 +161,8 @@ class Compiler:
     max_mutex_nodes:
         Optional safety budget on the number of ``⊔`` nodes created;
         exceeding it raises :class:`CompilationError`.  Used by the
-        approximation module to cut compilation short.
+        approximation module to cut compilation short.  A tabulated
+        residual (:func:`table_leaf`) creates none.
     """
 
     def __init__(
@@ -232,39 +280,47 @@ class Compiler:
         """Mask-based connected components, ordered like
         :func:`repro.core.decompose.independent_groups`.
 
-        The common case during Shannon expansion is a single connected
-        component, which costs one integer AND per summand here.
+        The same union-find over summand indices, driven by variable
+        bits: ``owner`` maps a bit to a summand holding it, and a summand
+        clears all of a component's bits at once after joining it, so it
+        pays one step per component it touches — one for the connected
+        sums of a Shannon expansion, none for all-independent sums.
         """
-        components: list[list] = []  # [mask, (index, expr), ...]
+        count = len(exprs)
+        parent = list(range(count))
+        masks = [0] * count  # per root: the component's variables
+        owner: dict[int, int] = {}
+        seen = 0
         for index, expr in enumerate(exprs):
             if not expr._vars:
-                components.append([0, (index, expr)])
                 continue
-            mask = self._variable_mask(expr)
-            first = None
-            i = 0
-            while i < len(components):
-                component = components[i]
-                if component[0] & mask:
-                    if first is None:
-                        first = component
-                        component[0] |= mask
-                        component.append((index, expr))
-                        i += 1
-                    else:  # expr bridges two components: merge them
-                        first[0] |= component[0]
-                        first.extend(component[1:])
-                        del components[i]
-                else:
-                    i += 1
-            if first is None:
-                components.append([mask, (index, expr)])
-        groups = []
-        for component in components:
-            members = component[1:]
-            members.sort()
-            groups.append([expr for _, expr in members])
-        return groups
+            mask = masks[index] = self._variable_mask(expr)
+            shared = mask & seen
+            fresh = mask ^ shared
+            seen |= mask
+            while fresh:
+                bit = fresh & -fresh
+                owner[bit] = index
+                fresh ^= bit
+            root = index
+            while shared:
+                other = owner[shared & -shared]
+                while parent[other] != other:  # find, with path halving
+                    parent[other] = parent[parent[other]]
+                    other = parent[other]
+                shared &= ~masks[other]
+                if other > root:  # the lower index stays root
+                    root, other = other, root
+                parent[root] = other
+                masks[other] |= masks[root]
+                root = other
+        groups: dict[int, list[Expr]] = {}
+        for index, expr in enumerate(exprs):
+            root = index
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(expr)
+        return list(groups.values())
 
     def _compile_sum(self, expr: Sum) -> DTree:
         groups = self._independent_groups(expr.children)
@@ -372,6 +428,9 @@ class Compiler:
         # the ambient-deadline checkpoint lives here (one ContextVar read
         # per ⊔-node when no deadline is active).
         check_deadline("exact compilation")
+        table = table_leaf(expr, self.registry, self.semiring)
+        if table is not None:  # base case: no ⊔ node, no budget spent
+            return table
         if self.max_mutex_nodes is not None and (
             self.mutex_nodes_created >= self.max_mutex_nodes
         ):

@@ -12,7 +12,9 @@ inner nodes reflect *structural decompositions* of the expression:
 * ``⊔ₓ`` (:class:`MutexNode`) — partitioning into **mutually exclusive**
   restrictions ``Φ|x←s`` for every value ``s`` with ``P_x[s] ≠ 0``.
 
-Leaves are variables (:class:`VarLeaf`) or constants (:class:`ConstLeaf`).
+Leaves are variables (:class:`VarLeaf`), constants (:class:`ConstLeaf`)
+or — rule 6's base case, an accelerator outside Definition 7 — small
+residual expressions tabulated over all their worlds (:class:`TableLeaf`).
 
 Given the probability distributions of its leaves, the distribution of
 every inner node follows by the convolution equations (4)-(9) and the
@@ -27,18 +29,26 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.algebra.conditions import ComparisonOp
+from repro.algebra.expressions import Expr
 from repro.algebra.monoid import Monoid
 from repro.algebra.semiring import Semiring
+from repro.algebra.valuation import all_valuations, batch_values, evaluate_batch
 from repro.errors import CompilationError
 from repro.prob import convolution
-from repro.prob.distribution import Distribution
+from repro.prob.distribution import TOLERANCE, Distribution
 from repro.prob.variables import VariableRegistry
+
+try:  # optional accelerator; only TableLeaf needs it
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 __all__ = [
     "CompileContext",
     "DTree",
     "ConstLeaf",
     "VarLeaf",
+    "TableLeaf",
     "PlusNode",
     "TimesNode",
     "MPlusNode",
@@ -171,6 +181,52 @@ class VarLeaf(DTree):
 
     def _label(self):
         return f"var {self.name}"
+
+
+class TableLeaf(DTree):
+    """A residual expression over a few Boolean variables, tabulated.
+
+    Rule 6's base case (:func:`repro.core.compile.table_leaf`): instead
+    of a ``⊔`` sub-tree the leaf keeps the expression and valuates it in
+    all ``2^k`` worlds of its variables as one numpy batch.  The world
+    weights come from ``ctx``'s marginals when the distribution is asked
+    for, like a :class:`VarLeaf`'s — nothing is frozen at compile time.
+    """
+
+    __slots__ = ("expr", "names")
+    tag = "table"
+
+    def __init__(self, expr: Expr, names):
+        self.expr = expr
+        self.names = tuple(names)
+
+    @property
+    def worlds(self) -> int:
+        return 1 << len(self.names)
+
+    def _compute_distribution(self, ctx):
+        # World w sets names[i] to bit i of w (as ``all_valuations``), so
+        # each variable doubles the weight vector: [absent half, present half].
+        weights = _np.ones(1)
+        for name in self.names:
+            p = ctx.var_distribution(name)[True]
+            weights = _np.multiply.outer((1.0 - p, p), weights).ravel()
+        column = evaluate_batch(
+            self.expr, all_valuations(self.names), self.worlds, {}
+        )
+        if column.dtype == bool:  # a semiring residual: two masked sums
+            values = [False, True]
+            masses = [float(weights[~column].sum()), float(weights[column].sum())]
+        else:
+            values, world_value = _np.unique(column, return_inverse=True)
+            masses = _np.bincount(world_value, weights=weights).tolist()
+            values = batch_values(self.expr, values)
+        return Distribution._from_clean(
+            {v: mass for v, mass in zip(values, masses) if mass > TOLERANCE}
+        )
+
+    def _label(self):
+        return f"table {{{', '.join(self.names)}}} · {self.worlds} worlds"
 
 
 class PlusNode(DTree):

@@ -1,8 +1,9 @@
 """Export of decomposition trees to Graphviz DOT.
 
 Renders a d-tree (DAG) in the style of the paper's Figures 5 and 6:
-inner nodes labelled ⊕, ⊙, ⊗, [θ], ⊔ₓ; leaves labelled with variables or
-constants; mutex edges labelled with the eliminated value and its
+inner nodes labelled ⊕, ⊙, ⊗, [θ], ⊔ₓ; leaves labelled with variables,
+constants or — for a tabulated residual — ``table {x, y, z} · 8 worlds``;
+mutex edges labelled with the eliminated value and its
 probability.  Shared sub-DAGs (from compiler memoisation) are rendered
 once, with multiple incoming edges.
 
@@ -21,6 +22,7 @@ from repro.core.dtree import (
     MPlusNode,
     MutexNode,
     PlusNode,
+    TableLeaf,
     TensorNode,
     TimesNode,
     VarLeaf,
@@ -38,6 +40,8 @@ def _node_label(node: DTree) -> str:
         return node.name
     if isinstance(node, ConstLeaf):
         return repr(node.value)
+    if isinstance(node, TableLeaf):
+        return node._label()
     if isinstance(node, PlusNode):
         return "⊕"
     if isinstance(node, TimesNode):
@@ -54,7 +58,7 @@ def _node_label(node: DTree) -> str:
 
 
 def _node_shape(node: DTree) -> str:
-    if isinstance(node, (VarLeaf, ConstLeaf)):
+    if isinstance(node, (VarLeaf, ConstLeaf, TableLeaf)):
         return "box"
     if isinstance(node, MutexNode):
         return "diamond"

@@ -2,8 +2,9 @@
 
 Used by the experiment harness to report the structural quantities the
 paper's complexity analysis talks about: tree sizes, the number of
-mutex (⊔) nodes introduced by Shannon expansion, and the sizes of the
-probability distributions materialised at the nodes (the ``|pᵢ|`` of
+mutex (⊔) nodes introduced by Shannon expansion, the residuals rule 6's
+base case tabulated instead (and over how many worlds), and the sizes of
+the probability distributions materialised at the nodes (the ``|pᵢ|`` of
 Theorem 2's ``O(Π |pᵢ|)`` bound).
 """
 
@@ -19,6 +20,7 @@ from repro.core.dtree import (
     MPlusNode,
     MutexNode,
     PlusNode,
+    TableLeaf,
     TensorNode,
     TimesNode,
     VarLeaf,
@@ -43,6 +45,11 @@ class DTreeStats:
     compare_nodes: int = 0
     mutex_nodes: int = 0
     mutex_branches: int = 0
+    #: Residuals tabulated by rule 6's base case, and the worlds (Σ 2^k)
+    #: valuated for them — why ``mutex_nodes`` can be 0 on a dependent
+    #: expression.
+    table_leaves: int = 0
+    table_worlds: int = 0
     max_distribution_size: int | None = None
     node_distribution_sizes: list = field(default_factory=list)
 
@@ -59,7 +66,7 @@ class DTreeStats:
 
     def distribution_cost(self) -> int:
         """``Π |pᵢ|``-style upper bound actually observed: the sum over
-        convolution nodes of the product of child distribution sizes."""
+        all nodes (table leaves included) of their distribution sizes."""
         return sum(self.node_distribution_sizes)
 
 
@@ -77,6 +84,10 @@ def collect_stats(tree: DTree, ctx: CompileContext | None = None) -> DTreeStats:
             stats.leaf_count += 1
         elif isinstance(node, ConstLeaf):
             stats.const_leaves += 1
+            stats.leaf_count += 1
+        elif isinstance(node, TableLeaf):
+            stats.table_leaves += 1
+            stats.table_worlds += node.worlds
             stats.leaf_count += 1
         elif isinstance(node, PlusNode):
             stats.plus_nodes += 1

@@ -10,7 +10,7 @@ MIN/MAX), or tuples of values for joint distributions.
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import DistributionError
 from repro.prob import kernels
@@ -34,7 +34,9 @@ class Distribution:
     __slots__ = ("_probs",)
 
     def __init__(self, probs: Mapping[Hashable, float] | Iterable[tuple]):
-        if isinstance(probs, Mapping):
+        # Dicts are the common case; the ABC (not ``typing.Mapping``, whose
+        # ``__instancecheck__`` is Python-level) covers the rest.
+        if type(probs) is dict or isinstance(probs, Mapping):
             items = probs.items()
         else:
             items = list(probs)

@@ -8,11 +8,63 @@ databases (few variables) for which enumeration is cheap.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.algebra import BOOLEAN, Var
+from repro.core.compile import Compiler
+from repro.core.stats import collect_stats
 from repro.db import PVCDatabase
-from repro.prob import VariableRegistry
+from repro.prob import VariableRegistry, kernels
+
+
+@contextmanager
+def kernels_off():
+    """Numpy kernels off inside the block: rule 6 has no base case, so
+    the compiler is Algorithm 1 verbatim."""
+    previous = kernels.set_numpy_enabled(False)
+    try:
+        yield
+    finally:
+        kernels.set_numpy_enabled(previous)
+
+
+@pytest.fixture
+def algorithm1_verbatim():
+    """:func:`kernels_off` for the test: small dependent examples
+    Shannon-expand exactly as in the paper's figures."""
+    with kernels_off():
+        yield
+
+
+@pytest.fixture
+def numpy_kernels():
+    """Numpy kernels on for the test, whatever leg the suite runs on."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not installed")
+    previous = kernels.set_numpy_enabled(True)
+    yield
+    kernels.set_numpy_enabled(previous)
+
+
+def assert_tabulated_twin(compiler, expr):
+    """Kernels on (see :func:`numpy_kernels`), ``compiler`` compiles
+    ``expr`` without a ⊔ node, through table leaves, to the distribution
+    Algorithm 1 verbatim gives; returns the d-tree."""
+    tree = compiler.compile(expr)
+    stats = collect_stats(tree)
+    assert compiler.mutex_nodes_created == 0 and stats.mutex_nodes == 0
+    assert stats.table_leaves >= 1
+    tabulated = tree.distribution(compiler.context)
+    verbatim_compiler = Compiler(compiler.registry, compiler.semiring)
+    with kernels_off():
+        verbatim = verbatim_compiler.distribution(expr)
+    assert verbatim_compiler.mutex_nodes_created >= 1
+    assert tabulated.support() == verbatim.support()
+    for value, probability in verbatim.items():
+        assert tabulated[value] == pytest.approx(probability, abs=1e-12)
+    return tree
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.core.approx import (
 from repro.core.compile import Compiler
 from repro.errors import CompilationError
 from repro.prob.variables import VariableRegistry
+from tests.conftest import kernels_off
 
 
 def registry_for(expr_vars, p=0.5):
@@ -116,3 +117,91 @@ class TestRefinementLoop:
         exact = Compiler(reg, BOOLEAN).probability(expr)
         assert bounds.low == pytest.approx(exact)
         assert bounds.width == 0
+
+
+class TestTabulatedResiduals:
+    """Rule 6's base case inside the budgeted loop: one budget unit buys
+    one resolved residual — an expansion step or a whole truth table."""
+
+    SMALL = "(a+b)*(a+c)*(b+d)*(c+d)"
+    #: 15 variables in a ring: over the table cap, so it expands first.
+    WIDE = "*".join(f"(v{i}+v{(i + 1) % 15})" for i in range(15))
+
+    def wide(self):
+        reg = registry_for([f"v{i}" for i in range(15)], p=0.6)
+        return parse_expr(self.WIDE), reg
+
+    def test_zero_budget_is_unknown(self, numpy_kernels):
+        bounds = ApproximateCompiler(registry_for("abcd"), budget=0).bounds(
+            parse_expr(self.SMALL)
+        )
+        assert (bounds.low, bounds.high) == (0.0, 1.0)
+
+    def test_expired_deadline_is_unknown(self, numpy_kernels):
+        from repro.resilience.deadline import Deadline
+
+        deadline = Deadline(1e-9)
+        assert deadline.expired()
+        approximator = ApproximateCompiler(
+            registry_for("abcd"), budget=8, deadline=deadline
+        )
+        bounds = approximator.bounds(parse_expr(self.SMALL))
+        assert (bounds.low, bounds.high) == (0.0, 1.0)
+        assert approximator.expansions == 0
+
+    def test_one_unit_buys_a_whole_table(self, numpy_kernels):
+        reg = registry_for("abcd", p=0.4)
+        approximator = ApproximateCompiler(reg, budget=1)
+        bounds = approximator.bounds(parse_expr(self.SMALL))
+        assert approximator.expansions == 1 and approximator.budget == 0
+        assert bounds.width == 0.0
+        exact = Compiler(reg, BOOLEAN).probability(parse_expr(self.SMALL))
+        assert bounds.low == pytest.approx(exact, abs=1e-12)
+
+    def test_one_unit_on_a_wide_residual_stays_sound(self, numpy_kernels):
+        expr, reg = self.wide()
+        approximator = ApproximateCompiler(reg, budget=1)
+        bounds = approximator.bounds(expr)
+        assert approximator.expansions == 1
+        assert 0.0 < bounds.width
+        assert bounds.contains(Compiler(reg, BOOLEAN).probability(expr))
+
+    def test_a_capped_run_never_exceeds_its_cap(self, numpy_kernels):
+        expr, reg = self.wide()
+        for budget in range(8):
+            approximator = ApproximateCompiler(reg, budget)
+            approximator.bounds(expr)
+            assert approximator.expansions <= budget
+
+    def test_intervals_nest_across_rounds(self, numpy_kernels):
+        expr, reg = self.wide()
+        exact = Compiler(reg, BOOLEAN).probability(expr)
+        low, high, seed = 0.0, 1.0, None
+        for budget in (0, 1, 2, 4, 8, 16, 32, 64):
+            approximator = ApproximateCompiler(reg, budget, seed_bounds=seed)
+            bounds = approximator.bounds(expr)
+            assert low - 1e-12 <= bounds.low <= exact + 1e-12
+            assert exact - 1e-12 <= bounds.high <= high + 1e-12
+            low, high, seed = bounds.low, bounds.high, approximator.exact_bounds()
+        assert bounds.width == pytest.approx(0.0, abs=1e-12)
+
+    def test_expansions_repeat_exactly(self, numpy_kernels):
+        expr, reg = self.wide()
+        runs = []
+        for _ in range(2):
+            approximator = ApproximateCompiler(reg, budget=64)
+            bounds = approximator.bounds(expr)
+            runs.append((approximator.expansions, bounds.low, bounds.high))
+        assert runs[0] == runs[1]
+        assert runs[0][0] > 1  # it expanded before it tabulated
+
+    def test_same_bounds_as_algorithm_1_verbatim(self, numpy_kernels):
+        expr, reg = self.wide()
+        tabulated = ApproximateCompiler(reg, budget=1 << 10)
+        fast = tabulated.bounds(expr)
+        verbatim = ApproximateCompiler(reg, budget=1 << 10)
+        with kernels_off():
+            slow = verbatim.bounds(expr)
+        assert fast.width == slow.width == 0.0
+        assert fast.low == pytest.approx(slow.low, abs=1e-12)
+        assert tabulated.expansions < verbatim.expansions

@@ -1,21 +1,31 @@
 """Tests for Algorithm 1 — including the paper's Figures 5/6 and Example 12."""
 
 import math
+import random
 
 import pytest
 
 from repro.algebra.conditions import compare
-from repro.algebra.expressions import Var, sprod, ssum
+from repro.algebra.expressions import SConst, Var, sprod, ssum
 from repro.algebra.monoid import MAX, MIN, SUM
 from repro.algebra.parser import parse_expr
 from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
+from repro.core import decompose
 from repro.core.compile import HEURISTICS, Compiler
-from repro.core.dtree import MutexNode, PlusNode, TensorNode, TimesNode, VarLeaf
+from repro.core.dtree import (
+    MutexNode,
+    PlusNode,
+    TableLeaf,
+    TensorNode,
+    TimesNode,
+    VarLeaf,
+)
 from repro.errors import CompilationError
 from repro.prob.distribution import Distribution
 from repro.prob.space import ProbabilitySpace
 from repro.prob.variables import VariableRegistry
+from tests.conftest import assert_tabulated_twin
 
 
 def boolean_compiler(probabilities: dict, **kwargs) -> Compiler:
@@ -60,11 +70,18 @@ class TestIndependenceRules:
         assert compiler.mutex_nodes_created == 0
         assert isinstance(tree, TensorNode)
 
-    def test_dependent_product_uses_shannon(self):
+    def test_dependent_product_uses_shannon(self, algorithm1_verbatim):
         compiler = boolean_compiler({"a": 0.5, "b": 0.5, "c": 0.5})
         expr = sprod([ssum([Var("a"), Var("b")]), ssum([Var("a"), Var("c")])])
         compiler.compile(expr)
         assert compiler.mutex_nodes_created >= 1
+
+    def test_dependent_product_is_tabulated(self, numpy_kernels):
+        expr = sprod([ssum([Var("a"), Var("b")]), ssum([Var("a"), Var("c")])])
+        tree = assert_tabulated_twin(
+            boolean_compiler({"a": 0.5, "b": 0.5, "c": 0.5}), expr
+        )
+        assert isinstance(tree, TableLeaf) and tree.names == ("a", "b", "c")
 
     def test_variable_free_expression_is_constant_leaf(self):
         compiler = boolean_compiler({})
@@ -79,6 +96,40 @@ class TestIndependenceRules:
         # variables), but memoisation still shares the compiled sub-DAG.
         tree = compiler.compile(expr)
         assert tree.dag_size() <= tree.tree_size()
+
+
+class TestIndependentGroups:
+    """The compiler's mask-driven partition is `decompose`'s, order included."""
+
+    def assert_parity(self, exprs):
+        compiler = boolean_compiler({})
+        expected = decompose.independent_groups(exprs)
+        assert compiler._independent_groups(exprs) == expected
+        return expected
+
+    def test_all_independent_summands_stay_apart_in_order(self):
+        exprs = [Var(f"v{i}") for i in range(300)] + [SConst(1), SConst(1)]
+        assert self.assert_parity(exprs) == [[e] for e in exprs]
+
+    def test_bridging_summands_merge_components(self):
+        a, b, c, d, e, f = map(Var, "abcdef")
+        # c*d joins {c} to {d}; e*b*a then joins three components at
+        # once, two of them older than the bridge that closes them.
+        exprs = [a, b, c, SConst(1), d, f, c * d, e * b * a, d * a]
+        groups = self.assert_parity(exprs)
+        assert groups == [
+            [a, b, c, d, c * d, e * b * a, d * a], [SConst(1)], [f]
+        ]
+
+    def test_random_sums_match_decompose(self):
+        rng = random.Random(17)
+        names = [f"v{i}" for i in range(40)]
+        for _ in range(200):
+            exprs = [
+                sprod(Var(n) for n in rng.sample(names, rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 25))
+            ]
+            self.assert_parity(exprs)
 
 
 class TestFigure5Example12:
@@ -188,7 +239,7 @@ class TestFigure6:
         expected = ProbabilitySpace(compiler.registry, BOOLEAN).distribution_of(phi)
         assert compiler.distribution(phi).almost_equals(expected)
 
-    def test_root_mutex_on_most_frequent_variable(self):
+    def test_root_mutex_on_most_frequent_variable(self, algorithm1_verbatim):
         # x4, z1, z5, x5, y51 occur... x4 and x5/z1/z5 tie-break: the
         # paper eliminates x4; our heuristic picks a maximum-occurrence
         # variable (x4 or x5, both occur twice; ties break by name).
@@ -202,6 +253,15 @@ class TestFigure6:
         assert isinstance(tree, MutexNode)
         counts = {"x4": 2, "x5": 2, "z1": 2, "z5": 2}
         assert tree.name in counts
+
+    def test_figure6_is_tabulated_with_kernels_on(self, numpy_kernels):
+        probs = {n: 0.5 for n in ["x4", "x5", "y41", "y43", "y51", "z1", "z3", "z5"]}
+        expr = parse_expr(
+            "x4*y41*(z1+z5)@15 + x4*y43*z3@60 + x5*y51*(z1+z5)@10",
+            monoid=MAX,
+        )
+        tree = assert_tabulated_twin(boolean_compiler(probs), expr)
+        assert tree.worlds == 2 ** 8
 
 
 class TestHeuristics:
@@ -226,7 +286,7 @@ class TestHeuristics:
         with pytest.raises(CompilationError, match="unknown heuristic"):
             boolean_compiler({"a": 0.5}, heuristic="random")
 
-    def test_callable_heuristic(self):
+    def test_callable_heuristic(self, algorithm1_verbatim):
         chosen = []
 
         def pick_first(expr, candidates):
@@ -239,17 +299,32 @@ class TestHeuristics:
         compiler.probability(expr)
         assert chosen  # the custom heuristic was consulted
 
+    def test_tabulated_residual_never_asks_the_heuristic(self, numpy_kernels):
+        def never(expr, candidates):
+            raise AssertionError("a table eliminates no variable")
+
+        assert_tabulated_twin(
+            boolean_compiler({"a": 0.5, "b": 0.5}, heuristic=never),
+            parse_expr("(a+b)*(a*b + b)"),
+        )
+
+
+ENTANGLED = "(v0+v1)*(v0+v2)*(v1+v3)*(v2+v4)*(v3+v5)*(v4+v6)*(v5+v7)*(v6+v7)"
+
 
 class TestBudget:
-    def test_mutex_budget_enforced(self):
+    def test_mutex_budget_enforced(self, algorithm1_verbatim):
         probs = {f"v{i}": 0.5 for i in range(8)}
         # A highly entangled expression that needs several expansions.
-        expr = parse_expr(
-            "(v0+v1)*(v0+v2)*(v1+v3)*(v2+v4)*(v3+v5)*(v4+v6)*(v5+v7)*(v6+v7)"
-        )
         compiler = boolean_compiler(probs, max_mutex_nodes=1)
         with pytest.raises(CompilationError, match="budget"):
-            compiler.compile(expr)
+            compiler.compile(parse_expr(ENTANGLED))
+
+    def test_a_table_spends_no_mutex_budget(self, numpy_kernels):
+        probs = {f"v{i}": 0.5 for i in range(8)}
+        assert_tabulated_twin(
+            boolean_compiler(probs, max_mutex_nodes=0), parse_expr(ENTANGLED)
+        )
 
 
 class TestNSemiringCompilation:

@@ -6,6 +6,7 @@ from repro.algebra.semiring import BOOLEAN
 from repro.core.compile import Compiler
 from repro.core.export import to_dot
 from repro.prob.variables import VariableRegistry
+from tests.conftest import assert_tabulated_twin
 
 
 def compiler_for(names, p=0.5):
@@ -26,12 +27,17 @@ class TestToDot:
         for name in "abcd":
             assert f'label="{name}"' in dot
 
-    def test_mutex_edges_are_labelled(self):
+    def test_mutex_edges_are_labelled(self, algorithm1_verbatim):
         compiler = compiler_for("abc")
         tree = compiler.compile(parse_expr("(a+b)*(a+c)"))
         dot = to_dot(tree)
         assert "⊔ a" in dot
         assert "a←False" in dot and "a←True" in dot
+
+    def test_table_leaf_is_labelled(self, numpy_kernels):
+        tree = assert_tabulated_twin(compiler_for("abc"), parse_expr("(a+b)*(a+c)"))
+        assert 'label="table {a, b, c} · 8 worlds", shape=box' in to_dot(tree)
+        assert tree.pretty() == "table {a, b, c} · 8 worlds"
 
     def test_module_tree_mentions_monoid(self):
         compiler = compiler_for(["x", "y"])

@@ -7,6 +7,7 @@ from repro.algebra.semiring import BOOLEAN
 from repro.core.compile import Compiler
 from repro.core.stats import collect_stats
 from repro.prob.variables import VariableRegistry
+from tests.conftest import assert_tabulated_twin
 
 
 def compiler_for(names, p=0.5):
@@ -33,12 +34,22 @@ class TestCollectStats:
         assert stats.plus_nodes == 1
         assert stats.decomposition_nodes >= 3
 
-    def test_mutex_counted(self):
+    def test_mutex_counted(self, algorithm1_verbatim):
         compiler = compiler_for("abc")
         tree = compiler.compile(parse_expr("(a+b)*(a+c)"))
         stats = collect_stats(tree)
         assert stats.mutex_nodes >= 1
         assert stats.mutex_branches >= 2
+        assert stats.table_leaves == stats.table_worlds == 0
+
+    def test_table_leaf_counted(self, numpy_kernels):
+        compiler = compiler_for("abc")
+        tree = assert_tabulated_twin(compiler, parse_expr("(a+b)*(a+c)"))
+        stats = collect_stats(tree, compiler.context)
+        assert (stats.table_leaves, stats.table_worlds) == (1, 8)
+        assert stats.dag_size == stats.leaf_count == 1
+        # The leaf's own distribution is what its table cost to bin.
+        assert stats.distribution_cost() == stats.max_distribution_size == 2
 
     def test_distribution_sizes_recorded_with_context(self):
         compiler = compiler_for("ab")
