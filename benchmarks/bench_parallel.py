@@ -1,28 +1,28 @@
-"""Multi-core execution: worker-count sweeps over the two cost centers.
+"""Multi-core execution: worker-count sweeps over the two seams that shard.
 
-Measures the ``workers`` knob on the paper's two expensive phases:
+Measures the ``workers`` knob where it is not a no-op (EXPERIMENTS.md,
+"Accelerator verdicts", has the curve that retired the other seams):
 
-* **MC-heavy** — a grouped-SUM query over a database with conjunctive
-  annotations; worlds are drawn and evaluated in deterministic shards
-  that spread across the process pool (each shard valuates the symbolic
-  answer over its worlds as one numpy batch; without numpy it loops over
-  them).  Also sweeps the sequential-stopping (ε, δ) interval path,
-  whose doubling rounds shard the same way.  The ``mc_codegen`` series
-  times the per-world loop itself, compiled against interpreted, on a
-  bag-semantics join — NATURALS has no batched form, so that loop runs
-  with or without numpy.
+* **Per-world Monte-Carlo** — a join + grouped SUM under bag semantics
+  (NATURALS has no batched form, so the per-world loop runs with or
+  without numpy); worlds are drawn and evaluated one by one in
+  deterministic shards that spread across the process pool.  Also sweeps
+  the sequential-stopping (ε, δ) interval path, whose doubling rounds
+  shard the same way.  The ``mc_codegen`` series times that loop itself,
+  compiled against interpreted (the script flips ``REPRO_CODEGEN``).
 * **Compilation-heavy** — an Experiment-A-style ``HAVING SUM(v) >= c``
   query: every group's answer annotation is an aggregation comparison
   over its own variable pool (clause structure mimicking join
   provenance), so step II compiles one hard, independent d-tree per
-  group; the sprout engine fans those compilations out per chunk.
+  group; the sprout engine fans those compilations out per chunk.  32
+  groups, so that a chunk is ≥100 ms of work.
 
-Every point *asserts serial/parallel answer identity* before recording a
-time — a conformance failure fails the benchmark (and the CI smoke leg)
-loudly.  Speedups are relative to ``workers=1`` (the sharded scheme run
-inline).  Note the machine matters: on a single-core container the pool
-can only add overhead; the committed reference JSON records the
-``cpu_count`` it was measured on.
+Every point *asserts answer identity across worker counts* before
+recording a time — a conformance failure fails the benchmark (and the CI
+smoke leg) loudly.  Speedups are relative to ``workers=None``, the
+serial code path a caller gets by default.  Note the machine matters: on
+a single-core container the pool can only add overhead; the committed
+reference JSON records the ``cpu_count`` it was measured on.
 
 Flags: ``--smoke`` (trimmed sweep for CI), ``--workers N`` (cap the
 sweep), ``--json PATH``, ``--baseline PATH``.
@@ -36,10 +36,12 @@ if __package__ in (None, ""):  # direct script execution: python benchmarks/...
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
+import os
 import random
 import statistics
 import sys
 import time
+from unittest import mock
 
 from benchmarks.common import BenchReport, print_series, smoke_mode
 from repro.algebra.expressions import Var, sprod, ssum
@@ -82,24 +84,6 @@ def worker_sweep(argv=None) -> list[int]:
 
 
 # -- workloads ----------------------------------------------------------------
-
-
-def build_mc_hard_database(rows: int, groups: int = 4, seed: int = 0):
-    """Conjunctively annotated fact table (correlated factors per row)."""
-    rng = random.Random(seed)
-    registry = VariableRegistry()
-    db = PVCDatabase(registry=registry, semiring=BOOLEAN)
-    table = db.create_table("R", ["a", "v"])
-    for i in range(rows):
-        x, y = f"r{i}", f"q{i}"
-        registry.bernoulli(x, 0.5)
-        registry.bernoulli(y, 0.6)
-        table.add((i % groups, rng.randint(0, 50)), Var(x) * Var(y))
-    return db
-
-
-def mc_hard_query():
-    return GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
 
 
 def build_mc_join_database(rows: int, dim_rows: int = 50, seed: int = 0):
@@ -190,12 +174,14 @@ def measure_mc_fixed(db, query, samples, workers, runs, seed=1):
         result = engine.run(query, spec, samples=samples)
         times.append(time.perf_counter() - start)
         fingerprint = _fingerprint_rows(result)
+        assert result.stats["batched"] is False, result.stats
         assert "parallel_fallback" not in result.stats, result.stats
     return times, fingerprint
 
 
 def measure_mc_codegen(db, query, samples, codegen, runs, seed=1):
-    """Fixed-budget MC on the per-world path with codegen forced on/off.
+    """Fixed-budget MC on the per-world path with ``REPRO_CODEGEN``
+    flipped on/off for the run.
 
     Serial (``workers=None``) so the measured difference is purely the
     per-world evaluator: interpreted instantiate-and-execute vs the bound
@@ -203,13 +189,14 @@ def measure_mc_codegen(db, query, samples, codegen, runs, seed=1):
     caller asserts the two evaluators estimate identically.
     """
     times, fingerprint = [], None
-    for run in range(runs):
-        engine = MonteCarloEngine(db, seed=seed, codegen=codegen)
-        start = time.perf_counter()
-        result = engine.run(query, samples=samples)
-        times.append(time.perf_counter() - start)
-        fingerprint = _fingerprint_rows(result)
-        assert result.stats.get("codegen_used", False) is codegen, result.stats
+    with mock.patch.dict(os.environ, REPRO_CODEGEN="1" if codegen else "0"):
+        for run in range(runs):
+            engine = MonteCarloEngine(db, seed=seed)
+            start = time.perf_counter()
+            result = engine.run(query, samples=samples)
+            times.append(time.perf_counter() - start)
+            fingerprint = _fingerprint_rows(result)
+            assert result.stats["codegen_used"] is codegen, result.stats
     return times, fingerprint
 
 
@@ -242,21 +229,29 @@ def measure_compile(db, query, workers, runs):
     return times, fingerprint
 
 
-def sweep(report, series, params, measure, sweep_workers):
-    """Measure one workload across the worker sweep, asserting that every
-    worker count reproduces the ``workers=1`` answer exactly."""
+def sweep(report, series, params, measure, sweep_workers, serial_answer):
+    """Measure one workload serially (``workers=None``) and across the
+    worker sweep, asserting that every worker count reproduces the
+    ``workers=1`` answer exactly — and the serial one where
+    ``serial_answer`` says the seam promises that (sprout does;
+    per-world Monte-Carlo draws ``workers=None`` from another stream).
+    """
     rows = []
     serial_mean, reference = None, None
-    for workers in sweep_workers:
+    for workers in [None, *sweep_workers]:
         times, fingerprint = measure(workers)
         mean = statistics.mean(times)
         stdev = statistics.stdev(times) if len(times) > 1 else 0.0
-        if reference is None:
-            serial_mean, reference = mean, fingerprint
-        elif fingerprint != reference:
-            raise AssertionError(
-                f"{series}: workers={workers} diverged from serial answers"
-            )
+        if workers is None:
+            serial_mean = mean
+        if workers is not None or serial_answer:
+            if reference is None:
+                reference = fingerprint
+            elif fingerprint != reference:
+                raise AssertionError(
+                    f"{series}: workers={workers} diverged from the "
+                    f"reference answers"
+                )
         speedup = serial_mean / mean if mean > 0 else 0.0
         report.add(
             series,
@@ -292,56 +287,67 @@ def main() -> None:
             "not speedup; the answers must still be identical"
         )
 
-    # MC-heavy: fixed-budget estimation, sharded.
-    mc_rows, mc_samples = (16, 1200) if smoke else (30, 6000)
-    db = build_mc_hard_database(rows=mc_rows)
-    query = mc_hard_query()
-    rows = sweep(
-        report,
-        "mc_per_world",
-        {"rows": mc_rows, "samples": mc_samples},
-        lambda w: measure_mc_fixed(db, query, mc_samples, w, runs),
-        workers,
-    )
-    print_series(
-        f"MC-heavy fixed budget ({mc_samples} worlds)",
-        ["workers", "mean_ms", "speedup"],
-        rows,
-    )
+    # Per-world MC: fixed-budget estimation over a bag-semantics join,
+    # sharded.  Sized so that a 512-world shard is well past pool
+    # dispatch cost and the whole run is seconds, not milliseconds.
+    query = mc_join_query()
+    for mc_rows, mc_samples in ((12, 1200),) if smoke else (
+        (40, 20000), (120, 20000), (400, 6000)
+    ):
+        db = build_mc_join_database(rows=mc_rows)
+        rows = sweep(
+            report,
+            "mc_per_world",
+            {"rows": mc_rows, "samples": mc_samples},
+            lambda w: measure_mc_fixed(db, query, mc_samples, w, runs),
+            workers,
+            serial_answer=False,
+        )
+        print_series(
+            f"Per-world MC fixed budget ({mc_rows} rows x {mc_samples} worlds)",
+            ["workers", "mean_ms", "speedup"],
+            rows,
+        )
 
     # MC sequential stopping: the interval path shards every round.
-    epsilon = 0.08 if smoke else 0.04
+    mc_rows, epsilon = (12, 0.08) if smoke else (40, 0.02)
+    db = build_mc_join_database(rows=mc_rows)
     rows = sweep(
         report,
         "mc_sequential",
         {"rows": mc_rows, "epsilon": epsilon},
         lambda w: measure_mc_sequential(db, query, epsilon, w, runs),
         workers,
+        serial_answer=False,
     )
     print_series(
-        f"MC sequential stopping (eps={epsilon})",
+        f"Per-world MC sequential stopping (eps={epsilon})",
         ["workers", "mean_ms", "speedup"],
         rows,
     )
 
     # Compilation-heavy: one hard d-tree per group, fanned out per chunk.
-    groups, terms, variables = (4, 10, 8) if smoke else (8, 25, 14)
-    db = build_compile_database(groups, terms, variables)
-    query = compile_query(120)
-    rows = sweep(
-        report,
-        "compile_groups",
-        {"groups": groups, "terms": terms, "variables": variables},
-        lambda w: measure_compile(db, query, w, runs),
-        workers,
-    )
-    print_series(
-        f"Compilation-heavy HAVING sweep ({groups} groups)",
-        ["workers", "mean_ms", "speedup"],
-        rows,
-    )
+    for groups, terms, variables in ((4, 10, 8),) if smoke else (
+        (32, 25, 14), (32, 40, 20)
+    ):
+        db = build_compile_database(groups, terms, variables)
+        query = compile_query(120)
+        rows = sweep(
+            report,
+            "compile_groups",
+            {"groups": groups, "terms": terms, "variables": variables},
+            lambda w: measure_compile(db, query, w, runs),
+            workers,
+            serial_answer=True,
+        )
+        print_series(
+            f"Compilation-heavy HAVING sweep ({groups} groups x {terms} "
+            f"terms x {variables} vars)",
+            ["workers", "mean_ms", "speedup"],
+            rows,
+        )
 
-    # Codegen on/off on the serial per-world MC loop: same drawn worlds,
+    # Codegen off/on on the serial per-world MC loop: same drawn worlds,
     # different evaluator — the answers must be bit-identical.  A
     # bag-semantics join, so the loop runs whether or not numpy is there
     # and per-world evaluation (not world sampling, which both evaluators

@@ -76,15 +76,15 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
     return compiled
 
 
-def bound_kernel_for(prepared, db, names, supports=None, codegen=None):
+def bound_kernel_for(prepared, db, names, supports=None):
     """The prepared query's kernel bound to ``db`` for the per-world
-    engines, or ``None`` when codegen is off (``codegen`` as in
-    :func:`codegen_enabled`) or the plan or the database's annotations
-    have no compiled form (``REPRO_CODEGEN_STRICT`` raises instead).
+    engines, or ``None`` when codegen is off (:func:`codegen_enabled`)
+    or the plan or the database's annotations have no compiled form
+    (``REPRO_CODEGEN_STRICT`` raises instead).
 
     ``names``/``supports`` are as in :meth:`CompiledPlan.bind`.
     """
-    if not codegen_enabled(codegen):
+    if not codegen_enabled():
         return None
     kernel = kernel_for(prepared, db.semiring)
     if kernel is None:

@@ -11,8 +11,8 @@ This module also owns the two process-wide knobs:
 
 * :func:`codegen_enabled` — the ``REPRO_CODEGEN`` escape hatch (default
   on; ``REPRO_CODEGEN=0`` restores the tree-walking interpreter
-  everywhere).  An explicit ``True``/``False`` (from ``EvalSpec.codegen``
-  or a session keyword) overrides the environment.
+  everywhere).  It is the only selector: the interpreter CI legs and
+  the differential tests flip it, nothing per run does.
 * :func:`codegen_strict` — ``REPRO_CODEGEN_STRICT=1`` turns silent
   interpreter fallback on compile failure into a raised error; the test
   suite runs strict so emitter bugs cannot hide behind the fallback.
@@ -54,15 +54,9 @@ class CodegenUnsupported(Exception):
 _OFF_VALUES = frozenset({"0", "false", "no", "off"})
 
 
-def codegen_enabled(override: bool | None = None) -> bool:
-    """Whether compiled execution is active.
-
-    ``override`` (an ``EvalSpec.codegen`` value or explicit keyword)
-    wins; otherwise the ``REPRO_CODEGEN`` environment variable decides,
-    defaulting to enabled.
-    """
-    if override is not None:
-        return bool(override)
+def codegen_enabled() -> bool:
+    """Whether compiled execution is active: the ``REPRO_CODEGEN``
+    environment variable decides, defaulting to enabled."""
     return os.environ.get("REPRO_CODEGEN", "1").strip().lower() not in _OFF_VALUES
 
 

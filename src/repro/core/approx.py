@@ -59,7 +59,6 @@ __all__ = [
     "ProbabilityBounds",
     "ApproximateCompiler",
     "approximate_probability",
-    "bounds_task",
 ]
 
 
@@ -259,37 +258,6 @@ class ApproximateCompiler:
             low += prob * child.low
             high += prob * child.high
         return ProbabilityBounds(low, high)
-
-
-def bounds_task(context, payload):
-    """Process-pool task: one row's budgeted refinement round.
-
-    The parallel seam of the approximate engine: within a refinement
-    round every pending row gets the same Shannon allowance, so the rows
-    are independent tasks.  ``context`` is the shared
-    ``(registry, semiring, annotations)`` — annotations ride in the
-    fork-inherited context so they cross the pickled call queue zero
-    times instead of once per refinement round; the payload carries only
-    the row's index, its allowance, and the exact sub-bounds an earlier
-    round proved (the cross-round seed).  Bounds are a pure function of
-    the inputs — a fresh :class:`~repro.algebra.simplify.Normalizer`
-    only loses cache *sharing*, never changes a result — so parallel
-    rounds are bit-identical to serial ones.
-
-    Returns ``(low, high, expansions, exact_bounds)``.
-    """
-    registry, semiring, annotations = context
-    index, allowance, seed_bounds = payload
-    approximator = ApproximateCompiler(
-        registry, allowance, semiring, seed_bounds=seed_bounds
-    )
-    bounds = approximator.bounds(annotations[index])
-    return (
-        bounds.low,
-        bounds.high,
-        approximator.expansions,
-        approximator.exact_bounds(),
-    )
 
 
 def approximate_probability(

@@ -26,14 +26,12 @@ from __future__ import annotations
 import time
 
 from repro.algebra.simplify import Normalizer
-from repro.core.approx import ApproximateCompiler, bounds_task
+from repro.core.approx import ApproximateCompiler
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult, ResultRow, SproutEngine
 from repro.errors import QueryTimeoutError, QueryValidationError
-from repro.parallel import pool as parallel_pool
-from repro.parallel.shards import resolve_workers
 from repro.query.ast import Query
-from repro.resilience.deadline import Deadline, deadline_scope
+from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_point
 
 __all__ = ["ApproxEngine"]
@@ -51,6 +49,10 @@ class ApproxEngine(SproutEngine):
 
     Step I (planning and symbolic rewriting), the plan memo and the
     distribution source are the exact engine's; only step II differs.
+    ``spec.workers`` is accepted and ignored: fanning a refinement round
+    out across processes lost to the serial loop at every size measured
+    (EXPERIMENTS.md, "Accelerator verdicts"), so every value returns the
+    serial answer.
     """
 
     name = "approx"
@@ -96,7 +98,7 @@ class ApproxEngine(SproutEngine):
         #: One deadline for the whole run (rewriting included), threaded
         #: into the ApproximateCompiler's Shannon loop (mid-row expiry
         #: degrades to unknown bounds, the same soundness as budget
-        #: exhaustion) and into the pool watchdog around fan-out rounds.
+        #: exhaustion).
         deadline = Deadline.after(spec.time_limit)
         start = time.perf_counter()
         table = self.rewrite(query)
@@ -118,29 +120,6 @@ class ApproxEngine(SproutEngine):
         rounds = 0
         exhausted = False
         timed_out = False
-        #: Per-row refinement is independent within a round, so rounds
-        #: fan out across a process pool — except under a global
-        #: expansion budget, where each row's allowance depends on what
-        #: earlier rows actually spent and the accounting must stay
-        #: sequential to remain deterministic.
-        effective_workers = resolve_workers(spec.workers)
-        fan_out = (
-            effective_workers is not None
-            and effective_workers > 1
-            and spec.budget is None
-        )
-        #: One pool for all refinement rounds (forked lazily on the
-        #: first round that dispatches more than one task).
-        shared = (
-            parallel_pool.SharedPool(
-                bounds_task,
-                (registry, semiring, tuple(annotations)),
-                effective_workers,
-            )
-            if fan_out
-            else None
-        )
-        parallel_stats: dict = {}
 
         def snapshot(converged: bool) -> QueryResult:
             rows = [
@@ -178,7 +157,6 @@ class ApproxEngine(SproutEngine):
             }
             if timed_out:
                 stats["deadline_hit"] = True
-            stats.update(parallel_stats)
             return QueryResult(
                 table.schema, rows, timings, engine=self.name, stats=stats
             )
@@ -199,76 +177,44 @@ class ApproxEngine(SproutEngine):
             if refined.width <= epsilon:
                 pending.discard(index)
 
-        try:
-            while pending and not exhausted:
-                rounds += 1
-                fault_point("engine.approx.round")
-                if fan_out and len(pending) > 1 and not out_of_time():
-                    # Every pending row gets the same allowance, so the round
-                    # is a pure fan-out; results merge in row order and are
-                    # bit-identical to the serial loop (the shared normalizer
-                    # below is only a cache).  Pool failures degrade to the
-                    # serial path inside SharedPool.run, recorded in stats.
-                    indices = sorted(pending)
-                    payloads = [(i, row_budget, seeds[i]) for i in indices]
-                    # The scope covers only this (yield-free) block: it
-                    # hands the deadline to the pool watchdog so a hung
-                    # round cannot outlive the time budget by more than
-                    # the watchdog grace period.
-                    with deadline_scope(deadline):
-                        results, info = shared.run(payloads)
-                    parallel_stats["workers"] = info["workers"]
-                    if "parallel_fallback" in info:
-                        parallel_stats["parallel_fallback"] = info[
-                            "parallel_fallback"
-                        ]
-                    for index, (low, high, spent, exact) in zip(indices, results):
-                        seeds[index] = exact
-                        expansions += spent
-                        refine(index, low, high)
-                    if out_of_time():
-                        exhausted = True
-                else:
-                    for index in sorted(pending):
-                        if spec.budget is not None and expansions >= spec.budget:
-                            exhausted = True
-                            break
-                        if out_of_time():
-                            exhausted = True
-                            break
-                        allowance = row_budget
-                        if spec.budget is not None:
-                            allowance = min(allowance, spec.budget - expansions)
-                        approximator = ApproximateCompiler(
-                            registry,
-                            allowance,
-                            semiring,
-                            normalizer=normalizer,
-                            seed_bounds=seeds[index],
-                            deadline=deadline,
-                        )
-                        bounds = approximator.bounds(annotations[index])
-                        seeds[index] = approximator.exact_bounds()
-                        expansions += approximator.expansions
-                        refine(
-                            index, bounds.low, bounds.high
-                        )
-                if not pending or exhausted:
-                    break
-                yield snapshot(converged=False)
-                row_budget *= 2
-                if row_budget > _MAX_ROW_BUDGET:
-                    if spec.budget is None and spec.time_limit is None:
-                        # Unbounded spec: finish the stragglers exactly.
-                        for index in sorted(pending):
-                            exact = 1.0 - row_compiler.distribution(
-                                annotations[index]
-                            )[semiring.zero]
-                            intervals[index] = ProbInterval.point(exact)
-                        pending.clear()
+        while pending and not exhausted:
+            rounds += 1
+            fault_point("engine.approx.round")
+            for index in sorted(pending):
+                if spec.budget is not None and expansions >= spec.budget:
                     exhausted = True
+                    break
+                if out_of_time():
+                    exhausted = True
+                    break
+                allowance = row_budget
+                if spec.budget is not None:
+                    allowance = min(allowance, spec.budget - expansions)
+                approximator = ApproximateCompiler(
+                    registry,
+                    allowance,
+                    semiring,
+                    normalizer=normalizer,
+                    seed_bounds=seeds[index],
+                    deadline=deadline,
+                )
+                bounds = approximator.bounds(annotations[index])
+                seeds[index] = approximator.exact_bounds()
+                expansions += approximator.expansions
+                refine(index, bounds.low, bounds.high)
+            if not pending or exhausted:
+                break
+            yield snapshot(converged=False)
+            row_budget *= 2
+            if row_budget > _MAX_ROW_BUDGET:
+                if spec.budget is None and spec.time_limit is None:
+                    # Unbounded spec: finish the stragglers exactly.
+                    for index in sorted(pending):
+                        exact = 1.0 - row_compiler.distribution(
+                            annotations[index]
+                        )[semiring.zero]
+                        intervals[index] = ProbInterval.point(exact)
+                    pending.clear()
+                exhausted = True
 
-            yield snapshot(converged=not pending)
-        finally:
-            if shared is not None:
-                shared.close()
+        yield snapshot(converged=not pending)

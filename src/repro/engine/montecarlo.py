@@ -38,8 +38,8 @@ The sampler is **batched**:
   same world twice, and it is the oracle the batched path is tested
   against.
 
-The sampler is also **sharded** when a ``workers`` count is requested:
-each batch is split by the deterministic planner of
+The per-world loop is also **sharded** when a ``workers`` count is
+requested: each batch is split by the deterministic planner of
 :mod:`repro.parallel.shards` into fixed-size shards whose RNG streams are
 spawned from a per-round token, the shards evaluate independently (on a
 process pool for ``workers >= 2``, inline for ``workers=1``), and the
@@ -49,6 +49,9 @@ run is **bit-identical** for any ``workers`` setting — including the
 sequential-stopping interval path, which shards every doubling round the
 same way.  A worker crash or pickle failure degrades to inline shard
 evaluation with the reason recorded in ``stats["parallel_fallback"]``.
+The batched path never shards — one numpy batch beats any split of it
+(EXPERIMENTS.md, "Accelerator verdicts") — so there ``workers`` is
+ignored and every value returns the ``workers=None`` stream's answer.
 
 Estimates remain plain empirical frequencies either way, and a fixed
 ``seed`` makes runs reproducible.
@@ -128,7 +131,6 @@ class _RunContext(NamedTuple):
     referenced: tuple
     #: The variables of the referenced tables, see ``_supports``.
     supports: dict
-    codegen: bool | None
     prepared: PreparedQuery
     #: ``(rows, nodes)`` of the symbolic answer when the batch evaluator
     #: applies (see ``_symbolic_rows``), else ``None``: per-world loop.
@@ -153,19 +155,11 @@ class MonteCarloEngine:
         db: PVCDatabase,
         seed: int | None = None,
         samples: int = 1000,
-        codegen: bool | None = None,
     ):
         self.db = db
         #: Fixed budget of :meth:`run` when neither ``samples=`` nor a
         #: ``"sample"`` spec says otherwise.
         self.samples = samples
-        #: Per-world execution strategy of the generic fallback: ``None``
-        #: follows the ``REPRO_CODEGEN`` environment knob, ``True``/
-        #: ``False`` force the compiled kernels on or off; a run's
-        #: ``spec.codegen`` takes precedence.  Compiled and interpreted
-        #: per-world evaluation are bit-identical, so this — like
-        #: ``workers`` — never changes a seeded answer.
-        self.codegen = codegen
         self.random = random.Random(seed)
         self._np_rng = (
             _np.random.default_rng(seed) if _np is not None else None
@@ -278,14 +272,12 @@ class MonteCarloEngine:
                 )
             return result
         if spec is not None and not (
-            spec.execution_only
-            and (spec.workers is not None or spec.codegen is not None)
+            spec.execution_only and spec.workers is not None
         ):
             # Remaining mode is "exact": sampling cannot honour that.
             # The single exception is a pure-execution spec — only the
-            # workers and/or codegen knobs set — which runs the
-            # fixed-budget estimator below without touching its answer
-            # semantics.
+            # workers knob set — which runs the fixed-budget estimator
+            # below without touching its answer semantics.
             raise QueryValidationError(
                 "montecarlo engine cannot guarantee exact answers; use "
                 "engine='sprout' or 'naive', or spec mode 'sample'"
@@ -295,7 +287,6 @@ class MonteCarloEngine:
             query,
             self.samples if samples is None else samples,
             workers=spec.workers if spec is not None else None,
-            codegen=spec.codegen if spec is not None else None,
         )
         info = {"wall_seconds": time.perf_counter() - start, **info}
         return concrete_result(
@@ -330,7 +321,6 @@ class MonteCarloEngine:
             "max_samples": spec.budget,
             "time_limit": spec.time_limit,
             "workers": spec.workers,
-            "codegen": spec.codegen,
         }
 
     # -- estimation ----------------------------------------------------------
@@ -340,32 +330,30 @@ class MonteCarloEngine:
         query: Query,
         samples: int = 1000,
         workers: int | str | None = None,
-        shard_size: int | None = None,
     ) -> dict[tuple, float]:
         """Empirical estimate of ``P[t ∈ answer]`` from ``samples`` worlds.
 
-        ``workers=None`` keeps the legacy single-stream sampler.  Any
+        ``workers=None`` keeps the single-stream sampler, and so does the
+        batched path whatever ``workers`` says.  On the per-world loop an
         explicit worker count (including 1) switches to the sharded
         scheme, whose seeded results are bit-identical across worker
         counts; ``workers >= 2`` evaluates the shards on a process pool.
         """
-        return self._estimate(query, samples, workers, shard_size)[0]
+        return self._estimate(query, samples, workers)[0]
 
     def _estimate(
-        self, query: Query, samples: int, workers=None, shard_size=None, codegen=None
+        self, query: Query, samples: int, workers=None
     ) -> tuple[dict[tuple, float], dict]:
         """:meth:`tuple_probabilities` plus the run's diagnostics."""
         if samples <= 0:
             raise ValueError("need at least one sample")
         validate_query(query, self.db.catalog())
         workers = resolve_workers(workers)
-        context = self._run_context(query, codegen)
-        if workers is None:
+        context = self._run_context(query)
+        if workers is None or context.symbolic is not None:
             counts, info = self._sampled_counts(context, samples)
         else:
-            counts, info = self._sharded_counts(
-                context, samples, workers, shard_size
-            )
+            counts, info = self._sharded_counts(context, samples, workers)
         probabilities = {
             values: count / samples for values, count in counts.items()
         }
@@ -376,17 +364,13 @@ class MonteCarloEngine:
             query, self.db.catalog(), self.db.cardinalities(), optimize=False
         )
 
-    def _run_context(
-        self, query: Query, codegen: bool | None = None
-    ) -> _RunContext:
+    def _run_context(self, query: Query) -> _RunContext:
         """Plan, run step I and read the variables' distributions — once.
 
         When the per-world loop will serve the run and codegen is on, the
         kernel is compiled here too: it rides the prepared plan's
         ``op_cache`` (a cheap picklable payload) into forked shards.
         """
-        if codegen is None:
-            codegen = self.codegen
         referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
         for name in referenced:
@@ -395,14 +379,13 @@ class MonteCarloEngine:
         symbolic = None
         if _np is not None and kernels.numpy_enabled():
             symbolic = self._symbolic_rows(prepared)
-        if symbolic is None and codegen_enabled(codegen):
+        if symbolic is None and codegen_enabled():
             kernel_for(prepared, self.db.semiring)
         return _RunContext(
             self,
             query,
             referenced,
             self._supports(sorted(needed)),
-            codegen,
             prepared,
             symbolic,
         )
@@ -439,7 +422,6 @@ class MonteCarloEngine:
             drawn,
             samples,
             context.prepared,
-            context.codegen,
         )
         info["batched"] = False
         return counts, info
@@ -451,10 +433,10 @@ class MonteCarloEngine:
         context: _RunContext,
         samples: int,
         workers: int,
-        shard_size: int | None = None,
         shared: parallel_pool.SharedPool | None = None,
     ) -> tuple[dict[tuple, int], dict]:
-        """Draw and evaluate ``samples`` worlds in deterministic shards.
+        """Draw ``samples`` worlds and evaluate them one by one, in
+        deterministic shards.
 
         The shard plan and the per-shard RNG seeds depend only on the
         batch size and on one token drawn from the engine's seeded parent
@@ -465,7 +447,7 @@ class MonteCarloEngine:
         a :class:`~repro.parallel.pool.SharedPool` so the pool forks once
         and serves every round.
         """
-        sizes = plan_shards(samples, shard_size)
+        sizes = plan_shards(samples)
         # One token per sampling round: the parent stream advances the
         # same way no matter how many shards or workers follow.
         token = self.random.getrandbits(63)
@@ -480,14 +462,12 @@ class MonteCarloEngine:
         counts = merge_counts(shard_counts for shard_counts, _ in results)
         shard_infos = [shard_info for _, shard_info in results]
         stats = {
-            "batched": all(i["batched"] for i in shard_infos),
+            "batched": False,
             "shards": len(sizes),
-            "codegen_used": any(i.get("codegen_used") for i in shard_infos),
+            "codegen_used": any(i["codegen_used"] for i in shard_infos),
+            "distinct_worlds": sum(i["distinct_worlds"] for i in shard_infos),
+            **info,
         }
-        stats.update(info)
-        distinct = sum(i.get("distinct_worlds", 0) for i in shard_infos)
-        if distinct:
-            stats["distinct_worlds"] = distinct
         return counts, stats
 
     def estimate_intervals(
@@ -499,8 +479,6 @@ class MonteCarloEngine:
         time_limit: float | None = None,
         initial_batch: int = 256,
         workers: int | str | None = None,
-        shard_size: int | None = None,
-        codegen: bool | None = None,
     ) -> tuple[dict[tuple, ProbInterval], dict]:
         """Sequential-stopping (ε, δ) estimation of ``P[t ∈ answer]``.
 
@@ -517,8 +495,6 @@ class MonteCarloEngine:
             time_limit=time_limit,
             initial_batch=initial_batch,
             workers=workers,
-            shard_size=shard_size,
-            codegen=codegen,
         ):
             pass
         return intervals, info
@@ -532,8 +508,6 @@ class MonteCarloEngine:
         time_limit: float | None = None,
         initial_batch: int = 256,
         workers: int | str | None = None,
-        shard_size: int | None = None,
-        codegen: bool | None = None,
     ):
         """Yield ``(intervals, info)`` snapshots of an (ε, δ) estimation.
 
@@ -551,12 +525,12 @@ class MonteCarloEngine:
         (matching :meth:`tuple_probabilities`); their true probability
         may still be positive but is at most the resolution of the draw.
 
-        With an explicit ``workers`` count every doubling round is drawn
-        through the deterministic sharded scheme, so seeded interval
-        trajectories — every snapshot, every stopping decision except a
-        wall-clock ``time_limit`` trip — are bit-identical across worker
-        counts.  ``codegen`` overrides the engine's per-world execution
-        strategy for this run.
+        On the per-world loop an explicit ``workers`` count draws every
+        doubling round through the deterministic sharded scheme, so
+        seeded interval trajectories — every snapshot, every stopping
+        decision except a wall-clock ``time_limit`` trip — are
+        bit-identical across worker counts.  The batched path ignores
+        ``workers``.
         """
         if epsilon <= 0.0:
             raise ValueError("sequential stopping needs epsilon > 0")
@@ -570,7 +544,9 @@ class MonteCarloEngine:
             max_samples = math.ceil(
                 2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
             )
-        context = self._run_context(query, codegen)
+        context = self._run_context(query)
+        if context.symbolic is not None:
+            workers = None
         shared = (
             parallel_pool.SharedPool(_evaluate_shard, context, workers)
             if workers is not None
@@ -585,7 +561,6 @@ class MonteCarloEngine:
                 time_limit,
                 initial_batch,
                 workers,
-                shard_size,
                 shared,
             )
         finally:
@@ -619,7 +594,6 @@ class MonteCarloEngine:
         time_limit,
         initial_batch,
         workers,
-        shard_size,
         shared,
     ):
         """The doubling-round loop of :meth:`estimate_intervals_iter`
@@ -629,7 +603,6 @@ class MonteCarloEngine:
         totals: dict[tuple, int] = {}
         drawn_total = 0
         round_no = 0
-        batched = True
         codegen_used = False
         round_info: dict = {}
         while True:
@@ -660,16 +633,14 @@ class MonteCarloEngine:
                         )
                     else:
                         counts, round_info = self._sharded_counts(
-                            context, batch, workers, shard_size, shared
+                            context, batch, workers, shared
                         )
-                    round_batched = round_info["batched"]
             except DeadlineExceeded:
                 if deadline is None or not deadline.expired():
                     raise  # an outer scope's deadline: not ours to absorb
                 # Out of time mid-round: the unfinished round is dropped
                 # whole and the run ends on the samples it already has.
-                counts, batch, round_batched = {}, 0, True
-            batched = batched and round_batched
+                counts, batch = {}, 0
             drawn_total += batch
             for values, count in counts.items():
                 totals[values] = totals.get(values, 0) + count
@@ -694,7 +665,7 @@ class MonteCarloEngine:
             info = {
                 "samples": drawn_total,
                 "rounds": round_no,
-                "batched": batched,
+                "batched": context.symbolic is not None,
                 "converged": converged,
                 "max_width": max_width,
                 "wall_seconds": elapsed,
@@ -756,7 +727,6 @@ class MonteCarloEngine:
         drawn,
         samples: int,
         prepared=None,
-        codegen: bool | None = None,
     ) -> tuple[dict[tuple, int], dict]:
         """Evaluate sampled worlds one by one, memoising repeated worlds.
 
@@ -771,8 +741,6 @@ class MonteCarloEngine:
         and interpreted evaluation yield bit-identical supports.  Returns
         the counts and ``{"codegen_used", "distinct_worlds"}``.
         """
-        if codegen is None:
-            codegen = self.codegen
         names = list(drawn)
         supports = [drawn[name][0] for name in names]
         index_columns = [drawn[name][1] for name in names]
@@ -780,7 +748,7 @@ class MonteCarloEngine:
         tables = [(name, self.db.tables[name]) for name in referenced]
         if prepared is None:
             prepared = self._prepare(query)
-        bound = bound_kernel_for(prepared, self.db, names, supports, codegen)
+        bound = bound_kernel_for(prepared, self.db, names, supports)
         counts: dict[tuple, int] = {}
         world_cache: dict[tuple, list] = {}
         distinct = 0
@@ -804,9 +772,7 @@ class MonteCarloEngine:
                         name: table.instantiate(valuation, semiring)
                         for name, table in tables
                     }
-                    result = execute_deterministic(
-                        prepared, world, semiring, codegen=codegen
-                    )
+                    result = execute_deterministic(prepared, world, semiring)
                     support = list(result.support())
                 world_cache[key] = support
             for values in support:
@@ -866,10 +832,9 @@ class MonteCarloEngine:
         semimodule values counts its present worlds, one with them counts
         the distinct value combinations among its present worlds.  Worlds
         are valuated in chunks of at most ``_BATCH_CELLS`` cells — counts
-        add over disjoint sets of worlds, which is what sharding relies
-        on too.  Returns ``None`` when the batch evaluator does not apply
-        (callers holding a run context pass its ``symbolic`` and never
-        see that).
+        add over disjoint sets of worlds.  Returns ``None`` when the
+        batch evaluator does not apply (callers holding a run context
+        pass its ``symbolic`` and never see that).
         """
         if symbolic is None:
             symbolic = self._symbolic_rows(self._prepare(query))

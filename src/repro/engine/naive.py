@@ -46,23 +46,20 @@ __all__ = ["NaiveEngine"]
 class NaiveEngine:
     """Exact query answering by explicit possible-world enumeration.
 
-    ``codegen`` selects per-world execution: ``None`` (default) follows
-    the ``REPRO_CODEGEN`` environment knob, ``True``/``False`` force the
-    compiled kernels on or off; a run's ``spec.codegen`` takes precedence.
-    With a kernel available the enumeration loop becomes tight: the plan
-    is compiled once, bound once (hoisting deterministic tables, hash
-    indexes and static subplans out of the loop), and each world runs one
-    fused function — with answers bit-identical to the interpreted loop.
+    With a kernel available (see :func:`repro.codegen.codegen_enabled`)
+    the enumeration loop becomes tight: the plan is compiled once, bound
+    once (hoisting deterministic tables, hash indexes and static subplans
+    out of the loop), and each world runs one fused function — with
+    answers bit-identical to the interpreted loop.
     """
 
     name = "naive"
 
-    def __init__(self, db: PVCDatabase, codegen: bool | None = None):
+    def __init__(self, db: PVCDatabase):
         self.db = db
-        self.codegen = codegen
 
     def _worlds(
-        self, query: Query, codegen: bool | None
+        self, query: Query
     ) -> tuple[Iterator[tuple[dict, float]], bool]:
         """The one enumeration loop behind every oracle sweep.
 
@@ -81,7 +78,7 @@ class NaiveEngine:
             extract_joins=False,
         )
         names = sorted(db.variables)
-        bound = bound_kernel_for(prepared, db, names, codegen=codegen)
+        bound = bound_kernel_for(prepared, db, names)
         if bound is not None:
             worlds = (
                 (valuation.assignment, probability)
@@ -94,9 +91,7 @@ class NaiveEngine:
             worlds = enumerate_database_worlds(db)
 
             def evaluate(world):
-                result = execute_deterministic(
-                    prepared, world, semiring, codegen=codegen
-                )
+                result = execute_deterministic(prepared, world, semiring)
                 return dict(result.tuples())
 
         def sweep():
@@ -110,9 +105,9 @@ class NaiveEngine:
 
         return sweep(), bound is not None
 
-    def _estimate(self, query: Query, codegen: bool | None) -> tuple[dict, dict]:
+    def _estimate(self, query: Query) -> tuple[dict, dict]:
         """``({answer tuple: probability}, info)`` by a full sweep."""
-        worlds, codegen_used = self._worlds(query, codegen)
+        worlds, codegen_used = self._worlds(query)
         probabilities: dict[tuple, float] = {}
         for answer, probability in worlds:
             for values in answer:
@@ -127,14 +122,14 @@ class NaiveEngine:
         values, so e.g. ⟨'M&S', 15⟩ and ⟨'M&S', 50⟩ are distinct answers
         whose probabilities generally do not sum to 1.
         """
-        return self._estimate(query, self.codegen)[0]
+        return self._estimate(query)[0]
 
     def multiplicity_distribution(self, query: Query, values: tuple) -> Distribution:
         """Distribution of the multiplicity of one answer tuple."""
         values = tuple(values)
         zero = self.db.semiring.zero
         accum: dict = {}
-        for answer, probability in self._worlds(query, self.codegen)[0]:
+        for answer, probability in self._worlds(query)[0]:
             mult = answer.get(values, zero)
             accum[mult] = accum.get(mult, 0.0) + probability
         return Distribution(accum)
@@ -146,7 +141,7 @@ class NaiveEngine:
         answer across worlds, used to validate joint behaviours.
         """
         accum: dict = {}
-        for answer, probability in self._worlds(query, self.codegen)[0]:
+        for answer, probability in self._worlds(query)[0]:
             key = frozenset(answer)
             accum[key] = accum.get(key, 0.0) + probability
         return Distribution(accum)
@@ -168,14 +163,11 @@ class NaiveEngine:
                 f"naive engine takes no run options, got {sorted(options)}"
             )
         reject_non_exact(self.name, spec)
-        codegen = self.codegen
-        if spec is not None and spec.codegen is not None:
-            codegen = spec.codegen
         counters = runtime_stats()
         start = time.perf_counter()
         try:
             with deadline_scope(deadline_from_spec(spec)):
-                probabilities, info = self._estimate(query, codegen)
+                probabilities, info = self._estimate(query)
         except DeadlineExceeded as exc:
             raise QueryTimeoutError(
                 f"{exc}; a partial possible-worlds sweep is no sound answer",

@@ -174,12 +174,19 @@ class EvalSpec:
         Wall-clock cap in seconds; refinement stops at the last completed
         round, reporting the (still sound) wider intervals.
     ``workers``:
-        Multi-core execution: ``None`` (default) keeps every engine on
-        its serial code path, an integer ``>= 1`` runs the deterministic
-        sharded scheme on that many processes, and ``"auto"`` uses the
-        machine's CPU count.  Seeded results are bit-identical for any
-        worker count (see :mod:`repro.parallel`); ``workers`` therefore
-        changes *how fast* an answer arrives, never *what* it is.
+        Multi-core execution of the two seams it pays on (the measured
+        curve is in EXPERIMENTS.md): sprout's step II, which fans the
+        compilation of independent result rows out across a process
+        pool, and Monte-Carlo's *per-world* loop (bag semantics, numpy
+        off, semimodule values stored in base tables), which evaluates
+        deterministic shards of the drawn worlds in parallel.  ``None``
+        (default) is serial, an integer ``>= 1`` runs the sharded scheme
+        on that many processes, ``"auto"`` uses the machine's CPU count.
+        The approx engine and batched Monte-Carlo ignore it: they return
+        the ``workers=None`` answer, bit for bit.  On the two seams,
+        seeded results are bit-identical for any worker count (see
+        :mod:`repro.parallel`), so ``workers`` changes *how fast* an
+        answer arrives, never *what* it is.
     ``on_timeout``:
         What happens when the ``time_limit`` deadline trips:
         ``"partial"`` (default) degrades to the best *sound* answer
@@ -188,13 +195,6 @@ class EvalSpec:
         raises :class:`~repro.errors.QueryTimeoutError` carrying that
         same partial result.  The naive engine has no sound partial
         (its tuple set is incomplete mid-enumeration) and always raises.
-    ``codegen``:
-        Whether deterministic per-world evaluation may use the compiled
-        plan kernels of :mod:`repro.codegen`: ``None`` (default) follows
-        the ``REPRO_CODEGEN`` environment knob, ``True``/``False`` force
-        it per run.  Compiled and interpreted execution are bit-identical
-        (the interpreter is the conformance oracle), so this — like
-        ``workers`` — changes only *how fast* an answer arrives.
     """
 
     mode: str = "exact"
@@ -204,7 +204,6 @@ class EvalSpec:
     time_limit: float | None = None
     workers: int | str | None = None
     on_timeout: str = "partial"
-    codegen: bool | None = None
 
     def __post_init__(self):
         if self.mode not in EVAL_MODES:
@@ -233,10 +232,6 @@ class EvalSpec:
             raise QueryValidationError(
                 f"on_timeout must be 'partial' or 'raise', "
                 f"got {self.on_timeout!r}"
-            )
-        if self.codegen not in (None, True, False):
-            raise QueryValidationError(
-                f"codegen must be True, False or None, got {self.codegen!r}"
             )
 
     @classmethod
@@ -316,13 +311,9 @@ class EvalSpec:
         fixed-budget run" (allowed) from an explicit exact-mode request
         (still an error: sampling cannot guarantee exact answers).
         ``on_timeout`` is a degradation policy, not a quality field, so
-        it does not count either; neither does ``codegen``, which is
-        answer-neutral by construction.
+        it does not count either.
         """
-        return (
-            replace(self, workers=None, on_timeout="partial", codegen=None)
-            == EvalSpec()
-        )
+        return replace(self, workers=None, on_timeout="partial") == EvalSpec()
 
 
 #: The spec's field names, in declaration (and wire) order.

@@ -2,9 +2,11 @@
 
 The paper's two cost centers — d-tree knowledge compilation and
 Monte-Carlo estimation — are embarrassingly parallel at natural seams:
-independent result-row annotations compile independently, and independent
-sampling rounds shard across processes.  This package provides the three
-pieces the engines build on:
+independent result-row annotations compile independently, and the worlds
+of a per-world sampling loop shard across processes.  Those are the two
+seams that measurably pay (EXPERIMENTS.md, "Accelerator verdicts"); the
+approx engine and batched Monte-Carlo stay serial.  This package provides
+the three pieces the engines build on:
 
 * :mod:`repro.parallel.shards` — the deterministic shard planner: batch
   sizes and per-shard RNG seed material depend only on the batch and the
@@ -20,7 +22,8 @@ pieces the engines build on:
 
 The user-facing knob is ``workers`` (``int | "auto"``, default serial),
 threaded from :meth:`repro.session.Session.run` through
-:class:`repro.engine.spec.EvalSpec` into every engine.
+:class:`repro.engine.spec.EvalSpec` into the engines; those without a
+parallel seam ignore it.
 """
 
 from repro.parallel.pool import (

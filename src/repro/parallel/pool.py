@@ -167,8 +167,8 @@ def _gather(executor, payloads, timeout: float | None = None) -> list:
 class SharedPool:
     """A reusable fork pool bound to one ``(worker, context)`` pair.
 
-    Iterative engines (sequential-stopping Monte-Carlo, approx
-    refinement) run many rounds against the *same* shared context; this
+    Sequential-stopping Monte-Carlo on the per-world loop runs many
+    rounds against the *same* shared context; this
     handle forks the worker pool once, on the first round that actually
     needs it, and reuses it until :meth:`close`.  Each :meth:`run` has
     the same contract as :func:`execute`: results in payload order, an

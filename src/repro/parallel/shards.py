@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 #: Default worlds per Monte-Carlo shard: large enough that a shard's
-#: vectorized batch evaluation dominates its dispatch cost, small enough
-#: that a few thousand samples already spread across several workers.
+#: per-world loop dominates its dispatch cost, small enough that a few
+#: thousand samples already spread across several workers.
 DEFAULT_SHARD_SIZE = 512
 
 _MASK64 = (1 << 64) - 1

@@ -131,21 +131,18 @@ def execute_deterministic(
     prepared: PreparedQuery,
     world: Mapping[str, Relation],
     semiring,
-    *,
-    codegen: bool | None = None,
 ) -> Relation:
     """Execute the plan on one deterministic world (concrete multiplicities).
 
     By default this runs the plan's compiled kernel (see
     :mod:`repro.codegen`), falling back to the interpreter — the plan
     walk over the concrete domain — when the plan has no compiled form.
-    ``codegen=False`` — or the ``REPRO_CODEGEN=0`` environment escape
-    hatch — forces the interpreter; the two produce bit-identical
-    relations.
+    The ``REPRO_CODEGEN=0`` environment escape hatch forces the
+    interpreter; the two produce bit-identical relations.
     """
     from repro.resilience.deadline import check_deadline
 
-    kernel = kernel_for(prepared, semiring) if codegen_enabled(codegen) else None
+    kernel = kernel_for(prepared, semiring) if codegen_enabled() else None
     if kernel is not None:
         tuples = kernel.execute(world, check_deadline=check_deadline)
     else:

@@ -56,6 +56,7 @@ from dataclasses import asdict, dataclass, replace
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.base import CompilationCache, ENGINE_NAMES, PlanCache
+from repro.engine.spec import _SPEC_FIELDS
 from repro.errors import QueryValidationError, ReproError
 from repro.server import http as http_protocol
 from repro.server import tcp as tcp_protocol
@@ -69,13 +70,6 @@ __all__ = [
     "ProtocolError",
     "ServerOverloadedError",
 ]
-
-#: EvalSpec fields accepted in a request's "spec" object.
-_SPEC_FIELDS = (
-    "mode", "epsilon", "delta", "budget", "time_limit", "workers",
-    "on_timeout",
-)
-
 
 class ProtocolError(ReproError):
     """A request violates the wire protocol (malformed envelope)."""

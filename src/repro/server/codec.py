@@ -261,7 +261,6 @@ def spec_payload(
     time_limit: float | None = None,
     workers: int | str | None = None,
     on_timeout: str | None = None,
-    codegen: bool | None = None,
 ) -> dict | None:
     """Assemble the wire form of an evaluation spec from client inputs.
 
@@ -281,7 +280,6 @@ def spec_payload(
             ("time_limit", time_limit),
             ("workers", workers),
             ("on_timeout", on_timeout),
-            ("codegen", codegen),
         )
         if value is not None
     }

@@ -290,7 +290,6 @@ class Session:
         time_limit,
         workers=None,
         on_timeout=None,
-        codegen=None,
     ) -> EvalSpec | None:
         """The :class:`EvalSpec` the caller asked for, or ``None``.
 
@@ -310,7 +309,7 @@ class Session:
             value is None
             for value in (
                 mode, epsilon, delta, budget, time_limit, workers,
-                on_timeout, codegen,
+                on_timeout,
             )
         ):
             return None
@@ -327,7 +326,6 @@ class Session:
             time_limit=time_limit,
             workers=workers,
             on_timeout=on_timeout,
-            codegen=codegen,
         )
         if engine_name == "montecarlo" and built.mode == "exact":
             # Only the session can tell an *explicit* exact request from
@@ -343,8 +341,7 @@ class Session:
                 and not spec.execution_only
             )
             if explicitly_exact or not (
-                built.execution_only
-                and (built.workers is not None or built.codegen is not None)
+                built.execution_only and built.workers is not None
             ):
                 raise QueryValidationError(
                     "montecarlo engine cannot guarantee exact answers; use "
@@ -399,7 +396,6 @@ class Session:
         time_limit: float | None = None,
         workers: int | str | None = None,
         on_timeout: str | None = None,
-        codegen: bool | None = None,
         **options,
     ) -> QueryResult:
         """Evaluate ``query`` and return a :class:`QueryResult`.
@@ -422,9 +418,10 @@ class Session:
         and ``result.stats`` carries the per-run diagnostics uniformly
         across engines.  ``samples`` remains the legacy fixed budget of
         the Monte-Carlo engine.  ``workers`` (``int | "auto"``) runs the
-        engine's multi-core scheme — sharded sampling for Monte-Carlo,
-        parallel per-row compilation for sprout/approx — with seeded
-        results bit-identical to serial execution.  Extra ``options`` are
+        engine's multi-core scheme — parallel per-row compilation for
+        sprout, sharded sampling for Monte-Carlo's per-world loop — with
+        seeded results bit-identical for any worker count; approx and
+        batched Monte-Carlo ignore it.  Extra ``options`` are
         forwarded to the engine (e.g. ``compute_probabilities=`` for
         sprout).
 
@@ -433,16 +430,11 @@ class Session:
         ``"partial"`` (default) returns the best sound answer obtained so
         far, ``"raise"`` raises
         :class:`~repro.errors.QueryTimeoutError` carrying that partial.
-
-        ``codegen`` (``True``/``False``/``None``) forces the compiled
-        per-world kernels on or off for this run; the default follows the
-        ``REPRO_CODEGEN`` environment knob.  Like ``workers`` it never
-        changes an answer, only how fast it arrives.
         """
         engine = self.default_engine if engine is None else engine
         spec = self._build_spec(
             engine, spec, mode, epsilon, delta, budget, time_limit, workers,
-            on_timeout, codegen,
+            on_timeout,
         )
         query, name, spec = self._resolve(query, engine, samples, spec, options)
         return self.engine(name).run(query, spec=spec, **options)
@@ -459,7 +451,6 @@ class Session:
         time_limit: float | None = None,
         workers: int | str | None = None,
         on_timeout: str | None = None,
-        codegen: bool | None = None,
         **options,
     ):
         """Anytime evaluation: yield progressively refined results.
@@ -479,7 +470,7 @@ class Session:
         engine = self.default_engine if engine is None else engine
         spec = self._build_spec(
             engine, spec, mode, epsilon, delta, budget, time_limit, workers,
-            on_timeout, codegen,
+            on_timeout,
         )
         if engine in ("approx", "montecarlo") and (
             spec is None or spec.execution_only

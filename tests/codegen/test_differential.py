@@ -9,7 +9,9 @@ that order.
 
 from __future__ import annotations
 
+import os
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -24,7 +26,8 @@ def _prepare(db, query):
 
 
 def _interpreted(prepared, world, semiring):
-    result = execute_deterministic(prepared, world, semiring, codegen=False)
+    with mock.patch.dict(os.environ, REPRO_CODEGEN="0"):
+        result = execute_deterministic(prepared, world, semiring)
     return list(result.tuples())
 
 

@@ -39,12 +39,6 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_CODEGEN", "1")
         assert codegen_enabled() is True
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
-        assert codegen_enabled(True) is True
-        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        assert codegen_enabled(False) is False
-
     def test_strict_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CODEGEN_STRICT", raising=False)
         assert codegen_strict() is False

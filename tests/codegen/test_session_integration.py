@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine.spec import EvalSpec
 from repro.errors import QueryValidationError
-from repro.server.codec import VOLATILE_STAT_KEYS, fingerprint, spec_payload
+from repro.server.codec import VOLATILE_STAT_KEYS, fingerprint
 from repro.session import connect
 
 
@@ -39,39 +39,35 @@ GROUP = (
 class TestFingerprintInvariance:
     @pytest.mark.parametrize("sql", [JOIN, GROUP], ids=["join", "group"])
     @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
-    def test_naive_codegen_invisible(self, sql, workers):
+    def test_naive_codegen_invisible(self, sql, workers, monkeypatch):
         prints = set()
-        for codegen in (True, False):
-            result = shop("naive").run(sql, workers=workers, codegen=codegen)
+        for codegen in ("1", "0"):
+            monkeypatch.setenv("REPRO_CODEGEN", codegen)
+            result = shop("naive").run(sql, workers=workers)
             prints.add(fingerprint(result))
         assert len(prints) == 1
 
     @pytest.mark.parametrize("sql", [JOIN, GROUP], ids=["join", "group"])
     @pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
-    def test_montecarlo_codegen_invisible(self, sql, workers):
+    def test_montecarlo_codegen_invisible(self, sql, workers, monkeypatch):
         prints = set()
-        for codegen in (True, False):
+        for codegen in ("1", "0"):
+            monkeypatch.setenv("REPRO_CODEGEN", codegen)
             result = shop("montecarlo", seed=11).run(
-                sql, spec="sample", budget=256, workers=workers, codegen=codegen
+                sql, spec="sample", budget=256, workers=workers
             )
             prints.add(fingerprint(result))
         assert len(prints) == 1
-
-    def test_naive_reports_codegen_used(self):
-        on = shop("naive").run(JOIN, codegen=True)
-        off = shop("naive").run(JOIN, codegen=False)
-        assert on.stats["codegen_used"] is True
-        assert on.stats["kernels_compiled"] >= 1
-        assert off.stats["codegen_used"] is False
-        assert off.stats["kernels_compiled"] == 0
 
     def test_env_escape_hatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN", "0")
         result = shop("naive").run(JOIN)
         assert result.stats["codegen_used"] is False
+        assert result.stats["kernels_compiled"] == 0
         monkeypatch.setenv("REPRO_CODEGEN", "1")
         again = shop("naive").run(JOIN)
         assert again.stats["codegen_used"] is True
+        assert again.stats["kernels_compiled"] >= 1
         assert fingerprint(result) == fingerprint(again)
 
 
@@ -93,24 +89,17 @@ class TestExplainCode:
 
 
 class TestSpecPlumbing:
-    def test_spec_field_round_trips(self):
-        spec = EvalSpec.make("approx", codegen=False)
-        assert spec.codegen is False
-        assert EvalSpec.from_json(spec.to_json()) == spec
-
-    def test_spec_validates_codegen(self):
-        with pytest.raises(QueryValidationError):
-            EvalSpec(codegen="yes")
-
-    def test_codegen_is_execution_only(self):
-        assert EvalSpec(codegen=True).execution_only
-        assert EvalSpec(codegen=False).execution_only
-        assert not EvalSpec(mode="approx", codegen=True).execution_only
-
-    def test_spec_payload_carries_codegen(self):
-        payload = spec_payload(None, codegen=False)
-        assert payload == {"codegen": False}
-        assert spec_payload(None) is None
+    def test_codegen_is_not_a_spec_field(self):
+        """``REPRO_CODEGEN`` is the one selector; nothing per run."""
+        assert "codegen" not in EvalSpec().to_json()
+        with pytest.raises(
+            QueryValidationError, match=r"unknown EvalSpec fields \['codegen'\]"
+        ):
+            EvalSpec.from_json({"codegen": True})
+        with pytest.raises(
+            QueryValidationError, match=r"unknown EvalSpec fields \['codegen'\]"
+        ):
+            EvalSpec.make("approx", codegen=False)
 
     def test_codec_treats_codegen_stats_as_volatile(self):
         assert {

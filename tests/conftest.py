@@ -39,6 +39,15 @@ def algorithm1_verbatim():
 
 
 @pytest.fixture
+def per_world_monte_carlo():
+    """:func:`kernels_off` for the test (forked shard workers inherit
+    it): Monte-Carlo has no batch evaluator, so every run takes the
+    per-world loop — the one path ``workers`` shards."""
+    with kernels_off():
+        yield
+
+
+@pytest.fixture
 def numpy_kernels():
     """Numpy kernels on for the test, whatever leg the suite runs on."""
     if not kernels.numpy_available():

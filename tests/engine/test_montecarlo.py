@@ -213,7 +213,7 @@ class TestBatchedSampler:
             1000,
         )
         assert info["distinct_worlds"] <= 4
-        result = engine.run(relation("R"), samples=1000, spec=EvalSpec(codegen=False))
+        result = engine.run(relation("R"), samples=1000)
         if not result.stats["batched"]:
             assert result.stats["distinct_worlds"] <= 4
 
@@ -236,31 +236,31 @@ class TestBatchedSampler:
         assert all(values[-1] <= 12 for values in batched)
 
 
+@pytest.mark.usefixtures("per_world_monte_carlo")
 class TestShardedSampler:
-    """The deterministic sharded scheme behind the ``workers`` knob."""
+    """The deterministic sharded scheme behind the ``workers`` knob —
+    the per-world loop's; the batched path ignores ``workers``."""
 
     def test_counts_identical_across_worker_counts(self):
         db = two_table_db()
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
         estimates = [
             MonteCarloEngine(db, seed=7).tuple_probabilities(
-                query, 2000, workers=workers, shard_size=256
+                query, 2000, workers=workers
             )
             for workers in (1, 2, 4, "auto")
         ]
         assert all(estimate == estimates[0] for estimate in estimates)
 
-    def test_per_world_fallback_shards_identically(self):
-        """Complex annotations force the generic per-world path; shard
-        merging must still be worker-count independent there."""
+    def test_correlated_annotations_shard_identically(self):
         db = simple_db()
         db.tables["R"].add((2, 30), Var("x") * Var("y"))
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
         first = MonteCarloEngine(db, seed=3).tuple_probabilities(
-            query, 1200, workers=1, shard_size=128
+            query, 1200, workers=1
         )
         second = MonteCarloEngine(db, seed=3).tuple_probabilities(
-            query, 1200, workers=3, shard_size=128
+            query, 1200, workers=3
         )
         assert first == second
 
@@ -325,7 +325,6 @@ class TestShardedSampler:
                     relation("R"),
                     epsilon=0.05,
                     initial_batch=128,
-                    shard_size=64,
                     workers=workers,
                 )
             ]

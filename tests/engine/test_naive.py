@@ -102,8 +102,11 @@ class TestDeadlineCheckpoint:
 
     @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "interp"])
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-    def test_sweep_raises_under_an_expired_scope(self, sweep, codegen):
-        engine = NaiveEngine(simple_db(), codegen=codegen)
+    def test_sweep_raises_under_an_expired_scope(
+        self, sweep, codegen, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CODEGEN", "1" if codegen else "0")
+        engine = NaiveEngine(simple_db())
         deadline = Deadline(0.001)
         time.sleep(0.005)
         with deadline_scope(deadline):

@@ -4,7 +4,8 @@ Every scenario asserts the same contract: when the parallel layer cannot
 run (worker crash, un-picklable payload, missing fork), the engine falls
 back to serial execution, records the reason in
 ``stats["parallel_fallback"]``, and still returns exactly the answer the
-serial engine computes.
+serial engine computes.  The two seams that open a pool are sprout's
+step II and Monte-Carlo's per-world loop.
 """
 
 import pickle
@@ -45,6 +46,7 @@ def _broken_pool(monkeypatch, reason):
     monkeypatch.setattr(pool, "_gather", broken)
 
 
+@pytest.mark.usefixtures("per_world_monte_carlo")
 class TestMonteCarloDegradation:
     def test_simulated_crash_falls_back_and_matches_serial(
         self, monkeypatch, session
@@ -71,7 +73,6 @@ class TestMonteCarloDegradation:
             session.table("R").select("kind").build(),
             epsilon=0.05,
             workers=1,
-            shard_size=128,
         )
         _broken_pool(monkeypatch, "pickle_error")
         degraded = connect(seed=9, database=session.db).engine(
@@ -80,7 +81,6 @@ class TestMonteCarloDegradation:
             session.table("R").select("kind").build(),
             epsilon=0.05,
             workers=4,
-            shard_size=128,
         )
         assert degraded[1]["parallel_fallback"] == "pickle_error"
         assert degraded[0] == serial[0]
@@ -134,21 +134,44 @@ class TestCompilationDegradation:
         assert degraded.stats["parallel_fallback"] == "worker_crash"
         assert _probs(degraded) == serial
 
-    def test_approx_simulated_crash(self, monkeypatch, session):
+
+class TestSeamsWithoutAPool:
+    """``workers=`` off the two seams: a broken pool cannot be noticed,
+    because none is opened."""
+
+    def test_approx_never_opens_a_pool(self, monkeypatch, session):
         query = session.table("R").group_by("kind").agg(n=count_())
-        serial = _probs(
-            session.run(query, engine="approx", epsilon=0.05, workers=1)
-        )
+        serial = _probs(session.run(query, engine="approx", epsilon=0.05))
         _broken_pool(monkeypatch, "worker_crash")
         s2 = connect(seed=3, database=session.db)
-        degraded = s2.run(query, engine="approx", epsilon=0.05, workers=2)
-        assert degraded.stats["parallel_fallback"] == "worker_crash"
-        assert _probs(degraded) == serial
+        ignored = s2.run(query, engine="approx", epsilon=0.05, workers=2)
+        assert "parallel_fallback" not in ignored.stats
+        assert "workers" not in ignored.stats
+        assert _probs(ignored) == serial
+
+    @pytest.mark.parametrize(
+        "options", [{"samples": 2000}, {"epsilon": 0.05}], ids=["fixed", "sequential"]
+    )
+    def test_batched_montecarlo_never_opens_a_pool(
+        self, monkeypatch, session, numpy_kernels, options
+    ):
+        query = session.table("R").select("kind")
+        serial = connect(seed=9, database=session.db).run(
+            query, engine="montecarlo", **options
+        )
+        assert serial.stats["batched"] is True
+        _broken_pool(monkeypatch, "worker_crash")
+        ignored = connect(seed=9, database=session.db).run(
+            query, engine="montecarlo", workers=2, **options
+        )
+        assert "parallel_fallback" not in ignored.stats
+        assert "workers" not in ignored.stats
+        assert _probs(ignored) == _probs(serial)
 
 
 class TestNoForkPlatforms:
     def test_all_parallel_engines_degrade_without_fork(
-        self, monkeypatch, session
+        self, monkeypatch, session, per_world_monte_carlo
     ):
         monkeypatch.setattr(pool, "fork_available", lambda: False)
         query = session.table("R").group_by("kind").agg(n=count_())

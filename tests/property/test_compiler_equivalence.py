@@ -7,6 +7,9 @@ conditional expressions, under both set (B) and bag (N) semantics, with
 and without pruning, and across all Shannon heuristics.
 """
 
+import os
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,9 +215,8 @@ class TestRowLevelHomomorphism:
                 name: table.instantiate(valuation, BOOLEAN)
                 for name, table in db.tables.items()
             }
-            concrete = execute_deterministic(
-                prepared, world, BOOLEAN, codegen=False
-            )
+            with mock.patch.dict(os.environ, REPRO_CODEGEN="0"):
+                concrete = execute_deterministic(prepared, world, BOOLEAN)
             assert symbolic.instantiate(valuation, BOOLEAN) == concrete
 
 

@@ -8,8 +8,9 @@ Python value types, same counts — for every query shape of
 ``strategies.queries()``, over databases with correlated annotations
 (sums and products of shared variables), certain rows and rows stored
 with duplicate values.  The batched path is never compared with itself:
-the oracle is ``_per_world_counts`` on the same columns, or a run whose
-batch evaluator is switched off.
+the oracle is ``_per_world_counts`` on the same columns, or
+``_evaluate_drawn`` on a run context whose batch evaluator is switched
+off.
 """
 
 from unittest import mock
@@ -25,7 +26,6 @@ from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
-from repro.engine.spec import EvalSpec
 from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Product, Project, Select, relation
@@ -111,33 +111,21 @@ def test_chunked_valuation_adds_up(db, query, seed):
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    correlated_databases(),
-    queries(),
-    st.integers(0, 999),
-    st.sampled_from([None, 1, 2]),
-)
-def test_seeded_estimates_equal_a_per_world_run(db, query, seed, workers):
-    """End to end, any ``workers``: the same seeded draws, once through
-    the batch evaluator and once with it switched off."""
+@given(correlated_databases(), queries(), st.integers(0, 999))
+def test_run_context_counts_equal_a_per_world_evaluation(db, query, seed):
+    """Through the run's own dispatch: the same drawn columns, once
+    through the batch evaluator and once with it switched off."""
     if not kernels.numpy_enabled():
-        return  # the run itself then takes the per-world loop
-    options = {"samples": 150, "workers": workers, "shard_size": 64}
-    spec = None if workers is None else EvalSpec(workers=workers)
-
-    def batched():
-        run = MonteCarloEngine(db, seed=seed).run(query, spec, samples=150)
-        return run.stats["batched"]
-
-    estimate = MonteCarloEngine(db, seed=seed).tuple_probabilities(query, **options)
-    assert batched() is True
-    with mock.patch.object(
-        MonteCarloEngine, "_symbolic_rows", lambda *args: None
-    ):
-        oracle = MonteCarloEngine(db, seed=seed).tuple_probabilities(
-            query, **options
-        )
-        assert batched() is False
+        return  # the run context then has no batched form to compare
+    engine = MonteCarloEngine(db, seed=seed)
+    context = engine._run_context(query)
+    drawn = engine._sample_index_columns(context.supports, 150)
+    estimate, info = engine._evaluate_drawn(context, drawn, 150)
+    assert info["batched"] is True
+    oracle, info = engine._evaluate_drawn(
+        context._replace(symbolic=None), drawn, 150
+    )
+    assert info["batched"] is False
     assert typed(estimate) == typed(oracle)
 
 

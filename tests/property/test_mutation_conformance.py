@@ -12,6 +12,9 @@ here.
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,16 +105,16 @@ def fingerprint(result):
     ]
 
 
-#: The comparison grid: (engine, run options).  The Monte-Carlo leg is
-#: seeded and must only be instantiated at comparison time, so the warm
-#: and cold adapters consume identical RNG streams.
+#: The comparison grid: (engine, environment, run options) — naive, the
+#: engine that evaluates per world, with the kernels off and on.  The
+#: Monte-Carlo leg is seeded and must only be instantiated at comparison
+#: time, so the warm and cold adapters consume identical RNG streams.
 GRID = (
-    ("sprout", {"codegen": False}),
-    ("sprout", {"codegen": True}),
-    ("naive", {"codegen": False}),
-    ("naive", {"codegen": True}),
-    ("approx", {"epsilon": 0.01}),
-    ("montecarlo", {"epsilon": 0.1}),
+    ("sprout", {}, {}),
+    ("naive", {"REPRO_CODEGEN": "0"}, {}),
+    ("naive", {"REPRO_CODEGEN": "1"}, {}),
+    ("approx", {}, {"epsilon": 0.01}),
+    ("montecarlo", {}, {"epsilon": 0.1}),
 )
 
 
@@ -127,10 +130,11 @@ def test_warm_session_matches_rebuilt_session_on_every_engine(script):
     apply_script(warm, script)
     cold = rebuilt_from_scratch(warm)
     for query in queries(warm):
-        for engine, options in GRID:
-            left = fingerprint(warm.run(query, engine=engine, **options))
-            right = fingerprint(cold.run(query, engine=engine, **options))
-            assert left == right, (engine, options, script)
+        for engine, environ, options in GRID:
+            with mock.patch.dict(os.environ, environ):
+                left = fingerprint(warm.run(query, engine=engine, **options))
+                right = fingerprint(cold.run(query, engine=engine, **options))
+            assert left == right, (engine, environ, options, script)
 
 
 def test_workers_grid_after_fixed_script():

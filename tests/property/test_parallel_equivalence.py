@@ -3,29 +3,39 @@
 Random workloads come from the Eq.-11 generator
 (:mod:`repro.workloads.random_expr`): each example builds a small
 pvc-database whose row annotations are independently generated
-aggregation conditions over a shared Bernoulli variable pool.  Two
+aggregation conditions over a shared Bernoulli variable pool.  Three
 properties are checked on every example:
 
-* **Sharded Monte-Carlo determinism** — seeded (ε, δ) interval
-  estimation returns *exactly* the same intervals (and the same stopping
-  trajectory) for any worker count, because the shard plan and per-shard
-  RNG streams are worker-count independent.
+* **Sharded Monte-Carlo determinism** — on the per-world loop, seeded
+  (ε, δ) interval estimation returns *exactly* the same intervals (and
+  the same stopping trajectory) for any worker count, because the shard
+  plan and per-shard RNG streams are worker-count independent.
 * **Parallel exact compilation soundness** — sprout with a worker pool
-  matches the brute-force possible-worlds oracle to 1e-9, i.e. the
+  matches the brute-force possible-worlds oracle to 1e-9, and
+  fingerprints identically at ``workers=1`` and ``workers=2``, i.e. the
   compile fan-out is a pure execution strategy.
+* **``workers`` is a no-op off those two seams** — the approx engine and
+  batched Monte-Carlo fingerprint identically for ``workers`` ``None``,
+  1 and 2, and report no pool.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import connect
 from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.sprout import SproutEngine
+from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, relation
+from repro.server.codec import fingerprint
 from repro.workloads.random_expr import ExprParams, generate_condition
+
+from tests.conftest import kernels_off
 
 
 @st.composite
@@ -63,29 +73,70 @@ def condition_databases(draw):
     return db
 
 
+def _interval_snapshot(db, seed, workers):
+    """A seeded (ε, δ) estimation whose rounds span several shards."""
+    intervals, info = MonteCarloEngine(db, seed=seed).estimate_intervals(
+        relation("R"),
+        epsilon=0.02,
+        delta=0.1,
+        max_samples=2560,
+        initial_batch=1280,
+        workers=workers,
+    )
+    assert info.get("parallel_fallback") is None
+    return (
+        {key: (i.low, i.high) for key, i in intervals.items()},
+        info["samples"],
+        info["rounds"],
+        info["batched"],
+    )
+
+
 @settings(max_examples=8, deadline=None)
 @given(db=condition_databases(), seed=st.integers(min_value=0, max_value=999))
 def test_seeded_parallel_mc_intervals_equal_serial_exactly(db, seed):
-    query = relation("R")
-    snapshots = {}
-    for workers in (1, 3):
-        engine = MonteCarloEngine(db, seed=seed)
-        intervals, info = engine.estimate_intervals(
-            query,
-            epsilon=0.15,
-            delta=0.1,
-            max_samples=512,
-            initial_batch=128,
-            shard_size=64,
-            workers=workers,
+    with kernels_off():  # the per-world loop: the path workers= shards
+        snapshots = {
+            workers: _interval_snapshot(db, seed, workers)
+            for workers in (1, 2, 3)
+        }
+    assert snapshots[1][-1] is False
+    assert snapshots[1] == snapshots[2] == snapshots[3]
+
+
+@pytest.mark.skipif(
+    not kernels.numpy_enabled(), reason="the batch evaluator needs numpy"
+)
+@settings(max_examples=8, deadline=None)
+@given(db=condition_databases(), seed=st.integers(min_value=0, max_value=999))
+def test_batched_mc_ignores_workers(db, seed):
+    snapshots = [
+        _interval_snapshot(db, seed, workers) for workers in (None, 1, 2)
+    ]
+    assert snapshots[0][-1] is True
+    assert snapshots[0] == snapshots[1] == snapshots[2]
+    prints = set()
+    for workers in (None, 1, 2, "auto"):
+        result = connect(database=db, seed=seed).run(
+            relation("R"), engine="montecarlo", samples=700, workers=workers
         )
-        assert info.get("parallel_fallback") is None
-        snapshots[workers] = (
-            {key: (i.low, i.high) for key, i in intervals.items()},
-            info["samples"],
-            info["rounds"],
+        assert "workers" not in result.stats and "shards" not in result.stats
+        prints.add(fingerprint(result))
+    assert len(prints) == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(db=condition_databases())
+def test_approx_ignores_workers(db):
+    prints = set()
+    for workers in (None, 1, 2, "auto"):
+        result = connect(database=db).run(
+            relation("R"), engine="approx", epsilon=0.01, workers=workers
         )
-    assert snapshots[1] == snapshots[3]
+        assert "workers" not in result.stats
+        assert "parallel_fallback" not in result.stats
+        prints.add(fingerprint(result))
+    assert len(prints) == 1
 
 
 @settings(max_examples=6, deadline=None)
@@ -96,11 +147,12 @@ def test_parallel_sprout_matches_brute_force_oracle(db):
         GroupAgg(relation("R"), [], [AggSpec.of("n", "COUNT", None)]),
     ]
     oracle = NaiveEngine(db)
-    engine = SproutEngine(db)
     for query in queries:
         expected = oracle.tuple_probabilities(query)
-        result = engine.run(query, workers=2)
+        result = SproutEngine(db).run(query, workers=2)
         assert result.stats.get("parallel_fallback") is None
+        inline = SproutEngine(db).run(query, workers=1)
+        assert fingerprint(inline) == fingerprint(result)
         actual = result.tuple_probabilities()
         assert set(actual) == set(expected)
         for key, probability in expected.items():

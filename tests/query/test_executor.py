@@ -43,7 +43,9 @@ def test_every_physical_operator_is_dispatched():
 
 
 @pytest.fixture(params=[False, True], ids=["interpreter", "kernel"])
-def run(request):
+def run(request, monkeypatch):
+    monkeypatch.setenv("REPRO_CODEGEN", "1" if request.param else "0")
+
     def run(query, semiring, **tables):
         world = {
             name: Relation(Schema(attributes), semiring, rows)
@@ -55,9 +57,7 @@ def run(request):
             {name: len(rel) for name, rel in world.items()},
             optimize=False,
         )
-        return execute_deterministic(
-            prepared, world, semiring, codegen=request.param
-        )
+        return execute_deterministic(prepared, world, semiring)
 
     return run
 

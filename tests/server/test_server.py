@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.engine.spec import EvalSpec
 from repro.server import (
     DEMO_QUERIES,
     ProtocolError,
@@ -112,6 +113,38 @@ class TestConcurrentConformance:
         http_result, tcp_result = run(scenario())
         assert fingerprint(http_result) == expected[ZOO[3]]
         assert fingerprint(tcp_result) == expected[ZOO[3]]
+
+    def test_client_encoded_evalspec_is_accepted_on_every_op(self):
+        """``ServerClient`` sends ``EvalSpec.to_json()`` — every field,
+        defaults included — and the server accepts exactly the spec's
+        own field list, over HTTP, TCP and the stream op."""
+        spec = EvalSpec(mode="approx", epsilon=0.01)
+        sql = ZOO[1]
+        expected = fingerprint(
+            demo_session().run(sql, engine="approx", spec=spec)
+        )
+
+        async def scenario():
+            server = await booted()
+            try:
+                async with client_for(server) as c:
+                    http_result = await c.query(sql, engine="approx", spec=spec)
+                    tcp_result = await c.tcp_query(
+                        sql, engine="approx", spec=spec
+                    )
+                    snapshots = [
+                        snap async for snap in c.stream(
+                            sql, engine="approx", spec=spec
+                        )
+                    ]
+                    return http_result, tcp_result, snapshots
+            finally:
+                await server.stop()
+
+        http_result, tcp_result, snapshots = run(scenario())
+        assert fingerprint(http_result) == expected
+        assert fingerprint(tcp_result) == expected
+        assert fingerprint(snapshots[-1]) == expected
 
     def test_montecarlo_seeded_tenants_are_reproducible(self):
         """Sampling engines hold RNG state per session; two fresh tenants

@@ -133,8 +133,6 @@ class TestEndToEndMutations:
             for engine, options in [
                 ("sprout", {}),
                 ("naive", {}),
-                ("sprout", {"codegen": True}),
-                ("sprout", {"codegen": False}),
                 ("sprout", {"workers": 2}),
                 ("approx", {"epsilon": 0.01}),
                 ("montecarlo", {"epsilon": 0.06}),
