@@ -53,6 +53,18 @@ kernel on plan         the prepared plan object    never: a fused kernel (and
                                                    accessors beside it) is
                                                    data-independent and lives
                                                    and dies with its plan
+step-I answer on plan  the prepared plan object    with its plan; and replaced
+(``symbolic_answer``)  (``answer``) + the          when the stamp differs: any
+                       database and the ``(table,  row change in a read table,
+                       epoch)`` of each table the  a recreated table, another
+                       query reads, by identity,   database.  ``p=`` updates
+                       read before the walk; rows  and writes to other tables
+                       kept from the second run    keep it (annotations are
+                       at one stamp                lineage)
+engine choice on plan  the same record + the       any row change in any table
+(``Classification``)   independence memo entry,    (the memo entry is
+                       by identity                 replaced); re-derived on
+                                                   the next ``auto`` run
 table record           the table's epoch, read     any row change: ``add``
 (``PVCTable._views``)  before the rows             patches a current record
                                                    forward, update/delete and

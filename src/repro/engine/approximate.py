@@ -101,7 +101,7 @@ class ApproxEngine(SproutEngine):
         #: exhaustion).
         deadline = Deadline.after(spec.time_limit)
         start = time.perf_counter()
-        table = self.rewrite(query)
+        table, reused = self._step_one(query)
         rewrite_seconds = time.perf_counter() - start
 
         registry = self.db.registry
@@ -153,6 +153,7 @@ class ApproxEngine(SproutEngine):
                 "converged": converged,
                 "max_width": max(widths, default=0.0),
                 "epsilon": epsilon,
+                "step1_reused": reused,
                 "db_generation": self.db.generation,
             }
             if timed_out:

@@ -50,6 +50,7 @@ from repro.query.ast import Query
 from repro.query.tractability import (
     Classification,
     classify_query,
+    independence_record,
     tuple_independent_relations,
 )
 
@@ -281,16 +282,40 @@ class PlanCache(BoundedLRU):
     every tenant session the same cache, so a statement one tenant
     prepared skips the optimizer and physical planner for every other
     tenant.  Thread-safe like :class:`CompilationCache`.
+
+    An entry also carries its plan's step-I answer
+    (:func:`~repro.query.executor.symbolic_answer`): one slot per plan,
+    stamped with the table epochs it read, so the answers kept are
+    bounded by ``max_entries`` and go when the plan goes — evicted,
+    re-keyed by an insert or delete, or cleared by ``Session.close()``.
+    ``answers_reused`` counts the executions served from a slot.
     """
+
+    #: What this class writes beside the LRU's own methods.
+    _shared_state_ = {"_lock": ("answers_reused",)}
 
     def __init__(self, max_entries: int | None = 256):
         super().__init__(max_entries)
+        self.answers_reused = 0
 
     def get(self, query: Query, fingerprint: tuple):
         return self.lookup((query, fingerprint))
 
+    def known(self, query: Query, fingerprint: tuple):
+        """:meth:`get` without touching the counters."""
+        return self.peek((query, fingerprint))
+
     def put(self, query: Query, fingerprint: tuple, prepared) -> None:
         self.store((query, fingerprint), prepared)
+
+    def note_answer_reused(self) -> None:
+        with self._lock:
+            self.answers_reused += 1
+
+    def stats(self) -> dict:
+        """The LRU counters plus ``answers_reused``."""
+        with self._lock:
+            return {**super().stats(), "answers_reused": self.answers_reused}
 
 
 def create_engine(
@@ -327,6 +352,7 @@ def select_engine_name(
     *,
     spec: EvalSpec | None = None,
     tuple_independent: set[str] | None = None,
+    prepared=None,
 ) -> tuple[str, Classification]:
     """The ``engine="auto"`` policy (Theorem 3 as a dispatcher).
 
@@ -345,10 +371,25 @@ def select_engine_name(
     tuple-independent is read from facts the tables' write paths
     maintain (:func:`~repro.query.tractability.tuple_independent_relations`),
     never from their rows.  ``tuple_independent`` overrides that set.
+
+    ``prepared`` — the query's memoised plan, when the caller has one —
+    keeps the classification on the plan's answer record, stamped with
+    the independence facts it was derived from (one object per database
+    until a row of any table changes), so a hot statement classifies
+    once per table state.
     """
-    if tuple_independent is None:
-        tuple_independent = tuple_independent_relations(db)
-    classification = classify_query(query, db.catalog(), tuple_independent)
+    if prepared is not None and tuple_independent is None:
+        facts = independence_record(db)
+        kept = prepared.answer.classification
+        if kept is not None and kept[0] is facts:
+            classification = kept[1]
+        else:
+            classification = classify_query(query, db.catalog(), facts[1])
+            prepared.answer.classification = (facts, classification)
+    else:
+        if tuple_independent is None:
+            tuple_independent = tuple_independent_relations(db)
+        classification = classify_query(query, db.catalog(), tuple_independent)
     if spec is not None and spec.mode == "sample":
         return "montecarlo", classification
     if spec is not None and spec.mode == "approx":

@@ -43,8 +43,8 @@ from repro.resilience.faults import fault_point
 from repro.query.executor import (
     PreparedQuery,
     execute_deterministic,
-    execute_symbolic,
     prepare,
+    symbolic_answer,
 )
 from repro.codegen import runtime_stats  # after repro.query: they import each other
 
@@ -374,16 +374,10 @@ class SproutEngine:
         would).  That keeps post-mutation answers bit-identical to a
         from-scratch session, row order included.
         """
-        plans, tables = self.plan_source, self.db.tables
+        plans = self.plan_source
         prepared = None
         if plans is not None:
-            # An unknown relation is left out: the lookup then misses and
-            # ``prepare`` raises the validation error.
-            fingerprint = tuple(
-                (name, len(tables[name]))
-                for name in query.base_relations()
-                if name in tables
-            )
+            fingerprint = self._fingerprint(query)
             prepared = plans.get(query, fingerprint)
         if prepared is None:
             prepared = prepare(query, self.db.catalog(), self.db.cardinalities())
@@ -391,9 +385,38 @@ class SproutEngine:
                 plans.put(query, fingerprint, prepared)
         return prepared
 
+    def _fingerprint(self, query: Query) -> tuple:
+        """Row counts of the tables ``query`` reads.  An unknown relation
+        is left out: the lookup then misses and ``prepare`` raises the
+        validation error."""
+        tables = self.db.tables
+        return tuple(
+            (name, len(tables[name]))
+            for name in query.base_relations()
+            if name in tables
+        )
+
+    def known_plan(self, query: Query) -> PreparedQuery | None:
+        """The memoised plan of ``query`` if :meth:`prepare` already made
+        one — an uncounted peek, for what rides on the plan's record
+        before the run's own (counted) lookup."""
+        plans = self.plan_source
+        if plans is None:
+            return None
+        return plans.known(query, self._fingerprint(query))
+
     def rewrite(self, query: Query) -> PVCTable:
         """Step I only: the pvc-table of symbolic result tuples (⟦·⟧)."""
-        return execute_symbolic(self.prepare(query), self.db)
+        return self._step_one(query)[0]
+
+    def _step_one(self, query: Query) -> tuple[PVCTable, bool]:
+        """``(table, reused)``: step I through the plan memo, whose entry
+        keeps the answer for the table epochs it read (see
+        :func:`~repro.query.executor.symbolic_answer`)."""
+        table, reused = symbolic_answer(self.prepare(query), self.db)
+        if reused and self.plan_source is not None:
+            self.plan_source.note_answer_reused()
+        return table, reused
 
     def _compiler(self):
         """The distribution source result rows compile through."""
@@ -447,7 +470,7 @@ class SproutEngine:
 
     def _run(self, query, compute_probabilities, workers) -> QueryResult:
         start = time.perf_counter()
-        table = execute_symbolic(self.prepare(query), self.db)
+        table, reused = self._step_one(query)
         rewrite_seconds = time.perf_counter() - start
 
         compiler = self._compiler()
@@ -497,6 +520,7 @@ class SproutEngine:
         stats = {
             "wall_seconds": rewrite_seconds + probability_seconds,
             "rows": len(rows),
+            "step1_reused": reused,
         }
         if deadline_hit:
             stats["deadline_hit"] = True

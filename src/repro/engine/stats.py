@@ -47,6 +47,10 @@ VOLATILE_STAT_KEYS = frozenset({
     # reports a different generation than a fresh session rebuilt from
     # the same final data — while their answers are bit-identical.
     "db_generation",
+    # Whether step I was served from the prepared plan's answer slot is
+    # cache warmth: a fresh session walks the plan, a warm one does not,
+    # and both return the same rows in the same order.
+    "step1_reused",
 })
 
 #: Stats keys that are a deterministic function of the query, the data

@@ -119,7 +119,12 @@ class HashJoin(PhysicalOp):
     the build side is always a fresh input, which for a base-table scan
     means the executor reuses the table's *cached* hash index instead of
     rebuilding one per execution — cheaper across repeated queries even
-    when the incoming side is the larger one."""
+    when the incoming side is the larger one.
+
+    That index is what a *re-walk* saves (a write moved a read table, or
+    the plan is new); a repeat at unchanged table epochs does not walk
+    at all — :func:`~repro.query.executor.symbolic_answer` serves the
+    rows the plan kept."""
 
     left: PhysicalOp
     right: PhysicalOp

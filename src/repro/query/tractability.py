@@ -243,15 +243,23 @@ def tuple_independent_relations(db: PVCDatabase) -> frozenset:
     after: an answer computed while a writer moved one of them is
     discarded, never returned or published.
     """
+    return independence_record(db)[1]
+
+
+def independence_record(db: PVCDatabase) -> tuple:
+    """The ``(table epochs, names)`` memo entry behind
+    :func:`tuple_independent_relations`: the same object until a row of
+    any table changes, so its identity stamps whatever else is derived
+    from the independence facts."""
     while True:
         epochs = db.table_epochs()
         memo = db.independence_memo
         if memo is not None and memo[0] == epochs:
-            return memo[1]
+            return memo
         answer = _independent_tables(db)
         if db.table_epochs() == epochs:
-            db.independence_memo = (epochs, answer)
-            return answer
+            memo = db.independence_memo = (epochs, answer)
+            return memo
 
 
 def _independent_tables(db: PVCDatabase) -> frozenset:

@@ -543,13 +543,11 @@ class QueryServer:
             fields.setdefault("workers", self.config.eval_workers)
             session, lock = self._acquire_tenant(tenant)
             try:
-                query, statement_hit = await self._offload(
-                    self.statements.get_or_parse, sql
-                )
                 async with lock:
-                    result = await self._offload(
-                        session.run,
-                        query,
+                    result, statement_hit = await self._offload(
+                        self._run_statement,
+                        session,
+                        sql,
                         engine=engine,
                         samples=samples,
                         **fields,
@@ -560,11 +558,17 @@ class QueryServer:
             self._release_slot()
         self._count("completed")
         return {
-            "result": result_to_json(result),
+            "result": result,
             "tenant": tenant,
             "degraded": degraded,
             "statement_cache_hit": statement_hit,
         }
+
+    def _run_statement(self, session: Session, sql: str, **options) -> tuple:
+        """One request's blocking work, as one executor hop: statement
+        lookup, evaluation and encoding.  ``(encoded result, hit)``."""
+        query, statement_hit = self.statements.get_or_parse(sql)
+        return result_to_json(session.run(query, **options)), statement_hit
 
     async def execute_stream(self, payload):
         """Async generator of ``run_iter`` snapshots (the TCP stream op).
@@ -592,9 +596,6 @@ class QueryServer:
             fields.setdefault("workers", self.config.eval_workers)
             session, lock = self._acquire_tenant(tenant)
             try:
-                query, statement_hit = await self._offload(
-                    self.statements.get_or_parse, sql
-                )
                 loop = asyncio.get_running_loop()
                 # Hand-off between the run_iter thread and the async
                 # consumer is a *thread* queue with a stop flag: the
@@ -618,12 +619,16 @@ class QueryServer:
                 def producer():
                     try:
                         try:
+                            # The statement lookup rides the producer's
+                            # executor hop, like the one-shot path's.
+                            query, hit = self.statements.get_or_parse(sql)
                             for snapshot in session.run_iter(
                                 query, engine=engine, **fields
                             ):
-                                if not push(
-                                    ("snapshot", result_to_json(snapshot))
-                                ):
+                                if not push((
+                                    "snapshot",
+                                    (result_to_json(snapshot), hit),
+                                )):
                                     return
                         except BaseException as exc:  # to the consumer
                             push(("error", exc))
@@ -658,8 +663,9 @@ class QueryServer:
                         kind, value = await next_item()
                         if kind == "snapshot":
                             seq += 1
+                            snapshot, statement_hit = value
                             yield {
-                                "snapshot": value,
+                                "snapshot": snapshot,
                                 "seq": seq,
                                 "tenant": tenant,
                                 "degraded": degraded,

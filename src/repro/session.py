@@ -55,7 +55,7 @@ from repro.errors import QueryValidationError, SchemaError
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import Query, relation
 from repro.query.builder import QueryBuilder
-from repro.query.executor import evaluate, prepare
+from repro.query.executor import prepare
 from repro.query.physical import explain_plan
 from repro.query.sql import parse_sql
 from repro.query.tractability import (
@@ -363,7 +363,12 @@ class Session:
         name = engine
         auto = name == "auto"
         if auto:
-            name, _ = select_engine_name(self.db, query, spec=spec)
+            name, _ = select_engine_name(
+                self.db,
+                query,
+                spec=spec,
+                prepared=self.engine("sprout").known_plan(query),
+            )
             if name == "approx" and (spec is None or spec.is_exact):
                 # Hard query under exact intent: degrade to *guaranteed*
                 # approximation — deterministic ε-bounds — rather than an
@@ -518,8 +523,10 @@ class Session:
         )
 
     def rewrite(self, query):
-        """Step I only: the pvc-table of symbolic result tuples (⟦·⟧)."""
-        return evaluate(self._lower(query), self.db)
+        """Step I only: the pvc-table of symbolic result tuples (⟦·⟧) —
+        through the sprout engine's ``prepare``, like every run; the
+        table is the caller's own."""
+        return self.engine("sprout").rewrite(self._lower(query))
 
     def explain(
         self, query, *, optimize: bool = True, format: str = "plan"

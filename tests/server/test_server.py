@@ -164,6 +164,57 @@ class TestConcurrentConformance:
         assert fingerprint(a) == fingerprint(b)
 
 
+class TestStepOneReuse:
+    #: The benchmark's hot zoo: the demo queries plus COUNT/SUM/MIN per
+    #: kind at five thresholds.
+    HOT_ZOO = tuple(DEMO_QUERIES) + tuple(
+        f"SELECT kind, {agg} AS x FROM R WHERE value >= {threshold} "
+        f"GROUP BY kind"
+        for agg in ("COUNT(*)", "SUM(value)", "MIN(value)")
+        for threshold in (10, 20, 30, 40, 50)
+    )
+
+    def test_hot_statements_reuse_step_one_and_adhoc_texts_never_do(self):
+        """Two passes admit the hot zoo's answers (second sight); from
+        the next pass on every hot statement is served from its plan's
+        slot, across tenants.  A never-repeated text runs its plan once
+        and keeps nothing."""
+        session = demo_session()
+        expected = {sql: fingerprint(session.sql(sql)) for sql in self.HOT_ZOO}
+
+        async def scenario():
+            server = await booted()
+            try:
+                passes = []
+                for tenant in ("warm-1", "warm-2", "hot"):
+                    async with client_for(server, tenant=tenant) as c:
+                        passes.append(
+                            {sql: await c.query(sql) for sql in self.HOT_ZOO}
+                        )
+                async with client_for(server, tenant="adhoc") as c:
+                    adhoc = [
+                        await c.query(
+                            f"SELECT kind, value FROM R WHERE value <= {x}.125"
+                        )
+                        for x in range(10, 40)
+                    ]
+                    stats = await c.stats()
+                return passes, adhoc, stats
+            finally:
+                await server.stop()
+
+        passes, adhoc, stats = run(scenario())
+        assert len(self.HOT_ZOO) == 22
+        for results in passes:
+            for sql, remote in results.items():
+                assert fingerprint(remote) == expected[sql], sql
+        for results in passes[:2]:
+            assert not any(r.stats["step1_reused"] for r in results.values())
+        assert all(r.stats["step1_reused"] for r in passes[2].values())
+        assert not any(r.stats["step1_reused"] for r in adhoc)
+        assert stats["plan_cache"]["answers_reused"] == 22
+
+
 class TestBackpressure:
     def test_soft_limit_degrades_to_sound_intervals(self):
         """With soft_limit=0 every request degrades: answers become
