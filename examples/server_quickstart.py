@@ -44,7 +44,12 @@ async def main():
             print(f"alice: {len(first)} rows via {first.engine} "
                   f"(statement cache hit: {first.statement_cache_hit})")
             print(f"bob:   {len(again)} rows via {again.engine} "
-                  f"(statement cache hit: {again.statement_cache_hit})\n")
+                  f"(statement cache hit: {again.statement_cache_hit})")
+            #    From the third request at an unchanged database the
+            #    server hands back the encoded reply itself: no run.
+            third = await alice.query(sql, tenant="alice")
+            print(f"alice: {len(third)} rows again "
+                  f"(reply reused: {third.reply_reused})\n")
 
             # 3. Anytime evaluation over the wire: the same EvalSpec
             #    surface as Session.run. Interval endpoints survive the

@@ -22,11 +22,20 @@ in the same function — a ``.count_row(...)`` call.  Leaving the stamp
 stale is always allowed (readers reject it and recount); re-stamping
 unmaintained facts would serve them as current.
 
+The epoch is also owed *in order*, in every class that keeps one —
+cache-bearing or not (``VariableRegistry`` stamps other objects' caches,
+not its own): readers stamp what they build with the epoch they read
+*first*, so a mutator changes its storage (``self.rows`` /
+``self._tuples`` / ``self._distributions``) and bumps *after*.  A bump
+that lexically precedes a storage mutation of the same function opens a
+window in which a reader pairs the new epoch with the old content and
+keeps that pair for good.
+
 ``__init__``-family methods are exempt (they populate storage before
 any cache exists), as are ``*_locked`` helpers whose callers own the
 bump, matching the lock checker's conventions.  Classes without cache
-attributes are ignored entirely — plain row containers owe nobody an
-epoch.
+attributes owe only the order — a plain row container that keeps no
+epoch owes nobody anything.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from repro.analysis.source import SourceModule
 __all__ = [
     "CacheEpochChecker",
     "ROW_STORAGE_ATTRS",
+    "EPOCH_STAMPED_ATTRS",
     "EPOCH_BUMP_CALLS",
     "FACTS_ATTR",
     "FACTS_MAINTAIN_CALLS",
@@ -49,6 +59,10 @@ __all__ = [
 
 #: Attributes holding the row storage the memoised views derive from.
 ROW_STORAGE_ATTRS = frozenset({"rows", "_tuples"})
+
+#: Storage an epoch stands for without the class memoising views of it
+#: itself; covered by the assign-then-bump order only.
+EPOCH_STAMPED_ATTRS = ROW_STORAGE_ATTRS | {"_distributions"}
 
 #: ``self.<name>(...)`` calls that count as an epoch bump.
 EPOCH_BUMP_CALLS = frozenset({"invalidate_caches", "bump_epoch"})
@@ -116,19 +130,21 @@ def _class_cache_attrs(cls: ast.ClassDef) -> set[str]:
     return caches
 
 
-def _row_mutations(fn: ast.AST) -> Iterator[tuple[ast.AST, str, str]]:
-    """Yield ``(node, attr, how)`` for each row-storage mutation in ``fn``."""
+def _row_mutations(
+    fn: ast.AST, storage: frozenset = ROW_STORAGE_ATTRS
+) -> Iterator[tuple[ast.AST, str, str]]:
+    """Yield ``(node, attr, how)`` for each mutation of ``storage`` in ``fn``."""
     for node in ast.walk(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = _assign_targets(node)
             for target in targets:
                 attr = _self_attribute(target)
-                if attr in ROW_STORAGE_ATTRS:
+                if attr in storage:
                     yield node, attr, "assigns"
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 attr = _self_attribute(target)
-                if attr in ROW_STORAGE_ATTRS:
+                if attr in storage:
                     yield node, attr, "deletes from"
         elif isinstance(node, ast.Call):
             func = node.func
@@ -137,18 +153,18 @@ def _row_mutations(fn: ast.AST) -> Iterator[tuple[ast.AST, str, str]]:
                 and func.attr in _MUTATING_METHODS
             ):
                 attr = _self_attribute(func.value)
-                if attr in ROW_STORAGE_ATTRS:
+                if attr in storage:
                     yield node, attr, f"calls .{func.attr}() on"
 
 
-def _bumps_epoch(fn: ast.AST) -> bool:
-    """Whether ``fn`` writes ``self._version`` or calls a bump helper."""
+def _epoch_bumps(fn: ast.AST) -> Iterator[ast.AST]:
+    """The ``self._version`` writes and bump-helper calls of ``fn``."""
     for node in ast.walk(fn):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = _assign_targets(node)
             for target in targets:
                 if _self_attribute(target) == EPOCH_ATTR:
-                    return True
+                    yield node
         elif isinstance(node, ast.Call):
             func = node.func
             if (
@@ -157,8 +173,7 @@ def _bumps_epoch(fn: ast.AST) -> bool:
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "self"
             ):
-                return True
-    return False
+                yield node
 
 
 def _facts_restamps(fn: ast.AST) -> Iterator[ast.AST]:
@@ -185,7 +200,8 @@ def _maintains_facts(fn: ast.AST) -> bool:
 
 class CacheEpochChecker(BaseChecker):
     """Row-storage mutations in cache-bearing classes must bump the epoch,
-    and may re-stamp maintained facts only after adjusting them."""
+    and may re-stamp maintained facts only after adjusting them; wherever
+    an epoch is bumped, it is bumped after the change it stands for."""
 
     name = "epochs"
     rules = ("cache-epoch",)
@@ -197,8 +213,6 @@ class CacheEpochChecker(BaseChecker):
             if not isinstance(statement, ast.ClassDef):
                 continue
             caches = _class_cache_attrs(statement)
-            if not caches:
-                continue
             for item in statement.body:
                 if not isinstance(item, _FUNCTION_NODES):
                     continue
@@ -206,41 +220,70 @@ class CacheEpochChecker(BaseChecker):
                     LOCKED_SUFFIX
                 ):
                     continue
-                mutations = list(_row_mutations(item))
-                if not mutations:
-                    continue
-                if _bumps_epoch(item):
-                    if not _maintains_facts(item):
-                        for node in _facts_restamps(item):
-                            yield Finding(
-                                file=module.path,
-                                line=node.lineno,
-                                rule_id="cache-epoch",
-                                severity="error",
-                                message=(
-                                    f"{statement.name}.{item.name} mutates "
-                                    f"self.{mutations[0][1]} and re-stamps "
-                                    f"self.{FACTS_ATTR} without maintaining "
-                                    f"the facts: readers will take them as "
-                                    f"current; adjust them with "
-                                    f"{sorted(FACTS_MAINTAIN_CALLS)} for the "
-                                    f"rows that changed, or leave the stamp "
-                                    f"stale"
-                                ),
-                            )
-                    continue
-                for node, attr, how in mutations:
+                yield from self._check_order(module, statement, item)
+                if caches:
+                    yield from self._check_bumped(
+                        module, statement, item, caches
+                    )
+
+    def _check_order(self, module, cls, fn) -> Iterator[Finding]:
+        """Assign, then bump: no epoch bump before a storage mutation."""
+        bumps = [node.lineno for node in _epoch_bumps(fn)]
+        if not bumps:
+            return
+        first_bump = min(bumps)
+        for node, attr, how in _row_mutations(fn, EPOCH_STAMPED_ATTRS):
+            if node.lineno > first_bump:
+                yield Finding(
+                    file=module.path,
+                    line=node.lineno,
+                    rule_id="cache-epoch",
+                    severity="error",
+                    message=(
+                        f"{cls.name}.{fn.name} {how} self.{attr} after "
+                        f"bumping the epoch (line {first_bump}): a reader "
+                        f"in between stamps the old content with the new "
+                        f"epoch and keeps it; change the storage first, "
+                        f"bump self.{EPOCH_ATTR} after"
+                    ),
+                )
+
+    def _check_bumped(self, module, cls, fn, caches) -> Iterator[Finding]:
+        mutations = list(_row_mutations(fn))
+        if not mutations:
+            return
+        if any(_epoch_bumps(fn)):
+            if not _maintains_facts(fn):
+                for node in _facts_restamps(fn):
                     yield Finding(
                         file=module.path,
-                        line=getattr(node, "lineno", item.lineno),
+                        line=node.lineno,
                         rule_id="cache-epoch",
                         severity="error",
                         message=(
-                            f"{statement.name}.{item.name} {how} "
-                            f"self.{attr} but never bumps the epoch: the "
-                            f"memoised {sorted(caches)} views key on "
-                            f"self.{EPOCH_ATTR} and will serve stale data; "
-                            f"add 'self.{EPOCH_ATTR} += 1' or call "
-                            f"self.invalidate_caches()"
+                            f"{cls.name}.{fn.name} mutates "
+                            f"self.{mutations[0][1]} and re-stamps "
+                            f"self.{FACTS_ATTR} without maintaining "
+                            f"the facts: readers will take them as "
+                            f"current; adjust them with "
+                            f"{sorted(FACTS_MAINTAIN_CALLS)} for the "
+                            f"rows that changed, or leave the stamp "
+                            f"stale"
                         ),
                     )
+            return
+        for node, attr, how in mutations:
+            yield Finding(
+                file=module.path,
+                line=getattr(node, "lineno", fn.lineno),
+                rule_id="cache-epoch",
+                severity="error",
+                message=(
+                    f"{cls.name}.{fn.name} {how} "
+                    f"self.{attr} but never bumps the epoch: the "
+                    f"memoised {sorted(caches)} views key on "
+                    f"self.{EPOCH_ATTR} and will serve stale data; "
+                    f"add 'self.{EPOCH_ATTR} += 1' or call "
+                    f"self.invalidate_caches()"
+                ),
+            )

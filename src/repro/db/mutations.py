@@ -35,6 +35,14 @@ cache                  key                         dropped or rebuilt when
 =====================  ==========================  ==========================
 statement              normalised SQL text         LRU eviction only: text →
 (``StatementCache``)                               AST reads no data
+reply on statement     the statement entry + the   with its entry; and dropped
+(``keep_reply``)       option set as sent + the    when the stamp differs: any
+                       server's stamp (table       write to any table, any
+                       epochs, registry epoch,     ``p=`` update, a recreated
+                       ``data_generation``), read  table.  Never kept: degraded,
+                       before the run; kept from   Monte-Carlo and
+                       the second answer at one    ``deadline_hit`` answers
+                       stamp
 plan (``PlanCache``)   query + row counts of the   LRU eviction; an insert or
                        tables it reads             delete on a read table
                                                    changes the key, equal-size

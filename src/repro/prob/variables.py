@@ -32,8 +32,9 @@ class VariableRegistry:
 
     def __init__(self, distributions: Mapping[str, Distribution] | None = None):
         self._distributions: dict[str, Distribution] = {}
-        #: Monotonic epoch: bumped whenever a name is added or an existing
-        #: distribution is replaced via :meth:`reassign`.  Caches derived
+        #: Monotonic epoch: bumped *after* a name is added or an existing
+        #: distribution is replaced via :meth:`reassign`, so a reader that
+        #: sees an epoch sees every change it stands for.  Caches derived
         #: from the registry (d-tree distributions in particular) key their
         #: validity on this counter together with the table epochs.
         self._version = 0
@@ -62,9 +63,11 @@ class VariableRegistry:
                 f"variable {name!r} is already declared with a different "
                 f"distribution"
             )
+        # Store, then bump (the order of every PVCTable mutator): whoever
+        # reads the new epoch also reads the new distribution.
+        self._distributions[name] = distribution
         if existing is None:
             self._version += 1
-        self._distributions[name] = distribution
         return distribution
 
     def reassign(self, name: str, distribution: Distribution) -> Distribution:
@@ -82,8 +85,8 @@ class VariableRegistry:
             raise DistributionError(
                 f"cannot reassign undeclared variable {name!r}"
             )
-        self._version += 1
         self._distributions[name] = distribution
+        self._version += 1
         return distribution
 
     def bernoulli(self, name: str, p: float) -> Distribution:

@@ -12,7 +12,10 @@ tenants:
   is every tenant's cache hit.
 * **A shared prepared-statement cache** keyed on normalised query text
   (:mod:`repro.server.statements`): a repeated statement skips parsing,
-  planning *and* d-tree compilation entirely.
+  planning *and* d-tree compilation entirely — and, from its third
+  request at one database state, evaluation and encoding too: the entry
+  keeps the encoded reply and :meth:`QueryServer.execute` hands it back
+  on the event loop.
 * **Bounded admission with load-shedding to anytime answers.**  Past
   ``soft_limit`` concurrent requests the server rewrites incoming
   evaluation specs to budgeted anytime mode (PR 4's ``EvalSpec``):
@@ -61,7 +64,7 @@ from repro.errors import QueryValidationError, ReproError
 from repro.server import http as http_protocol
 from repro.server import tcp as tcp_protocol
 from repro.server.codec import jsonable, result_to_json
-from repro.server.statements import StatementCache
+from repro.server.statements import StatementCache, normalise_statement
 from repro.session import Session
 
 __all__ = [
@@ -215,6 +218,7 @@ class QueryServer:
             "errors": 0,
             "streams": 0,
             "mutations": 0,
+            "replies_reused": 0,
             "tenants_evicted": 0,
             "drain_abandoned": 0,
         }
@@ -530,28 +534,57 @@ class QueryServer:
     # -- query execution -------------------------------------------------------
 
     async def execute(self, payload) -> dict:
-        """The one-shot query path shared by the HTTP and TCP protocols."""
+        """The one-shot query path shared by the HTTP and TCP protocols.
+
+        A request whose statement entry holds a reply for its option set
+        at the current :meth:`_stamp` is answered right here, on the
+        event loop: validation, admission, the tenant touch (LRU order,
+        ``max_tenants`` shedding) and the counters are those of any
+        request, but nothing is offloaded, the tenant lock is not taken
+        (a stream holding it does not delay the answer), no session runs
+        and nothing is encoded — ``reply_reused`` is true and the
+        ``result`` is the very object an earlier run produced, its
+        ``timings`` and volatile stats included.  Everything else takes
+        one executor hop through :meth:`_run_statement`.
+        """
         self._count("requests")
         sql, tenant, engine, samples, fields = self._unpack(payload)
         degraded = self._admit()  # claims the in-flight slot on success
         try:
             if degraded:
+                # A degraded answer depends on the load, not only on the
+                # database: it is neither looked up nor kept.
+                options = None
                 self._count("degraded")
                 engine, samples, fields = self._shed_rewrite(
                     engine, samples, fields
                 )
+            else:
+                options = repr((engine, samples, sorted(fields.items())))
             fields.setdefault("workers", self.config.eval_workers)
+            key = normalise_statement(sql)
             session, lock = self._acquire_tenant(tenant)
             try:
-                async with lock:
-                    result, statement_hit = await self._offload(
-                        self._run_statement,
-                        session,
-                        sql,
-                        engine=engine,
-                        samples=samples,
-                        **fields,
-                    )
+                result = (
+                    None
+                    if options is None
+                    else self.statements.reply(key, options, self._stamp())
+                )
+                reply_reused = result is not None
+                if reply_reused:
+                    statement_hit = True
+                    self._count("replies_reused")
+                else:
+                    async with lock:
+                        result, statement_hit = await self._offload(
+                            self._run_statement,
+                            session,
+                            key,
+                            options,
+                            engine=engine,
+                            samples=samples,
+                            **fields,
+                        )
             finally:
                 self._release_tenant(tenant)
         finally:
@@ -562,13 +595,51 @@ class QueryServer:
             "tenant": tenant,
             "degraded": degraded,
             "statement_cache_hit": statement_hit,
+            "reply_reused": reply_reused,
         }
 
-    def _run_statement(self, session: Session, sql: str, **options) -> tuple:
+    def _stamp(self) -> tuple:
+        """Everything besides text and options that an exact answer is a
+        function of, as counters: rows and annotations (the tables by
+        identity, their epochs), the variables' distributions (registry
+        epoch) and the shared distribution cache (``data_generation``).
+
+        Each is bumped *after* the change it stands for, so a reply
+        computed after reading the stamp is at least as new as the stamp
+        says; a write landing mid-run leaves a reply stamped older than
+        its content, which no later request accepts.  ``data_generation``
+        is what closes a ``p=`` update: the registry changes first and
+        the cache is told second, and a run in between reads still-cached
+        old distributions under the new registry epoch.
+        """
+        db = self.db
+        return (
+            db.table_epochs(), db.registry.epoch, self.cache.data_generation
+        )
+
+    def _run_statement(
+        self, session: Session, key: str, options: str | None, **run_options
+    ) -> tuple:
         """One request's blocking work, as one executor hop: statement
-        lookup, evaluation and encoding.  ``(encoded result, hit)``."""
-        query, statement_hit = self.statements.get_or_parse(sql)
-        return result_to_json(session.run(query, **options)), statement_hit
+        lookup, evaluation and encoding.  ``(encoded result, hit)``.
+
+        ``key`` is the normalised text.  With ``options`` (the request's
+        option set; ``None`` for a degraded request) the reply is offered
+        to the statement entry for later requests — unless something
+        outside the stamp decided it: Monte-Carlo answers consume the
+        tenant's RNG stream, a ``deadline_hit`` answer depends on the
+        clock.  The stored dict is never changed afterwards.
+        """
+        stamp = self._stamp()  # before the run
+        query, statement_hit = self.statements.get_or_parse(key)
+        result = result_to_json(session.run(query, **run_options))
+        if (
+            options is not None
+            and result["engine"] != "montecarlo"
+            and not result["stats"].get("deadline_hit")
+        ):
+            self.statements.keep_reply(key, options, stamp, result)
+        return result, statement_hit
 
     async def execute_stream(self, payload):
         """Async generator of ``run_iter`` snapshots (the TCP stream op).

@@ -18,10 +18,10 @@ speaks both wire protocols:
 `query` mirrors :meth:`Session.run`'s keyword surface (``engine=``,
 ``samples=``, ``spec=``, and the inline ``mode``/``epsilon``/…
 overrides) and returns a :class:`~repro.server.codec.RemoteResult`
-whose ``degraded``/``statement_cache_hit`` flags expose the server-side
-envelope.  Server-reported failures raise :class:`ServerError` (or
-:class:`ServerOverloaded`, carrying ``retry_after``, when admission
-control shed the request).
+whose ``degraded``/``statement_cache_hit``/``reply_reused`` flags expose
+the server-side envelope.  Server-reported failures raise
+:class:`ServerError` (or :class:`ServerOverloaded`, carrying
+``retry_after``, when admission control shed the request).
 
 Pass ``retry=RetryPolicy(...)`` to make the idempotent operations
 (``query``/``tcp_query``/``stats``/``healthz``) survive transient
@@ -144,6 +144,16 @@ def _raise_for_error(error: dict):
     if retry_after is not None or error.get("type") == "ServerOverloadedError":
         raise ServerOverloaded(error, float(retry_after or 0.0))
     raise ServerError(error)
+
+
+def _envelope(response: dict) -> dict:
+    """The server-side flags of a response, as ``RemoteResult`` fields
+    (absent ones — an older server, a stream snapshot — read False)."""
+    return {
+        "degraded": response.get("degraded", False),
+        "statement_cache_hit": response.get("statement_cache_hit", False),
+        "reply_reused": response.get("reply_reused", False),
+    }
 
 
 class ServerClient:
@@ -319,13 +329,7 @@ class ServerClient:
                 _raise_for_error(
                     response.get("error", {"message": f"HTTP {status}"})
                 )
-            return result_from_json(
-                response["result"],
-                degraded=response.get("degraded", False),
-                statement_cache_hit=response.get(
-                    "statement_cache_hit", False
-                ),
-            )
+            return result_from_json(response["result"], **_envelope(response))
 
         return await self._with_retry(attempt_once)
 
@@ -445,11 +449,7 @@ class ServerClient:
                 payload, collect_stream=False
             ):
                 return result_from_json(
-                    response["result"],
-                    degraded=response.get("degraded", False),
-                    statement_cache_hit=response.get(
-                        "statement_cache_hit", False
-                    ),
+                    response["result"], **_envelope(response)
                 )
 
         return await self._with_retry(attempt_once)
@@ -472,11 +472,7 @@ class ServerClient:
         """
         payload = self._tcp_payload("stream", sql, tenant, engine, spec, **overrides)
         async for response in self._tcp_round_trip(payload, collect_stream=True):
-            yield result_from_json(
-                response["snapshot"],
-                degraded=response.get("degraded", False),
-                statement_cache_hit=response.get("statement_cache_hit", False),
-            )
+            yield result_from_json(response["snapshot"], **_envelope(response))
 
     # -- lifecycle -------------------------------------------------------------
 

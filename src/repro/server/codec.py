@@ -132,9 +132,14 @@ class RemoteResult:
     Mirrors the local result surface a client typically consumes —
     ``columns``, rows with interval probabilities, ``stats``/``timings``
     — plus the server-side envelope: ``degraded`` is True when admission
-    control rewrote the request to a budgeted anytime spec, and
+    control rewrote the request to a budgeted anytime spec,
     ``statement_cache_hit`` when the shared prepared-statement cache
-    skipped parse/plan/compile work.
+    skipped parse/plan/compile work, and ``reply_reused`` when the server
+    answered with the encoded result an earlier run of the same text and
+    options produced at the same database stamp.  The server never
+    mutates a kept reply, so a reused result's ``timings`` and volatile
+    ``stats`` (``step1_reused``, cache counters, …) are those of the run
+    that produced it, not of this request.
     """
 
     engine: str
@@ -144,6 +149,7 @@ class RemoteResult:
     stats: dict = field(default_factory=dict)
     degraded: bool = False
     statement_cache_hit: bool = False
+    reply_reused: bool = False
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -6,7 +6,8 @@ framework, and the protocol surface is three routes):
 ``POST /query``
     Body ``{"sql": ..., "tenant": ..., "engine": ..., "samples": ...,
     "spec": {...}}`` → ``200`` with ``{"result": <encoded QueryResult>,
-    "tenant": ..., "degraded": ..., "statement_cache_hit": ...}``.
+    "tenant": ..., "degraded": ..., "statement_cache_hit": ...,
+    "reply_reused": ...}``.
 ``POST /mutate``
     Body ``{"table": ..., "action": "insert"|"update"|"delete",
     "values"/"where"/"set"/"p": ...}`` → ``200`` with

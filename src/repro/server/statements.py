@@ -15,6 +15,11 @@ are preserved byte-for-byte (two queries differing only inside a string
 constant must never collide).  Keyword case is **not** folded, so
 ``SELECT`` and ``select`` are distinct statements; the cache trades a
 few extra misses for guaranteed semantic identity.
+
+An entry also keeps the *encoded replies* the server computed for its
+statement (see :class:`StatementCache`), which is why the server
+normalises every request's text on the event loop: a text without a
+quote takes the C-level ``split``/``join`` path.
 """
 
 from __future__ import annotations
@@ -32,6 +37,19 @@ def normalise_statement(text: str) -> str:
         raise QueryValidationError(
             f"statement must be a SQL string, got {type(text).__name__}"
         )
+    if "'" not in text:
+        # No literal to protect: str.split() splits on exactly the
+        # characters str.isspace() accepts, and drops the blank ends.
+        key = " ".join(text.split())
+    else:
+        key = _normalise_quoted(text)
+    while key.endswith(";"):
+        key = key[:-1].rstrip()
+    return key
+
+
+def _normalise_quoted(text: str) -> str:
+    """Whitespace collapsed outside ``'...'`` literals, one char at a time."""
     out: list[str] = []
     pending_space = False
     i, n = 0, len(text)
@@ -61,10 +79,30 @@ def normalise_statement(text: str) -> str:
             pending_space = False
             out.append(ch)
             i += 1
-    key = "".join(out)
-    while key.endswith(";"):
-        key = key[:-1].rstrip()
-    return key
+    return "".join(out)
+
+
+#: Option sets one statement keeps replies for (oldest leaves first): a
+#: client sweeping ``epsilon`` over one text must not grow its entry.
+_OPTION_SETS_PER_STATEMENT = 8
+
+
+class _Statement:
+    """One entry: the parsed query and the replies kept for it.
+
+    ``replies`` maps an option set to the reply computed under it at
+    ``stamp`` — or to ``None`` while that option set has been answered
+    once at ``stamp`` (admission on second sight, see
+    :meth:`StatementCache.keep_reply`).  Both fields are read and written
+    only under the owning cache's ``_lock``.
+    """
+
+    __slots__ = ("query", "stamp", "replies")
+
+    def __init__(self, query):
+        self.query = query
+        self.stamp = None
+        self.replies: dict = {}
 
 
 class StatementCache(BoundedLRU):
@@ -74,6 +112,17 @@ class StatementCache(BoundedLRU):
     cross-request (and, on a shared server, cross-tenant) statement
     reuses, ``evictions`` count entries dropped past ``max_entries``.
     Parse errors propagate to the caller and cache nothing.
+
+    An entry also keeps the replies its statement was answered with
+    (:meth:`reply` / :meth:`keep_reply`): per option set, the encoded
+    result, valid for one *stamp* — an opaque value the caller derives
+    from everything besides text and options that determines the answer
+    (the server: table epochs, registry epoch, the distribution cache's
+    ``data_generation``).  Replies are bounded by ``max_entries`` ×
+    :data:`_OPTION_SETS_PER_STATEMENT` and leave with their entry; there
+    is no second map, bound or counter.  The event loop reads them and
+    executor threads write them, both under ``_lock`` (the same lock
+    that guards the entry map), so neither sees a half-written record.
     """
 
     def __init__(self, max_entries: int | None = 256):
@@ -82,4 +131,48 @@ class StatementCache(BoundedLRU):
     def get_or_parse(self, text: str, parser=parse_sql):
         """``(query, hit)`` for ``text``, parsing (and caching) on miss."""
         key = normalise_statement(text)
-        return self.lookup_or_build(key, lambda: parser(key))
+        statement, hit = self.lookup_or_build(
+            key, lambda: _Statement(parser(key))
+        )
+        return statement.query, hit
+
+    def reply(self, key: str, options, stamp):
+        """The reply kept for the statement ``key`` (normalised text)
+        under ``options``, if it was computed at ``stamp``; else ``None``.
+
+        A reply found is the request's whole statement lookup and counts
+        as a hit; ``None`` counts nothing — the caller goes on to
+        :meth:`get_or_parse`, which counts.
+        """
+        with self._lock:
+            statement = self.peek(key)
+            if statement is None or statement.stamp != stamp:
+                return None
+            kept = statement.replies.get(options)
+            if kept is not None:
+                self.hits += 1
+            return kept
+
+    def keep_reply(self, key: str, options, stamp, reply) -> None:
+        """Record that ``key`` under ``options`` was answered with
+        ``reply``, computed from the state ``stamp`` was read *before*.
+
+        Admission is on second sight: the first answer at a stamp records
+        the option set alone, the next one at the same stamp keeps the
+        reply — a text that runs once per database state (every ad-hoc
+        statement) never pins one.  A new stamp drops everything kept at
+        the old one.  No-op when the entry has been evicted meanwhile.
+        """
+        with self._lock:
+            statement = self.peek(key)
+            if statement is None:
+                return
+            if statement.stamp != stamp:
+                statement.stamp, statement.replies = stamp, {}
+            replies = statement.replies
+            if options in replies:
+                replies[options] = reply
+            else:
+                if len(replies) >= _OPTION_SETS_PER_STATEMENT:
+                    del replies[next(iter(replies))]
+                replies[options] = None

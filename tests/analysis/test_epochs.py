@@ -257,6 +257,108 @@ class TestMaintainedFactsRule:
         assert result.clean
 
 
+
+REGISTRY_HEADER = """\
+    class Registry:
+        def __init__(self):
+            self._distributions = {}
+            self._version = 0
+"""
+
+
+class TestAssignThenBumpRule:
+    """The epoch is bumped after the change it stands for — in any class
+    that keeps one, cache-bearing or not (the registry is not)."""
+
+    def test_flags_bump_before_store(self, analyze):
+        # VariableRegistry.reassign as it shipped until PR 20: a reader
+        # between the two statements sees the new epoch with the old
+        # distribution.
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def reassign(self, name, distribution):
+            self._version += 1
+            self._distributions[name] = distribution
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-epoch"]
+        assert "after bumping the epoch" in result.findings[0].message
+
+    def test_passes_store_then_bump(self, analyze):
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def reassign(self, name, distribution):
+            self._distributions[name] = distribution
+            self._version += 1
+
+        def declare(self, name, distribution):
+            existing = self._distributions.get(name)
+            self._distributions[name] = distribution
+            if existing is None:
+                self._version += 1
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_flags_conditional_bump_before_store(self, analyze):
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def declare(self, name, distribution):
+            if name not in self._distributions:
+                self._version += 1
+            self._distributions[name] = distribution
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-epoch"]
+
+    def test_flags_row_storage_mutated_after_bump_helper(self, analyze):
+        result = analyze(
+            CACHE_CLASS_HEADER
+            + """
+        def invalidate_caches(self):
+            self._version += 1
+            self._view_cache = None
+
+        def add(self, row):
+            self.invalidate_caches()
+            self.rows.append(row)
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-epoch"]
+
+    def test_store_without_any_bump_is_not_this_rules_business(self, analyze):
+        # No cache attribute, no bump: nothing is stamped, nothing is owed.
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def forget(self, name):
+            self._distributions.pop(name, None)
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_suppression_silences_the_order_finding(self, analyze):
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def reassign(self, name, distribution):
+            self._version += 1
+            self._distributions[name] = distribution  # repro: allow(cache-epoch)
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+        assert [f.rule_id for f in result.suppressed] == ["cache-epoch"]
+
+
 class TestShippedClassesSatisfyTheDiscipline:
     def test_pvc_table_and_relation_are_clean(self, analyze):
         from pathlib import Path
@@ -268,6 +370,15 @@ class TestShippedClassesSatisfyTheDiscipline:
             source = Path(module.__file__).read_text(encoding="utf-8")
             result = analyze(source, CHECKERS)
             assert result.clean, result.findings
+
+    def test_variable_registry_stores_then_bumps(self, analyze):
+        from pathlib import Path
+
+        import repro.prob.variables as variables
+
+        source = Path(variables.__file__).read_text(encoding="utf-8")
+        result = analyze(source, CHECKERS)
+        assert result.clean, result.findings
 
     def test_reintroduced_countkeyed_staleness_is_flagged(self, analyze):
         # Strip the bump from a faithful miniature of PVCTable.update_rows

@@ -86,3 +86,59 @@ class TestBooleanReduction:
         reg.bernoulli("x", 0.3)
         reduced = reg.boolean_reduction()
         assert reduced["x"].almost_equals(reg["x"])
+
+
+class TestEpochOrder:
+    """The registry epoch is bumped *after* the change it stands for (the
+    order of every ``PVCTable`` mutator): a reader that stamps what it
+    builds with the epoch it read first can then never pair a new epoch
+    with an old distribution."""
+
+    class _Observed(dict):
+        """``_distributions`` that records, at every store, the epoch a
+        concurrent reader would see just before the store lands."""
+
+        def __init__(self, registry, initial):
+            super().__init__(initial)
+            self.registry = registry
+            self.epochs_at_store = []
+
+        def __setitem__(self, name, distribution):
+            self.epochs_at_store.append(self.registry.epoch)
+            super().__setitem__(name, distribution)
+
+    def _observed(self):
+        reg = VariableRegistry()
+        reg.bernoulli("x", 0.3)
+        reg._distributions = self._Observed(reg, reg._distributions)
+        return reg, reg._distributions
+
+    def test_reassign_stores_before_it_bumps(self):
+        reg, seen = self._observed()
+        before = reg.epoch
+        reg.reassign("x", Distribution.bernoulli(0.9))
+        # While the old distribution was still in place the epoch was the
+        # old one; at the parent commit it already read ``before + 1``.
+        assert seen.epochs_at_store == [before]
+        assert reg.epoch == before + 1
+        assert reg["x"][True] == pytest.approx(0.9)
+
+    def test_declaring_a_new_name_stores_before_it_bumps(self):
+        reg, seen = self._observed()
+        before = reg.epoch
+        reg.bernoulli("y", 0.5)
+        assert seen.epochs_at_store == [before]
+        assert reg.epoch == before + 1
+
+    def test_redeclaring_a_name_does_not_bump(self):
+        reg, _ = self._observed()
+        before = reg.epoch
+        reg.bernoulli("x", 0.3)
+        assert reg.epoch == before
+
+    def test_reassigning_an_unknown_name_changes_nothing(self):
+        reg, seen = self._observed()
+        before = reg.epoch
+        with pytest.raises(DistributionError, match="undeclared"):
+            reg.reassign("nope", Distribution.bernoulli(0.5))
+        assert reg.epoch == before and seen.epochs_at_store == []

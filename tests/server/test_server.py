@@ -175,10 +175,12 @@ class TestStepOneReuse:
     )
 
     def test_hot_statements_reuse_step_one_and_adhoc_texts_never_do(self):
-        """Two passes admit the hot zoo's answers (second sight); from
-        the next pass on every hot statement is served from its plan's
-        slot, across tenants.  A never-repeated text runs its plan once
-        and keeps nothing."""
+        """Two passes admit the hot zoo's answers (second sight), both
+        the plan's step-I rows and the statement's encoded reply.  From
+        the third pass on the reply itself is handed back, across
+        tenants, so no plan is looked up; the same texts under another
+        option set are other records, run, and are served from their
+        plan's step-I slot.  A never-repeated text keeps nothing."""
         session = demo_session()
         expected = {sql: fingerprint(session.sql(sql)) for sql in self.HOT_ZOO}
 
@@ -191,6 +193,11 @@ class TestStepOneReuse:
                         passes.append(
                             {sql: await c.query(sql) for sql in self.HOT_ZOO}
                         )
+                async with client_for(server, tenant="limited") as c:
+                    passes.append({
+                        sql: await c.query(sql, time_limit=60.0)
+                        for sql in self.HOT_ZOO
+                    })
                 async with client_for(server, tenant="adhoc") as c:
                     adhoc = [
                         await c.query(
@@ -210,9 +217,16 @@ class TestStepOneReuse:
                 assert fingerprint(remote) == expected[sql], sql
         for results in passes[:2]:
             assert not any(r.stats["step1_reused"] for r in results.values())
-        assert all(r.stats["step1_reused"] for r in passes[2].values())
+            assert not any(r.reply_reused for r in results.values())
+        assert all(r.reply_reused for r in passes[2].values())
+        # A reused reply is the second pass's, stats and all.
+        assert not any(r.stats["step1_reused"] for r in passes[2].values())
+        assert not any(r.reply_reused for r in passes[3].values())
+        assert all(r.stats["step1_reused"] for r in passes[3].values())
         assert not any(r.stats["step1_reused"] for r in adhoc)
+        assert not any(r.reply_reused for r in adhoc)
         assert stats["plan_cache"]["answers_reused"] == 22
+        assert stats["server"]["replies_reused"] == 22
 
 
 class TestBackpressure:
