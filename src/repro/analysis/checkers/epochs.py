@@ -36,6 +36,16 @@ any cache exists), as are ``*_locked`` helpers whose callers own the
 bump, matching the lock checker's conventions.  Classes without cache
 attributes owe only the order — a plain row container that keeps no
 epoch owes nobody anything.
+
+``cache-stamp``
+    The reading side: whether something kept is still valid is decided
+    in :mod:`repro.cache` alone.  Anywhere else, comparing something
+    *stored* (a subscript ``record[2]``, an attribute ``entry.stamp``)
+    with something *freshly read* (an expression mentioning a
+    ``STAMP_READS`` name, or a name the module assigns one to) decides
+    reuse by hand.  Two fresh captures compared whole keep nothing
+    (``enumerate_database_worlds``' guard); the per-object records
+    compare ``self._version``, which is neither.
 """
 
 from __future__ import annotations
@@ -75,6 +85,14 @@ FACTS_ATTR = "_facts"
 
 #: ``<facts>.<name>(...)`` calls that adjust the facts for a row.
 FACTS_MAINTAIN_CALLS = frozenset({"count_row"})
+
+#: The one module allowed to compare a stored stamp with a fresh one.
+STAMP_HOME = "repro/cache.py"
+
+#: Names whose mention makes an expression a freshly read stamp.
+STAMP_READS = frozenset({
+    "epoch", "data_generation", "table_epochs", "capture_stamp", "stamp", "epochs",
+})
 
 #: Method names treated as mutations of the receiver (superset of the
 #: lock checker's list: sort/reverse reorder rows, which invalidates
@@ -198,17 +216,35 @@ def _maintains_facts(fn: ast.AST) -> bool:
     )
 
 
+def _reads_stamp(node: ast.AST, fresh: set) -> bool:
+    """Whether ``node`` mentions a ``fresh`` attribute or bare name."""
+    return any(
+        getattr(child, "attr", getattr(child, "id", None)) in fresh
+        for child in ast.walk(node)
+    )
+
+
+def _is_stored(node: ast.expr) -> bool:
+    """A subscript, or an attribute that is not itself a counter."""
+    if isinstance(node, ast.Attribute):
+        return node.attr not in ("epoch", "data_generation", EPOCH_ATTR)
+    return isinstance(node, ast.Subscript)
+
+
 class CacheEpochChecker(BaseChecker):
     """Row-storage mutations in cache-bearing classes must bump the epoch,
     and may re-stamp maintained facts only after adjusting them; wherever
-    an epoch is bumped, it is bumped after the change it stands for."""
+    an epoch is bumped, it is bumped after the change it stands for; a
+    kept stamp meets a fresh one only in ``repro/cache.py``."""
 
     name = "epochs"
-    rules = ("cache-epoch",)
+    rules = ("cache-epoch", "cache-stamp")
 
     def check_module(
         self, module: SourceModule, context: AnalysisContext
     ) -> Iterator[Finding]:
+        if not module.path.replace("\\", "/").endswith(STAMP_HOME):
+            yield from self._check_stamp_compares(module)
         for statement in module.tree.body:
             if not isinstance(statement, ast.ClassDef):
                 continue
@@ -225,6 +261,31 @@ class CacheEpochChecker(BaseChecker):
                     yield from self._check_bumped(
                         module, statement, item, caches
                     )
+
+    def _check_stamp_compares(self, module) -> Iterator[Finding]:
+        """No stored-against-fresh comparison outside ``STAMP_HOME``."""
+        nodes = list(ast.walk(module.tree))
+        fresh = set(STAMP_READS)
+        for node in nodes:
+            if isinstance(node, ast.Assign) and _reads_stamp(node.value, fresh):
+                fresh.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in nodes:
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            stored = [o for o in operands if _is_stored(o)]
+            if stored and any(o not in stored and _reads_stamp(o, fresh) for o in operands):
+                yield Finding(
+                    file=module.path,
+                    line=node.lineno,
+                    rule_id="cache-stamp",
+                    severity="error",
+                    message=(
+                        f"the stored '{ast.unparse(stored[0])}' is compared with a "
+                        f"freshly read epoch: reuse is decided once, in {STAMP_HOME} "
+                        f"— capture_stamp(...) before the read, then StampedSlot.get / .offer"
+                    ),
+                )
 
     def _check_order(self, module, cls, fn) -> Iterator[Finding]:
         """Assign, then bump: no epoch bump before a storage mutation."""

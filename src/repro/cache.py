@@ -1,13 +1,16 @@
-"""The one LRU behind every bounded cache in the library.
+"""The two cache primitives of the library.
 
-:class:`~repro.server.statements.StatementCache`,
+:class:`BoundedLRU` — :class:`~repro.server.statements.StatementCache`,
 :class:`~repro.engine.base.PlanCache` and
 :class:`~repro.engine.base.CompilationCache` are this class plus their
 key function: bounding, recency, locking and the hit/miss/eviction
-counters live here once.  What makes an entry *valid* is not this
-class's business — it is in the key (normalised text; query plus
-read-table cardinalities; normalised annotation), see the cache list in
-:mod:`repro.db.mutations`.
+counters live here once.
+
+:func:`capture_stamp` and :class:`StampedSlot` — where validity cannot
+live in a key, "is this kept thing still valid?" is asked here, once: a
+value is kept under the stamp captured before it was computed and served
+only to a reader whose own capture compares equal (the sites:
+:mod:`repro.db.mutations`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,71 @@ from collections import OrderedDict
 
 from repro.errors import QueryValidationError
 
-__all__ = ["BoundedLRU"]
+__all__ = ["BoundedLRU", "StampedSlot", "capture_stamp"]
+
+
+def capture_stamp(db, names=None, *, registry=False, cache=None) -> tuple:
+    """What a read of ``db`` depends on, as one immutable value:
+    ``(((name, table, epoch), ...), registry epoch, data_generation)`` —
+    the tables called ``names`` (all when ``None``; a missing one held as
+    ``None``), the registry epoch if ``registry``, the ``data_generation``
+    of ``cache`` (a ``CompilationCache``) if given.  Compare stamps whole,
+    with ``==``: tables define no ``__eq__``, so they compare by identity
+    and counters by value — a table recreated or swapped at the same
+    epoch, or another database's, is another stamp.  The database itself
+    is not held: a slot on it would keep it alive in a cycle.
+
+    Capture **before** reading what the stamp stands for.  Every counter
+    is bumped *after* the change it counts (the ``cache-epoch`` checker)
+    and each table is read before its epoch, so a write landing mid-read
+    leaves a value stamped older than its content, which no later capture
+    equals.  ``cache`` closes a ``p=`` update: the registry changes first,
+    the cache is told second, and a run in between reads old
+    distributions under the new registry epoch.
+    """
+    tables = db.tables
+    held = list(tables.items()) if names is None else [(n, tables.get(n)) for n in names]
+    return (
+        tuple([(n, t, None if t is None else t.epoch) for n, t in held]),
+        db.registry.epoch if registry else None,
+        None if cache is None else cache.data_generation,
+    )
+
+
+class StampedSlot:
+    """One kept value and the stamp (:func:`capture_stamp`) it is valid at.
+
+    The record is one ``(stamp, value)`` tuple, only ever replaced whole,
+    so threads sharing a slot need no lock: a reader sees one record or
+    the other, never half of each.  ``None`` is what a miss returns.
+    """
+
+    __slots__ = ("_record",)
+
+    def __init__(self):
+        self._record = (None, None)
+
+    def get(self, stamp):
+        """The value kept at ``stamp``, else ``None``."""
+        kept_at, value = self._record
+        return value if kept_at == stamp else None
+
+    def put(self, stamp, value, after=None) -> bool:
+        """Keep ``value`` now, dropping whatever was kept before.  A
+        reader that may not even *return* a value torn across a write
+        passes ``after``, a second capture taken once ``value`` exists:
+        if the stamp moved, nothing is kept and ``False`` says so."""
+        kept = after is None or after == stamp
+        if kept:
+            self._record = (stamp, value)
+        return kept
+
+    def offer(self, stamp, value) -> None:
+        """Keep ``value`` on second sight: the first offer at a stamp
+        records the stamp alone (dropping what an older one kept), the
+        next keeps its value — what runs once per state pins nothing."""
+        seen = self._record[0] == stamp
+        self._record = (stamp, value if seen else None)
 
 
 class BoundedLRU:

@@ -25,24 +25,19 @@ Every cache, its key and its rule
 The paper's two steps fix what a cached object may depend on: a scan or
 hash index is a function of one table's rows (step I), a compiled
 distribution a function of its variables' marginals only (step II).  So
-validity lives in the *key* wherever it can; this is the whole list.
-The first three are :class:`repro.cache.BoundedLRU` subclasses (one
-bound, one lock, one set of counters); the rest are fields of the object
-they are derived from and go when it goes.
+validity lives in the *key* wherever it can; what depends on more than
+one object lives under a *stamp*, by one protocol (:mod:`repro.cache`):
+captured before the read, compared whole, the value admitted at once or
+— where noted — on second sight.  The first three rows are
+:class:`repro.cache.BoundedLRU` subclasses (one bound, one lock, one set
+of counters); the rest are fields of the object they are derived from
+and go when it goes.
 
 =====================  ==========================  ==========================
-cache                  key                         dropped or rebuilt when
+cache                  key / what its stamp holds  dropped or rebuilt when
 =====================  ==========================  ==========================
 statement              normalised SQL text         LRU eviction only: text →
 (``StatementCache``)                               AST reads no data
-reply on statement     the statement entry + the   with its entry; and dropped
-(``keep_reply``)       option set as sent + the    when the stamp differs: any
-                       server's stamp (table       write to any table, any
-                       epochs, registry epoch,     ``p=`` update, a recreated
-                       ``data_generation``), read  table.  Never kept: degraded,
-                       before the run; kept from   Monte-Carlo and
-                       the second answer at one    ``deadline_hit`` answers
-                       stamp
 plan (``PlanCache``)   query + row counts of the   LRU eviction; an insert or
                        tables it reads             delete on a read table
                                                    changes the key, equal-size
@@ -61,18 +56,17 @@ kernel on plan         the prepared plan object    never: a fused kernel (and
                                                    accessors beside it) is
                                                    data-independent and lives
                                                    and dies with its plan
-step-I answer on plan  the prepared plan object    with its plan; and replaced
-(``symbolic_answer``)  (``answer``) + the          when the stamp differs: any
-                       database and the ``(table,  row change in a read table,
-                       epoch)`` of each table the  a recreated table, another
-                       query reads, by identity,   database.  ``p=`` updates
-                       read before the walk; rows  and writes to other tables
-                       kept from the second run    keep it (annotations are
-                       at one stamp                lineage)
-engine choice on plan  the same record + the       any row change in any table
-(``Classification``)   independence memo entry,    (the memo entry is
-                       by identity                 replaced); re-derived on
-                                                   the next ``auto`` run
+reply on statement     stamp: every table, the     the stamp moves.  Never
+(``keep_reply``)       registry epoch, the         offered: degraded,
+                       ``data_generation``; per    Monte-Carlo and
+                       option set, second sight    ``deadline_hit`` answers
+step-I answer on plan  stamp: the tables the       the stamp moves (``p=``
+(``symbolic_answer``)  query reads; second sight   updates keep it:
+                                                   annotations are lineage)
+engine choice on plan  stamp: every table          the stamp moves
+(``Classification``)
+independence memo      stamp: every table          the stamp moves
+(``PVCDatabase``)
 table record           the table's epoch, read     any row change: ``add``
 (``PVCTable._views``)  before the rows             patches a current record
                                                    forward, update/delete and
@@ -84,9 +78,6 @@ table facts            the table's epoch, read     never dropped by the
                                                    after ``invalidate_caches``
 world-relation index   the relation's epoch +      any ``Relation.add``
 (``Relation``)         key attributes
-independence memo      the table-epoch vector      any row change in any
-(``PVCDatabase``)      (no registry epoch)         table; ``p=`` updates keep
-                                                   it
 =====================  ==========================  ==========================
 """
 
@@ -118,10 +109,6 @@ class Delta:
     #: Whether the table's row count changed (plans re-key on
     #: cardinalities; equal-size updates keep their prepared plans).
     cardinality_changed: bool = False
-    #: The mutated table's epoch after the mutation.
-    epoch: int = 0
-    #: The database generation after the mutation.
-    generation: int = 0
 
 
 class DeltaLog:

@@ -24,6 +24,7 @@ from repro.algebra.expressions import ONE, SemiringExpr, Var, ssum
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.algebra.valuation import Valuation
+from repro.cache import StampedSlot
 from repro.db.mutations import Delta, DeltaLog
 from repro.db.relation import Relation
 from repro.db.schema import Schema
@@ -547,12 +548,10 @@ class PVCDatabase:
         #: subscribe themselves and vanish with their owners, so a
         #: discarded session can never leak a subscription.
         self._listeners: list = []
-        #: ``(table_epochs(), names)`` — the one memo of
-        #: :func:`repro.query.tractability.tuple_independent_relations`,
-        #: shared by every session over this database.  Keyed on the
-        #: tables alone: a probability reassignment moves only the
-        #: registry epoch and cannot change which tables are independent.
-        self.independence_memo: tuple | None = None
+        #: :func:`repro.query.tractability.tuple_independent_relations`'s
+        #: memo, shared by every session; stamped with the tables alone
+        #: (a ``p=`` update cannot change which are independent).
+        self.independence_memo = StampedSlot()
 
     @property
     def generation(self) -> int:
@@ -561,23 +560,14 @@ class PVCDatabase:
         Derived from the table epochs plus the registry epoch, so it
         moves for row changes *and* for probability reassignments (which
         leave every table untouched), including mutations applied
-        directly on a :class:`PVCTable`.
+        directly on a :class:`PVCTable`.  Diagnostic only: a sum misses
+        a prebuilt table registered or one swapped for another, so
+        nothing keys on it (see :func:`repro.cache.capture_stamp`).
         """
         generation = self.registry.epoch
         for table in self.tables.values():
             generation += table.epoch
         return generation
-
-    def table_epochs(self) -> tuple:
-        """``((name, table, epoch), ...)`` without the registry.
-
-        The validity key of what depends on table contents only.  It
-        holds the tables themselves, so a table swapped for another at
-        the same epoch still changes the key.
-        """
-        return tuple(
-            [(name, table, table.epoch) for name, table in self.tables.items()]
-        )
 
     def subscribe(self, listener) -> None:
         """Register a weakly-held mutation listener (idempotent)."""
@@ -707,8 +697,6 @@ class PVCDatabase:
             rows=1,
             variables=expr.variables,
             cardinality_changed=True,
-            epoch=table.epoch,
-            generation=self.generation,
         ))
         return expr
 
@@ -741,8 +729,6 @@ class PVCDatabase:
             rows=len(alternatives),
             variables=frozenset({name}),
             cardinality_changed=True,
-            epoch=table.epoch,
-            generation=self.generation,
         ))
         return name
 
@@ -870,8 +856,6 @@ class PVCDatabase:
                 variables=info["variables"] | changed_names,
                 changed_variables=changed_names,
                 cardinality_changed=False,
-                epoch=table.epoch,
-                generation=self.generation,
             ))
         return matched
 
@@ -893,8 +877,6 @@ class PVCDatabase:
                 rows=removed,
                 variables=info["variables"],
                 cardinality_changed=True,
-                epoch=table.epoch,
-                generation=self.generation,
             ))
         return removed
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
 from repro.db.relation import Relation
 from repro.errors import ConcurrentMutationError
@@ -36,22 +37,19 @@ def enumerate_database_worlds(
     actually used by the database are enumerated; unused registry
     variables are marginalised out.
 
-    Enumeration spans many reads of the live tables; a mutation landing
-    mid-sweep would mix epochs across worlds, so the generation is
-    checked per world and :class:`~repro.errors.ConcurrentMutationError`
-    raised when it moves.
+    Enumeration spans many reads of the live tables, so every world is
+    built from the tables captured at the start and yielded only while
+    the stamp (every table, the registry) compares equal: a mutation
+    mid-sweep raises :class:`~repro.errors.ConcurrentMutationError`.
     """
+    stamp = capture_stamp(db, registry=True)  # before any row is read
     space = ProbabilitySpace(db.registry, db.semiring)
     names = sorted(db.variables)
-    generation = db.generation
     for valuation, probability in space.enumerate_worlds(names):
-        if db.generation != generation:
-            raise ConcurrentMutationError(
-                f"database mutated during possible-worlds enumeration "
-                f"(generation {generation} -> {db.generation})"
-            )
         world = {
             table_name: table.instantiate(valuation, db.semiring)
-            for table_name, table in db.tables.items()
+            for table_name, table, _ in stamp[0]
         }
+        if capture_stamp(db, registry=True) != stamp:
+            raise ConcurrentMutationError("database mutated during possible-worlds enumeration")
         yield world, probability

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.algebra.expressions import Expr
-from repro.cache import BoundedLRU
+from repro.cache import BoundedLRU, capture_stamp
 from repro.core.compile import Compiler
 from repro.db.mutations import LineageIndex
 from repro.db.pvc_table import PVCDatabase
@@ -50,7 +50,6 @@ from repro.query.ast import Query
 from repro.query.tractability import (
     Classification,
     classify_query,
-    independence_record,
     tuple_independent_relations,
 )
 
@@ -284,9 +283,8 @@ class PlanCache(BoundedLRU):
     tenant.  Thread-safe like :class:`CompilationCache`.
 
     An entry also carries its plan's step-I answer
-    (:func:`~repro.query.executor.symbolic_answer`): one slot per plan,
-    stamped with the table epochs it read, so the answers kept are
-    bounded by ``max_entries`` and go when the plan goes — evicted,
+    (:func:`~repro.query.executor.symbolic_answer`), so the answers kept
+    are bounded by ``max_entries`` and go when the plan goes — evicted,
     re-keyed by an insert or delete, or cleared by ``Session.close()``.
     ``answers_reused`` counts the executions served from a slot.
     """
@@ -373,19 +371,15 @@ def select_engine_name(
     never from their rows.  ``tuple_independent`` overrides that set.
 
     ``prepared`` — the query's memoised plan, when the caller has one —
-    keeps the classification on the plan's answer record, stamped with
-    the independence facts it was derived from (one object per database
-    until a row of any table changes), so a hot statement classifies
-    once per table state.
+    keeps the classification under the stamp of every table (what the
+    independence facts read): a hot statement classifies once per state.
     """
     if prepared is not None and tuple_independent is None:
-        facts = independence_record(db)
-        kept = prepared.answer.classification
-        if kept is not None and kept[0] is facts:
-            classification = kept[1]
-        else:
-            classification = classify_query(query, db.catalog(), facts[1])
-            prepared.answer.classification = (facts, classification)
+        stamp = capture_stamp(db)
+        classification = prepared.classification.get(stamp)
+        if classification is None:
+            classification = classify_query(query, db.catalog(), tuple_independent_relations(db))
+            prepared.classification.put(stamp, classification)
     else:
         if tuple_independent is None:
             tuple_independent = tuple_independent_relations(db)

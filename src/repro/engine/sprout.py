@@ -580,10 +580,7 @@ class SproutEngine:
                 for row in by_key[key]:
                     row._annotation_dist = distribution
                 if absorb is not None:
-                    if generation is not None:
-                        absorb(key, distribution, generation=generation)
-                    else:
-                        absorb(key, distribution)
+                    absorb(key, distribution, generation)
         deltas = merge_stat_sums(
             (delta for _, delta in results), ("mutex_nodes",)
         )

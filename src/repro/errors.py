@@ -54,10 +54,9 @@ class ConcurrentMutationError(ReproError):
     """The database was mutated underneath a whole-database sweep.
 
     Raised by consumers that read the database incrementally over time
-    (possible-worlds enumeration in particular) when the database
-    generation moves mid-sweep: the partial output would mix epochs.
-    Point-in-time readers (scans, queries) never raise this — they
-    operate on per-table snapshots.
+    (possible-worlds enumeration in particular) when its stamp moves
+    mid-sweep: the partial output would mix table states.  Point-in-time
+    readers (scans, queries) never raise this: they read per-table records.
     """
 
 

@@ -25,7 +25,6 @@ that evaluate many worlds plan once.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -33,6 +32,7 @@ from repro.algebra.conditions import compare
 from repro.algebra.expressions import ONE, ZERO, SemiringExpr, sprod, ssum
 from repro.algebra.monoid import COUNT, SUM, CountMonoid
 from repro.algebra.semimodule import MConst, ModuleExpr, aggsum, tensor
+from repro.cache import StampedSlot, capture_stamp
 from repro.codegen import codegen_enabled, kernel_for
 from repro.db.pvc_table import (
     PVCDatabase,
@@ -74,23 +74,9 @@ __all__ = [
 ]
 
 
-class _AnswerSlot:
-    """The one mutable cell of a :class:`PreparedQuery`: its step-I
-    answer at the table epochs it was computed from.
-
-    ``record`` is ``None`` or a ``(db, tables, epochs, rows)`` tuple that
-    is never changed, only replaced whole, so readers sharing the plan
-    across threads need no lock.  ``rows`` is ``None`` while the stamp
-    has been seen once (see :func:`symbolic_answer`).  ``classification``
-    is the ``auto`` engine choice
-    (:func:`~repro.engine.base.select_engine_name` owns it).
-    """
-
-    __slots__ = ("record", "classification")
-
-    def __init__(self):
-        self.record = None
-        self.classification = None
+def _memo(factory):
+    """A mutable field of the frozen plan, outside its identity."""
+    return field(default_factory=factory, repr=False, compare=False, hash=False)
 
 
 @dataclass(frozen=True)
@@ -98,11 +84,10 @@ class PreparedQuery:
     """A query carried through the whole step-I pipeline, reusable across
     executions (and, for the per-world engines, across worlds).
 
-    The plan itself is *data-independent*; the two mutable fields are
-    memos that live and die with it (with its
-    :class:`~repro.engine.base.PlanCache` entry, when it has one):
-    ``op_cache`` never holds row data, ``answer`` holds the rows of the
-    symbolic answer under the stamp that makes them valid.
+    The plan itself is *data-independent*; the mutable fields are memos
+    that live and die with it (with its :class:`~repro.engine.base.PlanCache`
+    entry, when it has one): ``op_cache`` never holds row data, the two
+    slots hold what was derived from it under the stamp that makes it valid.
     """
 
     query: Query
@@ -113,15 +98,12 @@ class PreparedQuery:
     #: Per-operator compile cache (predicate accessors, key getters),
     #: keyed on operator identity.  Shared by every execution of this
     #: prepared plan, so the per-world engines compile each operator once.
-    op_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-    #: The step-I answer of this plan, stamped with the database and the
-    #: ``(table, epoch)`` of every base relation it was read from; filled
-    #: and read only by :func:`symbolic_answer`.
-    answer: _AnswerSlot = field(
-        default_factory=_AnswerSlot, repr=False, compare=False, hash=False
-    )
+    op_cache: dict = _memo(dict)
+    #: The rows of this plan's step-I answer, stamped with the tables it
+    #: reads; filled and read only by :func:`symbolic_answer`.
+    answer: StampedSlot = _memo(StampedSlot)
+    #: :func:`~repro.engine.base.select_engine_name`'s choice, stamped with every table.
+    classification: StampedSlot = _memo(StampedSlot)
 
 
 def prepare(
@@ -163,52 +145,27 @@ def symbolic_answer(
     """Step I of ``prepared`` on ``db``: ``(table, reused)``.
 
     A step-I answer is a function of the plan and of the rows of the
-    tables it scans — not of any probability — so the plan keeps it,
-    stamped with ``db`` and the ``(table, epoch)`` of every base relation
-    of the query, objects compared by identity: a write to a scanned
-    table, a dropped-and-recreated table or another database all miss,
-    a write elsewhere and a ``p=`` update do not.  The stamp is read
-    *before* the walk (writers change rows, then bump — the rule of
-    :meth:`PVCTable._views <repro.db.pvc_table.PVCTable>`), so a write
-    landing mid-walk leaves a record stamped older than its content,
-    which no later read accepts.
-
-    Rows are admitted on second sight: the first execution at a stamp
-    records the stamp alone, the next one at the same stamp keeps the
-    rows.  A plan that runs once per table state (every ad-hoc text,
-    every cold pass) therefore never pins an answer.
+    tables it scans — not of any probability — so the plan keeps it
+    (:mod:`repro.cache`) under the stamp of every base relation of
+    the query, table objects included: a write to a scanned table, a
+    dropped-and-recreated table or another database all miss, a write
+    elsewhere and a ``p=`` update do not.  Rows are admitted on second
+    sight, so a plan that runs once per table state never pins them.
 
     The slot keeps the immutable :class:`PVCRow` list; every call wraps
     it in a fresh :class:`PVCTable`, so the caller owns what it gets.
     """
-    # Tables first, then their epochs, then (maybe) their rows.
-    tables = [db.tables.get(name) for name in prepared.query.base_relations()]
-    epochs = [None if table is None else table.epoch for table in tables]
-    slot = prepared.answer
-    record = slot.record
-    seen = record is not None and _stamped(record, db, tables, epochs)
-    if seen and record[3] is not None:
-        rows, reused = record[3], True
-    else:
+    stamp = capture_stamp(db, prepared.query.base_relations())
+    rows = prepared.answer.get(stamp)
+    reused = rows is not None
+    if not reused:
         walk = _PlanWalk(_SymbolicDomain(db), prepared.op_cache)
         rows = [
             PVCRow(values, annotation)
             for values, annotation in walk.rows(prepared.plan)
         ]
-        slot.record = (db, tables, epochs, rows if seen else None)
-        reused = False
+        prepared.answer.offer(stamp, rows)
     return PVCTable(prepared.plan.schema, rows), reused
-
-
-def _stamped(record: tuple, db, tables: list, epochs: list) -> bool:
-    """Whether ``record`` was made at this stamp: the database and the
-    tables by identity, the epochs by value.  One plan always reads the
-    same relations, so the lists are equally long."""
-    return (
-        record[0] is db
-        and record[2] == epochs
-        and all(map(operator.is_, record[1], tables))
-    )
 
 
 def execute_deterministic(

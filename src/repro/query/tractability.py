@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
 from repro.db.schema import Schema
 from repro.query.ast import (
@@ -237,29 +238,21 @@ def tuple_independent_relations(db: PVCDatabase) -> frozenset:
     No row is read: each table's write path maintains the counts this
     needs (:class:`~repro.db.pvc_table.TableFacts`), so the work is
     O(#tables) plus C-level set operations over the variable names, and
-    the answer is memoised on the database against its table epochs.  A
-    table whose facts are missing or stale (built from rows, or edited
-    in place) is counted once, alone.  The epochs are read before and
-    after: an answer computed while a writer moved one of them is
-    discarded, never returned or published.
+    the answer is kept on the database under the stamp of its tables
+    (:mod:`repro.cache`) — the same object until a row of any table
+    changes.  A table whose facts are missing or stale (built from rows,
+    or edited in place) is counted once, alone.  An answer assembled from
+    one table before a write and another after describes no database
+    state: it is computed again, never kept or returned.
     """
-    return independence_record(db)[1]
-
-
-def independence_record(db: PVCDatabase) -> tuple:
-    """The ``(table epochs, names)`` memo entry behind
-    :func:`tuple_independent_relations`: the same object until a row of
-    any table changes, so its identity stamps whatever else is derived
-    from the independence facts."""
     while True:
-        epochs = db.table_epochs()
-        memo = db.independence_memo
-        if memo is not None and memo[0] == epochs:
-            return memo
-        answer = _independent_tables(db)
-        if db.table_epochs() == epochs:
-            memo = db.independence_memo = (epochs, answer)
-            return memo
+        stamp = capture_stamp(db)
+        names = db.independence_memo.get(stamp)
+        if names is not None:
+            return names
+        names = _independent_tables(db)
+        if db.independence_memo.put(stamp, names, after=capture_stamp(db)):
+            return names
 
 
 def _independent_tables(db: PVCDatabase) -> frozenset:

@@ -35,9 +35,9 @@ tenants:
   of the shared database.  Writes serialise on one mutation lock; the
   shared distribution cache is subscribed to the database's delta feed
   and drops exactly the entries whose variables a mutation re-weighted,
-  while prepared plans and compiled kernels self-invalidate via epoch
-  fingerprints — every tenant's next answer reflects the new
-  generation, and nothing that did not change recompiles.
+  while plans re-key on row counts and kept answers and replies on
+  their stamp (:mod:`repro.cache`) — every tenant's next answer
+  reflects the write, and nothing that did not change recompiles.
 
 The wire protocols live in :mod:`repro.server.http` (JSON over HTTP:
 ``POST /query``, ``POST /mutate``, ``GET /stats``, ``GET /healthz``)
@@ -56,6 +56,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
+from repro.cache import capture_stamp
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.base import CompilationCache, ENGINE_NAMES, PlanCache
@@ -565,11 +566,9 @@ class QueryServer:
             key = normalise_statement(sql)
             session, lock = self._acquire_tenant(tenant)
             try:
-                result = (
-                    None
-                    if options is None
-                    else self.statements.reply(key, options, self._stamp())
-                )
+                result = None
+                if options is not None:
+                    result = self.statements.reply(key, options, self._stamp())
                 reply_reused = result is not None
                 if reply_reused:
                     statement_hit = True
@@ -599,23 +598,8 @@ class QueryServer:
         }
 
     def _stamp(self) -> tuple:
-        """Everything besides text and options that an exact answer is a
-        function of, as counters: rows and annotations (the tables by
-        identity, their epochs), the variables' distributions (registry
-        epoch) and the shared distribution cache (``data_generation``).
-
-        Each is bumped *after* the change it stands for, so a reply
-        computed after reading the stamp is at least as new as the stamp
-        says; a write landing mid-run leaves a reply stamped older than
-        its content, which no later request accepts.  ``data_generation``
-        is what closes a ``p=`` update: the registry changes first and
-        the cache is told second, and a run in between reads still-cached
-        old distributions under the new registry epoch.
-        """
-        db = self.db
-        return (
-            db.table_epochs(), db.registry.epoch, self.cache.data_generation
-        )
+        """What an exact answer depends on besides its text and options."""
+        return capture_stamp(self.db, registry=True, cache=self.cache)
 
     def _run_statement(
         self, session: Session, key: str, options: str | None, **run_options

@@ -24,7 +24,9 @@ quote takes the C-level ``split``/``join`` path.
 
 from __future__ import annotations
 
-from repro.cache import BoundedLRU
+from typing import NamedTuple
+
+from repro.cache import BoundedLRU, StampedSlot
 from repro.errors import QueryValidationError
 from repro.query.sql import parse_sql
 
@@ -87,22 +89,13 @@ def _normalise_quoted(text: str) -> str:
 _OPTION_SETS_PER_STATEMENT = 8
 
 
-class _Statement:
-    """One entry: the parsed query and the replies kept for it.
+class _Statement(NamedTuple):
+    """One entry: the parsed query and, for the stamp it was last
+    answered at, a map from option set to that option set's own slot —
+    read and written only under the owning cache's ``_lock``."""
 
-    ``replies`` maps an option set to the reply computed under it at
-    ``stamp`` — or to ``None`` while that option set has been answered
-    once at ``stamp`` (admission on second sight, see
-    :meth:`StatementCache.keep_reply`).  Both fields are read and written
-    only under the owning cache's ``_lock``.
-    """
-
-    __slots__ = ("query", "stamp", "replies")
-
-    def __init__(self, query):
-        self.query = query
-        self.stamp = None
-        self.replies: dict = {}
+    query: object
+    replies: StampedSlot
 
 
 class StatementCache(BoundedLRU):
@@ -115,14 +108,12 @@ class StatementCache(BoundedLRU):
 
     An entry also keeps the replies its statement was answered with
     (:meth:`reply` / :meth:`keep_reply`): per option set, the encoded
-    result, valid for one *stamp* — an opaque value the caller derives
-    from everything besides text and options that determines the answer
-    (the server: table epochs, registry epoch, the distribution cache's
-    ``data_generation``).  Replies are bounded by ``max_entries`` ×
-    :data:`_OPTION_SETS_PER_STATEMENT` and leave with their entry; there
-    is no second map, bound or counter.  The event loop reads them and
-    executor threads write them, both under ``_lock`` (the same lock
-    that guards the entry map), so neither sees a half-written record.
+    result, valid for one *stamp* — whatever besides text and options
+    determines the answer (``QueryServer._stamp``).  Replies are bounded
+    by ``max_entries`` × :data:`_OPTION_SETS_PER_STATEMENT` and leave
+    with their entry; there is no second map, bound or counter.  The
+    event loop reads them and executor threads write them, both under
+    ``_lock``: the option-set map of one stamp is edited in place.
     """
 
     def __init__(self, max_entries: int | None = 256):
@@ -131,9 +122,7 @@ class StatementCache(BoundedLRU):
     def get_or_parse(self, text: str, parser=parse_sql):
         """``(query, hit)`` for ``text``, parsing (and caching) on miss."""
         key = normalise_statement(text)
-        statement, hit = self.lookup_or_build(
-            key, lambda: _Statement(parser(key))
-        )
+        statement, hit = self.lookup_or_build(key, lambda: _Statement(parser(key), StampedSlot()))
         return statement.query, hit
 
     def reply(self, key: str, options, stamp):
@@ -146,33 +135,32 @@ class StatementCache(BoundedLRU):
         """
         with self._lock:
             statement = self.peek(key)
-            if statement is None or statement.stamp != stamp:
-                return None
-            kept = statement.replies.get(options)
+            slots = None if statement is None else statement.replies.get(stamp)
+            slot = None if slots is None else slots.get(options)
+            kept = None if slot is None else slot.get(stamp)
             if kept is not None:
                 self.hits += 1
             return kept
 
     def keep_reply(self, key: str, options, stamp, reply) -> None:
-        """Record that ``key`` under ``options`` was answered with
-        ``reply``, computed from the state ``stamp`` was read *before*.
+        """Offer ``reply`` as the answer of ``key`` under ``options``,
+        computed from the state ``stamp`` was captured *before*.
 
-        Admission is on second sight: the first answer at a stamp records
-        the option set alone, the next one at the same stamp keeps the
-        reply — a text that runs once per database state (every ad-hoc
-        statement) never pins one.  A new stamp drops everything kept at
-        the old one.  No-op when the entry has been evicted meanwhile.
+        Each option set has its own :class:`~repro.cache.StampedSlot`
+        (second sight: an ad-hoc text never pins a reply); a new stamp
+        drops everything kept at the old one.  No-op on an evicted entry.
         """
         with self._lock:
             statement = self.peek(key)
             if statement is None:
                 return
-            if statement.stamp != stamp:
-                statement.stamp, statement.replies = stamp, {}
-            replies = statement.replies
-            if options in replies:
-                replies[options] = reply
-            else:
-                if len(replies) >= _OPTION_SETS_PER_STATEMENT:
-                    del replies[next(iter(replies))]
-                replies[options] = None
+            slots = statement.replies.get(stamp)
+            if slots is None:
+                slots = {}
+                statement.replies.put(stamp, slots)
+            slot = slots.get(options)
+            if slot is None:
+                if len(slots) >= _OPTION_SETS_PER_STATEMENT:
+                    del slots[next(iter(slots))]
+                slot = slots[options] = StampedSlot()
+            slot.offer(stamp, reply)

@@ -1,6 +1,6 @@
 """Fixture corpus for the cache-epoch checker.
 
-The rule gets the four-way treatment: a seeded violation is flagged,
+Each rule gets the four-way treatment: a seeded violation is flagged,
 the corrected version passes, an inline suppression silences it, and a
 baseline entry grandfathers it.  The final tests re-introduce the
 PR-10 staleness bug (an equal-size in-place update that leaves the
@@ -357,6 +357,144 @@ class TestAssignThenBumpRule:
         )
         assert result.clean
         assert [f.rule_id for f in result.suppressed] == ["cache-epoch"]
+
+
+class TestStampCompareRule:
+    """Whether a kept value is still valid is decided in ``repro/cache.py``
+    alone.  The flagged fixtures are the four protocols PRs 13–20 wrote
+    by hand, in miniature."""
+
+    def test_flags_a_record_compared_by_hand(self, analyze):
+        # query/executor.py's _AnswerSlot + _stamped.
+        result = analyze(
+            """
+    def answer(slot, db, names):
+        tables = [db.tables.get(name) for name in names]
+        versions = [table.epoch for table in tables]
+        record = slot.record
+        if record is not None and record[2] == versions:
+            return record[3]
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-stamp"]
+        assert "record[2]" in result.findings[0].message
+
+    def test_flags_a_memo_compared_before_and_after(self, analyze):
+        # query/tractability.py's independence_record.
+        result = analyze(
+            """
+    def independent(db):
+        while True:
+            epochs = db.table_epochs()
+            memo = db.independence_memo
+            if memo is not None and memo[0] == epochs:
+                return memo
+            answer = compute(db)
+            if db.table_epochs() == epochs:
+                memo = db.independence_memo = (epochs, answer)
+                return memo
+    """,
+            CHECKERS,
+        )
+        # The re-read compares two fresh values; the reuse decision is the
+        # finding.
+        assert rule_ids(result) == ["cache-stamp"]
+        assert "memo[0]" in result.findings[0].message
+
+    def test_flags_a_stamp_attribute_compared_with_a_parameter(self, analyze):
+        # server/statements.py's _Statement.stamp.
+        result = analyze(
+            """
+    class Statements:
+        def reply(self, key, options, stamp):
+            statement = self.peek(key)
+            if statement is None or statement.stamp != stamp:
+                return None
+            return statement.replies.get(options)
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-stamp"]
+
+    def test_flags_a_kept_generation(self, analyze):
+        result = analyze(
+            """
+    def kept(entry, cache):
+        if entry.generation == cache.data_generation:
+            return entry.value
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-stamp"]
+
+    def test_passes_capture_then_ask_the_slot(self, analyze):
+        result = analyze(
+            """
+    def answer(prepared, db):
+        stamp = capture_stamp(db, prepared.query.base_relations())
+        rows = prepared.answer.get(stamp)
+        if rows is None:
+            rows = walk(prepared, db)
+            prepared.answer.offer(stamp, rows)
+        return rows
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_passes_a_guard_comparing_two_captures_whole(self, analyze):
+        result = analyze(
+            """
+    def sweep(db, worlds):
+        stamp = capture_stamp(db, registry=True)
+        for world in worlds:
+            if capture_stamp(db, registry=True) != stamp:
+                raise RuntimeError("mutated")
+            yield world
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_passes_the_per_object_version_compare(self, analyze):
+        # PR 15's records: one int against the object's own counter.
+        result = analyze(
+            CACHE_CLASS_HEADER
+            + """
+        def views(self):
+            version = self._version
+            views = self._view_cache
+            if views is not None and views[0] == self._version:
+                return views
+            self._view_cache = (version, build(self.rows))
+            return self._view_cache
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
+    def test_the_home_module_is_exempt(self, analyze):
+        source = """
+    class StampedSlot:
+        def get(self, stamp):
+            kept_at, value = self._record
+            return value if self._record[0] == stamp else None
+    """
+        assert rule_ids(analyze(source, CHECKERS)) == ["cache-stamp"]
+        assert analyze(source, CHECKERS, name="repro/cache.py").clean
+
+    def test_suppression_silences_and_is_marked_used(self, analyze):
+        result = analyze(
+            """
+    def kept(entry, cache):
+        if entry.generation == cache.data_generation:  # repro: allow(cache-stamp)
+            return entry.value
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+        assert [f.rule_id for f in result.suppressed] == ["cache-stamp"]
 
 
 class TestShippedClassesSatisfyTheDiscipline:

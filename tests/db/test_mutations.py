@@ -376,7 +376,7 @@ class TestLineageIndex:
         for i in range(5):
             log.append(Delta(
                 table="t", kind="insert", rows=1, variables=frozenset(),
-                cardinality_changed=True, epoch=i, generation=i,
+                cardinality_changed=True,
             ))
         assert log.total == 5
         assert log.stats()["retained"] == 2

@@ -4,8 +4,11 @@ import pytest
 
 from repro.algebra.expressions import Var
 from repro.algebra.semiring import BOOLEAN, NATURALS
-from repro.db.pvc_table import PVCDatabase
+from repro.db.pvc_table import PVCDatabase, PVCRow, PVCTable
+from repro.db.schema import Schema
 from repro.db.worlds import enumerate_database_worlds, world_count
+from repro.errors import ConcurrentMutationError
+from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 
 
@@ -65,3 +68,47 @@ class TestEnumeration:
             for world, _ in enumerate_database_worlds(db)
         }
         assert multiplicities == {0, 2}
+
+
+class TestMutationMidSweep:
+    """The sweep reads the live tables once per world; anything that
+    changes what the next world would be built from must stop it."""
+
+    def sweep_after(self, db, mutate):
+        worlds = enumerate_database_worlds(db)
+        next(worlds)
+        mutate()
+        with pytest.raises(ConcurrentMutationError):
+            next(worlds)
+
+    def test_row_write_raises(self):
+        db = two_table_db()
+        self.sweep_after(db, lambda: db["R"].add((3,), Var("y")))
+
+    def test_probability_update_raises(self):
+        db = two_table_db()
+        self.sweep_after(
+            db, lambda: db.registry.reassign("x", Distribution.bernoulli(0.9))
+        )
+
+    def test_registering_a_prebuilt_table_raises(self):
+        # A prebuilt table starts at epoch 0: the epoch *sum* stays put.
+        db = two_table_db()
+        prebuilt = PVCTable(Schema(["c"]), [PVCRow((5,), Var("x"))])
+        before = db.generation
+        self.sweep_after(db, lambda: db.add_table("T", prebuilt))
+        assert db.generation == before
+
+    def test_swapping_a_table_at_the_same_epoch_raises(self):
+        db = two_table_db()
+        twin = PVCTable(db["S"].schema)
+        twin.add((7,), Var("y"))
+        assert twin.epoch == db["S"].epoch
+
+        def swap():
+            db.tables["S"] = twin
+
+        self.sweep_after(db, swap)
+
+    def test_an_untouched_database_sweeps_to_the_end(self):
+        assert len(list(enumerate_database_worlds(two_table_db()))) == 4

@@ -17,6 +17,7 @@ import time
 
 from repro import connect, count_, sum_
 from repro.algebra.expressions import Var
+from repro.cache import capture_stamp
 from repro.engine.base import PlanCache
 from repro.query import executor
 from repro.session import Session
@@ -77,9 +78,10 @@ class TestReuse:
         query = totals(s)
         s.run(query)
         prepared = s.engine("sprout").prepare(query)
-        assert prepared.answer.record[-1] is None
+        stamp = capture_stamp(s.db, query.base_relations())
+        assert prepared.answer.get(stamp) is None
         s.run(query)
-        assert prepared.answer.record[-1] is not None
+        assert prepared.answer.get(stamp) is not None
 
     def test_write_to_a_read_table_misses(self):
         s = build()

@@ -251,7 +251,7 @@ class TestKeptReplies:
             for _ in range(2):
                 cache.keep_reply(self.KEY, f"opts-{n}", 1, f"reply-{n}")
         entry = cache.peek(self.KEY)
-        assert len(entry.replies) == _OPTION_SETS_PER_STATEMENT
+        assert len(entry.replies.get(1)) == _OPTION_SETS_PER_STATEMENT
         last = 3 * _OPTION_SETS_PER_STATEMENT - 1
         assert cache.reply(self.KEY, f"opts-{last}", 1) == f"reply-{last}"
         assert cache.reply(self.KEY, "opts-0", 1) is None
