@@ -4,8 +4,8 @@ Measures the ``workers`` knob where it is not a no-op (EXPERIMENTS.md,
 "Accelerator verdicts", has the curve that retired the other seams):
 
 * **Per-world Monte-Carlo** — a join + grouped SUM under bag semantics
-  (NATURALS has no batched form, so the per-world loop runs with or
-  without numpy); worlds are drawn and evaluated one by one in
+  (NATURALS has no batched form, so the per-world loop runs with the
+  numpy kernels on); worlds are drawn and evaluated one by one in
   deterministic shards that spread across the process pool.  Also sweeps
   the sequential-stopping (ε, δ) interval path, whose doubling rounds
   shard the same way.  The ``mc_codegen`` series times that loop itself,
@@ -349,7 +349,7 @@ def main() -> None:
 
     # Codegen off/on on the serial per-world MC loop: same drawn worlds,
     # different evaluator — the answers must be bit-identical.  A
-    # bag-semantics join, so the loop runs whether or not numpy is there
+    # bag-semantics join, so the loop runs with the numpy kernels on
     # and per-world evaluation (not world sampling, which both evaluators
     # share) dominates the wall-clock.
     cg_mc_rows, cg_samples = (12, 800) if smoke else (40, 4000)

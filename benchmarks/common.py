@@ -24,8 +24,11 @@ import statistics
 import sys
 import time
 
+import numpy
+
 from repro.algebra.semiring import BOOLEAN
 from repro.core.compile import Compiler
+from repro.prob import kernels
 from repro.workloads.random_expr import ExprParams, generate_condition
 
 __all__ = [
@@ -92,18 +95,11 @@ class BenchReport:
         self.points.append({"series": series, "params": params, **metrics})
 
     def payload(self) -> dict:
-        try:
-            import numpy
-            numpy_version = numpy.__version__
-        except ImportError:
-            numpy_version = None
-        from repro.prob import kernels
-
         return {
             "bench": self.bench,
             "engine": "repro-compiled" if self.bench != "montecarlo" else "montecarlo",
             "python_version": platform.python_version(),
-            "numpy_version": numpy_version,
+            "numpy_version": numpy.__version__,
             "numpy_kernels_enabled": kernels.numpy_enabled(),
             "config": self.config,
             "points": self.points,

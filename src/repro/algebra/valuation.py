@@ -13,7 +13,7 @@ pvc-database (Definition 6).
 
 :func:`evaluate` applies one valuation; :func:`evaluate_batch` applies a
 whole *batch* of Boolean valuations at once, one numpy vector per
-sub-expression.  It is an optional accelerator in the style of
+sub-expression.  It is an accelerator in the style of
 :mod:`repro.prob.kernels`: :func:`batch_exact` says for which
 expressions it reproduces :func:`evaluate` exactly — same values, same
 Python types — and callers keep the scalar path for everything else.
@@ -27,6 +27,8 @@ import math
 import operator
 from functools import lru_cache, reduce
 from typing import Mapping
+
+import numpy as _np
 
 from repro.algebra.conditions import Compare
 from repro.algebra.expressions import ONE, Expr, Prod, SConst, Sum, Var
@@ -45,11 +47,6 @@ from repro.algebra.semimodule import (
 )
 from repro.algebra.semiring import Semiring
 from repro.errors import AlgebraError
-
-try:  # optional accelerator; only evaluate_batch needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "Valuation",
@@ -214,7 +211,7 @@ def evaluate_batch(expr: Expr, presence: Mapping, size: int, memo: dict):
     expressions float64 vectors (see :func:`batch_values`).  ``memo``
     caches sub-expression vectors across the calls of one batch —
     factors shared between result rows are common after joins — so
-    returned vectors must not be written to.  Requires numpy and
+    returned vectors must not be written to.  Requires
     :func:`batch_exact` expressions.
     """
     if isinstance(expr, Var):

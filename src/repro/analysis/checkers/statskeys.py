@@ -7,7 +7,7 @@ wall-clock times, cache hit counts, worker counts and other values that
 legitimately differ between two runs of the same query.  A stats key
 that is volatile **but not declared so** silently breaks fingerprint
 equality between runs (the PR-8 ``batched`` bug class); a key nobody
-classified is a landmine waiting for the first numpy-vs-pure or
+classified is a landmine waiting for the first kernels-on-vs-off or
 parallel-vs-serial divergence.
 
 This lint closes the loop statically: every key written into a stats

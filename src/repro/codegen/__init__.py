@@ -10,7 +10,7 @@ Public surface:
   function rides the existing :class:`~repro.engine.base.PlanCache` (and
   the server's shared statement cache) across sessions and tenants.
   Returns ``None`` when the plan has no compiled form (interpreter
-  fallback) unless ``REPRO_CODEGEN_STRICT`` is set.
+  fallback).
 * :class:`~repro.codegen.binding.BoundPlan` (via
   :meth:`CompiledPlan.bind`) — all world-invariant work hoisted, for the
   per-world engines.
@@ -27,7 +27,6 @@ from repro.codegen.emit import CompiledPlan, compile_plan
 from repro.codegen.runtime import (
     CodegenUnsupported,
     codegen_enabled,
-    codegen_strict,
     record_cache_hit,
     reset_runtime_stats,
     runtime_stats,
@@ -40,7 +39,6 @@ __all__ = [
     "kernel_for",
     "bound_kernel_for",
     "codegen_enabled",
-    "codegen_strict",
     "runtime_stats",
     "reset_runtime_stats",
 ]
@@ -69,8 +67,6 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
     try:
         compiled = compile_plan(prepared.plan, semiring)
     except CodegenUnsupported:
-        if codegen_strict():
-            raise
         compiled = None
     cache[key] = compiled
     return compiled
@@ -79,8 +75,7 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
 def bound_kernel_for(prepared, db, names, supports=None):
     """The prepared query's kernel bound to ``db`` for the per-world
     engines, or ``None`` when codegen is off (:func:`codegen_enabled`)
-    or the plan or the database's annotations have no compiled form
-    (``REPRO_CODEGEN_STRICT`` raises instead).
+    or the plan or the database's annotations have no compiled form.
 
     ``names``/``supports`` are as in :meth:`CompiledPlan.bind`.
     """
@@ -92,6 +87,4 @@ def bound_kernel_for(prepared, db, names, supports=None):
     try:
         return kernel.bind(db, names, supports)
     except CodegenUnsupported:
-        if codegen_strict():
-            raise
         return None

@@ -14,8 +14,8 @@ the per-world loop the Monte-Carlo fallback and the naive oracle run:
   interpreter re-evaluates the annotation per row per world), and the
   per-variable support values coerced once so Monte-Carlo sample indices
   map straight to semiring values;
-* with numpy available, an all-``Var``-annotated Boolean table becomes a
-  single fancy-indexing gather per world (``presence[slots]``),
+* with the numpy kernels on, an all-``Var``-annotated Boolean table
+  becomes a single fancy-indexing gather per world (``presence[slots]``),
   list-ified back to Python bools so results stay bit-identical.
 
 ``run_indices`` (Monte-Carlo: per-variable support indices) and
@@ -27,17 +27,14 @@ merge semantics exactly.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.algebra.conditions import Compare
 from repro.algebra.expressions import Prod, SConst, Sum, Var
 from repro.algebra.semimodule import AggSum, MConst, ModuleExpr, Tensor
 from repro.algebra.valuation import Valuation
 from repro.codegen.runtime import CodegenUnsupported
 from repro.prob.kernels import numpy_enabled
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["BoundPlan", "compile_annotation"]
 
@@ -225,9 +222,7 @@ class BoundPlan:
         self._statics = statics
 
         # Columnar layout + compiled annotations for the uncertain tables.
-        use_numpy = (
-            _np is not None and numpy_enabled() and semiring.is_boolean
-        )
+        use_numpy = numpy_enabled() and semiring.is_boolean
         ann_fns: list = []
         ann_slots: dict = {}
         dynamic = []

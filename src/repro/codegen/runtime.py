@@ -7,19 +7,14 @@ the executor's exact error message, hash-index construction that reuses a
 marker for symbolic filter guards — live here so every kernel shares one
 vetted implementation.
 
-This module also owns the two process-wide knobs:
-
-* :func:`codegen_enabled` — the ``REPRO_CODEGEN`` escape hatch (default
-  on; ``REPRO_CODEGEN=0`` restores the tree-walking interpreter
-  everywhere).  It is the only selector: the interpreter CI legs and
-  the differential tests flip it, nothing per run does.
-* :func:`codegen_strict` — ``REPRO_CODEGEN_STRICT=1`` turns silent
-  interpreter fallback on compile failure into a raised error; the test
-  suite runs strict so emitter bugs cannot hide behind the fallback.
-
-and the volatile counters (:func:`runtime_stats`) surfaced as
+This module also owns the one process-wide knob, :func:`codegen_enabled`
+— the ``REPRO_CODEGEN`` escape hatch (default on; ``REPRO_CODEGEN=0``
+restores the tree-walking interpreter everywhere).  It is the only
+selector — the interpreter CI leg and the differential tests flip it,
+nothing per run does — and the only environment variable the package
+reads.  The volatile counters (:func:`runtime_stats`) surfaced as
 ``codegen_used`` / ``codegen_compile_seconds`` / ``kernel_cache_hits`` in
-result stats.
+result stats live here too.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from repro.errors import QueryValidationError
 __all__ = [
     "CodegenUnsupported",
     "codegen_enabled",
-    "codegen_strict",
     "kernel_table",
     "kernel_index",
     "KERNEL_GLOBALS",
@@ -58,14 +52,6 @@ def codegen_enabled() -> bool:
     """Whether compiled execution is active: the ``REPRO_CODEGEN``
     environment variable decides, defaulting to enabled."""
     return os.environ.get("REPRO_CODEGEN", "1").strip().lower() not in _OFF_VALUES
-
-
-def codegen_strict() -> bool:
-    """Whether compile failures should raise instead of falling back."""
-    return os.environ.get("REPRO_CODEGEN_STRICT", "").strip().lower() not in (
-        "",
-        *_OFF_VALUES,
-    )
 
 
 def _lookup(world, name: str):

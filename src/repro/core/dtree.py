@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as _np
+
 from repro.algebra.conditions import ComparisonOp
 from repro.algebra.expressions import Expr
 from repro.algebra.monoid import Monoid
@@ -37,11 +39,6 @@ from repro.errors import CompilationError
 from repro.prob import convolution
 from repro.prob.distribution import TOLERANCE, Distribution
 from repro.prob.variables import VariableRegistry
-
-try:  # optional accelerator; only TableLeaf needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "CompileContext",

@@ -12,9 +12,9 @@ knowledge compilation.
 The sampler is **batched**:
 
 * all ``samples × variables`` draws happen up front, one vectorized
-  categorical draw per variable (``numpy.random.Generator`` when numpy is
-  available, a single ``random.Random.choices(k=samples)`` call per
-  variable otherwise);
+  categorical draw per variable (``numpy.random.Generator``; a single
+  ``random.Random.choices(k=samples)`` call per variable when the run
+  started with the kernels switched off);
 * only the variables and relations actually referenced by the query are
   sampled;
 * under set semantics, step I runs **once per run**, symbolically — the
@@ -29,7 +29,7 @@ The sampler is **batched**:
   Large batches are valuated in world chunks of bounded array size, with
   a deadline checkpoint between chunks;
 * the per-world loop (a compiled kernel, or the interpreter) remains
-  where it is the only exact path: numpy absent or disabled, bag
+  where it is the only exact path: the kernels switched off, bag
   semantics (non-Boolean semirings), semimodule values stored in base
   tables, and aggregates float64 could alter — float SUM inputs,
   integers beyond 2**52/2**53, PROD and custom monoids (see
@@ -64,6 +64,8 @@ import random
 import time
 from statistics import NormalDist
 from typing import NamedTuple
+
+import numpy as _np
 
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import (
@@ -101,11 +103,6 @@ from repro.resilience.deadline import (
     deadline_scope,
 )
 from repro.resilience.faults import fault_point
-
-try:  # optional accelerator; the engine is fully functional without it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["MonteCarloEngine"]
 
@@ -161,9 +158,7 @@ class MonteCarloEngine:
         #: ``"sample"`` spec says otherwise.
         self.samples = samples
         self.random = random.Random(seed)
-        self._np_rng = (
-            _np.random.default_rng(seed) if _np is not None else None
-        )
+        self._np_rng = _np.random.default_rng(seed)
 
     # -- sampling ------------------------------------------------------------
 
@@ -175,12 +170,12 @@ class MonteCarloEngine:
             assignment[name] = self.random.choices(values, weights=weights)[0]
         return Valuation(assignment, self.db.semiring)
 
-    def _supports(self, names) -> dict:
+    def _supports(self, names, use_numpy: bool) -> dict:
         """``{name: (support values, weights, probabilities)}`` — what one
         categorical draw of each variable needs, read off the registry
         once per run.  ``probabilities`` is the normalised numpy array
-        ``Generator.choice`` takes, ``None`` when numpy is off."""
-        use_numpy = _np is not None and kernels.numpy_enabled()
+        ``Generator.choice`` takes; ``None`` selects the pure-Python
+        stream, for every round and shard that draws from this mapping."""
         supports = {}
         for name in names:
             values, weights = zip(*self.db.registry[name].items())
@@ -197,8 +192,9 @@ class MonteCarloEngine:
         """Batched draws as ``{name: (support_values, index_column)}``.
 
         One vectorized categorical draw per variable via the numpy
-        ``Generator`` when available, else one ``choices(k=samples)``
-        call per variable — either way O(variables) RNG calls instead of
+        ``Generator``, or one ``choices(k=samples)`` call per variable
+        when its support carries no ``probabilities`` (see
+        :meth:`_supports`) — either way O(variables) RNG calls instead of
         O(variables × samples).  Draws stay in *index* form so the batch
         evaluator can turn them into presence vectors with one fancy
         index per variable instead of a per-sample Python loop.
@@ -214,11 +210,10 @@ class MonteCarloEngine:
             rng = self.random
             np_rng = self._np_rng
         if not isinstance(variables, dict):
-            variables = self._supports(variables)
+            variables = self._supports(variables, kernels.numpy_enabled())
         drawn: dict = {}
-        use_numpy = np_rng is not None and kernels.numpy_enabled()
         for name, (values, weights, probabilities) in variables.items():
-            if use_numpy:
+            if probabilities is not None:
                 indices = np_rng.choice(
                     len(values), size=samples, p=probabilities
                 )
@@ -367,25 +362,28 @@ class MonteCarloEngine:
     def _run_context(self, query: Query) -> _RunContext:
         """Plan, run step I and read the variables' distributions — once.
 
-        When the per-world loop will serve the run and codegen is on, the
-        kernel is compiled here too: it rides the prepared plan's
-        ``op_cache`` (a cheap picklable payload) into forked shards.
+        The kernels switch is read here and nowhere later in the run: it
+        picks the evaluator (``symbolic``) and the sampler (the
+        ``probabilities`` of ``supports``) together, so a run finishes on
+        the stream it started on.  When the per-world loop will serve the
+        run and codegen is on, the kernel is compiled here too: it rides
+        the prepared plan's ``op_cache`` (a cheap picklable payload) into
+        forked shards.
         """
         referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
         for name in referenced:
             needed |= self.db.tables[name].variables
         prepared = self._prepare(query)
-        symbolic = None
-        if _np is not None and kernels.numpy_enabled():
-            symbolic = self._symbolic_rows(prepared)
+        use_numpy = kernels.numpy_enabled()
+        symbolic = self._symbolic_rows(prepared) if use_numpy else None
         if symbolic is None and codegen_enabled():
             kernel_for(prepared, self.db.semiring)
         return _RunContext(
             self,
             query,
             referenced,
-            self._supports(sorted(needed)),
+            self._supports(sorted(needed), use_numpy),
             prepared,
             symbolic,
         )
@@ -902,18 +900,19 @@ def _evaluate_shard(context: _RunContext, payload):
     ``context`` is shared by every shard of a run (inherited by forked
     workers, never pickled per task); the payload is just the shard's
     ``(seed, size)``.  The shard draws from its own spawned streams — a
-    ``numpy.random.SeedSequence``-seeded ``Generator`` on the numpy path,
-    a private ``random.Random`` otherwise — so its columns are a pure
-    function of the seed, independent of which process evaluates it.
+    ``numpy.random.SeedSequence``-seeded ``Generator`` and a private
+    ``random.Random``, of which ``context.supports`` picks one — so its
+    columns are a pure function of the seed, independent of which process
+    evaluates it.
 
     Returns ``(counts, info)`` as :meth:`MonteCarloEngine._evaluate_drawn`.
     """
     seed, size = payload
     engine = context.engine
-    np_rng = None
-    if _np is not None and kernels.numpy_enabled():
-        np_rng = _np.random.default_rng(_np.random.SeedSequence(seed))
     drawn = engine._sample_index_columns(
-        context.supports, size, rng=random.Random(seed), np_rng=np_rng
+        context.supports,
+        size,
+        rng=random.Random(seed),
+        np_rng=_np.random.default_rng(_np.random.SeedSequence(seed)),
     )
     return engine._evaluate_drawn(context, drawn, size)

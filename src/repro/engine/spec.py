@@ -177,7 +177,7 @@ class EvalSpec:
         Multi-core execution of the two seams it pays on (the measured
         curve is in EXPERIMENTS.md): sprout's step II, which fans the
         compilation of independent result rows out across a process
-        pool, and Monte-Carlo's *per-world* loop (bag semantics, numpy
+        pool, and Monte-Carlo's *per-world* loop (bag semantics, kernels
         off, semimodule values stored in base tables), which evaluates
         deterministic shards of the drawn worlds in parallel.  ``None``
         (default) is serial, an integer ``>= 1`` runs the sharded scheme

@@ -38,9 +38,9 @@ VOLATILE_STAT_KEYS = frozenset({
     "kernels_compiled",
     "kernel_cache_hits",
     "codegen_compile_seconds",
-    # Whether the vectorised batch evaluator ran depends on numpy being
-    # importable, so the same seeded run fingerprints differently across
-    # the with/without-numpy CI legs unless this is dropped too.
+    # Whether the vectorised batch evaluator ran depends on the kernels
+    # switch, so the same seeded run fingerprints differently on the
+    # Algorithm-1-verbatim test leg unless this is dropped too.
     "batched",
     # db_generation counts *every* mutation ever applied to the
     # database, so a warm session that answered through three updates

@@ -7,9 +7,9 @@ derives one integer seed per shard from the parent stream's token by a
 pure-Python SplitMix64 mix — so the same seeded run produces bit-identical
 draws whether the shards execute inline, on 2 workers, or on 64.
 
-On the numpy path each shard seed feeds a ``numpy.random.SeedSequence``,
-giving every shard its own properly spawned ``Generator`` stream; the
-pure-Python path seeds a private ``random.Random`` per shard.  Either way
+Each shard seed feeds a ``numpy.random.SeedSequence``, giving every
+shard its own properly spawned ``Generator`` stream; with the kernels
+switched off it seeds a private ``random.Random`` per shard.  Either way
 no two shards share RNG state, and the parent engine's own stream advances
 by exactly one token draw per sampling round regardless of sharding.
 """
@@ -107,9 +107,9 @@ def spawn_seeds(token: int, count: int) -> list[int]:
     """``count`` independent 64-bit seeds derived from one parent token.
 
     Pure Python and platform-stable: the same token yields the same seed
-    list with or without numpy installed.  Each seed is fed to
-    ``numpy.random.SeedSequence`` (numpy path) or ``random.Random``
-    (fallback path) to create that shard's private stream.
+    list whichever stream consumes it.  Each seed is fed to
+    ``numpy.random.SeedSequence`` (kernels on) or ``random.Random``
+    (kernels off) to create that shard's private stream.
     """
     base = _splitmix64(token & _MASK64)
     seeds = []

@@ -1,4 +1,4 @@
-"""Vectorized convolution kernels — an *optional* numpy accelerator.
+"""Vectorized convolution kernels over numpy arrays.
 
 :meth:`Distribution.convolve` is the hot path of the whole exact engine:
 every ``⊕``/``⊙``/``⊕M`` d-tree node convolves the distributions of its
@@ -9,13 +9,15 @@ sum, or a comparison), the O(|Φ|·|Ψ|) support-pair sum of Proposition 1
 can be evaluated as an outer product over value/probability arrays and
 re-binned with ``np.unique`` + ``np.bincount``.
 
-Everything in this module is **optional**: numpy is imported lazily, every
-entry point returns ``None`` when it does not apply (non-numeric supports,
-unrecognized operation, numpy missing or disabled), and callers fall back
-to the generic dict-loop path.  The environment variable
-``REPRO_DISABLE_NUMPY=1`` (or :func:`set_numpy_enabled`) forces the pure
-Python path, which CI exercises explicitly; the parity test suite asserts
-the two paths agree to 1e-12.
+Every entry point returns ``None`` when it does not apply (non-numeric
+supports, unrecognized operation, a support too small to be worth it) and
+callers fall back to the generic dict-loop path — Proposition 1's
+support-pair loop as the paper states it.  That path is also the
+reference: :func:`set_numpy_enabled` is the test seam that switches every
+kernel off in-process, which is how the parity suite asserts the two
+paths agree to 1e-12 and how tests reach Algorithm 1 verbatim.  Nothing
+outside the process (no environment variable, no install flavour) moves
+the switch.
 
 The kernels work on raw ``{value: probability}`` dicts rather than
 :class:`~repro.prob.distribution.Distribution` objects so that this module
@@ -39,8 +41,9 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import os
 from typing import Callable, Iterable
+
+import numpy as _np
 
 from repro.algebra.monoid import (
     CappedSumMonoid,
@@ -52,13 +55,7 @@ from repro.algebra.monoid import (
 )
 from repro.algebra.semiring import NaturalsSemiring, Semiring
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "numpy_available",
     "numpy_enabled",
     "set_numpy_enabled",
     "resolve_op",
@@ -80,16 +77,7 @@ MIN_CELLS = 64
 #: Magnitude guard keeping integer arithmetic exact in float64.
 _EXACT_INT_BOUND = 2**52
 
-_enabled = _np is not None and os.environ.get("REPRO_DISABLE_NUMPY", "") not in (
-    "1",
-    "true",
-    "True",
-)
-
-
-def numpy_available() -> bool:
-    """True when numpy is importable in this interpreter."""
-    return _np is not None
+_enabled = True
 
 
 def numpy_enabled() -> bool:
@@ -98,14 +86,14 @@ def numpy_enabled() -> bool:
 
 
 def set_numpy_enabled(flag: bool) -> bool:
-    """Toggle the kernels (no-op without numpy); returns the old setting.
+    """Toggle the kernels; returns the old setting.
 
-    The parity tests flip this to compare the two implementations inside
-    one process.
+    A test seam: the parity tests flip this to compare the two
+    implementations inside one process.
     """
     global _enabled
     previous = _enabled
-    _enabled = bool(flag) and _np is not None
+    _enabled = bool(flag)
     return previous
 
 
@@ -124,27 +112,17 @@ class OpSpec:
         self.kind = kind
 
 
-def _specs():
-    add = OpSpec(lambda a, b: _np.add(a, b), "add")
-    mul = OpSpec(lambda a, b: _np.multiply(a, b), "mul")
-    vmin = OpSpec(lambda a, b: _np.minimum(a, b), "select")
-    vmax = OpSpec(lambda a, b: _np.maximum(a, b), "select")
-    return add, mul, vmin, vmax
+_ADD = OpSpec(_np.add, "add")
+_MUL = OpSpec(_np.multiply, "mul")
+_MIN = OpSpec(_np.minimum, "select")
+_MAX = OpSpec(_np.maximum, "select")
 
-
-if _np is not None:
-    _ADD, _MUL, _MIN, _MAX = _specs()
-else:  # placeholders; every entry point checks numpy_enabled() first
-    _ADD = _MUL = _MIN = _MAX = None
-
-_CALLABLE_SPECS: dict = {}
-if _np is not None:
-    _CALLABLE_SPECS = {
-        operator.add: _ADD,
-        operator.mul: _MUL,
-        min: _MIN,
-        max: _MAX,
-    }
+_CALLABLE_SPECS = {
+    operator.add: _ADD,
+    operator.mul: _MUL,
+    min: _MIN,
+    max: _MAX,
+}
 
 
 def _capped_add_spec(cap) -> OpSpec:
@@ -326,7 +304,7 @@ def mixture_dicts(
 
     ``weighted`` pairs float weights with ``{value: probability}`` dicts.
     Returns ``None`` when any support is non-numeric, the total size is
-    too small to be worth it, or numpy is disabled.
+    too small to be worth it, or the kernels are switched off.
     """
     if not _enabled:
         return None

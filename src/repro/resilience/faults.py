@@ -44,7 +44,7 @@ Fault-point catalogue (instrumented in this codebase):
 ``engine.approx.round``     per approximate refinement round
 ``engine.montecarlo.round`` per Monte-Carlo doubling round
 ``engine.montecarlo.world`` per sample of the per-world loop (bag semantics,
-                            no numpy, inexact aggregates); batched runs
+                            kernels off, inexact aggregates); batched runs
                             valuate whole chunks and never pass it
 ``server.http.request``     per HTTP ``POST /query`` dispatch
 ``server.tcp.line``         per TCP request line dispatch

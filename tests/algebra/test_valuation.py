@@ -11,7 +11,6 @@ from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.algebra.valuation import Valuation, evaluate
 from repro.errors import AlgebraError
-from repro.prob.kernels import numpy_available
 
 
 class TestSemiringEvaluation:
@@ -150,9 +149,6 @@ def ssum_of(terms):
     return ssum([phi for phi, _ in terms])
 
 
-@pytest.mark.skipif(
-    not numpy_available(), reason="the batch evaluator needs numpy"
-)
 class TestBatchedValuation:
     """``evaluate_batch`` is ``evaluate`` over all worlds at once."""
 

@@ -10,7 +10,6 @@ from repro.algebra.semiring import BOOLEAN
 from repro.codegen import (
     CodegenUnsupported,
     codegen_enabled,
-    codegen_strict,
     compile_plan,
     kernel_for,
     reset_runtime_stats,
@@ -39,30 +38,17 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_CODEGEN", "1")
         assert codegen_enabled() is True
 
-    def test_strict_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN_STRICT", raising=False)
-        assert codegen_strict() is False
-        monkeypatch.setenv("REPRO_CODEGEN_STRICT", "1")
-        assert codegen_strict() is True
-
 
 class TestUnsupportedPlans:
     def test_unknown_operator_raises(self):
         with pytest.raises(CodegenUnsupported):
             compile_plan(MysteryOp(Schema(["a"])), BOOLEAN)
 
-    def test_kernel_for_falls_back_to_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN_STRICT", raising=False)
+    def test_kernel_for_falls_back_to_none(self):
         prepared = _FakePrepared(MysteryOp(Schema(["a"])))
         assert kernel_for(prepared, BOOLEAN) is None
         # The fallback decision is cached too.
         assert prepared.op_cache[("codegen", BOOLEAN.name)] is None
-
-    def test_kernel_for_strict_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_STRICT", "1")
-        prepared = _FakePrepared(MysteryOp(Schema(["a"])))
-        with pytest.raises(CodegenUnsupported):
-            kernel_for(prepared, BOOLEAN)
 
 
 class _FakePrepared:

@@ -50,8 +50,6 @@ def per_world_monte_carlo():
 @pytest.fixture
 def numpy_kernels():
     """Numpy kernels on for the test, whatever leg the suite runs on."""
-    if not kernels.numpy_available():
-        pytest.skip("numpy not installed")
     previous = kernels.set_numpy_enabled(True)
     yield
     kernels.set_numpy_enabled(previous)

@@ -21,13 +21,6 @@ from repro.query.ast import (
 from repro.query.predicates import cmp_, eq
 
 
-#: ``_batched_counts`` itself (not the engine's choice to call it) needs
-#: numpy importable.
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="the batch evaluator needs numpy"
-)
-
-
 def simple_db():
     reg = VariableRegistry()
     db = PVCDatabase(registry=reg, semiring=BOOLEAN)
@@ -83,7 +76,6 @@ def two_table_db():
 
 
 class TestBatchedSampler:
-    @needs_numpy
     def test_batched_and_per_world_paths_agree_exactly(self):
         """The vectorized batch evaluator is a pure optimisation: on the
         same sampled columns it must produce identical counts."""
@@ -161,11 +153,10 @@ class TestBatchedSampler:
         estimate = result.tuple_probabilities()
         if kernels.numpy_enabled():
             assert result.stats["batched"] is True
-        if kernels.numpy_available():
-            drawn = engine._sample_index_columns(["x", "y"], 500)
-            assert engine._batched_counts(query, drawn, 500) == (
-                engine._per_world_counts(query, ["R"], drawn, 500)[0]
-            )
+        drawn = engine._sample_index_columns(["x", "y"], 500)
+        assert engine._batched_counts(query, drawn, 500) == (
+            engine._per_world_counts(query, ["R"], drawn, 500)[0]
+        )
         exact = NaiveEngine(db).tuple_probabilities(query)
         for key, p in exact.items():
             assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.03)
@@ -217,7 +208,6 @@ class TestBatchedSampler:
         if not result.stats["batched"]:
             assert result.stats["distinct_worlds"] <= 4
 
-    @needs_numpy
     def test_capped_sum_saturates_in_batched_path(self):
         """CappedSumMonoid is a SumMonoid subclass: the batched matrix
         product must saturate at the cap like the per-world fold does."""
@@ -396,6 +386,47 @@ class TestSequentialStopping:
             engine.estimate_intervals(relation("R"), epsilon=0.0)
         with pytest.raises(ValueError):
             engine.estimate_intervals(relation("R"), delta=1.5)
+
+
+class TestSwitchIsReadOncePerRun:
+    """A run decides sampler and evaluator when its context is built; the
+    kernels switch moving mid-run must not move the later rounds onto
+    the other stream (they once drew ``choice(n, p=None)`` — uniform)."""
+
+    @staticmethod
+    def intervals_per_round(start_on: bool, flip: bool, workers=None):
+        """The snapshots of one seeded run whose first round happens with
+        the kernels ``start_on`` and, if ``flip``, the rest with them the
+        other way."""
+        registry = VariableRegistry()
+        db = PVCDatabase(registry=registry, semiring=BOOLEAN)
+        table = db.create_table("R", ["a"])
+        for i in range(4):
+            registry.bernoulli(f"s{i}", 0.9)
+            table.add((i,), Var(f"s{i}"))
+        rounds = MonteCarloEngine(db, seed=13).estimate_intervals_iter(
+            relation("R"), epsilon=0.02, delta=0.05, workers=workers
+        )
+        previous = kernels.set_numpy_enabled(start_on)
+        try:
+            seen = [next(rounds)]
+            kernels.set_numpy_enabled(start_on != flip)
+            seen.extend(rounds)
+        finally:
+            kernels.set_numpy_enabled(previous)
+        assert all(info["batched"] is start_on for _, info in seen)
+        assert seen[-1][1]["converged"]
+        return [intervals for intervals, _ in seen]
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("start_on", [False, True])
+    def test_run_finishes_on_the_stream_it_started_on(self, start_on, workers):
+        flipped = self.intervals_per_round(start_on, True, workers)
+        assert len(flipped) > 2  # the flip happened mid-run
+        for intervals in flipped:
+            assert len(intervals) == 4
+            assert all(i.contains(0.9) for i in intervals.values())
+        assert flipped == self.intervals_per_round(start_on, False, workers)
 
 
 class TestSeededStreamsArePinned:

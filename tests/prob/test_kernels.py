@@ -22,11 +22,6 @@ from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.prob import convolution, kernels
 from repro.prob.distribution import Distribution
 
-pytestmark = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy not installed"
-)
-
-
 @pytest.fixture
 def rng():
     return random.Random(20260728)

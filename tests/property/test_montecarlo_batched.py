@@ -33,10 +33,6 @@ from repro.query.predicates import cmp_, eq
 
 from tests.property.strategies import QUERY_TABLES, probabilities, queries
 
-pytestmark = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="the batch evaluator needs numpy"
-)
-
 POOL = ["p0", "p1", "p2", "p3"]
 
 

@@ -244,18 +244,17 @@ class TestMonteCarloDeadline:
         assert elapsed < limit + OVERSHOOT
 
 
-    def test_chunked_batch_valuation_stops_between_chunks(self, monkeypatch):
+    def test_chunked_batch_valuation_stops_between_chunks(
+        self, monkeypatch, numpy_kernels
+    ):
         """A Boolean join valuates as one symbolic batch, in world chunks
         of bounded array size.  When valuation turns slow mid-run — so
         the final round, sized from the rate observed so far, is far too
         big — the deadline checkpoint between chunks drops that round
         instead of finishing it (which would take ~2.5s here)."""
         from repro.engine import montecarlo
-        from repro.prob import kernels
         from repro.query.sql import parse_sql
 
-        if not kernels.numpy_enabled():
-            pytest.skip("the batch evaluator needs numpy")
         session = demo_session()
         nodes = montecarlo.MonteCarloEngine(session.db)._run_context(
             parse_sql(JOIN_QUERY)
