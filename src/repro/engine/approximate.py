@@ -23,15 +23,11 @@ stop as soon as ``QueryResult.top_k(k).stats["top_k_decided"]`` flips.
 
 from __future__ import annotations
 
-import time
-
 from repro.algebra.simplify import Normalizer
 from repro.core.approx import ApproximateCompiler
 from repro.engine.spec import EvalSpec, ProbInterval
-from repro.engine.sprout import QueryResult, ResultRow, SproutEngine
-from repro.errors import QueryTimeoutError, QueryValidationError
+from repro.engine.sprout import QueryResult, ResultRow, Run, SproutEngine
 from repro.query.ast import Query
-from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_point
 
 __all__ = ["ApproxEngine"]
@@ -59,19 +55,13 @@ class ApproxEngine(SproutEngine):
 
     def run(self, query: Query, spec: EvalSpec | None = None, **options) -> QueryResult:
         """Refine until the spec is satisfied; return the final snapshot."""
-        spec = EvalSpec.make(spec)
+        run = Run(self, spec, options)
         result = None
-        for result in self.run_iter(query, spec=spec, **options):
+        for result in self._refine(run, query):
             pass
-        if result.stats.get("deadline_hit") and spec.on_timeout == "raise":
-            raise QueryTimeoutError(
-                f"approximate refinement exceeded time_limit="
-                f"{spec.time_limit:g}s (max interval width "
-                f"{result.stats.get('max_width', 1.0):.3g})",
-                partial=result,
-                elapsed=result.stats.get("wall_seconds"),
-            )
-        return result
+        return run.settle(
+            result, f"max interval width {result.stats['max_width']:.3g}"
+        )
 
     def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
         """Yield progressively refined :class:`QueryResult` snapshots.
@@ -81,28 +71,23 @@ class ApproxEngine(SproutEngine):
         hold their own row objects, so earlier snapshots are not mutated
         by later refinement.
         """
-        if options:
-            raise QueryValidationError(
-                f"approx engine takes no run options beyond spec, got "
-                f"{sorted(options)}"
-            )
-        spec = EvalSpec.make(spec)
-        if spec.mode == "sample":
-            raise QueryValidationError(
-                "spec mode 'sample' is Monte-Carlo; use engine='montecarlo'"
-            )
+        yield from self._refine(Run(self, spec, options), query)
+
+    def _refine(self, run: Run, query: Query):
+        """The iterative-deepening loop behind :meth:`run` and
+        :meth:`run_iter`, one snapshot per round."""
+        spec = EvalSpec.make(run.spec)
         # mode "exact" refines all the way down (ε = 0 ends in the exact
         # fallback); mode "approx" stops at the requested width.
         epsilon = spec.epsilon if spec.mode == "approx" else 0.0
 
-        #: One deadline for the whole run (rewriting included), threaded
-        #: into the ApproximateCompiler's Shannon loop (mid-row expiry
-        #: degrades to unknown bounds, the same soundness as budget
-        #: exhaustion).
-        deadline = Deadline.after(spec.time_limit)
-        start = time.perf_counter()
-        table, reused = self._step_one(query)
-        rewrite_seconds = time.perf_counter() - start
+        # One deadline for the whole run (rewriting included): ambient
+        # for step I and for each round, and handed to the
+        # ApproximateCompiler's Shannon loop (mid-row expiry degrades to
+        # unknown bounds, the same soundness as budget exhaustion).
+        with run.scope():
+            table, reused = self._step_one(query)
+        run.lap("rewrite_seconds")
 
         registry = self.db.registry
         semiring = self.db.semiring
@@ -136,38 +121,22 @@ class ApproxEngine(SproutEngine):
                 )
                 for i, pvc_row in enumerate(table)
             ]
-            wall = time.perf_counter() - start
+            run.lap("probability_seconds")
             widths = [
                 interval.width if interval is not None else 1.0
                 for interval in intervals
             ]
-            timings = {
-                "rewrite_seconds": rewrite_seconds,
-                "probability_seconds": wall - rewrite_seconds,
-            }
             stats = {
-                "wall_seconds": wall,
-                "rows": len(rows),
                 "rounds": rounds,
                 "expansions": expansions,
                 "converged": converged,
                 "max_width": max(widths, default=0.0),
                 "epsilon": epsilon,
                 "step1_reused": reused,
-                "db_generation": self.db.generation,
             }
             if timed_out:
                 stats["deadline_hit"] = True
-            return QueryResult(
-                table.schema, rows, timings, engine=self.name, stats=stats
-            )
-
-        def out_of_time() -> bool:
-            nonlocal timed_out
-            if deadline is not None and deadline.expired():
-                timed_out = True
-                return True
-            return False
+            return run.result(table.schema, rows, stats)
 
         def refine(index: int, low: float, high: float) -> None:
             refined = ProbInterval(low, high)
@@ -180,29 +149,30 @@ class ApproxEngine(SproutEngine):
 
         while pending and not exhausted:
             rounds += 1
-            fault_point("engine.approx.round")
-            for index in sorted(pending):
-                if spec.budget is not None and expansions >= spec.budget:
-                    exhausted = True
-                    break
-                if out_of_time():
-                    exhausted = True
-                    break
-                allowance = row_budget
-                if spec.budget is not None:
-                    allowance = min(allowance, spec.budget - expansions)
-                approximator = ApproximateCompiler(
-                    registry,
-                    allowance,
-                    semiring,
-                    normalizer=normalizer,
-                    seed_bounds=seeds[index],
-                    deadline=deadline,
-                )
-                bounds = approximator.bounds(annotations[index])
-                seeds[index] = approximator.exact_bounds()
-                expansions += approximator.expansions
-                refine(index, bounds.low, bounds.high)
+            with run.scope():
+                fault_point("engine.approx.round")
+                for index in sorted(pending):
+                    if spec.budget is not None and expansions >= spec.budget:
+                        exhausted = True
+                        break
+                    if run.expired():
+                        timed_out = exhausted = True
+                        break
+                    allowance = row_budget
+                    if spec.budget is not None:
+                        allowance = min(allowance, spec.budget - expansions)
+                    approximator = ApproximateCompiler(
+                        registry,
+                        allowance,
+                        semiring,
+                        normalizer=normalizer,
+                        seed_bounds=seeds[index],
+                        deadline=run.deadline,
+                    )
+                    bounds = approximator.bounds(annotations[index])
+                    seeds[index] = approximator.exact_bounds()
+                    expansions += approximator.expansions
+                    refine(index, bounds.low, bounds.high)
             if not pending or exhausted:
                 break
             yield snapshot(converged=False)

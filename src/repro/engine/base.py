@@ -3,9 +3,9 @@
 Every engine in the library answers the same question — ``P[t ∈ answer]``
 for a ``Q``-algebra query over a pvc-database — behind one front door:
 
-* :class:`Engine` — the protocol (``name`` + ``run(query, spec=None) ->
-  QueryResult``); engines that can refine answers incrementally also
-  expose ``run_iter`` (see :meth:`repro.session.Session.run_iter`).
+* :class:`Engine` — the protocol (``name``, ``run(query, spec=None) ->
+  QueryResult`` and ``run_iter``, which yields refinement snapshots on
+  the engines that refine and the single ``run`` on the others).
   :class:`~repro.engine.sprout.SproutEngine`,
   :class:`~repro.engine.approximate.ApproxEngine`,
   :class:`~repro.engine.naive.NaiveEngine` and
@@ -42,7 +42,13 @@ from repro.db.pvc_table import PVCDatabase
 from repro.engine.approximate import ApproxEngine
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
-from repro.engine.spec import EvalSpec
+from repro.engine.spec import (
+    ENGINE_TABLE,
+    EVAL_MODES,
+    EvalSpec,
+    degraded_mode,
+    native_engine,
+)
 from repro.engine.sprout import QueryResult, SproutEngine
 from repro.errors import QueryValidationError
 from repro.prob.distribution import Distribution
@@ -63,7 +69,7 @@ __all__ = [
 ]
 
 #: The registered engine names, in preference order.
-ENGINE_NAMES = ("sprout", "approx", "naive", "montecarlo")
+ENGINE_NAMES = tuple(ENGINE_TABLE)
 
 
 @runtime_checkable
@@ -76,6 +82,10 @@ class Engine(Protocol):
         self, query: Query, spec: EvalSpec | None = None, **options
     ) -> QueryResult:
         """Evaluate ``query`` under ``spec``; rows carry ProbIntervals."""
+        ...
+
+    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
+        """Yield sound :class:`QueryResult` snapshots, the last one final."""
         ...
 
 
@@ -354,16 +364,16 @@ def select_engine_name(
 ) -> tuple[str, Classification]:
     """The ``engine="auto"`` policy (Theorem 3 as a dispatcher).
 
-    * spec mode ``"sample"`` always goes to the sequential Monte-Carlo
-      estimator — the caller asked for sampled confidence intervals;
-    * spec mode ``"approx"`` always goes to the budgeted-bounds engine;
-    * otherwise (exact intent), queries the static analysis proves inside
-      ``Q_ind``/``Q_hie`` compile exactly, and everything else *degrades
-      to guaranteed approximation*: the approx engine reports
-      deterministic intervals of width ≤ ε instead of the unqualified
-      point estimate the old fallback produced.  Generic exact
-      compilation may be exponential there; pass ``engine='sprout'`` to
-      force it anyway.
+    * an anytime spec mode goes to the engine whose own mode it is in
+      :data:`~repro.engine.spec.ENGINE_TABLE`
+      (:func:`~repro.engine.spec.native_engine`);
+    * exact intent (or no spec) compiles exactly when the static
+      analysis proves the query inside ``Q_ind``/``Q_hie``, and
+      everything else *degrades to guaranteed approximation*
+      (:func:`~repro.engine.spec.degraded_mode`): deterministic
+      intervals of width ≤ ε instead of an unqualified point estimate.
+      Generic exact compilation may be exponential there; pass
+      ``engine='sprout'`` to force it anyway.
 
     The classification costs O(query): which tables are
     tuple-independent is read from facts the tables' write paths
@@ -384,10 +394,7 @@ def select_engine_name(
         if tuple_independent is None:
             tuple_independent = tuple_independent_relations(db)
         classification = classify_query(query, db.catalog(), tuple_independent)
-    if spec is not None and spec.mode == "sample":
-        return "montecarlo", classification
-    if spec is not None and spec.mode == "approx":
-        return "approx", classification
-    if classification.tractable:
-        return "sprout", classification
-    return "approx", classification
+    mode = EVAL_MODES[0] if spec is None else spec.mode
+    if not classification.tractable:
+        mode = degraded_mode(mode)
+    return native_engine(mode), classification

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -74,16 +73,11 @@ from repro.algebra.valuation import (
     batch_values,
     evaluate_batch,
 )
-from repro.codegen import (
-    bound_kernel_for,
-    codegen_enabled,
-    kernel_for,
-    runtime_stats,
-)
+from repro.codegen import bound_kernel_for, codegen_enabled, kernel_for
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.spec import EvalSpec, ProbInterval
-from repro.engine.sprout import QueryResult, concrete_result
-from repro.errors import AlgebraError, QueryTimeoutError, QueryValidationError
+from repro.engine.sprout import QueryResult, Run, concrete_result
+from repro.errors import AlgebraError, QueryValidationError
 from repro.parallel import pool as parallel_pool
 from repro.parallel.reducer import merge_counts
 from repro.parallel.shards import plan_shards, resolve_workers, spawn_seeds
@@ -96,12 +90,7 @@ from repro.query.executor import (
     prepare,
 )
 from repro.query.validate import validate_query
-from repro.resilience.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    check_deadline,
-    deadline_scope,
-)
+from repro.resilience.deadline import DeadlineExceeded, check_deadline
 from repro.resilience.faults import fault_point
 
 __all__ = ["MonteCarloEngine"]
@@ -111,6 +100,10 @@ __all__ = ["MonteCarloEngine"]
 #: evaluator holds one vector per distinct sub-expression, so this caps
 #: its working set (bool cells; the float matrices of ``Σ_M`` cost 8×).
 _BATCH_CELLS = 1 << 24
+
+#: Worlds of the first sequential-stopping round; each later round
+#: doubles the total drawn.
+_INITIAL_BATCH = 256
 
 
 class _RunContext(NamedTuple):
@@ -234,89 +227,52 @@ class MonteCarloEngine:
         **options,
     ) -> QueryResult:
         """Estimate ``P[t ∈ answer]``; see the class docstring for modes."""
-        if options:
+        run = Run(self, spec, options)
+        result = None
+        for result in self._snapshots(run, query, samples):
+            pass
+        return run.settle(result, f"{result.stats['samples']} samples drawn")
+
+    def run_iter(
+        self,
+        query: Query,
+        spec: EvalSpec | None = None,
+        samples: int | None = None,
+        **options,
+    ):
+        """Yield a refined :class:`QueryResult` after every sampling
+        round (the one fixed-budget estimate when no mode is asked)."""
+        yield from self._snapshots(Run(self, spec, options), query, samples)
+
+    def _snapshots(self, run: Run, query: Query, samples: int | None):
+        """The results behind :meth:`run` and :meth:`run_iter`."""
+        spec = run.spec
+        if run.mode is None:
+            # No spec, or one that only tunes execution: the fixed-budget
+            # estimator, its answer semantics untouched.
+            probabilities, info = self._estimate(
+                query,
+                self.samples if samples is None else samples,
+                workers=None if spec is None else spec.workers,
+            )
+            run.lap("sampling_seconds")
+            yield concrete_result(run, query, probabilities, info)
+            return
+        if samples is not None:
             raise QueryValidationError(
-                f"montecarlo engine takes only 'spec' and 'samples' run "
-                f"options, got {sorted(options)}"
+                "pass the sample budget as spec.budget, not samples=, "
+                "when running under an EvalSpec"
             )
-        if spec is not None and spec.mode == "approx":
-            raise QueryValidationError(
-                "spec mode 'approx' means deterministic d-tree bounds; "
-                "use engine='approx' (Monte-Carlo provides (ε, δ) "
-                "confidence intervals via spec mode 'sample')"
-            )
-        counters = runtime_stats()
-        if spec is not None and spec.mode == "sample":
-            if samples is not None:
-                raise QueryValidationError(
-                    "pass the sample budget as spec.budget, not samples=, "
-                    "when running under an EvalSpec"
-                )
-            intervals, info = self.estimate_intervals(
-                query, **self._interval_options(spec)
-            )
-            result = concrete_result(
-                self, query, intervals, info, "sampling_seconds", counters
-            )
-            if info.get("deadline_hit") and spec.on_timeout == "raise":
-                raise QueryTimeoutError(
-                    f"sampling exceeded time_limit={spec.time_limit:g}s "
-                    f"after {info['samples']} samples",
-                    partial=result,
-                    elapsed=info["wall_seconds"],
-                )
-            return result
-        if spec is not None and not (
-            spec.execution_only and spec.workers is not None
-        ):
-            # Remaining mode is "exact": sampling cannot honour that.
-            # The single exception is a pure-execution spec — only the
-            # workers knob set — which runs the fixed-budget estimator
-            # below without touching its answer semantics.
-            raise QueryValidationError(
-                "montecarlo engine cannot guarantee exact answers; use "
-                "engine='sprout' or 'naive', or spec mode 'sample'"
-            )
-        start = time.perf_counter()
-        probabilities, info = self._estimate(
+        for intervals, info in self._interval_snapshots(
+            run,
             query,
-            self.samples if samples is None else samples,
-            workers=spec.workers if spec is not None else None,
-        )
-        info = {"wall_seconds": time.perf_counter() - start, **info}
-        return concrete_result(
-            self, query, probabilities, info, "sampling_seconds", counters
-        )
-
-    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
-        """Yield a refined :class:`QueryResult` after every sampling round."""
-        if options:
-            raise QueryValidationError(
-                f"montecarlo engine takes only a 'spec' run_iter option, "
-                f"got {sorted(options)}"
-            )
-        spec = EvalSpec.make(spec)
-        if spec.mode != "sample":
-            raise QueryValidationError(
-                "anytime Monte-Carlo needs spec mode 'sample'"
-            )
-        counters = runtime_stats()
-        for intervals, info in self.estimate_intervals_iter(
-            query, **self._interval_options(spec)
+            spec.epsilon,
+            spec.delta,
+            spec.budget,
+            _INITIAL_BATCH,
+            spec.workers,
         ):
-            yield concrete_result(
-                self, query, intervals, info, "sampling_seconds", counters
-            )
-
-    def _interval_options(self, spec: EvalSpec) -> dict:
-        """A ``"sample"`` spec as :meth:`estimate_intervals` keywords."""
-        return {
-            "epsilon": spec.epsilon,
-            "delta": spec.delta,
-            "max_samples": spec.budget,
-            "time_limit": spec.time_limit,
-            "workers": spec.workers,
-        }
+            yield concrete_result(run, query, intervals, info)
 
     # -- estimation ----------------------------------------------------------
 
@@ -475,7 +431,7 @@ class MonteCarloEngine:
         delta: float = 0.05,
         max_samples: int | None = None,
         time_limit: float | None = None,
-        initial_batch: int = 256,
+        initial_batch: int = _INITIAL_BATCH,
         workers: int | str | None = None,
     ) -> tuple[dict[tuple, ProbInterval], dict]:
         """Sequential-stopping (ε, δ) estimation of ``P[t ∈ answer]``.
@@ -504,7 +460,7 @@ class MonteCarloEngine:
         delta: float = 0.05,
         max_samples: int | None = None,
         time_limit: float | None = None,
-        initial_batch: int = 256,
+        initial_batch: int = _INITIAL_BATCH,
         workers: int | str | None = None,
     ):
         """Yield ``(intervals, info)`` snapshots of an (ε, δ) estimation.
@@ -530,6 +486,22 @@ class MonteCarloEngine:
         bit-identical across worker counts.  The batched path ignores
         ``workers``.
         """
+        yield from self._interval_snapshots(
+            Run(self, EvalSpec(mode="sample", time_limit=time_limit)),
+            query,
+            epsilon,
+            delta,
+            max_samples,
+            initial_batch,
+            workers,
+        )
+
+    def _interval_snapshots(
+        self, run: Run, query, epsilon, delta, max_samples, initial_batch, workers
+    ):
+        """:meth:`estimate_intervals_iter` on ``run``'s clock and
+        deadline: the doubling-round loop, inside the shared pool's
+        lifetime."""
         if epsilon <= 0.0:
             raise ValueError("sequential stopping needs epsilon > 0")
         if not (0.0 < delta < 1.0):
@@ -550,17 +522,85 @@ class MonteCarloEngine:
             if workers is not None
             else None
         )
+        deadline = run.deadline
+        totals: dict[tuple, int] = {}
+        drawn_total = 0
+        round_no = 0
+        codegen_used = False
+        round_info: dict = {}
         try:
-            yield from self._interval_rounds(
-                context,
-                epsilon,
-                delta,
-                max_samples,
-                time_limit,
-                initial_batch,
-                workers,
-                shared,
-            )
+            while True:
+                round_no += 1
+                fault_point("engine.montecarlo.round")
+                batch = initial_batch if drawn_total == 0 else drawn_total
+                batch = min(batch, max_samples - drawn_total)
+                if deadline is not None and drawn_total:
+                    # Doubling rounds only check the clock *between* rounds,
+                    # so an unclamped final round could blow far past the
+                    # limit; cap it to what the observed sampling rate fits
+                    # into the remaining budget.
+                    batch = self._deadline_clamp(
+                        batch, drawn_total, run.elapsed(), deadline.remaining()
+                    )
+                try:
+                    # The scope lets the chunked batch evaluator stop between
+                    # chunks and hands the deadline to the pool watchdog, so
+                    # a wedged shard worker is killed (and the round rerun
+                    # inline) instead of hanging past the time budget.
+                    with run.scope():
+                        if workers is None:
+                            counts, round_info = self._sampled_counts(
+                                context, batch
+                            )
+                        else:
+                            counts, round_info = self._sharded_counts(
+                                context, batch, workers, shared
+                            )
+                except DeadlineExceeded:
+                    if deadline is None or not deadline.expired():
+                        raise  # an outer scope's deadline: not ours to absorb
+                    # Out of time mid-round: the unfinished round is dropped
+                    # whole and the run ends on the samples it already has.
+                    counts, batch = {}, 0
+                drawn_total += batch
+                for values, count in counts.items():
+                    totals[values] = totals.get(values, 0) + count
+                level = delta / (round_no * (round_no + 1))
+                intervals = {
+                    values: self._confidence_interval(
+                        count, drawn_total, level / 2.0
+                    )
+                    for values, count in totals.items()
+                }
+                max_width = max(
+                    (interval.width for interval in intervals.values()),
+                    default=0.0,
+                )
+                converged = drawn_total > 0 and max_width <= epsilon
+                out_of_time = run.expired()
+                done = converged or drawn_total >= max_samples or out_of_time
+                codegen_used = codegen_used or round_info.get(
+                    "codegen_used", False
+                )
+                info = {
+                    "samples": drawn_total,
+                    "rounds": round_no,
+                    "batched": context.symbolic is not None,
+                    "converged": converged,
+                    "max_width": max_width,
+                    "codegen_used": codegen_used,
+                }
+                if out_of_time and not converged:
+                    info["deadline_hit"] = True
+                if workers is not None:
+                    info["workers"] = round_info.get("workers", 1)
+                    info["shards"] = round_info.get("shards", 0)
+                    if "parallel_fallback" in round_info:
+                        info["parallel_fallback"] = round_info["parallel_fallback"]
+                run.lap("sampling_seconds")
+                yield intervals, info
+                if done:
+                    return
         finally:
             if shared is not None:
                 shared.close()
@@ -582,103 +622,6 @@ class MonteCarloEngine:
             return max(1, batch)
         affordable = int(drawn_total / elapsed * remaining)
         return max(1, min(batch, affordable))
-
-    def _interval_rounds(
-        self,
-        context,
-        epsilon,
-        delta,
-        max_samples,
-        time_limit,
-        initial_batch,
-        workers,
-        shared,
-    ):
-        """The doubling-round loop of :meth:`estimate_intervals_iter`
-        (split out so the shared pool's lifetime wraps the generator)."""
-        start = time.perf_counter()
-        deadline = Deadline.after(time_limit)
-        totals: dict[tuple, int] = {}
-        drawn_total = 0
-        round_no = 0
-        codegen_used = False
-        round_info: dict = {}
-        while True:
-            round_no += 1
-            fault_point("engine.montecarlo.round")
-            batch = initial_batch if drawn_total == 0 else drawn_total
-            batch = min(batch, max_samples - drawn_total)
-            if deadline is not None and drawn_total:
-                # Doubling rounds only check the clock *between* rounds,
-                # so an unclamped final round could blow far past the
-                # limit; cap it to what the observed sampling rate fits
-                # into the remaining budget.
-                batch = self._deadline_clamp(
-                    batch,
-                    drawn_total,
-                    time.perf_counter() - start,
-                    deadline.remaining(),
-                )
-            try:
-                # The scope lets the chunked batch evaluator stop between
-                # chunks and hands the deadline to the pool watchdog, so
-                # a wedged shard worker is killed (and the round rerun
-                # inline) instead of hanging past the time budget.
-                with deadline_scope(deadline):
-                    if workers is None:
-                        counts, round_info = self._sampled_counts(
-                            context, batch
-                        )
-                    else:
-                        counts, round_info = self._sharded_counts(
-                            context, batch, workers, shared
-                        )
-            except DeadlineExceeded:
-                if deadline is None or not deadline.expired():
-                    raise  # an outer scope's deadline: not ours to absorb
-                # Out of time mid-round: the unfinished round is dropped
-                # whole and the run ends on the samples it already has.
-                counts, batch = {}, 0
-            drawn_total += batch
-            for values, count in counts.items():
-                totals[values] = totals.get(values, 0) + count
-            level = delta / (round_no * (round_no + 1))
-            intervals = {
-                values: self._confidence_interval(
-                    count, drawn_total, level / 2.0
-                )
-                for values, count in totals.items()
-            }
-            max_width = max(
-                (interval.width for interval in intervals.values()),
-                default=0.0,
-            )
-            converged = drawn_total > 0 and max_width <= epsilon
-            elapsed = time.perf_counter() - start
-            out_of_time = time_limit is not None and elapsed >= time_limit
-            done = converged or drawn_total >= max_samples or out_of_time
-            codegen_used = codegen_used or round_info.get(
-                "codegen_used", False
-            )
-            info = {
-                "samples": drawn_total,
-                "rounds": round_no,
-                "batched": context.symbolic is not None,
-                "converged": converged,
-                "max_width": max_width,
-                "wall_seconds": elapsed,
-                "codegen_used": codegen_used,
-            }
-            if out_of_time and not converged:
-                info["deadline_hit"] = True
-            if workers is not None:
-                info["workers"] = round_info.get("workers", 1)
-                info["shards"] = round_info.get("shards", 0)
-                if "parallel_fallback" in round_info:
-                    info["parallel_fallback"] = round_info["parallel_fallback"]
-            yield intervals, info
-            if done:
-                return
 
     @staticmethod
     def _confidence_interval(

@@ -20,25 +20,18 @@ join planner.
 
 from __future__ import annotations
 
-import time
 from typing import Iterator
 
-from repro.codegen import bound_kernel_for, runtime_stats
+from repro.codegen import bound_kernel_for
 from repro.db.pvc_table import PVCDatabase
 from repro.db.worlds import enumerate_database_worlds
-from repro.engine.spec import EvalSpec, reject_non_exact
-from repro.engine.sprout import QueryResult, concrete_result
-from repro.errors import QueryTimeoutError, QueryValidationError
+from repro.engine.spec import EvalSpec
+from repro.engine.sprout import QueryResult, Run, concrete_result
 from repro.prob.distribution import Distribution
 from repro.prob.space import ProbabilitySpace
 from repro.query.ast import Query
 from repro.query.executor import execute_deterministic, prepare
-from repro.resilience.deadline import (
-    DeadlineExceeded,
-    check_deadline,
-    deadline_from_spec,
-    deadline_scope,
-)
+from repro.resilience.deadline import DeadlineExceeded, check_deadline
 
 __all__ = ["NaiveEngine"]
 
@@ -158,23 +151,18 @@ class NaiveEngine:
         raises :class:`~repro.errors.QueryTimeoutError` under either
         ``on_timeout`` policy.
         """
-        if options:
-            raise QueryValidationError(
-                f"naive engine takes no run options, got {sorted(options)}"
-            )
-        reject_non_exact(self.name, spec)
-        counters = runtime_stats()
-        start = time.perf_counter()
+        run = Run(self, spec, options)
         try:
-            with deadline_scope(deadline_from_spec(spec)):
+            with run.scope():
                 probabilities, info = self._estimate(query)
         except DeadlineExceeded as exc:
-            raise QueryTimeoutError(
-                f"{exc}; a partial possible-worlds sweep is no sound answer",
-                partial=None,
-                elapsed=time.perf_counter() - start,
-            ) from exc
-        info = {"wall_seconds": time.perf_counter() - start, **info}
-        return concrete_result(
-            self, query, probabilities, info, "enumeration_seconds", counters
-        )
+            # No sound partial: raises under either policy.
+            run.settle(
+                None, f"{exc}; a partial possible-worlds sweep is no sound answer"
+            )
+        run.lap("enumeration_seconds")
+        return concrete_result(run, query, probabilities, info)
+
+    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
+        """One-shot engine: yields its single :meth:`run`."""
+        yield self.run(query, spec, **options)

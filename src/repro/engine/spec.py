@@ -21,14 +21,60 @@ Two small types shared by every engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from repro.errors import QueryValidationError
 from repro.parallel.shards import validate_workers
 
-__all__ = ["EvalSpec", "ProbInterval", "EVAL_MODES", "reject_non_exact"]
+__all__ = [
+    "EvalSpec",
+    "ProbInterval",
+    "EVAL_MODES",
+    "ENGINE_TABLE",
+    "EngineRow",
+    "accept",
+    "check_mode",
+    "degraded_mode",
+    "implied_mode",
+    "native_engine",
+]
 
 #: The recognised evaluation modes, in guarantee order.
 EVAL_MODES = ("exact", "approx", "sample")
+
+
+class EngineRow(NamedTuple):
+    """What one engine answers — a row of :data:`ENGINE_TABLE`."""
+
+    #: The spec modes the engine answers.
+    modes: tuple
+    #: The mode quality fields (``epsilon``, ``delta``, ``budget``,
+    #: ``time_limit``) imply when a request names this engine and no
+    #: mode; ``run_iter`` refines in it and ``engine="auto"`` sends it
+    #: here (first row wins).
+    implied: str
+    #: The run options it takes beside the spec.
+    options: tuple
+    #: Its ``QueryResult.timings`` keys: the steps of its run.
+    steps: tuple
+
+
+_TWO_STEPS = ("rewrite_seconds", "probability_seconds")
+
+#: The engine × mode table, in preference order — the one place that
+#: says which engine answers what.  Every acceptance check, the
+#: ``engine="auto"`` dispatch, the session's implied modes and the
+#: server's load shedding read it (README "Engines" prints it).
+ENGINE_TABLE = {
+    "sprout": EngineRow(
+        ("exact",), "exact", ("compute_probabilities", "workers"), _TWO_STEPS
+    ),
+    "approx": EngineRow(("exact", "approx"), "approx", (), _TWO_STEPS),
+    "naive": EngineRow(("exact",), "exact", (), ("enumeration_seconds",)),
+    "montecarlo": EngineRow(
+        ("sample",), "sample", ("samples",), ("sampling_seconds",)
+    ),
+}
 
 _POINT_TOL = 1e-12
 
@@ -193,8 +239,11 @@ class EvalSpec:
         obtained so far — exact rows stay zero-width, not-yet-compiled
         rows report the vacuous ``[0, 1]`` interval — while ``"raise"``
         raises :class:`~repro.errors.QueryTimeoutError` carrying that
-        same partial result.  The naive engine has no sound partial
-        (its tuple set is incomplete mid-enumeration) and always raises.
+        same partial result (the naive engine has none and always
+        raises).
+
+    Which engine answers which mode, and what each returns on a
+    ``time_limit`` trip, is :data:`ENGINE_TABLE` (README "Engines").
     """
 
     mode: str = "exact"
@@ -304,28 +353,74 @@ class EvalSpec:
 
     @property
     def execution_only(self) -> bool:
-        """True when the spec only tunes *execution* (the workers knob)
-        and leaves every answer-quality field at its default.
+        """True when the spec only tunes *execution* (``workers``, the
+        ``on_timeout`` degradation policy) and leaves the mode and every
+        answer-quality field at its default.
 
-        The Monte-Carlo engine uses this to distinguish "shard my legacy
-        fixed-budget run" (allowed) from an explicit exact-mode request
-        (still an error: sampling cannot guarantee exact answers).
-        ``on_timeout`` is a degradation policy, not a quality field, so
-        it does not count either.
+        Such a spec asks for no mode (see :func:`accept`): every engine
+        of :data:`ENGINE_TABLE` keeps the answer it gives without a spec
+        — Monte-Carlo its fixed-budget estimate — while an explicit
+        exact-mode request to a sampler is still an error.
         """
-        return replace(self, workers=None, on_timeout="partial") == EvalSpec()
+        return replace(self, workers=None, on_timeout="partial") == _DEFAULT_SPEC
 
 
 #: The spec's field names, in declaration (and wire) order.
 _SPEC_FIELDS = tuple(field.name for field in fields(EvalSpec))
 
 
-def reject_non_exact(name: str, spec: EvalSpec | None) -> None:
-    """Exact engines only accept exact (or absent) specs."""
-    if spec is not None and not spec.is_exact:
+_DEFAULT_SPEC = EvalSpec()
+
+
+def implied_mode(engine: str | None) -> str | None:
+    """The mode quality fields imply under ``engine`` — ``None`` for
+    ``"auto"`` (or no engine), which dispatches on the spec instead."""
+    row = ENGINE_TABLE.get(engine)
+    return None if row is None else row.implied
+
+
+def native_engine(mode: str) -> str:
+    """The engine ``engine="auto"`` sends ``mode`` to."""
+    return next(
+        name for name, row in ENGINE_TABLE.items() if row.implied == mode
+    )
+
+
+def degraded_mode(mode: str | None) -> str:
+    """The anytime mode a request is answered in when exact evaluation
+    is not on offer (a query outside the tractable classes under
+    ``engine="auto"``, a server past its soft limit): its own, or for
+    exact intent deterministic bounds — the next guarantee down."""
+    return mode if mode in EVAL_MODES[1:] else EVAL_MODES[1]
+
+
+def check_mode(engine: str, mode: str) -> None:
+    """Raise unless ``engine`` answers spec mode ``mode``."""
+    modes = ENGINE_TABLE[engine].modes
+    if mode not in modes:
         raise QueryValidationError(
-            f"engine {name!r} computes exact answers only; use "
-            f"engine='approx' for spec mode 'approx' and "
-            f"engine='montecarlo' for spec mode 'sample' "
-            f"(or engine='auto' to dispatch on the spec)"
+            f"engine {engine!r} answers spec mode "
+            f"{' or '.join(map(repr, modes))}, not {mode!r}; use "
+            f"engine={native_engine(mode)!r} (or engine='auto' to dispatch "
+            f"on the spec)"
         )
+
+
+def accept(engine: str, spec: EvalSpec | None, options=None) -> str | None:
+    """The acceptance check of every engine run; returns the mode asked.
+
+    ``options`` are the run options the engine's signature did not take.
+    No spec asks for no mode, nor does one that sets only execution
+    fields: ``None`` comes back and the engine answers as it does
+    unasked.  The all-defaults spec *is* an exact request.
+    """
+    if options:
+        taken = ENGINE_TABLE[engine].options
+        allowed = f"only the run options {list(taken)}" if taken else "no run options"
+        raise QueryValidationError(
+            f"engine {engine!r} takes {allowed} beside spec, got {sorted(options)}"
+        )
+    if spec is None or (spec.execution_only and spec != _DEFAULT_SPEC):
+        return None
+    check_mode(engine, spec.mode)
+    return spec.mode

@@ -26,7 +26,7 @@ from repro.core.joint import JointCompiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.db.relation import Relation
 from repro.db.schema import Schema
-from repro.engine.spec import EvalSpec, ProbInterval, reject_non_exact
+from repro.engine.spec import ENGINE_TABLE, EvalSpec, ProbInterval, accept
 from repro.errors import CompilationError, QueryTimeoutError
 from repro.parallel import pool as parallel_pool
 from repro.parallel.reducer import merge_stat_sums
@@ -48,7 +48,7 @@ from repro.query.executor import (
 )
 from repro.codegen import runtime_stats  # after repro.query: they import each other
 
-__all__ = ["SproutEngine", "QueryResult", "ResultRow", "concrete_result"]
+__all__ = ["SproutEngine", "QueryResult", "ResultRow", "Run", "concrete_result"]
 
 
 def _base_compiler(source) -> Compiler:
@@ -304,30 +304,106 @@ class QueryResult:
         return f"QueryResult(engine={self.engine!r}, rows={len(self.rows)})"
 
 
-def concrete_result(
-    engine, query: Query, probabilities, info: dict, timing: str, counters: dict
-) -> QueryResult:
+class Run:
+    """One engine run, from entry to result: what every engine does the
+    same way, written once.
+
+    Built on entry to ``run``/``run_iter`` from the engine and the spec
+    and never stored on the engine.  Building it *is* the acceptance
+    check (:func:`repro.engine.spec.accept`: the spec mode and the run
+    options against :data:`~repro.engine.spec.ENGINE_TABLE`); it then
+    owns the run's one :class:`~repro.resilience.deadline.Deadline`
+    (:meth:`scope`), its one stopwatch (:meth:`lap`, :meth:`elapsed` —
+    the only clock read under ``engine/``), the timeout policy
+    (:meth:`settle`) and the result envelope (:meth:`result`).
+    """
+
+    def __init__(self, engine, spec: EvalSpec | None = None, options=None):
+        #: The mode asked for; ``None`` when the spec (or its absence)
+        #: leaves the engine to answer as it does unasked.
+        self.mode = accept(engine.name, spec, options)
+        self.engine = engine
+        self.spec = spec
+        self.deadline = deadline_from_spec(spec)
+        #: The step breakdown, one key per step of the engine's table
+        #: row; a step never lapped reports ``0.0``.
+        self.timings = dict.fromkeys(ENGINE_TABLE[engine.name].steps, 0.0)
+        self._counters = runtime_stats()
+        self._start = self._mark = time.perf_counter()
+
+    def scope(self):
+        """The run's deadline made ambient (a no-op without one).  A
+        generator enters it per refinement round, never across a
+        ``yield``: the consumer must not inherit the deadline."""
+        return deadline_scope(self.deadline)
+
+    def expired(self) -> bool:
+        return self.deadline is not None and self.deadline.expired()
+
+    def elapsed(self) -> float:
+        """Seconds since the run began."""
+        return time.perf_counter() - self._start
+
+    def lap(self, step: str) -> None:
+        """Close ``step``: the time since the previous lap (or the
+        start) is added to ``timings[step]``."""
+        now = time.perf_counter()
+        self.timings[step] += now - self._mark
+        self._mark = now
+
+    def result(
+        self, schema: Schema, rows: list, stats: dict, *, codegen: bool = False
+    ) -> "QueryResult":
+        """The result envelope: ``stats`` — the engine's own diagnostics
+        — gains ``wall_seconds``, ``rows`` and ``db_generation`` (and,
+        with ``codegen``, the deltas of the process-wide codegen
+        counters since the run began), ``timings`` is the laps so far."""
+        stats = {
+            "wall_seconds": self.elapsed(),
+            "rows": len(rows),
+            **stats,
+            "db_generation": self.engine.db.generation,
+        }
+        if codegen:
+            after = runtime_stats()
+            for key in (
+                "kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"
+            ):
+                stats[key] = after[key] - self._counters[key]
+        return QueryResult(
+            schema, rows, dict(self.timings), engine=self.engine.name, stats=stats
+        )
+
+    def settle(self, result: "QueryResult | None", detail: str) -> "QueryResult":
+        """The timeout policy: ``result`` comes back unless its
+        ``deadline_hit`` meets ``on_timeout="raise"`` — or there is no
+        sound partial at all (``None``), which raises under either
+        policy."""
+        if result is not None and not (
+            result.stats.get("deadline_hit")
+            and self.spec is not None
+            and self.spec.on_timeout == "raise"
+        ):
+            return result
+        raise QueryTimeoutError(
+            f"{self.engine.name} engine ran out of time: {detail}",
+            partial=result,
+            elapsed=self.elapsed(),
+        )
+
+
+def concrete_result(run: Run, query: Query, probabilities, stats: dict) -> QueryResult:
     """The result of an engine that reports concrete tuples only (naive,
     Monte-Carlo): sorted rows with no symbolic annotation to expose and
-    the probability precomputed.  ``info`` — the run's diagnostics,
-    ``wall_seconds`` included — becomes ``stats`` here, once, together
-    with the deltas of the process-wide codegen counters since
-    ``counters`` (a :func:`repro.codegen.runtime_stats` snapshot taken
-    when the run began)."""
-    schema = query.schema(engine.db.catalog())
+    the probability precomputed."""
+    schema = query.schema(run.engine.db.catalog())
     rows = [
         ResultRow(schema, values, ONE, None, _probability=probability)
         for values, probability in sorted(
             probabilities.items(), key=lambda kv: repr(kv[0])
         )
     ]
-    stats = {**info, "rows": len(rows), "db_generation": engine.db.generation}
-    after = runtime_stats()
-    for key in ("kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"):
-        stats[key] = after[key] - counters[key]
-    return QueryResult(
-        schema, rows, {timing: info["wall_seconds"]}, engine=engine.name, stats=stats
-    )
+    return run.result(schema, rows, stats, codegen=True)
 
 
 class SproutEngine:
@@ -433,6 +509,7 @@ class SproutEngine:
         *,
         compute_probabilities: bool = True,
         workers: int | str | None = None,
+        **options,
     ) -> QueryResult:
         """Evaluate ``query``; returns rows, probabilities and timings.
 
@@ -448,91 +525,64 @@ class SproutEngine:
         rest report ``[0, 1]`` (``stats["deadline_hit"]``); the
         ``"raise"`` policy raises with that partial attached.
         """
-        reject_non_exact(self.name, spec)
+        run = Run(self, spec, options)
         if workers is None and spec is not None:
             workers = spec.workers
-        deadline = deadline_from_spec(spec)
-        with deadline_scope(deadline):
-            result = self._run(query, compute_probabilities, workers)
-        if (
-            result.stats.get("deadline_hit")
-            and spec is not None
-            and spec.on_timeout == "raise"
-        ):
-            raise QueryTimeoutError(
-                f"exact compilation exceeded time_limit="
-                f"{spec.time_limit:g}s after "
-                f"{result.stats['rows_exact']} of {len(result.rows)} rows",
-                partial=result,
-                elapsed=deadline.elapsed() if deadline else None,
-            )
-        return result
-
-    def _run(self, query, compute_probabilities, workers) -> QueryResult:
-        start = time.perf_counter()
-        table, reused = self._step_one(query)
-        rewrite_seconds = time.perf_counter() - start
-
-        compiler = self._compiler()
-        hits_before = getattr(compiler, "hits", None)
-        misses_before = getattr(compiler, "misses", None)
-        rows = [
-            ResultRow(table.schema, row.values, row.annotation, compiler)
-            for row in table
-        ]
-        parallel_stats: dict = {}
-        probability_seconds = 0.0
-        rows_exact = len(rows)
-        deadline_hit = False
-        if compute_probabilities:
-            start = time.perf_counter()
-            effective = resolve_workers(workers)
-            if effective is not None:
-                parallel_stats = self._parallel_distributions(
-                    rows, compiler, effective
-                )
-            # Per-row cooperative deadline loop.  Step I enumerated the
-            # *complete* candidate row set above, so degrading here is
-            # sound: rows compiled before the deadline keep their exact
-            # zero-width intervals, the rest report the vacuous [0, 1].
-            deadline = current_deadline()
-            rows_exact = 0
-            for row in rows:
-                if deadline_hit or (deadline is not None and deadline.expired()):
-                    deadline_hit = True
-                    row._probability = ProbInterval.unknown()
-                    continue
-                fault_point("engine.sprout.row")
-                try:
-                    row.probability()
-                except DeadlineExceeded:
-                    # The ⊔-node checkpoint fired mid-compile; this
-                    # row's d-tree is incomplete, so it is unknown too.
-                    deadline_hit = True
-                    row._probability = ProbInterval.unknown()
-                    continue
-                rows_exact += 1
-            probability_seconds = time.perf_counter() - start
-        timings = {
-            "rewrite_seconds": rewrite_seconds,
-            "probability_seconds": probability_seconds,
-        }
-        stats = {
-            "wall_seconds": rewrite_seconds + probability_seconds,
-            "rows": len(rows),
-            "step1_reused": reused,
-        }
-        if deadline_hit:
-            stats["deadline_hit"] = True
-            stats["rows_exact"] = rows_exact
-        stats.update(parallel_stats)
+        with run.scope():
+            table, reused = self._step_one(query)
+            run.lap("rewrite_seconds")
+            compiler = self._compiler()
+            hits_before = getattr(compiler, "hits", None)
+            misses_before = getattr(compiler, "misses", None)
+            rows = [
+                ResultRow(table.schema, row.values, row.annotation, compiler)
+                for row in table
+            ]
+            stats: dict = {"step1_reused": reused}
+            rows_exact = len(rows)
+            if compute_probabilities:
+                effective = resolve_workers(workers)
+                if effective is not None:
+                    stats.update(
+                        self._parallel_distributions(rows, compiler, effective)
+                    )
+                # Per-row cooperative deadline loop.  Step I enumerated the
+                # *complete* candidate row set above, so degrading here is
+                # sound: rows compiled before the deadline keep their exact
+                # zero-width intervals, the rest report the vacuous [0, 1].
+                deadline = current_deadline()
+                rows_exact = 0
+                for row in rows:
+                    if "deadline_hit" in stats or (
+                        deadline is not None and deadline.expired()
+                    ):
+                        stats["deadline_hit"] = True
+                        row._probability = ProbInterval.unknown()
+                        continue
+                    fault_point("engine.sprout.row")
+                    try:
+                        row.probability()
+                    except DeadlineExceeded:
+                        # The ⊔-node checkpoint fired mid-compile; this
+                        # row's d-tree is incomplete, so it is unknown too.
+                        stats["deadline_hit"] = True
+                        row._probability = ProbInterval.unknown()
+                        continue
+                    rows_exact += 1
+                if "deadline_hit" in stats:
+                    stats["rows_exact"] = rows_exact
+                run.lap("probability_seconds")
         if hits_before is not None:
             stats["cache_hits"] = compiler.hits - hits_before
             stats["cache_misses"] = compiler.misses - misses_before
-        stats["db_generation"] = self.db.generation
-        return QueryResult(
-            table.schema, rows, timings, engine=self.name, stats=stats
+        return run.settle(
+            run.result(table.schema, rows, stats),
+            f"{rows_exact} of {len(rows)} rows exact",
         )
+
+    def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
+        """One-shot engine: yields its single :meth:`run`."""
+        yield self.run(query, spec, **options)
 
     def _parallel_distributions(
         self, rows: list[ResultRow], source, workers: int
@@ -608,7 +658,6 @@ class SproutEngine:
                 rel.add(values, one)
             world[name] = rel
         prepared = self.prepare(query)
-        start = time.perf_counter()
+        run = Run(self)
         result = execute_deterministic(prepared, world, self.db.semiring)
-        elapsed = time.perf_counter() - start
-        return result, elapsed
+        return result, run.elapsed()

@@ -60,7 +60,12 @@ from repro.cache import capture_stamp
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.base import CompilationCache, ENGINE_NAMES, PlanCache
-from repro.engine.spec import _SPEC_FIELDS
+from repro.engine.spec import (
+    _SPEC_FIELDS,
+    degraded_mode,
+    implied_mode,
+    native_engine,
+)
 from repro.errors import QueryValidationError, ReproError
 from repro.server import http as http_protocol
 from repro.server import tcp as tcp_protocol
@@ -103,12 +108,10 @@ class ServerConfig:
     is shed like a hard-limit trip.  ``tcp_port``
     ``None`` means "next port after ``port``" (or another ephemeral port
     when ``port`` is 0).  ``threads`` sizes the executor pool the event
-    loop offloads blocking compile/eval work to; ``eval_workers``
-    optionally forces the :mod:`repro.parallel` process-pool ``workers``
-    spec field on every request that does not set its own.
-    ``drain_timeout`` bounds graceful shutdown: :meth:`QueryServer.stop`
-    sheds new arrivals (503 + ``Retry-After``) and waits up to this many
-    seconds for in-flight requests to finish before abandoning them.
+    loop offloads blocking compile/eval work to.  ``drain_timeout``
+    bounds graceful shutdown: :meth:`QueryServer.stop` sheds new
+    arrivals (503 + ``Retry-After``) and waits up to this many seconds
+    for in-flight requests to finish before abandoning them.
     """
 
     host: str = "127.0.0.1"
@@ -129,7 +132,6 @@ class ServerConfig:
     default_engine: str = "auto"
     seed: int | None = None
     samples: int = 1000
-    eval_workers: int | str | None = None
 
     def __post_init__(self):
         if self.threads < 1:
@@ -506,11 +508,8 @@ class QueryServer:
         """
         cfg = self.config
         fields = dict(fields)
-        mode = fields.get("mode")
-        wants_sample = mode == "sample" or (
-            mode is None and engine == "montecarlo"
-        )
-        fields["mode"] = "sample" if wants_sample else "approx"
+        mode = degraded_mode(fields.get("mode") or implied_mode(engine))
+        fields["mode"] = mode
         fields.setdefault("epsilon", cfg.shed_epsilon)
         budget = fields.get("budget")
         if samples is not None:
@@ -526,10 +525,9 @@ class QueryServer:
             if time_limit is None
             else min(time_limit, cfg.shed_time_limit)
         )
-        if wants_sample:
-            engine = "montecarlo" if engine in (None, "montecarlo") else "auto"
-        else:
-            engine = "approx" if engine in (None, "approx") else "auto"
+        # An engine named for another mode gives way to the dispatcher.
+        native = native_engine(mode)
+        engine = native if engine in (None, native) else "auto"
         return engine, samples, fields
 
     # -- query execution -------------------------------------------------------
@@ -562,7 +560,6 @@ class QueryServer:
                 )
             else:
                 options = repr((engine, samples, sorted(fields.items())))
-            fields.setdefault("workers", self.config.eval_workers)
             key = normalise_statement(sql)
             session, lock = self._acquire_tenant(tenant)
             try:
@@ -648,7 +645,6 @@ class QueryServer:
                 engine, samples, fields = self._shed_rewrite(
                     engine, samples, fields
                 )
-            fields.setdefault("workers", self.config.eval_workers)
             session, lock = self._acquire_tenant(tenant)
             try:
                 loop = asyncio.get_running_loop()

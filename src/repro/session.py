@@ -49,7 +49,13 @@ from repro.engine.base import (
     create_engine,
     select_engine_name,
 )
-from repro.engine.spec import EvalSpec
+from repro.engine.spec import (
+    ENGINE_TABLE,
+    EvalSpec,
+    check_mode,
+    degraded_mode,
+    implied_mode,
+)
 from repro.engine.sprout import QueryResult
 from repro.errors import QueryValidationError, SchemaError
 from repro.prob.variables import VariableRegistry
@@ -297,11 +303,11 @@ class Session:
         behavior of every engine.  When answer-*quality* fields
         (``epsilon``/``delta``/``budget``/``time_limit``) are given
         without a mode, the chosen engine (explicit or the session
-        default) implies one — ``approx`` ↦ deterministic bounds,
-        ``montecarlo`` ↦ sampled (ε, δ) intervals.  ``workers`` is a pure
-        *execution* knob and never implies a mode: on its own it yields
-        an exact-mode, execution-only spec that keeps every engine's
-        answer semantics unchanged (the Monte-Carlo engine shards its
+        default) implies one, per
+        :data:`~repro.engine.spec.ENGINE_TABLE`.  ``workers`` and
+        ``on_timeout`` tune *execution* and never imply a mode: on their
+        own they yield an execution-only spec that keeps every engine's
+        answer semantics unchanged (the Monte-Carlo engine runs its
         fixed-budget estimator rather than switching to sequential
         stopping).
         """
@@ -316,7 +322,7 @@ class Session:
         if spec is None and mode is None and any(
             value is not None for value in (epsilon, delta, budget, time_limit)
         ):
-            mode = {"approx": "approx", "montecarlo": "sample"}.get(engine_name)
+            mode = implied_mode(engine_name)
         built = EvalSpec.make(
             spec,
             mode=mode,
@@ -327,26 +333,14 @@ class Session:
             workers=workers,
             on_timeout=on_timeout,
         )
-        if engine_name == "montecarlo" and built.mode == "exact":
-            # Only the session can tell an *explicit* exact request from
-            # the default mode a workers-only spec carries; the engine
-            # sees identical EvalSpec values for both.  Reject explicit
-            # requests here so `workers=` can never launder an exact
-            # request into samples; a pure-execution spec (workers only,
-            # no quality fields, no explicit mode) stays allowed — the
-            # engine shards its fixed-budget estimator for it.
-            explicitly_exact = mode == "exact" or spec == "exact" or (
-                isinstance(spec, EvalSpec)
-                and spec.mode == "exact"
-                and not spec.execution_only
-            )
-            if explicitly_exact or not (
-                built.execution_only and built.workers is not None
-            ):
-                raise QueryValidationError(
-                    "montecarlo engine cannot guarantee exact answers; use "
-                    "engine='sprout' or 'naive', or spec mode 'sample'"
-                )
+        if engine_name in ENGINE_TABLE and (
+            mode is not None or isinstance(spec, str)
+        ):
+            # Only here is an *explicit* mode told from the default one
+            # an execution-only spec carries — the engine sees equal
+            # EvalSpec values for both — so `workers=` can never launder
+            # an exact request into samples.
+            check_mode(engine_name, built.mode)
         return built
 
     def _resolve(self, query, engine, samples, spec, options):
@@ -363,24 +357,22 @@ class Session:
         name = engine
         auto = name == "auto"
         if auto:
-            name, _ = select_engine_name(
+            name, classification = select_engine_name(
                 self.db,
                 query,
                 spec=spec,
                 prepared=self.engine("sprout").known_plan(query),
             )
-            if name == "approx" and (spec is None or spec.is_exact):
-                # Hard query under exact intent: degrade to *guaranteed*
+            if not classification.tractable:
+                # Hard query: exact intent degrades to *guaranteed*
                 # approximation — deterministic ε-bounds — rather than an
-                # unqualified estimate.  engine='sprout' forces exact
-                # compilation; a 'sample' spec selects Monte-Carlo.
-                spec = (
-                    EvalSpec(mode="approx")
-                    if spec is None
-                    else _replace(spec, mode="approx")
-                )
+                # unqualified estimate (an anytime mode stays as asked).
+                # engine='sprout' forces exact compilation.
+                spec = spec or EvalSpec()
+                spec = _replace(spec, mode=degraded_mode(spec.mode))
         if samples is not None:
-            if name == "montecarlo":
+            row = ENGINE_TABLE.get(name)
+            if row is not None and "samples" in row.options:
                 options["samples"] = samples
             elif not auto:
                 raise QueryValidationError(
@@ -423,12 +415,10 @@ class Session:
         and ``result.stats`` carries the per-run diagnostics uniformly
         across engines.  ``samples`` remains the legacy fixed budget of
         the Monte-Carlo engine.  ``workers`` (``int | "auto"``) runs the
-        engine's multi-core scheme — parallel per-row compilation for
-        sprout, sharded sampling for Monte-Carlo's per-world loop — with
-        seeded results bit-identical for any worker count; approx and
-        batched Monte-Carlo ignore it.  Extra ``options`` are
-        forwarded to the engine (e.g. ``compute_probabilities=`` for
-        sprout).
+        engine's multi-core scheme (see :class:`EvalSpec`) with seeded
+        results bit-identical for any worker count.  Extra ``options``
+        are forwarded to the engine, which takes the ones its row of
+        :data:`~repro.engine.spec.ENGINE_TABLE` lists.
 
         ``time_limit`` is honoured *end to end* — including inside exact
         compilation — and ``on_timeout`` picks the policy when it trips:
@@ -477,25 +467,14 @@ class Session:
             engine, spec, mode, epsilon, delta, budget, time_limit, workers,
             on_timeout,
         )
-        if engine in ("approx", "montecarlo") and (
-            spec is None or spec.execution_only
-        ):
-            # Anytime iteration over a refining engine needs a target;
-            # give it the default spec in the engine's native mode (a
-            # workers-only spec keeps its workers, gains the mode).
-            native = "approx" if engine == "approx" else "sample"
-            spec = (
-                EvalSpec(mode=native)
-                if spec is None
-                else _replace(spec, mode=native)
-            )
+        native = implied_mode(engine)
+        if native is not None and (spec is None or spec.execution_only):
+            # Anytime iteration needs a target: the default spec in the
+            # engine's own mode (a workers-only spec keeps its workers,
+            # gains the mode).
+            spec = _replace(spec or EvalSpec(), mode=native)
         query, name, spec = self._resolve(query, engine, None, spec, options)
-        chosen = self.engine(name)
-        run_iter = getattr(chosen, "run_iter", None)
-        if run_iter is not None and spec is not None and not spec.is_exact:
-            yield from run_iter(query, spec=spec, **options)
-        else:
-            yield chosen.run(query, spec=spec, **options)
+        yield from self.engine(name).run_iter(query, spec=spec, **options)
 
     def sql(self, text: str, engine: str | None = None, **options) -> QueryResult:
         """Parse SQL and evaluate it through :meth:`run` (same keywords,

@@ -1,10 +1,14 @@
-"""One install configuration, one environment variable.
+"""One install configuration, one environment variable, one run record.
 
 numpy is a declared dependency and ``REPRO_CODEGEN`` is the only thing
 the package reads from the environment; the kernels switch
 (:func:`repro.prob.kernels.set_numpy_enabled`) is moved by tests, never
-from outside the process.  Both facts are structural, so they are
-checked on the syntax tree of every module under ``src/repro``.
+from outside the process.  What every engine run does the same way —
+reading the clock, raising the timeout, stamping the envelope — is
+written once, in :class:`repro.engine.sprout.Run`, and the engine × mode
+table has one owner, :mod:`repro.engine.spec`.  All of these facts are
+structural, so they are checked on the syntax tree of every module
+under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -71,3 +75,80 @@ def test_the_environment_is_read_once():
                 keys.append(ast.literal_eval(node.args[0]))
     assert touched == ["codegen/runtime.py"]
     assert keys == ["REPRO_CODEGEN"]
+
+
+ENGINE_MODULES = {
+    name: tree for name, tree in MODULES.items() if name.startswith("engine/")
+}
+
+
+def _mentions(tree: ast.AST, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+        for node in ast.walk(tree)
+    )
+
+
+def _strings(tree: ast.AST) -> list:
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+def test_the_engines_read_one_clock():
+    readers = [
+        name for name, tree in ENGINE_MODULES.items()
+        if _mentions(tree, "perf_counter")
+    ]
+    assert readers == ["engine/sprout.py"]
+
+
+def test_the_engines_raise_one_timeout():
+    raises = [
+        f"{name}:{node.lineno}"
+        for name, tree in ENGINE_MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "QueryTimeoutError"
+    ]
+    assert len(raises) == 1 and raises[0].startswith("engine/sprout.py"), raises
+
+
+def test_the_envelope_is_stamped_once():
+    # engine/stats.py classifies the key; one other place writes it.
+    writers = [
+        name
+        for name, tree in ENGINE_MODULES.items()
+        if name != "engine/stats.py"
+        for value in _strings(tree)
+        if value == "db_generation"
+    ]
+    assert writers == ["engine/sprout.py"]
+
+
+def _function(module: str, name: str) -> ast.AST:
+    (found,) = [
+        node
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return found
+
+
+def test_the_front_doors_read_the_engine_table():
+    """Which engine answers which mode is ``ENGINE_TABLE``'s to say: the
+    session and the server name no engine and no anytime mode."""
+    owned = {"approx", "sample", "montecarlo"}
+    for module, name in (
+        ("session.py", "_build_spec"),
+        ("session.py", "run_iter"),
+        ("server/app.py", "_shed_rewrite"),
+    ):
+        spelt = owned & set(_strings(_function(module, name)))
+        assert not spelt, (module, name, spelt)
