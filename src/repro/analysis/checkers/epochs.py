@@ -26,10 +26,12 @@ The epoch is also owed *in order*, in every class that keeps one —
 cache-bearing or not (``VariableRegistry`` stamps other objects' caches,
 not its own): readers stamp what they build with the epoch they read
 *first*, so a mutator changes its storage (``self.rows`` /
-``self._tuples`` / ``self._distributions``) and bumps *after*.  A bump
+``self._tuples`` / ``self._distributions`` and the registry's record of
+what was reassigned, ``self._reassigned``) and bumps *after*.  A bump
 that lexically precedes a storage mutation of the same function opens a
 window in which a reader pairs the new epoch with the old content and
-keeps that pair for good.
+keeps that pair for good — or, for the reassignment record, reconciles
+at the new epoch without the name it stands for and never looks again.
 
 ``__init__``-family methods are exempt (they populate storage before
 any cache exists), as are ``*_locked`` helpers whose callers own the
@@ -72,7 +74,7 @@ ROW_STORAGE_ATTRS = frozenset({"rows", "_tuples"})
 
 #: Storage an epoch stands for without the class memoising views of it
 #: itself; covered by the assign-then-bump order only.
-EPOCH_STAMPED_ATTRS = ROW_STORAGE_ATTRS | {"_distributions"}
+EPOCH_STAMPED_ATTRS = ROW_STORAGE_ATTRS | {"_distributions", "_reassigned"}
 
 #: ``self.<name>(...)`` calls that count as an epoch bump.
 EPOCH_BUMP_CALLS = frozenset({"invalidate_caches", "bump_epoch"})
@@ -91,7 +93,7 @@ STAMP_HOME = "repro/cache.py"
 
 #: Names whose mention makes an expression a freshly read stamp.
 STAMP_READS = frozenset({
-    "epoch", "data_generation", "table_epochs", "capture_stamp", "stamp", "epochs",
+    "epoch", "table_epochs", "capture_stamp", "stamp", "epochs",
 })
 
 #: Method names treated as mutations of the receiver (superset of the
@@ -113,6 +115,7 @@ _MUTATING_METHODS = frozenset({
     "reverse",
     "appendleft",
     "popleft",
+    "move_to_end",
 })
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -227,7 +230,7 @@ def _reads_stamp(node: ast.AST, fresh: set) -> bool:
 def _is_stored(node: ast.expr) -> bool:
     """A subscript, or an attribute that is not itself a counter."""
     if isinstance(node, ast.Attribute):
-        return node.attr not in ("epoch", "data_generation", EPOCH_ATTR)
+        return node.attr not in ("epoch", EPOCH_ATTR)
     return isinstance(node, ast.Subscript)
 
 

@@ -160,9 +160,11 @@ class Compiler:
         before compilation (on by default).
     max_mutex_nodes:
         Optional safety budget on the number of ``⊔`` nodes created;
-        exceeding it raises :class:`CompilationError`.  Used by the
-        approximation module to cut compilation short.  A tabulated
-        residual (:func:`table_leaf`) creates none.
+        exceeding it raises :class:`CompilationError`.  A caller's
+        guard against a blow-up: nothing in the library sets it (the
+        approximation module budgets its own Shannon expansions), and
+        sessions pass it through ``connect(max_mutex_nodes=...)``.  A
+        tabulated residual (:func:`table_leaf`) creates none.
     """
 
     def __init__(
@@ -496,7 +498,7 @@ def distribution_task(context, annotations):
 
     Returns ``(distributions, stats_delta)``; the caller merges the
     distributions into the session's
-    :class:`~repro.engine.base.CompilationCache` and the stats delta into
+    :class:`~repro.cache.CompilationCache` and the stats delta into
     the run diagnostics.
     """
     registry, semiring, options = context

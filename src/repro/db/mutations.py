@@ -1,23 +1,21 @@
-"""Mutation bookkeeping for live pvc-databases: deltas and lineage.
+"""Mutation bookkeeping for live pvc-databases: lineage, and the rules.
 
 The paper's pipeline treats the pvc-database as frozen; every cache in
 the stack — merged scans, hash indexes, prepared plans, compiled d-tree
 distributions, fused kernels — was originally keyed against data that
-could never change.  This module is the bookkeeping layer that makes the
-database *mutable* without flushing those caches wholesale:
+could never change.  A mutable database flushes none of them wholesale
+and tells none of them anything: a writer changes its storage and bumps
+a counter (a table's epoch, the registry's), and each cache validates
+what it kept where it is read.  What this module holds is
 
-* :class:`Delta` — one immutable record of a mutation: which table, what
-  kind of change, how many rows, which random variables the touched rows
-  mention, and which variables had their *distribution* changed (the only
-  event that invalidates compiled d-trees — annotations are lineage, and
-  a distribution is a pure function of its variables' distributions);
-* :class:`DeltaLog` — a bounded in-memory log of recent deltas, mostly a
-  diagnostic surface (``db.deltas``) for tests, benchmarks and the
-  server's ``/stats`` endpoint;
 * :class:`LineageIndex` — the variable → dependent-cache-keys map the
-  :class:`~repro.engine.base.CompilationCache` maintains, so a
-  probability update invalidates exactly the distributions whose lineage
-  mentions the reassigned variables and nothing else.
+  :class:`~repro.cache.CompilationCache` maintains, so a reassigned
+  marginal (the only event that invalidates a compiled d-tree —
+  annotations are lineage, and a distribution is a pure function of its
+  variables' distributions) drops exactly the distributions whose
+  lineage mentions the variable and nothing else;
+* the table below.  (``PVCDatabase.mutations`` counts the applied
+  mutations by kind for the server's ``/stats``.)
 
 Every cache, its key and its rule
 ---------------------------------
@@ -43,12 +41,15 @@ plan (``PlanCache``)   query + row counts of the   LRU eviction; an insert or
                                                    changes the key, equal-size
                                                    updates and writes to other
                                                    tables keep the plan
-distribution           normalised annotation       LRU eviction, and the one
-(``CompilationCache``)                             explicit rule: a ``p=``
-                                                   update drops the entries
-                                                   whose lineage mentions the
-                                                   ``changed_variables``
-                                                   (:class:`LineageIndex`);
+distribution           normalised annotation; the  LRU eviction, and on the
+(``CompilationCache``) registry epoch it last      next read after the
+                       reconciled at               registry epoch moved, the
+                                                   entries whose lineage
+                                                   mentions the reassigned
+                                                   names (``reassigned_since``
+                                                   + :class:`LineageIndex`) —
+                                                   ``p=`` update or bare
+                                                   ``registry.reassign`` alike;
                                                    value edits, inserts and
                                                    deletes drop nothing
 kernel on plan         the prepared plan object    never: a fused kernel (and
@@ -56,10 +57,10 @@ kernel on plan         the prepared plan object    never: a fused kernel (and
                                                    accessors beside it) is
                                                    data-independent and lives
                                                    and dies with its plan
-reply on statement     stamp: every table, the     the stamp moves.  Never
-(``keep_reply``)       registry epoch, the         offered: degraded,
-                       ``data_generation``; per    Monte-Carlo and
-                       option set, second sight    ``deadline_hit`` answers
+reply on statement     stamp: every table and the  the stamp moves.  Never
+(``keep_reply``)       registry epoch; per option  offered: degraded,
+                       set, second sight           Monte-Carlo and
+                                                   ``deadline_hit`` answers
 step-I answer on plan  stamp: the tables the       the stamp moves (``p=``
 (``symbolic_answer``)  query reads; second sight   updates keep it:
                                                    annotations are lineage)
@@ -83,68 +84,9 @@ world-relation index   the relation's epoch +      any ``Relation.add``
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-__all__ = ["Delta", "DeltaLog", "LineageIndex"]
-
-
-@dataclass(frozen=True)
-class Delta:
-    """One applied mutation, as seen by cache-invalidation listeners."""
-
-    #: Name of the mutated table.
-    table: str
-    #: ``"insert"`` | ``"update"`` | ``"delete"``.
-    kind: str
-    #: Number of base rows touched (inserted, rewritten, or removed).
-    rows: int
-    #: Variables mentioned by the annotations of the touched rows (their
-    #: distributions are unchanged unless also in ``changed_variables``).
-    variables: frozenset = frozenset()
-    #: Variables whose *distribution* was reassigned by this mutation —
-    #: the lineage that invalidates compiled d-tree distributions.
-    changed_variables: frozenset = frozenset()
-    #: Whether the table's row count changed (plans re-key on
-    #: cardinalities; equal-size updates keep their prepared plans).
-    cardinality_changed: bool = False
-
-
-class DeltaLog:
-    """A bounded log of recent :class:`Delta` records.
-
-    Purely observational: invalidation is driven by the database's
-    listener fan-out at mutation time, not by replaying the log.  The
-    bound keeps bulk loads from accumulating unbounded history.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self._entries: deque[Delta] = deque(maxlen=max_entries)
-        self.total = 0
-
-    def append(self, delta: Delta) -> None:
-        self._entries.append(delta)
-        self.total += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Delta]:
-        return iter(self._entries)
-
-    def last(self) -> Delta | None:
-        return self._entries[-1] if self._entries else None
-
-    def stats(self) -> dict:
-        """Counters by mutation kind over the retained window."""
-        kinds: dict[str, int] = {}
-        for delta in self._entries:
-            kinds[delta.kind] = kinds.get(delta.kind, 0) + 1
-        return {"total": self.total, "retained": len(self._entries), **kinds}
-
-    def __repr__(self):
-        return f"DeltaLog({len(self._entries)} retained, {self.total} total)"
+__all__ = ["LineageIndex"]
 
 
 class LineageIndex:

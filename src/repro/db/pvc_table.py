@@ -15,7 +15,6 @@ expressions.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -25,7 +24,6 @@ from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.algebra.valuation import Valuation
 from repro.cache import StampedSlot
-from repro.db.mutations import Delta, DeltaLog
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.errors import DistributionError, QueryValidationError, SchemaError
@@ -541,13 +539,11 @@ class PVCDatabase:
         self.registry = registry if registry is not None else VariableRegistry()
         self.semiring = semiring
         self._variable_counters: dict[str, int] = {}
-        #: Bounded log of recent mutations (diagnostics; see
-        #: :class:`~repro.db.mutations.DeltaLog`).
-        self.deltas = DeltaLog()
-        #: Weakly-held mutation listeners (``listener(delta)``): caches
-        #: subscribe themselves and vanish with their owners, so a
-        #: discarded session can never leak a subscription.
-        self._listeners: list = []
+        #: Applied mutations by kind — diagnostics (the server's
+        #: ``/stats``); a call that matched no row counts nothing.  Nobody
+        #: is notified of a mutation: every cache validates what it kept
+        #: where it is read (:mod:`repro.cache`).
+        self.mutations = {"insert": 0, "update": 0, "delete": 0}
         #: :func:`repro.query.tractability.tuple_independent_relations`'s
         #: memo, shared by every session; stamped with the tables alone
         #: (a ``p=`` update cannot change which are independent).
@@ -568,29 +564,6 @@ class PVCDatabase:
         for table in self.tables.values():
             generation += table.epoch
         return generation
-
-    def subscribe(self, listener) -> None:
-        """Register a weakly-held mutation listener (idempotent)."""
-        for ref in self._listeners:
-            if ref() == listener:
-                return
-        try:
-            ref = weakref.WeakMethod(listener)
-        except TypeError:
-            ref = weakref.ref(listener)
-        self._listeners.append(ref)
-
-    def _notify(self, delta: Delta) -> None:
-        self.deltas.append(delta)
-        if not self._listeners:
-            return
-        alive = []
-        for ref in self._listeners:
-            listener = ref()
-            if listener is not None:
-                alive.append(ref)
-                listener(delta)
-        self._listeners[:] = alive
 
     def __getitem__(self, name: str) -> PVCTable:
         try:
@@ -691,13 +664,7 @@ class PVCDatabase:
             self.registry.bernoulli(name, p)
             expr = Var(name)
         table.add(values, expr)
-        self._notify(Delta(
-            table=table_name,
-            kind="insert",
-            rows=1,
-            variables=expr.variables,
-            cardinality_changed=True,
-        ))
+        self.mutations["insert"] += 1
         return expr
 
     def insert_block(
@@ -723,13 +690,7 @@ class PVCDatabase:
         ]
         name = var if var is not None else self.fresh_variable(f"{table_name}_blk")
         table.add_block(alternatives, self.registry, name)
-        self._notify(Delta(
-            table=table_name,
-            kind="insert",
-            rows=len(alternatives),
-            variables=frozenset({name}),
-            cardinality_changed=True,
-        ))
+        self.mutations["insert"] += 1
         return name
 
     def _row_predicate(self, table: PVCTable, where):
@@ -775,9 +736,9 @@ class PVCDatabase:
         returning such a mapping.  ``p`` reassigns the Bernoulli
         probability of the matched rows' annotation variables — each
         matched row must be annotated with a single variable (the
-        tuple-independent encoding); the reassignment flows through the
-        lineage index so exactly the dependent compiled distributions
-        recompile.  Returns the number of matched rows.
+        tuple-independent encoding); the registry records the names, and
+        exactly the compiled distributions that depend on them recompile
+        on their next read.  Returns the number of matched rows.
         """
         table = self[table_name]
         if set_values is None and p is None:
@@ -785,14 +746,13 @@ class PVCDatabase:
                 "update() needs set_values= and/or p="
             )
         predicate = self._row_predicate(table, where)
-        changed_names: frozenset = frozenset()
+        names: set = set()
         if p is not None:
             # Resolve the annotation variables against the *pre-update*
             # rows: a set_values that rewrites the matched attributes
             # must not make the probability reassignment miss them.
             if not 0.0 <= p <= 1.0:
                 raise DistributionError(f"probability {p} is not in [0, 1]")
-            names = set()
             for row in table.rows:
                 if predicate(row):
                     if not isinstance(row.annotation, Var):
@@ -801,8 +761,6 @@ class PVCDatabase:
                             f"single variable, got {row.annotation!r}"
                         )
                     names.add(row.annotation.name)
-            changed_names = frozenset(names)
-        info = {"rows": 0, "variables": frozenset()}
         if set_values is not None:
             attributes = list(table.schema.attributes)
             if not callable(set_values):
@@ -831,32 +789,13 @@ class PVCDatabase:
                     values[attributes.index(name)] = value
                 return PVCRow(tuple(values), row.annotation)
 
-            info = table.update_rows(predicate, rewrite)
-            matched = info["rows"]
+            matched = table.update_rows(predicate, rewrite)["rows"]
         else:
-            matched_rows = [row for row in table.rows if predicate(row)]
-            matched = len(matched_rows)
-            info = {
-                "rows": matched,
-                "variables": frozenset().union(
-                    *(row.annotation.variables for row in matched_rows),
-                    frozenset(),
-                ),
-            }
-        if p is not None and matched:
-            for name in sorted(changed_names):
-                self.registry.reassign(name, Distribution.bernoulli(p))
-        else:
-            changed_names = frozenset()
+            matched = sum(1 for row in table.rows if predicate(row))
         if matched:
-            self._notify(Delta(
-                table=table_name,
-                kind="update",
-                rows=matched,
-                variables=info["variables"] | changed_names,
-                changed_variables=changed_names,
-                cardinality_changed=False,
-            ))
+            for name in sorted(names):
+                self.registry.reassign(name, Distribution.bernoulli(p))
+            self.mutations["update"] += 1
         return matched
 
     def delete(self, table_name: str, where) -> int:
@@ -868,16 +807,9 @@ class PVCDatabase:
         """
         table = self[table_name]
         predicate = self._row_predicate(table, where)
-        info = table.delete_rows(predicate)
-        removed = info["rows"]
+        removed = table.delete_rows(predicate)["rows"]
         if removed:
-            self._notify(Delta(
-                table=table_name,
-                kind="delete",
-                rows=removed,
-                variables=info["variables"],
-                cardinality_changed=True,
-            ))
+            self.mutations["delete"] += 1
         return removed
 
     @property

@@ -84,10 +84,11 @@ def reassign_probability(
     Finds the row with exactly ``values`` (which must be annotated with a
     single Boolean variable — the tuple-independent encoding), reassigns
     its variable to ``Bernoulli(p)`` in ``registry``, and returns the
-    variable name so callers can route the change through lineage-based
-    cache invalidation (:meth:`repro.db.pvc_table.PVCDatabase.update`
-    with ``p=`` does all of this in one step and should be preferred on a
-    full database).
+    variable name.  The registry records the reassignment, so every
+    distribution cache over it answers with the new marginal on its next
+    read — exactly as after
+    :meth:`repro.db.pvc_table.PVCDatabase.update` with ``p=``, which
+    selects rows by predicate and is the usual spelling on a database.
     """
     values = tuple(values)
     for row in table.rows:

@@ -21,6 +21,7 @@ from typing import Iterator
 from repro.algebra.expressions import ONE, SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import Valuation
+from repro.cache import CompilationCache
 from repro.core.compile import Compiler, distribution_task
 from repro.core.joint import JointCompiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
@@ -51,22 +52,14 @@ from repro.codegen import runtime_stats  # after repro.query: they import each o
 __all__ = ["SproutEngine", "QueryResult", "ResultRow", "Run", "concrete_result"]
 
 
-def _base_compiler(source) -> Compiler:
-    """The underlying :class:`Compiler` of a distribution source.
-
-    Sources are either a :class:`Compiler` or a session-level cache
-    wrapping one (see :class:`repro.engine.base.CompilationCache`).
-    """
-    return getattr(source, "compiler", source)
-
-
 @dataclass
 class ResultRow:
     """One answer tuple with its symbolic and probabilistic views.
 
-    ``_compiler`` is any object exposing ``distribution(expr)`` and
-    ``semiring`` — a plain :class:`Compiler` or a shared per-session
-    compilation cache.  Rows produced by engines without symbolic
+    ``_compiler`` is the row's distribution source — a
+    :class:`~repro.cache.CompilationCache` (``distribution(expr)``,
+    ``semiring``, ``compiler``): a session's, or the private one of a
+    bare engine's run.  Rows produced by engines without symbolic
     annotations (brute-force, Monte-Carlo) carry ``_compiler=None`` and a
     precomputed probability instead.
 
@@ -81,7 +74,9 @@ class ResultRow:
     schema: Schema
     values: tuple
     annotation: SemiringExpr
-    _compiler: Compiler | None = field(repr=False, compare=False, default=None)
+    _compiler: CompilationCache | None = field(
+        repr=False, compare=False, default=None
+    )
     _probability: float | None = field(repr=False, compare=False, default=None)
     _annotation_dist: Distribution | None = field(
         repr=False, compare=False, default=None
@@ -150,7 +145,7 @@ class ResultRow:
         if not isinstance(value, ModuleExpr):
             return Distribution.point(value)
         zero = self._compiler.semiring.zero
-        joint = JointCompiler(_base_compiler(self._compiler)).joint_distribution(
+        joint = JointCompiler(self._compiler.compiler).joint_distribution(
             [self.annotation, value]
         )
         conditioned = joint.condition(lambda outcome: outcome[0] != zero)
@@ -176,7 +171,7 @@ class ResultRow:
             return {self.values: probability}
         zero = self._compiler.semiring.zero
         exprs = [self.annotation] + list(module_attrs.values())
-        joint = JointCompiler(_base_compiler(self._compiler)).joint_distribution(exprs)
+        joint = JointCompiler(self._compiler.compiler).joint_distribution(exprs)
         results: dict[tuple, float] = {}
         names = list(module_attrs)
         for outcome, probability in joint.items():
@@ -423,9 +418,9 @@ class SproutEngine:
     ):
         self.db = db
         self.compiler_options = compiler_options
-        #: Optional shared distribution source (e.g. a per-session
-        #: :class:`~repro.engine.base.CompilationCache`).  When set, runs
-        #: reuse it — and its d-tree memo — instead of building a fresh
+        #: Optional shared distribution source (a session's
+        #: :class:`~repro.cache.CompilationCache`).  When set, runs reuse
+        #: it — and its d-tree memo — instead of wrapping a fresh
         #: :class:`Compiler` per query, so repeated and overlapping
         #: annotations never recompile.
         self.distribution_source = distribution_source
@@ -494,12 +489,13 @@ class SproutEngine:
             self.plan_source.note_answer_reused()
         return table, reused
 
-    def _compiler(self):
-        """The distribution source result rows compile through."""
+    def _compiler(self) -> CompilationCache:
+        """The distribution source result rows compile through: the
+        shared one, else a private cache around this run's compiler."""
         if self.distribution_source is not None:
             return self.distribution_source
-        return Compiler(
-            self.db.registry, self.db.semiring, **self.compiler_options
+        return CompilationCache(
+            Compiler(self.db.registry, self.db.semiring, **self.compiler_options)
         )
 
     def run(
@@ -532,8 +528,7 @@ class SproutEngine:
             table, reused = self._step_one(query)
             run.lap("rewrite_seconds")
             compiler = self._compiler()
-            hits_before = getattr(compiler, "hits", None)
-            misses_before = getattr(compiler, "misses", None)
+            hits_before, misses_before = compiler.hits, compiler.misses
             rows = [
                 ResultRow(table.schema, row.values, row.annotation, compiler)
                 for row in table
@@ -572,9 +567,8 @@ class SproutEngine:
                 if "deadline_hit" in stats:
                     stats["rows_exact"] = rows_exact
                 run.lap("probability_seconds")
-        if hits_before is not None:
-            stats["cache_hits"] = compiler.hits - hits_before
-            stats["cache_misses"] = compiler.misses - misses_before
+        stats["cache_hits"] = compiler.hits - hits_before
+        stats["cache_misses"] = compiler.misses - misses_before
         return run.settle(
             run.result(table.schema, rows, stats),
             f"{rows_exact} of {len(rows)} rows exact",
@@ -585,25 +579,26 @@ class SproutEngine:
         yield self.run(query, spec, **options)
 
     def _parallel_distributions(
-        self, rows: list[ResultRow], source, workers: int
+        self, rows: list[ResultRow], source: CompilationCache, workers: int
     ) -> dict:
         """Compile the rows' annotation distributions across a pool.
 
         Tasks are chunks of *unique, normalized, not-yet-cached*
         annotations; results are written onto the rows' distribution
-        memo and absorbed into the distribution source when it is a
-        session :class:`~repro.engine.base.CompilationCache` (so later
-        runs, ``pretty()`` calls, and accessor lookups hit the cache
-        exactly as if the compile had happened in-process).
+        memo and absorbed into the distribution source (so later runs,
+        ``pretty()`` calls, and accessor lookups hit the cache exactly
+        as if the compile had happened in-process).
         """
-        normalize = getattr(source, "normalize", None)
-        cached = getattr(source, "cached", None)
+        # Read the registry epoch before anything is looked up or fanned
+        # out: workers fork with the current registry, and absorb() drops
+        # a result one of whose variables was reassigned after this.
+        epoch = self.db.registry.epoch
         by_key: dict = {}
         for row in rows:
-            key = normalize(row.annotation) if normalize else row.annotation
+            key = source.normalize(row.annotation)
             if not key.variables:
                 continue  # constant annotation: compiling it is trivial
-            existing = cached(key) if cached is not None else None
+            existing = source.cached(key)
             if existing is not None:
                 row._annotation_dist = existing
                 continue
@@ -616,21 +611,15 @@ class SproutEngine:
         chunk_count = min(len(pending), workers * 4)
         chunks = [pending[i::chunk_count] for i in range(chunk_count)]
         context = (self.db.registry, self.db.semiring, self.compiler_options)
-        # Snapshot the cache generation before fanning out: workers fork
-        # with the current registry, and absorb() discards their results
-        # if a mutation invalidated distributions while they ran.
-        generation = getattr(source, "data_generation", None)
         results, info = parallel_pool.execute(
             distribution_task, context, chunks, workers
         )
         stats.update(info)
-        absorb = getattr(source, "absorb", None)
         for chunk, (distributions, _) in zip(chunks, results):
             for key, distribution in zip(chunk, distributions):
                 for row in by_key[key]:
                     row._annotation_dist = distribution
-                if absorb is not None:
-                    absorb(key, distribution, generation)
+                source.absorb(key, distribution, epoch)
         deltas = merge_stat_sums(
             (delta for _, delta in results), ("mutex_nodes",)
         )

@@ -13,6 +13,7 @@ Boolean reduction of Proposition 2 (``P_x[⊥] = P_x[0]``).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import DistributionError
@@ -32,6 +33,11 @@ class VariableRegistry:
 
     def __init__(self, distributions: Mapping[str, Distribution] | None = None):
         self._distributions: dict[str, Distribution] = {}
+        #: name → the epoch its last :meth:`reassign` bumped to, newest
+        #: last: one entry per variable ever reassigned, so a reader finds
+        #: what changed since it last looked at the newest end
+        #: (:meth:`reassigned_since`).
+        self._reassigned: OrderedDict[str, int] = OrderedDict()
         #: Monotonic epoch: bumped *after* a name is added or an existing
         #: distribution is replaced via :meth:`reassign`, so a reader that
         #: sees an epoch sees every change it stands for.  Caches derived
@@ -54,8 +60,8 @@ class VariableRegistry:
         Re-declaring a name with a *different* distribution is an error:
         the variables of a probability space are fixed and independent.
         Mutation paths that legitimately change a probability (e.g.
-        ``UPDATE ... p=``) go through :meth:`reassign` instead, which is
-        wired to cache invalidation.
+        ``UPDATE ... p=``) go through :meth:`reassign` instead, which
+        records the name for the caches that read this registry.
         """
         existing = self._distributions.get(name)
         if existing is not None and not existing.almost_equals(distribution):
@@ -76,18 +82,45 @@ class VariableRegistry:
         The escape hatch :meth:`declare` deliberately does not offer: the
         mutation API (:meth:`repro.db.pvc_table.PVCDatabase.update` with
         ``p=``) uses it to change an event's probability in place.  Every
-        cached object derived from the old distribution becomes invalid;
-        callers are responsible for routing the change through the
-        lineage-based invalidation (a :class:`~repro.db.mutations.Delta`
-        with the name in ``changed_variables``).
+        cached object derived from the old distribution becomes invalid,
+        and nobody has to be told: the name is recorded here, and a
+        :class:`~repro.cache.CompilationCache` over this registry drops
+        what depended on it before its next read
+        (:meth:`reassigned_since`) — whoever called, however directly.
         """
         if name not in self._distributions:
             raise DistributionError(
                 f"cannot reassign undeclared variable {name!r}"
             )
+        # Store, record, bump: whoever reads the new epoch reads the new
+        # distribution and finds the name recorded.  The entry takes its
+        # new epoch before it moves to the newest end, so it is never
+        # absent; until the bump that epoch is ahead of every reader's.
         self._distributions[name] = distribution
-        self._version += 1
+        at = self._version + 1
+        self._reassigned[name] = at
+        self._reassigned.move_to_end(name)
+        self._version = at
         return distribution
+
+    def reassigned_since(self, epoch: int) -> list[str]:
+        """The names :meth:`reassign` touched after ``epoch``, in time
+        proportional to their number.
+
+        A reader reads :attr:`epoch` *first* and asks again from that
+        value next time: a reassignment racing the scan is recorded
+        before the epoch moves, so it is returned now or then.
+        """
+        while True:
+            names = []
+            try:
+                for name, at in reversed(self._reassigned.items()):
+                    if at <= epoch:
+                        break
+                    names.append(name)
+            except RuntimeError:  # a concurrent reassign moved an entry
+                continue
+            return names
 
     def bernoulli(self, name: str, p: float) -> Distribution:
         """Declare a Boolean variable with ``P[⊤] = p`` (set semantics)."""

@@ -7,7 +7,7 @@ tenants:
 * **Per-tenant sessions over shared base data.**  Each tenant name maps
   to its own :class:`~repro.session.Session` (engines, Monte-
   Carlo RNG state), all opened over the *same* database, the same
-  server-wide :class:`~repro.engine.base.CompilationCache` and the same
+  server-wide :class:`~repro.cache.CompilationCache` and the same
   :class:`~repro.engine.base.PlanCache` — so one tenant's compile work
   is every tenant's cache hit.
 * **A shared prepared-statement cache** keyed on normalised query text
@@ -32,11 +32,11 @@ tenants:
 
 * **Serialised writes with lineage-scoped invalidation.**  ``POST
   /mutate`` (or the TCP ``mutate`` op) inserts, updates or deletes rows
-  of the shared database.  Writes serialise on one mutation lock; the
-  shared distribution cache is subscribed to the database's delta feed
-  and drops exactly the entries whose variables a mutation re-weighted,
-  while plans re-key on row counts and kept answers and replies on
-  their stamp (:mod:`repro.cache`) — every tenant's next answer
+  of the shared database.  Writes serialise on one mutation lock and
+  tell no cache anything: on its next read the shared distribution
+  cache drops exactly the entries whose variables a mutation
+  re-weighted, plans re-key on row counts and kept answers and replies
+  on their stamp (:mod:`repro.cache`) — every tenant's next answer
   reflects the write, and nothing that did not change recompiles.
 
 The wire protocols live in :mod:`repro.server.http` (JSON over HTTP:
@@ -191,10 +191,6 @@ class QueryServer:
         self.statements = StatementCache(
             max_entries=self.config.statement_cache_size
         )
-        #: Mutations invalidate cache entries by lineage: the cache
-        #: subscribes to the database's delta feed up front, before any
-        #: tenant session exists.
-        self.cache.watch(db)
         self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._sessions_lock = threading.Lock()
         #: Writes serialise on one lock: mutations are rare relative to
@@ -411,10 +407,10 @@ class QueryServer:
     def _apply_mutation(self, table: str, action: str, payload: dict) -> dict:
         """Apply one validated mutation (runs on an executor thread).
 
-        Writes serialise on ``_mutation_lock``; lineage-driven cache
-        invalidation runs inside the table/database mutators via the
-        delta subscriptions, so by the time the lock drops every shared
-        cache is consistent with the new generation.
+        Writes serialise on ``_mutation_lock`` and bump the counters of
+        what they changed; every shared cache validates against those on
+        its next read, so no answer computed after the lock drops
+        predates the write.
         """
         with self._mutation_lock:
             if action == "insert":
@@ -596,7 +592,7 @@ class QueryServer:
 
     def _stamp(self) -> tuple:
         """What an exact answer depends on besides its text and options."""
-        return capture_stamp(self.db, registry=True, cache=self.cache)
+        return capture_stamp(self.db, registry=True)
 
     def _run_statement(
         self, session: Session, key: str, options: str | None, **run_options
@@ -796,7 +792,10 @@ class QueryServer:
                 },
                 "variables": len(self.db.registry),
                 "generation": self.db.generation,
-                "mutations": self.db.deltas.stats(),
+                "mutations": {
+                    "total": sum(self.db.mutations.values()),
+                    **self.db.mutations,
+                },
             },
             "config": jsonable(asdict(self.config)),
         }

@@ -5,7 +5,7 @@ cache in front of per-connection state): when tenant B sends the same
 SQL tenant A already ran, the parse is skipped here, the optimised
 physical plan is reused via the shared
 :class:`~repro.engine.base.PlanCache`, and the compiled distributions
-come out of the shared :class:`~repro.engine.base.CompilationCache` —
+come out of the shared :class:`~repro.cache.CompilationCache` —
 the whole compile pipeline collapses to cache lookups.
 
 Normalisation is deliberately conservative — textual, lossless, and

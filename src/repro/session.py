@@ -6,7 +6,7 @@ owns the pieces every caller previously hand-assembled — the
 :class:`~repro.prob.variables.VariableRegistry`, the
 :class:`~repro.db.pvc_table.PVCDatabase`, a persistent
 :class:`~repro.core.compile.Compiler` behind a
-:class:`~repro.engine.base.CompilationCache`, a
+:class:`~repro.cache.CompilationCache`, a
 :class:`~repro.engine.base.PlanCache` — and exposes:
 
 * fluent table definition with auto-minted Bernoulli variables::
@@ -202,10 +202,6 @@ class Session:
                 Compiler(self.registry, self.semiring, **compiler_options)
             )
             self._owns_cache = True
-        #: Mutations on this session's database invalidate exactly the
-        #: cache entries whose lineage they touch (weakly subscribed, so
-        #: discarded sessions leave nothing behind).
-        self.cache.watch(self.db)
         #: The one memo of prepared plans, owned like :attr:`cache` unless
         #: a shared instance was injected.  Entries self-invalidate via
         #: cardinality fingerprints.
@@ -217,9 +213,9 @@ class Session:
     def compiler(self) -> Compiler:
         """The cache's current persistent compiler.
 
-        A property rather than a snapshot: lineage invalidation replaces
-        the compiler under the cache when variable distributions change,
-        and a stale reference would compile against dead distributions.
+        A property rather than a snapshot: the cache replaces its
+        compiler when it finds variable distributions reassigned, and a
+        stale reference would compile against dead distributions.
         """
         return self.cache.compiler
 
@@ -658,7 +654,7 @@ def connect(
     reproducible.  An existing :class:`PVCDatabase` can be adopted via
     ``database=``; multi-tenant deployments (see :mod:`repro.server`)
     additionally share one ``cache=`` (a
-    :class:`~repro.engine.base.CompilationCache`) and one ``plan_cache=``
+    :class:`~repro.cache.CompilationCache`) and one ``plan_cache=``
     (a :class:`~repro.engine.base.PlanCache`) across many sessions over
     the same database.  Sessions are context managers —
     ``with connect() as s: ...`` clears the compilation caches on exit.

@@ -304,6 +304,40 @@ class TestAssignThenBumpRule:
         )
         assert result.clean
 
+    def test_flags_bump_before_the_reassignment_record(self, analyze):
+        # A cache reconciling between the two statements looks at the new
+        # epoch, finds no name, and never looks at this epoch again.
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def reassign(self, name, distribution):
+            self._distributions[name] = distribution
+            at = self._version + 1
+            self._version = at
+            self._reassigned[name] = at
+            self._reassigned.move_to_end(name)
+    """,
+            CHECKERS,
+        )
+        assert rule_ids(result) == ["cache-epoch", "cache-epoch"]
+        assert "self._reassigned after bumping" in result.findings[0].message
+
+    def test_passes_store_record_bump(self, analyze):
+        # VariableRegistry.reassign as shipped.
+        result = analyze(
+            REGISTRY_HEADER
+            + """
+        def reassign(self, name, distribution):
+            self._distributions[name] = distribution
+            at = self._version + 1
+            self._reassigned[name] = at
+            self._reassigned.move_to_end(name)
+            self._version = at
+    """,
+            CHECKERS,
+        )
+        assert result.clean
+
     def test_flags_conditional_bump_before_store(self, analyze):
         result = analyze(
             REGISTRY_HEADER
@@ -417,11 +451,13 @@ class TestStampCompareRule:
         )
         assert rule_ids(result) == ["cache-stamp"]
 
-    def test_flags_a_kept_generation(self, analyze):
+    def test_flags_a_kept_epoch(self, analyze):
+        # What CompilationCache does to reconcile — allowed in
+        # repro/cache.py, where it lives, and nowhere else.
         result = analyze(
             """
-    def kept(entry, cache):
-        if entry.generation == cache.data_generation:
+    def kept(entry, registry):
+        if entry.reconciled == registry.epoch:
             return entry.value
     """,
             CHECKERS,
@@ -487,8 +523,8 @@ class TestStampCompareRule:
     def test_suppression_silences_and_is_marked_used(self, analyze):
         result = analyze(
             """
-    def kept(entry, cache):
-        if entry.generation == cache.data_generation:  # repro: allow(cache-stamp)
+    def kept(entry, registry):
+        if entry.reconciled == registry.epoch:  # repro: allow(cache-stamp)
             return entry.value
     """,
             CHECKERS,

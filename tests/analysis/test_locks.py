@@ -383,10 +383,12 @@ class TestBoundedLRUDiscipline:
         assert analyze(self.source(), CHECKERS).clean
 
     def test_counting_outside_the_lock_is_flagged(self, analyze):
-        racy = self.source() + """
+        # One more method at the end of BoundedLRU's body.
+        head, tail = self.source().split("\n\nclass CompilationCache(")
+        racy = head + """
     def count_hit(self):
         self.hits += 1
-"""
+""" + "\n\nclass CompilationCache(" + tail
         result = analyze(racy, CHECKERS)
         assert rule_ids(result) == ["race-unguarded-write"]
         assert "BoundedLRU field 'hits'" in result.findings[0].message

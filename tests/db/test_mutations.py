@@ -1,4 +1,4 @@
-"""Mutable pvc-tables: epochs, the scan/index record, delta feed.
+"""Mutable pvc-tables: epochs, the scan/index record, mutation counters.
 
 The headline regression here is the stale-cache bug PR 10 fixed: the
 scan/index caches used to be keyed on ``len(self.rows)``, so an
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.expressions import ONE, Var, ssum
-from repro.db.mutations import Delta, DeltaLog, LineageIndex
+from repro.db.mutations import LineageIndex
 from repro.db.pvc_table import (
     PVCDatabase,
     PVCTable,
@@ -303,54 +303,32 @@ class TestDatabaseMutationAPI:
             db.delete("items", 42)
 
 
-class TestDeltaFeed:
-    def test_mutations_are_logged(self):
+class TestMutationCounters:
+    def test_mutations_are_counted_by_kind(self):
         db = fresh_db()
         db.insert("items", ("inkjet", 99), p=0.7)
         db.update("items", {"name": "inkjet"}, set_values={"price": 1})
         db.update("items", {"name": "inkjet"}, p=0.3)
         db.delete("items", {"name": "inkjet"})
-        stats = db.deltas.stats()
-        assert stats["insert"] == 1
-        assert stats["update"] == 2
-        assert stats["delete"] == 1
-        assert stats["total"] == 4
+        assert db.mutations == {"insert": 1, "update": 2, "delete": 1}
 
-    def test_only_probability_updates_carry_changed_variables(self):
+    def test_only_probability_updates_are_recorded_as_reassignments(self):
         db = fresh_db()
         db.insert("items", ("inkjet", 99), p=0.7)
+        before = db.registry.epoch
         db.update("items", {"name": "inkjet"}, set_values={"price": 1})
-        assert db.deltas.last().changed_variables == frozenset()
+        assert db.registry.reassigned_since(before) == []
         db.update("items", {"name": "inkjet"}, p=0.3)
-        assert db.deltas.last().changed_variables == {"items_0"}
+        assert db.registry.reassigned_since(before) == ["items_0"]
 
-    def test_no_op_mutations_notify_nothing(self):
+    def test_no_op_mutations_count_nothing(self):
         db = fresh_db()
         db.insert("items", ("inkjet", 99), p=0.7)
-        total = db.deltas.total
+        counted, epoch = dict(db.mutations), db.registry.epoch
         assert db.update("items", {"name": "nope"}, set_values={"price": 1}) == 0
+        assert db.update("items", {"name": "nope"}, p=0.1) == 0
         assert db.delete("items", {"name": "nope"}) == 0
-        assert db.deltas.total == total
-
-    def test_listeners_are_weak(self):
-        db = fresh_db()
-
-        class Cache:
-            def __init__(self):
-                self.seen = []
-
-            def on_mutation(self, delta):
-                self.seen.append(delta)
-
-        cache = Cache()
-        db.subscribe(cache.on_mutation)
-        db.subscribe(cache.on_mutation)  # idempotent
-        assert len(db._listeners) == 1
-        db.insert("items", ("inkjet", 99), p=0.7)
-        assert len(cache.seen) == 1
-        del cache
-        db.insert("items", ("laser", 300), p=0.5)
-        assert db._listeners == []
+        assert db.mutations == counted and db.registry.epoch == epoch
 
 
 class TestLineageIndex:
@@ -370,16 +348,6 @@ class TestLineageIndex:
         index.discard("key-a")
         assert index.dependents("x") == set()
         assert index.pop({"x"}) == set()
-
-    def test_delta_log_bounded(self):
-        log = DeltaLog(max_entries=2)
-        for i in range(5):
-            log.append(Delta(
-                table="t", kind="insert", rows=1, variables=frozenset(),
-                cardinality_changed=True,
-            ))
-        assert log.total == 5
-        assert log.stats()["retained"] == 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,10 @@ import time
 
 import pytest
 
+from repro.engine.base import CompilationCache
+from repro.engine.sprout import SproutEngine
 from repro.errors import QueryTimeoutError
+from repro.query.sql import parse_sql
 from repro.resilience import FaultPlan, fault_plan
 from repro.server.bootstrap import demo_session
 
@@ -82,6 +85,21 @@ def test_envelope_and_clock(case, numpy_kernels):
     assert all(seconds >= 0.0 for seconds in result.timings.values())
     assert sum(result.timings.values()) <= wall + 1e-9
     assert wall <= measured
+
+
+def test_a_bare_engine_reports_what_a_sessions_does():
+    """One distribution-source type: without a session's cache the
+    engine wraps its run's compiler in a private one, so the key set —
+    ``cache_hits``/``cache_misses`` included — is ``CASES["sprout"]``'s
+    and the rows expose the same accessors."""
+    db = demo_session(scale=1).db
+    result = SproutEngine(db).run(parse_sql("SELECT kind FROM R"))
+    assert set(result.stats) == CASES["sprout"][2]
+    # Each kind appears twice in R; nothing is repeated within one run.
+    assert (result.stats["cache_hits"], result.stats["cache_misses"]) == (0, 4)
+    assert isinstance(result.rows[0]._compiler, CompilationCache)
+    assert result.rows[0]._compiler is result.rows[-1]._compiler
+    assert result.rows[0]._compiler is not SproutEngine(db)._compiler()
 
 
 def test_snapshots_share_one_clock():

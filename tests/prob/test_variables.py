@@ -142,3 +142,72 @@ class TestEpochOrder:
         with pytest.raises(DistributionError, match="undeclared"):
             reg.reassign("nope", Distribution.bernoulli(0.5))
         assert reg.epoch == before and seen.epochs_at_store == []
+
+
+class TestReassignmentRecord:
+    """``reassigned_since``: what a distribution cache reads instead of
+    being told — one entry per variable, newest last, recorded before
+    the epoch that stands for it."""
+
+    def _registry(self, count=4):
+        reg = VariableRegistry()
+        for i in range(count):
+            reg.bernoulli(f"x{i}", 0.5)
+        return reg
+
+    def test_names_since_an_epoch_newest_first(self):
+        reg = self._registry()
+        start = reg.epoch
+        assert reg.reassigned_since(start) == []
+        reg.reassign("x1", Distribution.bernoulli(0.1))
+        middle = reg.epoch
+        reg.reassign("x3", Distribution.bernoulli(0.2))
+        reg.bernoulli("late", 0.5)  # a declaration moves the epoch, not the record
+        assert reg.reassigned_since(start) == ["x3", "x1"]
+        assert reg.reassigned_since(middle) == ["x3"]
+        assert reg.reassigned_since(reg.epoch) == []
+
+    def test_the_record_is_one_entry_per_variable(self):
+        reg = self._registry()
+        start = reg.epoch
+        for step in range(100):
+            reg.reassign(f"x{step % 2}", Distribution.bernoulli(step / 100))
+        assert reg.reassigned_since(start) == ["x1", "x0"]
+        assert reg.reassigned_since(reg.epoch - 1) == ["x1"]
+        assert len(reg._reassigned) == 2
+
+    def test_a_scan_stops_at_the_first_name_it_has_seen(self):
+        reg = self._registry(count=200)
+        for i in range(200):
+            reg.reassign(f"x{i}", Distribution.bernoulli(0.25))
+        seen = reg.epoch
+        reg.reassign("x7", Distribution.bernoulli(0.75))
+
+        class Counting:
+            def __init__(self, items):
+                self.items, self.steps = items, 0
+
+            def __reversed__(self):
+                for item in reversed(self.items):
+                    self.steps += 1
+                    yield item
+
+        items = Counting(reg._reassigned.items())
+        reg._reassigned = type("Record", (), {"items": lambda self: items})()
+        assert reg.reassigned_since(seen) == ["x7"]
+        assert items.steps == 2  # the new name and the first old one
+
+    def test_the_name_is_recorded_before_the_epoch_moves(self):
+        reg = self._registry()
+        epochs_at_record = []
+
+        class Observed(type(reg._reassigned)):
+            def __setitem__(self, name, at):
+                epochs_at_record.append((reg.epoch, at))
+                super().__setitem__(name, at)
+
+        reg._reassigned = Observed(reg._reassigned)
+        before = reg.epoch
+        reg.reassign("x2", Distribution.bernoulli(0.9))
+        assert epochs_at_record == [(before, before + 1)]
+        assert reg.epoch == before + 1

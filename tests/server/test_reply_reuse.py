@@ -1,8 +1,8 @@
 """A statement keeps its encoded reply for the database stamp it was
 computed at; ``QueryServer.execute`` answers from it on the event loop.
 
-The stamp is ``(table epochs, registry epoch, data_generation)``, read
-*before* the run; a reply is admitted on second sight (requests 1 and 2
+The stamp is ``(table epochs, registry epoch)``, read *before* the
+run; a reply is admitted on second sight (requests 1 and 2
 of a text at a stamp run, request 3 onwards is handed request 2's
 encoded result) and only when nothing but text, options and database
 determined it.  Every comparison is against a cold session over copies
@@ -469,31 +469,33 @@ class TestInterleavings:
         assert [r["reply_reused"] for r in after] == [False, False, True]
         assert all(fingerprint(r["result"]) == oracle for r in after)
 
-    def test_readers_between_reassign_and_the_cache_notification(self, monkeypatch):
-        """``data_generation``: inside a ``p=`` update the registry (and
-        its epoch) is already new while the shared distribution cache
-        still answers with the old distributions.  Two readers in that
-        window admit an old reply under the new registry epoch; only the
-        generation, bumped last, tells later requests apart from them."""
+    def test_readers_between_reassign_and_the_return_of_update(self, monkeypatch):
+        """Inside a ``p=`` update, from the moment ``registry.reassign``
+        returns, every reader answers with the new marginal: the shared
+        distribution cache reconciles with the registry on its next
+        read, whatever the writer has or has not got round to.  (It used
+        to be told last, so readers in this window were handed the old
+        distributions under the new registry epoch, and a third stamp
+        element existed to tell later requests apart from them.)"""
 
         async def scenario(server):
             loop = asyncio.get_running_loop()
             await ask(server, KIND_SQL)  # warms the distribution cache
             stale = expected(server, KIND_SQL)
-            notify = server.db._notify
+            reassign = server.db.registry.reassign
             window = []
 
-            def read_twice_then_notify(delta):
-                # On the mutation's executor thread, after reassign().
+            def reassign_then_read_twice(name, distribution):
+                # On the mutation's executor thread, inside db.update().
                 monkeypatch.undo()
+                reassign(name, distribution)
                 for _ in range(2):
                     reply = asyncio.run_coroutine_threadsafe(
                         ask(server, KIND_SQL, tenant="reader"), loop
                     ).result(timeout=10)
-                    window.append(reply)
-                notify(delta)
+                    window.append((reply, expected(server, KIND_SQL)))
 
-            monkeypatch.setattr(server.db, "_notify", read_twice_then_notify)
+            monkeypatch.setattr(server.db.registry, "reassign", reassign_then_read_twice)
             await server.mutate(
                 {"table": "R", "action": "update", "where": {"kind": "a"}, "p": 0.9}
             )
@@ -502,9 +504,14 @@ class TestInterleavings:
 
         stale, window, after, oracle = serve(scenario)
         assert stale != oracle and len(window) == 2
-        # What makes the window dangerous: its readers answer from the
-        # still-cached old distributions.
-        assert [fingerprint(r["result"]) for r in window] == [stale, stale]
+        # Nothing stale is computed, so nothing stale can be kept: the
+        # window's readers already equal a cold session at that instant.
+        for reply, cold in window:
+            assert fingerprint(reply["result"]) == cold != stale
+            assert not reply["reply_reused"]
+        # The update went on to its second variable: what the window
+        # kept (its second reader's reply) died with that stamp.
+        assert window[-1][1] != oracle
         assert [r["reply_reused"] for r in after] == [False, False, True]
         assert all(fingerprint(r["result"]) == oracle for r in after)
 

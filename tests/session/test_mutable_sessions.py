@@ -23,6 +23,7 @@ from repro.algebra import BOOLEAN, Var
 from repro.core.compile import Compiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.engine.base import CompilationCache, PlanCache
+from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 from repro.server import demo_session
 from repro.session import Session
@@ -183,12 +184,14 @@ class TestLineageSelectivity:
         cold = fresh_session(s).run(a.select("x").build(), engine="sprout")
         assert _fingerprint(warm) == _fingerprint(cold)
 
-    def test_delta_feed_reaches_session_cache(self):
+    def test_a_probability_update_reaches_the_session_cache(self):
         s = _seeded_session()
         s.run(s.table("items").select("name"), engine="sprout")
-        generation = s.cache.stats()["data_generation"]
+        compiler = s.compiler
+        assert s.cache.stats()["invalidations"] == 0
         s.table("items").update({"name": "inkjet"}, p=0.2)
-        assert s.cache.stats()["data_generation"] == generation + 1
+        assert s.cache.stats()["invalidations"] == 1
+        assert s.compiler is not compiler  # the d-tree memo went with it
 
 
 class TestSharedCacheLifecycle:
@@ -216,7 +219,7 @@ class TestSharedCacheLifecycle:
 
         stats = cache.stats()
         assert stats["entries"] == warmed["entries"]
-        assert stats["data_generation"] == warmed["data_generation"]
+        assert stats["invalidations"] == warmed["invalidations"]
         # Tenant B rides A's warm entries: hits only, zero new compiles.
         tenant_b.run(query, engine="sprout")
         after = cache.stats()
@@ -244,22 +247,24 @@ class TestSharedCacheLifecycle:
         assert _fingerprint(closed) == _fingerprint(result)
 
 
-    def test_watch_reaches_a_database_rebuilt_over_the_same_registry(self):
-        # ``watch`` used to remember ``id(db)``: a database built after
-        # another was dropped can get the same id, was taken for watched,
-        # never subscribed, and kept answering the old marginal.
+    def test_a_cache_follows_its_registry_not_a_database(self):
+        # The cache used to subscribe to a database (and once remembered
+        # ``id(db)``, so a database rebuilt at a dead one's address was
+        # never watched).  It reads the registry: whichever database the
+        # update came through — or none — it answers the new marginal.
         registry = VariableRegistry()
         registry.bernoulli("v", 0.5)
         cache = CompilationCache(Compiler(registry, BOOLEAN))
-        for p in (0.9, 0.1, 0.8, 0.2):  # build, watch, update, drop
+        for p in (0.9, 0.1, 0.8, 0.2):  # build, update, drop
             db = PVCDatabase(registry=registry)
             db.create_table("items", ["name"])
             db.insert("items", ("inkjet",), annotation=Var("v"))
-            cache.watch(db)
             cache.distribution(Var("v"))
             db.update("items", {"name": "inkjet"}, p=p)
             assert cache.distribution(Var("v"))[True] == pytest.approx(p)
             del db
+        registry.reassign("v", Distribution.bernoulli(0.3))
+        assert cache.distribution(Var("v"))[True] == pytest.approx(0.3)
 
 
 class TestPlanMemo:

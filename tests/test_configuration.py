@@ -1,4 +1,5 @@
-"""One install configuration, one environment variable, one run record.
+"""One install configuration, one environment variable, one run record,
+one invalidation rule.
 
 numpy is a declared dependency and ``REPRO_CODEGEN`` is the only thing
 the package reads from the environment; the kernels switch
@@ -6,7 +7,9 @@ the package reads from the environment; the kernels switch
 from outside the process.  What every engine run does the same way —
 reading the clock, raising the timeout, stamping the envelope — is
 written once, in :class:`repro.engine.sprout.Run`, and the engine × mode
-table has one owner, :mod:`repro.engine.spec`.  All of these facts are
+table has one owner, :mod:`repro.engine.spec`.  No writer notifies a
+cache: the distribution cache reconciles with the registry where it is
+read (:mod:`repro.cache`).  All of these facts are
 structural, so they are checked on the syntax tree of every module
 under ``src/repro``.
 """
@@ -152,3 +155,41 @@ def test_the_front_doors_read_the_engine_table():
     ):
         spelt = owned & set(_strings(_function(module, name)))
         assert not spelt, (module, name, spelt)
+
+
+def _identifiers(tree: ast.AST) -> set:
+    """Every name a module binds, reads or imports — not its prose."""
+    found = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "arg", "module"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.update(value.split("."))
+    return found
+
+
+def test_no_writer_tells_any_cache_anything():
+    """One invalidation rule: the distribution cache reads what changed
+    from the registry, so the mutation feed and everything that existed
+    to cover its window are gone, and lineage invalidation has the one
+    caller that reconciles."""
+    for name, tree in MODULES.items():
+        gone = {"watch", "on_mutation", "data_generation"}
+        if name.startswith("db/"):
+            gone |= {"weakref", "subscribe", "_listeners", "_notify"}
+        assert not gone & _identifiers(tree), (name, gone & _identifiers(tree))
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "invalidate_variables"
+    ]
+    assert len(calls) == 1 and calls[0].startswith("cache.py"), calls
+    caller = _function("cache.py", "_reconcile_locked")
+    assert _mentions(caller, "invalidate_variables")
+    parameters = _function("cache.py", "capture_stamp").args
+    assert [a.arg for a in parameters.args + parameters.kwonlyargs] == [
+        "db", "names", "registry",
+    ]
