@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=defaults.threads,
-        help="executor threads for blocking compile/eval work",
+        help="executor threads for compile/eval work of reads",
     )
     parser.add_argument(
         "--statement-cache", type=int, default=defaults.statement_cache_size,

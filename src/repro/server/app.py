@@ -23,17 +23,17 @@ tenants:
   strict budget/time cap instead of queueing unboundedly.  Past
   ``hard_limit`` requests are shed with a structured overload error
   (HTTP 503 + ``Retry-After``).
-* **A non-blocking event loop.**  Compile/evaluate work runs via
-  ``loop.run_in_executor`` on a thread pool; within a tenant, requests
-  serialise on a per-tenant lock (sessions hold engine state), while
-  different tenants execute concurrently — and can fan out to the
-  :mod:`repro.parallel` process pool via the usual ``workers`` spec
-  field.
+* **A non-blocking event loop.**  Reads and streams compile/evaluate
+  on a thread pool; within a tenant they serialise on a per-tenant lock
+  (sessions hold engine state), while different tenants execute
+  concurrently — and can fan out to the :mod:`repro.parallel` process
+  pool via the usual ``workers`` spec field.  Writes and kept replies,
+  which compile nothing, run on the loop itself.
 
-* **Serialised writes with lineage-scoped invalidation.**  ``POST
-  /mutate`` (or the TCP ``mutate`` op) inserts, updates or deletes rows
-  of the shared database.  Writes serialise on one mutation lock and
-  tell no cache anything: on its next read the shared distribution
+* **Writes where they arrive, with lineage-scoped invalidation.**
+  ``POST /mutate`` (or the TCP ``mutate`` op) inserts, updates or
+  deletes rows of the shared database, one write at a time on the loop,
+  and tells no cache anything: on its next read the shared distribution
   cache drops exactly the entries whose variables a mutation
   re-weighted, plans re-key on row counts and kept answers and replies
   on their stamp (:mod:`repro.cache`) — every tenant's next answer
@@ -108,7 +108,8 @@ class ServerConfig:
     is shed like a hard-limit trip.  ``tcp_port``
     ``None`` means "next port after ``port``" (or another ephemeral port
     when ``port`` is 0).  ``threads`` sizes the executor pool the event
-    loop offloads blocking compile/eval work to.  ``drain_timeout``
+    loop offloads the compile/eval work of reads to (writes never leave
+    the loop).  ``drain_timeout``
     bounds graceful shutdown: :meth:`QueryServer.stop` sheds new
     arrivals (503 + ``Retry-After``) and waits up to this many seconds
     for in-flight requests to finish before abandoning them.
@@ -193,11 +194,6 @@ class QueryServer:
         )
         self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._sessions_lock = threading.Lock()
-        #: Writes serialise on one lock: mutations are rare relative to
-        #: queries and each one rewrites table rows + patches caches as
-        #: one atomic step (readers are lock-free — they see either the
-        #: old or the new row list, never a half-applied write).
-        self._mutation_lock = threading.Lock()
         self._tenant_locks: dict[str, asyncio.Lock] = {}
         self._tenant_busy: dict[str, int] = {}
         self._executor: ThreadPoolExecutor | None = None
@@ -405,35 +401,34 @@ class QueryServer:
         return table, action, payload
 
     def _apply_mutation(self, table: str, action: str, payload: dict) -> dict:
-        """Apply one validated mutation (runs on an executor thread).
+        """Apply one validated mutation, on the event loop.
 
-        Writes serialise on ``_mutation_lock`` and bump the counters of
-        what they changed; every shared cache validates against those on
-        its next read, so no answer computed after the lock drops
-        predates the write.
+        A write is an O(rows of the named table) edit that compiles
+        nothing; it runs where it arrives, one at a time, so no lock
+        keeps writes apart.  Every shared cache validates against the
+        counters it bumped on its next read.
         """
-        with self._mutation_lock:
-            if action == "insert":
-                values = payload["values"]
-                if isinstance(values, list):
-                    values = tuple(values)
-                self.db.insert(table, values, p=payload.get("p"))
-                rows = 1
-            elif action == "update":
-                rows = self.db.update(
-                    table,
-                    payload["where"],
-                    set_values=payload.get("set"),
-                    p=payload.get("p"),
-                )
-            else:
-                rows = self.db.delete(table, payload["where"])
-            return {
-                "table": table,
-                "action": action,
-                "rows": rows,
-                "db_generation": self.db.generation,
-            }
+        if action == "insert":
+            values = payload["values"]
+            if isinstance(values, list):
+                values = tuple(values)
+            self.db.insert(table, values, p=payload.get("p"))
+            rows = 1
+        elif action == "update":
+            rows = self.db.update(
+                table,
+                payload["where"],
+                set_values=payload.get("set"),
+                p=payload.get("p"),
+            )
+        else:
+            rows = self.db.delete(table, payload["where"])
+        return {
+            "table": table,
+            "action": action,
+            "rows": rows,
+            "db_generation": self.db.generation,
+        }
 
     async def mutate(self, payload) -> dict:
         """The write path shared by ``POST /mutate`` and the TCP op.
@@ -441,7 +436,8 @@ class QueryServer:
         Mutations claim an in-flight slot like queries (a write burst
         counts against the admission limits) but are never degraded —
         load-shedding rewrites *answers* to anytime mode, while a write
-        either happens exactly or not at all.
+        either happens exactly or not at all — and never wait for a pool
+        thread: :meth:`_apply_mutation` runs inline.
         """
         self._count("requests")
         table, action, fields = self._unpack_mutation(payload)
@@ -452,9 +448,7 @@ class QueryServer:
             )
         self._admit()  # claims the in-flight slot on success
         try:
-            mutation = await self._offload(
-                self._apply_mutation, table, action, fields
-            )
+            mutation = self._apply_mutation(table, action, fields)
         finally:
             self._release_slot()
         self._count("completed")
@@ -747,7 +741,7 @@ class QueryServer:
         self._count("completed")
 
     async def _offload(self, fn, *args, **kwargs):
-        """Run blocking work on the executor pool, off the event loop."""
+        """Run a read's blocking work on the executor pool."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, functools.partial(fn, *args, **kwargs)
@@ -801,11 +795,11 @@ class QueryServer:
         }
 
     def healthz(self) -> dict:
-        return {
-            "status": "ok",
-            "inflight": self._inflight,
-            "tenants": len(self._sessions),
-        }
+        with self._sessions_lock:
+            tenants = len(self._sessions)
+        with self._counters_lock:
+            inflight = self._inflight
+        return {"status": "ok", "inflight": inflight, "tenants": tenants}
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -486,7 +486,7 @@ class TestInterleavings:
             window = []
 
             def reassign_then_read_twice(name, distribution):
-                # On the mutation's executor thread, inside db.update().
+                # On the writer's helper thread, inside db.update().
                 monkeypatch.undo()
                 reassign(name, distribution)
                 for _ in range(2):
@@ -496,8 +496,12 @@ class TestInterleavings:
                     window.append((reply, expected(server, KIND_SQL)))
 
             monkeypatch.setattr(server.db.registry, "reassign", reassign_then_read_twice)
-            await server.mutate(
-                {"table": "R", "action": "update", "where": {"kind": "a"}, "p": 0.9}
+            # The served write path runs on the loop, which the readers
+            # above need: drive the same write from a helper thread so
+            # they still run inside its window.
+            await asyncio.to_thread(
+                server._apply_mutation,
+                "R", "update", {"where": {"kind": "a"}, "p": 0.9},
             )
             after = [await ask(server, KIND_SQL) for _ in range(3)]
             return stale, window, after, expected(server, KIND_SQL)

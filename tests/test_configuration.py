@@ -9,7 +9,8 @@ reading the clock, raising the timeout, stamping the envelope — is
 written once, in :class:`repro.engine.sprout.Run`, and the engine × mode
 table has one owner, :mod:`repro.engine.spec`.  No writer notifies a
 cache: the distribution cache reconciles with the registry where it is
-read (:mod:`repro.cache`).  All of these facts are
+read (:mod:`repro.cache`).  A server write runs on the event loop; only
+reads take the pool hop.  All of these facts are
 structural, so they are checked on the syntax tree of every module
 under ``src/repro``.
 """
@@ -135,11 +136,14 @@ def test_the_envelope_is_stamped_once():
     assert writers == ["engine/sprout.py"]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _function(module: str, name: str) -> ast.AST:
     (found,) = [
         node
         for node in ast.walk(MODULES[module])
-        if isinstance(node, ast.FunctionDef) and node.name == name
+        if isinstance(node, _FUNCTIONS) and node.name == name
     ]
     return found
 
@@ -193,3 +197,51 @@ def test_no_writer_tells_any_cache_anything():
     assert [a.arg for a in parameters.args + parameters.kwonlyargs] == [
         "db", "names", "registry",
     ]
+
+
+def _callers(method: str) -> list:
+    """``module:function`` of every ``<x>.method(...)`` call under
+    ``src/repro``, by the innermost function that makes it."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCTIONS):
+                visit(child, module, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == method
+            ):
+                found.append(f"{module}:{function}")
+            visit(child, module, function)
+
+    for name, tree in MODULES.items():
+        visit(tree, name, None)
+    return found
+
+
+# A server write compiles nothing: ``mutate`` applies it on the event
+# loop, so the pool hop is the reads' alone and no lock keeps writes apart.
+
+
+def test_a_server_write_takes_no_pool_hop():
+    mutate = _function("server/app.py", "mutate")
+    assert not {"_offload", "run_in_executor"} & _identifiers(mutate)
+
+
+def test_no_lock_keeps_server_writes_apart():
+    held = [
+        name for name, tree in MODULES.items()
+        if name.startswith("server/") and "_mutation_lock" in _identifiers(tree)
+    ]
+    assert not held, held
+
+
+def test_mutate_is_the_one_caller_of_apply_mutation():
+    assert _callers("_apply_mutation") == ["server/app.py:mutate"]
+
+
+def test_execute_is_the_one_caller_of_offload():
+    assert _callers("_offload") == ["server/app.py:execute"]
