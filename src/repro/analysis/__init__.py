@@ -7,39 +7,31 @@ pytest-importable API::
     result = analyze_paths(["src/repro"])
     assert result.clean, "\\n".join(f.render() for f in result.findings)
 
-Four codebase-specific checkers ride on a small framework (findings,
-inline suppressions, committed baseline, reporters):
+It keeps only the rules whose historical bugs no tier-1 test catches
+(EXPERIMENTS.md, "Third verdict round: the analysis suite").  Two
+checkers ride on a small framework (findings, reporters):
 
 * ``locks`` — declared shared state is mutated only under its owning
-  lock; no ``await`` under a held threading lock.
-* ``forksafety`` — nothing unpicklable flows into pool workers.
-* ``kernels`` — verifies invariants of kernels emitted by
-  ``repro.codegen.emit`` over a differential corpus.
-* ``statskeys`` — every stats key written by the engines is declared
-  deterministic or volatile for answer fingerprinting.
+  lock; no ``await`` under a held threading lock; ``*_locked`` helpers
+  are called with a lock held.
+* ``epochs`` — wherever an epoch is bumped, it is bumped after the
+  change it stands for.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, write_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.runner import (
-    AnalysisContext,
     AnalysisResult,
-    BaseChecker,
     Checker,
     analyze_paths,
     default_checkers,
 )
 
 __all__ = [
-    "AnalysisContext",
     "AnalysisResult",
-    "BaseChecker",
-    "Baseline",
     "Checker",
     "Finding",
     "analyze_paths",
     "default_checkers",
-    "write_baseline",
 ]

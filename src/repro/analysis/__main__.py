@@ -4,25 +4,15 @@ Typical invocations::
 
     python -m repro.analysis src/repro                  # gate (exit 1 on findings)
     python -m repro.analysis src/repro --format json    # machine-readable
-    python -m repro.analysis src/repro --write-baseline # grandfather current findings
     python -m repro.analysis --list-rules
-
-The committed baseline (``analysis-baseline.json`` in the current
-directory, when present) is applied automatically; ``--no-baseline``
-shows the ungated truth.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 
-from repro.analysis.baseline import Baseline, write_baseline
-from repro.analysis.report import EXIT_USAGE, report
+from repro.analysis.report import report
 from repro.analysis.runner import analyze_paths, default_checkers
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,28 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to PATH (the CI artifact)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to grandfather all current findings",
-    )
-    parser.add_argument(
         "--rules", metavar="RULE[,RULE...]", default=None,
         help="restrict reporting to the named rule ids",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print every checker and its rule ids, then exit",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also print suppressed and baselined findings",
     )
     return parser
 
@@ -79,55 +53,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{checker.name}:")
             for rule in checker.rules:
                 print(f"  {rule}")
-        print("framework:")
-        for rule in ("parse-error", "suppression-unused", "baseline-stale"):
-            print(f"  {rule}")
+        print("framework:\n  parse-error")
         return 0
-
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        candidate = Path(DEFAULT_BASELINE)
-        if candidate.exists():
-            baseline_path = str(candidate)
-    baseline = None
-    if baseline_path is not None and not args.no_baseline:
-        if args.write_baseline:
-            pass  # rewritten below from the raw findings
-        else:
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (OSError, ValueError) as exc:
-                print(
-                    f"repro.analysis: cannot load baseline "
-                    f"{baseline_path}: {exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
 
     rules = None
     if args.rules is not None:
         rules = [rule.strip() for rule in args.rules.split(",") if rule.strip()]
 
-    result = analyze_paths(
-        args.paths, checkers=checkers, baseline=baseline, rules=rules
-    )
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(result.findings, target)
-        print(
-            f"repro.analysis: wrote {len(result.findings)} grandfathered "
-            f"finding(s) to {target}; edit each entry's 'why' before "
-            f"committing"
-        )
-        return 0
-
-    return report(
-        result,
-        format=args.format,
-        json_output=args.json_output,
-        verbose=args.verbose,
-    )
+    result = analyze_paths(args.paths, checkers=checkers, rules=rules)
+    return report(result, format=args.format, json_output=args.json_output)
 
 
 if __name__ == "__main__":

@@ -8,26 +8,10 @@ here is the whole wiring step.
 from __future__ import annotations
 
 from repro.analysis.checkers.epochs import CacheEpochChecker
-from repro.analysis.checkers.forksafety import ForkSafetyChecker
-from repro.analysis.checkers.kernels import KernelChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
-from repro.analysis.checkers.statskeys import StatsKeyChecker
 
-__all__ = [
-    "CacheEpochChecker",
-    "ForkSafetyChecker",
-    "KernelChecker",
-    "LockDisciplineChecker",
-    "StatsKeyChecker",
-    "all_checkers",
-]
+__all__ = ["CacheEpochChecker", "LockDisciplineChecker", "all_checkers"]
 
 
 def all_checkers() -> list:
-    return [
-        LockDisciplineChecker(),
-        ForkSafetyChecker(),
-        KernelChecker(),
-        StatsKeyChecker(),
-        CacheEpochChecker(),
-    ]
+    return [LockDisciplineChecker(), CacheEpochChecker()]

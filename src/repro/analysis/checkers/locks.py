@@ -38,7 +38,6 @@ from repro.analysis.registry import (
     SharedStateDecl,
     collect_declarations,
 )
-from repro.analysis.runner import AnalysisContext, BaseChecker
 from repro.analysis.source import SourceModule
 
 __all__ = ["LockDisciplineChecker", "MUTATING_METHODS"]
@@ -124,7 +123,6 @@ class _FunctionAuditor:
                 file=self.module.path,
                 line=getattr(node, "lineno", 1),
                 rule_id=rule,
-                severity="error",
                 message=message,
             )
         )
@@ -288,7 +286,7 @@ def _audit_function(
     return auditor.findings
 
 
-class LockDisciplineChecker(BaseChecker):
+class LockDisciplineChecker:
     name = "locks"
     rules = (
         "race-unguarded-write",
@@ -296,9 +294,7 @@ class LockDisciplineChecker(BaseChecker):
         "race-unlocked-helper-call",
     )
 
-    def check_module(
-        self, module: SourceModule, context: AnalysisContext
-    ) -> Iterator[Finding]:
+    def check_module(self, module: SourceModule) -> Iterator[Finding]:
         declarations = collect_declarations(module)
         if not declarations:
             return

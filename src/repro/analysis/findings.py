@@ -1,22 +1,15 @@
 """Finding records — the one result type every checker produces.
 
 A :class:`Finding` pins a rule violation to a file and line.  Findings
-are plain frozen dataclasses so they sort, dedupe, compare across runs
-(the baseline mechanism matches on :meth:`Finding.baseline_key`) and
-serialise to JSON without any ceremony.
+are plain frozen dataclasses so they sort, dedupe and serialise to JSON
+without any ceremony.  Every finding fails the gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["SEVERITIES", "Finding"]
-
-#: Recognised severities, most severe first.  ``error`` findings gate
-#: CI; ``warning`` findings (unused suppressions, stale baseline
-#: entries) gate CI too — hygiene rots fastest when it is advisory —
-#: but are reported separately so a human can triage at a glance.
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, order=True)
@@ -24,45 +17,21 @@ class Finding:
     """One rule violation at ``file:line``.
 
     ``message`` is the human-readable sentence; ``rule_id`` is the
-    machine-readable handle used by inline suppressions
-    (``# repro: allow(<rule_id>)``), ``--rules`` selection, and the
-    committed baseline.
+    machine-readable handle used by ``--rules`` selection.
     """
 
     file: str
     line: int
     rule_id: str
-    severity: str = field(default="error", compare=False)
-    message: str = field(default="", compare=True)
-
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(
-                f"severity must be one of {SEVERITIES}, got {self.severity!r}"
-            )
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """The identity used for baseline matching.
-
-        Deliberately excludes the line number: grandfathered findings
-        must survive unrelated edits that shift code up or down, and a
-        *new* instance of a baselined (file, rule, message) triple is
-        indistinguishable from the old one moving — the baseline trades
-        that blind spot for stability, which is the standard bargain.
-        """
-        return (self.file, self.rule_id, self.message)
+    message: str = ""
 
     def to_json(self) -> dict:
         return {
             "file": self.file,
             "line": self.line,
             "rule": self.rule_id,
-            "severity": self.severity,
             "message": self.message,
         }
 
     def render(self) -> str:
-        return (
-            f"{self.file}:{self.line}: {self.severity}[{self.rule_id}] "
-            f"{self.message}"
-        )
+        return f"{self.file}:{self.line}: [{self.rule_id}] {self.message}"

@@ -1,8 +1,7 @@
 """Text and JSON reporters with CI-friendly exit codes.
 
-Exit code contract: ``0`` — clean against suppressions and baseline;
-``1`` — at least one reportable finding; ``2`` — the analyzer itself
-could not run (bad usage, unreadable baseline).
+Exit code contract: ``0`` — clean; ``1`` — at least one finding; ``2``
+— the analyzer itself could not run (bad usage).
 """
 
 from __future__ import annotations
@@ -15,20 +14,9 @@ from repro.analysis.runner import AnalysisResult
 
 __all__ = ["render_text", "render_json", "report"]
 
-EXIT_CLEAN = 0
-EXIT_FINDINGS = 1
-EXIT_USAGE = 2
 
-
-def render_text(result: AnalysisResult, verbose: bool = False) -> str:
-    lines: list[str] = []
-    for finding in result.findings:
-        lines.append(finding.render())
-    if verbose:
-        for finding in result.suppressed:
-            lines.append(f"{finding.render()}  [suppressed]")
-        for finding in result.baselined:
-            lines.append(f"{finding.render()}  [baselined]")
+def render_text(result: AnalysisResult) -> str:
+    lines = [finding.render() for finding in result.findings]
     counts = result.by_rule()
     summary = (
         f"{len(result.findings)} finding(s)"
@@ -38,10 +26,7 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
     )
     lines.append(
         f"repro.analysis: {summary} — {result.files_scanned} file(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
-        f"{result.wall_seconds:.2f}s "
-        f"[{', '.join(result.checkers)}]"
+        f"{result.wall_seconds:.2f}s [{', '.join(result.checkers)}]"
     )
     return "\n".join(lines)
 
@@ -55,7 +40,6 @@ def report(
     format: str = "text",
     stream: TextIO | None = None,
     json_output: str | None = None,
-    verbose: bool = False,
 ) -> int:
     """Write the report; return the process exit code."""
     stream = sys.stdout if stream is None else stream
@@ -65,5 +49,5 @@ def report(
     if format == "json":
         stream.write(render_json(result) + "\n")
     else:
-        stream.write(render_text(result, verbose=verbose) + "\n")
+        stream.write(render_text(result) + "\n")
     return result.exit_code()

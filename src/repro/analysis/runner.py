@@ -1,45 +1,25 @@
 """The analysis driver: checkers × modules → findings.
 
 :func:`analyze_paths` is both the CLI's engine and the pytest-importable
-API.  It parses the tree once, runs every registered checker, applies
-inline suppressions and the committed baseline, and folds in the
-hygiene lints (``suppression-unused``, ``baseline-stale``,
-``parse-error``) so one call yields the complete, final finding list.
+API.  It parses the tree once, runs every registered checker over every
+module, and folds in ``parse-error`` findings for files that would not
+parse, so one call yields the complete, final finding list.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Iterable, Protocol, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.source import SourceModule, collect_modules
 
-__all__ = ["AnalysisContext", "AnalysisResult", "Checker", "analyze_paths"]
+__all__ = ["AnalysisResult", "Checker", "analyze_paths", "default_checkers"]
 
 
-@dataclass
-class AnalysisContext:
-    """Everything a checker may consult beyond its current module."""
-
-    modules: list[SourceModule] = field(default_factory=list)
-    #: Extra knobs (used by fixtures/tests to point project-level
-    #: checkers at synthetic inputs).
-    options: dict = field(default_factory=dict)
-
-    def module(self, suffix: str) -> SourceModule | None:
-        """The first module whose path ends with ``suffix``, if any."""
-        for module in self.modules:
-            if module.path.endswith(suffix):
-                return module
-        return None
-
-
-@runtime_checkable
 class Checker(Protocol):
-    """A checker contributes findings per module and/or per project.
+    """A checker judges one module at a time.
 
     ``rules`` names every rule id the checker can emit — the CLI's
     ``--list-rules`` and the ``--rules`` selector are driven by it.
@@ -48,28 +28,8 @@ class Checker(Protocol):
     name: str
     rules: tuple[str, ...]
 
-    def check_module(
-        self, module: SourceModule, context: AnalysisContext
-    ) -> Iterable[Finding]:
+    def check_module(self, module: SourceModule) -> Iterable[Finding]:
         ...
-
-    def check_project(self, context: AnalysisContext) -> Iterable[Finding]:
-        ...
-
-
-class BaseChecker:
-    """Convenience base: no-op hooks, so checkers override only one."""
-
-    name = "base"
-    rules: tuple[str, ...] = ()
-
-    def check_module(
-        self, module: SourceModule, context: AnalysisContext
-    ) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, context: AnalysisContext) -> Iterable[Finding]:
-        return ()
 
 
 @dataclass
@@ -77,8 +37,6 @@ class AnalysisResult:
     """The outcome of one analysis run."""
 
     findings: list[Finding]
-    suppressed: list[Finding]
-    baselined: list[Finding]
     files_scanned: int
     wall_seconds: float
     checkers: tuple[str, ...]
@@ -104,15 +62,11 @@ class AnalysisResult:
             "checkers": list(self.checkers),
             "counts": self.by_rule(),
             "findings": [finding.to_json() for finding in self.findings],
-            "suppressed": [finding.to_json() for finding in self.suppressed],
-            "baselined": [finding.to_json() for finding in self.baselined],
         }
 
 
-def default_checkers() -> list:
-    """Fresh instances of every registered checker (import is lazy so
-    the framework stays importable even if one checker's dependencies
-    are broken — that checker's failure then surfaces per-run)."""
+def default_checkers() -> list[Checker]:
+    """Fresh instances of every registered checker."""
     from repro.analysis.checkers import all_checkers
 
     return all_checkers()
@@ -122,72 +76,24 @@ def analyze_paths(
     paths: Sequence[str],
     *,
     checkers: Sequence[Checker] | None = None,
-    baseline: Baseline | str | None = None,
     rules: Sequence[str] | None = None,
-    options: dict | None = None,
 ) -> AnalysisResult:
     """Run the suite over ``paths`` and return the final findings.
 
-    ``rules`` restricts reporting to the named rule ids (hygiene lints
-    stay active).  ``baseline`` is a :class:`Baseline`, a path to one,
-    or ``None``.
+    ``rules`` restricts reporting to the named rule ids.
     """
     started = time.perf_counter()
     if checkers is None:
         checkers = default_checkers()
-    if isinstance(baseline, str):
-        baseline = Baseline.load(baseline)
     modules, findings = collect_modules(paths)
-    context = AnalysisContext(modules=modules, options=dict(options or {}))
-
-    raw: list[Finding] = list(findings)
     for checker in checkers:
         for module in modules:
-            raw.extend(checker.check_module(module, context))
-        raw.extend(checker.check_project(context))
+            findings.extend(checker.check_module(module))
     if rules is not None:
         wanted = set(rules)
-        raw = [finding for finding in raw if finding.rule_id in wanted]
-
-    by_path = {module.path: module for module in modules}
-    suppressed: list[Finding] = []
-    surviving: list[Finding] = []
-    for finding in sorted(raw):
-        module = by_path.get(finding.file)
-        if module is not None and module.suppressed(finding):
-            suppressed.append(finding)
-        else:
-            surviving.append(finding)
-
-    baselined: list[Finding] = []
-    if baseline is not None:
-        still: list[Finding] = []
-        for finding in surviving:
-            if baseline.absorbs(finding):
-                baselined.append(finding)
-            else:
-                still.append(finding)
-        surviving = still
-        surviving.extend(baseline.stale_entries())
-
-    if rules is None:
-        # A partial run (--rules) must not judge suppressions of rules it
-        # did not execute; likewise a suppression belonging to a checker
-        # that was not part of this run is left alone.
-        active = {rule for checker in checkers for rule in checker.rules}
-        for module in modules:
-            for finding in module.unused_suppressions():
-                suppression_rules = set()
-                for suppression in module.suppressions:
-                    if suppression.line == finding.line:
-                        suppression_rules.update(suppression.rules)
-                if suppression_rules <= active:
-                    surviving.append(finding)
-
+        findings = [finding for finding in findings if finding.rule_id in wanted]
     return AnalysisResult(
-        findings=sorted(surviving),
-        suppressed=suppressed,
-        baselined=baselined,
+        findings=sorted(findings),
         files_scanned=len(modules),
         wall_seconds=time.perf_counter() - started,
         checkers=tuple(checker.name for checker in checkers),

@@ -1,120 +1,33 @@
 """Source-file model shared by every checker.
 
-A :class:`SourceModule` owns the parsed AST, the raw lines, and the
-inline suppressions of one Python file.  Suppressions use the comment
-form
-
-``# repro: allow(rule-id)`` or ``# repro: allow(rule-a, rule-b)``
-
-on the offending line or on the line directly above it (for statements
-whose expression spans several physical lines, the *first* physical line
-of the statement is the anchor — that is where ``ast`` reports the
-violation).  Every suppression must earn its keep: the runner reports a
-``suppression-unused`` finding for any ``allow`` comment that silenced
-nothing, so stale suppressions cannot accumulate.
+A :class:`SourceModule` owns the path and the parsed AST of one Python
+file; :func:`collect_modules` parses a tree of them.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
 
-__all__ = ["Suppression", "SourceModule", "collect_modules", "iter_python_files"]
-
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_,\s-]+?)\s*\)")
-
-
-@dataclass
-class Suppression:
-    """One ``# repro: allow(...)`` comment: its line and its rules."""
-
-    line: int
-    rules: tuple[str, ...]
-    used: bool = False
-
-    def covers(self, finding: Finding) -> bool:
-        return finding.rule_id in self.rules and finding.line in (
-            self.line,
-            self.line + 1,
-        )
+__all__ = ["SourceModule", "collect_modules", "iter_python_files"]
 
 
 @dataclass
 class SourceModule:
-    """One parsed Python file plus its suppression comments."""
+    """One parsed Python file."""
 
     path: str
-    text: str
     tree: ast.Module
-    suppressions: list[Suppression] = field(default_factory=list)
 
     @classmethod
-    def parse(cls, path: str | Path, text: str | None = None) -> "SourceModule":
+    def parse(cls, path: str | Path) -> "SourceModule":
         path = str(path)
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=path)
-        return cls(path, text, tree, _collect_suppressions(text))
-
-    def suppressed(self, finding: Finding) -> bool:
-        """Whether an inline allow covers ``finding`` (marks it used)."""
-        hit = False
-        for suppression in self.suppressions:
-            if suppression.covers(finding):
-                suppression.used = True
-                hit = True
-        return hit
-
-    def unused_suppressions(self) -> Iterator[Finding]:
-        for suppression in self.suppressions:
-            if not suppression.used:
-                yield Finding(
-                    file=self.path,
-                    line=suppression.line,
-                    rule_id="suppression-unused",
-                    severity="warning",
-                    message=(
-                        "suppression allows "
-                        f"({', '.join(suppression.rules)}) but no such "
-                        "finding was reported here; delete it"
-                    ),
-                )
-
-
-def _collect_suppressions(text: str) -> list[Suppression]:
-    """All ``# repro: allow(...)`` comments, via the tokenizer.
-
-    Tokenizing (rather than regexing raw lines) keeps suppression
-    markers inside string literals from being honoured — a checker
-    fixture quoting the comment form must not silence real findings.
-    """
-    suppressions: list[Suppression] = []
-    lines = iter(text.splitlines(keepends=True))
-    try:
-        for token in tokenize.generate_tokens(lambda: next(lines, "")):
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _ALLOW_RE.search(token.string)
-            if match is None:
-                continue
-            rules = tuple(
-                rule.strip()
-                for rule in match.group(1).split(",")
-                if rule.strip()
-            )
-            if rules:
-                suppressions.append(Suppression(token.start[0], rules))
-    except tokenize.TokenError:
-        # Unterminated constructs: fall back to no suppressions; the
-        # file failed to parse anyway and is reported as such.
-        return []
-    return suppressions
+        text = Path(path).read_text(encoding="utf-8")
+        return cls(path, ast.parse(text, filename=path))
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -155,7 +68,6 @@ def collect_modules(
                     file=str(path),
                     line=line,
                     rule_id="parse-error",
-                    severity="error",
                     message=f"cannot analyse file: {exc}",
                 )
             )

@@ -201,8 +201,6 @@ class BoundPlan:
 
             op_cache: dict = {}
             for key, kind, op, extra in compiled.block_sites:
-                # The emitter's declared scope is what the kernel verifier
-                # proves the block reads.
                 if not set(compiled.block_scans[key]) <= static_names:
                     continue
                 rows = execute_rows(op, static_world, semiring, op_cache)

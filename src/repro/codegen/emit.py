@@ -151,7 +151,9 @@ class _Emitter:
             return repr(value)
         name = self._const_names.get(id(value))
         if name is None:
-            name = f"_k{len(self.consts)}"
+            # Numbered from the temps' counter: a temp that shared a
+            # constant's name would make it a local of the kernel.
+            name = self.sym("k")
             self.consts[name] = value
             self._const_names[id(value)] = name
         return name
@@ -202,8 +204,7 @@ class _Emitter:
         self.block_sites.append((key, kind, op, extra))
         # The site's world-dependency scope: every base table the block's
         # subtree can read.  Binding hoists the block iff all of these are
-        # deterministic; the kernel verifier proves the emitted body reads
-        # nothing outside this set.
+        # deterministic, so the emitted body must read nothing outside it.
         self.block_scans[key] = tuple(
             sorted(
                 {node.name for node in op.walk() if isinstance(node, Scan)}

@@ -183,8 +183,8 @@ class PVCTable:
         #: Mutate rows through :meth:`add` (carries a current record
         #: forward) or :meth:`update_rows`/:meth:`delete_rows` (drop it);
         #: any other in-place edit of ``rows`` must call
-        #: :meth:`invalidate_caches` (statically enforced by the
-        #: ``cache-epoch`` checker of :mod:`repro.analysis`).
+        #: :meth:`invalidate_caches` after it (the ``cache-epoch`` checker
+        #: of :mod:`repro.analysis` holds every bump to after the change).
         self._view_cache = None
         #: ``(epoch, TableFacts)``, stamped like the record above but kept
         #: apart from it: the facts must exist before any scan does.  The

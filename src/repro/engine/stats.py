@@ -4,9 +4,7 @@ Every stats key an engine writes is classified here as *volatile* (may
 differ between two runs of the same query on the same data) or
 *deterministic* (a function of query, data and seed).  Answer
 fingerprinting (:func:`repro.server.codec.fingerprint`) drops the
-volatile keys; the ``statskeys`` checker of :mod:`repro.analysis`
-enforces statically that every ``stats[...]`` write in ``engine/``,
-``codegen/`` and ``server/`` uses a key declared in one of the two sets.
+volatile keys and refuses a key that is in neither set.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ place:
 :func:`fingerprint` canonicalises an encoded result for conformance
 checks — tuples, interval endpoints and deterministic stats, with
 timing/caching/parallelism counters (volatile across runs by nature)
-dropped.
+dropped.  A stats key classified neither way is refused, not guessed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.algebra.expressions import SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult
-from repro.engine.stats import VOLATILE_STAT_KEYS
+from repro.engine.stats import DETERMINISTIC_STAT_KEYS, VOLATILE_STAT_KEYS
 from repro.errors import QueryValidationError
 from repro.resilience.faults import fault_point
 
@@ -229,6 +229,9 @@ def result_from_json(payload: dict, **envelope) -> RemoteResult:
     )
 
 
+_CLASSIFIED_STAT_KEYS = VOLATILE_STAT_KEYS | DETERMINISTIC_STAT_KEYS
+
+
 def fingerprint(result) -> str:
     """A canonical string for answer-conformance comparison.
 
@@ -238,6 +241,12 @@ def fingerprint(result) -> str:
     everything that defines the *answer* — tuples, interval endpoints,
     engine, deterministic convergence counters — is kept, serialised with
     sorted keys so equal answers produce byte-equal fingerprints.
+
+    Raises :class:`ValueError` naming any stats key that is in neither
+    ``VOLATILE_STAT_KEYS`` nor ``DETERMINISTIC_STAT_KEYS``: whether it
+    belongs in the fingerprint is undecided, and guessing either way
+    makes two runs of one answer compare unequal (or hides a real
+    difference).
     """
     if isinstance(result, QueryResult):
         payload = result_to_json(result)
@@ -245,13 +254,20 @@ def fingerprint(result) -> str:
         payload = result.to_json()
     else:
         payload = result
+    stats = payload.get("stats", {})
+    unclassified = sorted(set(stats) - _CLASSIFIED_STAT_KEYS)
+    if unclassified:
+        raise ValueError(
+            f"stats keys {unclassified} are in neither VOLATILE_STAT_KEYS "
+            f"nor DETERMINISTIC_STAT_KEYS (repro.engine.stats); classify them"
+        )
     stable = {
         "engine": payload["engine"],
         "columns": payload["columns"],
         "rows": payload["rows"],
         "stats": {
             key: value
-            for key, value in payload.get("stats", {}).items()
+            for key, value in stats.items()
             if key not in VOLATILE_STAT_KEYS
         },
     }

@@ -1,9 +1,8 @@
 """Shared helpers for the repro.analysis fixture corpus.
 
 Each checker test writes a small fixture module to ``tmp_path`` and runs
-the real analysis pipeline over it — suppressions, baseline and hygiene
-lints included — so the tests prove the end-to-end behavior a CI run
-sees, not just a checker method in isolation.
+the real analysis pipeline over it, so the tests prove the end-to-end
+behavior a CI run sees, not just a checker method in isolation.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Framework-level behavior: suppressions, baseline, reporters, CLI."""
+"""Framework-level behavior: findings, parse errors, reporters, CLI."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from repro.analysis import Baseline, Finding, analyze_paths, write_baseline
+from repro.analysis import Finding, analyze_paths
 from repro.analysis.__main__ import main
 from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.report import render_json, render_text
-from repro.analysis.source import SourceModule
 
 CHECKERS = [LockDisciplineChecker()]
 
@@ -37,116 +36,15 @@ def write_fixture(tmp_path, source=RACY, name="fixture.py"):
 
 class TestFindings:
     def test_findings_sort_by_location(self):
-        a = Finding("a.py", 3, "rule-x", "error", "m")
-        b = Finding("a.py", 10, "rule-x", "error", "m")
-        c = Finding("b.py", 1, "rule-x", "error", "m")
+        a = Finding("a.py", 3, "rule-x", "m")
+        b = Finding("a.py", 10, "rule-x", "m")
+        c = Finding("b.py", 1, "rule-x", "m")
         assert sorted([c, b, a]) == [a, b, c]
 
-    def test_unknown_severity_rejected(self):
-        with pytest.raises(ValueError):
-            Finding("a.py", 1, "rule-x", "fatal", "m")
-
     def test_render_and_json(self):
-        finding = Finding("a.py", 3, "rule-x", "warning", "watch out")
-        assert finding.render() == "a.py:3: warning[rule-x] watch out"
+        finding = Finding("a.py", 3, "rule-x", "watch out")
+        assert finding.render() == "a.py:3: [rule-x] watch out"
         assert finding.to_json()["rule"] == "rule-x"
-
-
-class TestSuppressions:
-    def test_suppression_on_preceding_line(self, tmp_path):
-        source = RACY.replace(
-            "    def bump(self):\n",
-            "    def bump(self):\n"
-            "        # repro: allow(race-unguarded-write)\n",
-        )
-        path = write_fixture(tmp_path, source)
-        result = analyze_paths([str(path)], checkers=CHECKERS)
-        assert result.clean
-        assert len(result.suppressed) == 1
-
-    def test_unused_suppression_is_reported(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "# repro: allow(race-unguarded-write)\nx = 1\n",
-        )
-        result = analyze_paths([str(path)], checkers=CHECKERS)
-        assert [f.rule_id for f in result.findings] == ["suppression-unused"]
-
-    def test_suppression_inside_string_is_ignored(self, tmp_path):
-        # The marker inside a string literal must not silence anything.
-        source = RACY.replace(
-            "        self.total += 1\n",
-            '        note = "# repro: allow(race-unguarded-write)"\n'
-            "        self.total += 1\n",
-        )
-        path = write_fixture(tmp_path, source)
-        result = analyze_paths([str(path)], checkers=CHECKERS)
-        assert [f.rule_id for f in result.findings] == ["race-unguarded-write"]
-
-    def test_partial_rules_run_skips_suppression_lint(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            "# repro: allow(race-unguarded-write)\nx = 1\n",
-        )
-        result = analyze_paths(
-            [str(path)], checkers=CHECKERS, rules=["race-await-under-lock"]
-        )
-        assert result.clean
-
-
-class TestBaseline:
-    def test_multiset_matching(self, tmp_path):
-        # Two identical violations, one baseline entry: one absorbed,
-        # one still reported — the baseline cannot hide a new duplicate.
-        source = RACY + "\n    def bump_again(self):\n        self.total += 1\n"
-        path = write_fixture(tmp_path, source)
-        flagged = analyze_paths([str(path)], checkers=CHECKERS)
-        assert len(flagged.findings) == 2
-        entry = flagged.findings[0]
-        baseline = Baseline(
-            [
-                {
-                    "file": entry.file,
-                    "rule": entry.rule_id,
-                    "message": entry.message,
-                    "why": "fixture",
-                }
-            ]
-        )
-        result = analyze_paths([str(path)], checkers=CHECKERS, baseline=baseline)
-        assert len(result.baselined) == 1
-        assert len(result.findings) == 1
-
-    def test_stale_entry_is_reported(self, tmp_path):
-        path = write_fixture(tmp_path, "x = 1\n")
-        baseline = Baseline(
-            [
-                {
-                    "file": "gone.py",
-                    "rule": "race-unguarded-write",
-                    "message": "no longer emitted",
-                    "why": "fixture",
-                }
-            ]
-        )
-        result = analyze_paths([str(path)], checkers=CHECKERS, baseline=baseline)
-        assert [f.rule_id for f in result.findings] == ["baseline-stale"]
-
-    def test_write_and_load_round_trip(self, tmp_path):
-        findings = [Finding("a.py", 3, "rule-x", "error", "msg")]
-        target = tmp_path / "baseline.json"
-        write_baseline(findings, target, why="because")
-        payload = json.loads(target.read_text())
-        assert payload["findings"][0]["why"] == "because"
-        loaded = Baseline.load(target)
-        assert loaded.absorbs(findings[0])
-        assert loaded.stale_entries() == []
-
-    def test_load_rejects_malformed_entries(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text(json.dumps({"findings": [{"file": "a.py"}]}))
-        with pytest.raises(ValueError):
-            Baseline.load(target)
 
 
 class TestParseErrors:
@@ -181,35 +79,20 @@ class TestReporters:
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         write_fixture(tmp_path, "x = 1\n")
-        code = main([str(tmp_path), "--no-baseline"])
+        code = main([str(tmp_path)])
         assert code == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        code = main([str(tmp_path), "--no-baseline"])
+        code = main([str(tmp_path)])
         assert code == 1
         assert "race-unguarded-write" in capsys.readouterr().out
-
-    def test_unreadable_baseline_exits_two(self, tmp_path, capsys):
-        write_fixture(tmp_path)
-        missing = tmp_path / "nope.json"
-        code = main([str(tmp_path), "--baseline", str(missing)])
-        assert code == 2
-
-    def test_write_baseline_then_gate_is_clean(self, tmp_path, capsys):
-        write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--baseline", str(baseline), "--write-baseline"]) == 0
-        assert baseline.exists()
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == 0
 
     def test_json_output_artifact(self, tmp_path, capsys):
         write_fixture(tmp_path)
         artifact = tmp_path / "findings.json"
-        code = main(
-            [str(tmp_path), "--no-baseline", "--json-output", str(artifact)]
-        )
+        code = main([str(tmp_path), "--json-output", str(artifact)])
         assert code == 1
         payload = json.loads(artifact.read_text())
         assert payload["counts"] == {"race-unguarded-write": 1}
@@ -217,31 +100,13 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in (
-            "race-unguarded-write",
-            "fork-unpicklable-worker",
-            "kernel-world-read",
-            "stats-undeclared-key",
-            "suppression-unused",
-            "baseline-stale",
-        ):
+        for rule in ("race-unguarded-write", "cache-epoch", "parse-error"):
             assert rule in out
 
     def test_rules_filter(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        code = main(
-            [str(tmp_path), "--no-baseline", "--rules", "race-await-under-lock"]
-        )
+        code = main([str(tmp_path), "--rules", "race-await-under-lock"])
         assert code == 0
-
-
-class TestSourceModule:
-    def test_parse_collects_suppressions(self):
-        module = SourceModule.parse(
-            "inline.py",
-            text="x = 1  # repro: allow(rule-a, rule-b)\n",
-        )
-        assert module.suppressions[0].rules == ("rule-a", "rule-b")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,12 @@
 """Fixture corpus for the lock-discipline / race checker.
 
-Every rule gets the four-way treatment: a seeded violation is flagged,
-the corrected version passes, an inline suppression silences it, and a
-baseline entry grandfathers it.  The final test re-introduces the PR-6
+Every rule gets a seeded violation that is flagged and a corrected
+version that passes.  The final test re-introduces the PR-6
 admission-race pattern (check-then-increment of an inflight counter
 outside its declared lock) and proves the checker catches it.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -137,48 +134,6 @@ class TestUnguardedWrite:
             CHECKERS,
         )
         assert result.clean
-
-    def test_suppression_silences_and_is_marked_used(self, analyze):
-        result = analyze(
-            GUARDED_CLASS_HEADER
-            + """
-        def bump(self):
-            self.total += 1  # repro: allow(race-unguarded-write)
-    """,
-            CHECKERS,
-        )
-        assert result.clean
-        assert [f.rule_id for f in result.suppressed] == [
-            "race-unguarded-write"
-        ]
-
-    def test_baseline_grandfathers_finding(self, analyze, tmp_path):
-        source = GUARDED_CLASS_HEADER + """
-        def bump(self):
-            self.total += 1
-    """
-        flagged = analyze(source, CHECKERS)
-        assert len(flagged.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "findings": [
-                        {
-                            "file": flagged.findings[0].file,
-                            "rule": flagged.findings[0].rule_id,
-                            "message": flagged.findings[0].message,
-                            "why": "fixture: grandfathered on purpose",
-                        }
-                    ]
-                }
-            )
-        )
-        result = analyze(source, CHECKERS, baseline=str(baseline_path))
-        assert result.clean
-        assert [f.rule_id for f in result.baselined] == [
-            "race-unguarded-write"
-        ]
 
 
 class TestAwaitUnderLock:

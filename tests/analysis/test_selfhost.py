@@ -56,9 +56,9 @@ class TestSelfHost:
         assert payload["clean"] is True
         assert payload["findings"] == []
 
-    def test_default_checkers_cover_all_five_dimensions(self):
+    def test_default_checkers_are_the_two_tier1_cannot_replace(self):
         names = {checker.name for checker in default_checkers()}
-        assert names == {"locks", "forksafety", "kernels", "statskeys", "epochs"}
+        assert names == {"locks", "epochs"}
 
     def test_shared_state_declarations_exist_where_promised(self):
         """The runtime classes this PR hardened carry declarations."""

@@ -31,7 +31,9 @@ from repro.query.predicates import cmp_, eq, lit
 
 
 def build_db(semiring):
-    """Two joinable tables over four variables (16 worlds)."""
+    """Two joinable tables over four variables (16 worlds), and a
+    deterministic table ``T`` that adds no variable: every plan over
+    ``T`` alone is world-invariant and hoisted whole at binding."""
     reg = VariableRegistry()
     db = PVCDatabase(registry=reg, semiring=semiring)
     r = db.create_table("R", ["a", "b"])
@@ -51,6 +53,9 @@ def build_db(semiring):
     s.add((1, "p"), Var("y1"))
     s.add((2, "q"), Var("y2"))
     s.add((3, "p"), SConst(semiring.one))
+    t = db.create_table("T", ["e", "f"])
+    for row in (("r", 1), ("s", 2), ("t", 3)):
+        t.add(row, SConst(semiring.one))
     return db
 
 
@@ -71,6 +76,10 @@ QUERY_SHAPES = {
         Select(relation("R"), cmp_("b", ">", 1)),
         Select(relation("R"), cmp_("b", ">", 1)),
     ),
+    "static-subplan": Union(
+        Select(relation("T"), cmp_("f", ">", 1)),
+        Select(relation("T"), cmp_("f", ">", 1)),
+    ),
     "extend-permute": Project(Extend(relation("R"), "a2", "a"), ["a2", "b", "a"]),
     "groupby": GroupAgg(
         Select(Product(relation("R"), relation("S")), eq("b", "c")),
@@ -81,6 +90,13 @@ QUERY_SHAPES = {
         relation("S"),
         ["d"],
         [AggSpec.of("total", "sum", "c")],
+    ),
+    # Each MAX binds its own ``-inf`` constant: eight outnumber the temps
+    # emitted before the group key, whose name must differ from them all.
+    "agg-max-constants": GroupAgg(
+        relation("R"),
+        ["a"],
+        [AggSpec.of(f"m{i}", "max", "b") for i in range(8)],
     ),
 }
 

@@ -90,3 +90,5 @@ class TestBoundPlanConformance:
             key for key in kernel.trace_labels if key in bound.statics
         }
         assert not (set(fired) & static_keys)
+        if not any(db.tables[name].variables for name in kernel.scan_names):
+            assert static_keys  # a plan over deterministic tables only

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine.base import CompilationCache
 from repro.engine.sprout import SproutEngine
+from repro.engine.stats import DETERMINISTIC_STAT_KEYS, VOLATILE_STAT_KEYS
 from repro.errors import QueryTimeoutError
 from repro.query.sql import parse_sql
 from repro.resilience import FaultPlan, fault_plan
@@ -78,6 +79,7 @@ def test_envelope_and_clock(case, numpy_kernels):
     result = session.run(query, **options)
     measured = time.perf_counter() - start
     assert set(result.stats) == stats_keys
+    assert stats_keys <= VOLATILE_STAT_KEYS | DETERMINISTIC_STAT_KEYS
     assert set(result.timings) == timings_keys
     assert result.stats["rows"] == len(result.rows)
     assert result.stats["db_generation"] == session.db.generation

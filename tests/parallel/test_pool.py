@@ -1,6 +1,7 @@
 """Pool lifecycle: pooled execution, inline execution, degradation."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -45,6 +46,20 @@ class TestExecute:
             pytest.skip("no fork on this platform")
         results, _ = pool.execute(_identify, None, [0, 1, 2, 3], workers=2)
         assert all(in_child for _, _, in_child in results)
+
+    def test_worker_and_context_cross_by_fork_not_by_pickle(self):
+        """Only payloads and results enter the call queue: a lambda
+        worker and a lock in the context reach the workers as they are."""
+        if not pool.fork_available():
+            pytest.skip("no fork on this platform")
+        results, info = pool.execute(
+            lambda context, payload: context[1] * payload,
+            (threading.Lock(), 3),
+            [1, 2, 3],
+            workers=2,
+        )
+        assert results == [3, 6, 9]
+        assert info == {"workers": 2}
 
     def test_worker_count_capped_by_payloads(self):
         _, info = pool.execute(_double, 1, [1, 2], workers=16)

@@ -7,7 +7,9 @@ the package reads from the environment; the kernels switch
 from outside the process.  What every engine run does the same way —
 reading the clock, raising the timeout, stamping the envelope — is
 written once, in :class:`repro.engine.sprout.Run`, and the engine × mode
-table has one owner, :mod:`repro.engine.spec`.  No writer notifies a
+table has one owner, :mod:`repro.engine.spec`; every stats key the
+engines write is classified once, in :mod:`repro.engine.stats`, and
+every classified key is still written.  No writer notifies a
 cache: the distribution cache reconciles with the registry where it is
 read (:mod:`repro.cache`).  A server write runs on the event loop; only
 reads take the pool hop.  All of these facts are
@@ -122,6 +124,24 @@ def test_the_engines_raise_one_timeout():
         and node.exc.func.id == "QueryTimeoutError"
     ]
     assert len(raises) == 1 and raises[0].startswith("engine/sprout.py"), raises
+
+
+def test_every_classified_stats_key_is_written():
+    """``engine/stats.py`` classifies each key once, and only keys
+    something still emits: each is a string literal in a module that
+    writes stats."""
+    from repro.engine.stats import DETERMINISTIC_STAT_KEYS, VOLATILE_STAT_KEYS
+
+    assert not VOLATILE_STAT_KEYS & DETERMINISTIC_STAT_KEYS
+    written = {
+        value
+        for name, tree in MODULES.items()
+        if name.split("/")[0] in ("engine", "codegen", "server")
+        and name != "engine/stats.py"
+        for value in _strings(tree)
+    }
+    unwritten = (VOLATILE_STAT_KEYS | DETERMINISTIC_STAT_KEYS) - written
+    assert not unwritten, sorted(unwritten)
 
 
 def test_the_envelope_is_stamped_once():
