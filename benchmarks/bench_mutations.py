@@ -4,13 +4,14 @@ Before this benchmark's PR, any mutation was only safe if the session
 threw away *every* cache (compiled distributions, the persistent
 compiler's d-tree memo, memoised plans) — the ``flush_all`` series
 reproduces that discipline by closing the session after each write.
-The ``incremental`` series uses the delta-aware pipeline: each table's
-one epoch-stamped ``(scan, positions, indexes)`` record is carried
-forward by an insert and dropped (rebuilt on the next read) by an
-update or delete, the tuple-independence facts are maintained on the
-write path rather than rescanned, and lineage invalidation drops only
-the compiled distributions whose variables a probability update
-actually touched.
+The ``incremental`` series keeps every cache across writes: each
+table's one epoch-stamped ``(scan, positions, indexes)`` record is
+carried forward by an insert and dropped (rebuilt on the next read) by
+an update or delete, the independence facts ``auto`` dispatch reads are
+maintained on the write path (no row is scanned to classify a query),
+and the shared distribution cache, reconciling with the registry's
+reassignment record on its next read, drops only the compiled
+distributions whose variables a probability update actually touched.
 
 The workload interleaves warm queries (a selection, a per-group COUNT
 and a global SUM over one probabilistic table) with writes at a
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
         report.config.setdefault("speedups", {})[str(write_pct)] = round(
             speedup, 2
         )
-        # The acceptance criterion at the 10%-write point: delta-aware
+        # The acceptance criterion at the 10%-write point: incremental
         # invalidation must at least double warm-query throughput.
         if write_pct == 10 and speedup < 2.0:
             print(

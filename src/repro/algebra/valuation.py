@@ -12,12 +12,13 @@ per Equation (2).  Each valuation defines one possible world of a
 pvc-database (Definition 6).
 
 :func:`evaluate` applies one valuation; :func:`evaluate_batch` applies a
-whole *batch* of Boolean valuations at once, one numpy vector per
-sub-expression.  It is an accelerator in the style of
+whole *batch* of valuations at once, one numpy vector per
+sub-expression, into the Boolean semiring (bool columns) or the
+naturals (int64 columns).  It is an accelerator in the style of
 :mod:`repro.prob.kernels`: :func:`batch_exact` says for which
 expressions it reproduces :func:`evaluate` exactly — same values, same
 Python types — and callers keep the scalar path for everything else.
-The batch is either sampled (Monte-Carlo) or, for a handful of
+The batch is either sampled (Monte-Carlo) or, for a handful of Boolean
 variables, *every* valuation there is (:func:`all_valuations`).
 """
 
@@ -45,7 +46,7 @@ from repro.algebra.semimodule import (
     Tensor,
     module_terms,
 )
-from repro.algebra.semiring import Semiring
+from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.errors import AlgebraError
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "evaluate",
     "batch_exact",
     "evaluate_batch",
+    "support_column",
     "all_valuations",
     "batch_values",
 ]
@@ -161,26 +163,29 @@ def _weighted_terms(expr: ModuleExpr) -> list | None:
     return terms
 
 
-def batch_exact(expr: Expr) -> bool:
+def batch_exact(expr: Expr, maxima: Mapping | None = None) -> bool:
     """True when :func:`evaluate_batch` equals :func:`evaluate` on ``expr``
-    in every Boolean world, bit for bit and type for type.
+    in every world, bit for bit and type for type.
 
-    Batched aggregates are computed in float64, so they must stay clear
-    of everything float64 could change: float SUM inputs (the matrix
-    product adds in another order than the per-world fold), integers
-    beyond float64's exact range, negative values under a saturating
+    ``maxima`` maps every variable to its largest support value for a
+    batch of bag-semantics (ℕ) worlds; ``None`` means Boolean worlds.
+    Multiplicities are int64 columns there, kept within ``2**52``
+    (:func:`_multiplicity_bound`).  Batched aggregates are computed in
+    float64, so they must stay clear of everything float64 could
+    change: float SUM inputs (the matrix product adds in another order
+    than the per-world fold), integers beyond float64's exact range
+    (``Σ|mᵢ|·max Φᵢ`` under SUM), negative values under a saturating
     SUM (order-dependent), and value sets mixing ints with floats (the
     result's Python type would depend on which value wins).  PROD and
     custom monoids have no batched form.
     """
-    if isinstance(expr, (Var, SConst)):
-        return True
-    if isinstance(expr, (Sum, Prod, Compare)):
-        return all(batch_exact(child) for child in expr.children)
     if not isinstance(expr, ModuleExpr):
-        return False
+        return _multiplicity_bound(expr, maxima) <= _EXACT_SUM
     terms = _weighted_terms(expr)
-    if terms is None or not all(batch_exact(phi) for phi, _ in terms):
+    if terms is None:
+        return False
+    bounds = [_multiplicity_bound(phi, maxima) for phi, _ in terms]
+    if not all(bound <= _EXACT_SUM for bound in bounds):
         return False
     values = [value for _, value in terms]
     integral = all(type(v) is int for v in values)
@@ -190,7 +195,8 @@ def batch_exact(expr: Expr) -> bool:
         )
     monoid = expr.monoid
     if isinstance(monoid, SumMonoid):
-        if not integral or sum(abs(v) for v in values) > _EXACT_SUM:
+        total = sum(abs(v) * bound for v, bound in zip(values, bounds))
+        if not integral or total > _EXACT_SUM:
             return False
         return not isinstance(monoid, CappedSumMonoid) or min(values) >= 0
     if isinstance(monoid, (MinMonoid, MaxMonoid)):
@@ -200,19 +206,73 @@ def batch_exact(expr: Expr) -> bool:
     return False
 
 
-def evaluate_batch(expr: Expr, presence: Mapping, size: int, memo: dict):
-    """Evaluate ``expr`` in ``size`` Boolean worlds at once.
+def _multiplicity_bound(expr: Expr, maxima: Mapping | None) -> float:
+    """An upper bound on what the semiring expression ``expr`` valuates
+    to in any world — and on every partial ⊕/⊗ on the way — or ``inf``
+    when :func:`evaluate_batch` cannot reproduce it.
 
-    ``presence`` maps each variable to a bool vector — its truth value
-    per world.  The homomorphisms of :func:`evaluate` become column
-    operations: ⊕ → ``|``, ⊗ → ``&``, ``[Φ θ Ψ]`` → element-wise
-    compare, ``Φ⊗m`` → select, ``Σ_M`` → matrix product or min/max
-    fold.  Semiring expressions yield bool vectors, semimodule
-    expressions float64 vectors (see :func:`batch_values`).  ``memo``
-    caches sub-expression vectors across the calls of one batch —
-    factors shared between result rows are common after joins — so
-    returned vectors must not be written to.  Requires
-    :func:`batch_exact` expressions.
+    ℕ's ``+`` and ``·`` are monotone, so valuating at each variable's
+    largest support value bounds every world (a product's factors count
+    at least 1: a zero factor last does not bound the partial products
+    before it); a condition is ``0`` or ``1``.  Boolean worlds
+    (``maxima`` None) never exceed ``1``.
+    """
+    if isinstance(expr, Var):
+        return 1 if maxima is None else maxima.get(expr.name, math.inf)
+    if isinstance(expr, SConst):
+        return 1 if maxima is None else expr.value
+    if isinstance(expr, Compare):
+        exact = all(batch_exact(child, maxima) for child in expr.children)
+        return 1 if exact else math.inf
+    if isinstance(expr, (Sum, Prod)):
+        bounds = [_multiplicity_bound(child, maxima) for child in expr.children]
+        if maxima is None:  # ∨ and ∧: every bound is 1 or inf
+            return max(bounds)
+        if isinstance(expr, Sum):
+            return sum(bounds)
+        return math.prod(max(bound, 1) for bound in bounds)
+    return math.inf
+
+
+def _carrier(semiring: Semiring):
+    """The column dtype of ``semiring``'s values in a batch."""
+    return bool if semiring.is_boolean else _np.int64
+
+
+def support_column(values, semiring: Semiring):
+    """A variable's support values, coerced, as one column of
+    ``semiring``'s batch carrier (bool under 𝔹, int64 under ℕ): indexed
+    by drawn support indices it is that variable's ``presence`` vector
+    for :func:`evaluate_batch`."""
+    return _np.fromiter(
+        (semiring.coerce(v) for v in values),
+        dtype=_carrier(semiring),
+        count=len(values),
+    )
+
+
+def evaluate_batch(
+    expr: Expr,
+    presence: Mapping,
+    size: int,
+    memo: dict,
+    semiring: Semiring = BOOLEAN,
+):
+    """Evaluate ``expr`` in ``size`` worlds of ``semiring`` at once.
+
+    ``presence`` maps each variable to its value per world: a bool
+    vector under 𝔹, an int64 multiplicity vector under ℕ.  The
+    homomorphisms of :func:`evaluate` become column operations: ⊕ →
+    ``+``, ⊗ → ``*`` (numpy's ``|`` and ``&`` on bool columns, so one
+    operator set serves both semirings), ``[Φ θ Ψ]`` → element-wise
+    compare as ``0_S``/``1_S``, ``Φ⊗m`` → ``n·m`` under SUM and presence
+    ``n > 0`` under MIN/MAX, ``Σ_M`` → matrix product or min/max fold.
+    Semiring expressions yield carrier vectors, semimodule expressions
+    float64 vectors (see :func:`batch_values`).  ``memo`` caches
+    sub-expression vectors across the calls of one batch — factors
+    shared between result rows are common after joins — so returned
+    vectors must not be written to.  Requires :func:`batch_exact`
+    expressions.
     """
     if isinstance(expr, Var):
         try:
@@ -225,26 +285,26 @@ def evaluate_batch(expr: Expr, presence: Mapping, size: int, memo: dict):
     if result is not None:
         return result
     if isinstance(expr, SConst):
-        result = _np.full(size, bool(expr.value))
+        result = _np.full(size, expr.value, dtype=_carrier(semiring))
     elif isinstance(expr, Sum):
         result = reduce(
-            operator.or_,
-            (evaluate_batch(c, presence, size, memo) for c in expr.children),
+            operator.add,
+            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
         )
     elif isinstance(expr, Prod):
         result = reduce(
-            operator.and_,
-            (evaluate_batch(c, presence, size, memo) for c in expr.children),
+            operator.mul,
+            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
         )
     elif isinstance(expr, Compare):
         result = expr.op(
-            evaluate_batch(expr.left, presence, size, memo),
-            evaluate_batch(expr.right, presence, size, memo),
-        )
+            evaluate_batch(expr.left, presence, size, memo, semiring),
+            evaluate_batch(expr.right, presence, size, memo, semiring),
+        ).astype(_carrier(semiring), copy=False)
     elif isinstance(expr, MConst):
         result = _np.full(size, expr.value, dtype=float)
     elif isinstance(expr, ModuleExpr):
-        result = _aggregate_batch(expr, presence, size, memo)
+        result = _aggregate_batch(expr, presence, size, memo, semiring)
     else:
         raise AlgebraError(
             f"cannot batch-evaluate expression of type {type(expr).__name__}"
@@ -253,12 +313,13 @@ def evaluate_batch(expr: Expr, presence: Mapping, size: int, memo: dict):
     return result
 
 
-def _aggregate_batch(expr: ModuleExpr, presence, size: int, memo: dict):
-    """``Σ_M Φᵢ⊗mᵢ`` over the batch: one ``terms × worlds`` bool matrix."""
+def _aggregate_batch(expr: ModuleExpr, presence, size: int, memo, semiring):
+    """``Σ_M Φᵢ⊗mᵢ`` over the batch: one ``terms × worlds`` matrix of
+    the ``Φᵢ``, multiplicities under ℕ."""
     terms = _weighted_terms(expr)
     weights = _np.asarray([value for _, value in terms], dtype=float)
     matrix = _np.vstack(
-        [evaluate_batch(phi, presence, size, memo) for phi, _ in terms]
+        [evaluate_batch(phi, presence, size, memo, semiring) for phi, _ in terms]
     )
     monoid = expr.monoid
     if isinstance(monoid, SumMonoid):

@@ -72,12 +72,12 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
     return compiled
 
 
-def bound_kernel_for(prepared, db, names, supports=None):
+def bound_kernel_for(prepared, db, names):
     """The prepared query's kernel bound to ``db`` for the per-world
     engines, or ``None`` when codegen is off (:func:`codegen_enabled`)
     or the plan or the database's annotations have no compiled form.
 
-    ``names``/``supports`` are as in :meth:`CompiledPlan.bind`.
+    ``names`` is as in :meth:`CompiledPlan.bind`.
     """
     if not codegen_enabled():
         return None
@@ -85,6 +85,6 @@ def bound_kernel_for(prepared, db, names, supports=None):
     if kernel is None:
         return None
     try:
-        return kernel.bind(db, names, supports)
+        return kernel.bind(db, names)
     except CodegenUnsupported:
         return None

@@ -1,7 +1,7 @@
 """Bind a compiled plan to a pvc-database: the per-world fast path.
 
 A :class:`BoundPlan` hoists every piece of world-invariant work out of
-the per-world loop the Monte-Carlo fallback and the naive oracle run:
+the per-world loop the naive oracle and the Monte-Carlo fallback run:
 
 * **deterministic tables** (no random variables) are instantiated once;
   their tuple mappings, hash indexes, and any *subplan* touching only
@@ -9,18 +9,16 @@ the per-world loop the Monte-Carlo fallback and the naive oracle run:
   conformance oracle — and injected into the kernel's statics mapping,
   so the kernel skips those blocks entirely on every world;
 * **uncertain tables** are lowered to a columnar layout: the raw rows
-  once, each *distinct* annotation expression compiled once to a closure
-  over a coerced valuation vector (annotation-level CSE — the
-  interpreter re-evaluates the annotation per row per world), and the
-  per-variable support values coerced once so Monte-Carlo sample indices
-  map straight to semiring values;
+  once, and each *distinct* annotation expression compiled once to a
+  closure over a coerced valuation vector (annotation-level CSE — the
+  interpreter re-evaluates the annotation per row per world);
 * with the numpy kernels on, an all-``Var``-annotated Boolean table
   becomes a single fancy-indexing gather per world (``presence[slots]``),
   list-ified back to Python bools so results stay bit-identical.
 
-``run_indices`` (Monte-Carlo: per-variable support indices) and
-``run_assignment`` (naive oracle: a ``{variable: value}`` assignment)
-then evaluate one world each as ``instantiate dynamic tables → run
+``run_assignment`` (a ``{variable: value}`` assignment — one enumerated
+world of the naive oracle, one sampled world of Monte-Carlo's fallback
+loop) then evaluates one world as ``instantiate dynamic tables → run
 kernel``, replicating ``PVCTable.instantiate`` and ``Relation.add``
 merge semantics exactly.
 """
@@ -149,7 +147,7 @@ def compile_annotation(expr, slots: dict, semiring):
 class BoundPlan:
     """A compiled plan with all world-invariant work pre-evaluated."""
 
-    def __init__(self, compiled, db, names, supports=None):
+    def __init__(self, compiled, db, names):
         semiring = compiled.semiring
         if db.semiring != semiring:
             raise CodegenUnsupported(
@@ -162,13 +160,6 @@ class BoundPlan:
         self._add = semiring.add
         self._names = list(names)
         self._slots = {name: i for i, name in enumerate(self._names)}
-        if supports is not None:
-            coerce = semiring.coerce
-            self._coerced = [
-                [coerce(value) for value in support] for support in supports
-            ]
-        else:
-            self._coerced = None
 
         tables = {}
         for name in compiled.scan_names:
@@ -325,12 +316,6 @@ class BoundPlan:
                         mapping[values] = combined
             world[name] = mapping
         return self._compiled.fn(world, self._statics, trace, check_deadline)
-
-    def run_indices(self, key, trace=None, check_deadline=None) -> dict:
-        """Evaluate the world selected by per-variable support indices."""
-        coerced = self._coerced
-        vals = [coerced[i][key[i]] for i in range(len(key))]
-        return self.run_values(vals, trace, check_deadline)
 
     def run_assignment(self, assignment, trace=None, check_deadline=None) -> dict:
         """Evaluate the world of a ``{variable: raw value}`` assignment."""

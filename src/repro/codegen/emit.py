@@ -714,18 +714,17 @@ class CompiledPlan:
             world, {} if statics is None else statics, trace, check_deadline
         )
 
-    def bind(self, db, names, supports=None):
+    def bind(self, db, names):
         """Pre-instantiate everything world-invariant against ``db``.
 
         Returns a :class:`~repro.codegen.binding.BoundPlan` whose
-        ``run_indices`` / ``run_assignment`` evaluate one world of the
-        given variable ``names`` as a tight loop.  Raises
-        :class:`CodegenUnsupported` when the database's annotations have
-        no compiled form.
+        ``run_assignment`` evaluates one world of the given variable
+        ``names`` as a tight loop.  Raises :class:`CodegenUnsupported`
+        when the database's annotations have no compiled form.
         """
         from repro.codegen.binding import BoundPlan
 
-        return BoundPlan(self, db, names, supports)
+        return BoundPlan(self, db, names)
 
     def __getstate__(self):
         return {

@@ -114,16 +114,21 @@ class TableFacts:
       variable annotates two rows" is ``mentions != len(annotation_rows)``
       and cross-table reuse is a test on the key sets);
     * ``value_rows`` — the same count for variables inside semimodule
-      values (they matter to ``variables`` only).
+      values (they matter to ``variables`` only);
+    * ``module_rows`` — rows storing a semimodule value, constant ones
+      included (Monte-Carlo cannot valuate those tables in batch).
     """
 
-    __slots__ = ("dependent", "mentions", "annotation_rows", "value_rows")
+    __slots__ = (
+        "dependent", "mentions", "annotation_rows", "value_rows", "module_rows"
+    )
 
     def __init__(self, rows: Iterable["PVCRow"] = ()):
         self.dependent = 0
         self.mentions = 0
         self.annotation_rows: dict[str, int] = {}
         self.value_rows: dict[str, int] = {}
+        self.module_rows = 0
         for row in rows:
             self.count_row(row, 1)
 
@@ -136,11 +141,14 @@ class TableFacts:
             dependent = not isinstance(annotation, Var)
             self.mentions += sign * len(names)
             _adjust(self.annotation_rows, names, sign)
+        modules = False
         for value in row.values:
             if isinstance(value, ModuleExpr):
-                dependent = True
+                modules = True
                 _adjust(self.value_rows, value.variables, sign)
-        if dependent:
+        if modules:
+            self.module_rows += sign
+        if dependent or modules:
             self.dependent += sign
 
 

@@ -17,41 +17,35 @@ The sampler is **batched**:
   started with the kernels switched off);
 * only the variables and relations actually referenced by the query are
   sampled;
-* under set semantics, step I runs **once per run**, symbolically — the
-  same ``prepare`` → ``execute_symbolic`` call the exact engine makes —
-  and every result row's annotation and semimodule values are then
-  valuated over the whole batch of drawn worlds as numpy columns
-  (:func:`repro.algebra.valuation.evaluate_batch`).  By the homomorphism
-  property ``ν(Q(T)) = Q(ν(T))`` of the paper's Section 3 this equals
-  running the query in every sampled world, for any query shape — joins,
-  unions, HAVING, aggregates over filtered aggregates — and any
-  (correlated) annotations.
-  Large batches are valuated in world chunks of bounded array size, with
-  a deadline checkpoint between chunks;
+* step I runs **once per run**, symbolically — the same ``prepare`` →
+  ``execute_symbolic`` call the exact engine makes — and every result
+  row's annotation and semimodule values are then valuated over the
+  whole batch of drawn worlds as numpy columns, bool under set semantics
+  and int64 multiplicities under bag semantics
+  (:func:`repro.algebra.valuation.evaluate_batch`).  A valuation extends
+  to a homomorphism into any concrete semiring, so ``ν(Q(T)) = Q(ν(T))``
+  (the paper's Section 3) makes this equal to running the query in
+  every sampled world, for any query shape — joins, unions, HAVING,
+  aggregates over filtered aggregates — and any (correlated)
+  annotations.  Large batches are valuated in world chunks of bounded
+  array size, with a deadline checkpoint between chunks;
 * the per-world loop (a compiled kernel, or the interpreter) remains
-  where it is the only exact path: the kernels switched off, bag
-  semantics (non-Boolean semirings), semimodule values stored in base
-  tables, and aggregates float64 could alter — float SUM inputs,
-  integers beyond 2**52/2**53, PROD and custom monoids (see
+  only where it is the one exact path: the kernels switched off (a test
+  seam), semimodule values stored in base tables, predicates only
+  concrete values can evaluate, and aggregates the batch could alter —
+  float SUM inputs, integers beyond 2**52/2**53, multiplicities that
+  could leave that range, PROD and custom monoids (see
   :func:`repro.algebra.valuation.batch_exact`).  It memoises repeated
   worlds, so databases with few effective variables never evaluate the
   same world twice, and it is the oracle the batched path is tested
   against.
 
-The per-world loop is also **sharded** when a ``workers`` count is
-requested: each batch is split by the deterministic planner of
-:mod:`repro.parallel.shards` into fixed-size shards whose RNG streams are
-spawned from a per-round token, the shards evaluate independently (on a
-process pool for ``workers >= 2``, inline for ``workers=1``), and the
-per-shard counts merge by summation in shard order.  Because the shard
-plan and the seed derivation never depend on the worker count, a seeded
-run is **bit-identical** for any ``workers`` setting — including the
-sequential-stopping interval path, which shards every doubling round the
-same way.  A worker crash or pickle failure degrades to inline shard
-evaluation with the reason recorded in ``stats["parallel_fallback"]``.
-The batched path never shards — one numpy batch beats any split of it
-(EXPERIMENTS.md, "Accelerator verdicts") — so there ``workers`` is
-ignored and every value returns the ``workers=None`` stream's answer.
+Both evaluators count over the same drawn columns, so which one runs
+never changes a seeded answer.  ``workers`` (an
+:class:`~repro.engine.spec.EvalSpec` field) is accepted and ignored: one
+numpy batch beats any split of it (EXPERIMENTS.md, "Accelerator
+verdicts"), the per-world loop is only a fallback, and every value
+returns the ``workers=None`` answer without opening a pool.
 
 Estimates remain plain empirical frequencies either way, and a fixed
 ``seed`` makes runs reproducible.
@@ -66,21 +60,20 @@ from typing import NamedTuple
 
 import numpy as _np
 
+from repro.algebra.expressions import Var
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import (
     Valuation,
     batch_exact,
     batch_values,
     evaluate_batch,
+    support_column,
 )
-from repro.codegen import bound_kernel_for, codegen_enabled, kernel_for
+from repro.codegen import bound_kernel_for
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult, Run, concrete_result
 from repro.errors import AlgebraError, QueryValidationError
-from repro.parallel import pool as parallel_pool
-from repro.parallel.reducer import merge_counts
-from repro.parallel.shards import plan_shards, resolve_workers, spawn_seeds
 from repro.prob import kernels
 from repro.query.ast import Query
 from repro.query.executor import (
@@ -98,7 +91,8 @@ __all__ = ["MonteCarloEngine"]
 
 #: Bound on ``expression nodes × worlds`` of one batched chunk: the
 #: evaluator holds one vector per distinct sub-expression, so this caps
-#: its working set (bool cells; the float matrices of ``Σ_M`` cost 8×).
+#: its working set (bool cells; int64 multiplicities and the float
+#: matrices of ``Σ_M`` cost 8×).
 _BATCH_CELLS = 1 << 24
 
 #: Worlds of the first sequential-stopping round; each later round
@@ -107,16 +101,9 @@ _INITIAL_BATCH = 256
 
 
 class _RunContext(NamedTuple):
-    """What every round and every shard of one run shares.
+    """What every round of one run shares: built once, so no round
+    re-plans, re-runs step I or re-reads a variable's distribution."""
 
-    Built once in the parent; forked shard workers inherit it (it is
-    never pickled per task), so no round or shard re-plans, re-runs
-    step I, re-compiles a kernel or re-reads a variable's distribution.
-    """
-
-    #: The engine whose run this is; shards evaluate through it with
-    #: their own RNG streams, never touching its streams.
-    engine: "MonteCarloEngine"
     query: Query
     referenced: tuple
     #: The variables of the referenced tables, see ``_supports``.
@@ -168,7 +155,7 @@ class MonteCarloEngine:
         categorical draw of each variable needs, read off the registry
         once per run.  ``probabilities`` is the normalised numpy array
         ``Generator.choice`` takes; ``None`` selects the pure-Python
-        stream, for every round and shard that draws from this mapping."""
+        stream, for every round that draws from this mapping."""
         supports = {}
         for name in names:
             values, weights = zip(*self.db.registry[name].items())
@@ -179,9 +166,7 @@ class MonteCarloEngine:
             supports[name] = (values, weights, probabilities)
         return supports
 
-    def _sample_index_columns(
-        self, variables, samples: int, rng=None, np_rng=None
-    ) -> dict:
+    def _sample_index_columns(self, variables, samples: int) -> dict:
         """Batched draws as ``{name: (support_values, index_column)}``.
 
         One vectorized categorical draw per variable via the numpy
@@ -189,29 +174,23 @@ class MonteCarloEngine:
         when its support carries no ``probabilities`` (see
         :meth:`_supports`) — either way O(variables) RNG calls instead of
         O(variables × samples).  Draws stay in *index* form so the batch
-        evaluator can turn them into presence vectors with one fancy
-        index per variable instead of a per-sample Python loop.
+        evaluator can turn them into value columns with one fancy index
+        per variable instead of a per-sample Python loop.
 
         ``variables`` names the variables to draw — or is their
         :meth:`_supports` mapping, which runs build once instead of per
-        round and shard.  ``rng``/``np_rng`` override the engine's own
-        streams; the sharded scheme passes per-shard streams here so draws
-        are independent of both the worker count and the engine's mutable
-        state.
+        round.
         """
-        if rng is None:
-            rng = self.random
-            np_rng = self._np_rng
         if not isinstance(variables, dict):
             variables = self._supports(variables, kernels.numpy_enabled())
         drawn: dict = {}
         for name, (values, weights, probabilities) in variables.items():
             if probabilities is not None:
-                indices = np_rng.choice(
+                indices = self._np_rng.choice(
                     len(values), size=samples, p=probabilities
                 )
             else:
-                indices = rng.choices(
+                indices = self.random.choices(
                     range(len(values)), weights=weights, k=samples
                 )
             drawn[name] = (values, indices)
@@ -251,9 +230,7 @@ class MonteCarloEngine:
             # No spec, or one that only tunes execution: the fixed-budget
             # estimator, its answer semantics untouched.
             probabilities, info = self._estimate(
-                query,
-                self.samples if samples is None else samples,
-                workers=None if spec is None else spec.workers,
+                query, self.samples if samples is None else samples
             )
             run.lap("sampling_seconds")
             yield concrete_result(run, query, probabilities, info)
@@ -270,41 +247,25 @@ class MonteCarloEngine:
             spec.delta,
             spec.budget,
             _INITIAL_BATCH,
-            spec.workers,
         ):
             yield concrete_result(run, query, intervals, info)
 
     # -- estimation ----------------------------------------------------------
 
     def tuple_probabilities(
-        self,
-        query: Query,
-        samples: int = 1000,
-        workers: int | str | None = None,
+        self, query: Query, samples: int = 1000
     ) -> dict[tuple, float]:
-        """Empirical estimate of ``P[t ∈ answer]`` from ``samples`` worlds.
-
-        ``workers=None`` keeps the single-stream sampler, and so does the
-        batched path whatever ``workers`` says.  On the per-world loop an
-        explicit worker count (including 1) switches to the sharded
-        scheme, whose seeded results are bit-identical across worker
-        counts; ``workers >= 2`` evaluates the shards on a process pool.
-        """
-        return self._estimate(query, samples, workers)[0]
+        """Empirical estimate of ``P[t ∈ answer]`` from ``samples`` worlds."""
+        return self._estimate(query, samples)[0]
 
     def _estimate(
-        self, query: Query, samples: int, workers=None
+        self, query: Query, samples: int
     ) -> tuple[dict[tuple, float], dict]:
         """:meth:`tuple_probabilities` plus the run's diagnostics."""
         if samples <= 0:
             raise ValueError("need at least one sample")
         validate_query(query, self.db.catalog())
-        workers = resolve_workers(workers)
-        context = self._run_context(query)
-        if workers is None or context.symbolic is not None:
-            counts, info = self._sampled_counts(context, samples)
-        else:
-            counts, info = self._sharded_counts(context, samples, workers)
+        counts, info = self._sampled_counts(self._run_context(query), samples)
         probabilities = {
             values: count / samples for values, count in counts.items()
         }
@@ -321,10 +282,7 @@ class MonteCarloEngine:
         The kernels switch is read here and nowhere later in the run: it
         picks the evaluator (``symbolic``) and the sampler (the
         ``probabilities`` of ``supports``) together, so a run finishes on
-        the stream it started on.  When the per-world loop will serve the
-        run and codegen is on, the kernel is compiled here too: it rides
-        the prepared plan's ``op_cache`` (a cheap picklable payload) into
-        forked shards.
+        the stream it started on.
         """
         referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
@@ -332,23 +290,19 @@ class MonteCarloEngine:
             needed |= self.db.tables[name].variables
         prepared = self._prepare(query)
         use_numpy = kernels.numpy_enabled()
-        symbolic = self._symbolic_rows(prepared) if use_numpy else None
-        if symbolic is None and codegen_enabled():
-            kernel_for(prepared, self.db.semiring)
         return _RunContext(
-            self,
             query,
             referenced,
             self._supports(sorted(needed), use_numpy),
             prepared,
-            symbolic,
+            self._symbolic_rows(prepared) if use_numpy else None,
         )
 
     def _sampled_counts(
         self, context: _RunContext, samples: int
     ) -> tuple[dict[tuple, int], dict]:
-        """Draw ``samples`` worlds from the engine's own streams and count
-        answer-tuple occurrences; see :meth:`_evaluate_drawn`."""
+        """Draw ``samples`` worlds and count answer-tuple occurrences;
+        see :meth:`_evaluate_drawn`."""
         drawn = self._sample_index_columns(context.supports, samples)
         return self._evaluate_drawn(context, drawn, samples)
 
@@ -359,17 +313,15 @@ class MonteCarloEngine:
 
         Counts are an exact, deterministic function of the drawn columns
         — whether the vectorized batch evaluator, the compiled per-world
-        kernel, or the interpreted fallback computes them — which is what
-        makes sharded evaluation (any split of the columns, any worker
-        count) merge to identical totals.  The second value says which
-        ran: ``batched``, or the per-world loop's diagnostics.
+        kernel, or the interpreted fallback computes them.  The second
+        value says which ran: ``batched``, or the per-world loop's
+        diagnostics.
         """
         if context.symbolic is not None:
             counts = self._batched_counts(
                 context.query, drawn, samples, context.symbolic
             )
-            info = {"batched": True}
-            return counts, info
+            return counts, {"batched": True}
         counts, info = self._per_world_counts(
             context.query,
             context.referenced,
@@ -380,50 +332,6 @@ class MonteCarloEngine:
         info["batched"] = False
         return counts, info
 
-    # -- deterministic sharding -----------------------------------------------
-
-    def _sharded_counts(
-        self,
-        context: _RunContext,
-        samples: int,
-        workers: int,
-        shared: parallel_pool.SharedPool | None = None,
-    ) -> tuple[dict[tuple, int], dict]:
-        """Draw ``samples`` worlds and evaluate them one by one, in
-        deterministic shards.
-
-        The shard plan and the per-shard RNG seeds depend only on the
-        batch size and on one token drawn from the engine's seeded parent
-        stream — never on ``workers`` — so the merged counts are
-        bit-identical for any worker count.  Shards run on a process pool
-        when ``workers >= 2`` (falling back to inline evaluation with a
-        recorded reason when the pool cannot run); iterative callers pass
-        a :class:`~repro.parallel.pool.SharedPool` so the pool forks once
-        and serves every round.
-        """
-        sizes = plan_shards(samples)
-        # One token per sampling round: the parent stream advances the
-        # same way no matter how many shards or workers follow.
-        token = self.random.getrandbits(63)
-        seeds = spawn_seeds(token, len(sizes))
-        payloads = list(zip(seeds, sizes))
-        if shared is not None:
-            results, info = shared.run(payloads)
-        else:
-            results, info = parallel_pool.execute(
-                _evaluate_shard, context, payloads, workers
-            )
-        counts = merge_counts(shard_counts for shard_counts, _ in results)
-        shard_infos = [shard_info for _, shard_info in results]
-        stats = {
-            "batched": False,
-            "shards": len(sizes),
-            "codegen_used": any(i["codegen_used"] for i in shard_infos),
-            "distinct_worlds": sum(i["distinct_worlds"] for i in shard_infos),
-            **info,
-        }
-        return counts, stats
-
     def estimate_intervals(
         self,
         query: Query,
@@ -432,7 +340,6 @@ class MonteCarloEngine:
         max_samples: int | None = None,
         time_limit: float | None = None,
         initial_batch: int = _INITIAL_BATCH,
-        workers: int | str | None = None,
     ) -> tuple[dict[tuple, ProbInterval], dict]:
         """Sequential-stopping (ε, δ) estimation of ``P[t ∈ answer]``.
 
@@ -448,7 +355,6 @@ class MonteCarloEngine:
             max_samples=max_samples,
             time_limit=time_limit,
             initial_batch=initial_batch,
-            workers=workers,
         ):
             pass
         return intervals, info
@@ -461,7 +367,6 @@ class MonteCarloEngine:
         max_samples: int | None = None,
         time_limit: float | None = None,
         initial_batch: int = _INITIAL_BATCH,
-        workers: int | str | None = None,
     ):
         """Yield ``(intervals, info)`` snapshots of an (ε, δ) estimation.
 
@@ -478,13 +383,6 @@ class MonteCarloEngine:
         Tuples never observed in any sampled world are not reported
         (matching :meth:`tuple_probabilities`); their true probability
         may still be positive but is at most the resolution of the draw.
-
-        On the per-world loop an explicit ``workers`` count draws every
-        doubling round through the deterministic sharded scheme, so
-        seeded interval trajectories — every snapshot, every stopping
-        decision except a wall-clock ``time_limit`` trip — are
-        bit-identical across worker counts.  The batched path ignores
-        ``workers``.
         """
         yield from self._interval_snapshots(
             Run(self, EvalSpec(mode="sample", time_limit=time_limit)),
@@ -493,21 +391,18 @@ class MonteCarloEngine:
             delta,
             max_samples,
             initial_batch,
-            workers,
         )
 
     def _interval_snapshots(
-        self, run: Run, query, epsilon, delta, max_samples, initial_batch, workers
+        self, run: Run, query, epsilon, delta, max_samples, initial_batch
     ):
         """:meth:`estimate_intervals_iter` on ``run``'s clock and
-        deadline: the doubling-round loop, inside the shared pool's
-        lifetime."""
+        deadline: the doubling-round loop."""
         if epsilon <= 0.0:
             raise ValueError("sequential stopping needs epsilon > 0")
         if not (0.0 < delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
         validate_query(query, self.db.catalog())
-        workers = resolve_workers(workers)
         if max_samples is None:
             # Past this Hoeffding alone pushes every width under ε even
             # with the round-wise δ split (k ≤ 64 covers any feasible n).
@@ -515,95 +410,70 @@ class MonteCarloEngine:
                 2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
             )
         context = self._run_context(query)
-        if context.symbolic is not None:
-            workers = None
-        shared = (
-            parallel_pool.SharedPool(_evaluate_shard, context, workers)
-            if workers is not None
-            else None
-        )
         deadline = run.deadline
         totals: dict[tuple, int] = {}
         drawn_total = 0
         round_no = 0
         codegen_used = False
         round_info: dict = {}
-        try:
-            while True:
-                round_no += 1
-                fault_point("engine.montecarlo.round")
-                batch = initial_batch if drawn_total == 0 else drawn_total
-                batch = min(batch, max_samples - drawn_total)
-                if deadline is not None and drawn_total:
-                    # Doubling rounds only check the clock *between* rounds,
-                    # so an unclamped final round could blow far past the
-                    # limit; cap it to what the observed sampling rate fits
-                    # into the remaining budget.
-                    batch = self._deadline_clamp(
-                        batch, drawn_total, run.elapsed(), deadline.remaining()
-                    )
-                try:
-                    # The scope lets the chunked batch evaluator stop between
-                    # chunks and hands the deadline to the pool watchdog, so
-                    # a wedged shard worker is killed (and the round rerun
-                    # inline) instead of hanging past the time budget.
-                    with run.scope():
-                        if workers is None:
-                            counts, round_info = self._sampled_counts(
-                                context, batch
-                            )
-                        else:
-                            counts, round_info = self._sharded_counts(
-                                context, batch, workers, shared
-                            )
-                except DeadlineExceeded:
-                    if deadline is None or not deadline.expired():
-                        raise  # an outer scope's deadline: not ours to absorb
-                    # Out of time mid-round: the unfinished round is dropped
-                    # whole and the run ends on the samples it already has.
-                    counts, batch = {}, 0
-                drawn_total += batch
-                for values, count in counts.items():
-                    totals[values] = totals.get(values, 0) + count
-                level = delta / (round_no * (round_no + 1))
-                intervals = {
-                    values: self._confidence_interval(
-                        count, drawn_total, level / 2.0
-                    )
-                    for values, count in totals.items()
-                }
-                max_width = max(
-                    (interval.width for interval in intervals.values()),
-                    default=0.0,
+        while True:
+            round_no += 1
+            fault_point("engine.montecarlo.round")
+            batch = initial_batch if drawn_total == 0 else drawn_total
+            batch = min(batch, max_samples - drawn_total)
+            if deadline is not None and drawn_total:
+                # Doubling rounds only check the clock *between* rounds,
+                # so an unclamped final round could blow far past the
+                # limit; cap it to what the observed sampling rate fits
+                # into the remaining budget.
+                batch = self._deadline_clamp(
+                    batch, drawn_total, run.elapsed(), deadline.remaining()
                 )
-                converged = drawn_total > 0 and max_width <= epsilon
-                out_of_time = run.expired()
-                done = converged or drawn_total >= max_samples or out_of_time
-                codegen_used = codegen_used or round_info.get(
-                    "codegen_used", False
+            try:
+                # The scope lets the chunked batch evaluator stop between
+                # chunks instead of finishing a round past the time budget.
+                with run.scope():
+                    counts, round_info = self._sampled_counts(context, batch)
+            except DeadlineExceeded:
+                if deadline is None or not deadline.expired():
+                    raise  # an outer scope's deadline: not ours to absorb
+                # Out of time mid-round: the unfinished round is dropped
+                # whole and the run ends on the samples it already has.
+                counts, batch = {}, 0
+            drawn_total += batch
+            for values, count in counts.items():
+                totals[values] = totals.get(values, 0) + count
+            level = delta / (round_no * (round_no + 1))
+            intervals = {
+                values: self._confidence_interval(
+                    count, drawn_total, level / 2.0
                 )
-                info = {
-                    "samples": drawn_total,
-                    "rounds": round_no,
-                    "batched": context.symbolic is not None,
-                    "converged": converged,
-                    "max_width": max_width,
-                    "codegen_used": codegen_used,
-                }
-                if out_of_time and not converged:
-                    info["deadline_hit"] = True
-                if workers is not None:
-                    info["workers"] = round_info.get("workers", 1)
-                    info["shards"] = round_info.get("shards", 0)
-                    if "parallel_fallback" in round_info:
-                        info["parallel_fallback"] = round_info["parallel_fallback"]
-                run.lap("sampling_seconds")
-                yield intervals, info
-                if done:
-                    return
-        finally:
-            if shared is not None:
-                shared.close()
+                for values, count in totals.items()
+            }
+            max_width = max(
+                (interval.width for interval in intervals.values()),
+                default=0.0,
+            )
+            converged = drawn_total > 0 and max_width <= epsilon
+            out_of_time = run.expired()
+            done = converged or drawn_total >= max_samples or out_of_time
+            codegen_used = codegen_used or round_info.get(
+                "codegen_used", False
+            )
+            info = {
+                "samples": drawn_total,
+                "rounds": round_no,
+                "batched": context.symbolic is not None,
+                "converged": converged,
+                "max_width": max_width,
+                "codegen_used": codegen_used,
+            }
+            if out_of_time and not converged:
+                info["deadline_hit"] = True
+            run.lap("sampling_seconds")
+            yield intervals, info
+            if done:
+                return
 
     @staticmethod
     def _deadline_clamp(
@@ -676,11 +546,10 @@ class MonteCarloEngine:
         databases with few effective variables collapse to a handful of
         evaluations.  The query is planned — and, when codegen applies,
         compiled and bound — once; with a bound kernel each distinct
-        world is one call that maps support indices straight onto
-        precoerced semiring values and runs the fused plan function, no
-        per-world relation objects or Valuation dicts at all.  Compiled
-        and interpreted evaluation yield bit-identical supports.  Returns
-        the counts and ``{"codegen_used", "distinct_worlds"}``.
+        world is one ``run_assignment`` call, no per-world relation
+        objects at all.  Compiled and interpreted evaluation yield
+        bit-identical supports.  Returns the counts and
+        ``{"codegen_used", "distinct_worlds"}``.
         """
         names = list(drawn)
         supports = [drawn[name][0] for name in names]
@@ -689,7 +558,7 @@ class MonteCarloEngine:
         tables = [(name, self.db.tables[name]) for name in referenced]
         if prepared is None:
             prepared = self._prepare(query)
-        bound = bound_kernel_for(prepared, self.db, names, supports)
+        bound = bound_kernel_for(prepared, self.db, names)
         counts: dict[tuple, int] = {}
         world_cache: dict[tuple, list] = {}
         distinct = 0
@@ -699,16 +568,14 @@ class MonteCarloEngine:
             support = world_cache.get(key)
             if support is None:
                 distinct += 1
+                assignment = {
+                    name: values[i]
+                    for name, values, i in zip(names, supports, key)
+                }
                 if bound is not None:
-                    support = list(bound.run_indices(key))
+                    support = list(bound.run_assignment(assignment))
                 else:
-                    valuation = Valuation(
-                        {
-                            name: values[i]
-                            for name, values, i in zip(names, supports, key)
-                        },
-                        semiring,
-                    )
+                    valuation = Valuation(assignment, semiring)
                     world = {
                         name: table.instantiate(valuation, semiring)
                         for name, table in tables
@@ -731,21 +598,32 @@ class MonteCarloEngine:
         ``slots`` being the positions of its semimodule values; ``nodes``
         is the total expression size, which sizes the world chunks.
         Semimodule values stored in base tables stay per-world: two such
-        rows can valuate to one tuple in some worlds, which a set-valued
-        world holds once — values built by ``$`` never collide, their
-        group keys differ.
+        rows can valuate to one tuple in some worlds, which a world's
+        support holds once — values built by ``$`` never collide, their
+        group keys differ.  Whether a read table stores any is one of the
+        facts its write path keeps, so no row is looked at here.  Under
+        bag semantics every drawn variable's largest support value bounds
+        the multiplicities :func:`~repro.algebra.valuation.batch_exact`
+        must keep exact.
         """
-        if not self.db.semiring.is_boolean:
+        db = self.db
+        read = set(prepared.query.base_relations())
+        if any(db.tables[name].facts().module_rows for name in read):
             return None
-        if any(
-            isinstance(value, ModuleExpr)
-            for name in set(prepared.query.base_relations())
-            for row in self.db.tables[name].rows
-            for value in row.values
-        ):
-            return None
+        maxima = None
+        if not db.semiring.is_boolean:
+            coerce = db.semiring.coerce
+            maxima = {
+                variable: max(map(coerce, db.registry[variable]))
+                for name in read
+                for variable in db.tables[name].variables
+            }
+            # Every drawn column must fit the carrier, not just those the
+            # answer mentions.
+            if not all(batch_exact(Var(name), maxima) for name in maxima):
+                return None
         try:
-            table = execute_symbolic(prepared, self.db)
+            table = execute_symbolic(prepared, db)
         except (AlgebraError, QueryValidationError):
             # Some predicates only make sense on concrete values, e.g. an
             # aggregate compared with a string: worlds still evaluate.
@@ -757,7 +635,7 @@ class MonteCarloEngine:
                 i for i, v in enumerate(row.values) if isinstance(v, ModuleExpr)
             )
             for expr in (row.annotation, *(row.values[i] for i in slots)):
-                if not batch_exact(expr):
+                if not batch_exact(expr, maxima):
                     return None
                 nodes += expr.size()
             rows.append((row.values, row.annotation, slots))
@@ -768,29 +646,28 @@ class MonteCarloEngine:
     ) -> dict[tuple, int] | None:
         """Valuate the symbolic answer over all drawn worlds at once.
 
-        Every result row's annotation becomes a presence vector over the
-        batch and every semimodule value a value vector; a row without
-        semimodule values counts its present worlds, one with them counts
-        the distinct value combinations among its present worlds.  Worlds
-        are valuated in chunks of at most ``_BATCH_CELLS`` cells — counts
-        add over disjoint sets of worlds.  Returns ``None`` when the
-        batch evaluator does not apply (callers holding a run context
-        pass its ``symbolic`` and never see that).
+        Every result row's annotation becomes a multiplicity vector over
+        the batch and every semimodule value a value vector; a row
+        without semimodule values counts the worlds it is present in
+        (multiplicity > 0), one with them counts the distinct value
+        combinations among those worlds.  Worlds are valuated in chunks
+        of at most ``_BATCH_CELLS`` cells — counts add over disjoint sets
+        of worlds.  Returns ``None`` when the batch evaluator does not
+        apply (callers holding a run context pass its ``symbolic`` and
+        never see that).
         """
         if symbolic is None:
             symbolic = self._symbolic_rows(self._prepare(query))
             if symbolic is None:
                 return None
         rows, nodes = symbolic
-        coerce = self.db.semiring.coerce
-        columns = {}
-        for name, (values, indices) in drawn.items():
-            # One bool per *support value*; a fancy index per chunk then
-            # turns draws into presence — no per-sample Python loop.
-            truth = _np.fromiter(
-                (bool(coerce(v)) for v in values), dtype=bool, count=len(values)
-            )
-            columns[name] = (truth, _np.asarray(indices))
+        semiring = self.db.semiring
+        # One carrier value per *support value*; a fancy index per chunk
+        # then turns draws into columns — no per-sample Python loop.
+        columns = {
+            name: (support_column(values, semiring), _np.asarray(indices))
+            for name, (values, indices) in drawn.items()
+        }
         chunk = max(1, _BATCH_CELLS // max(nodes, 1))
         counts: dict[tuple, int] = {}
         for start in range(0, samples, chunk):
@@ -798,12 +675,14 @@ class MonteCarloEngine:
                 check_deadline("Monte-Carlo batch valuation")
             size = min(chunk, samples - start)
             presence = {
-                name: truth[indices[start : start + size]]
-                for name, (truth, indices) in columns.items()
+                name: support[indices[start : start + size]]
+                for name, (support, indices) in columns.items()
             }
             memo: dict = {}
             for values, annotation, slots in rows:
-                present = evaluate_batch(annotation, presence, size, memo)
+                present = evaluate_batch(
+                    annotation, presence, size, memo, semiring
+                ).astype(bool, copy=False)
                 if not slots:
                     hits = int(_np.count_nonzero(present))
                     if hits:
@@ -812,7 +691,9 @@ class MonteCarloEngine:
                 if not present.any():
                     continue
                 vectors = [
-                    evaluate_batch(values[i], presence, size, memo)[present]
+                    evaluate_batch(values[i], presence, size, memo, semiring)[
+                        present
+                    ]
                     for i in slots
                 ]
                 if len(vectors) == 1:
@@ -835,27 +716,3 @@ class MonteCarloEngine:
                     answer = tuple(key)
                     counts[answer] = counts.get(answer, 0) + hit
         return counts
-
-
-def _evaluate_shard(context: _RunContext, payload):
-    """Process-pool task: draw and evaluate one shard of sampled worlds.
-
-    ``context`` is shared by every shard of a run (inherited by forked
-    workers, never pickled per task); the payload is just the shard's
-    ``(seed, size)``.  The shard draws from its own spawned streams — a
-    ``numpy.random.SeedSequence``-seeded ``Generator`` and a private
-    ``random.Random``, of which ``context.supports`` picks one — so its
-    columns are a pure function of the seed, independent of which process
-    evaluates it.
-
-    Returns ``(counts, info)`` as :meth:`MonteCarloEngine._evaluate_drawn`.
-    """
-    seed, size = payload
-    engine = context.engine
-    drawn = engine._sample_index_columns(
-        context.supports,
-        size,
-        rng=random.Random(seed),
-        np_rng=_np.random.default_rng(_np.random.SeedSequence(seed)),
-    )
-    return engine._evaluate_drawn(context, drawn, size)

@@ -220,17 +220,14 @@ class EvalSpec:
         Wall-clock cap in seconds; refinement stops at the last completed
         round, reporting the (still sound) wider intervals.
     ``workers``:
-        Multi-core execution of the two seams it pays on (the measured
+        Multi-core execution of the one seam it pays on (the measured
         curve is in EXPERIMENTS.md): sprout's step II, which fans the
         compilation of independent result rows out across a process
-        pool, and Monte-Carlo's *per-world* loop (bag semantics, kernels
-        off, semimodule values stored in base tables), which evaluates
-        deterministic shards of the drawn worlds in parallel.  ``None``
-        (default) is serial, an integer ``>= 1`` runs the sharded scheme
-        on that many processes, ``"auto"`` uses the machine's CPU count.
-        The approx engine and batched Monte-Carlo ignore it: they return
-        the ``workers=None`` answer, bit for bit.  On the two seams,
-        seeded results are bit-identical for any worker count (see
+        pool.  ``None`` (default) is serial, an integer ``>= 1`` runs
+        the fan-out on that many processes, ``"auto"`` uses the
+        machine's CPU count.  The approx, naive and Monte-Carlo engines
+        ignore it: they return the ``workers=None`` answer, bit for bit.
+        Sprout's answers are bit-identical for any worker count too (see
         :mod:`repro.parallel`), so ``workers`` changes *how fast* an
         answer arrives, never *what* it is.
     ``on_timeout``:

@@ -19,7 +19,6 @@ VOLATILE_STAT_KEYS = frozenset({
     "cache_hits",
     "cache_misses",
     "workers",
-    "shards",
     "parallel_compiled",
     "parallel_mutex_nodes",
     "parallel_fallback",

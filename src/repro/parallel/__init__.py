@@ -1,24 +1,20 @@
-"""Multi-core execution primitives shared by every engine.
+"""Multi-core execution primitives.
 
-The paper's two cost centers — d-tree knowledge compilation and
-Monte-Carlo estimation — are embarrassingly parallel at natural seams:
-independent result-row annotations compile independently, and the worlds
-of a per-world sampling loop shard across processes.  Those are the two
-seams that measurably pay (EXPERIMENTS.md, "Accelerator verdicts"); the
-approx engine and batched Monte-Carlo stay serial.  This package provides
-the three pieces the engines build on:
+The paper's compilation step is embarrassingly parallel at a natural
+seam: independent result-row annotations compile independently.  That is
+the one seam that measurably pays (EXPERIMENTS.md, "Accelerator
+verdicts"); the approx engine and Monte-Carlo stay serial — Monte-Carlo
+valuates its sampled worlds as one numpy batch.  This package provides
+the three pieces sprout's step II builds on:
 
-* :mod:`repro.parallel.shards` — the deterministic shard planner: batch
-  sizes and per-shard RNG seed material depend only on the batch and the
-  session seed, **never** on the worker count, which is what makes
-  ``connect(seed=N)`` results bit-identical for any ``workers`` setting;
+* :mod:`repro.parallel.shards` — the ``workers`` knob's validator and
+  its resolution to a worker count (``"auto"`` → usable CPUs);
 * :mod:`repro.parallel.pool` — process-pool lifecycle: fork-based worker
   pools with task payloads pickled through the call queue, and graceful
   degradation — a worker crash, a pickle failure, or a platform without
   ``fork`` falls back to in-process execution with the reason recorded;
-* :mod:`repro.parallel.reducer` — deterministic merging of per-shard
-  results (sample counts, compiled distributions, statistics deltas), so
-  the merged answer is independent of shard completion order.
+* :mod:`repro.parallel.reducer` — deterministic merging of per-chunk
+  statistics, so the merged answer is independent of completion order.
 
 The user-facing knob is ``workers`` (``int | "auto"``, default serial),
 threaded from :meth:`repro.session.Session.run` through
@@ -32,23 +28,14 @@ from repro.parallel.pool import (
     execute,
     fork_available,
 )
-from repro.parallel.reducer import merge_counts, merge_stat_sums
-from repro.parallel.shards import (
-    DEFAULT_SHARD_SIZE,
-    plan_shards,
-    resolve_workers,
-    spawn_seeds,
-)
+from repro.parallel.reducer import merge_stat_sums
+from repro.parallel.shards import resolve_workers
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "ParallelUnavailable",
     "SharedPool",
     "execute",
     "fork_available",
-    "merge_counts",
     "merge_stat_sums",
-    "plan_shards",
     "resolve_workers",
-    "spawn_seeds",
 ]

@@ -1,30 +1,20 @@
-"""Deterministic reduction of per-shard results.
+"""Deterministic reduction of per-chunk results.
 
-Workers return partial results keyed by answer tuples (sample counts) or
-by normalized annotations (compiled distributions).  The reducers here
-merge them in *shard order* — the order of the deterministic shard plan,
-not the order shards happened to finish — so the merged value, including
-dict iteration order, is identical for any worker count.
+Workers return partial statistics per chunk of a fan-out; the reducer
+here merges them in *chunk order* — the order of the payloads, not the
+order chunks happened to finish — so the merged value is identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-__all__ = ["merge_counts", "merge_stat_sums"]
-
-
-def merge_counts(shard_counts: Iterable[Mapping]) -> dict:
-    """Sum per-key integer counts across shards, in shard order."""
-    merged: dict = {}
-    for counts in shard_counts:
-        for key, count in counts.items():
-            merged[key] = merged.get(key, 0) + count
-    return merged
+__all__ = ["merge_stat_sums"]
 
 
 def merge_stat_sums(infos: Iterable[Mapping], keys: tuple) -> dict:
-    """Sum the named numeric diagnostics across per-shard info dicts."""
+    """Sum the named numeric diagnostics across per-chunk info dicts."""
     totals = dict.fromkeys(keys, 0)
     for info in infos:
         for key in keys:

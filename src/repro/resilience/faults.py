@@ -43,9 +43,9 @@ Fault-point catalogue (instrumented in this codebase):
 ``engine.sprout.row``       per result row, before compiling its probability
 ``engine.approx.round``     per approximate refinement round
 ``engine.montecarlo.round`` per Monte-Carlo doubling round
-``engine.montecarlo.world`` per sample of the per-world loop (bag semantics,
-                            kernels off, inexact aggregates); batched runs
-                            valuate whole chunks and never pass it
+``engine.montecarlo.world`` per sample of the per-world loop (kernels off,
+                            inexact aggregates); batched runs valuate
+                            whole chunks and never pass it
 ``server.http.request``     per HTTP ``POST /query`` dispatch
 ``server.tcp.line``         per TCP request line dispatch
 ``server.codec.encode``     per result encoded onto the wire

@@ -152,35 +152,44 @@ def ssum_of(terms):
 class TestBatchedValuation:
     """``evaluate_batch`` is ``evaluate`` over all worlds at once."""
 
-    def worlds(self, names):
+    #: Each variable's support under ℕ: multiplicities, zero included.
+    BAG = (0, 1, 2, 3)
+
+    def assert_matches_evaluate(self, expr, semiring=BOOLEAN):
         import itertools
 
-        return list(itertools.product([False, True], repeat=len(names)))
+        import numpy
 
-    def assert_matches_evaluate(self, expr):
         from repro.algebra.semimodule import ModuleExpr
         from repro.algebra.valuation import (
             batch_exact,
             batch_values,
             evaluate_batch,
+            support_column,
         )
 
-        assert batch_exact(expr)
         names = sorted(expr.variables)
-        worlds = self.worlds(names)
-        import numpy
-
+        support = (False, True) if semiring.is_boolean else self.BAG
+        maxima = None if semiring.is_boolean else dict.fromkeys(names, 3)
+        assert batch_exact(expr, maxima)
+        worlds = list(itertools.product(range(len(support)), repeat=len(names)))
+        column_of = support_column(support, semiring)
         presence = {
-            name: numpy.array([world[i] for world in worlds])
+            name: column_of[numpy.array([world[i] for world in worlds])]
             for i, name in enumerate(names)
         }
-        column = evaluate_batch(expr, presence, len(worlds), {})
+        column = evaluate_batch(expr, presence, len(worlds), {}, semiring)
         if isinstance(expr, ModuleExpr):
             column = batch_values(expr, column)
         else:
             column = column.tolist()
         expected = [
-            evaluate(expr, dict(zip(names, world)), BOOLEAN) for world in worlds
+            evaluate(
+                expr,
+                {name: support[i] for name, i in zip(names, world)},
+                semiring,
+            )
+            for world in worlds
         ]
         assert column == expected
         assert [type(v) for v in column] == [type(v) for v in expected]
@@ -226,3 +235,114 @@ class TestBatchedValuation:
         assert not batch_exact(agg(CappedSumMonoid(9), 4, -1))  # fold order
         assert not batch_exact(agg(PROD, 2, 3))
         assert not batch_exact(compare(agg(SUM, 0.5, 0.25), "<=", 1) * Var("x"))
+
+    @pytest.mark.parametrize("semiring", [BOOLEAN, NATURALS], ids=["B", "N"])
+    def test_semiring_columns_keep_the_carrier_type(self, semiring):
+        """One operator set serves both semirings, and the 𝔹 path stays
+        bool-typed: ``+``/``*`` on bool columns are ``|``/``&``."""
+        import numpy
+
+        from repro.algebra.valuation import evaluate_batch, support_column
+
+        x, y = Var("x"), Var("y")
+        column = support_column((0, 1), semiring)
+        presence = {
+            "x": column[numpy.array([0, 1, 1])],
+            "y": column[numpy.array([1, 0, 1])],
+        }
+        dtype = bool if semiring.is_boolean else numpy.int64
+        for expr in (x + y, x * y, compare(x, "!=", y) + ONE, SConst(1) * x):
+            assert evaluate_batch(expr, presence, 3, {}, semiring).dtype == dtype
+        assert evaluate_batch(x + y, presence, 3, {}, semiring).tolist() == (
+            [True, True, True] if semiring.is_boolean else [1, 1, 2]
+        )
+
+    def test_bag_semiring_expressions(self):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        self.assert_matches_evaluate(x * y + z, NATURALS)
+        self.assert_matches_evaluate((x + y) * (y + z) * ONE, NATURALS)
+        # [Φ θ Ψ] is 0/1 and adds as a multiplicity, not as a truth value.
+        twice = compare(x, ">=", SConst(1)) + compare(y, "!=", ZERO)
+        self.assert_matches_evaluate(twice * z, NATURALS)
+
+    def test_bag_aggregates_scale_by_multiplicity(self):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        total = aggsum(SUM, [tensor(x * y, MConst(SUM, 3)),
+                             tensor(z, MConst(SUM, 4)), MConst(SUM, 1)])
+        self.assert_matches_evaluate(total, NATURALS)  # n·m, ints stay ints
+        low = aggsum(MIN, [tensor(x, MConst(MIN, 5)), tensor(y + z, MConst(MIN, 2))])
+        self.assert_matches_evaluate(low, NATURALS)  # presence n > 0 only
+        self.assert_matches_evaluate(
+            compare(total, "<=", 20) * compare(low, ">", 2), NATURALS
+        )
+
+    @staticmethod
+    def overflow_case(value):
+        """ℕ's multiplicity bound of ``x⊗value + y⊗1`` with ``x ≤ 2`` and
+        ``y ≤ 1`` is ``2·value + 1``; ``z`` never reaches the answer."""
+        from repro.db.pvc_table import PVCDatabase
+        from repro.prob.variables import VariableRegistry
+        from repro.query.ast import AggSpec, GroupAgg, relation
+
+        registry = VariableRegistry()
+        registry.integer("x", {0: 0.3, 1: 0.3, 2: 0.4})
+        registry.integer("y", {0: 0.5, 1: 0.5})
+        db = PVCDatabase(registry=registry, semiring=NATURALS)
+        table = db.create_table("R", ["a", "v"])
+        table.add((1, value), Var("x"))
+        table.add((1, 1), Var("y"))
+        query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
+        total = aggsum(
+            SUM, [tensor(Var("x"), MConst(SUM, value)),
+                  tensor(Var("y"), MConst(SUM, 1))]
+        )
+        return db, query, total
+
+    def test_bag_sum_just_under_the_overflow_guard_is_batched(self, numpy_kernels):
+        from repro.algebra.valuation import batch_exact
+        from repro.engine.montecarlo import MonteCarloEngine
+
+        db, query, total = self.overflow_case(2**51 - 1)  # bound 2**52 - 1
+        assert batch_exact(total, {"x": 2, "y": 1})
+        result = MonteCarloEngine(db, seed=4).run(query, samples=300)
+        assert result.stats["batched"] is True
+        engine = MonteCarloEngine(db, seed=4)
+        drawn = engine._sample_index_columns(["x", "y"], 300)
+        assert engine._batched_counts(query, drawn, 300) == (
+            engine._per_world_counts(query, ["R"], drawn, 300)[0]
+        )
+
+    def test_bag_sum_just_over_the_overflow_guard_takes_the_loop(
+        self, numpy_kernels
+    ):
+        from unittest import mock
+
+        from repro.algebra.valuation import batch_exact
+        from repro.engine import montecarlo
+        from repro.engine.montecarlo import MonteCarloEngine
+
+        db, query, total = self.overflow_case(2**51)  # bound 2**52 + 1
+        assert not batch_exact(total, {"x": 2, "y": 1})
+        assert batch_exact(total)  # Boolean worlds: 2**51 + 1 fits
+        engine = MonteCarloEngine(db, seed=4)
+        assert engine._run_context(query).symbolic is None
+        result = MonteCarloEngine(db, seed=4).run(query, samples=300)
+        assert result.stats["batched"] is False
+        drawn = engine._sample_index_columns(["x", "y"], 300)  # the run's
+        loop, _ = engine._per_world_counts(query, ["R"], drawn, 300)
+        assert result.tuple_probabilities() == {
+            values: count / 300 for values, count in loop.items()
+        }
+        # Just past the guard float64 is still exact, so the batch forced
+        # past it counts what the loop counts.
+        with mock.patch.object(montecarlo, "batch_exact", lambda *_: True):
+            assert engine._batched_counts(query, drawn, 300) == loop
+
+    def test_bag_multiplicities_past_the_guard_are_refused(self):
+        from repro.algebra.valuation import batch_exact
+
+        x, y = Var("x"), Var("y")
+        assert batch_exact(x * y, {"x": 2**26, "y": 2**26})
+        assert not batch_exact(x * y, {"x": 2**26, "y": 2**26 + 1})
+        assert not batch_exact(x + y, {"x": 2**52})
+        assert batch_exact(compare(x * y, ">", ZERO), {"x": 2**26, "y": 2**26})

@@ -40,9 +40,9 @@ def algorithm1_verbatim():
 
 @pytest.fixture
 def per_world_monte_carlo():
-    """:func:`kernels_off` for the test (forked shard workers inherit
-    it): Monte-Carlo has no batch evaluator, so every run takes the
-    per-world loop — the one path ``workers`` shards."""
+    """:func:`kernels_off` for the test: Monte-Carlo has no batch
+    evaluator, so every run takes the per-world loop — the fallback and
+    oracle the batched path is checked against."""
     with kernels_off():
         yield
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.algebra.expressions import Var
-from repro.algebra.semiring import BOOLEAN
+from repro.algebra.monoid import SUM
+from repro.algebra.semimodule import MConst
+from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
@@ -194,6 +196,72 @@ class TestBatchedSampler:
         assert result.stats["batched"] is False
         assert all(v in (2**53 + 1, 2**53 + 2) for (_, v) in estimate)
 
+    def test_prod_takes_generic_path(self):
+        """PROD has no batched form; its aggregate runs world by world."""
+        db = simple_db()
+        query = GroupAgg(relation("R"), ["a"], [AggSpec.of("p", "PROD", "v")])
+        result = MonteCarloEngine(db, seed=1).run(query, samples=4000)
+        assert result.stats["batched"] is False
+        estimate = result.tuple_probabilities()
+        exact = NaiveEngine(db).tuple_probabilities(query)
+        for key, p in exact.items():
+            assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.04)
+
+    def test_bag_semantics_is_batched(self):
+        """ℕ valuates in batch like 𝔹 — a valuation is a homomorphism
+        into any semiring: a join + grouped SUM under bag semantics
+        counts exactly what the per-world loop counts on the same draws."""
+        registry = VariableRegistry()
+        db = PVCDatabase(registry=registry, semiring=NATURALS)
+        fact = db.create_table("fact", ["k", "v"])
+        for i in range(6):
+            registry.integer(f"m{i}", {0: 0.3, 1: 0.4, 2: 0.3})
+            registry.integer(f"q{i}", {0: 0.4, 1: 0.6})
+            fact.add((i % 3, i + 1), Var(f"m{i}") * Var(f"q{i}"))
+        dim = db.create_table("dim", ["dk", "cat"])
+        for k in range(3):
+            dim.add((k, k % 2))
+        join = Select(product_of(relation("fact"), relation("dim")), eq("k", "dk"))
+        query = GroupAgg(
+            Project(join, ["cat", "v"]), ["cat"], [AggSpec.of("t", "SUM", "v")]
+        )
+        result = MonteCarloEngine(db, seed=5).run(query, samples=2000)
+        assert result.stats["batched"] is kernels.numpy_enabled()
+        engine = MonteCarloEngine(db, seed=5)
+        drawn = engine._sample_index_columns(
+            sorted(fact.variables), 2000
+        )  # the run's draws
+        per_world, _ = engine._per_world_counts(
+            query, ["fact", "dim"], drawn, 2000
+        )
+        assert engine._batched_counts(query, drawn, 2000) == per_world
+        assert result.tuple_probabilities() == {
+            values: count / 2000 for values, count in per_world.items()
+        }
+
+    def test_stored_semimodule_values_are_read_from_table_facts(self):
+        """Whether a read table stores semimodule values is a fact its
+        write path keeps: a warm run looks at no row to decide."""
+        db = two_table_db()
+        table = db.tables["R"]
+        engine = MonteCarloEngine(db, seed=1)
+        prepared = engine._prepare(relation("R"))
+        assert engine._symbolic_rows(prepared) is not None  # warms the scan
+        reads = []
+
+        class WatchedRows(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        table.rows = WatchedRows(table.rows)
+        assert engine._symbolic_rows(prepared) is not None
+        assert reads == []
+        table.add((3, MConst(SUM, 5)))  # constant: no variable inside
+        assert engine._symbolic_rows(engine._prepare(relation("R"))) is None
+        db.delete("R", {"a": 3})
+        assert engine._symbolic_rows(engine._prepare(relation("R"))) is not None
+
     def test_repeated_worlds_are_memoised(self):
         db = simple_db()  # two variables: only four distinct worlds
         engine = MonteCarloEngine(db, seed=8)
@@ -226,55 +294,65 @@ class TestBatchedSampler:
         assert all(values[-1] <= 12 for values in batched)
 
 
+def spec_for(workers, **fields):
+    """``EvalSpec(workers=workers, **fields)``, or no spec at all for a
+    bare ``workers=None`` (the all-defaults spec is an exact request)."""
+    if workers is None and not fields:
+        return None
+    return EvalSpec(workers=workers, **fields)
+
+
 @pytest.mark.usefixtures("per_world_monte_carlo")
-class TestShardedSampler:
-    """The deterministic sharded scheme behind the ``workers`` knob —
-    the per-world loop's; the batched path ignores ``workers``."""
+class TestWorkersKnob:
+    """``workers`` is accepted and ignored: no evaluator shards, so every
+    value returns the ``workers=None`` answer — here on the per-world
+    loop, the batched path ignores it the same way."""
 
     def test_counts_identical_across_worker_counts(self):
         db = two_table_db()
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
         estimates = [
-            MonteCarloEngine(db, seed=7).tuple_probabilities(
-                query, 2000, workers=workers
-            )
-            for workers in (1, 2, 4, "auto")
+            MonteCarloEngine(db, seed=7)
+            .run(query, spec_for(workers), samples=2000)
+            .tuple_probabilities()
+            for workers in (None, 1, 2, 4, "auto")
         ]
         assert all(estimate == estimates[0] for estimate in estimates)
 
-    def test_correlated_annotations_shard_identically(self):
+    def test_correlated_annotations_identical_across_worker_counts(self):
         db = simple_db()
         db.tables["R"].add((2, 30), Var("x") * Var("y"))
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
-        first = MonteCarloEngine(db, seed=3).tuple_probabilities(
-            query, 1200, workers=1
-        )
-        second = MonteCarloEngine(db, seed=3).tuple_probabilities(
-            query, 1200, workers=3
+        first = MonteCarloEngine(db, seed=3).tuple_probabilities(query, 1200)
+        second = (
+            MonteCarloEngine(db, seed=3)
+            .run(query, EvalSpec(workers=3), samples=1200)
+            .tuple_probabilities()
         )
         assert first == second
 
-    def test_sharded_runs_are_seed_reproducible(self):
+    def test_runs_are_seed_reproducible_at_any_worker_count(self):
         db = two_table_db()
         query = relation("R")
-        first = MonteCarloEngine(db, seed=11).tuple_probabilities(
-            query, 1000, workers=2
-        )
-        second = MonteCarloEngine(db, seed=11).tuple_probabilities(
-            query, 1000, workers=2
-        )
-        assert first == second
-        third = MonteCarloEngine(db, seed=12).tuple_probabilities(
-            query, 1000, workers=2
-        )
-        assert first != third
 
-    def test_sharded_estimates_converge_to_exact(self):
+        def estimate(seed):
+            return (
+                MonteCarloEngine(db, seed=seed)
+                .run(query, EvalSpec(workers=2), samples=1000)
+                .tuple_probabilities()
+            )
+
+        assert estimate(11) == estimate(11)
+        assert estimate(11) != estimate(12)
+
+    def test_estimates_converge_to_exact_at_any_worker_count(self):
         db = simple_db()
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("m", "MIN", "v")])
         exact = NaiveEngine(db).tuple_probabilities(query)
-        estimate = MonteCarloEngine(db, seed=3).tuple_probabilities(
-            query, 5000, workers=2
+        estimate = (
+            MonteCarloEngine(db, seed=3)
+            .run(query, EvalSpec(workers=2), samples=5000)
+            .tuple_probabilities()
         )
         for key, p in exact.items():
             assert estimate.get(key, 0.0) == pytest.approx(p, abs=0.03)
@@ -286,47 +364,46 @@ class TestShardedSampler:
         legacy = MonteCarloEngine(db, seed=5).tuple_probabilities(
             relation("R"), 400
         )
-        explicit = MonteCarloEngine(db, seed=5).tuple_probabilities(
-            relation("R"), 400, workers=None
+        explicit = MonteCarloEngine(db, seed=5).run(
+            relation("R"), samples=400
         )
-        assert legacy == explicit
+        assert legacy == explicit.tuple_probabilities()
 
-    def test_run_stats_report_sharding(self):
-        db = two_table_db()
-        engine = MonteCarloEngine(db, seed=2)
-        stats = engine.run(
-            relation("R"), samples=2048, spec=EvalSpec(workers=2)
+    @pytest.mark.parametrize("mode", [None, "sample"])
+    def test_run_stats_report_no_pool(self, mode):
+        fields = {} if mode is None else {"mode": mode, "epsilon": 0.1}
+        stats = MonteCarloEngine(two_table_db(), seed=2).run(
+            relation("R"), spec_for(2, **fields)
         ).stats
-        assert stats["shards"] == 4  # DEFAULT_SHARD_SIZE is 512
-        assert stats["workers"] == 2
-        assert "parallel_fallback" not in stats
+        assert stats["batched"] is False
+        assert not {"workers", "shards", "parallel_fallback"} & set(stats)
 
     def test_sequential_stopping_trajectory_identical_across_workers(self):
         db = simple_db()
         trajectories = []
-        for workers in (1, 2):
+        for workers in (None, 1, 2):
             engine = MonteCarloEngine(db, seed=19)
             trajectory = [
                 (
-                    {key: (i.low, i.high) for key, i in intervals.items()},
-                    info["samples"],
+                    {
+                        row.values: (row.probability().low, row.probability().high)
+                        for row in snapshot
+                    },
+                    snapshot.stats["samples"],
                 )
-                for intervals, info in engine.estimate_intervals_iter(
-                    relation("R"),
-                    epsilon=0.05,
-                    initial_batch=128,
-                    workers=workers,
+                for snapshot in engine.run_iter(
+                    relation("R"), spec_for(workers, mode="sample")
                 )
             ]
             trajectories.append(trajectory)
-        assert trajectories[0] == trajectories[1]
+        assert trajectories[0] == trajectories[1] == trajectories[2]
 
     def test_invalid_workers_rejected(self):
         from repro.errors import QueryValidationError
 
         with pytest.raises(QueryValidationError, match="workers"):
-            MonteCarloEngine(simple_db()).tuple_probabilities(
-                relation("R"), 100, workers=0
+            MonteCarloEngine(simple_db()).run(
+                relation("R"), EvalSpec(workers=0), samples=100
             )
 
 
@@ -404,8 +481,9 @@ class TestSwitchIsReadOncePerRun:
         for i in range(4):
             registry.bernoulli(f"s{i}", 0.9)
             table.add((i,), Var(f"s{i}"))
-        rounds = MonteCarloEngine(db, seed=13).estimate_intervals_iter(
-            relation("R"), epsilon=0.02, delta=0.05, workers=workers
+        rounds = MonteCarloEngine(db, seed=13).run_iter(
+            relation("R"),
+            EvalSpec(mode="sample", epsilon=0.02, delta=0.05, workers=workers),
         )
         previous = kernels.set_numpy_enabled(start_on)
         try:
@@ -414,9 +492,11 @@ class TestSwitchIsReadOncePerRun:
             seen.extend(rounds)
         finally:
             kernels.set_numpy_enabled(previous)
-        assert all(info["batched"] is start_on for _, info in seen)
-        assert seen[-1][1]["converged"]
-        return [intervals for intervals, _ in seen]
+        assert all(result.stats["batched"] is start_on for result in seen)
+        assert seen[-1].stats["converged"]
+        return [
+            {row.values: row.probability() for row in result} for result in seen
+        ]
 
     @pytest.mark.parametrize("workers", [None, 1])
     @pytest.mark.parametrize("start_on", [False, True])
@@ -471,22 +551,12 @@ class TestSeededStreamsArePinned:
     JOIN_SEQUENTIAL = Project(JOIN, ["k", "cat"])
     TI_BATCHED = GroupAgg(relation("T"), ["a"], [AggSpec.of("t", "SUM", "v")])
 
-    #: ``workers`` → counts out of 200 worlds, seed 11.
-    FIXED = {
-        None: {(0, 1): 35, (0, 2): 58, (0, 3): 36, (1, 1): 60},
-        2: {(0, 1): 19, (0, 2): 76, (0, 3): 26, (1, 1): 62},
-    }
-    TI = {
-        None: {(0, 1): 117, (1, 1): 40, (1, 2): 51, (1, 3): 32},
-        2: {(0, 1): 130, (1, 1): 55, (1, 2): 57, (1, 3): 28},
-    }
-    #: ``workers`` → intervals when ε = 0.2 stops (after 256 worlds).
-    SEQUENTIAL = {
-        None: {(1, 1): (0.266886473, 0.412794468),
-               (2, 0): (0.587205532, 0.733113527)},
-        2: {(1, 1): (0.270498493, 0.416809093),
-            (2, 0): (0.567185819, 0.715000019)},
-    }
+    #: Counts out of 200 worlds, seed 11.
+    FIXED = {(0, 1): 35, (0, 2): 58, (0, 3): 36, (1, 1): 60}
+    TI = {(0, 1): 117, (1, 1): 40, (1, 2): 51, (1, 3): 32}
+    #: Intervals when ε = 0.2 stops (after 256 worlds).
+    SEQUENTIAL = {(1, 1): (0.266886473, 0.412794468),
+                  (2, 0): (0.587205532, 0.733113527)}
 
     @pytest.fixture(autouse=True)
     def python_streams(self):
@@ -494,23 +564,26 @@ class TestSeededStreamsArePinned:
         yield
         kernels.set_numpy_enabled(previous)
 
-    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_estimates_equal_the_recorded_ones(self, workers):
+        """Every ``workers`` value reproduces the recorded serial stream."""
         db = self.database()
         for query, recorded in (
             (self.JOIN_FIXED, self.FIXED), (self.TI_BATCHED, self.TI)
         ):
-            estimate = MonteCarloEngine(db, seed=11).tuple_probabilities(
-                query, 200, workers=workers
+            estimate = MonteCarloEngine(db, seed=11).run(
+                query, spec_for(workers), samples=200
             )
-            assert {k: round(p * 200) for k, p in estimate.items()} == (
-                recorded[workers]
-            )
-        intervals, info = MonteCarloEngine(db, seed=11).estimate_intervals(
-            self.JOIN_SEQUENTIAL, epsilon=0.2, delta=0.05, workers=workers
+            assert {
+                row.values: round(row.probability() * 200) for row in estimate
+            } == recorded
+        result = MonteCarloEngine(db, seed=11).run(
+            self.JOIN_SEQUENTIAL,
+            EvalSpec(mode="sample", epsilon=0.2, delta=0.05, workers=workers),
         )
-        assert info["samples"] == 256
-        assert set(intervals) == set(self.SEQUENTIAL[workers])
-        for key, (low, high) in self.SEQUENTIAL[workers].items():
+        assert result.stats["samples"] == 256
+        intervals = {row.values: row.probability() for row in result}
+        assert set(intervals) == set(self.SEQUENTIAL)
+        for key, (low, high) in self.SEQUENTIAL.items():
             assert intervals[key].low == pytest.approx(low, abs=1e-8)
             assert intervals[key].high == pytest.approx(high, abs=1e-8)

@@ -172,7 +172,7 @@ class TestProbIntervalSerialization:
             assert float(clone) == float(interval)
 
     def test_pickle_nested_in_interval_dicts(self):
-        """The shape the sharded Monte-Carlo estimator returns."""
+        """The shape the sequential-stopping estimator returns."""
         import pickle
 
         payload = {

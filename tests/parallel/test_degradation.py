@@ -4,18 +4,22 @@ Every scenario asserts the same contract: when the parallel layer cannot
 run (worker crash, un-picklable payload, missing fork), the engine falls
 back to serial execution, records the reason in
 ``stats["parallel_fallback"]``, and still returns exactly the answer the
-serial engine computes.  The two seams that open a pool are sprout's
-step II and Monte-Carlo's per-world loop.
+serial engine computes.  The one seam that opens a pool is sprout's
+step II; the other engines never open one, so a broken pool cannot
+touch them.
 """
 
 import pickle
+from contextlib import nullcontext
 
 import pytest
 
-from repro import connect, count_
+from repro import NATURALS, connect, count_
 from repro.algebra.expressions import Var
 from repro.parallel import pool
 from repro.parallel.pool import ParallelUnavailable
+
+from tests.conftest import kernels_off
 
 
 @pytest.fixture
@@ -44,49 +48,6 @@ def _broken_pool(monkeypatch, reason):
         raise ParallelUnavailable(reason, "simulated")
 
     monkeypatch.setattr(pool, "_gather", broken)
-
-
-@pytest.mark.usefixtures("per_world_monte_carlo")
-class TestMonteCarloDegradation:
-    def test_simulated_crash_falls_back_and_matches_serial(
-        self, monkeypatch, session
-    ):
-        query = session.table("R").select("kind")
-        serial = session.run(
-            query, engine="montecarlo", samples=2000, workers=1
-        )
-        _broken_pool(monkeypatch, "worker_crash")
-        crashed_session = connect(seed=3, database=session.db)
-        degraded = crashed_session.run(
-            query, engine="montecarlo", samples=2000, workers=2
-        )
-        assert degraded.stats["parallel_fallback"] == "worker_crash"
-        assert degraded.stats["workers"] == 1
-        assert _probs(degraded) == _probs(serial)
-
-    def test_sequential_stopping_records_fallback(self, monkeypatch, session):
-        # ε small enough that the doubling rounds reach multi-shard
-        # batches, where the pool actually engages (and here, "fails").
-        serial = connect(seed=9, database=session.db).engine(
-            "montecarlo"
-        ).estimate_intervals(
-            session.table("R").select("kind").build(),
-            epsilon=0.05,
-            workers=1,
-        )
-        _broken_pool(monkeypatch, "pickle_error")
-        degraded = connect(seed=9, database=session.db).engine(
-            "montecarlo"
-        ).estimate_intervals(
-            session.table("R").select("kind").build(),
-            epsilon=0.05,
-            workers=4,
-        )
-        assert degraded[1]["parallel_fallback"] == "pickle_error"
-        assert degraded[0] == serial[0]
-        assert {
-            key: (i.low, i.high) for key, i in degraded[0].items()
-        } == {key: (i.low, i.high) for key, i in serial[0].items()}
 
 
 class _UnpicklableVar(Var):
@@ -136,7 +97,7 @@ class TestCompilationDegradation:
 
 
 class TestSeamsWithoutAPool:
-    """``workers=`` off the two seams: a broken pool cannot be noticed,
+    """``workers=`` off sprout's seam: a broken pool cannot be noticed,
     because none is opened."""
 
     def test_approx_never_opens_a_pool(self, monkeypatch, session):
@@ -152,18 +113,34 @@ class TestSeamsWithoutAPool:
     @pytest.mark.parametrize(
         "options", [{"samples": 2000}, {"epsilon": 0.05}], ids=["fixed", "sequential"]
     )
-    def test_batched_montecarlo_never_opens_a_pool(
-        self, monkeypatch, session, numpy_kernels, options
+    @pytest.mark.parametrize("setting", ["batched", "kernels_off", "naturals"])
+    def test_montecarlo_never_opens_a_pool(
+        self, monkeypatch, session, numpy_kernels, setting, options
     ):
-        query = session.table("R").select("kind")
-        serial = connect(seed=9, database=session.db).run(
-            query, engine="montecarlo", **options
-        )
-        assert serial.stats["batched"] is True
+        """Batched, on the per-world loop (kernels off) and under bag
+        semantics alike: ``workers=`` changes nothing, and a pool that
+        would crash is never reached."""
+        db = session.db
+        if setting == "naturals":
+            bag = connect(semiring=NATURALS)
+            bag.registry.integer("m", {0: 0.3, 1: 0.3, 2: 0.4})
+            bag.registry.integer("n", {0: 0.5, 3: 0.5})
+            table = bag.table("R", ["kind", "value"])
+            table.insert(("a", 10), annotation=Var("m"))
+            table.insert(("b", 20), annotation=Var("m") * Var("n"))
+            db = bag.db
+        query = connect(database=db).table("R").select("kind")
+
+        def run(**workers):
+            with kernels_off() if setting == "kernels_off" else nullcontext():
+                return connect(seed=9, database=db).run(
+                    query, engine="montecarlo", **workers, **options
+                )
+
+        serial = run()
+        assert serial.stats["batched"] is (setting != "kernels_off")
         _broken_pool(monkeypatch, "worker_crash")
-        ignored = connect(seed=9, database=session.db).run(
-            query, engine="montecarlo", workers=2, **options
-        )
+        ignored = run(workers=2)
         assert "parallel_fallback" not in ignored.stats
         assert "workers" not in ignored.stats
         assert _probs(ignored) == _probs(serial)
@@ -177,10 +154,11 @@ class TestNoForkPlatforms:
         query = session.table("R").group_by("kind").agg(n=count_())
         result = session.run(query, engine="sprout", workers=2)
         assert result.stats["parallel_fallback"] == "no_fork"
+        # Monte-Carlo's per-world loop is serial: no pool, nothing to miss.
         mc = connect(seed=5, database=session.db).run(
             session.table("R").select("kind"),
             engine="montecarlo",
             samples=2000,
             workers=2,
         )
-        assert mc.stats["parallel_fallback"] == "no_fork"
+        assert "parallel_fallback" not in mc.stats

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.parallel import pool
-from repro.parallel.reducer import merge_counts, merge_stat_sums
+from repro.parallel.reducer import merge_stat_sums
 
 
 def _double(context, payload):
@@ -116,15 +116,6 @@ def lambda_tolerant_worker(context, payload):
 
 
 class TestReducers:
-    def test_merge_counts_sums_in_shard_order(self):
-        merged = merge_counts([{"a": 1, "b": 2}, {"b": 3, "c": 4}, {}])
-        assert merged == {"a": 1, "b": 5, "c": 4}
-        assert list(merged) == ["a", "b", "c"]  # first-seen order
-
-    def test_merge_counts_is_order_deterministic(self):
-        shards = [{("x",): 1}, {("y",): 2}, {("x",): 3}]
-        assert list(merge_counts(shards)) == [("x",), ("y",)]
-
     def test_merge_stat_sums(self):
         infos = [{"expansions": 3, "rows": 1}, {"expansions": 5}]
         assert merge_stat_sums(infos, ("expansions", "rows")) == {

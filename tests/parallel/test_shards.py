@@ -1,14 +1,9 @@
-"""The deterministic shard planner and seed derivation."""
+"""The ``workers`` knob's resolution to a worker count."""
 
 import pytest
 
 from repro.errors import QueryValidationError
-from repro.parallel.shards import (
-    DEFAULT_SHARD_SIZE,
-    plan_shards,
-    resolve_workers,
-    spawn_seeds,
-)
+from repro.parallel.shards import resolve_workers
 
 
 class TestResolveWorkers:
@@ -26,49 +21,3 @@ class TestResolveWorkers:
     def test_junk_rejected(self, bad):
         with pytest.raises(QueryValidationError):
             resolve_workers(bad)
-
-
-class TestPlanShards:
-    def test_exact_multiple(self):
-        assert plan_shards(1024, 256) == [256, 256, 256, 256]
-
-    def test_remainder_becomes_last_shard(self):
-        assert plan_shards(600, 256) == [256, 256, 88]
-
-    def test_small_batch_is_one_shard(self):
-        assert plan_shards(100, 256) == [100]
-
-    def test_empty_batch(self):
-        assert plan_shards(0, 256) == []
-
-    def test_default_size(self):
-        assert plan_shards(DEFAULT_SHARD_SIZE + 1) == [DEFAULT_SHARD_SIZE, 1]
-
-    def test_plan_never_depends_on_worker_count(self):
-        # There is no workers argument at all: the signature is the
-        # guarantee.  The plan is a pure function of (total, shard_size).
-        assert plan_shards(5000, 512) == plan_shards(5000, 512)
-
-    def test_validation(self):
-        with pytest.raises(QueryValidationError):
-            plan_shards(-1, 256)
-        with pytest.raises(QueryValidationError):
-            plan_shards(10, 0)
-
-
-class TestSpawnSeeds:
-    def test_deterministic(self):
-        assert spawn_seeds(42, 5) == spawn_seeds(42, 5)
-
-    def test_prefix_stable(self):
-        # Growing the shard count extends the seed list without
-        # disturbing earlier shards' streams.
-        assert spawn_seeds(42, 8)[:5] == spawn_seeds(42, 5)
-
-    def test_distinct_across_shards_and_tokens(self):
-        seeds = spawn_seeds(7, 64)
-        assert len(set(seeds)) == 64
-        assert set(seeds).isdisjoint(spawn_seeds(8, 64))
-
-    def test_64_bit_range(self):
-        assert all(0 <= seed < 2**64 for seed in spawn_seeds(123, 32))

@@ -1,7 +1,8 @@
 """Property: what a table keeps about its rows equals a fresh look at them.
 
-``tuple_independent_relations`` and ``PVCTable.variables`` no longer read
-rows — each table's write path keeps the counts they need.  The state
+``tuple_independent_relations``, ``PVCTable.variables`` and Monte-Carlo's
+"semimodule values stored in a base table" check no longer read rows —
+each table's write path keeps the counts they need.  The state
 machine below drives every way rows get into, change in, or leave a
 table (including writes that bypass the database, tables registered
 pre-filled, aliases sharing variables, and in-place edits followed by
@@ -63,6 +64,15 @@ def scanned_tuple_independent_relations(db: PVCDatabase) -> set[str]:
     }
 
 
+def scanned_module_values(table: PVCTable) -> bool:
+    """Monte-Carlo's per-run check before ``TableFacts.module_rows``."""
+    return any(
+        isinstance(value, ModuleExpr)
+        for row in table.rows
+        for value in row.values
+    )
+
+
 def scanned_variables(table: PVCTable) -> frozenset:
     names: frozenset = frozenset()
     for row in table.rows:
@@ -122,6 +132,11 @@ class IndependenceFacts(RuleBasedStateMachine):
     @rule(name=tables, k=keys, v=payloads, annotation=annotations)
     def add_directly(self, name, k, v, annotation):
         self.db[name].add((k, v), annotation)
+
+    @rule(name=tables, k=keys, n=st.integers(min_value=1, max_value=9))
+    def add_constant_semimodule_value(self, name, k, n):
+        # No variable inside: only ``module_rows`` can see this row.
+        self.db[name].add((k, MConst(SUM, n)))
 
     @rule(name=tables, k=keys, v=payloads, p=st.none() | probabilities)
     def insert(self, name, k, v, p):
@@ -216,6 +231,9 @@ class IndependenceFacts(RuleBasedStateMachine):
         )
         for table in self.db.tables.values():
             assert table.variables == scanned_variables(table)
+            assert bool(table.facts().module_rows) == (
+                scanned_module_values(table)
+            )
         assert self.db.variables == frozenset().union(
             *(scanned_variables(t) for t in self.db.tables.values())
         )

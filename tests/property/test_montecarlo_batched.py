@@ -7,7 +7,8 @@ drawn columns the two must count identically — same answer tuples, same
 Python value types, same counts — for every query shape of
 ``strategies.queries()``, over databases with correlated annotations
 (sums and products of shared variables), certain rows and rows stored
-with duplicate values.  The batched path is never compared with itself:
+with duplicate values, under set semantics (𝔹) and bag semantics (ℕ,
+multiplicities 0–3).  The batched path is never compared with itself:
 the oracle is ``_per_world_counts`` on the same columns, or
 ``_evaluate_drawn`` on a run context whose batch evaluator is switched
 off.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.algebra.expressions import ONE, Var, sprod, ssum
 from repro.algebra.monoid import MIN, SUM
 from repro.algebra.semimodule import MConst, aggsum, tensor
-from repro.algebra.semiring import BOOLEAN
+from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
 from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
@@ -53,10 +54,23 @@ def correlated_annotations(draw):
 
 @st.composite
 def correlated_databases(draw, max_rows=4):
+    """Rows over one shared pool, under 𝔹 (Bernoulli variables) or ℕ
+    (multiplicities within {0, …, 3})."""
+    semiring = draw(st.sampled_from([BOOLEAN, NATURALS]))
     registry = VariableRegistry()
     for name in POOL:
-        registry.bernoulli(name, draw(probabilities))
-    db = PVCDatabase(registry=registry, semiring=BOOLEAN)
+        if semiring.is_boolean:
+            registry.bernoulli(name, draw(probabilities))
+            continue
+        support = draw(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+        )
+        weights = [draw(st.integers(1, 4)) for _ in support]
+        registry.integer(
+            name,
+            {value: weight / sum(weights) for value, weight in zip(support, weights)},
+        )
+    db = PVCDatabase(registry=registry, semiring=semiring)
     for name, columns in QUERY_TABLES.items():
         table = db.create_table(name, columns)
         for _ in range(draw(st.integers(1, max_rows))):

@@ -6,17 +6,17 @@ pvc-database whose row annotations are independently generated
 aggregation conditions over a shared Bernoulli variable pool.  Three
 properties are checked on every example:
 
-* **Sharded Monte-Carlo determinism** — on the per-world loop, seeded
-  (ε, δ) interval estimation returns *exactly* the same intervals (and
-  the same stopping trajectory) for any worker count, because the shard
-  plan and per-shard RNG streams are worker-count independent.
+* **``workers`` is a no-op on Monte-Carlo** — on the per-world loop
+  (kernels off) as on the batch evaluator, seeded (ε, δ) interval
+  estimation returns *exactly* the same intervals (and the same
+  stopping trajectory) for any worker count, and opens no pool.
 * **Parallel exact compilation soundness** — sprout with a worker pool
   matches the brute-force possible-worlds oracle to 1e-9, and
   fingerprints identically at ``workers=1`` and ``workers=2``, i.e. the
   compile fan-out is a pure execution strategy.
-* **``workers`` is a no-op off those two seams** — the approx engine and
-  batched Monte-Carlo fingerprint identically for ``workers`` ``None``,
-  1 and 2, and report no pool.
+* **``workers`` is a no-op off that seam** — the approx engine and
+  Monte-Carlo fingerprint identically for ``workers`` ``None``, 1 and
+  2, and report no pool.
 """
 
 import pytest
@@ -27,6 +27,7 @@ from repro import connect
 from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.montecarlo import MonteCarloEngine
+from repro.engine.spec import EvalSpec
 from repro.engine.naive import NaiveEngine
 from repro.engine.sprout import SproutEngine
 from repro.prob import kernels
@@ -43,8 +44,8 @@ def condition_databases(draw):
     """A pvc-database with 2-3 rows annotated by random Eq.-11 conditions.
 
     The conditions share one variable pool (correlated rows), which is
-    exactly the shape that exercises the generic per-world Monte-Carlo
-    path and non-trivial d-tree compilation.
+    exactly the shape that exercises Monte-Carlo's valuation of
+    correlated annotations and non-trivial d-tree compilation.
     """
     params = ExprParams(
         left_terms=draw(st.integers(min_value=1, max_value=3)),
@@ -74,34 +75,34 @@ def condition_databases(draw):
 
 
 def _interval_snapshot(db, seed, workers):
-    """A seeded (ε, δ) estimation whose rounds span several shards."""
-    intervals, info = MonteCarloEngine(db, seed=seed).estimate_intervals(
+    """A seeded (ε, δ) estimation over several doubling rounds."""
+    result = MonteCarloEngine(db, seed=seed).run(
         relation("R"),
-        epsilon=0.02,
-        delta=0.1,
-        max_samples=2560,
-        initial_batch=1280,
-        workers=workers,
+        EvalSpec(
+            mode="sample", epsilon=0.02, delta=0.1, budget=2560, workers=workers
+        ),
     )
-    assert info.get("parallel_fallback") is None
+    assert "workers" not in result.stats
+    assert "parallel_fallback" not in result.stats
     return (
-        {key: (i.low, i.high) for key, i in intervals.items()},
-        info["samples"],
-        info["rounds"],
-        info["batched"],
+        {row.values: (row.probability().low, row.probability().high)
+         for row in result},
+        result.stats["samples"],
+        result.stats["rounds"],
+        result.stats["batched"],
     )
 
 
 @settings(max_examples=8, deadline=None)
 @given(db=condition_databases(), seed=st.integers(min_value=0, max_value=999))
 def test_seeded_parallel_mc_intervals_equal_serial_exactly(db, seed):
-    with kernels_off():  # the per-world loop: the path workers= shards
+    with kernels_off():  # the per-world loop, the fallback
         snapshots = {
             workers: _interval_snapshot(db, seed, workers)
-            for workers in (1, 2, 3)
+            for workers in (None, 1, 2, 3)
         }
-    assert snapshots[1][-1] is False
-    assert snapshots[1] == snapshots[2] == snapshots[3]
+    assert snapshots[None][-1] is False
+    assert snapshots[None] == snapshots[1] == snapshots[2] == snapshots[3]
 
 
 @pytest.mark.skipif(
@@ -120,7 +121,7 @@ def test_batched_mc_ignores_workers(db, seed):
         result = connect(database=db, seed=seed).run(
             relation("R"), engine="montecarlo", samples=700, workers=workers
         )
-        assert "workers" not in result.stats and "shards" not in result.stats
+        assert "workers" not in result.stats
         prints.add(fingerprint(result))
     assert len(prints) == 1
 

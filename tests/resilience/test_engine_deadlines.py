@@ -263,11 +263,11 @@ class TestMonteCarloDeadline:
         sizes = []
         valuate = montecarlo.evaluate_batch
 
-        def slow_after_10k_worlds(expr, presence, size, memo):
+        def slow_after_10k_worlds(expr, presence, size, *rest):
             sizes.append(size)
             if len(sizes) > 400:  # 4 answer rows per chunk of 100 worlds
                 time.sleep(0.01)
-            return valuate(expr, presence, size, memo)
+            return valuate(expr, presence, size, *rest)
 
         monkeypatch.setattr(montecarlo, "evaluate_batch", slow_after_10k_worlds)
         limit = 0.1
@@ -287,14 +287,14 @@ class TestMonteCarloDeadline:
         assert max(sizes) <= 100  # peak vector length, whatever the round
 
     def test_world_fault_point_fires_on_the_per_world_path(self):
-        """Bag semantics has no batched form: a NATURALS join still runs
-        world by world, through ``engine.montecarlo.world``, and the
-        round clamp bounds its overshoot."""
-        from repro import NATURALS, connect
+        """PROD has no batched form: a join aggregated by PROD still
+        runs world by world, through ``engine.montecarlo.world``, and
+        the round clamp bounds its overshoot."""
+        from repro import connect
 
-        session = connect(semiring=NATURALS, seed=3)
-        session.registry.integer("m", {1: 0.5, 2: 0.5})
-        session.registry.integer("n", {0: 0.4, 3: 0.6})
+        session = connect(seed=3)
+        session.registry.bernoulli("m", 0.5)
+        session.registry.bernoulli("n", 0.6)
         session.table("A", ["k", "x"]).insert((1, 10), annotation=Var("m"))
         session.table("B", ["j", "y"]).insert((1, 20), annotation=Var("n"))
         limit = 0.1
@@ -304,7 +304,7 @@ class TestMonteCarloDeadline:
         with fault_plan(plan):
             result, elapsed = timed(
                 session.sql,
-                "SELECT x, y FROM A, B WHERE k = j",
+                "SELECT k, PROD(y) FROM A, B WHERE k = j GROUP BY k",
                 engine="montecarlo",
                 mode="sample",
                 epsilon=1e-6,

@@ -149,9 +149,9 @@ class TestAutoSelection:
 # -- the serial-vs-parallel conformance matrix --------------------------------
 
 #: The worker grid of the conformance matrix.  Seeded results must be
-#: identical across all three settings — 1 runs the sharded scheme
-#: inline, 2 runs it on a real process pool, "auto" resolves to the
-#: machine's CPU count.
+#: identical across all three settings — for sprout 1 compiles inline,
+#: 2 on a real process pool, "auto" resolves to the machine's CPU
+#: count; the other engines ignore the knob.
 WORKER_GRID = (1, 2, "auto")
 
 
@@ -199,9 +199,9 @@ def _fingerprint(result):
 class TestSerialParallelConformance:
     """Every engine × workers ∈ {1, 2, "auto"} → identical answers.
 
-    Exact identity — not approximate: the sharded Monte-Carlo scheme and
-    the parallel compilation fan-out are bit-deterministic by
-    construction, so the fingerprints (values, interval low, interval
+    Exact identity — not approximate: the parallel compilation fan-out
+    is bit-deterministic by construction and every other engine ignores
+    ``workers``, so the fingerprints (values, interval low, interval
     high) must match to the last bit.
     """
 
@@ -313,19 +313,17 @@ class TestSerialParallelConformance:
     def test_workers_alone_never_changes_the_answer_mode(self):
         """``workers`` is a pure execution knob: adding it to a bare
         Monte-Carlo run keeps the legacy fixed-budget point estimator
-        (same default budget, same draws as the sharded serial run) —
-        it must not flip the run into sequential-stopping mode."""
+        (same default budget, same draws as without it) — it must not
+        flip the run into sequential-stopping mode."""
         s = _zoo_session(seed=41)
         legacy = s.run(_queries(s)["project"], engine="montecarlo")
         s2 = _zoo_session(seed=41)
-        sharded = s2.run(_queries(s2)["project"], engine="montecarlo", workers=2)
-        assert sharded.stats["samples"] == legacy.stats["samples"] == 1000
-        assert "rounds" not in sharded.stats  # not sequential stopping
+        two = s2.run(_queries(s2)["project"], engine="montecarlo", workers=2)
+        assert two.stats["samples"] == legacy.stats["samples"] == 1000
+        assert "rounds" not in two.stats  # not sequential stopping
         s3 = _zoo_session(seed=41)
-        serial_sharded = s3.run(
-            _queries(s3)["project"], engine="montecarlo", workers=1
-        )
-        assert _fingerprint(sharded) == _fingerprint(serial_sharded)
+        one = s3.run(_queries(s3)["project"], engine="montecarlo", workers=1)
+        assert _fingerprint(two) == _fingerprint(one) == _fingerprint(legacy)
 
     def test_explicit_exact_spec_still_rejected_by_montecarlo(self):
         """The exactness guard survives the workers knob: an explicit
@@ -357,7 +355,7 @@ class TestSerialParallelConformance:
         # One spelling is irreducibly ambiguous: EvalSpec(mode="exact",
         # workers=2) is *value-identical* to EvalSpec(workers=2) — exact
         # is the default mode — so it resolves as a pure-execution spec
-        # and shards the legacy estimator rather than raising.
+        # and runs the legacy estimator rather than raising.
         ambiguous = s.run(
             _queries(s)["project"],
             engine="montecarlo",
@@ -390,7 +388,7 @@ class TestSerialParallelConformance:
 
     def test_workers_only_spec_object_runs_legacy_estimator(self):
         """``spec=EvalSpec(workers=2)`` is pure execution, not an exact
-        request: it shards the legacy fixed-budget estimator."""
+        request: it runs the legacy fixed-budget estimator."""
         from repro.engine.spec import EvalSpec
 
         s = _zoo_session(seed=13)

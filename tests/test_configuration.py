@@ -12,7 +12,8 @@ engines write is classified once, in :mod:`repro.engine.stats`, and
 every classified key is still written.  No writer notifies a
 cache: the distribution cache reconciles with the registry where it is
 read (:mod:`repro.cache`).  A server write runs on the event loop; only
-reads take the pool hop.  All of these facts are
+reads take the pool hop.  Monte-Carlo has one world evaluator and opens
+no pool.  All of these facts are
 structural, so they are checked on the syntax tree of every module
 under ``src/repro``.
 """
@@ -129,14 +130,14 @@ def test_the_engines_raise_one_timeout():
 def test_every_classified_stats_key_is_written():
     """``engine/stats.py`` classifies each key once, and only keys
     something still emits: each is a string literal in a module that
-    writes stats."""
+    writes stats (the pool's info dict becomes sprout's stats)."""
     from repro.engine.stats import DETERMINISTIC_STAT_KEYS, VOLATILE_STAT_KEYS
 
     assert not VOLATILE_STAT_KEYS & DETERMINISTIC_STAT_KEYS
     written = {
         value
         for name, tree in MODULES.items()
-        if name.split("/")[0] in ("engine", "codegen", "server")
+        if name.split("/")[0] in ("engine", "codegen", "server", "parallel")
         and name != "engine/stats.py"
         for value in _strings(tree)
     }
@@ -265,3 +266,25 @@ def test_mutate_is_the_one_caller_of_apply_mutation():
 
 def test_execute_is_the_one_caller_of_offload():
     assert _callers("_offload") == ["server/app.py:execute"]
+
+
+# Monte-Carlo valuates its sampled worlds in one batch (the per-world
+# loop is its serial fallback): it has no seam a process pool could use.
+
+
+def test_montecarlo_imports_nothing_from_the_parallel_package():
+    tree = MODULES["engine/montecarlo.py"]
+    parallel = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            name.startswith("repro.parallel")
+            for name in (
+                [node.module or ""]
+                if isinstance(node, ast.ImportFrom)
+                else [alias.name for alias in node.names]
+            )
+        )
+    ]
+    assert not parallel, parallel
