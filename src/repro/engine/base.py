@@ -104,6 +104,12 @@ class PlanCache(BoundedLRU):
     are bounded by ``max_entries`` and go when the plan goes — evicted,
     re-keyed by an insert or delete, or cleared by ``Session.close()``.
     ``answers_reused`` counts the executions served from a slot.
+
+    A statement shape's template plan is an entry like any other, keyed
+    on the template query (its literals are parameters, so it equals no
+    text's query): the plans of the shape's texts are bound from it
+    (:meth:`SproutEngine.prepare <repro.engine.sprout.SproutEngine.prepare>`)
+    and kept under their own queries, each with its own answer.
     """
 
     #: What this class writes beside the LRU's own methods.
@@ -117,7 +123,7 @@ class PlanCache(BoundedLRU):
         return self.lookup((query, fingerprint))
 
     def known(self, query: Query, fingerprint: tuple):
-        """:meth:`get` without touching the counters."""
+        """:meth:`get` without touching the counters (a shape's template)."""
         return self.peek((query, fingerprint))
 
     def put(self, query: Query, fingerprint: tuple, prepared) -> None:
@@ -189,7 +195,8 @@ def select_engine_name(
 
     ``prepared`` — the query's memoised plan, when the caller has one —
     keeps the classification under the stamp of every table (what the
-    independence facts read): a hot statement classifies once per state.
+    independence facts read): a hot statement classifies once per state,
+    and so does a statement shape, whose texts' plans share one slot.
     """
     if prepared is not None and tuple_independent is None:
         stamp = capture_stamp(db)

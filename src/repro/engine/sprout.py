@@ -429,13 +429,19 @@ class SproutEngine:
         #: shares one).  Without it every run plans afresh.
         self.plan_source = plan_source
 
-    def prepare(self, query: Query) -> PreparedQuery:
+    def prepare(self, query: Query | PreparedQuery) -> PreparedQuery:
         """Run stages 1-2 of step I: logical optimizer + physical planner.
 
         Memoised in ``plan_source`` on structural query equality plus the
         row counts of the tables the query reads — exactly the statistics
         the greedy join planner consumes, so a write to any other table
-        keeps the plan.
+        keeps the plan.  A query with a statement ``shape``
+        (:func:`~repro.query.sql.bind_template`) the memo has not seen is
+        not planned: its shape's template is planned once per row counts
+        and kept beside it, and each text binds its values into that plan
+        (:meth:`PreparedQuery.bind`).  Only the query's own lookup counts.
+        A :class:`PreparedQuery` (the session plans before it picks the
+        engine) is its own plan.
 
         Mutation safety: a :class:`PreparedQuery` is *data-independent*
         (its per-op caches hold compiled accessors, never row data), so
@@ -445,16 +451,28 @@ class SproutEngine:
         would).  That keeps post-mutation answers bit-identical to a
         from-scratch session, row order included.
         """
+        if isinstance(query, PreparedQuery):
+            return query
         plans = self.plan_source
-        prepared = None
-        if plans is not None:
-            fingerprint = self._fingerprint(query)
-            prepared = plans.get(query, fingerprint)
+        if plans is None:
+            return self._plan(query)
+        fingerprint = self._fingerprint(query)
+        prepared = plans.get(query, fingerprint)
         if prepared is None:
-            prepared = prepare(query, self.db.catalog(), self.db.cardinalities())
-            if plans is not None:
-                plans.put(query, fingerprint, prepared)
+            if query.shape is None:
+                prepared = self._plan(query)
+            else:
+                template, values = query.shape
+                shaped = plans.known(template, fingerprint)
+                if shaped is None:
+                    shaped = self._plan(template)
+                    plans.put(template, fingerprint, shaped)
+                prepared = shaped.bind(query, values)
+            plans.put(query, fingerprint, prepared)
         return prepared
+
+    def _plan(self, query: Query) -> PreparedQuery:
+        return prepare(query, self.db.catalog(), self.db.cardinalities())
 
     def _fingerprint(self, query: Query) -> tuple:
         """Row counts of the tables ``query`` reads.  An unknown relation
@@ -466,15 +484,6 @@ class SproutEngine:
             for name in query.base_relations()
             if name in tables
         )
-
-    def known_plan(self, query: Query) -> PreparedQuery | None:
-        """The memoised plan of ``query`` if :meth:`prepare` already made
-        one — an uncounted peek, for what rides on the plan's record
-        before the run's own (counted) lookup."""
-        plans = self.plan_source
-        if plans is None:
-            return None
-        return plans.known(query, self._fingerprint(query))
 
     def rewrite(self, query: Query) -> PVCTable:
         """Step I only: the pvc-table of symbolic result tuples (⟦·⟧)."""

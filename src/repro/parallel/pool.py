@@ -167,10 +167,11 @@ def _gather(executor, payloads, timeout: float | None = None) -> list:
 class SharedPool:
     """A reusable fork pool bound to one ``(worker, context)`` pair.
 
-    Sequential-stopping Monte-Carlo on the per-world loop runs many
-    rounds against the *same* shared context; this
-    handle forks the worker pool once, on the first round that actually
-    needs it, and reuses it until :meth:`close`.  Each :meth:`run` has
+    The handle forks the worker pool once, on the first round that
+    actually needs it, and reuses it for every round against the same
+    shared context until :meth:`close`.  Its one user is
+    :func:`execute`'s single round: sprout's step-II compile fan-out.
+    Each :meth:`run` has
     the same contract as :func:`execute`: results in payload order, an
     info dict with the worker count used, and graceful degradation to
     inline execution — once degraded, later rounds stay inline with the
@@ -330,9 +331,8 @@ def execute(
 ) -> tuple[list, dict]:
     """Run ``worker(context, payload)`` per payload, pooled when possible.
 
-    One-shot wrapper over :class:`SharedPool` (engines with a single
-    fan-out use this; iterative engines hold a :class:`SharedPool` open
-    across rounds).  Returns ``(results, info)`` with results in payload
+    One-shot wrapper over :class:`SharedPool`, used by sprout's step-II
+    compile fan-out.  Returns ``(results, info)`` with results in payload
     order.  ``info`` always carries ``"workers"`` (the worker count
     actually used) and, when the pool could not run,
     ``"parallel_fallback"`` with the reason.

@@ -39,6 +39,8 @@ __all__ = [
     "relation",
     "product_of",
     "equijoin",
+    "rebuild",
+    "bind_query",
 ]
 
 
@@ -47,6 +49,10 @@ class Query:
 
     #: Child queries, for generic tree walks.
     children: tuple = ()
+    #: ``(template, values)`` when the query is one text of a statement
+    #: shape whose plan is the template's plan with ``values`` bound
+    #: (:func:`repro.query.sql.bind_template`); not part of its identity.
+    shape: tuple | None = None
 
     def schema(self, catalog: Mapping[str, Schema]) -> Schema:
         """The output schema against a catalog of base-table schemas."""
@@ -274,3 +280,52 @@ def equijoin(left: Query, right: Query, pairs: Sequence[tuple[str, str]]) -> Que
     return Select(
         Product(left, right), conj(*(eq(a, b) for a, b in pairs))
     )
+
+
+def rebuild(query: Query, recurse) -> Query:
+    """Apply ``recurse`` to the children of a node, preserving its shape.
+
+    Returns ``query`` itself when no child changed (identity preserved),
+    so unchanged subtrees cost nothing in the fixpoint convergence check.
+    """
+    if isinstance(query, BaseRelation):
+        return query
+    if isinstance(query, Select):
+        child = recurse(query.child)
+        return query if child is query.child else Select(child, query.predicate)
+    if isinstance(query, Project):
+        child = recurse(query.child)
+        return query if child is query.child else Project(child, query.attributes)
+    if isinstance(query, Product):
+        left, right = recurse(query.left), recurse(query.right)
+        if left is query.left and right is query.right:
+            return query
+        return Product(left, right)
+    if isinstance(query, Union):
+        left, right = recurse(query.left), recurse(query.right)
+        if left is query.left and right is query.right:
+            return query
+        return Union(left, right)
+    if isinstance(query, GroupAgg):
+        child = recurse(query.child)
+        if child is query.child:
+            return query
+        return GroupAgg(child, query.groupby, query.aggregations)
+    if isinstance(query, Extend):
+        child = recurse(query.child)
+        if child is query.child:
+            return query
+        return Extend(child, query.target, query.source)
+    return query
+
+
+def bind_query(query: Query, values) -> Query:
+    """``query`` with each :class:`~repro.query.predicates.Param` replaced
+    by its value in ``values``; subtrees without one are shared."""
+    if isinstance(query, Select):
+        child = bind_query(query.child, values)
+        predicate = query.predicate.bind(values)
+        if child is query.child and predicate is query.predicate:
+            return query
+        return Select(child, predicate)
+    return rebuild(query, lambda child: bind_query(child, values))

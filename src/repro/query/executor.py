@@ -44,7 +44,7 @@ from repro.db.pvc_table import (
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.errors import QueryValidationError
-from repro.query.ast import Query
+from repro.query.ast import Query, bind_query
 from repro.query.optimizer import RuleFiring, optimize_traced
 from repro.query.physical import (
     EmptyResult,
@@ -58,6 +58,7 @@ from repro.query.physical import (
     ReorderOp,
     Scan,
     UnionOp,
+    bind_plan,
     plan_query,
 )
 from repro.query.predicates import AttrRef
@@ -88,6 +89,10 @@ class PreparedQuery:
     that live and die with it (with its :class:`~repro.engine.base.PlanCache`
     entry, when it has one): ``op_cache`` never holds row data, the two
     slots hold what was derived from it under the stamp that makes it valid.
+
+    A plan prepared from a statement shape's template (each literal a
+    :class:`~repro.query.predicates.Param`) is never run: :meth:`bind`
+    makes the plan of each text of the shape from it.
     """
 
     query: Query
@@ -102,8 +107,26 @@ class PreparedQuery:
     #: The rows of this plan's step-I answer, stamped with the tables it
     #: reads; filled and read only by :func:`symbolic_answer`.
     answer: StampedSlot = _memo(StampedSlot)
-    #: :func:`~repro.engine.base.select_engine_name`'s choice, stamped with every table.
+    #: :func:`~repro.engine.base.select_engine_name`'s choice, stamped with
+    #: every table; one slot per statement shape (see :meth:`bind`).
     classification: StampedSlot = _memo(StampedSlot)
+
+    def bind(self, query: Query, values: tuple) -> "PreparedQuery":
+        """The plan of ``query``, a text of the shape this template plan
+        was prepared for, with its literal ``values``: the optimised query
+        and the physical plan with the values bound, the rule trace and
+        the schema as they are — what :func:`prepare` of ``query`` returns
+        when :func:`~repro.query.sql.bind_template` gave it a shape.  The
+        plan's memos are its own, except the classification, which reads
+        the structure alone and stays the shape's."""
+        return PreparedQuery(
+            query,
+            bind_query(self.optimized, values),
+            bind_plan(self.plan, values),
+            self.trace,
+            self.schema,
+            classification=self.classification,
+        )
 
 
 def prepare(

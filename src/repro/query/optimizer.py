@@ -44,6 +44,7 @@ from repro.query.ast import (
     Query,
     Select,
     Union,
+    rebuild,
 )
 from repro.query.predicates import (
     AttrRef,
@@ -113,7 +114,7 @@ def merge_selections(query: Query, catalog: Mapping[str, Schema] | None = None) 
                 return query
             return Select(child, query.predicate)
         return Select(child, conj(*deduped))
-    return _rebuild(query, merge_selections)
+    return rebuild(query, merge_selections)
 
 
 # -- projection collapsing ----------------------------------------------------
@@ -128,7 +129,7 @@ def collapse_projections(query: Query, catalog: Mapping[str, Schema] | None = No
         if child is query.child:
             return query
         return Project(child, query.attributes)
-    return _rebuild(query, collapse_projections)
+    return rebuild(query, collapse_projections)
 
 
 # -- constant folding ---------------------------------------------------------
@@ -155,7 +156,7 @@ def fold_constant_predicates(query: Query, catalog: Mapping[str, Schema]) -> Que
             if child is node.child and len(kept) == len(node.predicate.atoms()):
                 return node
             return Select(child, conj(*kept))
-        return _rebuild(node, fold)
+        return rebuild(node, fold)
 
     return fold(query)
 
@@ -189,7 +190,7 @@ def pushdown_selections(query: Query, catalog: Mapping[str, Schema]) -> Query:
 
     def push(node: Query) -> Query:
         if not isinstance(node, Select):
-            return _rebuild(node, push)
+            return rebuild(node, push)
         child = node.child
         atoms = list(node.predicate.atoms())
         if not atoms:
@@ -365,43 +366,6 @@ def _pushdown(query: Query, required: set, catalog) -> Query:
     if isinstance(query, Extend):
         needed = (required - {query.target}) | {query.source}
         child = _pushdown(query.child, needed, catalog)
-        if child is query.child:
-            return query
-        return Extend(child, query.target, query.source)
-    return query
-
-
-def _rebuild(query: Query, recurse) -> Query:
-    """Apply ``recurse`` to the children of a node, preserving its shape.
-
-    Returns ``query`` itself when no child changed (identity preserved),
-    so unchanged subtrees cost nothing in the fixpoint convergence check.
-    """
-    if isinstance(query, BaseRelation):
-        return query
-    if isinstance(query, Select):
-        child = recurse(query.child)
-        return query if child is query.child else Select(child, query.predicate)
-    if isinstance(query, Project):
-        child = recurse(query.child)
-        return query if child is query.child else Project(child, query.attributes)
-    if isinstance(query, Product):
-        left, right = recurse(query.left), recurse(query.right)
-        if left is query.left and right is query.right:
-            return query
-        return Product(left, right)
-    if isinstance(query, Union):
-        left, right = recurse(query.left), recurse(query.right)
-        if left is query.left and right is query.right:
-            return query
-        return Union(left, right)
-    if isinstance(query, GroupAgg):
-        child = recurse(query.child)
-        if child is query.child:
-            return query
-        return GroupAgg(child, query.groupby, query.aggregations)
-    if isinstance(query, Extend):
-        child = recurse(query.child)
         if child is query.child:
             return query
         return Extend(child, query.target, query.source)

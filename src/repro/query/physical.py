@@ -55,6 +55,7 @@ __all__ = [
     "UnionOp",
     "GroupAggOp",
     "plan_query",
+    "bind_plan",
     "explain_plan",
 ]
 
@@ -533,6 +534,38 @@ def _constant_verdict(predicate: Predicate):
         else:
             verdict = None
     return verdict
+
+
+def bind_plan(op: PhysicalOp, values) -> PhysicalOp:
+    """The plan ``op`` with each :class:`~repro.query.predicates.Param`
+    replaced by its value in ``values``; subtrees without one are shared."""
+    children = tuple(bind_plan(child, values) for child in op.children)
+    if isinstance(op, Filter):
+        predicate = op.predicate.bind(values)
+        if children[0] is op.child and predicate is op.predicate:
+            return op
+        return Filter(op.schema, children[0], predicate)
+    if all(new is old for new, old in zip(children, op.children)):
+        return op
+    return _REBUILD[type(op)](op, *children)
+
+
+#: How each operator with children is rebuilt over new ones.
+_REBUILD = {
+    HashJoin: lambda op, left, right: HashJoin(
+        op.schema, left, right, op.left_keys, op.right_keys, op.estimate
+    ),
+    NestedLoopProduct: lambda op, left, right: NestedLoopProduct(
+        op.schema, left, right, op.estimate
+    ),
+    UnionOp: lambda op, left, right: UnionOp(op.schema, left, right),
+    ProjectOp: lambda op, child: ProjectOp(op.schema, child, op.attributes),
+    ReorderOp: lambda op, child: ReorderOp(op.schema, child, op.attributes),
+    ExtendOp: lambda op, child: ExtendOp(op.schema, child, op.target, op.source),
+    GroupAggOp: lambda op, child: GroupAggOp(
+        op.schema, child, op.groupby, op.aggregations
+    ),
+}
 
 
 def explain_plan(plan: PhysicalOp) -> str:

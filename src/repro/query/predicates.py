@@ -23,6 +23,7 @@ from repro.errors import QueryValidationError
 __all__ = [
     "AttrRef",
     "Literal",
+    "Param",
     "Comparison",
     "Conjunction",
     "TruePredicate",
@@ -42,6 +43,10 @@ class Operand:
 
     def attributes(self) -> frozenset:
         return frozenset()
+
+    def bind(self, values) -> "Operand":
+        """This operand with a parameter replaced by its value."""
+        return self
 
 
 class AttrRef(Operand):
@@ -84,6 +89,10 @@ class Literal(Operand):
     def resolve(self, row):
         return self.value
 
+    def bind(self, values):
+        value = self.value
+        return Literal(values[value.index]) if isinstance(value, Param) else self
+
     def __repr__(self):
         return repr(self.value)
 
@@ -92,6 +101,26 @@ class Literal(Operand):
 
     def __hash__(self):
         return hash(("Literal", self.value))
+
+
+class Param:
+    """The value of the ``index``-th literal of a statement, in a shape's
+    template (:func:`repro.query.sql.parse_template`); equal only to the
+    parameter of the same position, never to a value."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __repr__(self):
+        return f"${self.index + 1}"
+
+    def __eq__(self, other):
+        return isinstance(other, Param) and self.index == other.index
+
+    def __hash__(self):
+        return hash(("Param", self.index))
 
 
 class Predicate:
@@ -107,6 +136,11 @@ class Predicate:
     def atoms(self) -> Sequence["Comparison"]:
         """The atomic comparisons of this (conjunctive) predicate."""
         raise NotImplementedError
+
+    def bind(self, values) -> "Predicate":
+        """This predicate with each :class:`Param` replaced by its value
+        in ``values`` (itself when it holds none)."""
+        return self
 
 
 class TruePredicate(Predicate):
@@ -155,6 +189,12 @@ class Comparison(Predicate):
 
     def atoms(self):
         return (self,)
+
+    def bind(self, values):
+        left, right = self.left.bind(values), self.right.bind(values)
+        if left is self.left and right is self.right:
+            return self
+        return Comparison(left, self.op, right)
 
     def is_attribute_equality(self) -> bool:
         """True for ``A = B`` atoms between two attribute references."""
@@ -217,6 +257,12 @@ class Conjunction(Predicate):
 
     def atoms(self):
         return self.parts
+
+    def bind(self, values):
+        parts = [part.bind(values) for part in self.parts]
+        if all(new is old for new, old in zip(parts, self.parts)):
+            return self
+        return Conjunction(parts)
 
     def __repr__(self):
         if not self.parts:

@@ -30,23 +30,27 @@ from repro.query.ast import (
     Project,
     Query,
     Select,
+    bind_query,
     relation,
 )
-from repro.query.predicates import Comparison, attr, conj, lit
+from repro.query.predicates import Comparison, Literal, Param, attr, conj, lit
 
-__all__ = ["parse_sql"]
+__all__ = ["parse_sql", "lift_literals", "parse_template", "bind_template"]
 
 _AGG_NAMES = {"SUM", "COUNT", "MIN", "MAX", "PROD"}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<string>'[^']*')"
+    r"|(?P<string>'(?:[^']|'')*')"
     r"|(?P<op><=|>=|!=|<>|=|<|>)"
     r"|(?P<punct>[(),*]))"
 )
 
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "GROUP", "BY", "AS", "AND"}
+_RESERVED = _KEYWORDS | _AGG_NAMES
+
+_LITERALS = ("number", "string")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -58,23 +62,32 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
-        for kind in ("name", "number", "string", "op", "punct"):
-            value = match.group(kind)
-            if value is not None:
-                if kind == "name" and value.upper() in _KEYWORDS | _AGG_NAMES:
-                    tokens.append(("keyword", value.upper(), match.start(kind)))
-                else:
-                    tokens.append((kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        value = match.group(kind)
+        if kind == "name" and value.upper() in _RESERVED:
+            tokens.append(("keyword", value.upper(), match.start(kind)))
+        else:
+            tokens.append((kind, value, match.start(kind)))
         pos = match.end()
     return tokens
 
 
+def _literal_value(kind: str, text: str):
+    """The value of a literal token: an int, a float, or the string
+    between the quotes with each doubled ``''`` read as one quote."""
+    if kind == "number":
+        return float(text) if "." in text else int(text)
+    return text[1:-1].replace("''", "'")
+
+
 class _SqlParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, lift: bool = False):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        #: The number of literals lifted so far, or ``None`` when every
+        #: literal stays a value (see :func:`parse_template`).
+        self.lifted = 0 if lift else None
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -190,10 +203,11 @@ class _SqlParser:
         kind, value, pos = self.advance()
         if kind == "name":
             return attr(value)
-        if kind == "number":
-            return lit(float(value) if "." in value else int(value))
-        if kind == "string":
-            return lit(value[1:-1])
+        if kind in _LITERALS:
+            if self.lifted is None:
+                return lit(_literal_value(kind, value))
+            self.lifted += 1
+            return lit(Param(self.lifted - 1))
         raise ParseError(f"unexpected operand {value!r}", pos)
 
     # -- translation -----------------------------------------------------------
@@ -240,9 +254,71 @@ def parse_sql(text: str) -> Query:
     >>> type(q).__name__
     'GroupAgg'
     """
-    parser = _SqlParser(text)
+    return _parse(_SqlParser(text))
+
+
+def _parse(parser: _SqlParser) -> Query:
     query = parser.parse_query()
     kind, value, pos = parser.peek()
     if kind is not None:
         raise ParseError(f"unexpected trailing token {value!r}", pos)
+    return query
+
+
+# -- statement shapes ------------------------------------------------------------
+#
+# Step I's rewriting and the tractability classes depend on a query's
+# structure, never on its constants.  A statement's *shape* is its token
+# stream with every literal lifted into a positional parameter: the texts
+# of one shape parse to one template, and binding a text's literal values
+# into that template's plan replaces parsing and planning the text.
+
+
+def lift_literals(text: str) -> tuple[str, tuple]:
+    """``(shape, values)``: the key of the statement's shape — its tokens
+    with each literal replaced by ``?`` — and the literal values in text
+    order, read as :func:`parse_sql` reads them.
+
+    >>> lift_literals("SELECT a FROM R WHERE b >= 1.50 AND c = 'it''s'")
+    ('SELECT a FROM R WHERE b >= ? AND c = ?', (1.5, "it's"))
+    """
+    parts, values = [], []
+    for kind, value, _ in _tokenize(text):
+        if kind in _LITERALS:
+            parts.append("?")
+            values.append(_literal_value(kind, value))
+        else:
+            parts.append(value)
+    return " ".join(parts), tuple(values)
+
+
+def parse_template(text: str) -> Query:
+    """:func:`parse_sql` with the ``i``-th literal of ``text`` parsed as
+    ``Literal(Param(i))``: the template every text of its shape binds."""
+    return _parse(_SqlParser(text, lift=True))
+
+
+def bind_template(template: Query, values: tuple) -> Query:
+    """The query of the text whose literals are ``values``, built from its
+    shape's ``template`` without parsing — equal to :func:`parse_sql` of
+    that text.
+
+    The query carries ``shape = (template, values)``, which tells the plan
+    memo to plan the template once and bind each text into its plan
+    (:meth:`~repro.engine.sprout.SproutEngine.prepare`), unless the plan
+    would depend on the values.  Two rewrites read them: an atom comparing
+    two literals folds to true or false (``fold-constants``, and the
+    planner's constant verdicts), and two atoms that are equal merge into
+    one (``merge-selections``, the join planner's atom pool) — which two
+    atoms over distinct parameters become only when their values are
+    equal.  Such a text is planned on its own, as any query is.
+    """
+    query = bind_query(template, values)
+    if len(set(values)) == len(values) and not any(
+        isinstance(atom.left, Literal) and isinstance(atom.right, Literal)
+        for node in template.walk()
+        if isinstance(node, Select)
+        for atom in node.predicate.atoms()
+    ):
+        object.__setattr__(query, "shape", (template, values))
     return query

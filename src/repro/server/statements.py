@@ -8,6 +8,13 @@ physical plan is reused via the shared
 come out of the shared :class:`~repro.cache.CompilationCache` —
 the whole compile pipeline collapses to cache lookups.
 
+A text never seen before is not parsed when its *shape* — the text with
+each literal lifted into a parameter (:func:`~repro.query.sql.lift_literals`)
+— was: the shape's template is parsed once and the text's values are
+bound into it (:func:`~repro.query.sql.bind_template`), and the plan memo
+does the same with the template's plan, so the front end of a request
+runs once per statement shape, not once per text.
+
 Normalisation is deliberately conservative — textual, lossless, and
 quote-aware: runs of whitespace *outside* string literals collapse to a
 single space and trailing semicolons are dropped, while quoted literals
@@ -28,7 +35,7 @@ from typing import NamedTuple
 
 from repro.cache import BoundedLRU, StampedSlot
 from repro.errors import QueryValidationError
-from repro.query.sql import parse_sql
+from repro.query.sql import bind_template, lift_literals, parse_sql, parse_template
 
 __all__ = ["normalise_statement", "StatementCache"]
 
@@ -104,7 +111,9 @@ class StatementCache(BoundedLRU):
     Thread-safe (the server parses on executor threads).  ``hits`` are
     cross-request (and, on a shared server, cross-tenant) statement
     reuses, ``evictions`` count entries dropped past ``max_entries``.
-    Parse errors propagate to the caller and cache nothing.
+    Parse errors propagate to the caller and cache nothing.  The parsed
+    templates of the statement shapes seen are kept beside the entries,
+    in an LRU of the same bound that no counter reports.
 
     An entry also keeps the replies its statement was answered with
     (:meth:`reply` / :meth:`keep_reply`): per option set, the encoded
@@ -118,12 +127,21 @@ class StatementCache(BoundedLRU):
 
     def __init__(self, max_entries: int | None = 256):
         super().__init__(max_entries)
+        self._templates = BoundedLRU(max_entries)
 
-    def get_or_parse(self, text: str, parser=parse_sql):
-        """``(query, hit)`` for ``text``, parsing (and caching) on miss."""
+    def get_or_parse(self, text: str):
+        """``(query, hit)`` for ``text``; on a miss the query is bound
+        into its shape's template (parsed on the shape's first text)."""
         key = normalise_statement(text)
-        statement, hit = self.lookup_or_build(key, lambda: _Statement(parser(key), StampedSlot()))
+        statement, hit = self.lookup_or_build(key, lambda: _Statement(self._parse(key), StampedSlot()))
         return statement.query, hit
+
+    def _parse(self, key: str):
+        shape, values = lift_literals(key)
+        if not values:
+            return parse_sql(key)
+        template, _ = self._templates.lookup_or_build(shape, lambda: parse_template(key))
+        return bind_template(template, values)
 
     def reply(self, key: str, options, stamp):
         """The reply kept for the statement ``key`` (normalised text)

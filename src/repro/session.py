@@ -73,6 +73,9 @@ from repro.query.validate import validate_query
 
 __all__ = ["Session", "TableHandle", "connect"]
 
+#: The engines whose step I runs through the session's plan memo.
+_PLANNED_ENGINES = ("sprout", "approx")
+
 
 class TableHandle(QueryBuilder):
     """A named table that is both an insert target and a query root."""
@@ -345,19 +348,22 @@ class Session:
         Lowers and validates the query, resolves ``engine="auto"`` on the
         tractability classification *and* the spec, and returns
         ``(query, engine_name, spec)`` with ``options`` updated in place.
+        For an engine that plans through the session's plan memo the
+        query comes back as its plan, so a run looks the plan up once.
         """
         query = self._lower(query)
-        # Validate up front so schema errors surface before engine
-        # selection.
-        validate_query(query, self.db.catalog())
         name = engine
         auto = name == "auto"
+        prepared = None
+        if auto or name in _PLANNED_ENGINES:
+            # Planning validates first, so schema errors surface before
+            # engine selection; a kept plan was validated when made.
+            prepared = self.engine("sprout").prepare(query)
+        else:
+            validate_query(query, self.db.catalog())
         if auto:
             name, classification = select_engine_name(
-                self.db,
-                query,
-                spec=spec,
-                prepared=self.engine("sprout").known_plan(query),
+                self.db, query, spec=spec, prepared=prepared
             )
             if not classification.tractable:
                 # Hard query: exact intent degrades to *guaranteed*
@@ -374,6 +380,8 @@ class Session:
                 raise QueryValidationError(
                     f"engine {name!r} does not take a sample budget"
                 )
+        if name in _PLANNED_ENGINES:
+            query = prepared
         return query, name, spec
 
     def run(

@@ -5,7 +5,7 @@ import pytest
 from repro.db.schema import Schema
 from repro.errors import ParseError
 from repro.query.ast import GroupAgg, Product, Project, Select
-from repro.query.sql import parse_sql
+from repro.query.sql import bind_template, lift_literals, parse_sql, parse_template
 from repro.query.validate import validate_query
 
 CATALOG = {
@@ -118,3 +118,60 @@ class TestErrors:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_sql("SELECT a FROM R WHERE b ~ 5")
+
+
+class TestOneLiteralGrammar:
+    """The statement cache lifts literals with the parser's own tokenizer,
+    so whatever it keeps as one literal the parser reads as one value."""
+
+    def test_a_doubled_quote_is_one_quote_inside_the_literal(self):
+        query = parse_sql("SELECT a FROM R WHERE b = 'it''s'")
+        assert query.child.predicate.atoms()[0].right.value == "it's"
+        assert parse_sql("SELECT a FROM R WHERE b = ''''").child.predicate.atoms()[
+            0
+        ].right.value == "'"
+
+    def test_spaces_inside_a_literal_survive(self):
+        query = parse_sql("SELECT a FROM R WHERE b = 'x   y'")
+        assert query.child.predicate.atoms()[0].right.value == "x   y"
+
+    def test_an_unterminated_literal_is_still_an_error(self):
+        with pytest.raises(ParseError):
+            parse_sql("SELECT a FROM R WHERE b = 'it''s")
+
+
+class TestShapes:
+    def test_lifting_reads_values_as_the_parser_does(self):
+        shape, values = lift_literals(
+            "SELECT a FROM R WHERE b >= 1.50 AND c = 'it''s' AND b <= 7"
+        )
+        assert shape == "SELECT a FROM R WHERE b >= ? AND c = ? AND b <= ?"
+        assert values == (1.5, "it's", 7)
+        assert [type(v) for v in values] == [float, str, int]
+
+    def test_texts_differing_in_literals_share_a_shape(self):
+        one = lift_literals("SELECT a FROM R WHERE b >= 1.50")
+        two = lift_literals("select a from R where b >= 'x'")
+        assert one[0] == two[0] and one[1] != two[1]
+
+    def test_a_bound_template_equals_the_parsed_text(self):
+        text = "SELECT a FROM R WHERE b = (SELECT MIN(d) FROM S WHERE e = 'q') AND c <= 2"
+        template = parse_template(text)
+        assert template != parse_sql(text)
+        bound = bind_template(template, lift_literals(text)[1])
+        assert bound == parse_sql(text)
+        assert bound.shape == (template, ("q", 2))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT a FROM R WHERE b = 5 AND c = 5",       # equal values
+            "SELECT a FROM R WHERE b = 5 AND c = 5.0",     # equal across types
+            "SELECT a FROM R WHERE 1 < 2 AND b = 3",       # folds to true
+            "SELECT a FROM R WHERE 'x' = 'y'",             # folds to false
+        ],
+    )
+    def test_a_text_whose_plan_reads_its_values_has_no_shape(self, text):
+        bound = bind_template(parse_template(text), lift_literals(text)[1])
+        assert bound == parse_sql(text)
+        assert bound.shape is None

@@ -1,6 +1,7 @@
 """The prepared-statement cache: normalisation, LRU, thread-safety, and
 the replies an entry keeps for its statement."""
 
+import sys
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ParseError, QueryValidationError
+from repro.query.sql import parse_sql
 from repro.server.statements import (
     _OPTION_SETS_PER_STATEMENT,
     StatementCache,
@@ -162,7 +164,9 @@ class TestStatementCache:
 
     def test_concurrent_access_is_consistent(self):
         cache = StatementCache(max_entries=8)
+        # One shape, 16 texts: every miss binds the one shared template.
         statements = [f"SELECT a FROM R WHERE b = {i}" for i in range(16)]
+        expected = {sql: parse_sql(sql) for sql in statements}
         errors = []
 
         def worker():
@@ -170,15 +174,22 @@ class TestStatementCache:
                 for _ in range(50):
                     for sql in statements:
                         query, _ = cache.get_or_parse(sql)
-                        assert query is not None
+                        assert query == expected[sql]
+                        assert query.shape[1] == (expected[sql].child.predicate.right.value,)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         stats = cache.stats()
         assert len(cache) <= 8
