@@ -14,8 +14,8 @@ tenants:
   (:mod:`repro.server.statements`): a repeated statement skips parsing,
   planning *and* d-tree compilation entirely — and, from its third
   request at one database state, evaluation and encoding too: the entry
-  keeps the encoded reply and :meth:`QueryServer.execute` hands it back
-  on the event loop.
+  keeps the encoded reply, JSON bytes included, and
+  :meth:`QueryServer.execute` hands it back on the event loop.
 * **Bounded admission with load-shedding to anytime answers.**  Past
   ``soft_limit`` concurrent requests the server rewrites incoming
   evaluation specs to budgeted anytime mode (PR 4's ``EvalSpec``):
@@ -69,7 +69,7 @@ from repro.engine.spec import (
 from repro.errors import QueryValidationError, ReproError
 from repro.server import http as http_protocol
 from repro.server import tcp as tcp_protocol
-from repro.server.codec import jsonable, result_to_json
+from repro.server.codec import encode_result, jsonable
 from repro.server.statements import StatementCache, normalise_statement
 from repro.session import Session
 
@@ -531,10 +531,12 @@ class QueryServer:
         ``max_tenants`` shedding) and the counters are those of any
         request, but nothing is offloaded, the tenant lock is not taken
         (a stream holding it does not delay the answer), no session runs
-        and nothing is encoded — ``reply_reused`` is true and the
-        ``result`` is the very object an earlier run produced, its
-        ``timings`` and volatile stats included.  Everything else takes
-        one executor hop through :meth:`_run_statement`.
+        and the result is not serialised — ``reply_reused`` is true and
+        the ``result`` is the very object an earlier run produced, its
+        ``timings``, volatile stats and JSON bytes included (the protocol
+        writers splice the bytes; only the envelope's small fields are
+        encoded).  Everything else takes one executor hop through
+        :meth:`_run_statement`, which serialises the result there.
         """
         self._count("requests")
         sql, tenant, engine, samples, fields = self._unpack(payload)
@@ -594,16 +596,19 @@ class QueryServer:
         """One request's blocking work, as one executor hop: statement
         lookup, evaluation and encoding.  ``(encoded result, hit)``.
 
-        ``key`` is the normalised text.  With ``options`` (the request's
-        option set; ``None`` for a degraded request) the reply is offered
-        to the statement entry for later requests — unless something
-        outside the stamp decided it: Monte-Carlo answers consume the
-        tenant's RNG stream, a ``deadline_hit`` answer depends on the
-        clock.  The stored dict is never changed afterwards.
+        The result is serialised here, once, off the event loop: it is an
+        :class:`~repro.server.codec.EncodedResult`, whose JSON bytes the
+        protocol writers splice into the envelope.  ``key`` is the
+        normalised text.  With ``options`` (the request's option set;
+        ``None`` for a degraded request) the reply, bytes included, is
+        offered to the statement entry for later requests — unless
+        something outside the stamp decided it: Monte-Carlo answers
+        consume the tenant's RNG stream, a ``deadline_hit`` answer depends
+        on the clock.  The stored reply is never changed afterwards.
         """
         stamp = self._stamp()  # before the run
         query, statement_hit = self.statements.get_or_parse(key)
-        result = result_to_json(session.run(query, **run_options))
+        result = encode_result(session.run(query, **run_options))
         if (
             options is not None
             and result["engine"] != "montecarlo"
@@ -668,7 +673,7 @@ class QueryServer:
                             ):
                                 if not push((
                                     "snapshot",
-                                    (result_to_json(snapshot), hit),
+                                    (encode_result(snapshot), hit),
                                 )):
                                     return
                         except BaseException as exc:  # to the consumer

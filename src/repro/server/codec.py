@@ -21,6 +21,11 @@ place:
   :func:`result_to_json`, decoded by :func:`result_from_json` into a
   :class:`RemoteResult` (values + interval probabilities + stats; the
   symbolic machinery itself does not travel).
+* The server serialises a computed result once, where it computed it:
+  :func:`encode_result` returns an :class:`EncodedResult`, the same wire
+  object carrying its own JSON bytes, and :func:`encode_payload` writes
+  any envelope, splicing those bytes in instead of serialising the
+  result again — byte for byte ``json.dumps(envelope).encode("utf-8")``.
 
 :func:`fingerprint` canonicalises an encoded result for conformance
 checks — tuples, interval endpoints and deterministic stats, with
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.algebra.expressions import SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
@@ -49,6 +55,9 @@ __all__ = [
     "encode_value",
     "decode_value",
     "result_to_json",
+    "EncodedResult",
+    "encode_result",
+    "encode_payload",
     "result_from_json",
     "fingerprint",
 ]
@@ -204,6 +213,50 @@ def result_to_json(result: QueryResult) -> dict:
         "timings": jsonable(result.timings),
         "stats": jsonable(result.stats),
     }
+
+
+class EncodedResult(dict[str, Any]):
+    """A wire result that keeps its own JSON text.
+
+    Equal to the plain dict it was built from; ``encoded`` is
+    ``json.dumps(self).encode("utf-8")``, computed once, here.  The
+    bytes are only right while the dict is unchanged, and nothing
+    changes a result after encoding it (a kept reply is final).
+    """
+
+    __slots__ = ("encoded",)
+    encoded: bytes
+
+    def __init__(self, fields: dict[str, Any]):
+        super().__init__(fields)
+        self.encoded = json.dumps(self).encode("utf-8")
+
+
+def encode_result(result: QueryResult) -> EncodedResult:
+    """:func:`result_to_json` and its one serialisation, kept together."""
+    return EncodedResult(result_to_json(result))
+
+
+def encode_payload(payload: dict) -> bytes:
+    """``json.dumps(payload).encode("utf-8")``, byte for byte, except
+    that an :class:`EncodedResult` value is not serialised again: its
+    kept bytes are spliced in, and the other fields are dumped around
+    it in their order."""
+    parts: list[bytes] = []
+    plain: dict = {}
+    for key, value in payload.items():
+        if isinstance(value, EncodedResult) and isinstance(key, str):
+            if plain:
+                parts.append(json.dumps(plain).encode("utf-8")[1:-1])
+                plain = {}
+            parts.append(json.dumps(key).encode("utf-8") + b": " + value.encoded)
+        else:
+            plain[key] = value
+    if not parts:
+        return json.dumps(payload).encode("utf-8")
+    if plain:
+        parts.append(json.dumps(plain).encode("utf-8")[1:-1])
+    return b"{" + b", ".join(parts) + b"}"
 
 
 def result_from_json(payload: dict, **envelope) -> RemoteResult:

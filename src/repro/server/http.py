@@ -32,6 +32,11 @@ fatalities:
 Connections are keep-alive by default (HTTP/1.1 semantics; a
 ``Connection: close`` header or an HTTP/1.0 request closes after the
 response).
+
+Every body is written by :func:`~repro.server.codec.encode_payload`: a
+query's ``result`` arrives already serialised (the server encodes it
+once, on the thread that computed it, and keeps the bytes with a kept
+reply), so the event loop encodes only the envelope's other fields.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import json
 
 from repro.errors import ReproError
 from repro.resilience.faults import fault_point
+from repro.server.codec import encode_payload
 
 __all__ = ["handle_connection", "MAX_BODY_BYTES"]
 
@@ -124,7 +130,7 @@ def _write_response(
     keep_alive: bool,
     extra_headers: dict | None = None,
 ) -> None:
-    body = json.dumps(payload).encode("utf-8")
+    body = encode_payload(payload)
     headers = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",

@@ -118,9 +118,13 @@ class StatementCache(BoundedLRU):
     An entry also keeps the replies its statement was answered with
     (:meth:`reply` / :meth:`keep_reply`): per option set, the encoded
     result, valid for one *stamp* — whatever besides text and options
-    determines the answer (``QueryServer._stamp``).  Replies are bounded
-    by ``max_entries`` × :data:`_OPTION_SETS_PER_STATEMENT` and leave
-    with their entry; there is no second map, bound or counter.  The
+    determines the answer (``QueryServer._stamp``).  A reply is an
+    :class:`~repro.server.codec.EncodedResult`: the wire dict with its
+    JSON bytes, serialised once when it was computed, which the protocol
+    writers splice in so a hit serialises nothing.  Replies, bytes
+    included, are bounded by ``max_entries`` ×
+    :data:`_OPTION_SETS_PER_STATEMENT` and leave with their entry;
+    there is no second map, bound or counter.  The
     event loop reads them and executor threads write them, both under
     ``_lock``: the option-set map of one stamp is edited in place.
     """

@@ -26,7 +26,15 @@ JSON object with an ``"ok"`` flag.  Supported ``"op"`` values:
 A malformed or failing request yields a single
 ``{"ok": false, "error": {"type": ..., "message": ...}}`` line (with
 ``retry_after`` when the server shed the request) and the connection
-stays open for the next line — errors never kill the read loop.
+stays open for the next line — errors never kill the read loop.  The
+one exception is a request line longer than :data:`MAX_LINE_BYTES`:
+its error line is sent and the connection closed, since the rest of an
+over-long line may still be unread.
+
+Every line is written by :func:`~repro.server.codec.encode_payload`: a
+``result`` or ``snapshot`` arrives already serialised (the server
+encodes it once, on the thread that computed it, and keeps the bytes
+with a kept reply), so the event loop encodes only the other fields.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import json
 
 from repro.errors import ReproError
 from repro.resilience.faults import fault_point
+from repro.server.codec import encode_payload
 
 __all__ = ["handle_connection", "MAX_LINE_BYTES"]
 
@@ -52,7 +61,7 @@ def _error_line(exc: BaseException) -> dict:
 
 
 async def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
-    writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+    writer.write(encode_payload(payload) + b"\n")
     await writer.drain()
 
 
@@ -128,12 +137,14 @@ async def handle_connection(
         while True:
             try:
                 line = await reader.readline()
-            except (ConnectionError, ValueError, asyncio.LimitOverrunError):
-                # ValueError: a line longer than the stream limit.
+                too_long = len(line) > MAX_LINE_BYTES
+            except ValueError:
+                # Past the stream limit readline() raises instead, with
+                # the rest of the line still unread.
+                too_long = True
+            except ConnectionError:
                 break
-            if not line:
-                break
-            if len(line) > MAX_LINE_BYTES:
+            if too_long:
                 server.note_error()
                 await _send(
                     writer,
@@ -143,7 +154,9 @@ async def handle_connection(
                         )
                     ),
                 )
-                continue
+                break
+            if not line:
+                break
             if not line.strip():
                 continue
             try:

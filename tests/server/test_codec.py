@@ -1,16 +1,22 @@
 """The wire codec: lossless round-trips for every engine's results."""
 
+import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EvalSpec, ProbInterval, connect, count_, sum_
 from repro.errors import QueryValidationError
+from repro.server import QueryServer, ServerConfig, demo_database
 from repro.server.codec import (
+    EncodedResult,
     RemoteResult,
     SymbolicValue,
     VOLATILE_STAT_KEYS,
     decode_value,
+    encode_payload,
+    encode_result,
     encode_value,
     fingerprint,
     jsonable,
@@ -183,3 +189,167 @@ class TestFingerprint:
             == fingerprint(payload)
             == fingerprint(result_from_json(payload))
         )
+
+
+# -- encode_payload: kept bytes spliced, byte for byte json.dumps ------------
+
+_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**12, 10**12),
+    st.floats(allow_nan=False), _text,
+)
+_stats = st.recursive(
+    _scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_text, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_value = st.one_of(
+    _scalar,
+    st.builds(
+        lambda a, b: {"symbolic": f"({a}\u2297{b} +sum {b})"}, _text, _text
+    ),
+)
+_probability = st.floats(0, 1).map(lambda p: {"low": p, "high": min(1.0, p + 0.25)})
+_result = st.fixed_dictionaries({
+    "engine": st.sampled_from(["sprout", "naive", "approx", "montecarlo"]),
+    "columns": st.lists(_text, max_size=3),
+    "rows": st.lists(
+        st.fixed_dictionaries({
+            "values": st.lists(_value, max_size=3),
+            "probability": _probability,
+        }),
+        max_size=4,
+    ),
+    "timings": st.dictionaries(_text, st.floats(0, 10), max_size=3),
+    "stats": st.dictionaries(_text, _stats, max_size=4),
+})
+_query_envelope = st.fixed_dictionaries({
+    "tenant": _text,
+    "degraded": st.booleans(),
+    "statement_cache_hit": st.booleans(),
+    "reply_reused": st.booleans(),
+})
+
+
+class TestEncodePayload:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        result=_result,
+        fields=_query_envelope,
+        tcp=st.booleans(),
+        result_key=st.sampled_from(["result", "snapshot"]),
+        position=st.integers(0, 5),
+    )
+    def test_a_kept_result_is_spliced_as_json_dumps_would_write_it(
+        self, result, fields, tcp, result_key, position
+    ):
+        encoded = EncodedResult(result)
+        items = list(fields.items())
+        items.insert(min(position, len(items)), (result_key, encoded))
+        if tcp:
+            items.insert(0, ("ok", True))
+        for envelope in (dict(items), dict(reversed(items))):
+            assert encode_payload(envelope) == json.dumps(envelope).encode("utf-8")
+        assert encoded == result
+        assert encoded.encoded == json.dumps(result).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.one_of(
+        st.fixed_dictionaries({
+            "mutation": st.fixed_dictionaries({
+                "table": _text, "action": st.sampled_from(["insert", "update"]),
+                "rows": st.integers(0, 9), "db_generation": st.integers(0, 99),
+            }),
+            "tenant": _text,
+        }),
+        st.fixed_dictionaries({"ok": st.just(False), "error": st.fixed_dictionaries({
+            "type": _text, "message": _text,
+        })}),
+        st.dictionaries(_text, _stats, max_size=5),
+        st.fixed_dictionaries({"result": _result, "tenant": _text}),
+    ))
+    def test_a_payload_with_no_kept_result_is_json_dumps(self, payload):
+        assert encode_payload(payload) == json.dumps(payload).encode("utf-8")
+
+    def test_several_kept_results_and_plain_runs_between_them(self):
+        first = EncodedResult({"rows": [], "stats": {"n": 1.5}})
+        second = EncodedResult({"rows": [{"values": [{"symbolic": "x\u2297y"}]}]})
+        envelope = {1: "one", "a": first, "b": None, "c": second}
+        assert encode_payload(envelope) == json.dumps(envelope).encode("utf-8")
+        assert encode_payload({}) == b"{}"
+
+    def test_symbolic_text_is_escaped_once_in_the_kept_bytes(self, session):
+        result = (
+            session.table("R").group_by("kind").agg(total=sum_("value"))
+            .run(engine="sprout")
+        )
+        encoded = encode_result(result)
+        assert encoded == result_to_json(result)
+        assert b"\\u2297" in encoded.encoded and "\u2297".encode() not in encoded.encoded
+        envelope = {"ok": True, "result": encoded, "tenant": "t\u00e9"}
+        assert encode_payload(envelope) == json.dumps(envelope).encode("utf-8")
+
+
+async def _http_body(host, port, sql):
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        body = json.dumps({"sql": sql, "tenant": "t"}).encode()
+        writer.write(
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Connection: close\r\n\r\n%s" % (len(body), body)
+        )
+        await writer.drain()
+        _, _, body = (await reader.read()).partition(b"\r\n\r\n")
+        return body
+    finally:
+        writer.close()
+
+
+async def _tcp_lines(host, port, sql, times):
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        line = json.dumps({"op": "query", "sql": sql, "tenant": "t"}).encode()
+        writer.write((line + b"\n") * times)
+        await writer.drain()
+        return [await reader.readline() for _ in range(times)]
+    finally:
+        writer.close()
+
+
+def _result_bytes(raw: bytes) -> bytes:
+    """The ``result`` value of a body/line, cut from the raw bytes (the
+    ``tenant`` field follows it in both envelopes)."""
+    start = raw.index(b'"result": ') + len(b'"result": ')
+    return raw[start : raw.rindex(b', "tenant": ')]
+
+
+class TestWireBytes:
+    """A hot hit's ``result`` bytes are those of the miss that computed
+    the kept reply, off a raw HTTP socket and off the TCP line."""
+
+    def test_a_hit_writes_the_bytes_its_miss_wrote(self):
+        sql_http = "SELECT kind, COUNT(*) AS n FROM R GROUP BY kind"
+        sql_tcp = "SELECT kind, value FROM R"
+
+        async def main():
+            server = QueryServer(demo_database(), ServerConfig(port=0))
+            await server.start()
+            try:
+                http = [await _http_body(*server.http_address, sql_http)
+                        for _ in range(3)]
+                tcp = await _tcp_lines(*server.tcp_address, sql_tcp, 3)
+                return http, tcp
+            finally:
+                await server.stop()
+
+        http, tcp = asyncio.run(main())
+        for raws in (http, [line.rstrip(b"\n") for line in tcp]):
+            decoded = [json.loads(raw) for raw in raws]
+            assert [d["reply_reused"] for d in decoded] == [False, False, True]
+            # request 2 computed the reply request 3 was handed
+            assert _result_bytes(raws[2]) == _result_bytes(raws[1])
+            for raw, envelope in zip(raws, decoded):
+                assert raw == json.dumps(envelope).encode("utf-8")
+                assert json.loads(_result_bytes(raw)) == envelope["result"]

@@ -12,6 +12,7 @@ of the server's current rows and distributions.
 from __future__ import annotations
 
 import asyncio
+import json
 import sys
 import threading
 
@@ -408,6 +409,49 @@ class TestAHitIsStillARequest:
         assert hit.reply_reused and not miss.reply_reused
         assert after_hit == {"server.http.request": 1}
         assert after_miss == {"server.http.request": 2, "server.codec.encode": 1}
+
+    def test_a_hit_serialises_the_result_zero_times_a_miss_once(self, monkeypatch):
+        """Counted where every ``json.dumps`` lands, ``JSONEncoder.encode``:
+        a call serialises a result when its object is one (it has
+        ``rows``) or holds one as a value, as a whole envelope does."""
+        serialised = []
+        encode = json.JSONEncoder.encode
+
+        def counting(encoder, obj):
+            if isinstance(obj, dict) and any(
+                isinstance(value, dict) and "rows" in value
+                for value in (obj, *obj.values())
+            ):
+                serialised.append(obj)
+            return encode(encoder, obj)
+
+        async def counted(call):
+            serialised.clear()
+            reply = await call()
+            return reply.reply_reused, len(serialised)
+
+        async def scenario(server):
+            host, port = server.http_address
+            async with ServerClient(
+                host, port, tcp_port=server.tcp_address[1], tenant="t"
+            ) as client:
+                for _ in range(2):
+                    await client.query(KIND_SQL)
+                    await client.tcp_query(COUNT_SQL)
+                monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+                return {
+                    "http hit": await counted(lambda: client.query(KIND_SQL)),
+                    "http miss": await counted(lambda: client.query(ROWS_SQL)),
+                    "tcp hit": await counted(lambda: client.tcp_query(COUNT_SQL)),
+                    "tcp miss": await counted(lambda: client.tcp_query(JOIN_SQL)),
+                }
+
+        assert serve(scenario) == {
+            "http hit": (True, 0),
+            "http miss": (False, 1),
+            "tcp hit": (True, 0),
+            "tcp miss": (False, 1),
+        }
 
 
 class TestInterleavings:

@@ -554,6 +554,42 @@ class TestRobustness:
         assert status_line, "server dropped the connection without a response"
         assert int(status_line.split()[1]) == 400
 
+    @pytest.mark.parametrize("excess", [10, 4096])
+    def test_overlong_tcp_line_gets_an_error_line_then_closes(self, excess):
+        """Past ``MAX_LINE_BYTES`` + the stream's 1 KiB slack ``readline``
+        raises instead of returning the line; both sizes must answer
+        with the structured error line, then close."""
+        from repro.server.tcp import MAX_LINE_BYTES
+
+        async def scenario():
+            server = await booted()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *server.tcp_address
+                )
+                writer.write(b"x" * (MAX_LINE_BYTES + excess) + b"\n")
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    pass  # closed before it read the whole line
+                reply = await asyncio.wait_for(reader.readline(), timeout=10)
+                try:
+                    rest = await asyncio.wait_for(reader.read(), timeout=10)
+                except ConnectionError:
+                    rest = b""
+                writer.close()
+                return reply, rest
+            finally:
+                await server.stop()
+
+        reply, rest = run(scenario())
+        assert reply, "server dropped the connection without a response"
+        assert json.loads(reply) == {"ok": False, "error": {
+            "type": "ReproError",
+            "message": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }}
+        assert rest == b""
+
     def test_unknown_route_and_method(self):
         async def scenario():
             server = await booted()
