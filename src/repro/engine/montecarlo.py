@@ -11,10 +11,14 @@ knowledge compilation.
 
 The sampler is **batched**:
 
-* all ``samples × variables`` draws happen up front, one vectorized
-  categorical draw per variable (``numpy.random.Generator``; a single
-  ``random.Random.choices(k=samples)`` call per variable when the run
-  started with the kernels switched off);
+* all ``samples × variables`` draws happen up front: one
+  ``numpy.random.Generator.random`` block of uniforms for many variables
+  at once (a row per variable, blocks of at most ``_DRAW_CELLS``
+  cells), each row turned into an index column through the variable's
+  cumulative distribution — the very uniforms and the very indices
+  ``Generator.choice(p=...)`` would give, without its per-call
+  overhead; a single ``random.Random.choices(k=samples)`` call per
+  variable when the run started with the kernels switched off;
 * only the variables and relations actually referenced by the query are
   sampled;
 * step I runs **once per run**, symbolically — the same ``prepare`` →
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import groupby
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -94,6 +99,10 @@ __all__ = ["MonteCarloEngine"]
 #: its working set (bool cells; int64 multiplicities and the float
 #: matrices of ``Σ_M`` cost 8×).
 _BATCH_CELLS = 1 << 24
+
+#: Bound on ``variables × worlds`` of one block of uniforms the sampler
+#: draws at once (float64 cells); a deadline checkpoint separates blocks.
+_DRAW_CELLS = 1 << 20
 
 #: Worlds of the first sequential-stopping round; each later round
 #: doubles the total drawn.
@@ -151,31 +160,40 @@ class MonteCarloEngine:
         return Valuation(assignment, self.db.semiring)
 
     def _supports(self, names, use_numpy: bool) -> dict:
-        """``{name: (support values, weights, probabilities)}`` — what one
-        categorical draw of each variable needs, read off the registry
-        once per run.  ``probabilities`` is the normalised numpy array
-        ``Generator.choice`` takes; ``None`` selects the pure-Python
-        stream, for every round that draws from this mapping."""
+        """``{name: (support values, weights, cdf)}`` — what drawing each
+        variable needs, read off the registry once per run.  ``cdf`` is
+        the cumulative distribution ``Generator.choice`` builds from the
+        normalised weights, bit for bit (``p.cumsum()``, divided by its
+        last entry); ``None`` selects the pure-Python stream, for every
+        round that draws from this mapping."""
         supports = {}
         for name in names:
             values, weights = zip(*self.db.registry[name].items())
-            probabilities = None
+            cdf = None
             if use_numpy:
                 probabilities = _np.asarray(weights, dtype=float)
-                probabilities = probabilities / probabilities.sum()
-            supports[name] = (values, weights, probabilities)
+                cdf = (probabilities / probabilities.sum()).cumsum()
+                cdf /= cdf[-1]
+            supports[name] = (values, weights, cdf)
         return supports
 
     def _sample_index_columns(self, variables, samples: int) -> dict:
         """Batched draws as ``{name: (support_values, index_column)}``.
 
-        One vectorized categorical draw per variable via the numpy
-        ``Generator``, or one ``choices(k=samples)`` call per variable
-        when its support carries no ``probabilities`` (see
-        :meth:`_supports`) — either way O(variables) RNG calls instead of
-        O(variables × samples).  Draws stay in *index* form so the batch
-        evaluator can turn them into value columns with one fancy index
-        per variable instead of a per-sample Python loop.
+        Each run of consecutive variables with a ``cdf`` (see
+        :meth:`_supports`) is drawn as ``Generator.random((rows,
+        samples))`` blocks of at most ``_DRAW_CELLS`` cells, one row per
+        variable, with a deadline checkpoint between blocks.  A row
+        becomes an index column by inverting the cdf: ``u >= cdf[0]`` as
+        ``uint8`` for a two-valued support, ``searchsorted`` otherwise;
+        a one-valued support still consumes its row.  Those are the
+        uniforms, in the order, and the indices per-variable
+        ``Generator.choice(len(values), size=samples, p=...)`` calls
+        would give, and the generator ends in the same state.  A variable
+        without a ``cdf`` is one ``choices(k=samples)`` call.  Draws stay
+        in *index* form so the batch evaluator can turn them into value
+        columns with one fancy index per variable instead of a per-sample
+        Python loop.
 
         ``variables`` names the variables to draw — or is their
         :meth:`_supports` mapping, which runs build once instead of per
@@ -183,17 +201,32 @@ class MonteCarloEngine:
         """
         if not isinstance(variables, dict):
             variables = self._supports(variables, kernels.numpy_enabled())
+        rows = max(1, _DRAW_CELLS // max(samples, 1))
         drawn: dict = {}
-        for name, (values, weights, probabilities) in variables.items():
-            if probabilities is not None:
-                indices = self._np_rng.choice(
-                    len(values), size=samples, p=probabilities
-                )
-            else:
-                indices = self.random.choices(
-                    range(len(values)), weights=weights, k=samples
-                )
-            drawn[name] = (values, indices)
+        blocks = 0
+        for numpy_drawn, run in groupby(
+            variables.items(), key=lambda item: item[1][2] is not None
+        ):
+            run = list(run)
+            if not numpy_drawn:
+                for name, (values, weights, _) in run:
+                    indices = self.random.choices(
+                        range(len(values)), weights=weights, k=samples
+                    )
+                    drawn[name] = (values, indices)
+                continue
+            for start in range(0, len(run), rows):
+                if blocks:
+                    check_deadline("Monte-Carlo sampling")
+                blocks += 1
+                block = run[start : start + rows]
+                uniforms = self._np_rng.random((len(block), samples))
+                for (name, (values, _, cdf)), row in zip(block, uniforms):
+                    if len(cdf) == 2:
+                        indices = (row >= cdf[0]).view(_np.uint8)
+                    else:
+                        indices = cdf.searchsorted(row, side="right")
+                    drawn[name] = (values, indices)
         return drawn
 
     # -- the Engine protocol -------------------------------------------------
@@ -280,9 +313,9 @@ class MonteCarloEngine:
         """Plan, run step I and read the variables' distributions — once.
 
         The kernels switch is read here and nowhere later in the run: it
-        picks the evaluator (``symbolic``) and the sampler (the
-        ``probabilities`` of ``supports``) together, so a run finishes on
-        the stream it started on.
+        picks the evaluator (``symbolic``) and the sampler (the ``cdf``
+        of ``supports``) together, so a run finishes on the stream it
+        started on.
         """
         referenced = tuple(dict.fromkeys(query.base_relations()))
         needed: set[str] = set()
@@ -402,6 +435,10 @@ class MonteCarloEngine:
             raise ValueError("sequential stopping needs epsilon > 0")
         if not (0.0 < delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
+        if initial_batch < 1:
+            raise ValueError("initial_batch must be at least 1")
+        if max_samples is not None and max_samples < 1:
+            raise ValueError("max_samples must be None or at least 1")
         validate_query(query, self.db.catalog())
         if max_samples is None:
             # Past this Hoeffding alone pushes every width under ε even

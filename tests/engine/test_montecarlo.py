@@ -1,16 +1,24 @@
 """Tests for the Monte-Carlo sampling baseline."""
 
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import Var
 from repro.algebra.monoid import SUM
 from repro.algebra.semimodule import MConst
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.db.pvc_table import PVCDatabase
+from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.spec import EvalSpec
 from repro.prob import kernels
+from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import (
     AggSpec,
@@ -21,6 +29,7 @@ from repro.query.ast import (
     relation,
 )
 from repro.query.predicates import cmp_, eq
+from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
 
 
 def simple_db():
@@ -464,6 +473,33 @@ class TestSequentialStopping:
         with pytest.raises(ValueError):
             engine.estimate_intervals(relation("R"), delta=1.5)
 
+    def test_zero_initial_batch_rejected(self):
+        """A zero first round never draws, so the rounds never end."""
+        rounds = MonteCarloEngine(simple_db()).estimate_intervals_iter(
+            relation("R"), epsilon=0.1, initial_batch=0
+        )
+        with pytest.raises(ValueError, match="initial_batch"):
+            next(rounds)
+
+    def test_negative_initial_batch_rejected(self):
+        with pytest.raises(ValueError, match="initial_batch"):
+            MonteCarloEngine(simple_db()).estimate_intervals(
+                relation("R"), epsilon=0.1, initial_batch=-5
+            )
+
+    def test_negative_max_samples_rejected(self):
+        with pytest.raises(ValueError, match="max_samples"):
+            MonteCarloEngine(simple_db()).estimate_intervals(
+                relation("R"), epsilon=0.1, max_samples=-1
+            )
+
+    def test_zero_max_samples_rejected(self):
+        """A zero budget is no estimate, as in ``tuple_probabilities``."""
+        with pytest.raises(ValueError, match="max_samples"):
+            MonteCarloEngine(simple_db()).estimate_intervals(
+                relation("R"), epsilon=0.1, max_samples=0
+            )
+
 
 class TestSwitchIsReadOncePerRun:
     """A run decides sampler and evaluator when its context is built; the
@@ -587,3 +623,192 @@ class TestSeededStreamsArePinned:
         for key, (low, high) in self.SEQUENTIAL.items():
             assert intervals[key].low == pytest.approx(low, abs=1e-8)
             assert intervals[key].high == pytest.approx(high, abs=1e-8)
+
+
+@st.composite
+def distributions(draw):
+    """A support of 1–6 values whose weights may include zeros (kept in
+    the distribution, as ``Distribution`` itself never keeps them), or a
+    Bernoulli point mass."""
+    if draw(st.booleans()):
+        return Distribution.bernoulli(draw(st.sampled_from([0.0, 1.0, 0.3])))
+    weights = draw(
+        st.lists(st.integers(0, 5), min_size=1, max_size=6).filter(any)
+    )
+    total = sum(weights)
+    return Distribution._from_clean(
+        {value: weight / total for value, weight in enumerate(weights)}
+    )
+
+
+def choice_reference(db, names, samples, seed):
+    """Per-variable ``Generator.choice`` draws — the sampler before
+    block draws — and the generator's state after them."""
+    twin = np.random.default_rng(seed)
+    columns = {}
+    for name in names:
+        values, weights = zip(*db.registry[name].items())
+        p = np.asarray(weights, dtype=float)
+        columns[name] = twin.choice(len(values), size=samples, p=p / p.sum())
+    return columns, twin.bit_generator.state
+
+
+def assert_draws_match_choice(dists, samples, seed):
+    registry = VariableRegistry()
+    db = PVCDatabase(registry=registry, semiring=BOOLEAN)
+    names = [f"v{i}" for i in range(len(dists))]
+    for name, dist in zip(names, dists):
+        registry.declare(name, dist)
+    engine = MonteCarloEngine(db, seed=seed)
+    drawn = engine._sample_index_columns(engine._supports(names, True), samples)
+    expected, state = choice_reference(db, names, samples, seed)
+    assert list(drawn) == names
+    for name in names:
+        assert drawn[name][0] == tuple(db.registry[name])
+        assert drawn[name][1].tolist() == expected[name].tolist()
+    assert engine._np_rng.bit_generator.state == state
+
+
+class TestDrawsMatchGeneratorChoice:
+    """Block draws are bit-identical to one ``Generator.choice(p=...)``
+    per variable: the same uniforms in the same order, the same indices,
+    the same final generator state — so no seeded answer moves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dists=st.lists(distributions(), min_size=1, max_size=12),
+        samples=st.sampled_from([0, 1, 7, 600]),
+        cells=st.sampled_from([1, 16, montecarlo._DRAW_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_indices_and_state_equal_per_variable_choice(
+        self, dists, samples, cells, seed
+    ):
+        with mock.patch.object(montecarlo, "_DRAW_CELLS", cells):
+            assert_draws_match_choice(dists, samples, seed)
+
+    def test_a_draw_crossing_the_real_block_bound(self):
+        samples = 600
+        rows = montecarlo._DRAW_CELLS // samples
+        rng = random.Random(4)
+        dists = [
+            Distribution.bernoulli(rng.random()) if i % 3 else
+            Distribution({0: 0.2, 1: 0.3, 2: 0.5})
+            for i in range(rows + 5)
+        ]
+        assert_draws_match_choice(dists, samples, seed=29)
+
+
+class _CountingGenerator:
+    """Wraps a ``numpy.random.Generator``, counting ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_expired_deadline_stops_between_draw_blocks(monkeypatch):
+    """A round stopped by its time limit stops drawing too: the
+    checkpoint between blocks raises before the second block."""
+    db = two_table_db()
+    engine = MonteCarloEngine(db, seed=3)
+    counting = _CountingGenerator(engine._np_rng)
+    engine._np_rng = counting
+    monkeypatch.setattr(montecarlo, "_DRAW_CELLS", 100)
+    supports = engine._supports(sorted(db.tables["S"].variables), True)
+    deadline = Deadline(1e-6)
+    while not deadline.expired():
+        pass
+    with deadline_scope(deadline):
+        with pytest.raises(DeadlineExceeded, match="Monte-Carlo sampling"):
+            engine._sample_index_columns(supports, 50)  # 2 rows a block
+    assert counting.random_calls == 1
+
+
+class TestNumpyStreamsArePinned:
+    """Seeded answers on the numpy stream, recorded at the commit before
+    block draws replaced one ``Generator.choice`` per variable, over
+    supports of one, two, three and four values (bag semantics)."""
+
+    @staticmethod
+    def database():
+        rng = random.Random(3)
+        registry = VariableRegistry()
+        db = PVCDatabase(registry=registry, semiring=NATURALS)
+        fact = db.create_table("fact", ["k", "v"])
+        for i in range(5):
+            registry.integer(f"r{i}", {0: 0.3, 1: 0.5, 2: 0.2})
+            registry.integer(f"q{i}", {0: 0.35, 1: 0.65})
+            fact.add(
+                (rng.randrange(3), rng.randint(1, 3)),
+                Var(f"r{i}") * Var(f"q{i}"),
+            )
+        registry.integer("c", {1: 1.0})
+        registry.integer("m", {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4})
+        dim = db.create_table("dim", ["dk", "cat"])
+        for k in range(3):
+            dim.add((k, k % 2), Var("c") if k else Var("m"))
+        return db
+
+    JOIN = Select(
+        product_of(relation("fact"), relation("dim")), eq("k", "dk")
+    )
+    FIXED_QUERY = GroupAgg(
+        Project(JOIN, ["cat", "v"]), ["cat"], [AggSpec.of("t", "MAX", "v")]
+    )
+    SEQUENTIAL_QUERY = Project(JOIN, ["k", "cat"])
+
+    #: Counts out of 300 worlds, seed 17.
+    FIXED = {(0, 1): 127, (0, 3): 123, (1, 3): 199}
+    #: ``(samples, {tuple: (low, high)})`` per round, seed 17, ε = 0.1.
+    ROUNDS = [
+        (256, {(0, 0): (0.31425140970311616, 0.46457590672217175),
+               (1, 1): (0.6604496855667675, 0.7971489701050506),
+               (2, 0): (0.6073610318829775, 0.75109124839328)}),
+        (512, {(0, 0): (0.344137742495297, 0.4674766950254719),
+               (1, 1): (0.6546338065615376, 0.768272558187757),
+               (2, 0): (0.6282576944375413, 0.7446688272050184)}),
+        (1024, {(0, 0): (0.3591267002219635, 0.45315703168126403),
+                (1, 1): (0.6584864820585782, 0.745974343015911),
+                (2, 0): (0.6403622950462462, 0.72926458337111)}),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def numpy_streams(self):
+        previous = kernels.set_numpy_enabled(True)
+        yield
+        kernels.set_numpy_enabled(previous)
+
+    def test_fixed_budget_answer(self):
+        result = MonteCarloEngine(self.database(), seed=17).run(
+            self.FIXED_QUERY, samples=300
+        )
+        assert result.stats["batched"] is True
+        assert {
+            row.values: round(row.probability() * 300) for row in result
+        } == self.FIXED
+
+    def test_sequential_snapshots(self):
+        snapshots = MonteCarloEngine(self.database(), seed=17).run_iter(
+            self.SEQUENTIAL_QUERY,
+            EvalSpec(mode="sample", epsilon=0.1, delta=0.05),
+        )
+        seen = [
+            (
+                result.stats["samples"],
+                {row.values: row.probability() for row in result},
+            )
+            for result in snapshots
+        ]
+        assert [samples for samples, _ in seen] == [
+            samples for samples, _ in self.ROUNDS
+        ]
+        for (_, intervals), (_, recorded) in zip(seen, self.ROUNDS):
+            assert set(intervals) == set(recorded)
+            for key, (low, high) in recorded.items():
+                assert intervals[key].low == pytest.approx(low, abs=1e-12)
+                assert intervals[key].high == pytest.approx(high, abs=1e-12)

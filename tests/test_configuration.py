@@ -12,8 +12,9 @@ engines write is classified once, in :mod:`repro.engine.stats`, and
 every classified key is still written.  No writer notifies a
 cache: the distribution cache reconciles with the registry where it is
 read (:mod:`repro.cache`).  A server write runs on the event loop; only
-reads take the pool hop.  Monte-Carlo has one world evaluator and opens
-no pool.  All of these facts are
+reads take the pool hop.  Monte-Carlo has one world evaluator, opens
+no pool and draws its numpy worlds in blocks of uniforms, never through
+one ``Generator.choice`` call per variable.  All of these facts are
 structural, so they are checked on the syntax tree of every module
 under ``src/repro``.
 """
@@ -288,3 +289,17 @@ def test_montecarlo_imports_nothing_from_the_parallel_package():
         )
     ]
     assert not parallel, parallel
+
+
+def test_montecarlo_makes_no_generator_choice_call():
+    """Block draws reproduce ``Generator.choice`` index for index
+    (``tests/engine/test_montecarlo.py::TestDrawsMatchGeneratorChoice``)
+    without paying its per-call overhead once per variable."""
+    calls = [
+        node.lineno
+        for node in ast.walk(MODULES["engine/montecarlo.py"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+    ]
+    assert not calls, calls
