@@ -26,7 +26,10 @@ The sampler is **batched**:
   row's annotation and semimodule values are then valuated over the
   whole batch of drawn worlds as numpy columns, bool under set semantics
   and int64 multiplicities under bag semantics
-  (:func:`repro.algebra.valuation.evaluate_batch`).  A valuation extends
+  (:func:`repro.algebra.valuation.evaluate_batch`).  A Boolean
+  variable's bool column is its 0/1 index column read as is (or
+  negated, by its support's order); any other variable's column is
+  gathered from its support values by its indices.  A valuation extends
   to a homomorphism into any concrete semiring, so ``ν(Q(T)) = Q(ν(T))``
   (the paper's Section 3) makes this equal to running the query in
   every sampled world, for any query shape — joins, unions, HAVING,
@@ -165,16 +168,30 @@ class MonteCarloEngine:
         the cumulative distribution ``Generator.choice`` builds from the
         normalised weights, bit for bit (``p.cumsum()``, divided by its
         last entry); ``None`` selects the pure-Python stream, for every
-        round that draws from this mapping."""
+        round that draws from this mapping.  The cdfs of all two-valued
+        supports — every Bernoulli variable — come from one pass over
+        their k×2 weight matrix, row for row the same arithmetic."""
         supports = {}
+        pairs = []
         for name in names:
             values, weights = zip(*self.db.registry[name].items())
             cdf = None
-            if use_numpy:
+            if use_numpy and len(values) == 2:
+                pairs.append(name)
+            elif use_numpy:
                 probabilities = _np.asarray(weights, dtype=float)
                 cdf = (probabilities / probabilities.sum()).cumsum()
                 cdf /= cdf[-1]
             supports[name] = (values, weights, cdf)
+        if pairs:
+            matrix = _np.array(
+                [supports[name][1] for name in pairs], dtype=float
+            )
+            cdfs = (matrix / matrix.sum(axis=1)[:, None]).cumsum(axis=1)
+            cdfs /= cdfs[:, -1:]
+            for name, cdf in zip(pairs, cdfs):
+                values, weights, _ = supports[name]
+                supports[name] = (values, weights, cdf)
         return supports
 
     def _sample_index_columns(self, variables, samples: int) -> dict:
@@ -191,9 +208,9 @@ class MonteCarloEngine:
         ``Generator.choice(len(values), size=samples, p=...)`` calls
         would give, and the generator ends in the same state.  A variable
         without a ``cdf`` is one ``choices(k=samples)`` call.  Draws stay
-        in *index* form so the batch evaluator can turn them into value
-        columns with one fancy index per variable instead of a per-sample
-        Python loop.
+        in *index* form: the batch evaluator reads a two-valued Boolean
+        column straight off them and gathers any other one with a fancy
+        index, never a per-sample Python loop.
 
         ``variables`` names the variables to draw — or is their
         :meth:`_supports` mapping, which runs build once instead of per
@@ -431,7 +448,7 @@ class MonteCarloEngine:
     ):
         """:meth:`estimate_intervals_iter` on ``run``'s clock and
         deadline: the doubling-round loop."""
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:  # NaN too
             raise ValueError("sequential stopping needs epsilon > 0")
         if not (0.0 < delta < 1.0):
             raise ValueError("delta must be in (0, 1)")
@@ -443,8 +460,12 @@ class MonteCarloEngine:
         if max_samples is None:
             # Past this Hoeffding alone pushes every width under ε even
             # with the round-wise δ split (k ≤ 64 covers any feasible n).
-            max_samples = math.ceil(
-                2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
+            # A huge ε rounds it to 0, which would draw nothing at all.
+            max_samples = max(
+                1,
+                math.ceil(
+                    2.0 * (math.log(4.0 / delta) + 13.0) / (epsilon * epsilon)
+                ),
             )
         context = self._run_context(query)
         deadline = run.deadline
@@ -689,9 +710,11 @@ class MonteCarloEngine:
         (multiplicity > 0), one with them counts the distinct value
         combinations among those worlds.  Worlds are valuated in chunks
         of at most ``_BATCH_CELLS`` cells — counts add over disjoint sets
-        of worlds.  Returns ``None`` when the batch evaluator does not
-        apply (callers holding a run context pass its ``symbolic`` and
-        never see that).
+        of worlds.  A variable's column per chunk is a slice of the
+        presence column :func:`_presence_column` reads off its draw once
+        per run, or else gathered from its support values.  Returns
+        ``None`` when the batch evaluator does not apply (callers holding
+        a run context pass its ``symbolic`` and never see that).
         """
         if symbolic is None:
             symbolic = self._symbolic_rows(self._prepare(query))
@@ -699,12 +722,22 @@ class MonteCarloEngine:
                 return None
         rows, nodes = symbolic
         semiring = self.db.semiring
-        # One carrier value per *support value*; a fancy index per chunk
-        # then turns draws into columns — no per-sample Python loop.
-        columns = {
-            name: (support_column(values, semiring), _np.asarray(indices))
-            for name, (values, indices) in drawn.items()
-        }
+        # A two-valued 𝔹 support's index column is its presence column
+        # (or that column negated), built once and sliced per chunk.  Any
+        # other support keeps one carrier value per *support value*, and
+        # a fancy index per chunk turns its draws into a column — no
+        # per-sample Python loop either way.
+        direct = {}
+        gathered = {}
+        for name, (values, indices) in drawn.items():
+            column = _presence_column(values, indices, semiring)
+            if column is not None:
+                direct[name] = column
+            else:
+                gathered[name] = (
+                    support_column(values, semiring),
+                    _np.asarray(indices),
+                )
         chunk = max(1, _BATCH_CELLS // max(nodes, 1))
         counts: dict[tuple, int] = {}
         for start in range(0, samples, chunk):
@@ -712,9 +745,11 @@ class MonteCarloEngine:
                 check_deadline("Monte-Carlo batch valuation")
             size = min(chunk, samples - start)
             presence = {
-                name: support[indices[start : start + size]]
-                for name, (support, indices) in columns.items()
+                name: column[start : start + size]
+                for name, column in direct.items()
             }
+            for name, (support, indices) in gathered.items():
+                presence[name] = support[indices[start : start + size]]
             memo: dict = {}
             for values, annotation, slots in rows:
                 present = evaluate_batch(
@@ -753,3 +788,29 @@ class MonteCarloEngine:
                     answer = tuple(key)
                     counts[answer] = counts.get(answer, 0) + hit
         return counts
+
+
+def _presence_column(values, indices, semiring):
+    """The presence column of a two-valued support under 𝔹, read off its
+    index column without a gather — or ``None`` when it must be gathered.
+
+    The drawer's two-valued index columns are 0/1 ``uint8`` (see
+    :meth:`MonteCarloEngine._sample_index_columns`), so the column *is*
+    the presence of support ``(False, True)`` viewed as bool, and its
+    negation for ``(True, False)``, the order ``Distribution.bernoulli``
+    gives.  ℕ, one-valued or 3+-valued supports, two values that coerce
+    equal and the pure-Python stream's index lists return ``None``.
+    """
+    if not (
+        semiring.is_boolean
+        and len(values) == 2
+        and isinstance(indices, _np.ndarray)
+        and indices.dtype == _np.uint8
+    ):
+        return None
+    coerced = (semiring.coerce(values[0]), semiring.coerce(values[1]))
+    if coerced == (False, True):
+        return indices.view(bool)
+    if coerced == (True, False):
+        return _np.logical_not(indices.view(bool))
+    return None

@@ -36,11 +36,20 @@ __all__ = [
     "check_mode",
     "degraded_mode",
     "implied_mode",
+    "is_positive_int",
     "native_engine",
 ]
 
 #: The recognised evaluation modes, in guarantee order.
 EVAL_MODES = ("exact", "approx", "sample")
+
+
+def is_positive_int(value) -> bool:
+    """Whether ``value`` is a sample or work budget: an ``int``, not a
+    ``bool``, and > 0 — the one rule for ``budget`` and ``samples``."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value > 0
+    )
 
 
 class EngineRow(NamedTuple):
@@ -265,7 +274,7 @@ class EvalSpec:
             raise QueryValidationError(
                 f"delta must be in (0, 1), got {self.delta!r}"
             )
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is not None and not is_positive_int(self.budget):
             raise QueryValidationError(
                 f"budget must be a positive integer, got {self.budget!r}"
             )

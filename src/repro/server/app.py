@@ -64,6 +64,7 @@ from repro.engine.spec import (
     _SPEC_FIELDS,
     degraded_mode,
     implied_mode,
+    is_positive_int,
     native_engine,
 )
 from repro.errors import QueryValidationError, ReproError
@@ -327,10 +328,7 @@ class QueryServer:
                 f"{list(ENGINE_NAMES)}"
             )
         samples = payload.get("samples")
-        if samples is not None and (
-            isinstance(samples, bool) or not isinstance(samples, int)
-            or samples <= 0
-        ):
+        if samples is not None and not is_positive_int(samples):
             raise ProtocolError("'samples' must be a positive integer")
         spec = payload.get("spec")
         if spec is None:

@@ -55,6 +55,7 @@ from repro.engine.spec import (
     check_mode,
     degraded_mode,
     implied_mode,
+    is_positive_int,
 )
 from repro.engine.sprout import QueryResult
 from repro.errors import QueryValidationError, SchemaError
@@ -373,6 +374,10 @@ class Session:
                 spec = spec or EvalSpec()
                 spec = _replace(spec, mode=degraded_mode(spec.mode))
         if samples is not None:
+            if not is_positive_int(samples):
+                raise QueryValidationError(
+                    f"samples must be a positive integer, got {samples!r}"
+                )
             row = ENGINE_TABLE.get(name)
             if row is not None and "samples" in row.options:
                 options["samples"] = samples

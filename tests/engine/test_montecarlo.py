@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import connect
 from repro.algebra.expressions import Var
 from repro.algebra.monoid import SUM
 from repro.algebra.semimodule import MConst
@@ -472,6 +473,26 @@ class TestSequentialStopping:
             engine.estimate_intervals(relation("R"), epsilon=0.0)
         with pytest.raises(ValueError):
             engine.estimate_intervals(relation("R"), delta=1.5)
+
+    def test_nan_epsilon_rejected(self):
+        """NaN is no tolerance: refused before the budget is derived
+        from it (``math.ceil`` of NaN raised a bare conversion error)."""
+        with pytest.raises(ValueError, match="epsilon"):
+            MonteCarloEngine(simple_db()).estimate_intervals(
+                relation("R"), epsilon=float("nan")
+            )
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), 1e300])
+    def test_huge_epsilon_still_draws_a_world(self, epsilon):
+        """The derived budget rounds to 0 here; it must stay ≥ 1, or
+        the answer is silently empty and never converged."""
+        s = connect(seed=3)
+        table = s.table("R", ["a"])
+        for a in range(4):
+            table.insert((a,), p=0.5)
+        result = s.sql("SELECT a FROM R", mode="sample", epsilon=epsilon)
+        assert result.stats["samples"] >= 1
+        assert result.stats["converged"] is True
 
     def test_zero_initial_batch_rejected(self):
         """A zero first round never draws, so the rounds never end."""

@@ -100,6 +100,9 @@ class TestEvalSpec:
             EvalSpec(delta=1.0)
         with pytest.raises(QueryValidationError):
             EvalSpec(budget=0)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(QueryValidationError, match="budget"):
+                EvalSpec(budget=bad)
         with pytest.raises(QueryValidationError):
             EvalSpec(time_limit=0.0)
 

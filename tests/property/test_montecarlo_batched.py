@@ -12,10 +12,16 @@ multiplicities 0–3).  The batched path is never compared with itself:
 the oracle is ``_per_world_counts`` on the same columns, or
 ``_evaluate_drawn`` on a run context whose batch evaluator is switched
 off.
+
+Under 𝔹 a two-valued support's presence column is read straight off
+its index column; every other column is gathered from its support
+values.  A second differential holds the first path to the second on
+the same drawn columns.
 """
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +30,12 @@ from repro.algebra.expressions import ONE, Var, sprod, ssum
 from repro.algebra.monoid import MIN, SUM
 from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
+from repro.algebra.valuation import support_column
 from repro.db.pvc_table import PVCDatabase
 from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.prob import kernels
+from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Product, Project, Select, relation
 from repro.query.predicates import cmp_, eq
@@ -71,6 +79,12 @@ def correlated_databases(draw, max_rows=4):
             {value: weight / sum(weights) for value, weight in zip(support, weights)},
         )
     db = PVCDatabase(registry=registry, semiring=semiring)
+    return fill_tables(draw, db, max_rows)
+
+
+def fill_tables(draw, db, max_rows):
+    """``QUERY_TABLES`` with 1–``max_rows`` rows each, annotated over
+    the pool."""
     for name, columns in QUERY_TABLES.items():
         table = db.create_table(name, columns)
         for _ in range(draw(st.integers(1, max_rows))):
@@ -221,3 +235,146 @@ def test_semimodule_values_in_base_tables_dedupe_per_world():
     assert counts[(1, 0)] == 300  # never 2 per world
     estimate = MonteCarloEngine(db, seed=3).tuple_probabilities(query, 300)
     assert estimate[(1, 0)] == 1.0
+
+
+# -- presence columns read off the draw ------------------------------------
+
+#: A support of each kind ``_batched_counts`` tells apart: 𝔹 in both
+#: value orders, point masses, and (ℕ) two values in both orders or
+#: more.
+BOOLEAN_SUPPORTS = st.one_of(
+    probabilities.map(Distribution.bernoulli),  # (True, False)
+    probabilities.map(lambda p: Distribution({False: 1.0 - p, True: p})),
+    st.sampled_from([Distribution.bernoulli(0.0), Distribution.bernoulli(1.0)]),
+)
+NATURAL_SUPPORTS = st.one_of(
+    probabilities.map(lambda p: Distribution.bernoulli(p, one=1, zero=0)),
+    probabilities.map(lambda p: Distribution({0: 1.0 - p, 1: p})),
+    st.just(Distribution({0: 0.2, 2: 0.3, 3: 0.5})),
+)
+
+#: Two support values that coerce to one truth value under 𝔹.
+EQUAL_UNDER_BOOLEAN = [(True, 1), (0, False)]
+
+
+@st.composite
+def presence_databases(draw, max_rows=4):
+    semiring = draw(st.sampled_from([BOOLEAN, NATURALS]))
+    supports = BOOLEAN_SUPPORTS if semiring.is_boolean else NATURAL_SUPPORTS
+    registry = VariableRegistry()
+    for name in POOL:
+        registry.declare(name, draw(supports))
+    db = PVCDatabase(registry=registry, semiring=semiring)
+    return fill_tables(draw, db, max_rows)
+
+
+def gathered_counts(engine, query, drawn, samples):
+    """``_batched_counts`` with every presence column gathered."""
+    with mock.patch.object(
+        montecarlo, "_presence_column", lambda *args: None
+    ):
+        return engine._batched_counts(query, drawn, samples)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    presence_databases(),
+    queries(),
+    st.integers(0, 999),
+    st.sampled_from([1, 101]),
+    st.sampled_from([200, montecarlo._BATCH_CELLS]),
+    st.data(),
+)
+def test_read_off_presence_equals_the_gather(
+    db, query, seed, samples, cells, data
+):
+    """101 worlds is prime, so a 200-cell chunk never divides them."""
+    engine = MonteCarloEngine(db, seed=seed)
+    referenced, drawn = draw_columns(engine, query, samples)
+    pairs = sorted(name for name, (values, _) in drawn.items() if len(values) == 2)
+    if db.semiring.is_boolean and pairs:
+        # Values the registry cannot hold (they are equal keys), but the
+        # evaluator must still not read them off the draw.
+        for name in data.draw(st.sets(st.sampled_from(pairs))):
+            pair = data.draw(st.sampled_from(EQUAL_UNDER_BOOLEAN))
+            drawn[name] = (pair, drawn[name][1])
+    with mock.patch.object(montecarlo, "_BATCH_CELLS", cells):
+        read_off = engine._batched_counts(query, drawn, samples)
+        assert read_off is not None
+        assert typed(read_off) == typed(
+            gathered_counts(engine, query, drawn, samples)
+        )
+
+
+class TestPresenceColumn:
+    def indices(self):
+        return (np.array([0.1, 0.9, 0.6, 0.3]) >= 0.5).view(np.uint8)
+
+    def test_false_true_is_the_index_column_itself(self):
+        indices = self.indices()
+        column = montecarlo._presence_column((False, True), indices, BOOLEAN)
+        assert column.dtype == bool and np.shares_memory(column, indices)
+        assert column.tolist() == [False, True, True, False]
+
+    def test_true_false_is_its_negation(self):
+        column = montecarlo._presence_column(
+            (True, False), self.indices(), BOOLEAN
+        )
+        assert column.dtype == bool
+        assert column.tolist() == [True, False, False, True]
+
+    @pytest.mark.parametrize(
+        "values, semiring, as_list",
+        [
+            ((0, 1), NATURALS, False),  # ℕ keeps int64 multiplicities
+            ((True, 1), BOOLEAN, False),  # coerce equal
+            ((0, False), BOOLEAN, False),
+            ((False, True), BOOLEAN, True),  # the pure-Python stream
+            ((True,), BOOLEAN, False),  # one value
+        ],
+    )
+    def test_everything_else_is_gathered(self, values, semiring, as_list):
+        indices = self.indices()
+        if as_list:
+            indices = indices.tolist()
+        assert montecarlo._presence_column(values, indices, semiring) is None
+
+
+def test_a_bernoulli_database_gathers_nothing():
+    """Every variable of ``pinned_db`` is a Bernoulli: a batched run
+    reads every presence column off its draw."""
+    if not kernels.numpy_enabled():
+        return  # the run then has no batched form
+    counting = mock.Mock(wraps=support_column)
+    with mock.patch.object(montecarlo, "support_column", counting):
+        result = MonteCarloEngine(pinned_db(), seed=5).run(
+            PINNED["join_then_having"], samples=300
+        )
+    assert result.stats["batched"] is True
+    assert counting.call_count == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(probabilities, st.floats(0.5, 1.0)), min_size=1, max_size=8
+    )
+)
+def test_two_valued_cdfs_equal_the_per_variable_ones(weights):
+    """One pass over the k×2 weight matrix, row for row bit-identical to
+    normalising, ``cumsum`` and dividing by the last entry per variable
+    (weights summing to less than 1 included)."""
+    registry = VariableRegistry()
+    names = [f"x{i}" for i in range(len(weights))]
+    for name, (p, total) in zip(names, weights):
+        registry.declare(
+            name, Distribution({True: p * total, False: (1.0 - p) * total})
+        )
+    engine = MonteCarloEngine(PVCDatabase(registry=registry), seed=0)
+    supports = engine._supports(names, True)
+    for name in names:
+        values, row_weights, cdf = supports[name]
+        w = np.asarray(row_weights, dtype=float)
+        expected = (w / w.sum()).cumsum()
+        expected /= expected[-1]
+        assert cdf.tobytes() == expected.tobytes()

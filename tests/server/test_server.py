@@ -533,6 +533,26 @@ class TestRobustness:
         assert len(result.rows) > 0
         assert stats["server"]["errors"] >= 6
 
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_non_integer_budget_is_a_validation_error(self, budget):
+        """A float budget used to reach the sampler and fail there with
+        a ``TypeError``; ``true`` ran as a budget of 1."""
+        async def scenario():
+            server = await booted()
+            try:
+                async with client_for(server) as c:
+                    with pytest.raises(ServerError) as caught:
+                        await c.query(
+                            ZOO[0], spec={"mode": "sample", "budget": budget}
+                        )
+                return caught.value.error
+            finally:
+                await server.stop()
+
+        error = run(scenario())
+        assert error["type"] == "QueryValidationError"
+        assert "budget" in error["message"]
+
     def test_overlong_request_line_gets_400(self):
         """A request line past the stream's line limit must come back as
         a structured 400, not a silently dropped connection plus an

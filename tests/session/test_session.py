@@ -132,6 +132,22 @@ class TestRun:
         for result in (from_builder, from_sql):
             assert result.tuple_probabilities() == from_ast.tuple_probabilities()
 
+    @pytest.mark.parametrize("samples", [2.5, True, "3"])
+    def test_samples_must_be_a_positive_int(self, shop_session, samples):
+        """Not a float, bool or string: each used to reach the sampler
+        and die there with a ``TypeError`` (or run on ``True`` as 1)."""
+        with pytest.raises(QueryValidationError, match="samples"):
+            shop_session.sql(
+                "SELECT name FROM items", engine="montecarlo", samples=samples
+            )
+
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_budget_must_be_a_positive_int(self, shop_session, budget):
+        with pytest.raises(QueryValidationError, match="budget"):
+            shop_session.sql(
+                "SELECT name FROM items", mode="sample", budget=budget
+            )
+
     def test_unknown_engine_rejected(self, shop_session):
         with pytest.raises(QueryValidationError):
             shop_session.run(affordable(shop_session), engine="postgres")
