@@ -13,7 +13,8 @@ Public surface:
   fallback).
 * :class:`~repro.codegen.binding.BoundPlan` (via
   :meth:`CompiledPlan.bind`) — all world-invariant work hoisted, for the
-  per-world engines.
+  per-world engines; :func:`repro.query.executor.world_evaluator` binds
+  it, the one place they get a kernel from.
 * :func:`codegen_enabled` — the ``REPRO_CODEGEN`` escape hatch.
 
 The tree-walking interpreter in :mod:`repro.query.executor` remains the
@@ -37,7 +38,6 @@ __all__ = [
     "CodegenUnsupported",
     "compile_plan",
     "kernel_for",
-    "bound_kernel_for",
     "codegen_enabled",
     "runtime_stats",
     "reset_runtime_stats",
@@ -71,20 +71,3 @@ def kernel_for(prepared, semiring) -> CompiledPlan | None:
     cache[key] = compiled
     return compiled
 
-
-def bound_kernel_for(prepared, db, names):
-    """The prepared query's kernel bound to ``db`` for the per-world
-    engines, or ``None`` when codegen is off (:func:`codegen_enabled`)
-    or the plan or the database's annotations have no compiled form.
-
-    ``names`` is as in :meth:`CompiledPlan.bind`.
-    """
-    if not codegen_enabled():
-        return None
-    kernel = kernel_for(prepared, db.semiring)
-    if kernel is None:
-        return None
-    try:
-        return kernel.bind(db, names)
-    except CodegenUnsupported:
-        return None

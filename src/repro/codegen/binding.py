@@ -12,9 +12,9 @@ the per-world loop the naive oracle and the Monte-Carlo fallback run:
   once, and each *distinct* annotation expression compiled once to a
   closure over a coerced valuation vector (annotation-level CSE — the
   interpreter re-evaluates the annotation per row per world);
-* with the numpy kernels on, an all-``Var``-annotated Boolean table
-  becomes a single fancy-indexing gather per world (``presence[slots]``),
-  list-ified back to Python bools so results stay bit-identical.
+* an all-``Var``-annotated Boolean table becomes a single
+  fancy-indexing gather per world (``presence[slots]``), list-ified back
+  to Python bools so results stay bit-identical.
 
 ``run_assignment`` (a ``{variable: value}`` assignment — one enumerated
 world of the naive oracle, one sampled world of Monte-Carlo's fallback
@@ -32,7 +32,6 @@ from repro.algebra.expressions import Prod, SConst, Sum, Var
 from repro.algebra.semimodule import AggSum, MConst, ModuleExpr, Tensor
 from repro.algebra.valuation import Valuation
 from repro.codegen.runtime import CodegenUnsupported
-from repro.prob.kernels import numpy_enabled
 
 __all__ = ["BoundPlan", "compile_annotation"]
 
@@ -211,7 +210,6 @@ class BoundPlan:
         self._statics = statics
 
         # Columnar layout + compiled annotations for the uncertain tables.
-        use_numpy = numpy_enabled() and semiring.is_boolean
         ann_fns: list = []
         ann_slots: dict = {}
         dynamic = []
@@ -222,7 +220,7 @@ class BoundPlan:
             raw_rows = table.rows
             annotations = [row.annotation for row in raw_rows]
             fast = None
-            if use_numpy and all(
+            if semiring.is_boolean and all(
                 isinstance(annotation, Var) for annotation in annotations
             ):
                 module_free = all(

@@ -38,18 +38,25 @@ def enumerate_database_worlds(
     variables are marginalised out.
 
     Enumeration spans many reads of the live tables, so every world is
-    built from the tables captured at the start and yielded only while
-    the stamp (every table, the registry) compares equal: a mutation
-    mid-sweep raises :class:`~repro.errors.ConcurrentMutationError`.
+    built from the tables captured at the start, and the stamp (every
+    table, the registry) is compared before each world is built — a new
+    row may name a variable the valuation does not assign — and again
+    after: a mutation mid-sweep raises
+    :class:`~repro.errors.ConcurrentMutationError`.
     """
     stamp = capture_stamp(db, registry=True)  # before any row is read
     space = ProbabilitySpace(db.registry, db.semiring)
     names = sorted(db.variables)
+
+    def check():
+        if capture_stamp(db, registry=True) != stamp:
+            raise ConcurrentMutationError("database mutated during possible-worlds enumeration")
+
     for valuation, probability in space.enumerate_worlds(names):
+        check()
         world = {
             table_name: table.instantiate(valuation, db.semiring)
             for table_name, table, _ in stamp[0]
         }
-        if capture_stamp(db, registry=True) != stamp:
-            raise ConcurrentMutationError("database mutated during possible-worlds enumeration")
+        check()
         yield world, probability

@@ -17,8 +17,8 @@ The sampler is **batched**:
   cells), each row turned into an index column through the variable's
   cumulative distribution — the very uniforms and the very indices
   ``Generator.choice(p=...)`` would give, without its per-call
-  overhead; a single ``random.Random.choices(k=samples)`` call per
-  variable when the run started with the kernels switched off;
+  overhead.  It is the one draw stream: the kernels switch, which makes
+  the exact compiler Algorithm 1 verbatim, moves nothing here;
 * only the variables and relations actually referenced by the query are
   sampled;
 * step I runs **once per run**, symbolically — the same ``prepare`` →
@@ -36,13 +36,15 @@ The sampler is **batched**:
   aggregates over filtered aggregates — and any (correlated)
   annotations.  Large batches are valuated in world chunks of bounded
   array size, with a deadline checkpoint between chunks;
-* the per-world loop (a compiled kernel, or the interpreter) remains
-  only where it is the one exact path: the kernels switched off (a test
-  seam), semimodule values stored in base tables, predicates only
-  concrete values can evaluate, and aggregates the batch could alter —
-  float SUM inputs, integers beyond 2**52/2**53, multiplicities that
-  could leave that range, PROD and custom monoids (see
-  :func:`repro.algebra.valuation.batch_exact`).  It memoises repeated
+* the per-world loop remains only where it is the one exact path:
+  semimodule values stored in base tables, predicates only concrete
+  values can evaluate, and aggregates the batch could alter — float SUM
+  inputs, integers beyond 2**52/2**53, multiplicities that could leave
+  that range, PROD and custom monoids (see
+  :func:`repro.algebra.valuation.batch_exact`).  Each distinct drawn
+  world goes through :func:`repro.query.executor.world_evaluator` — a
+  bound compiled kernel, or the interpreter — built once per run over
+  the rows the tables held when the run started.  It memoises repeated
   worlds, so databases with few effective variables never evaluate the
   same world twice, and it is the oracle the batched path is tested
   against.
@@ -61,8 +63,6 @@ Estimates remain plain empirical frequencies either way, and a fixed
 from __future__ import annotations
 
 import math
-import random
-from itertools import groupby
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -77,18 +77,18 @@ from repro.algebra.valuation import (
     evaluate_batch,
     support_column,
 )
-from repro.codegen import bound_kernel_for
+from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.spec import EvalSpec, ProbInterval
 from repro.engine.sprout import QueryResult, Run, concrete_result
 from repro.errors import AlgebraError, QueryValidationError
-from repro.prob import kernels
 from repro.query.ast import Query
 from repro.query.executor import (
     PreparedQuery,
-    execute_deterministic,
+    check_stamp,
     execute_symbolic,
     prepare,
+    world_evaluator,
 )
 from repro.query.validate import validate_query
 from repro.resilience.deadline import DeadlineExceeded, check_deadline
@@ -117,13 +117,14 @@ class _RunContext(NamedTuple):
     re-plans, re-runs step I or re-reads a variable's distribution."""
 
     query: Query
-    referenced: tuple
     #: The variables of the referenced tables, see ``_supports``.
     supports: dict
-    prepared: PreparedQuery
     #: ``(rows, nodes)`` of the symbolic answer when the batch evaluator
     #: applies (see ``_symbolic_rows``), else ``None``: per-world loop.
     symbolic: tuple | None
+    #: The per-world loop's :func:`world_evaluator` when ``symbolic`` is
+    #: ``None``, else ``None``.
+    evaluator: tuple | None
 
 
 class MonteCarloEngine:
@@ -149,101 +150,87 @@ class MonteCarloEngine:
         #: Fixed budget of :meth:`run` when neither ``samples=`` nor a
         #: ``"sample"`` spec says otherwise.
         self.samples = samples
-        self.random = random.Random(seed)
         self._np_rng = _np.random.default_rng(seed)
 
     # -- sampling ------------------------------------------------------------
 
     def sample_valuation(self) -> Valuation:
-        """Draw one valuation of all registered variables."""
-        assignment = {}
-        for name, dist in self.db.registry.items():
-            values, weights = zip(*dist.items())
-            assignment[name] = self.random.choices(values, weights=weights)[0]
-        return Valuation(assignment, self.db.semiring)
+        """Draw one valuation of all registered variables.
 
-    def _supports(self, names, use_numpy: bool) -> dict:
-        """``{name: (support values, weights, cdf)}`` — what drawing each
-        variable needs, read off the registry once per run.  ``cdf`` is
-        the cumulative distribution ``Generator.choice`` builds from the
+        It is one world drawn from the run stream, as a run of one sample
+        over every registered variable would draw it, so it advances the
+        stream: the seeded runs after it answer what a twin engine's runs
+        answer after the same draw, not what a fresh engine's do."""
+        drawn = self._sample_index_columns(self.db.registry.names(), 1)
+        return Valuation(
+            {name: values[indices[0]] for name, (values, indices) in drawn.items()},
+            self.db.semiring,
+        )
+
+    def _supports(self, names) -> dict:
+        """``{name: (support values, cdf)}`` — what drawing each variable
+        needs, read off the registry once per run.  ``cdf`` is the
+        cumulative distribution ``Generator.choice`` builds from the
         normalised weights, bit for bit (``p.cumsum()``, divided by its
-        last entry); ``None`` selects the pure-Python stream, for every
-        round that draws from this mapping.  The cdfs of all two-valued
-        supports — every Bernoulli variable — come from one pass over
-        their k×2 weight matrix, row for row the same arithmetic."""
+        last entry).  The cdfs of all two-valued supports — every
+        Bernoulli variable — come from one pass over their k×2 weight
+        matrix, row for row the same arithmetic."""
         supports = {}
         pairs = []
         for name in names:
             values, weights = zip(*self.db.registry[name].items())
-            cdf = None
-            if use_numpy and len(values) == 2:
-                pairs.append(name)
-            elif use_numpy:
-                probabilities = _np.asarray(weights, dtype=float)
-                cdf = (probabilities / probabilities.sum()).cumsum()
-                cdf /= cdf[-1]
-            supports[name] = (values, weights, cdf)
+            if len(values) == 2:
+                pairs.append((name, values, weights))
+                supports[name] = None  # keeps the draw order; set below
+                continue
+            probabilities = _np.asarray(weights, dtype=float)
+            cdf = (probabilities / probabilities.sum()).cumsum()
+            cdf /= cdf[-1]
+            supports[name] = (values, cdf)
         if pairs:
-            matrix = _np.array(
-                [supports[name][1] for name in pairs], dtype=float
-            )
+            matrix = _np.array([weights for _, _, weights in pairs], dtype=float)
             cdfs = (matrix / matrix.sum(axis=1)[:, None]).cumsum(axis=1)
             cdfs /= cdfs[:, -1:]
-            for name, cdf in zip(pairs, cdfs):
-                values, weights, _ = supports[name]
-                supports[name] = (values, weights, cdf)
+            for (name, values, _), cdf in zip(pairs, cdfs):
+                supports[name] = (values, cdf)
         return supports
 
     def _sample_index_columns(self, variables, samples: int) -> dict:
         """Batched draws as ``{name: (support_values, index_column)}``.
 
-        Each run of consecutive variables with a ``cdf`` (see
-        :meth:`_supports`) is drawn as ``Generator.random((rows,
-        samples))`` blocks of at most ``_DRAW_CELLS`` cells, one row per
-        variable, with a deadline checkpoint between blocks.  A row
-        becomes an index column by inverting the cdf: ``u >= cdf[0]`` as
-        ``uint8`` for a two-valued support, ``searchsorted`` otherwise;
-        a one-valued support still consumes its row.  Those are the
-        uniforms, in the order, and the indices per-variable
-        ``Generator.choice(len(values), size=samples, p=...)`` calls
-        would give, and the generator ends in the same state.  A variable
-        without a ``cdf`` is one ``choices(k=samples)`` call.  Draws stay
-        in *index* form: the batch evaluator reads a two-valued Boolean
-        column straight off them and gathers any other one with a fancy
-        index, never a per-sample Python loop.
+        The variables are drawn as ``Generator.random((rows, samples))``
+        blocks of at most ``_DRAW_CELLS`` cells, one row per variable,
+        with a deadline checkpoint between blocks.  A row becomes an
+        index column by inverting its ``cdf`` (see :meth:`_supports`):
+        ``u >= cdf[0]`` as ``uint8`` for a two-valued support,
+        ``searchsorted`` otherwise; a one-valued support still consumes
+        its row.  Those are the uniforms, in the order, and the indices
+        per-variable ``Generator.choice(len(values), size=samples,
+        p=...)`` calls would give, and the generator ends in the same
+        state.  Draws stay in *index* form: the batch evaluator reads a
+        two-valued Boolean column straight off them and gathers any other
+        one with a fancy index, never a per-sample Python loop.
 
         ``variables`` names the variables to draw — or is their
         :meth:`_supports` mapping, which runs build once instead of per
         round.
         """
         if not isinstance(variables, dict):
-            variables = self._supports(variables, kernels.numpy_enabled())
+            variables = self._supports(variables)
         rows = max(1, _DRAW_CELLS // max(samples, 1))
+        items = list(variables.items())
         drawn: dict = {}
-        blocks = 0
-        for numpy_drawn, run in groupby(
-            variables.items(), key=lambda item: item[1][2] is not None
-        ):
-            run = list(run)
-            if not numpy_drawn:
-                for name, (values, weights, _) in run:
-                    indices = self.random.choices(
-                        range(len(values)), weights=weights, k=samples
-                    )
-                    drawn[name] = (values, indices)
-                continue
-            for start in range(0, len(run), rows):
-                if blocks:
-                    check_deadline("Monte-Carlo sampling")
-                blocks += 1
-                block = run[start : start + rows]
-                uniforms = self._np_rng.random((len(block), samples))
-                for (name, (values, _, cdf)), row in zip(block, uniforms):
-                    if len(cdf) == 2:
-                        indices = (row >= cdf[0]).view(_np.uint8)
-                    else:
-                        indices = cdf.searchsorted(row, side="right")
-                    drawn[name] = (values, indices)
+        for start in range(0, len(items), rows):
+            if start:
+                check_deadline("Monte-Carlo sampling")
+            block = items[start : start + rows]
+            uniforms = self._np_rng.random((len(block), samples))
+            for (name, (values, cdf)), row in zip(block, uniforms):
+                if len(cdf) == 2:
+                    indices = (row >= cdf[0]).view(_np.uint8)
+                else:
+                    indices = cdf.searchsorted(row, side="right")
+                drawn[name] = (values, indices)
         return drawn
 
     # -- the Engine protocol -------------------------------------------------
@@ -327,26 +314,26 @@ class MonteCarloEngine:
         )
 
     def _run_context(self, query: Query) -> _RunContext:
-        """Plan, run step I and read the variables' distributions — once.
-
-        The kernels switch is read here and nowhere later in the run: it
-        picks the evaluator (``symbolic``) and the sampler (the ``cdf``
-        of ``supports``) together, so a run finishes on the stream it
-        started on.
-        """
-        referenced = tuple(dict.fromkeys(query.base_relations()))
-        needed: set[str] = set()
-        for name in referenced:
-            needed |= self.db.tables[name].variables
+        """Plan, run step I, read the variables' distributions and, where
+        the batch evaluator does not apply, build the per-world one —
+        once, under one stamp, so every round reads the tables as the run
+        found them; a write landing meanwhile raises
+        :class:`~repro.errors.ConcurrentMutationError`."""
+        db = self.db
         prepared = self._prepare(query)
-        use_numpy = kernels.numpy_enabled()
-        return _RunContext(
-            query,
-            referenced,
-            self._supports(sorted(needed), use_numpy),
-            prepared,
-            self._symbolic_rows(prepared) if use_numpy else None,
-        )
+        read = query.base_relations()
+        stamp = capture_stamp(db, read)  # before any variable is read
+        needed: set[str] = set()
+        for name in set(read):
+            needed |= db.tables[name].variables
+        supports = self._supports(sorted(needed))
+        symbolic = self._symbolic_rows(prepared)
+        evaluator = None
+        if symbolic is None:
+            evaluator = world_evaluator(prepared, db, list(supports), stamp)
+        else:
+            check_stamp(db, read, stamp)
+        return _RunContext(query, supports, symbolic, evaluator)
 
     def _sampled_counts(
         self, context: _RunContext, samples: int
@@ -372,13 +359,7 @@ class MonteCarloEngine:
                 context.query, drawn, samples, context.symbolic
             )
             return counts, {"batched": True}
-        counts, info = self._per_world_counts(
-            context.query,
-            context.referenced,
-            drawn,
-            samples,
-            context.prepared,
-        )
+        counts, info = self._per_world_counts(drawn, samples, context.evaluator)
         info["batched"] = False
         return counts, info
 
@@ -472,8 +453,7 @@ class MonteCarloEngine:
         totals: dict[tuple, int] = {}
         drawn_total = 0
         round_no = 0
-        codegen_used = False
-        round_info: dict = {}
+        codegen_used = context.evaluator is not None and context.evaluator[1]
         while True:
             round_no += 1
             fault_point("engine.montecarlo.round")
@@ -491,7 +471,7 @@ class MonteCarloEngine:
                 # The scope lets the chunked batch evaluator stop between
                 # chunks instead of finishing a round past the time budget.
                 with run.scope():
-                    counts, round_info = self._sampled_counts(context, batch)
+                    counts, _ = self._sampled_counts(context, batch)
             except DeadlineExceeded:
                 if deadline is None or not deadline.expired():
                     raise  # an outer scope's deadline: not ours to absorb
@@ -515,9 +495,6 @@ class MonteCarloEngine:
             converged = drawn_total > 0 and max_width <= epsilon
             out_of_time = run.expired()
             done = converged or drawn_total >= max_samples or out_of_time
-            codegen_used = codegen_used or round_info.get(
-                "codegen_used", False
-            )
             info = {
                 "samples": drawn_total,
                 "rounds": round_no,
@@ -590,33 +567,22 @@ class MonteCarloEngine:
     # -- generic per-world fallback -------------------------------------------
 
     def _per_world_counts(
-        self,
-        query: Query,
-        referenced,
-        drawn,
-        samples: int,
-        prepared=None,
+        self, drawn, samples: int, evaluator
     ) -> tuple[dict[tuple, int], dict]:
         """Evaluate sampled worlds one by one, memoising repeated worlds.
 
-        Only the relations referenced by the query are instantiated, and
-        only their variables enter the world key (in index form), so
-        databases with few effective variables collapse to a handful of
-        evaluations.  The query is planned — and, when codegen applies,
-        compiled and bound — once; with a bound kernel each distinct
-        world is one ``run_assignment`` call, no per-world relation
-        objects at all.  Compiled and interpreted evaluation yield
-        bit-identical supports.  Returns the counts and
-        ``{"codegen_used", "distinct_worlds"}``.
+        Only the drawn variables — those of the relations the query
+        references — enter the world key (in index form), so databases
+        with few effective variables collapse to a handful of
+        evaluations, each one call of ``evaluator`` (the run's
+        :func:`world_evaluator` pair, built over the names of
+        ``drawn``).  Returns the counts and ``{"codegen_used",
+        "distinct_worlds"}``.
         """
         names = list(drawn)
         supports = [drawn[name][0] for name in names]
         index_columns = [drawn[name][1] for name in names]
-        semiring = self.db.semiring
-        tables = [(name, self.db.tables[name]) for name in referenced]
-        if prepared is None:
-            prepared = self._prepare(query)
-        bound = bound_kernel_for(prepared, self.db, names)
+        evaluate, codegen_used = evaluator
         counts: dict[tuple, int] = {}
         world_cache: dict[tuple, list] = {}
         distinct = 0
@@ -630,20 +596,11 @@ class MonteCarloEngine:
                     name: values[i]
                     for name, values, i in zip(names, supports, key)
                 }
-                if bound is not None:
-                    support = list(bound.run_assignment(assignment))
-                else:
-                    valuation = Valuation(assignment, semiring)
-                    world = {
-                        name: table.instantiate(valuation, semiring)
-                        for name, table in tables
-                    }
-                    result = execute_deterministic(prepared, world, semiring)
-                    support = list(result.support())
+                support = list(evaluate(assignment))
                 world_cache[key] = support
             for values in support:
                 counts[values] = counts.get(values, 0) + 1
-        info = {"codegen_used": bound is not None, "distinct_worlds": distinct}
+        info = {"codegen_used": codegen_used, "distinct_worlds": distinct}
         return counts, info
 
     # -- vectorized batch evaluation ------------------------------------------
@@ -798,15 +755,10 @@ def _presence_column(values, indices, semiring):
     :meth:`MonteCarloEngine._sample_index_columns`), so the column *is*
     the presence of support ``(False, True)`` viewed as bool, and its
     negation for ``(True, False)``, the order ``Distribution.bernoulli``
-    gives.  ℕ, one-valued or 3+-valued supports, two values that coerce
-    equal and the pure-Python stream's index lists return ``None``.
+    gives.  ℕ, one-valued or 3+-valued supports and two values that
+    coerce equal return ``None``.
     """
-    if not (
-        semiring.is_boolean
-        and len(values) == 2
-        and isinstance(indices, _np.ndarray)
-        and indices.dtype == _np.uint8
-    ):
+    if not (semiring.is_boolean and len(values) == 2):
         return None
     coerced = (semiring.coerce(values[0]), semiring.coerce(values[1]))
     if coerced == (False, True):

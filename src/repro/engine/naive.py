@@ -7,30 +7,30 @@ Exponential in the number of variables, hence only usable on small
 databases — which is precisely its job: it is the independent ground truth
 the compiled engine is verified against in the test suite.
 
-Per-world evaluation runs through the **concrete domain of the shared
-plan walk** (:mod:`repro.query.executor`): the query is planned
-once and the same plan is executed on every enumerated world.  To keep
-the oracle independent of the machinery it verifies, the plan is built
-*without* logical rewrites and *without* hash-join extraction — ``σ(×…)``
-is evaluated literally, as a filter over nested-loop products, the
-Figure-4 reading.  The oracle therefore shares only the trivially-
-structural lowering with the optimized engines, not the optimizer or the
-join planner.
+Every world runs through :func:`repro.query.executor.world_evaluator`,
+the one per-world evaluator: the query is planned once and the same plan
+— a bound compiled kernel, or the interpreter's concrete plan walk — is
+evaluated on every enumerated valuation, over the rows the tables held
+when the run started.  To keep the oracle independent of the machinery
+it verifies, the plan is built *without* logical rewrites and *without*
+hash-join extraction — ``σ(×…)`` is evaluated literally, as a filter
+over nested-loop products, the Figure-4 reading.  The oracle therefore
+shares only the trivially-structural lowering with the optimized
+engines, not the optimizer or the join planner.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.codegen import bound_kernel_for
+from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
-from repro.db.worlds import enumerate_database_worlds
 from repro.engine.spec import EvalSpec
 from repro.engine.sprout import QueryResult, Run, concrete_result
 from repro.prob.distribution import Distribution
 from repro.prob.space import ProbabilitySpace
 from repro.query.ast import Query
-from repro.query.executor import execute_deterministic, prepare
+from repro.query.executor import prepare, world_evaluator
 from repro.resilience.deadline import DeadlineExceeded, check_deadline
 
 __all__ = ["NaiveEngine"]
@@ -62,7 +62,7 @@ class NaiveEngine:
         once, with no logical rewrites and no hash-join extraction: the
         oracle evaluates it as written.
         """
-        db, semiring = self.db, self.db.semiring
+        db = self.db
         prepared = prepare(
             query,
             db.catalog(),
@@ -70,33 +70,23 @@ class NaiveEngine:
             optimize=False,
             extract_joins=False,
         )
+        stamp = capture_stamp(db, query.base_relations())  # before the names
         names = sorted(db.variables)
-        bound = bound_kernel_for(prepared, db, names)
-        if bound is not None:
-            worlds = (
-                (valuation.assignment, probability)
-                for valuation, probability in ProbabilitySpace(
-                    db.registry, semiring
-                ).enumerate_worlds(names)
-            )
-            evaluate = bound.run_assignment
-        else:
-            worlds = enumerate_database_worlds(db)
-
-            def evaluate(world):
-                result = execute_deterministic(prepared, world, semiring)
-                return dict(result.tuples())
+        evaluate, codegen_used = world_evaluator(prepared, db, names, stamp)
+        worlds = ProbabilitySpace(db.registry, db.semiring).enumerate_worlds(
+            names
+        )
 
         def sweep():
-            for world, probability in worlds:
+            for valuation, probability in worlds:
                 # Cooperative checkpoint per world: enumeration is the
                 # exponential loop here, and a partial sweep is *not* a
                 # sound answer (tuples and masses are both incomplete),
                 # so ``run`` converts this into QueryTimeoutError.
                 check_deadline("possible-worlds enumeration")
-                yield evaluate(world), probability
+                yield evaluate(valuation.assignment), probability
 
-        return sweep(), bound is not None
+        return sweep(), codegen_used
 
     def _estimate(self, query: Query) -> tuple[dict, dict]:
         """``({answer tuple: probability}, info)`` by a full sweep."""

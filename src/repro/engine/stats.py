@@ -35,10 +35,6 @@ VOLATILE_STAT_KEYS = frozenset({
     "kernels_compiled",
     "kernel_cache_hits",
     "codegen_compile_seconds",
-    # Whether the vectorised batch evaluator ran depends on the kernels
-    # switch, so the same seeded run fingerprints differently on the
-    # Algorithm-1-verbatim test leg unless this is dropped too.
-    "batched",
     # db_generation counts *every* mutation ever applied to the
     # database, so a warm session that answered through three updates
     # reports a different generation than a fresh session rebuilt from
@@ -63,5 +59,8 @@ DETERMINISTIC_STAT_KEYS = frozenset({
     "epsilon",
     "distinct_worlds",
     "top_k_decided",
+    # Whether Monte-Carlo's batch evaluator ran is a function of the
+    # query and the data alone (see ``MonteCarloEngine._symbolic_rows``).
+    "batched",
 })
 

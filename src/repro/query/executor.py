@@ -14,9 +14,13 @@ answer only what differs:
   expressions.  Produces the pvc-table of step I.
 * **concrete** (:func:`execute_deterministic`, :func:`execute_rows`) —
   annotations are multiplicities in 𝔹/ℕ over one possible world: the
-  interpreter behind the brute-force oracle and the per-world
-  Monte-Carlo loop wherever no compiled kernel runs, and the kernels'
-  conformance oracle.
+  interpreter behind :func:`world_evaluator` wherever no compiled kernel
+  runs, and the kernels' conformance oracle.
+
+:func:`world_evaluator` is the one per-world loop body of the engines
+that evaluate worlds one by one — the brute-force oracle and
+Monte-Carlo's fallback: ``{variable: value} → {values: multiplicity}``
+over the tables as they were when it was built.
 
 :func:`prepare` bundles validation, the rule-based logical optimizer and
 the physical planner into a reusable :class:`PreparedQuery`, so engines
@@ -32,8 +36,9 @@ from repro.algebra.conditions import compare
 from repro.algebra.expressions import ONE, ZERO, SemiringExpr, sprod, ssum
 from repro.algebra.monoid import COUNT, SUM, CountMonoid
 from repro.algebra.semimodule import MConst, ModuleExpr, aggsum, tensor
+from repro.algebra.valuation import Valuation
 from repro.cache import StampedSlot, capture_stamp
-from repro.codegen import codegen_enabled, kernel_for
+from repro.codegen import CodegenUnsupported, codegen_enabled, kernel_for
 from repro.db.pvc_table import (
     PVCDatabase,
     PVCRow,
@@ -43,7 +48,7 @@ from repro.db.pvc_table import (
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema
-from repro.errors import QueryValidationError
+from repro.errors import ConcurrentMutationError, QueryValidationError
 from repro.query.ast import Query, bind_query
 from repro.query.optimizer import RuleFiring, optimize_traced
 from repro.query.physical import (
@@ -72,6 +77,8 @@ __all__ = [
     "symbolic_answer",
     "execute_deterministic",
     "execute_rows",
+    "world_evaluator",
+    "check_stamp",
 ]
 
 
@@ -223,6 +230,64 @@ def execute_rows(
     of the subplan ``op`` — distinct values, no zero multiplicity.
     ``op_cache`` is a :attr:`PreparedQuery.op_cache` (or a fresh dict)."""
     return _PlanWalk(_ConcreteDomain(world, semiring), op_cache).rows(op)
+
+
+def world_evaluator(prepared: PreparedQuery, db: PVCDatabase, names, stamp):
+    """``(evaluate, codegen_used)``: ``evaluate`` maps a ``{variable:
+    value}`` assignment over ``names`` to the ``{values: multiplicity}``
+    answer of ``prepared`` in that world of ``db``.
+
+    With codegen on (:func:`~repro.codegen.codegen_enabled`) and a plan
+    and annotations that have a compiled form, ``evaluate`` is the bound
+    kernel (:meth:`~repro.codegen.CompiledPlan.bind`, ``codegen_used``
+    true).  Otherwise it instantiates each world of the tables the plan
+    reads and runs the interpreter on it.  Either way the rows are read
+    here, once, under ``stamp`` — :func:`~repro.cache.capture_stamp` of
+    ``prepared.query.base_relations()``, which the caller takes before
+    it reads ``names`` off those tables: a write landing after this
+    returns changes no later world, and one landing since the stamp
+    raises :class:`~repro.errors.ConcurrentMutationError`.
+    """
+    semiring = db.semiring
+    read = prepared.query.base_relations()
+    evaluate = None
+    kernel = kernel_for(prepared, semiring) if codegen_enabled() else None
+    if kernel is not None:
+        try:
+            evaluate = kernel.bind(db, names).run_assignment
+        except CodegenUnsupported:
+            pass
+        except Exception as exc:  # e.g. a row over a variable not in ``names``
+            check_stamp(db, read, stamp, exc)
+            raise
+    codegen_used = evaluate is not None
+    if not codegen_used:
+        # ``PVCTable.add`` appends in place: copy each row list once.
+        tables = {
+            name: PVCTable(table.schema, table.rows)
+            for name, table, _ in stamp[0]
+        }
+        plan, op_cache = prepared.plan, prepared.op_cache
+
+        def evaluate(assignment) -> dict:
+            valuation = Valuation(assignment, semiring)
+            world = {
+                name: table.instantiate(valuation, semiring)
+                for name, table in tables.items()
+            }
+            return dict(execute_rows(plan, world, semiring, op_cache))
+
+    check_stamp(db, read, stamp)
+    return evaluate, codegen_used
+
+
+def check_stamp(db: PVCDatabase, read, stamp, cause=None) -> None:
+    """Raise :class:`~repro.errors.ConcurrentMutationError` (from
+    ``cause``) unless the tables ``read`` are still at ``stamp``."""
+    if capture_stamp(db, read) != stamp:
+        raise ConcurrentMutationError(
+            "database mutated while a run read its tables"
+        ) from cause
 
 
 # -- the two annotation domains -----------------------------------------------

@@ -11,6 +11,7 @@ from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.algebra.valuation import Valuation, evaluate
 from repro.errors import AlgebraError
+from tests.conftest import per_world_counts
 
 
 class TestSemiringEvaluation:
@@ -309,7 +310,7 @@ class TestBatchedValuation:
         engine = MonteCarloEngine(db, seed=4)
         drawn = engine._sample_index_columns(["x", "y"], 300)
         assert engine._batched_counts(query, drawn, 300) == (
-            engine._per_world_counts(query, ["R"], drawn, 300)[0]
+            per_world_counts(engine, query, drawn, 300)[0]
         )
 
     def test_bag_sum_just_over_the_overflow_guard_takes_the_loop(
@@ -329,7 +330,7 @@ class TestBatchedValuation:
         result = MonteCarloEngine(db, seed=4).run(query, samples=300)
         assert result.stats["batched"] is False
         drawn = engine._sample_index_columns(["x", "y"], 300)  # the run's
-        loop, _ = engine._per_world_counts(query, ["R"], drawn, 300)
+        loop, _ = per_world_counts(engine, query, drawn, 300)
         assert result.tuple_probabilities() == {
             values: count / 300 for values, count in loop.items()
         }

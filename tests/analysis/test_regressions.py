@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.codegen import runtime
+from repro.engine.stats import DETERMINISTIC_STAT_KEYS
 from repro.server.app import QueryServer, ServerConfig, ServerOverloadedError
 from repro.server.codec import VOLATILE_STAT_KEYS, fingerprint
 
@@ -127,20 +128,20 @@ class TestBatchedFingerprint:
         "timings": {},
     }
 
-    def test_batched_is_declared_volatile(self):
-        assert "batched" in VOLATILE_STAT_KEYS
+    def test_batched_is_declared_deterministic(self):
+        assert "batched" in DETERMINISTIC_STAT_KEYS
+        assert "batched" not in VOLATILE_STAT_KEYS
 
-    def test_fingerprint_identical_across_numpy_legs(self):
-        # The same seeded answer computed with and without the
-        # vectorised evaluator differs only in stats["batched"]; the
-        # fingerprints must not.
-        with_numpy = dict(
+    def test_fingerprint_keeps_batched(self):
+        # Whether the vectorised evaluator ran is a function of query
+        # and data, the same on every test leg, so fingerprints keep it.
+        batched = dict(
             self.PAYLOAD, stats={"samples": 1000, "batched": True}
         )
-        without_numpy = dict(
+        per_world = dict(
             self.PAYLOAD, stats={"samples": 1000, "batched": False}
         )
-        assert fingerprint(with_numpy) == fingerprint(without_numpy)
+        assert fingerprint(batched) != fingerprint(per_world)
 
     def test_deterministic_keys_still_fingerprint(self):
         a = dict(self.PAYLOAD, stats={"samples": 1000})

@@ -9,6 +9,7 @@ databases (few variables) for which enumeration is cheap.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -38,12 +39,35 @@ def algorithm1_verbatim():
         yield
 
 
+@contextmanager
+def batch_evaluator_off():
+    """Monte-Carlo without its batch evaluator inside the block: every
+    run takes the per-world loop — the fallback and oracle the batched
+    path is checked against — on every CI leg."""
+    from repro.engine.montecarlo import MonteCarloEngine
+
+    with mock.patch.object(
+        MonteCarloEngine, "_symbolic_rows", lambda self, prepared: None
+    ):
+        yield
+
+
+def per_world_counts(engine, query, drawn, samples):
+    """Monte-Carlo's per-world loop on already-drawn columns, with the
+    world evaluator a run would build over their names: the oracle the
+    batch evaluator is checked against."""
+    from repro.cache import capture_stamp
+    from repro.query.executor import world_evaluator
+
+    stamp = capture_stamp(engine.db, query.base_relations())
+    evaluator = world_evaluator(engine._prepare(query), engine.db, list(drawn), stamp)
+    return engine._per_world_counts(drawn, samples, evaluator)
+
+
 @pytest.fixture
 def per_world_monte_carlo():
-    """:func:`kernels_off` for the test: Monte-Carlo has no batch
-    evaluator, so every run takes the per-world loop — the fallback and
-    oracle the batched path is checked against."""
-    with kernels_off():
+    """:func:`batch_evaluator_off` for the test."""
+    with batch_evaluator_off():
         yield
 
 

@@ -85,6 +85,12 @@ class TestMutationMidSweep:
         db = two_table_db()
         self.sweep_after(db, lambda: db["R"].add((3,), Var("y")))
 
+    def test_inserting_a_row_over_a_fresh_variable_raises(self):
+        # The next world does not assign the new variable: the stamp must
+        # be compared before that world is built from the live tables.
+        db = two_table_db()
+        self.sweep_after(db, lambda: db.insert("R", (3,), p=0.5))
+
     def test_probability_update_raises(self):
         db = two_table_db()
         self.sweep_after(

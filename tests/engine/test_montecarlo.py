@@ -30,7 +30,9 @@ from repro.query.ast import (
     relation,
 )
 from repro.query.predicates import cmp_, eq
+from repro.query.sql import parse_sql
 from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
+from tests.conftest import per_world_counts
 
 
 def simple_db():
@@ -76,6 +78,23 @@ class TestEstimation:
         valuation = MonteCarloEngine(db, seed=1).sample_valuation()
         assert "x" in valuation and "y" in valuation
 
+    def test_sample_valuation_advances_the_run_stream(self):
+        """One world over every registered variable, drawn from the one
+        stream the runs draw from: later seeded runs continue after it."""
+        db = simple_db()
+        engine = MonteCarloEngine(db, seed=5)
+        twin = MonteCarloEngine(db, seed=5)
+        valuation = engine.sample_valuation()
+        drawn = twin._sample_index_columns(db.registry.names(), 1)
+        assert {name: valuation[name] for name in drawn} == {
+            name: values[indices[0]] for name, (values, indices) in drawn.items()
+        }
+        answer = engine.run(relation("R"), samples=200).tuple_probabilities()
+        assert answer == twin.run(relation("R"), samples=200).tuple_probabilities()
+        assert answer != MonteCarloEngine(db, seed=5).run(
+            relation("R"), samples=200
+        ).tuple_probabilities()
+
 
 def two_table_db():
     """A database with an extra table the queries never touch."""
@@ -115,7 +134,7 @@ class TestBatchedSampler:
                 sorted(db.tables["R"].variables), 300
             )
             batched = engine._batched_counts(query, drawn, 300)
-            generic, _ = engine._per_world_counts(query, ["R"], drawn, 300)
+            generic, _ = per_world_counts(engine, query, drawn, 300)
             assert batched == generic
 
     def test_seeded_determinism_of_batched_runs(self):
@@ -143,8 +162,7 @@ class TestBatchedSampler:
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
         result = MonteCarloEngine(db, seed=2).run(query, samples=8000)
         estimate = result.tuple_probabilities()
-        if kernels.numpy_enabled():
-            assert result.stats["batched"] is True
+        assert result.stats["batched"] is True
         # The oracle runs on the two-variable database: the extra table's
         # 30 variables are irrelevant to the query but would make naive
         # world enumeration intractable.
@@ -163,11 +181,10 @@ class TestBatchedSampler:
         engine = MonteCarloEngine(db, seed=3)
         result = engine.run(query, samples=5000)
         estimate = result.tuple_probabilities()
-        if kernels.numpy_enabled():
-            assert result.stats["batched"] is True
+        assert result.stats["batched"] is True
         drawn = engine._sample_index_columns(["x", "y"], 500)
         assert engine._batched_counts(query, drawn, 500) == (
-            engine._per_world_counts(query, ["R"], drawn, 500)[0]
+            per_world_counts(engine, query, drawn, 500)[0]
         )
         exact = NaiveEngine(db).tuple_probabilities(query)
         for key, p in exact.items():
@@ -236,14 +253,12 @@ class TestBatchedSampler:
             Project(join, ["cat", "v"]), ["cat"], [AggSpec.of("t", "SUM", "v")]
         )
         result = MonteCarloEngine(db, seed=5).run(query, samples=2000)
-        assert result.stats["batched"] is kernels.numpy_enabled()
+        assert result.stats["batched"] is True
         engine = MonteCarloEngine(db, seed=5)
         drawn = engine._sample_index_columns(
             sorted(fact.variables), 2000
         )  # the run's draws
-        per_world, _ = engine._per_world_counts(
-            query, ["fact", "dim"], drawn, 2000
-        )
+        per_world, _ = per_world_counts(engine, query, drawn, 2000)
         assert engine._batched_counts(query, drawn, 2000) == per_world
         assert result.tuple_probabilities() == {
             values: count / 2000 for values, count in per_world.items()
@@ -275,9 +290,9 @@ class TestBatchedSampler:
     def test_repeated_worlds_are_memoised(self):
         db = simple_db()  # two variables: only four distinct worlds
         engine = MonteCarloEngine(db, seed=8)
-        _, info = engine._per_world_counts(
+        _, info = per_world_counts(
+            engine,
             relation("R"),
-            ["R"],
             engine._sample_index_columns(["x", "y"], 1000),
             1000,
         )
@@ -299,7 +314,7 @@ class TestBatchedSampler:
             sorted(db.tables["R"].variables), 400
         )
         batched = engine._batched_counts(query, drawn, 400)
-        generic, _ = engine._per_world_counts(query, ["R"], drawn, 400)
+        generic, _ = per_world_counts(engine, query, drawn, 400)
         assert batched == generic
         assert all(values[-1] <= 12 for values in batched)
 
@@ -522,10 +537,11 @@ class TestSequentialStopping:
             )
 
 
-class TestSwitchIsReadOncePerRun:
-    """A run decides sampler and evaluator when its context is built; the
-    kernels switch moving mid-run must not move the later rounds onto
-    the other stream (they once drew ``choice(n, p=None)`` — uniform)."""
+class TestTheSwitchMovesNothing:
+    """The kernels switch makes the exact compiler Algorithm 1 verbatim
+    and moves nothing in Monte-Carlo: one draw stream, one batch
+    evaluator, so flipping it mid-run — or running with it either way —
+    gives the same snapshots."""
 
     @staticmethod
     def intervals_per_round(start_on: bool, flip: bool, workers=None):
@@ -549,7 +565,7 @@ class TestSwitchIsReadOncePerRun:
             seen.extend(rounds)
         finally:
             kernels.set_numpy_enabled(previous)
-        assert all(result.stats["batched"] is start_on for result in seen)
+        assert all(result.stats["batched"] is True for result in seen)
         assert seen[-1].stats["converged"]
         return [
             {row.values: row.probability() for row in result} for result in seen
@@ -557,28 +573,27 @@ class TestSwitchIsReadOncePerRun:
 
     @pytest.mark.parametrize("workers", [None, 1])
     @pytest.mark.parametrize("start_on", [False, True])
-    def test_run_finishes_on_the_stream_it_started_on(self, start_on, workers):
+    def test_a_mid_run_flip_changes_nothing(self, start_on, workers):
         flipped = self.intervals_per_round(start_on, True, workers)
         assert len(flipped) > 2  # the flip happened mid-run
         for intervals in flipped:
             assert len(intervals) == 4
             assert all(i.contains(0.9) for i in intervals.values())
         assert flipped == self.intervals_per_round(start_on, False, workers)
+        assert flipped == self.intervals_per_round(not start_on, False, workers)
 
 
-class TestSeededStreamsArePinned:
+class TestSampledJoinStreamsArePinned:
     """Seeded answers are part of the contract: an engine change must not
-    reorder, re-argue or add a single RNG call.  The values below were
-    recorded at the commit *before* step I moved out of the world loop
-    (PR 11), on the pure-Python streams, which do not depend on a numpy
-    build; the three statements mirror the ``sampled_joins`` benchmark
-    workload (join + grouped SUM, join under sequential stopping, grouped
-    SUM over a tuple-independent table)."""
+    reorder, re-argue or add a single RNG call.  The three statements
+    mirror the ``sampled_joins`` benchmark workload (join + grouped SUM,
+    join under sequential stopping, grouped SUM over a
+    tuple-independent table); the values were recorded on the numpy
+    stream at the commit before the pure-Python stream was deleted, and
+    hold with the kernels on and off alike."""
 
     @staticmethod
     def database():
-        import random
-
         rng = random.Random(5)
         registry = VariableRegistry()
         db = PVCDatabase(registry=registry, semiring=BOOLEAN)
@@ -609,41 +624,41 @@ class TestSeededStreamsArePinned:
     TI_BATCHED = GroupAgg(relation("T"), ["a"], [AggSpec.of("t", "SUM", "v")])
 
     #: Counts out of 200 worlds, seed 11.
-    FIXED = {(0, 1): 35, (0, 2): 58, (0, 3): 36, (1, 1): 60}
-    TI = {(0, 1): 117, (1, 1): 40, (1, 2): 51, (1, 3): 32}
+    FIXED = {(0, 1): 33, (0, 2): 75, (0, 3): 28, (1, 1): 68}
+    TI = {(0, 1): 131, (1, 1): 49, (1, 2): 52, (1, 3): 40}
     #: Intervals when ε = 0.2 stops (after 256 worlds).
-    SEQUENTIAL = {(1, 1): (0.266886473, 0.412794468),
-                  (2, 0): (0.587205532, 0.733113527)}
+    SEQUENTIAL = {(1, 1): (0.24890875160672, 0.3926389681170225),
+                  (2, 0): (0.6073610318829775, 0.75109124839328)}
 
-    @pytest.fixture(autouse=True)
-    def python_streams(self):
-        previous = kernels.set_numpy_enabled(False)
-        yield
-        kernels.set_numpy_enabled(previous)
-
+    @pytest.mark.parametrize("kernels_on", [True, False])
     @pytest.mark.parametrize("workers", [None, 1, 2])
-    def test_estimates_equal_the_recorded_ones(self, workers):
+    def test_estimates_equal_the_recorded_ones(self, workers, kernels_on):
         """Every ``workers`` value reproduces the recorded serial stream."""
         db = self.database()
-        for query, recorded in (
-            (self.JOIN_FIXED, self.FIXED), (self.TI_BATCHED, self.TI)
-        ):
-            estimate = MonteCarloEngine(db, seed=11).run(
-                query, spec_for(workers), samples=200
+        previous = kernels.set_numpy_enabled(kernels_on)
+        try:
+            for query, recorded in (
+                (self.JOIN_FIXED, self.FIXED), (self.TI_BATCHED, self.TI)
+            ):
+                estimate = MonteCarloEngine(db, seed=11).run(
+                    query, spec_for(workers), samples=200
+                )
+                assert {
+                    row.values: round(row.probability() * 200)
+                    for row in estimate
+                } == recorded
+            result = MonteCarloEngine(db, seed=11).run(
+                self.JOIN_SEQUENTIAL,
+                EvalSpec(mode="sample", epsilon=0.2, delta=0.05, workers=workers),
             )
-            assert {
-                row.values: round(row.probability() * 200) for row in estimate
-            } == recorded
-        result = MonteCarloEngine(db, seed=11).run(
-            self.JOIN_SEQUENTIAL,
-            EvalSpec(mode="sample", epsilon=0.2, delta=0.05, workers=workers),
-        )
+        finally:
+            kernels.set_numpy_enabled(previous)
         assert result.stats["samples"] == 256
         intervals = {row.values: row.probability() for row in result}
-        assert set(intervals) == set(self.SEQUENTIAL)
-        for key, (low, high) in self.SEQUENTIAL.items():
-            assert intervals[key].low == pytest.approx(low, abs=1e-8)
-            assert intervals[key].high == pytest.approx(high, abs=1e-8)
+        assert {
+            key: (interval.low, interval.high)
+            for key, interval in intervals.items()
+        } == self.SEQUENTIAL
 
 
 @st.composite
@@ -681,7 +696,7 @@ def assert_draws_match_choice(dists, samples, seed):
     for name, dist in zip(names, dists):
         registry.declare(name, dist)
     engine = MonteCarloEngine(db, seed=seed)
-    drawn = engine._sample_index_columns(engine._supports(names, True), samples)
+    drawn = engine._sample_index_columns(engine._supports(names), samples)
     expected, state = choice_reference(db, names, samples, seed)
     assert list(drawn) == names
     for name in names:
@@ -740,7 +755,7 @@ def test_expired_deadline_stops_between_draw_blocks(monkeypatch):
     counting = _CountingGenerator(engine._np_rng)
     engine._np_rng = counting
     monkeypatch.setattr(montecarlo, "_DRAW_CELLS", 100)
-    supports = engine._supports(sorted(db.tables["S"].variables), True)
+    supports = engine._supports(sorted(db.tables["S"].variables))
     deadline = Deadline(1e-6)
     while not deadline.expired():
         pass
@@ -833,3 +848,65 @@ class TestNumpyStreamsArePinned:
             for key, (low, high) in recorded.items():
                 assert intervals[key].low == pytest.approx(low, abs=1e-12)
                 assert intervals[key].high == pytest.approx(high, abs=1e-12)
+
+
+class TestOneDrawStream:
+    """The kernels switch selects no sampler and no evaluator: a seeded
+    run answers the same with the kernels on and off, on the batch
+    evaluator and on the per-world loop (PROD has no batched form)."""
+
+    @staticmethod
+    def session():
+        s = connect(seed=3)
+        items = s.table("items", ["name", "price"])
+        for i, price in enumerate([10, 25, 30, 15, 40, 20]):
+            items.insert((f"n{i}", price), p=0.3 + 0.1 * i)
+        return s
+
+    STATEMENTS = [
+        "SELECT name FROM items WHERE price >= 20",
+        "SELECT PROD(price) FROM items WHERE price >= 20",
+    ]
+
+    @staticmethod
+    def on_both_legs(run):
+        answers = []
+        for kernels_on in (True, False):
+            previous = kernels.set_numpy_enabled(kernels_on)
+            try:
+                answers.append(run())
+            finally:
+                kernels.set_numpy_enabled(previous)
+        return answers
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_fixed_budget_answer(self, statement):
+        def answer():
+            result = self.session().sql(
+                statement, engine="montecarlo", samples=500
+            )
+            return result.stats["batched"], result.tuple_probabilities()
+
+        on, off = self.on_both_legs(answer)
+        assert on[0] is ("PROD" not in statement)
+        assert on == off
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_sequential_snapshots(self, statement):
+        def snapshots():
+            return [
+                (
+                    result.stats["samples"],
+                    {row.values: row.probability() for row in result},
+                )
+                for result in self.session().run_iter(
+                    parse_sql(statement),
+                    engine="montecarlo",
+                    mode="sample",
+                    epsilon=0.05,
+                )
+            ]
+
+        on, off = self.on_both_legs(snapshots)
+        assert len(on) > 1
+        assert on == off

@@ -19,7 +19,7 @@ from repro.algebra.expressions import Var
 from repro.parallel import pool
 from repro.parallel.pool import ParallelUnavailable
 
-from tests.conftest import kernels_off
+from tests.conftest import batch_evaluator_off
 
 
 @pytest.fixture
@@ -113,13 +113,13 @@ class TestSeamsWithoutAPool:
     @pytest.mark.parametrize(
         "options", [{"samples": 2000}, {"epsilon": 0.05}], ids=["fixed", "sequential"]
     )
-    @pytest.mark.parametrize("setting", ["batched", "kernels_off", "naturals"])
+    @pytest.mark.parametrize("setting", ["batched", "per_world", "naturals"])
     def test_montecarlo_never_opens_a_pool(
-        self, monkeypatch, session, numpy_kernels, setting, options
+        self, monkeypatch, session, setting, options
     ):
-        """Batched, on the per-world loop (kernels off) and under bag
-        semantics alike: ``workers=`` changes nothing, and a pool that
-        would crash is never reached."""
+        """Batched, on the per-world loop and under bag semantics alike:
+        ``workers=`` changes nothing, and a pool that would crash is
+        never reached."""
         db = session.db
         if setting == "naturals":
             bag = connect(semiring=NATURALS)
@@ -132,13 +132,13 @@ class TestSeamsWithoutAPool:
         query = connect(database=db).table("R").select("kind")
 
         def run(**workers):
-            with kernels_off() if setting == "kernels_off" else nullcontext():
+            with batch_evaluator_off() if setting == "per_world" else nullcontext():
                 return connect(seed=9, database=db).run(
                     query, engine="montecarlo", **workers, **options
                 )
 
         serial = run()
-        assert serial.stats["batched"] is (setting != "kernels_off")
+        assert serial.stats["batched"] is (setting != "per_world")
         _broken_pool(monkeypatch, "worker_crash")
         ignored = run(workers=2)
         assert "parallel_fallback" not in ignored.stats

@@ -34,12 +34,12 @@ from repro.algebra.valuation import support_column
 from repro.db.pvc_table import PVCDatabase
 from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
-from repro.prob import kernels
 from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Product, Project, Select, relation
 from repro.query.predicates import cmp_, eq
 
+from tests.conftest import batch_evaluator_off, per_world_counts
 from tests.property.strategies import QUERY_TABLES, probabilities, queries
 
 POOL = ["p0", "p1", "p2", "p3"]
@@ -104,19 +104,20 @@ def typed(counts):
 
 
 def draw_columns(engine, query, samples):
-    referenced = list(dict.fromkeys(query.base_relations()))
     names = sorted(
-        set().union(*(engine.db.tables[name].variables for name in referenced))
+        set().union(
+            *(engine.db.tables[name].variables for name in query.base_relations())
+        )
     )
-    return referenced, engine._sample_index_columns(names, samples)
+    return engine._sample_index_columns(names, samples)
 
 
 def assert_same_counts(db, query, seed, samples=101):
     engine = MonteCarloEngine(db, seed=seed)
-    referenced, drawn = draw_columns(engine, query, samples)
+    drawn = draw_columns(engine, query, samples)
     batched = engine._batched_counts(query, drawn, samples)
     assert batched is not None, "integer data must not fall back"
-    oracle, _ = engine._per_world_counts(query, referenced, drawn, samples)
+    oracle, _ = per_world_counts(engine, query, drawn, samples)
     assert typed(batched) == typed(oracle)
 
 
@@ -139,16 +140,15 @@ def test_chunked_valuation_adds_up(db, query, seed):
 def test_run_context_counts_equal_a_per_world_evaluation(db, query, seed):
     """Through the run's own dispatch: the same drawn columns, once
     through the batch evaluator and once with it switched off."""
-    if not kernels.numpy_enabled():
-        return  # the run context then has no batched form to compare
     engine = MonteCarloEngine(db, seed=seed)
     context = engine._run_context(query)
     drawn = engine._sample_index_columns(context.supports, 150)
     estimate, info = engine._evaluate_drawn(context, drawn, 150)
     assert info["batched"] is True
-    oracle, info = engine._evaluate_drawn(
-        context._replace(symbolic=None), drawn, 150
-    )
+    with batch_evaluator_off():
+        per_world = engine._run_context(query)
+    assert list(per_world.supports) == list(context.supports)
+    oracle, info = engine._evaluate_drawn(per_world, drawn, 150)
     assert info["batched"] is False
     assert typed(estimate) == typed(oracle)
 
@@ -229,9 +229,9 @@ def test_semimodule_values_in_base_tables_dedupe_per_world():
     t.add((1, MConst(MIN, 0)))
     query = relation("V")
     engine = MonteCarloEngine(db, seed=3)
-    referenced, drawn = draw_columns(engine, query, 300)
+    drawn = draw_columns(engine, query, 300)
     assert engine._batched_counts(query, drawn, 300) is None
-    counts, _ = engine._per_world_counts(query, referenced, drawn, 300)
+    counts, _ = per_world_counts(engine, query, drawn, 300)
     assert counts[(1, 0)] == 300  # never 2 per world
     estimate = MonteCarloEngine(db, seed=3).tuple_probabilities(query, 300)
     assert estimate[(1, 0)] == 1.0
@@ -290,7 +290,7 @@ def test_read_off_presence_equals_the_gather(
 ):
     """101 worlds is prime, so a 200-cell chunk never divides them."""
     engine = MonteCarloEngine(db, seed=seed)
-    referenced, drawn = draw_columns(engine, query, samples)
+    drawn = draw_columns(engine, query, samples)
     pairs = sorted(name for name, (values, _) in drawn.items() if len(values) == 2)
     if db.semiring.is_boolean and pairs:
         # Values the registry cannot hold (they are equal keys), but the
@@ -324,27 +324,24 @@ class TestPresenceColumn:
         assert column.tolist() == [True, False, False, True]
 
     @pytest.mark.parametrize(
-        "values, semiring, as_list",
+        "values, semiring",
         [
-            ((0, 1), NATURALS, False),  # ℕ keeps int64 multiplicities
-            ((True, 1), BOOLEAN, False),  # coerce equal
-            ((0, False), BOOLEAN, False),
-            ((False, True), BOOLEAN, True),  # the pure-Python stream
-            ((True,), BOOLEAN, False),  # one value
+            ((0, 1), NATURALS),  # ℕ keeps int64 multiplicities
+            ((True, 1), BOOLEAN),  # coerce equal
+            ((0, False), BOOLEAN),
+            ((True,), BOOLEAN),  # one value
         ],
     )
-    def test_everything_else_is_gathered(self, values, semiring, as_list):
-        indices = self.indices()
-        if as_list:
-            indices = indices.tolist()
-        assert montecarlo._presence_column(values, indices, semiring) is None
+    def test_everything_else_is_gathered(self, values, semiring):
+        assert (
+            montecarlo._presence_column(values, self.indices(), semiring)
+            is None
+        )
 
 
 def test_a_bernoulli_database_gathers_nothing():
     """Every variable of ``pinned_db`` is a Bernoulli: a batched run
     reads every presence column off its draw."""
-    if not kernels.numpy_enabled():
-        return  # the run then has no batched form
     counting = mock.Mock(wraps=support_column)
     with mock.patch.object(montecarlo, "support_column", counting):
         result = MonteCarloEngine(pinned_db(), seed=5).run(
@@ -371,10 +368,11 @@ def test_two_valued_cdfs_equal_the_per_variable_ones(weights):
             name, Distribution({True: p * total, False: (1.0 - p) * total})
         )
     engine = MonteCarloEngine(PVCDatabase(registry=registry), seed=0)
-    supports = engine._supports(names, True)
+    supports = engine._supports(names)
     for name in names:
-        values, row_weights, cdf = supports[name]
-        w = np.asarray(row_weights, dtype=float)
+        values, cdf = supports[name]
+        assert values == tuple(registry[name])
+        w = np.asarray([registry[name][value] for value in values], dtype=float)
         expected = (w / w.sum()).cumsum()
         expected /= expected[-1]
         assert cdf.tobytes() == expected.tobytes()

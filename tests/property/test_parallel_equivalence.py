@@ -7,7 +7,7 @@ aggregation conditions over a shared Bernoulli variable pool.  Three
 properties are checked on every example:
 
 * **``workers`` is a no-op on Monte-Carlo** — on the per-world loop
-  (kernels off) as on the batch evaluator, seeded (ε, δ) interval
+  (batch evaluator off) as on the batch evaluator, seeded (ε, δ) interval
   estimation returns *exactly* the same intervals (and the same
   stopping trajectory) for any worker count, and opens no pool.
 * **Parallel exact compilation soundness** — sprout with a worker pool
@@ -19,7 +19,6 @@ properties are checked on every example:
   2, and report no pool.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +29,12 @@ from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.spec import EvalSpec
 from repro.engine.naive import NaiveEngine
 from repro.engine.sprout import SproutEngine
-from repro.prob import kernels
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, relation
 from repro.server.codec import fingerprint
 from repro.workloads.random_expr import ExprParams, generate_condition
 
-from tests.conftest import kernels_off
+from tests.conftest import batch_evaluator_off
 
 
 @st.composite
@@ -96,7 +94,7 @@ def _interval_snapshot(db, seed, workers):
 @settings(max_examples=8, deadline=None)
 @given(db=condition_databases(), seed=st.integers(min_value=0, max_value=999))
 def test_seeded_parallel_mc_intervals_equal_serial_exactly(db, seed):
-    with kernels_off():  # the per-world loop, the fallback
+    with batch_evaluator_off():  # the per-world loop, the fallback
         snapshots = {
             workers: _interval_snapshot(db, seed, workers)
             for workers in (None, 1, 2, 3)
@@ -105,9 +103,6 @@ def test_seeded_parallel_mc_intervals_equal_serial_exactly(db, seed):
     assert snapshots[None] == snapshots[1] == snapshots[2] == snapshots[3]
 
 
-@pytest.mark.skipif(
-    not kernels.numpy_enabled(), reason="the batch evaluator needs numpy"
-)
 @settings(max_examples=8, deadline=None)
 @given(db=condition_databases(), seed=st.integers(min_value=0, max_value=999))
 def test_batched_mc_ignores_workers(db, seed):

@@ -30,6 +30,7 @@ from repro.resilience import (
 from repro.resilience.faults import clear_plan
 from repro.server.bootstrap import demo_session
 from repro.workloads.random_expr import ExprParams, generate_condition
+from tests.conftest import batch_evaluator_off
 
 QUERY = "SELECT kind, value FROM R"
 JOIN_QUERY = "SELECT label FROM R, T WHERE kind = rkind"
@@ -226,12 +227,13 @@ class TestMonteCarloDeadline:
     def test_overshoot_regression_with_slow_worlds(self):
         """The satellite regression: with injected per-world latency the
         engine used to overshoot ``time_limit`` by a whole doubled batch;
-        the clamp bounds the overshoot to ~one slow sample."""
+        the clamp bounds the overshoot to ~one slow sample.  The join
+        would batch, so the per-world loop is forced."""
         limit = 0.1
         plan = FaultPlan().add(
             "engine.montecarlo.world", "slow", delay=0.001, times=None
         )
-        with fault_plan(plan):
+        with fault_plan(plan), batch_evaluator_off():
             _, elapsed = timed(
                 demo_session().sql,
                 JOIN_QUERY,
@@ -241,6 +243,7 @@ class TestMonteCarloDeadline:
                 delta=0.01,
                 time_limit=limit,
             )
+        assert plan.hits["engine.montecarlo.world"] > 0
         assert elapsed < limit + OVERSHOOT
 
 

@@ -12,11 +12,13 @@ engines write is classified once, in :mod:`repro.engine.stats`, and
 every classified key is still written.  No writer notifies a
 cache: the distribution cache reconciles with the registry where it is
 read (:mod:`repro.cache`).  A server write runs on the event loop; only
-reads take the pool hop.  Monte-Carlo has one world evaluator, opens
-no pool and draws its numpy worlds in blocks of uniforms, never through
-one ``Generator.choice`` call per variable.  All of these facts are
-structural, so they are checked on the syntax tree of every module
-under ``src/repro``.
+reads take the pool hop.  Monte-Carlo opens no pool and has one draw
+stream, numpy's, drawn in blocks of uniforms, never through one
+``Generator.choice`` call per variable; the per-world engines evaluate a
+world through one function, :func:`repro.query.executor.world_evaluator`;
+and the kernels switch is read only where it makes the compiler
+Algorithm 1 verbatim.  All of these facts are structural, so they are
+checked on the syntax tree of every module under ``src/repro``.
 """
 
 from __future__ import annotations
@@ -303,3 +305,47 @@ def test_montecarlo_makes_no_generator_choice_call():
         and node.func.attr == "choice"
     ]
     assert not calls, calls
+
+
+def _mentions(tree: ast.AST, name: str) -> list:
+    """Lines of ``tree`` that mention ``name``: as a bare name, an
+    attribute, a function it defines, or an imported name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.FunctionDef) and node.name == name
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == name for alias in node.names)
+    ]
+
+
+def test_the_kernels_switch_means_algorithm_1_verbatim():
+    """``numpy_enabled`` is read by the kernels that have a verbatim
+    twin and by the compiler's table leaf, and by nothing else: no
+    engine picks an evaluator or a draw stream by it."""
+    readers = sorted(
+        name for name, tree in MODULES.items() if _mentions(tree, "numpy_enabled")
+    )
+    assert readers == ["core/compile.py", "prob/kernels.py"], readers
+
+
+def test_montecarlo_has_one_draw_stream():
+    tree = MODULES["engine/montecarlo.py"]
+    modules = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "random" not in modules, modules
+    assert not _mentions(tree, "choices")
+
+
+def test_the_per_world_engines_share_one_world_evaluator():
+    for name in ("engine/naive.py", "engine/montecarlo.py"):
+        tree = MODULES[name]
+        for forbidden in ("execute_deterministic", "kernel_for", "bound_kernel_for"):
+            assert not _mentions(tree, forbidden), (name, forbidden)
+        assert _mentions(tree, "world_evaluator"), name
