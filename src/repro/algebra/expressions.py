@@ -175,7 +175,17 @@ def _coerce(value) -> SemiringExpr:
 
 
 class Var(SemiringExpr):
-    """A variable symbol ``x ∈ X``; itself an element of ``K``."""
+    """A variable symbol ``x ∈ X``; itself an element of ``K``.
+
+    Its cached variable set starts as the 1-tuple ``(name,)``: a loaded
+    tuple-independent row holds one ``Var`` per row, and a tuple of
+    strings is one object the garbage collector stops tracking, where a
+    ``frozenset`` stays tracked.  The first read of :attr:`variables`
+    swaps the tuple for its ``frozenset`` in the same slot, so only the
+    variables compilation touches pay for one.  Outside this module
+    ``_vars`` is read only by ``in`` and truth tests, which both types
+    answer alike (AST-checked in ``tests/test_configuration.py``).
+    """
 
     __slots__ = ("name",)
 
@@ -192,7 +202,14 @@ class Var(SemiringExpr):
         return hash(("v", self.name))
 
     def _compute_vars(self):
-        return frozenset((self.name,))
+        return (self.name,)
+
+    @property
+    def variables(self) -> frozenset:
+        names = self._vars
+        if type(names) is tuple:
+            names = self._vars = frozenset(names)
+        return names
 
     def substitute(self, mapping):
         return mapping.get(self.name, self)
@@ -388,6 +405,6 @@ def count_occurrences(expr: Expr) -> dict[str, int]:
             counts[name] = counts.get(name, 0) + 1
         else:
             for child in node.children:
-                if child.variables:
+                if child._vars:
                     stack.append(child)
     return counts

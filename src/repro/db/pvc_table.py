@@ -82,7 +82,7 @@ def merge_annotated_rows(rows) -> list:
     return list(merged.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PVCRow:
     """One tuple of a pvc-table: values plus the annotation ``Φ``."""
 

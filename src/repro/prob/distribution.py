@@ -87,11 +87,13 @@ class Distribution:
         """
         if not -TOLERANCE <= p <= 1 + TOLERANCE:
             raise DistributionError(f"Bernoulli parameter {p} outside [0, 1]")
-        if p >= 1 - TOLERANCE:
+        if p >= 1 - TOLERANCE or one == zero:
             return cls.point(one)
         if p <= TOLERANCE:
             return cls.point(zero)
-        return cls({one: p, zero: 1.0 - p})
+        # The range checks above are ``__init__``'s validation; ``0.0 + p``
+        # is the mass its accumulation would store.
+        return cls._from_clean({one: 0.0 + p, zero: 1.0 - p})
 
     @classmethod
     def uniform(cls, values: Iterable[Hashable]) -> "Distribution":

@@ -22,8 +22,45 @@ from repro.prob.distribution import Distribution
 __all__ = ["VariableRegistry"]
 
 
+def _pack(distribution: Distribution) -> Distribution | float:
+    """``p`` when ``distribution`` is exactly what
+    ``Distribution.bernoulli(p)`` builds — items ``(True, p), (False,
+    1.0 - p)`` in that order, both Python floats, the second equal bit
+    for bit — else ``distribution`` itself."""
+    probs = distribution._probs
+    if len(probs) == 2:
+        (one, p), (zero, q) = probs.items()
+        if (
+            one is True
+            and zero is False
+            and type(p) is float
+            and type(q) is float
+            and q == 1.0 - p
+        ):
+            return p
+    return distribution
+
+
+def _unpack(stored: Distribution | float) -> Distribution:
+    """The :class:`Distribution` that :func:`_pack` stored as ``stored``."""
+    if type(stored) is float:
+        return Distribution._from_clean({True: stored, False: 1.0 - stored})
+    return stored
+
+
 class VariableRegistry:
     """Maps variable names to distributions of independent random variables.
+
+    A Boolean marginal — the one number ``P_x[⊤]`` a tuple-independent
+    row carries — is stored as that float, not as a
+    :class:`Distribution`: a loaded database holds one per row, and a
+    float is one object the garbage collector does not track.  Every
+    read (``registry[name]``, :meth:`items`, :meth:`restrict`,
+    :meth:`boolean_reduction`) rebuilds the distribution it was given,
+    with the same items in the same order and the same float bits;
+    Monte-Carlo draws follow that order.  Any other distribution — a
+    point mass, an ℕ support, the reverse order, a ``False`` mass that is
+    not ``1.0 - p`` — is stored as given.
 
     >>> reg = VariableRegistry()
     >>> _ = reg.bernoulli("x", 0.3)
@@ -32,7 +69,9 @@ class VariableRegistry:
     """
 
     def __init__(self, distributions: Mapping[str, Distribution] | None = None):
-        self._distributions: dict[str, Distribution] = {}
+        #: name → its distribution, or ``P[⊤]`` for a packed Boolean one
+        #: (:func:`_pack`); read through :func:`_unpack`.
+        self._distributions: dict[str, Distribution | float] = {}
         #: name → the epoch its last :meth:`reassign` bumped to, newest
         #: last: one entry per variable ever reassigned, so a reader finds
         #: what changed since it last looked at the newest end
@@ -59,21 +98,27 @@ class VariableRegistry:
 
         Re-declaring a name with a *different* distribution is an error:
         the variables of a probability space are fixed and independent.
-        Mutation paths that legitimately change a probability (e.g.
-        ``UPDATE ... p=``) go through :meth:`reassign` instead, which
-        records the name for the caches that read this registry.
+        Re-declaring it with an equal one (up to ``almost_equals``) is a
+        no-op that returns the distribution already declared: replacing
+        it would move a marginal without moving the epoch, behind every
+        cache over this registry.  Mutation paths that legitimately
+        change a probability (e.g. ``UPDATE ... p=``) go through
+        :meth:`reassign` instead, which records the name for the caches
+        that read this registry.
         """
         existing = self._distributions.get(name)
-        if existing is not None and not existing.almost_equals(distribution):
-            raise DistributionError(
-                f"variable {name!r} is already declared with a different "
-                f"distribution"
-            )
+        if existing is not None:
+            existing = _unpack(existing)
+            if not existing.almost_equals(distribution):
+                raise DistributionError(
+                    f"variable {name!r} is already declared with a different "
+                    f"distribution"
+                )
+            return existing
         # Store, then bump (the order of every PVCTable mutator): whoever
         # reads the new epoch also reads the new distribution.
-        self._distributions[name] = distribution
-        if existing is None:
-            self._version += 1
+        self._distributions[name] = _pack(distribution)
+        self._version += 1
         return distribution
 
     def reassign(self, name: str, distribution: Distribution) -> Distribution:
@@ -96,7 +141,7 @@ class VariableRegistry:
         # distribution and finds the name recorded.  The entry takes its
         # new epoch before it moves to the newest end, so it is never
         # absent; until the bump that epoch is ahead of every reader's.
-        self._distributions[name] = distribution
+        self._distributions[name] = _pack(distribution)
         at = self._version + 1
         self._reassigned[name] = at
         self._reassigned.move_to_end(name)
@@ -144,11 +189,12 @@ class VariableRegistry:
 
     def __getitem__(self, name: str) -> Distribution:
         try:
-            return self._distributions[name]
+            stored = self._distributions[name]
         except KeyError:
             raise DistributionError(
                 f"variable {name!r} has no declared distribution"
             ) from None
+        return _unpack(stored)
 
     def __contains__(self, name: str) -> bool:
         return name in self._distributions
@@ -162,8 +208,9 @@ class VariableRegistry:
     def names(self) -> list[str]:
         return sorted(self._distributions)
 
-    def items(self):
-        return self._distributions.items()
+    def items(self) -> Iterator[tuple[str, Distribution]]:
+        for name, stored in self._distributions.items():
+            yield name, _unpack(stored)
 
     def restrict(self, names: Iterable[str]) -> "VariableRegistry":
         """The sub-registry containing only ``names``."""
@@ -178,7 +225,7 @@ class VariableRegistry:
         unchanged while shrinking variable supports to two values.
         """
         reduced = VariableRegistry()
-        for name, dist in self._distributions.items():
+        for name, dist in self.items():
             p_zero = dist.probability_of(lambda v: v == 0 or v is False)
             reduced.bernoulli(name, 1.0 - p_zero)
         return reduced

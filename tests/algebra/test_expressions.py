@@ -21,6 +21,22 @@ class TestVar:
     def test_variables(self):
         assert Var("x").variables == frozenset({"x"})
 
+    def test_variables_before_and_after_the_first_read(self):
+        x = Var("x")
+        assert x._vars == ("x",)  # no frozenset until someone asks
+        first = x.variables
+        assert first == frozenset({"x"}) and type(first) is frozenset
+        assert x.variables is first  # swapped in place, built once
+        assert x._vars is first
+        assert "x" in ssum([x, Var("y")]).variables
+
+    def test_pickled_before_the_first_read(self):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(Var("x")))
+        assert copy == Var("x") and hash(copy) == hash(Var("x"))
+        assert copy.variables == frozenset({"x"})
+
     def test_equality_by_name(self):
         assert Var("x") == Var("x")
         assert Var("x") != Var("y")

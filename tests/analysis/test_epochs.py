@@ -198,6 +198,44 @@ class TestShippedClassesSatisfyTheDiscipline:
         result = analyze(source, CHECKERS)
         assert result.clean, result.findings
 
+    @pytest.mark.parametrize(
+        "shipped, bump_first",
+        [
+            (  # declare
+                "        self._distributions[name] = _pack(distribution)\n"
+                "        self._version += 1\n",
+                "        self._version += 1\n"
+                "        self._distributions[name] = _pack(distribution)\n",
+            ),
+            (  # reassign
+                "        self._distributions[name] = _pack(distribution)\n"
+                "        at = self._version + 1\n",
+                "        at = self._version + 1\n"
+                "        self._version = at\n"
+                "        self._distributions[name] = _pack(distribution)\n",
+            ),
+        ],
+        ids=["declare", "reassign"],
+    )
+    def test_the_rule_reads_the_shipped_registrys_storage(
+        self, analyze, shipped, bump_first
+    ):
+        """The shipped registry with a bump moved above its store must be
+        flagged: renaming or re-shaping the storage would otherwise leave
+        the rule silently watching nothing."""
+        from pathlib import Path
+
+        import repro.prob.variables as variables
+
+        source = Path(variables.__file__).read_text(encoding="utf-8")
+        assert source.count(shipped) == 1
+        result = analyze(source.replace(shipped, bump_first), CHECKERS)
+        assert "cache-epoch" in rule_ids(result)
+        assert any(
+            "self._distributions after bumping" in finding.message
+            for finding in result.findings
+        ), result.findings
+
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))

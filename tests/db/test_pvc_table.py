@@ -50,6 +50,21 @@ class TestPVCTable:
         text = table.pretty()
         assert "x1" in text and "shop" in text
 
+    def test_a_row_survives_pickling(self):
+        # A frozen dataclass with slots needs the generated
+        # __getstate__/__setstate__ pair; checked on every CI Python.
+        import dataclasses
+        import pickle
+
+        from repro.db.pvc_table import PVCRow
+
+        row = PVCRow((1, "M&S"), Var("x1"))
+        copy = pickle.loads(pickle.dumps(row))
+        assert copy == row and copy.annotation.variables == frozenset({"x1"})
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.values = (2, "M&S")
+
 
 class TestInstantiate:
     """Possible worlds of a pvc-table (Definition 6)."""

@@ -211,3 +211,120 @@ class TestReassignmentRecord:
         reg.reassign("x2", Distribution.bernoulli(0.9))
         assert epochs_at_record == [(before, before + 1)]
         assert reg.epoch == before + 1
+
+
+class TestRedeclaringKeepsTheDeclaredMarginal:
+    """Re-declaring a name with a distribution ``almost_equals`` the
+    declared one moves no epoch, so it must not move the marginal
+    either: a cache over the registry would keep the old one while a
+    fresh compiler read the new."""
+
+    def test_a_near_equal_redeclaration_is_a_no_op(self):
+        from repro.algebra.expressions import Var
+        from repro.algebra.semiring import BOOLEAN
+        from repro.cache import CompilationCache
+        from repro.core.compile import Compiler
+
+        reg = VariableRegistry()
+        reg.bernoulli("x", 0.3)
+        cache = CompilationCache(Compiler(reg, BOOLEAN))
+        assert cache.distribution(Var("x"))[True] == 0.3
+
+        kept = reg.bernoulli("x", 0.30000005)
+        assert reg.epoch == 1
+        assert kept[True] == 0.3 and reg["x"][True] == 0.3
+        # At the parent commit the cache said 0.3 and this said 0.30000005.
+        fresh = Compiler(reg, BOOLEAN).distribution(Var("x"))
+        assert fresh[True] == cache.distribution(Var("x"))[True] == 0.3
+
+
+def _bits(distribution):
+    """Items in order, each value with its type and each mass as exact
+    bits: equal only for the same distribution, item for item."""
+    return [
+        (type(value), value, type(p), p.hex() if isinstance(p, float) else p)
+        for value, p in distribution.items()
+    ]
+
+
+GIVEN = {
+    "bernoulli": Distribution.bernoulli(0.3),
+    # Bit for bit what ``bernoulli(0.3)`` builds (1.0 - 0.3 == 0.7), so
+    # it is stored as 0.3 too, and must come back as these items.
+    "literal": Distribution({True: 0.3, False: 0.7}),
+    "reversed": Distribution({False: 0.7, True: 0.3}),
+    "inexact": Distribution({True: 0.7, False: 0.3}),  # 1.0 - 0.7 != 0.3
+    "tiny": Distribution.bernoulli(1e-6),
+    "ones": Distribution.bernoulli(0.25, one=1, zero=0),
+    "point": Distribution.point(7),
+    "certain": Distribution.bernoulli(1.0),
+    "integer": Distribution({0: 0.25, 1: 0.5, 7: 0.25}),
+}
+
+
+class TestWhatIsGivenComesBack:
+    """A Boolean marginal is stored as its float; every read rebuilds
+    the distribution the registry was given — same items, same order
+    (Monte-Carlo draws follow it), same float bits."""
+
+    def _registry(self):
+        reg = VariableRegistry()
+        for name, dist in GIVEN.items():
+            reg.declare(name, dist)
+        return reg
+
+    def test_declare_and_lookup(self):
+        reg = self._registry()
+        for name, dist in GIVEN.items():
+            assert _bits(reg[name]) == _bits(dist), name
+
+    def test_only_the_bernoulli_shape_is_packed(self):
+        stored = self._registry()._distributions
+        packed = {name for name, value in stored.items() if type(value) is float}
+        assert packed == {"bernoulli", "literal", "tiny"}
+        assert stored["tiny"] == 1e-6
+
+    def test_helpers(self):
+        reg = VariableRegistry()
+        reg.bernoulli("b", 0.1)
+        reg.integer("n", {0: 0.5, 3: 0.5})
+        reg.constant("c", 4)
+        assert _bits(reg["b"]) == _bits(Distribution.bernoulli(0.1))
+        assert _bits(reg["n"]) == _bits(Distribution({0: 0.5, 3: 0.5}))
+        assert _bits(reg["c"]) == _bits(Distribution.point(4))
+
+    def test_items(self):
+        reg = self._registry()
+        assert [name for name, _ in reg.items()] == list(GIVEN)
+        for name, dist in reg.items():
+            assert _bits(dist) == _bits(GIVEN[name]), name
+
+    def test_reassign(self):
+        reg = self._registry()
+        for name, dist in GIVEN.items():
+            other = GIVEN["inexact" if name == "bernoulli" else "bernoulli"]
+            reg.reassign(name, other)
+            assert _bits(reg[name]) == _bits(other), name
+            reg.reassign(name, dist)
+            assert _bits(reg[name]) == _bits(dist), name
+
+    def test_pickle(self):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(self._registry()))
+        for name, dist in GIVEN.items():
+            assert _bits(copy[name]) == _bits(dist), name
+
+    def test_restrict(self):
+        names = ["literal", "reversed", "integer"]
+        sub = self._registry().restrict(names)
+        assert list(sub) == names
+        for name in names:
+            assert _bits(sub[name]) == _bits(GIVEN[name]), name
+
+    def test_boolean_reduction(self):
+        reduced = self._registry().boolean_reduction()
+        for name, dist in GIVEN.items():
+            p_zero = dist.probability_of(lambda v: v == 0 or v is False)
+            expected = Distribution.bernoulli(1.0 - p_zero)
+            assert _bits(reduced[name]) == _bits(expected), name

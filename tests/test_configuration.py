@@ -16,8 +16,10 @@ reads take the pool hop.  Monte-Carlo opens no pool and has one draw
 stream, numpy's, drawn in blocks of uniforms, never through one
 ``Generator.choice`` call per variable; the per-world engines evaluate a
 world through one function, :func:`repro.query.executor.world_evaluator`;
-and the kernels switch is read only where it makes the compiler
-Algorithm 1 verbatim.  All of these facts are structural, so they are
+the kernels switch is read only where it makes the compiler
+Algorithm 1 verbatim; and a cached variable set, a tuple until first
+asked for as a set, is read elsewhere only through ``in`` and truth
+tests.  All of these facts are structural, so they are
 checked on the syntax tree of every module under ``src/repro``.
 """
 
@@ -349,3 +351,49 @@ def test_the_per_world_engines_share_one_world_evaluator():
         for forbidden in ("execute_deterministic", "kernel_for", "bound_kernel_for"):
             assert not _mentions(tree, forbidden), (name, forbidden)
         assert _mentions(tree, "world_evaluator"), name
+
+
+def _in_truth_test(node: ast.AST, parents: dict) -> bool:
+    """Whether only ``node``'s truth value is read: ``not`` it, test it
+    in ``if``/``while``/``assert``/a conditional expression/a
+    comprehension filter, or combine it with ``and``/``or`` there."""
+    parent = parents.get(node)
+    if isinstance(parent, ast.UnaryOp) and isinstance(parent.op, ast.Not):
+        return True
+    if isinstance(parent, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+        return parent.test is node
+    if isinstance(parent, ast.comprehension):
+        return node in parent.ifs
+    if isinstance(parent, ast.BoolOp):
+        return _in_truth_test(parent, parents)
+    return False
+
+
+def test_variable_sets_are_read_only_through_in_and_truth_tests():
+    """A :class:`~repro.algebra.expressions.Var` keeps its variable set
+    as the tuple ``(name,)`` until :attr:`variables` is first read, so
+    ``._vars`` outside the module that defines it may only be the right
+    operand of ``in``/``not in`` or a truth test — both answer alike on
+    a tuple and a frozenset.  Anything else goes through ``.variables``."""
+    offending = []
+    for name, tree in MODULES.items():
+        if name == "algebra/expressions.py":
+            continue
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "_vars"):
+                continue
+            parent = parents.get(node)
+            membership = (
+                isinstance(parent, ast.Compare)
+                and len(parent.ops) == 1
+                and isinstance(parent.ops[0], (ast.In, ast.NotIn))
+                and parent.comparators[0] is node
+            )
+            if not (membership or _in_truth_test(node, parents)):
+                offending.append((name, node.lineno))
+    assert not offending, offending
