@@ -268,8 +268,8 @@ class Sum(SemiringExpr):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
-        # What ``_finalize`` computes, inline: the join loops and the
-        # normaliser build one of these per result row.
+        # What ``_finalize`` computes, inline: the join loops build one
+        # of these per result row.
         self.children = children
         self._key = ("+",) + tuple([c._key for c in children])
         self._vars = frozenset().union(*[c._vars for c in children])

@@ -49,6 +49,15 @@ class Normalizer:
     Instances memoise results, which matters during compilation where the
     same subexpressions reappear across Shannon branches.
 
+    A node no rule applies to is handed back as the object it was (see
+    :meth:`_normalize`), so normalising a step-I annotation allocates
+    only what a rule changes.  A rebuilt node is memoised under itself
+    too, so normalising it again (a cache key, the compiler's second
+    pass) is one dictionary hit.  That entry holds the node's own normal
+    form, which need not be the node: folding comes before the smart
+    constructors flatten, so in B ``(a + b)·(a + b) + a`` normalises to
+    ``a + a + b`` and only then to ``a + b``.
+
     :meth:`restrict` is the fused fast path for Shannon expansion: it
     computes the normalised restriction ``Φ|x←s`` in one pass (with its
     own memo), instead of materialising the substituted-but-unnormalised
@@ -66,23 +75,86 @@ class Normalizer:
         cached = self._cache.get(expr)
         if cached is None:
             cached = self._normalize(expr)
+            if cached is not expr:
+                cached = self._settle(cached)
             self._cache[expr] = cached
         return cached
 
+    def _settle(self, built: Expr) -> Expr:
+        """Record the rebuilt normal form ``built`` under itself.
+
+        Returns the memo's representative of ``built`` when it is a
+        fixpoint (so ``n(n(e)) is n(e)``), else ``built`` itself, whose
+        own normal form is then what the memo holds for it.
+        """
+        known = self._cache.get(built)
+        if known is None:
+            known = self._normalize(built)
+            if known == built:
+                known = built
+            self._cache[built] = known
+        return known if known == built else built
+
     def _normalize(self, expr: Expr) -> Expr:
+        """One normalisation step over already-normalised children.
+
+        Hands back ``expr`` itself when the ``_combine_*`` rule it skips
+        would rebuild an equal expression: every child normalised to
+        itself, and no constant is left to fold nor (in B) duplicate to
+        drop.  Nothing is left to flatten: only the smart constructors
+        build nodes (AST-checked in ``tests/test_configuration.py``), so
+        an unchanged child is never a node of its parent's kind, a
+        nested :class:`Tensor` or ``0_M``.  A child counts as unchanged
+        when it is the same object, or an equal leaf — the memo hands
+        back the first-seen equal leaf.
+        """
         if isinstance(expr, (Var, SConst, MConst)):
             return self._fold_const(expr)
-        if isinstance(expr, Sum):
-            return self._combine_sum([self(c) for c in expr.children])
-        if isinstance(expr, Prod):
-            return self._combine_prod([self(c) for c in expr.children])
+        if isinstance(expr, (Sum, Prod)):
+            normal = [self(c) for c in expr.children]
+            if self._kept(expr.children, normal):
+                return expr
+            if isinstance(expr, Sum):
+                return self._combine_sum(normal)
+            return self._combine_prod(normal)
         if isinstance(expr, Compare):
-            return self._combine_compare(self(expr.left), expr.op, self(expr.right))
+            left, right = self(expr.left), self(expr.right)
+            if _unchanged(expr.left, left) and _unchanged(expr.right, right):
+                return self._fold_bounds(expr)
+            return self._combine_compare(left, expr.op, right)
         if isinstance(expr, Tensor):
-            return self._combine_tensor(self(expr.phi), self(expr.arg))
+            phi, arg = self(expr.phi), self(expr.arg)
+            if (
+                _unchanged(expr.phi, phi)
+                and _unchanged(expr.arg, arg)
+                and not isinstance(phi, SConst)
+            ):
+                return expr
+            return self._combine_tensor(phi, arg)
         if isinstance(expr, AggSum):
-            return self._combine_aggsum(expr.monoid, [self(c) for c in expr.children])
+            normal = [self(c) for c in expr.children]
+            for child, kid in zip(expr.children, normal):
+                # A constant summand may meet a dominated term.
+                if not _unchanged(child, kid) or isinstance(kid, MConst):
+                    return self._combine_aggsum(expr.monoid, normal)
+            return expr
         raise AlgebraError(f"cannot normalise expression of type {type(expr).__name__}")
+
+    def _kept(self, children: tuple, normal: list) -> bool:
+        """Whether ``_combine_sum``/``_combine_prod`` over ``normal`` would
+        rebuild the node of ``children`` unchanged.  Children are
+        key-sorted, so duplicates are neighbours."""
+        boolean = self.semiring.is_boolean
+        previous = None
+        for child, kid in zip(children, normal):
+            if not _unchanged(child, kid) or isinstance(kid, SConst):
+                return False
+            if boolean and previous is not None and (
+                kid._hash == previous._hash and kid == previous
+            ):
+                return False
+            previous = kid
+        return True
 
     # -- Shannon restriction ----------------------------------------------
 
@@ -152,7 +224,7 @@ class Normalizer:
 
     def _fold_const(self, expr: Expr) -> Expr:
         """Canonicalise constants for the target semiring."""
-        if isinstance(expr, SConst) and self.semiring.is_boolean:
+        if isinstance(expr, SConst) and self.semiring.is_boolean and expr.value > 1:
             return SConst(int(self.semiring.coerce(expr.value)))
         return expr
 
@@ -200,7 +272,10 @@ class Normalizer:
         folded = compare(left, op, right)
         if isinstance(folded, SConst):
             return self._fold_const(folded)
-        if isinstance(folded, Compare) and isinstance(folded.left, ModuleExpr):
+        return self._fold_bounds(folded)
+
+    def _fold_bounds(self, folded: Compare) -> SemiringExpr:
+        if isinstance(folded.left, ModuleExpr):
             # Early folding by value bounds: after Shannon substitutions
             # the attainable intervals of the two sides may separate, at
             # which point the comparison is decided in every remaining
@@ -257,6 +332,11 @@ class Normalizer:
         if folded is not None:
             return folded
         return expr
+
+
+def _unchanged(child: Expr, normal: Expr) -> bool:
+    """``child`` normalised to itself: the same object, or an equal leaf."""
+    return normal is child or (not child.children and normal == child)
 
 
 def _canonical_term_value(term: ModuleExpr):

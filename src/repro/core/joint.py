@@ -38,7 +38,7 @@ class JointCompiler:
         self._normalizer = Normalizer(compiler.semiring)
         self.max_mutex_nodes = max_mutex_nodes
         self.mutex_nodes_created = 0
-        self._memo: dict[tuple, Distribution] = {}
+        self._memo: dict[tuple[Expr, ...], Distribution] = {}
 
     def joint_distribution(self, exprs: Sequence[Expr]) -> Distribution:
         """The joint distribution of ``exprs`` as a distribution of tuples."""
@@ -46,11 +46,12 @@ class JointCompiler:
         return self._joint(normalized)
 
     def _joint(self, exprs: tuple) -> Distribution:
-        key = tuple(e.key for e in exprs)
-        cached = self._memo.get(key)
+        # Keyed on the normalised expressions themselves: their hashes are
+        # cached, where hashing their nested key tuples walks every node.
+        cached = self._memo.get(exprs)
         if cached is None:
             cached = self._joint_uncached(exprs)
-            self._memo[key] = cached
+            self._memo[exprs] = cached
         return cached
 
     def _joint_uncached(self, exprs: tuple) -> Distribution:

@@ -52,26 +52,44 @@ __all__ = ["prune", "prune_comparison"]
 
 
 def prune(expr: Expr, semiring: Semiring) -> Expr:
-    """Recursively apply the pruning rules to every conditional in ``expr``."""
+    """Recursively apply the pruning rules to every conditional in ``expr``.
+
+    Returns ``expr`` itself when no rule fires anywhere in it, and
+    otherwise rebuilds only the nodes on the path to a rewritten
+    comparison: a node whose pruned children are all the originals is
+    handed back as it was.
+    """
     if isinstance(expr, (Var, SConst, MConst)):
         return expr
-    if isinstance(expr, Sum):
-        return ssum([prune(c, semiring) for c in expr.children])
-    if isinstance(expr, Prod):
-        return sprod([prune(c, semiring) for c in expr.children])
+    if isinstance(expr, (Sum, Prod, AggSum)):
+        children = [prune(c, semiring) for c in expr.children]
+        if all(new is old for new, old in zip(children, expr.children)):
+            return expr
+        if isinstance(expr, Sum):
+            return ssum(children)
+        if isinstance(expr, Prod):
+            return sprod(children)
+        return aggsum(expr.monoid, children)
     if isinstance(expr, Tensor):
-        return tensor(prune(expr.phi, semiring), prune(expr.arg, semiring))
-    if isinstance(expr, AggSum):
-        return aggsum(expr.monoid, [prune(c, semiring) for c in expr.children])
+        phi = prune(expr.phi, semiring)
+        arg = prune(expr.arg, semiring)
+        if phi is expr.phi and arg is expr.arg:
+            return expr
+        return tensor(phi, arg)
     if isinstance(expr, Compare):
         left = prune(expr.left, semiring)
         right = prune(expr.right, semiring)
-        return prune_comparison(compare(left, expr.op, right), semiring)
+        if left is not expr.left or right is not expr.right:
+            expr = compare(left, expr.op, right)
+        return prune_comparison(expr, semiring)
     return expr
 
 
 def prune_comparison(expr: Expr, semiring: Semiring) -> Expr:
-    """Apply the pruning rules to a single (already-folded) comparison."""
+    """Apply the pruning rules to a single (already-folded) comparison.
+
+    A comparison no rule rewrites comes back as the object it was.
+    """
     if not isinstance(expr, Compare):
         return expr
     # Normalise to "aggregation θ constant" with the aggregation on the left.
@@ -86,27 +104,37 @@ def prune_comparison(expr: Expr, semiring: Semiring) -> Expr:
         return expr
     if right.variables:
         return expr
-    threshold = right.value
     monoid = left.monoid
     if monoid == MIN:
-        return _prune_min_max(left, op, threshold, keep_min=True)
+        return _prune_min_max(expr, keep_min=True)
     if monoid == MAX:
-        return _prune_min_max(left, op, threshold, keep_min=False)
+        return _prune_min_max(expr, keep_min=False)
     if isinstance(monoid, SumMonoid) and not isinstance(monoid, CappedSumMonoid):
-        return _prune_sum(left, op, threshold, semiring)
-    return compare(left, op, threshold_const(monoid, threshold))
+        return _prune_sum(expr, semiring)
+    return _restated(expr, left)
+
+
+def _restated(expr: Compare, left: ModuleExpr) -> Expr:
+    """``[left θ c]`` with ``c`` a constant of ``left``'s monoid, where
+    ``expr`` is ``[α θ c]``: ``expr`` itself when ``left`` is ``α`` and
+    ``c`` already lives in that monoid."""
+    right = expr.right
+    if left is expr.left and right.monoid == left.monoid:
+        return expr
+    return compare(left, expr.op, threshold_const(left.monoid, right.value))
 
 
 def threshold_const(monoid: Monoid, value) -> MConst:
     return MConst(monoid, value)
 
 
-def _prune_min_max(left: ModuleExpr, op, c, *, keep_min: bool) -> Expr:
+def _prune_min_max(expr: Compare, *, keep_min: bool) -> Expr:
     """Drop terms that cannot influence ``[Σ_MIN/MAX ... θ c]``.
 
     ``keep_min=True`` handles MIN; MAX is the mirror image obtained by
     flipping every value comparison.
     """
+    left, op, c = expr.left, expr.op, expr.right.value
     terms = module_terms(left)
     monoid = left.monoid
 
@@ -133,19 +161,18 @@ def _prune_min_max(left: ModuleExpr, op, c, *, keep_min: bool) -> Expr:
             kept.append(term)
         else:
             changed = True
-    if not changed:
-        return compare(left, op, MConst(monoid, c))
-    return compare(aggsum(monoid, kept), op, MConst(monoid, c))
+    return _restated(expr, aggsum(monoid, kept) if changed else left)
 
 
-def _prune_sum(left: ModuleExpr, op, c, semiring: Semiring) -> Expr:
+def _prune_sum(expr: Compare, semiring: Semiring) -> Expr:
     """Fold or saturate a SUM/COUNT comparison against a constant."""
+    left, op, c = expr.left, expr.op, expr.right.value
     terms = module_terms(left)
     values = [_term_value(term) for term in terms]
     if any(v is None for v in values) or any(v < 0 for v in values):
         # Non-canonical summands or negative contributions: saturation and
         # folding arguments rely on monotone non-negative sums; skip.
-        return compare(left, op, MConst(left.monoid, c))
+        return _restated(expr, left)
 
     # A sum of non-negative contributions is always ≥ 0; comparisons with a
     # negative constant are decided outright (in any semiring).

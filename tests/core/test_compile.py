@@ -2,17 +2,20 @@
 
 import math
 import random
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
 from repro.algebra.conditions import compare
-from repro.algebra.expressions import SConst, Var, sprod, ssum
-from repro.algebra.monoid import MAX, MIN, SUM
+from repro.algebra.expressions import Prod, SConst, Sum, Var, sprod, ssum
+from repro.algebra.monoid import COUNT, MAX, MIN, SUM
 from repro.algebra.parser import parse_expr
-from repro.algebra.semimodule import MConst, aggsum, tensor
+from repro.algebra.semimodule import AggSum, MConst, Tensor, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.core import decompose
 from repro.core.compile import HEURISTICS, Compiler
+from repro.cache import CompilationCache
 from repro.core.dtree import (
     MutexNode,
     PlusNode,
@@ -21,6 +24,7 @@ from repro.core.dtree import (
     TimesNode,
     VarLeaf,
 )
+from repro.core.pruning import prune
 from repro.errors import CompilationError
 from repro.prob.distribution import Distribution
 from repro.prob.space import ProbabilitySpace
@@ -342,3 +346,75 @@ class TestNSemiringCompilation:
         reg.integer("m", {0: 0.25, 1: 0.75})
         compiler = Compiler(reg, NATURALS)
         assert compiler.probability(Var("m")) == pytest.approx(0.75)
+
+
+class TestNothingIsRebuilt:
+    """Step II hands back what no rule changes: compiling a step-I
+    annotation over independent pairs builds no composite node — not in
+    the normaliser, not in pruning, not for the cache key."""
+
+    PAIRS = 50
+
+    @classmethod
+    def _registry(cls) -> VariableRegistry:
+        reg = VariableRegistry()
+        for i in range(cls.PAIRS):
+            reg.bernoulli(f"x{i}", 0.3)
+            reg.bernoulli(f"y{i}", 0.6)
+        return reg
+
+    @classmethod
+    def _pairs(cls) -> list:
+        return [sprod([Var(f"x{i}"), Var(f"y{i}")]) for i in range(cls.PAIRS)]
+
+    @classmethod
+    def _exprs(cls) -> dict:
+        return {
+            "sum of products": ssum(cls._pairs()),
+            "count": aggsum(
+                COUNT, [tensor(pair, MConst(COUNT, 1)) for pair in cls._pairs()]
+            ),
+        }
+
+    @staticmethod
+    def _built(run) -> dict:
+        """Run ``run()`` and count the composite nodes it constructs."""
+        built: dict[str, int] = {}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def __init__(self, *args):
+                built[cls.__name__] = built.get(cls.__name__, 0) + 1
+                init(self, *args)
+
+            return mock.patch.object(cls, "__init__", __init__)
+
+        with ExitStack() as stack:
+            for cls in (Sum, Prod, Tensor, AggSum):
+                stack.enter_context(counting(cls))
+            run()
+        return built
+
+    @pytest.mark.parametrize("name", ["sum of products", "count"])
+    def test_compiler_distribution_builds_no_node(self, name):
+        expr = self._exprs()[name]
+        compiler = Compiler(self._registry(), BOOLEAN)
+        assert self._built(lambda: compiler.distribution(expr)) == {}
+
+    @pytest.mark.parametrize("name", ["sum of products", "count"])
+    def test_cache_distribution_builds_no_node(self, name):
+        expr = self._exprs()[name]
+        cache = CompilationCache(Compiler(self._registry(), BOOLEAN))
+        assert self._built(lambda: cache.distribution(expr)) == {}
+
+    def test_the_counter_sees_a_rule_firing(self):
+        # x·x collapses in B, so the sum over it is rebuilt.
+        expr = ssum([sprod([Var("x0"), Var("x0")]), sprod([Var("x1"), Var("y1")])])
+        compiler = Compiler(self._registry(), BOOLEAN)
+        assert self._built(lambda: compiler.distribution(expr)) == {"Sum": 1}
+
+    @pytest.mark.parametrize("name", ["sum of products", "count"])
+    def test_prune_hands_back_a_condition_free_expression(self, name):
+        expr = self._exprs()[name]
+        assert prune(expr, BOOLEAN) is expr

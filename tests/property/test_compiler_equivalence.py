@@ -13,10 +13,14 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.conditions import Compare, compare
+from repro.algebra.expressions import Prod, Sum, Var, sprod, ssum
+from repro.algebra.semimodule import AggSum, Tensor, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
-from repro.algebra.simplify import normalize
+from repro.algebra.simplify import Normalizer, normalize
 from repro.core.compile import Compiler
 from repro.core.joint import JointCompiler
+from repro.core.pruning import prune, prune_comparison
 from repro.prob.space import ProbabilitySpace
 
 from tests.property.strategies import (
@@ -218,6 +222,102 @@ class TestRowLevelHomomorphism:
             with mock.patch.dict(os.environ, REPRO_CODEGEN="0"):
                 concrete = execute_deterministic(prepared, world, BOOLEAN)
             assert symbolic.instantiate(valuation, BOOLEAN) == concrete
+
+
+#: Step II's inputs: semiring and semimodule expressions, comparisons,
+#: and comparisons nested inside products and scalar actions.
+step_two_exprs = st.one_of(
+    semiring_exprs(depth=3),
+    module_exprs(),
+    conditions(),
+    st.tuples(conditions(), semiring_exprs(depth=2)).map(sprod),
+    st.tuples(conditions(), module_exprs()).map(lambda pair: tensor(*pair)),
+)
+
+
+def _combined(normalizer: Normalizer, expr):
+    """The ``_combine_*`` rule over ``expr``'s normalised children: what
+    :meth:`Normalizer._normalize` skips when it hands ``expr`` back."""
+    if isinstance(expr, Sum):
+        return normalizer._combine_sum([normalizer(c) for c in expr.children])
+    if isinstance(expr, Prod):
+        return normalizer._combine_prod([normalizer(c) for c in expr.children])
+    if isinstance(expr, Tensor):
+        return normalizer._combine_tensor(normalizer(expr.phi), normalizer(expr.arg))
+    if isinstance(expr, AggSum):
+        return normalizer._combine_aggsum(
+            expr.monoid, [normalizer(c) for c in expr.children]
+        )
+    if isinstance(expr, Compare):
+        return normalizer._combine_compare(
+            normalizer(expr.left), expr.op, normalizer(expr.right)
+        )
+    return normalizer._fold_const(expr)
+
+
+def _rebuilt_prune(expr, semiring):
+    """Pruning that rebuilds every node through the smart constructors."""
+    if isinstance(expr, Sum):
+        return ssum([_rebuilt_prune(c, semiring) for c in expr.children])
+    if isinstance(expr, Prod):
+        return sprod([_rebuilt_prune(c, semiring) for c in expr.children])
+    if isinstance(expr, Tensor):
+        return tensor(
+            _rebuilt_prune(expr.phi, semiring), _rebuilt_prune(expr.arg, semiring)
+        )
+    if isinstance(expr, AggSum):
+        return aggsum(
+            expr.monoid, [_rebuilt_prune(c, semiring) for c in expr.children]
+        )
+    if isinstance(expr, Compare):
+        left = _rebuilt_prune(expr.left, semiring)
+        right = _rebuilt_prune(expr.right, semiring)
+        return prune_comparison(compare(left, expr.op, right), semiring)
+    return expr
+
+
+class TestStepTwoHandsBackWhatNoRuleChanges:
+    """Normalisation and pruning return their input object when no rule
+    fires, and that shortcut never skips a rule that would have."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    def test_a_handed_back_node_is_what_its_rule_would_build(self, expr, semiring):
+        normalizer = Normalizer(semiring)
+        normalizer(expr)
+        for node in expr.walk():
+            if normalizer(node) is node:
+                assert _combined(Normalizer(semiring), node) == node, node
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    def test_a_normal_form_is_its_own_memo_entry(self, expr, semiring):
+        normalizer = Normalizer(semiring)
+        first = normalizer(expr)
+        again = normalizer(first)
+        # What a memo-free second pass computes.
+        assert again == Normalizer(semiring)(Normalizer(semiring)(expr))
+        if again == first:
+            assert again is first
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    def test_prune_rebuilds_only_what_a_rule_changes(self, expr, semiring):
+        pruned = prune(expr, semiring)
+        assert pruned == _rebuilt_prune(expr, semiring)
+        if not any(isinstance(node, Compare) for node in expr.walk()):
+            assert pruned is expr
+
+    def test_normalisation_is_not_idempotent_everywhere(self):
+        """Folding comes before the smart constructors flatten: in B,
+        ``(a + b)·(a + b) + a`` normalises to ``a + a + b`` and only
+        then to ``a + b``.  The memo keeps both steps apart, as a
+        memo-free second pass would."""
+        a, b = Var("a"), Var("b")
+        normalizer = Normalizer(BOOLEAN)
+        first = normalizer(ssum([sprod([a + b, a + b]), a]))
+        assert first.children == (a, a, b)
+        assert normalizer(first) == a + b
 
 
 def _restrict(expr, registry):

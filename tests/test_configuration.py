@@ -17,9 +17,11 @@ stream, numpy's, drawn in blocks of uniforms, never through one
 ``Generator.choice`` call per variable; the per-world engines evaluate a
 world through one function, :func:`repro.query.executor.world_evaluator`;
 the kernels switch is read only where it makes the compiler
-Algorithm 1 verbatim; and a cached variable set, a tuple until first
+Algorithm 1 verbatim; a cached variable set, a tuple until first
 asked for as a set, is read elsewhere only through ``in`` and truth
-tests.  All of these facts are structural, so they are
+tests; and composite expression nodes are built only by the smart
+constructors and the normaliser, so every one is canonical.  All of
+these facts are structural, so they are
 checked on the syntax tree of every module under ``src/repro``.
 """
 
@@ -396,4 +398,39 @@ def test_variable_sets_are_read_only_through_in_and_truth_tests():
             )
             if not (membership or _in_truth_test(node, parents)):
                 offending.append((name, node.lineno))
+    assert not offending, offending
+
+
+#: Where each composite expression node may be constructed directly.
+_NODE_CONSTRUCTORS = {
+    "Sum": {"algebra/expressions.py"},
+    "Prod": {"algebra/expressions.py"},
+    "Tensor": {"algebra/semimodule.py"},
+    "AggSum": {"algebra/semimodule.py", "algebra/simplify.py"},
+    "Compare": {"algebra/conditions.py"},
+}
+
+
+def _node_class_called(call: ast.Call) -> str | None:
+    """The node class ``call`` constructs, by bare name or as an
+    attribute (``expressions.Sum(...)``); ``None`` for any other call."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return called if called in _NODE_CONSTRUCTORS else None
+
+
+def test_composite_nodes_are_built_only_canonically():
+    """Normalisation and pruning hand a node back unchanged when no rule
+    applies to it, which is right only if every node is canonical —
+    flat, key-sorted, free of neutral elements, a comparison already
+    folded.  The smart constructors (and the normaliser's monoid-sum
+    combination) are the only code that calls a node class."""
+    offending = sorted(
+        (called, name, node.lineno)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (called := _node_class_called(node)) is not None
+        and name not in _NODE_CONSTRUCTORS[called]
+    )
     assert not offending, offending
