@@ -12,18 +12,14 @@ where the physical plan layer matters: equi-joins extracted from
 * ``tpch_q3`` — a customer ⋈ orders ⋈ lineitem join with constant
   selections and a grouped SUM, in the style of TPC-H Q3.
 
-A fourth series, ``per_world``, measures repeated *deterministic*
+A fourth series, ``per_world``, times repeated *deterministic*
 execution of the star and Q3 plans — the inner loop of the per-world
-engines — comparing the tree-walking interpreter against the fused
-kernels of :mod:`repro.codegen` (plan compiled and bound once, each
-world one call).  Every point asserts the two paths produce bit-identical
-answers on every world before recording a time.
+engines — through :func:`repro.query.executor.world_evaluator`, the
+interpreter's plan walk over one instantiated world per call.
 
 Supports the shared ``--smoke`` / ``--json PATH`` / ``--baseline PATH``
 flags; the committed pre-PR reference lives at
-``benchmarks/baselines/bench_joins_pre_pr.json`` and the codegen
-per-world reference at
-``benchmarks/baselines/bench_joins_codegen.json``.
+``benchmarks/baselines/bench_joins_pre_pr.json``.
 """
 
 from __future__ import annotations
@@ -34,22 +30,19 @@ if __package__ in (None, ""):  # direct script execution: python benchmarks/...
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-import os
 import random
 import statistics
 import time
-from unittest import mock
 
 from benchmarks.common import BenchReport, print_series, smoke_mode
 from repro.algebra.expressions import Var
 from repro.algebra.semiring import BOOLEAN
-from repro.algebra.valuation import Valuation
-from repro.codegen import kernel_for
+from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
 from repro.engine.sprout import SproutEngine
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Project, Select, product_of, relation
-from repro.query.executor import execute_deterministic, prepare
+from repro.query.executor import prepare, world_evaluator
 from repro.query.predicates import cmp_, conj, eq
 
 RUNS = 3
@@ -152,55 +145,24 @@ def build_tpch_q3(scale: int = 1, seed: int = 0):
 
 
 def measure_per_world(db, query, worlds: int, runs: int, seed: int = 7):
-    """Interpreted vs compiled per-world execution over random worlds.
-
-    The interpreted leg is what the per-world engines did before codegen:
-    instantiate the referenced tables under a valuation, then run the
-    prepared plan through the tree-walking executor.  The compiled leg is
-    what they do now: bind the fused kernel once (hoisting deterministic
-    tables, hash indexes and static subplans) and run one function per
-    world.  Both legs are asserted bit-identical on every world first.
-    """
-    semiring = db.semiring
+    """Mean seconds to evaluate ``worlds`` random worlds, one
+    :func:`world_evaluator` call each (planned and snapshotted once)."""
     prepared = prepare(query, db.catalog(), db.cardinalities())
-    names = sorted(db.variables)
-    referenced = list(dict.fromkeys(query.base_relations()))
-    tables = [(name, db.tables[name]) for name in referenced]
+    read = query.base_relations()
+    stamp = capture_stamp(db, read)
+    names = sorted(frozenset().union(*(db.tables[name].variables for name in read)))
+    evaluate = world_evaluator(prepared, db, names, stamp)
     rng = random.Random(seed)
     assignments = [
         {name: rng.random() < 0.5 for name in names} for _ in range(worlds)
     ]
-    kernel = kernel_for(prepared, semiring)
-    assert kernel is not None, "plan unexpectedly has no compiled form"
-    bound = kernel.bind(db, names)
-
-    def interpreted(assignment):
-        valuation = Valuation(assignment, semiring)
-        world = {
-            name: table.instantiate(valuation, semiring)
-            for name, table in tables
-        }
-        return execute_deterministic(prepared, world, semiring)
-
-    interp_times, compiled_times = [], []
-    # REPRO_CODEGEN=0 sends execute_deterministic through the
-    # interpreter; the kernel bound above runs regardless.
-    with mock.patch.dict(os.environ, REPRO_CODEGEN="0"):
-        for assignment in assignments[: min(worlds, 25)]:
-            expected = list(interpreted(assignment).tuples())
-            actual = list(bound.run_assignment(assignment).items())
-            assert actual == expected, "compiled/interpreted divergence"
-
-        for _ in range(runs):
-            start = time.perf_counter()
-            for assignment in assignments:
-                interpreted(assignment)
-            interp_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            for assignment in assignments:
-                bound.run_assignment(assignment)
-            compiled_times.append(time.perf_counter() - start)
-    return statistics.mean(interp_times), statistics.mean(compiled_times)
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        for assignment in assignments:
+            evaluate(assignment)
+        times.append(time.perf_counter() - start)
+    return statistics.mean(times)
 
 
 def time_rewrite(db, query, runs: int = RUNS) -> tuple[float, float]:
@@ -249,7 +211,7 @@ def main() -> None:
         report.add("tpch_q3", {"scale": scale, "runs": runs}, mean=mean, stdev=stdev)
     print_series("TPC-H Q3 shape — customer ⋈ orders ⋈ lineitem", ["series", "scale", "mean", "stdev"], rows)
 
-    # Per-world deterministic execution: interpreter vs fused kernels.
+    # Per-world deterministic execution: the interpreter, world by world.
     worlds = 20 if smoke else 200
     shapes = [
         ("star", build_star(120 if smoke else 500)),
@@ -257,28 +219,14 @@ def main() -> None:
     ]
     rows = []
     for shape, (db, query) in shapes:
-        interp, compiled = measure_per_world(db, query, worlds, runs)
-        speedup = interp / compiled if compiled > 0 else 0.0
-        rows.append(
-            (
-                shape,
-                worlds,
-                f"{interp * 1000:.1f}ms",
-                f"{compiled * 1000:.1f}ms",
-                f"{speedup:.2f}x",
-            )
-        )
+        mean = measure_per_world(db, query, worlds, runs)
+        rows.append((shape, worlds, f"{mean * 1000:.1f}ms"))
         report.add(
-            "per_world",
-            {"shape": shape, "worlds": worlds, "runs": runs},
-            mean_interpreted=interp,
-            mean_compiled=compiled,
-            mean=compiled,
-            speedup_vs_interpreter=round(speedup, 3),
+            "per_world", {"shape": shape, "worlds": worlds, "runs": runs}, mean=mean
         )
     print_series(
-        f"Per-world execution — interpreter vs compiled kernel ({worlds} worlds)",
-        ["shape", "worlds", "interpreted", "compiled", "speedup"],
+        f"Per-world execution — interpreter ({worlds} worlds)",
+        ["shape", "worlds", "mean"],
         rows,
     )
 

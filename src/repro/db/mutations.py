@@ -2,7 +2,7 @@
 
 The paper's pipeline treats the pvc-database as frozen; every cache in
 the stack — merged scans, hash indexes, prepared plans, compiled d-tree
-distributions, fused kernels — was originally keyed against data that
+distributions, operator accessors — was originally keyed against data that
 could never change.  A mutable database flushes none of them wholesale
 and tells none of them anything: a writer changes its storage and bumps
 a counter (a table's epoch, the registry's), and each cache validates
@@ -52,11 +52,11 @@ distribution           normalised annotation; the  LRU eviction, and on the
                                                    ``registry.reassign`` alike;
                                                    value edits, inserts and
                                                    deletes drop nothing
-kernel on plan         the prepared plan object    never: a fused kernel (and
-(``kernel_for``)       (``op_cache``) + semiring   the interpreter's compiled
-                                                   accessors beside it) is
-                                                   data-independent and lives
-                                                   and dies with its plan
+accessors on plan      the prepared plan object    never: the
+(``op_cache``)         and the operator            interpreter's compiled
+                                                   accessors are
+                                                   data-independent and live
+                                                   and die with their plan
 reply on statement     stamp: every table and the  the stamp moves.  Never
 (``keep_reply``)       registry epoch; per option  offered: degraded,
                        set, second sight           Monte-Carlo and

@@ -96,8 +96,8 @@ class Relation:
 
         The build side of a hash equi-join over this relation.  Built
         once per key set and memoised until the relation mutates, so
-        repeated executions against the same world (the per-world
-        engines, the compiled kernels) never rebuild an index.
+        repeated executions against the same world never rebuild an
+        index.
         """
         from repro.db.pvc_table import tuple_getter
 

@@ -42,9 +42,9 @@ The sampler is **batched**:
   inputs, integers beyond 2**52/2**53, multiplicities that could leave
   that range, PROD and custom monoids (see
   :func:`repro.algebra.valuation.batch_exact`).  Each distinct drawn
-  world goes through :func:`repro.query.executor.world_evaluator` — a
-  bound compiled kernel, or the interpreter — built once per run over
-  the rows the tables held when the run started.  It memoises repeated
+  world goes through :func:`repro.query.executor.world_evaluator` — the
+  interpreter — built once per run over the rows the tables held when
+  the run started.  It memoises repeated
   worlds, so databases with few effective variables never evaluate the
   same world twice, and it is the oracle the batched path is tested
   against.
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as _np
 
@@ -124,7 +124,7 @@ class _RunContext(NamedTuple):
     symbolic: tuple | None
     #: The per-world loop's :func:`world_evaluator` when ``symbolic`` is
     #: ``None``, else ``None``.
-    evaluator: tuple | None
+    evaluator: Callable | None
 
 
 class MonteCarloEngine:
@@ -349,8 +349,8 @@ class MonteCarloEngine:
         """Count answer tuples over already-drawn index columns.
 
         Counts are an exact, deterministic function of the drawn columns
-        — whether the vectorized batch evaluator, the compiled per-world
-        kernel, or the interpreted fallback computes them.  The second
+        — whether the vectorized batch evaluator or the per-world
+        interpreter computes them.  The second
         value says which ran: ``batched``, or the per-world loop's
         diagnostics.
         """
@@ -453,7 +453,6 @@ class MonteCarloEngine:
         totals: dict[tuple, int] = {}
         drawn_total = 0
         round_no = 0
-        codegen_used = context.evaluator is not None and context.evaluator[1]
         while True:
             round_no += 1
             fault_point("engine.montecarlo.round")
@@ -501,7 +500,6 @@ class MonteCarloEngine:
                 "batched": context.symbolic is not None,
                 "converged": converged,
                 "max_width": max_width,
-                "codegen_used": codegen_used,
             }
             if out_of_time and not converged:
                 info["deadline_hit"] = True
@@ -567,22 +565,20 @@ class MonteCarloEngine:
     # -- generic per-world fallback -------------------------------------------
 
     def _per_world_counts(
-        self, drawn, samples: int, evaluator
+        self, drawn, samples: int, evaluate
     ) -> tuple[dict[tuple, int], dict]:
         """Evaluate sampled worlds one by one, memoising repeated worlds.
 
         Only the drawn variables — those of the relations the query
         references — enter the world key (in index form), so databases
         with few effective variables collapse to a handful of
-        evaluations, each one call of ``evaluator`` (the run's
-        :func:`world_evaluator` pair, built over the names of
-        ``drawn``).  Returns the counts and ``{"codegen_used",
-        "distinct_worlds"}``.
+        evaluations, each one call of ``evaluate`` (the run's
+        :func:`world_evaluator`, built over the names of ``drawn``).
+        Returns the counts and ``{"distinct_worlds"}``.
         """
         names = list(drawn)
         supports = [drawn[name][0] for name in names]
         index_columns = [drawn[name][1] for name in names]
-        evaluate, codegen_used = evaluator
         counts: dict[tuple, int] = {}
         world_cache: dict[tuple, list] = {}
         distinct = 0
@@ -600,7 +596,7 @@ class MonteCarloEngine:
                 world_cache[key] = support
             for values in support:
                 counts[values] = counts.get(values, 0) + 1
-        info = {"codegen_used": codegen_used, "distinct_worlds": distinct}
+        info = {"distinct_worlds": distinct}
         return counts, info
 
     # -- vectorized batch evaluation ------------------------------------------

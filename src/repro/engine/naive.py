@@ -9,14 +9,16 @@ the compiled engine is verified against in the test suite.
 
 Every world runs through :func:`repro.query.executor.world_evaluator`,
 the one per-world evaluator: the query is planned once and the same plan
-— a bound compiled kernel, or the interpreter's concrete plan walk — is
-evaluated on every enumerated valuation, over the rows the tables held
-when the run started.  To keep the oracle independent of the machinery
-it verifies, the plan is built *without* logical rewrites and *without*
-hash-join extraction — ``σ(×…)`` is evaluated literally, as a filter
-over nested-loop products, the Figure-4 reading.  The oracle therefore
-shares only the trivially-structural lowering with the optimized
-engines, not the optimizer or the join planner.
+is interpreted on every enumerated valuation, over the rows the tables
+held when the run started.  Only the variables of the tables the query
+reads are enumerated: the others are marginalised out, which is sound
+because the variables are independent.  To keep the oracle independent
+of the machinery it verifies, the plan is built *without* logical
+rewrites and *without* hash-join extraction — ``σ(×…)`` is evaluated
+literally, as a filter over nested-loop products, the Figure-4
+reading.  The oracle therefore shares only the trivially-structural
+lowering with the optimized engines, not the optimizer or the join
+planner.
 """
 
 from __future__ import annotations
@@ -37,28 +39,21 @@ __all__ = ["NaiveEngine"]
 
 
 class NaiveEngine:
-    """Exact query answering by explicit possible-world enumeration.
-
-    With a kernel available (see :func:`repro.codegen.codegen_enabled`)
-    the enumeration loop becomes tight: the plan is compiled once, bound
-    once (hoisting deterministic tables, hash indexes and static subplans
-    out of the loop), and each world runs one fused function — with
-    answers bit-identical to the interpreted loop.
-    """
+    """Exact query answering by explicit possible-world enumeration: the
+    plan walk of :mod:`repro.query.executor` over every valuation of the
+    variables of the tables the query reads."""
 
     name = "naive"
 
     def __init__(self, db: PVCDatabase):
         self.db = db
 
-    def _worlds(
-        self, query: Query
-    ) -> tuple[Iterator[tuple[dict, float]], bool]:
+    def _worlds(self, query: Query) -> Iterator[tuple[dict, float]]:
         """The one enumeration loop behind every oracle sweep.
 
         Returns an iterator of ``({answer tuple: multiplicity},
-        probability)`` over all possible worlds, and whether a compiled
-        kernel evaluates them.  The query is validated and planned here,
+        probability)`` over the possible worlds of the variables of the
+        tables ``query`` reads.  The query is validated and planned here,
         once, with no logical rewrites and no hash-join extraction: the
         oracle evaluates it as written.
         """
@@ -70,9 +65,12 @@ class NaiveEngine:
             optimize=False,
             extract_joins=False,
         )
-        stamp = capture_stamp(db, query.base_relations())  # before the names
-        names = sorted(db.variables)
-        evaluate, codegen_used = world_evaluator(prepared, db, names, stamp)
+        read = query.base_relations()
+        stamp = capture_stamp(db, read)  # before the names
+        names = sorted(
+            frozenset().union(*(db.tables[name].variables for name in read))
+        )
+        evaluate = world_evaluator(prepared, db, names, stamp)
         worlds = ProbabilitySpace(db.registry, db.semiring).enumerate_worlds(
             names
         )
@@ -86,17 +84,7 @@ class NaiveEngine:
                 check_deadline("possible-worlds enumeration")
                 yield evaluate(valuation.assignment), probability
 
-        return sweep(), codegen_used
-
-    def _estimate(self, query: Query) -> tuple[dict, dict]:
-        """``({answer tuple: probability}, info)`` by a full sweep."""
-        worlds, codegen_used = self._worlds(query)
-        probabilities: dict[tuple, float] = {}
-        for answer, probability in worlds:
-            for values in answer:
-                probabilities[values] = probabilities.get(values, 0.0) + probability
-        info = {"codegen_used": codegen_used}
-        return probabilities, info
+        return sweep()
 
     def tuple_probabilities(self, query: Query) -> dict[tuple, float]:
         """``P[t ∈ answer]`` for every possible answer tuple ``t``.
@@ -105,14 +93,18 @@ class NaiveEngine:
         values, so e.g. ⟨'M&S', 15⟩ and ⟨'M&S', 50⟩ are distinct answers
         whose probabilities generally do not sum to 1.
         """
-        return self._estimate(query)[0]
+        probabilities: dict[tuple, float] = {}
+        for answer, probability in self._worlds(query):
+            for values in answer:
+                probabilities[values] = probabilities.get(values, 0.0) + probability
+        return probabilities
 
     def multiplicity_distribution(self, query: Query, values: tuple) -> Distribution:
         """Distribution of the multiplicity of one answer tuple."""
         values = tuple(values)
         zero = self.db.semiring.zero
         accum: dict = {}
-        for answer, probability in self._worlds(query)[0]:
+        for answer, probability in self._worlds(query):
             mult = answer.get(values, zero)
             accum[mult] = accum.get(mult, 0.0) + probability
         return Distribution(accum)
@@ -124,7 +116,7 @@ class NaiveEngine:
         answer across worlds, used to validate joint behaviours.
         """
         accum: dict = {}
-        for answer, probability in self._worlds(query)[0]:
+        for answer, probability in self._worlds(query):
             key = frozenset(answer)
             accum[key] = accum.get(key, 0.0) + probability
         return Distribution(accum)
@@ -144,14 +136,14 @@ class NaiveEngine:
         run = Run(self, spec, options)
         try:
             with run.scope():
-                probabilities, info = self._estimate(query)
+                probabilities = self.tuple_probabilities(query)
         except DeadlineExceeded as exc:
             # No sound partial: raises under either policy.
             run.settle(
                 None, f"{exc}; a partial possible-worlds sweep is no sound answer"
             )
         run.lap("enumeration_seconds")
-        return concrete_result(run, query, probabilities, info)
+        return concrete_result(run, query, probabilities, {})
 
     def run_iter(self, query: Query, spec: EvalSpec | None = None, **options):
         """One-shot engine: yields its single :meth:`run`."""

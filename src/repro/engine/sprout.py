@@ -47,7 +47,6 @@ from repro.query.executor import (
     prepare,
     symbolic_answer,
 )
-from repro.codegen import runtime_stats  # after repro.query: they import each other
 
 __all__ = ["SproutEngine", "QueryResult", "ResultRow", "Run", "concrete_result"]
 
@@ -323,7 +322,6 @@ class Run:
         #: The step breakdown, one key per step of the engine's table
         #: row; a step never lapped reports ``0.0``.
         self.timings = dict.fromkeys(ENGINE_TABLE[engine.name].steps, 0.0)
-        self._counters = runtime_stats()
         self._start = self._mark = time.perf_counter()
 
     def scope(self):
@@ -346,25 +344,16 @@ class Run:
         self.timings[step] += now - self._mark
         self._mark = now
 
-    def result(
-        self, schema: Schema, rows: list, stats: dict, *, codegen: bool = False
-    ) -> "QueryResult":
+    def result(self, schema: Schema, rows: list, stats: dict) -> "QueryResult":
         """The result envelope: ``stats`` — the engine's own diagnostics
-        — gains ``wall_seconds``, ``rows`` and ``db_generation`` (and,
-        with ``codegen``, the deltas of the process-wide codegen
-        counters since the run began), ``timings`` is the laps so far."""
+        — gains ``wall_seconds``, ``rows`` and ``db_generation``;
+        ``timings`` is the laps so far."""
         stats = {
             "wall_seconds": self.elapsed(),
             "rows": len(rows),
             **stats,
             "db_generation": self.engine.db.generation,
         }
-        if codegen:
-            after = runtime_stats()
-            for key in (
-                "kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"
-            ):
-                stats[key] = after[key] - self._counters[key]
         return QueryResult(
             schema, rows, dict(self.timings), engine=self.engine.name, stats=stats
         )
@@ -398,7 +387,7 @@ def concrete_result(run: Run, query: Query, probabilities, stats: dict) -> Query
             probabilities.items(), key=lambda kv: repr(kv[0])
         )
     ]
-    return run.result(schema, rows, stats, codegen=True)
+    return run.result(schema, rows, stats)
 
 
 class SproutEngine:

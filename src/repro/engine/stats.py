@@ -27,14 +27,6 @@ VOLATILE_STAT_KEYS = frozenset({
     # many rows it finished exactly varies with machine load.
     "deadline_hit",
     "rows_exact",
-    # Codegen diagnostics: whether the compiled kernels ran (and how
-    # warm the kernel cache was) never changes an answer — compiled and
-    # interpreted execution are bit-identical by construction — so runs
-    # differing only in REPRO_CODEGEN fingerprint identically.
-    "codegen_used",
-    "kernels_compiled",
-    "kernel_cache_hits",
-    "codegen_compile_seconds",
     # db_generation counts *every* mutation ever applied to the
     # database, so a warm session that answered through three updates
     # reports a different generation than a fresh session rebuilt from

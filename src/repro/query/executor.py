@@ -14,8 +14,8 @@ answer only what differs:
   expressions.  Produces the pvc-table of step I.
 * **concrete** (:func:`execute_deterministic`, :func:`execute_rows`) —
   annotations are multiplicities in 𝔹/ℕ over one possible world: the
-  interpreter behind :func:`world_evaluator` wherever no compiled kernel
-  runs, and the kernels' conformance oracle.
+  interpreter behind :func:`world_evaluator` and the paper's Q0
+  baseline.
 
 :func:`world_evaluator` is the one per-world loop body of the engines
 that evaluate worlds one by one — the brute-force oracle and
@@ -38,7 +38,6 @@ from repro.algebra.monoid import COUNT, SUM, CountMonoid
 from repro.algebra.semimodule import MConst, ModuleExpr, aggsum, tensor
 from repro.algebra.valuation import Valuation
 from repro.cache import StampedSlot, capture_stamp
-from repro.codegen import CodegenUnsupported, codegen_enabled, kernel_for
 from repro.db.pvc_table import (
     PVCDatabase,
     PVCRow,
@@ -203,23 +202,9 @@ def execute_deterministic(
     world: Mapping[str, Relation],
     semiring,
 ) -> Relation:
-    """Execute the plan on one deterministic world (concrete multiplicities).
-
-    By default this runs the plan's compiled kernel (see
-    :mod:`repro.codegen`), falling back to the interpreter — the plan
-    walk over the concrete domain — when the plan has no compiled form.
-    The ``REPRO_CODEGEN=0`` environment escape hatch forces the
-    interpreter; the two produce bit-identical relations.
-    """
-    from repro.resilience.deadline import check_deadline
-
-    kernel = kernel_for(prepared, semiring) if codegen_enabled() else None
-    if kernel is not None:
-        tuples = kernel.execute(world, check_deadline=check_deadline)
-    else:
-        tuples = dict(
-            execute_rows(prepared.plan, world, semiring, prepared.op_cache)
-        )
+    """Execute the plan on one deterministic world (concrete
+    multiplicities): the plan walk over the concrete domain."""
+    tuples = dict(execute_rows(prepared.plan, world, semiring, prepared.op_cache))
     return Relation.from_mapping(prepared.plan.schema, semiring, tuples)
 
 
@@ -233,61 +218,42 @@ def execute_rows(
 
 
 def world_evaluator(prepared: PreparedQuery, db: PVCDatabase, names, stamp):
-    """``(evaluate, codegen_used)``: ``evaluate`` maps a ``{variable:
-    value}`` assignment over ``names`` to the ``{values: multiplicity}``
-    answer of ``prepared`` in that world of ``db``.
-
-    With codegen on (:func:`~repro.codegen.codegen_enabled`) and a plan
-    and annotations that have a compiled form, ``evaluate`` is the bound
-    kernel (:meth:`~repro.codegen.CompiledPlan.bind`, ``codegen_used``
-    true).  Otherwise it instantiates each world of the tables the plan
-    reads and runs the interpreter on it.  Either way the rows are read
-    here, once, under ``stamp`` — :func:`~repro.cache.capture_stamp` of
+    """The function mapping a ``{variable: value}`` assignment over
+    ``names`` to the ``{values: multiplicity}`` answer of ``prepared`` in
+    that world of ``db``: it instantiates each table the plan reads and
+    runs the interpreter on them.  The rows are read here, once, under
+    ``stamp`` — :func:`~repro.cache.capture_stamp` of
     ``prepared.query.base_relations()``, which the caller takes before
     it reads ``names`` off those tables: a write landing after this
     returns changes no later world, and one landing since the stamp
     raises :class:`~repro.errors.ConcurrentMutationError`.
     """
     semiring = db.semiring
-    read = prepared.query.base_relations()
-    evaluate = None
-    kernel = kernel_for(prepared, semiring) if codegen_enabled() else None
-    if kernel is not None:
-        try:
-            evaluate = kernel.bind(db, names).run_assignment
-        except CodegenUnsupported:
-            pass
-        except Exception as exc:  # e.g. a row over a variable not in ``names``
-            check_stamp(db, read, stamp, exc)
-            raise
-    codegen_used = evaluate is not None
-    if not codegen_used:
-        # ``PVCTable.add`` appends in place: copy each row list once.
-        tables = {
-            name: PVCTable(table.schema, table.rows)
-            for name, table, _ in stamp[0]
+    # ``PVCTable.add`` appends in place: copy each row list once.
+    tables = {
+        name: PVCTable(table.schema, table.rows) for name, table, _ in stamp[0]
+    }
+    plan, op_cache = prepared.plan, prepared.op_cache
+
+    def evaluate(assignment) -> dict:
+        valuation = Valuation(assignment, semiring)
+        world = {
+            name: table.instantiate(valuation, semiring)
+            for name, table in tables.items()
         }
-        plan, op_cache = prepared.plan, prepared.op_cache
+        return dict(execute_rows(plan, world, semiring, op_cache))
 
-        def evaluate(assignment) -> dict:
-            valuation = Valuation(assignment, semiring)
-            world = {
-                name: table.instantiate(valuation, semiring)
-                for name, table in tables.items()
-            }
-            return dict(execute_rows(plan, world, semiring, op_cache))
-
-    check_stamp(db, read, stamp)
-    return evaluate, codegen_used
+    check_stamp(db, prepared.query.base_relations(), stamp)
+    return evaluate
 
 
-def check_stamp(db: PVCDatabase, read, stamp, cause=None) -> None:
-    """Raise :class:`~repro.errors.ConcurrentMutationError` (from
-    ``cause``) unless the tables ``read`` are still at ``stamp``."""
+def check_stamp(db: PVCDatabase, read, stamp) -> None:
+    """Raise :class:`~repro.errors.ConcurrentMutationError` unless the
+    tables ``read`` are still at ``stamp``."""
     if capture_stamp(db, read) != stamp:
         raise ConcurrentMutationError(
             "database mutated while a run read its tables"
-        ) from cause
+        )
 
 
 # -- the two annotation domains -----------------------------------------------

@@ -527,12 +527,8 @@ class Session:
         hash joins, their greedy order and cardinality estimates — that
         the shared executor would run.
 
-        ``format="code"`` instead returns the fused per-world kernel
-        :mod:`repro.codegen` compiles for the plan: plain Python source
-        whose header labels every CSE temp (shared subplans, hoisted
-        hash indexes and static blocks) the kernel reuses.  Raises
-        :class:`~repro.errors.QueryValidationError` when the plan has no
-        compiled form.
+        Any other ``format`` raises
+        :class:`~repro.errors.QueryValidationError`.
 
         >>> s = connect()
         >>> _ = s.table("items", ["name", "price"]).insert(("inkjet", 99))
@@ -540,9 +536,9 @@ class Session:
         == logical plan ==
         ...
         """
-        if format not in ("plan", "code"):
+        if format != "plan":
             raise QueryValidationError(
-                f"unknown explain format {format!r}; expected 'plan' or 'code'"
+                f"unknown explain format {format!r}; expected 'plan'"
             )
         lowered = self._lower(query)
         prepared = prepare(  # validates against Definition 5 first
@@ -551,16 +547,6 @@ class Session:
             self.db.cardinalities(),
             optimize=optimize,
         )
-        if format == "code":
-            from repro.codegen import CodegenUnsupported, compile_plan
-
-            try:
-                compiled = compile_plan(prepared.plan, self.semiring)
-            except CodegenUnsupported as exc:
-                raise QueryValidationError(
-                    f"no compiled form for this plan: {exc}"
-                ) from exc
-            return compiled.source
         lines = ["== logical plan ==", f"input:     {prepared.query!r}"]
         if prepared.trace:
             lines.append(f"optimized: {prepared.optimized!r}")

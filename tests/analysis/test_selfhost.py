@@ -61,8 +61,37 @@ class TestSelfHost:
         assert names == {"locks", "epochs"}
 
     def test_shared_state_declarations_exist_where_promised(self):
-        """The runtime classes this PR hardened carry declarations."""
-        from repro.codegen import runtime
+        """The runtime classes holding shared state carry declarations,
+        and nothing else declares any: no module-level shared state."""
+        import ast
+
+        owners = set()
+        for path in SRC_REPRO.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            parents = {
+                child: node
+                for node in ast.walk(tree)
+                for child in ast.iter_child_nodes(node)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "_shared_state_"
+                    for t in node.targets
+                ):
+                    owner = parents[node]
+                    owners.add(
+                        (
+                            path.relative_to(SRC_REPRO).as_posix(),
+                            getattr(owner, "name", None),
+                        )
+                    )
+        assert owners == {
+            ("cache.py", "BoundedLRU"),
+            ("cache.py", "CompilationCache"),
+            ("engine/base.py", "PlanCache"),
+            ("parallel/pool.py", "SharedPool"),
+            ("server/app.py", "QueryServer"),
+        }
         from repro.engine.base import CompilationCache, PlanCache
         from repro.parallel.pool import SharedPool
         from repro.server.app import QueryServer
@@ -72,7 +101,6 @@ class TestSelfHost:
             assert "_lock" in owner._shared_state_
         assert "_state_lock" in SharedPool._shared_state_
         assert "_counters_lock" in QueryServer._shared_state_
-        assert runtime._shared_state_ == {"_STATS_LOCK": ("_STATS",)}
 
 
 if __name__ == "__main__":

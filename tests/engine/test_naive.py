@@ -100,12 +100,8 @@ class TestDeadlineCheckpoint:
         ),
     }
 
-    @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "interp"])
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-    def test_sweep_raises_under_an_expired_scope(
-        self, sweep, codegen, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CODEGEN", "1" if codegen else "0")
+    def test_sweep_raises_under_an_expired_scope(self, sweep):
         engine = NaiveEngine(simple_db())
         deadline = Deadline(0.001)
         time.sleep(0.005)
@@ -122,6 +118,45 @@ class TestDeadlineCheckpoint:
             with pytest.raises(QueryTimeoutError) as caught:
                 NaiveEngine(simple_db()).run(relation("R"))
         assert caught.value.partial is None
+
+
+class TestEnumeratedVariables:
+    """Only the variables of the tables a query reads are enumerated: an
+    unread table's variables would multiply the worlds and change no
+    answer."""
+
+    def db(self):
+        db = simple_db()
+        s = db.create_table("S", ["b"])
+        for i in range(3):
+            db.registry.bernoulli(f"z{i}", 0.3)
+            s.add((i,), Var(f"z{i}"))
+        return db
+
+    def enumerated(self, db, query, monkeypatch):
+        from repro.prob.space import ProbabilitySpace
+
+        seen = []
+        original = ProbabilitySpace.enumerate_worlds
+
+        def record(space, names=None):
+            seen.append(list(names))
+            return original(space, names)
+
+        monkeypatch.setattr(ProbabilitySpace, "enumerate_worlds", record)
+        probabilities = NaiveEngine(db).tuple_probabilities(query)
+        return seen, probabilities
+
+    def test_an_unread_table_adds_no_variable(self, monkeypatch):
+        seen, probabilities = self.enumerated(self.db(), relation("R"), monkeypatch)
+        assert seen == [["x", "y"]]
+        assert probabilities == pytest.approx({(1, 10): 0.5, (1, 20): 0.4}, abs=1e-12)
+
+    def test_every_read_table_is_enumerated(self, monkeypatch):
+        query = Product(relation("R"), relation("S"))
+        seen, probabilities = self.enumerated(self.db(), query, monkeypatch)
+        assert seen == [["x", "y", "z0", "z1", "z2"]]
+        assert probabilities[(1, 20, 2)] == pytest.approx(0.4 * 0.3, abs=1e-12)
 
 
 class TestTupleProbabilities:

@@ -25,10 +25,9 @@ from repro.server.bootstrap import demo_session
 ROWS = "SELECT kind, value FROM R"
 
 ENVELOPE = {"wall_seconds", "rows", "db_generation"}
-CODEGEN = {"kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"}
 DTREE = ENVELOPE | {"step1_reused"}
 APPROX = DTREE | {"rounds", "expansions", "converged", "max_width", "epsilon"}
-SAMPLED = ENVELOPE | CODEGEN | {"samples", "batched"}
+SAMPLED = ENVELOPE | {"samples", "batched"}
 TWO_STEPS = {"rewrite_seconds", "probability_seconds"}
 
 #: name → (query, run keywords, stats keys, timings keys), as reported
@@ -53,7 +52,7 @@ CASES = {
     ),
     "naive": (
         "SELECT kind FROM R WHERE value >= 40", {"engine": "naive"},
-        ENVELOPE | CODEGEN | {"codegen_used"}, {"enumeration_seconds"},
+        ENVELOPE, {"enumeration_seconds"},
     ),
     "montecarlo-fixed": (
         ROWS, {"engine": "montecarlo", "samples": 50},
@@ -65,7 +64,7 @@ CASES = {
     ),
     "montecarlo-sample": (
         ROWS, {"engine": "montecarlo", "mode": "sample", "epsilon": 0.2},
-        SAMPLED | {"codegen_used", "converged", "max_width", "rounds"},
+        SAMPLED | {"converged", "max_width", "rounds"},
         {"sampling_seconds"},
     ),
 }

@@ -1,9 +1,8 @@
 """The one per-world evaluator and the state a run reads.
 
 :func:`repro.query.executor.world_evaluator` reads the rows of the
-tables a plan scans once, when it is built — as a bound compiled
-kernel or as a snapshot the interpreter instantiates per world — so a
-write landing while the brute-force oracle or Monte-Carlo's per-world
+tables a plan scans once, when it is built — a snapshot the interpreter
+instantiates per world — so a write landing while the brute-force oracle or Monte-Carlo's per-world
 loop is running changes nothing they answer: every answer equals a
 fresh session's on the data the run started from.  The stamp is taken
 before the run reads a variable name off a table, so a write landing
@@ -53,25 +52,18 @@ def write_once(s, write, monkeypatch, module, name):
     return done
 
 
-@pytest.fixture(params=["0", "1"], ids=["interpreter", "codegen"])
-def codegen(request, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN", request.param)
-    return request.param == "1"
-
-
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_naive_answers_the_data_it_started_on(write, codegen, monkeypatch):
+def test_naive_answers_the_data_it_started_on(write, monkeypatch):
     expected = session().run(parse_sql(QUERY), engine="naive")
     s = session()
     done = write_once(s, WRITES[write], monkeypatch, naive, "check_deadline")
     result = s.run(parse_sql(QUERY), engine="naive")
     assert done
-    assert result.stats["codegen_used"] is codegen
     assert result.tuple_probabilities() == expected.tuple_probabilities()
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_montecarlo_answers_the_data_it_started_on(write, codegen, monkeypatch):
+def test_montecarlo_answers_the_data_it_started_on(write, monkeypatch):
     def snapshots(s):
         return [
             (
@@ -94,20 +86,19 @@ def test_montecarlo_answers_the_data_it_started_on(write, codegen, monkeypatch):
     assert done
 
 
-def test_a_fixed_budget_run_reads_one_state(codegen, monkeypatch):
+def test_a_fixed_budget_run_reads_one_state(monkeypatch):
     query = parse_sql(PER_WORLD_QUERY)
     expected = session().run(query, engine="montecarlo", samples=300)
     s = session()
     write_once(s, WRITES["fresh_variable"], monkeypatch, montecarlo, "fault_point")
     result = s.run(query, engine="montecarlo", samples=300)
     assert result.stats["batched"] is False
-    assert result.stats["codegen_used"] is codegen
     assert result.tuple_probabilities() == expected.tuple_probabilities()
 
 
 @pytest.mark.parametrize("query", [QUERY, PER_WORLD_QUERY], ids=["batched", "per_world"])
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_a_write_before_the_stamp_is_read_whole(query, write, codegen, monkeypatch):
+def test_a_write_before_the_stamp_is_read_whole(query, write, monkeypatch):
     """A write landing while the run plans comes before its stamp: the
     run answers on the written data, variables and rows alike."""
     fresh = session()
@@ -124,7 +115,7 @@ def test_a_write_before_the_stamp_is_read_whole(query, write, codegen, monkeypat
 
 @pytest.mark.parametrize("query", [QUERY, PER_WORLD_QUERY], ids=["batched", "per_world"])
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_a_write_after_the_stamp_raises(query, write, codegen, monkeypatch):
+def test_a_write_after_the_stamp_raises(query, write, monkeypatch):
     """A write landing between the stamp and the last read of the run's
     setup (here: during step I) is no state the run can answer on."""
     s = session()
@@ -135,7 +126,7 @@ def test_a_write_after_the_stamp_raises(query, write, codegen, monkeypatch):
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_naive_reads_the_variables_under_its_stamp(write, codegen, monkeypatch):
+def test_naive_reads_the_variables_under_its_stamp(write, monkeypatch):
     fresh = session()
     WRITES[write](fresh)
     expected = fresh.run(parse_sql(QUERY), engine="naive")
@@ -147,7 +138,7 @@ def test_naive_reads_the_variables_under_its_stamp(write, codegen, monkeypatch):
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_naive_raises_on_a_write_after_its_stamp(write, codegen, monkeypatch):
+def test_naive_raises_on_a_write_after_its_stamp(write, monkeypatch):
     """The variable names are read under the stamp the rows are copied
     or bound under: a write between the two raises."""
     s = session()
@@ -157,7 +148,7 @@ def test_naive_raises_on_a_write_after_its_stamp(write, codegen, monkeypatch):
     assert done
 
 
-def test_the_evaluator_reads_its_tables_once(codegen):
+def test_the_evaluator_reads_its_tables_once():
     from repro.query.executor import world_evaluator
 
     s = session()
@@ -165,8 +156,7 @@ def test_the_evaluator_reads_its_tables_once(codegen):
     prepared = prepare(parse_sql(QUERY), db.catalog(), optimize=False)
     stamp = capture_stamp(db, prepared.query.base_relations())
     names = sorted(db.variables)
-    evaluate, codegen_used = world_evaluator(prepared, db, names, stamp)
-    assert codegen_used is codegen
+    evaluate = world_evaluator(prepared, db, names, stamp)
     everything = {name: True for name in names}
     before = evaluate(everything)
     s.table("items").insert(("late", 99))
@@ -181,12 +171,13 @@ def test_a_write_while_it_reads_raises(monkeypatch):
     s = session()
     prepared = prepare(parse_sql(QUERY), s.db.catalog(), optimize=False)
 
-    def compile_then_write(prepared, semiring):
-        s.table("items").insert(("late", 99))  # between stamp and copy
-        return None
+    copy = executor.PVCTable
 
-    monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setattr(executor, "kernel_for", compile_then_write)
+    def write_then_copy(schema, rows):
+        s.table("items").insert(("late", 99))  # between stamp and copy
+        return copy(schema, rows)
+
+    monkeypatch.setattr(executor, "PVCTable", write_then_copy)
     stamp = capture_stamp(s.db, prepared.query.base_relations())
     with pytest.raises(ConcurrentMutationError):
         executor.world_evaluator(prepared, s.db, sorted(s.db.variables), stamp)

@@ -7,9 +7,6 @@ conditional expressions, under both set (B) and bag (N) semantics, with
 and without pruning, and across all Shannon heuristics.
 """
 
-import os
-from unittest import mock
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,8 +216,7 @@ class TestRowLevelHomomorphism:
                 name: table.instantiate(valuation, BOOLEAN)
                 for name, table in db.tables.items()
             }
-            with mock.patch.dict(os.environ, REPRO_CODEGEN="0"):
-                concrete = execute_deterministic(prepared, world, BOOLEAN)
+            concrete = execute_deterministic(prepared, world, BOOLEAN)
             assert symbolic.instantiate(valuation, BOOLEAN) == concrete
 
 

@@ -2,7 +2,7 @@
 
 Each example draws a random insert/update/delete script, applies it to a
 *warm* session (caches primed before the writes), and checks that every
-engine — exact, compiled-kernel, bounded-approximate, seeded
+engine — exact, possible-worlds oracle, bounded-approximate, seeded
 Monte-Carlo — answers fingerprint-identically to a cold session rebuilt
 from scratch over the mutated data.  Any cache (scan, hash index, bound
 plan, compiled distribution, tuple-independence memo) surviving a
@@ -11,9 +11,6 @@ here.
 """
 
 from __future__ import annotations
-
-import os
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,16 +102,14 @@ def fingerprint(result):
     ]
 
 
-#: The comparison grid: (engine, environment, run options) — naive, the
-#: engine that evaluates per world, with the kernels off and on.  The
-#: Monte-Carlo leg is seeded and must only be instantiated at comparison
-#: time, so the warm and cold adapters consume identical RNG streams.
+#: The comparison grid: (engine, run options).  The Monte-Carlo leg is
+#: seeded and must only be instantiated at comparison time, so the warm
+#: and cold adapters consume identical RNG streams.
 GRID = (
-    ("sprout", {}, {}),
-    ("naive", {"REPRO_CODEGEN": "0"}, {}),
-    ("naive", {"REPRO_CODEGEN": "1"}, {}),
-    ("approx", {}, {"epsilon": 0.01}),
-    ("montecarlo", {}, {"epsilon": 0.1}),
+    ("sprout", {}),
+    ("naive", {}),
+    ("approx", {"epsilon": 0.01}),
+    ("montecarlo", {"epsilon": 0.1}),
 )
 
 
@@ -130,11 +125,10 @@ def test_warm_session_matches_rebuilt_session_on_every_engine(script):
     apply_script(warm, script)
     cold = rebuilt_from_scratch(warm)
     for query in queries(warm):
-        for engine, environ, options in GRID:
-            with mock.patch.dict(os.environ, environ):
-                left = fingerprint(warm.run(query, engine=engine, **options))
-                right = fingerprint(cold.run(query, engine=engine, **options))
-            assert left == right, (engine, environ, options, script)
+        for engine, options in GRID:
+            left = fingerprint(warm.run(query, engine=engine, **options))
+            right = fingerprint(cold.run(query, engine=engine, **options))
+            assert left == right, (engine, options, script)
 
 
 def test_workers_grid_after_fixed_script():

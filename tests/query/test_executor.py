@@ -3,17 +3,22 @@
 The concrete-domain cases state the Figure-4 operator semantics with
 annotations replaced by multiplicities in 𝔹/ℕ (joint use multiplies,
 alternative use adds, ``$`` folds ``multiplicity ⊗ value`` in the
-aggregation monoid), for the interpreter and — the same expectations —
-for the compiled kernels.
+aggregation monoid), for the concrete domain and — the same
+expectations — for the symbolic domain: the same tables with constant
+annotations, run through step I and instantiated at their one world.
 """
 
 import math
 
 import pytest
 
+from repro.algebra.expressions import SConst
 from repro.algebra.semiring import BOOLEAN, NATURALS
+from repro.algebra.valuation import Valuation
+from repro.db.pvc_table import PVCDatabase
 from repro.db.relation import Relation
 from repro.db.schema import Schema
+from repro.prob.variables import VariableRegistry
 from repro.query import physical
 from repro.query.ast import (
     AggSpec,
@@ -25,7 +30,12 @@ from repro.query.ast import (
     Union,
     relation,
 )
-from repro.query.executor import _PlanWalk, execute_deterministic, prepare
+from repro.query.executor import (
+    _PlanWalk,
+    execute_deterministic,
+    execute_symbolic,
+    prepare,
+)
 from repro.query.predicates import cmp_
 
 
@@ -42,22 +52,37 @@ def test_every_physical_operator_is_dispatched():
     assert set(_PlanWalk._DISPATCH) == operators
 
 
-@pytest.fixture(params=[False, True], ids=["interpreter", "kernel"])
-def run(request, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN", "1" if request.param else "0")
+def _concrete(query, semiring, tables):
+    world = {
+        name: Relation(Schema(attributes), semiring, rows)
+        for name, (attributes, rows) in tables.items()
+    }
+    prepared = prepare(
+        query,
+        {name: rel.schema for name, rel in world.items()},
+        {name: len(rel) for name, rel in world.items()},
+        optimize=False,
+    )
+    return execute_deterministic(prepared, world, semiring)
 
+
+def _symbolic(query, semiring, tables):
+    """Step I over a pvc-database whose annotations are the constant
+    multiplicities, instantiated at its only world: ``ν(Q(D)) = Q(ν(D))``."""
+    db = PVCDatabase(registry=VariableRegistry(), semiring=semiring)
+    for name, (attributes, rows) in tables.items():
+        table = db.create_table(name, attributes)
+        for values, multiplicity in rows:
+            table.add(values, SConst(multiplicity))
+    prepared = prepare(query, db.catalog(), db.cardinalities(), optimize=False)
+    answer = execute_symbolic(prepared, db)
+    return answer.instantiate(Valuation({}, semiring), semiring)
+
+
+@pytest.fixture(params=[_concrete, _symbolic], ids=["interpreter", "symbolic"])
+def run(request):
     def run(query, semiring, **tables):
-        world = {
-            name: Relation(Schema(attributes), semiring, rows)
-            for name, (attributes, rows) in tables.items()
-        }
-        prepared = prepare(
-            query,
-            {name: rel.schema for name, rel in world.items()},
-            {name: len(rel) for name, rel in world.items()},
-            optimize=False,
-        )
-        return execute_deterministic(prepared, world, semiring)
+        return request.param(query, semiring, tables)
 
     return run
 

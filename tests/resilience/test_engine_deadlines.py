@@ -112,13 +112,15 @@ class TestSproutDeadline:
 class TestNaiveDeadline:
     def test_tight_limit_always_raises(self):
         # Possible-world enumeration has no sound intermediate state:
-        # both policies raise, and the partial is explicitly absent.
+        # both policies raise, and the partial is explicitly absent.  The
+        # query reads all three tables, so the sweep enumerates every
+        # variable (2**16 worlds) and cannot finish inside the limit.
         session = demo_session()
         for policy in ("partial", "raise"):
             start = time.perf_counter()
             with pytest.raises(QueryTimeoutError) as err:
                 session.sql(
-                    "SELECT kind FROM R",
+                    "SELECT kind, label, slot FROM R, T, B WHERE kind = rkind",
                     engine="naive",
                     time_limit=0.01,
                     on_timeout=policy,

@@ -70,6 +70,17 @@ class TestSpecCodec:
         with pytest.raises(QueryValidationError):
             EvalSpec.from_json({"mode": "approx", "eps": 0.1})
 
+    def test_codegen_is_not_a_spec_field(self):
+        assert "codegen" not in EvalSpec().to_json()
+        with pytest.raises(
+            QueryValidationError, match=r"unknown EvalSpec fields \['codegen'\]"
+        ):
+            EvalSpec.from_json({"codegen": True})
+        with pytest.raises(
+            QueryValidationError, match=r"unknown EvalSpec fields \['codegen'\]"
+        ):
+            EvalSpec.make("approx", codegen=False)
+
     def test_values_validated_like_local_construction(self):
         with pytest.raises(QueryValidationError):
             EvalSpec.from_json({"budget": -5})

@@ -275,6 +275,24 @@ class TestSerialParallelConformance:
             fingerprints.append(_fingerprint(result))
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
+    @pytest.mark.parametrize("name", ["join", "group_count"])
+    @pytest.mark.parametrize(
+        "options",
+        [{"engine": "naive"}, {"engine": "montecarlo", "spec": "sample", "budget": 256}],
+        ids=["naive", "montecarlo"],
+    )
+    def test_wire_fingerprint_ignores_workers(self, options, name):
+        """The server's canonical fingerprint of a per-world engine's
+        answer — stats included — does not move with ``workers``."""
+        from repro.server.codec import fingerprint
+
+        prints = set()
+        for workers in (1, 2):
+            s = _zoo_session(seed=11)
+            result = s.run(_queries(s)[name], workers=workers, **options)
+            prints.add(fingerprint(result))
+        assert len(prints) == 1
+
     def test_auto_engine_matrix(self):
         fingerprints = []
         for workers in WORKER_GRID:

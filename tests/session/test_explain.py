@@ -1,6 +1,9 @@
 """Tests for ``Session.explain`` — the step-I pipeline report."""
 
+import pytest
+
 from repro import connect
+from repro.errors import QueryValidationError
 
 
 def make_session():
@@ -50,3 +53,8 @@ class TestExplain:
         before = {name: len(t) for name, t in s.tables.items()}
         s.explain("SELECT name, label FROM items, cats WHERE cat = cat_id")
         assert {name: len(t) for name, t in s.tables.items()} == before
+
+    @pytest.mark.parametrize("format", ["assembly", "code"])
+    def test_unknown_format_rejected(self, format):
+        with pytest.raises(QueryValidationError, match="explain format"):
+            make_session().explain("SELECT name FROM items", format=format)

@@ -1,8 +1,8 @@
-"""One install configuration, one environment variable, one run record,
+"""One install configuration, no environment variable, one run record,
 one invalidation rule.
 
-numpy is a declared dependency and ``REPRO_CODEGEN`` is the only thing
-the package reads from the environment; the kernels switch
+numpy is a declared dependency and the package reads nothing from the
+environment; the kernels switch
 (:func:`repro.prob.kernels.set_numpy_enabled`) is moved by tests, never
 from outside the process.  What every engine run does the same way —
 reading the clock, raising the timeout, stamping the envelope — is
@@ -15,7 +15,9 @@ read (:mod:`repro.cache`).  A server write runs on the event loop; only
 reads take the pool hop.  Monte-Carlo opens no pool and has one draw
 stream, numpy's, drawn in blocks of uniforms, never through one
 ``Generator.choice`` call per variable; the per-world engines evaluate a
-world through one function, :func:`repro.query.executor.world_evaluator`;
+world through one function, :func:`repro.query.executor.world_evaluator`,
+and no module imports the :mod:`repro.codegen` stub kept for the
+benchmark harness;
 the kernels switch is read only where it makes the compiler
 Algorithm 1 verbatim; a cached variable set, a tuple until first
 asked for as a set, is read elsewhere only through ``in`` and truth
@@ -69,7 +71,7 @@ def test_numpy_imports_are_plain_module_level_statements():
     assert any(_imports_numpy(n) for n in MODULES["prob/kernels.py"].body)
 
 
-def test_the_environment_is_read_once():
+def test_the_package_reads_no_environment_variable():
     touched = []  # every mention of the environment, by module
     keys = []  # the mentions that read one literal key
     for name, tree in MODULES.items():
@@ -87,8 +89,31 @@ def test_the_environment_is_read_once():
                 and _is_os(node.func.value, {"environ"})
             ):
                 keys.append(ast.literal_eval(node.args[0]))
-    assert touched == ["codegen/runtime.py"]
-    assert keys == ["REPRO_CODEGEN"]
+    assert touched == []
+    assert keys == []
+
+
+def _imported_modules(node: ast.AST) -> list:
+    """The dotted names an import statement binds or reads from."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def test_no_module_imports_the_codegen_stub():
+    importers = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if any(
+            module == "repro.codegen" or module.startswith("repro.codegen.")
+            for module in _imported_modules(node)
+        )
+    ]
+    assert not importers, importers
+    assert [n for n in MODULES if n.startswith("codegen/")] == ["codegen/__init__.py"]
 
 
 ENGINE_MODULES = {
@@ -144,7 +169,7 @@ def test_every_classified_stats_key_is_written():
     written = {
         value
         for name, tree in MODULES.items()
-        if name.split("/")[0] in ("engine", "codegen", "server", "parallel")
+        if name.split("/")[0] in ("engine", "server", "parallel")
         and name != "engine/stats.py"
         for value in _strings(tree)
     }
@@ -350,8 +375,7 @@ def test_montecarlo_has_one_draw_stream():
 def test_the_per_world_engines_share_one_world_evaluator():
     for name in ("engine/naive.py", "engine/montecarlo.py"):
         tree = MODULES[name]
-        for forbidden in ("execute_deterministic", "kernel_for", "bound_kernel_for"):
-            assert not _mentions(tree, forbidden), (name, forbidden)
+        assert not _mentions(tree, "execute_deterministic"), name
         assert _mentions(tree, "world_evaluator"), name
 
 
