@@ -43,14 +43,13 @@ from repro.algebra.expressions import (
     SConst,
     Sum,
     Var,
-    count_occurrences,
     ssum,
     sprod,
 )
 from repro.algebra.simplify import Normalizer
 from repro.algebra.semiring import BOOLEAN, Semiring
 from repro.core import decompose
-from repro.core.compile import Compiler, table_leaf
+from repro.core.compile import HEURISTICS, Compiler, table_leaf
 from repro.core.dtree import CompileContext
 from repro.errors import CompilationError
 from repro.prob.variables import VariableRegistry
@@ -245,8 +244,7 @@ class ApproximateCompiler:
         if table is not None:
             absent = table.distribution(self._context)[self.semiring.zero]
             return ProbabilityBounds.exact(1.0 - absent)
-        counts = count_occurrences(expr)
-        name = max(expr.variables, key=lambda n: (counts.get(n, 0), n))
+        name = HEURISTICS["most-occurrences"](expr, expr.variables)
         low = high = 0.0
         for value, prob in self.registry[name].items():
             # The fused memoised restrict-and-normalise pass of the exact

@@ -23,15 +23,18 @@ Rules 1-5 run in polynomial time; rule 6 is the potential exponential
 blow-up, which the tractable query classes of Section 6 never trigger.
 The compiler memoises structurally equal sub-expressions, so repeated
 sub-problems across Shannon branches compile once and the resulting
-"tree" is a DAG.  The base case is an accelerator in the style of
-:mod:`repro.prob.kernels`, selected by the same numpy switch and by
-nothing else: with the kernels off — or on a residual it does not cover
-— compilation is Algorithm 1 verbatim.
+"tree" is a DAG.  That d-tree memo is its only state: rules 1-2
+partition with :func:`repro.core.decompose.independent_groups` and
+rule 6 counts with :func:`~repro.algebra.expressions.count_occurrences`,
+both of which read the expression alone, so what a compile costs does
+not depend on what the compiler compiled before.  The base case is an
+accelerator in the style of :mod:`repro.prob.kernels`, selected by the
+same numpy switch and by nothing else: with the kernels off — or on a
+residual it does not cover — compilation is Algorithm 1 verbatim.
 """
 
 from __future__ import annotations
 
-from operator import add as operator_add
 from typing import Callable
 
 from repro.algebra.conditions import Compare
@@ -115,26 +118,26 @@ def table_leaf(
     return TableLeaf(expr, sorted(names))
 
 
-def _most_occurrences(expr: Expr, candidates: frozenset, counts=None) -> str:
+def _most_occurrences(expr: Expr, candidates: frozenset) -> str:
     """The paper's default: eliminate a variable with the most occurrences."""
-    if counts is None:
-        counts = count_occurrences(expr)
+    counts = count_occurrences(expr)
     return max(candidates, key=lambda name: (counts.get(name, 0), name))
 
 
-def _fewest_occurrences(expr: Expr, candidates: frozenset, counts=None) -> str:
+def _fewest_occurrences(expr: Expr, candidates: frozenset) -> str:
     """Ablation heuristic: eliminate a variable with the fewest occurrences."""
-    if counts is None:
-        counts = count_occurrences(expr)
+    counts = count_occurrences(expr)
     return min(candidates, key=lambda name: (counts.get(name, 0), name))
 
 
-def _lexicographic(expr: Expr, candidates: frozenset, counts=None) -> str:
+def _lexicographic(expr: Expr, candidates: frozenset) -> str:
     """Ablation heuristic: eliminate the lexicographically first variable."""
     return min(candidates)
 
 
-#: Pluggable Shannon-expansion variable-choice heuristics.
+#: Pluggable Shannon-expansion variable-choice heuristics, each
+#: ``(expr, candidates) -> name``: it reads only the expression being
+#: expanded, so the choice never depends on what the compiler saw before.
 HEURISTICS: dict[str, Callable[[Expr, frozenset], str]] = {
     "most-occurrences": _most_occurrences,
     "fewest-occurrences": _fewest_occurrences,
@@ -154,7 +157,8 @@ class Compiler:
         naturals for bag semantics).
     heuristic:
         Shannon variable-choice strategy; a key of :data:`HEURISTICS` or a
-        callable ``(expr, candidate_names) -> name``.
+        callable with the same ``(expr, candidate_names) -> name``
+        signature.
     pruning:
         Apply the Section-5 pruning rules to conditional expressions
         before compilation (on by default).
@@ -186,24 +190,12 @@ class Compiler:
                     f"expected one of {sorted(HEURISTICS)}"
                 ) from None
         self.choose_variable = heuristic
-        #: Built-in count-based heuristics accept a precomputed
-        #: occurrence-count dict (lexicographic never reads counts, so it
-        #: stays on the cheap path); user-supplied two-argument callables
-        #: keep working unchanged.
-        self._heuristic_takes_counts = heuristic in (
-            _most_occurrences,
-            _fewest_occurrences,
-        )
         self.pruning = pruning
         self.max_mutex_nodes = max_mutex_nodes
         self.mutex_nodes_created = 0
         self.context = CompileContext(registry, semiring)
         self._normalizer = Normalizer(semiring)
         self._memo: dict[Expr, DTree] = {}
-        self._counts_memo: dict[Expr, dict] = {}
-        self._var_bits: dict[str, int] = {}
-        self._var_positions: dict[str, int] = {}
-        self._mask_memo: dict[Expr, int] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -253,79 +245,8 @@ class Compiler:
     def _compile_var(self, expr: Var) -> DTree:
         return VarLeaf(expr.name)
 
-    def _variable_mask(self, expr: Expr) -> int:
-        """The expression's variable set as a bit mask (memoised).
-
-        Bits are assigned to variable names on first sight.  Masks turn
-        the per-decomposition connectivity analysis into integer
-        intersections, and the memo is shared across Shannon branches —
-        which reuse almost all of their summands.
-        """
-        mask = self._mask_memo.get(expr)
-        if mask is None:
-            if type(expr) is Var:
-                bits = self._var_bits
-                bit = bits.get(expr.name)
-                if bit is None:
-                    bit = 1 << len(bits)
-                    bits[expr.name] = bit
-                mask = bit
-            else:
-                mask = 0
-                for child in expr.children:
-                    if child._vars:
-                        mask |= self._variable_mask(child)
-            self._mask_memo[expr] = mask
-        return mask
-
-    def _independent_groups(self, exprs) -> list[list[Expr]]:
-        """Mask-based connected components, ordered like
-        :func:`repro.core.decompose.independent_groups`.
-
-        The same union-find over summand indices, driven by variable
-        bits: ``owner`` maps a bit to a summand holding it, and a summand
-        clears all of a component's bits at once after joining it, so it
-        pays one step per component it touches — one for the connected
-        sums of a Shannon expansion, none for all-independent sums.
-        """
-        count = len(exprs)
-        parent = list(range(count))
-        masks = [0] * count  # per root: the component's variables
-        owner: dict[int, int] = {}
-        seen = 0
-        for index, expr in enumerate(exprs):
-            if not expr._vars:
-                continue
-            mask = masks[index] = self._variable_mask(expr)
-            shared = mask & seen
-            fresh = mask ^ shared
-            seen |= mask
-            while fresh:
-                bit = fresh & -fresh
-                owner[bit] = index
-                fresh ^= bit
-            root = index
-            while shared:
-                other = owner[shared & -shared]
-                while parent[other] != other:  # find, with path halving
-                    parent[other] = parent[parent[other]]
-                    other = parent[other]
-                shared &= ~masks[other]
-                if other > root:  # the lower index stays root
-                    root, other = other, root
-                parent[root] = other
-                masks[other] |= masks[root]
-                root = other
-        groups: dict[int, list[Expr]] = {}
-        for index, expr in enumerate(exprs):
-            root = index
-            while parent[root] != root:
-                root = parent[root]
-            groups.setdefault(root, []).append(expr)
-        return list(groups.values())
-
     def _compile_sum(self, expr: Sum) -> DTree:
-        groups = self._independent_groups(expr.children)
+        groups = decompose.independent_groups(expr.children)
         if len(groups) > 1:  # Rule 1: independent summands.
             return PlusNode(self._compile(ssum(group)) for group in groups)
         factored = self._try_factor_sum(expr.children, is_module=False)
@@ -334,13 +255,13 @@ class Compiler:
         return self._shannon(expr)
 
     def _compile_prod(self, expr: Prod) -> DTree:
-        groups = self._independent_groups(expr.children)
+        groups = decompose.independent_groups(expr.children)
         if len(groups) > 1:  # Rule 2: independent factors.
             return TimesNode(self._compile(sprod(group)) for group in groups)
         return self._shannon(expr)
 
     def _compile_aggsum(self, expr: AggSum) -> DTree:
-        groups = self._independent_groups(expr.children)
+        groups = decompose.independent_groups(expr.children)
         if len(groups) > 1:  # Rule 1 for semimodule sums.
             return MPlusNode(
                 expr.monoid,
@@ -389,40 +310,6 @@ class Compiler:
             return TimesNode((var_tree, rest_tree))
         return None
 
-    def _occurrence_counts(self, expr: Expr) -> tuple:
-        """Memoised per-node occurrence counts, as a position-indexed tuple.
-
-        Shannon branches share almost all their subexpressions with their
-        siblings, so a bottom-up merge over the expression DAG turns the
-        per-⊔-node O(|Φ|) counting walk into a handful of lookups.  Index
-        positions are assigned per variable name on first sight
-        (``_var_positions``); tuples may be shorter than the full variable
-        count when a subexpression predates later variables.
-        """
-        cached = self._counts_memo.get(expr)
-        if cached is None:
-            if type(expr) is Var:
-                positions = self._var_positions
-                position = positions.get(expr.name)
-                if position is None:
-                    position = len(positions)
-                    positions[expr.name] = position
-                cached = (0,) * position + (1,)
-            else:
-                cached = ()
-                for child in expr.children:
-                    if not child._vars:
-                        continue
-                    child_counts = self._occurrence_counts(child)
-                    gap = len(child_counts) - len(cached)
-                    if gap > 0:
-                        cached = cached + (0,) * gap
-                    elif gap < 0:
-                        child_counts = child_counts + (0,) * -gap
-                    cached = tuple(map(operator_add, cached, child_counts))
-            self._counts_memo[expr] = cached
-        return cached
-
     def _shannon(self, expr: Expr) -> DTree:
         """Rule 6: mutually exclusive expansion ``⊔ₓ`` (Eq. 10)."""
         # Rule 6 is the only potentially exponential rule, so the ⊔-node
@@ -440,18 +327,7 @@ class Compiler:
                 f"compilation budget of {self.max_mutex_nodes} ⊔-nodes exhausted"
             )
         self.mutex_nodes_created += 1
-        if self._heuristic_takes_counts:
-            counts_list = self._occurrence_counts(expr)
-            positions = self._var_positions
-            bound = len(counts_list)
-            counts = {}
-            for candidate in expr.variables:
-                position = positions.get(candidate)
-                if position is not None and position < bound:
-                    counts[candidate] = counts_list[position]
-            name = self.choose_variable(expr, expr.variables, counts)
-        else:
-            name = self.choose_variable(expr, expr.variables)
+        name = self.choose_variable(expr, expr.variables)
         branches = []
         for value, prob in sorted(
             self.registry[name].items(), key=lambda kv: repr(kv[0])

@@ -629,22 +629,25 @@ class SproutEngine:
 
         Returns the deterministic answer and the wall-clock time, i.e. the
         cost of query processing without any expression or probability
-        machinery.
+        machinery.  Planning and building that certain world are not
+        timed; the world holds only the tables ``query`` reads.
         """
-        world = {}
-        for name, table in self.db.tables.items():
-            rel = Relation(table.schema, self.db.semiring)
-            one = self.db.semiring.one
-            for row in table:
-                values = tuple(
-                    Valuation({}, self.db.semiring)(v)
-                    if isinstance(v, ModuleExpr)
-                    else v
-                    for v in row.values
-                )
-                rel.add(values, one)
-            world[name] = rel
         prepared = self.prepare(query)
+        semiring = self.db.semiring
+        one = semiring.one
+        constant = Valuation({}, semiring)
+        world = {}
+        for name in set(query.base_relations()):
+            table = self.db.tables[name]
+            rel = world[name] = Relation(table.schema, semiring)
+            for row in table:
+                rel.add(
+                    tuple(
+                        constant(v) if isinstance(v, ModuleExpr) else v
+                        for v in row.values
+                    ),
+                    one,
+                )
         run = Run(self)
-        result = execute_deterministic(prepared, world, self.db.semiring)
+        result = execute_deterministic(prepared, world, semiring)
         return result, run.elapsed()

@@ -2,18 +2,18 @@
 
 import math
 import random
+import tracemalloc
 from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 
 from repro.algebra.conditions import compare
-from repro.algebra.expressions import Prod, SConst, Sum, Var, sprod, ssum
+from repro.algebra.expressions import Prod, Sum, Var, sprod, ssum
 from repro.algebra.monoid import COUNT, MAX, MIN, SUM
 from repro.algebra.parser import parse_expr
 from repro.algebra.semimodule import AggSum, MConst, Tensor, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
-from repro.core import decompose
 from repro.core.compile import HEURISTICS, Compiler
 from repro.cache import CompilationCache
 from repro.core.dtree import (
@@ -100,40 +100,6 @@ class TestIndependenceRules:
         # variables), but memoisation still shares the compiled sub-DAG.
         tree = compiler.compile(expr)
         assert tree.dag_size() <= tree.tree_size()
-
-
-class TestIndependentGroups:
-    """The compiler's mask-driven partition is `decompose`'s, order included."""
-
-    def assert_parity(self, exprs):
-        compiler = boolean_compiler({})
-        expected = decompose.independent_groups(exprs)
-        assert compiler._independent_groups(exprs) == expected
-        return expected
-
-    def test_all_independent_summands_stay_apart_in_order(self):
-        exprs = [Var(f"v{i}") for i in range(300)] + [SConst(1), SConst(1)]
-        assert self.assert_parity(exprs) == [[e] for e in exprs]
-
-    def test_bridging_summands_merge_components(self):
-        a, b, c, d, e, f = map(Var, "abcdef")
-        # c*d joins {c} to {d}; e*b*a then joins three components at
-        # once, two of them older than the bridge that closes them.
-        exprs = [a, b, c, SConst(1), d, f, c * d, e * b * a, d * a]
-        groups = self.assert_parity(exprs)
-        assert groups == [
-            [a, b, c, d, c * d, e * b * a, d * a], [SConst(1)], [f]
-        ]
-
-    def test_random_sums_match_decompose(self):
-        rng = random.Random(17)
-        names = [f"v{i}" for i in range(40)]
-        for _ in range(200):
-            exprs = [
-                sprod(Var(n) for n in rng.sample(names, rng.randint(1, 3)))
-                for _ in range(rng.randint(1, 25))
-            ]
-            self.assert_parity(exprs)
 
 
 class TestFigure5Example12:
@@ -329,6 +295,68 @@ class TestBudget:
         assert_tabulated_twin(
             boolean_compiler(probs, max_mutex_nodes=0), parse_expr(ENTANGLED)
         )
+
+
+class TestCompilerHistory:
+    """What a compile costs depends on the expression, not on what the
+    compiler compiled before: rules 1, 2 and 6 read the expression."""
+
+    HISTORY = 1000
+
+    @staticmethod
+    def registry() -> VariableRegistry:
+        reg = VariableRegistry()
+        for i in range(TestCompilerHistory.HISTORY):
+            for prefix in "abc":
+                reg.bernoulli(f"{prefix}{i}", 0.5)
+        for i in range(10):
+            reg.bernoulli(f"p{i}", 0.3)
+        return reg
+
+    @staticmethod
+    def phi():
+        rng = random.Random(3)
+        names = [f"p{i}" for i in range(10)]
+        return ssum(sprod(Var(n) for n in rng.sample(names, 3)) for _ in range(14))
+
+    @staticmethod
+    def measure(compiler):
+        """Peak bytes allocated while compiling Φ, ⊔ nodes, rendering."""
+        before = compiler.mutex_nodes_created
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree = compiler.compile(TestCompilerHistory.phi())
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if not tracing:
+            tracemalloc.stop()
+        return peak, compiler.mutex_nodes_created - before, tree.pretty()
+
+    def test_a_used_compiler_does_a_fresh_ones_work(self, algorithm1_verbatim):
+        registry = self.registry()
+        fresh_peak, fresh_mutex, fresh_tree = self.measure(Compiler(registry))
+        used = Compiler(registry)
+        # 1 000 unrelated components, each Shannon-expanded once, over
+        # 3 000 variables Φ never mentions.
+        used.compile(
+            ssum(
+                sprod([Var(f"a{i}") + Var(f"b{i}"), Var(f"a{i}") + Var(f"c{i}")])
+                for i in range(self.HISTORY)
+            )
+        )
+        assert used.mutex_nodes_created == self.HISTORY
+        peak, mutex, tree = self.measure(used)
+        assert fresh_mutex > 0 and mutex == fresh_mutex
+        assert tree == fresh_tree
+        assert peak <= 1.5 * fresh_peak
+
+    def test_the_d_tree_memo_is_the_only_memo(self):
+        compiler = boolean_compiler({"a": 0.5, "b": 0.5, "c": 0.5})
+        compiler.compile(parse_expr("(a+b)*(a+c)"))
+        memos = [name for name, value in vars(compiler).items() if isinstance(value, dict)]
+        assert memos == ["_memo"]
 
 
 class TestNSemiringCompilation:

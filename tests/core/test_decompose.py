@@ -43,6 +43,21 @@ class TestIndependentGroups:
         flattened = [e for group in groups for e in group]
         assert sorted(map(repr, flattened)) == sorted(map(repr, exprs))
 
+    def test_all_independent_summands_stay_apart_in_order(self):
+        exprs = [Var(f"v{i}") for i in range(300)] + [SConst(1), SConst(1)]
+        assert independent_groups(exprs) == [[e] for e in exprs]
+
+    def test_bridging_summands_merge_components(self):
+        a, b, c, d, e, f = map(Var, "abcdef")
+        # c*d joins {c} to {d}; e*b*a then joins three components at
+        # once, two of them older than the bridge that closes them.
+        # Groups come in order of their first member, members in input
+        # order -- the order the compiler's ⊕/⊙ children follow.
+        exprs = [a, b, c, SConst(1), d, f, c * d, e * b * a, d * a]
+        assert independent_groups(exprs) == [
+            [a, b, c, d, c * d, e * b * a, d * a], [SConst(1)], [f]
+        ]
+
 
 class TestFactorVariables:
     def test_bare_variable(self):

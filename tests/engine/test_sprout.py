@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.expressions import Var
 from repro.algebra.semiring import BOOLEAN, NATURALS
-from repro.db.pvc_table import PVCDatabase
+from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.engine.naive import NaiveEngine
 from repro.engine.sprout import SproutEngine
 from repro.prob.variables import VariableRegistry
@@ -138,6 +138,24 @@ class TestDeterministicBaseline:
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("s", "SUM", "v")])
         rel, _ = SproutEngine(db).deterministic_baseline(query)
         assert rel.support() == {(1, 30), (2, 30)}
+
+    def test_an_unread_table_is_not_built(self, monkeypatch):
+        db = simple_db()
+        db.registry.bernoulli("w", 0.5)
+        db.create_table("S", ["b"]).add((1,), Var("w"))
+        unread = db.tables["S"]
+        iterated = []
+        original = PVCTable.__iter__
+
+        def record(table):
+            iterated.append(table)
+            return original(table)
+
+        monkeypatch.setattr(PVCTable, "__iter__", record)
+        rel, _ = SproutEngine(db).deterministic_baseline(relation("R"))
+        assert len(rel) == 3
+        assert db.tables["R"] in iterated
+        assert not any(table is unread for table in iterated)
 
     def test_compiler_options_forwarded(self):
         engine = SproutEngine(simple_db(), heuristic="lexicographic")

@@ -9,8 +9,8 @@ from repro.prob import VariableRegistry
 from repro.query import parse_sql
 
 
-@pytest.fixture
-def shop_db():
+def shop_database():
+    """Products and their stock, every row tuple-independent."""
     reg = VariableRegistry()
     db = PVCDatabase(registry=reg, semiring=BOOLEAN)
     products = db.create_table("products", ["pid", "category", "price"])
@@ -29,6 +29,11 @@ def shop_db():
         reg.bernoulli(f"s{sid}", probability)
         stock.add((sid, quantity), Var(f"s{sid}"))
     return db
+
+
+@pytest.fixture
+def shop_db():
+    return shop_database()
 
 
 def assert_sql_matches_oracle(db, sql):
