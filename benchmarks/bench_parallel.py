@@ -38,6 +38,7 @@ from benchmarks.common import BenchReport, print_series, smoke_mode
 from repro.algebra.expressions import Var, sprod, ssum
 from repro.algebra.semiring import BOOLEAN
 from repro.db.pvc_table import PVCDatabase
+from repro.engine.spec import EvalSpec
 from repro.engine.sprout import SproutEngine
 from repro.parallel import resolve_workers
 from repro.prob.variables import VariableRegistry
@@ -111,7 +112,7 @@ def measure_compile(db, query, workers, runs):
     for run in range(runs):
         engine = SproutEngine(db)  # fresh: no memo reuse across runs
         start = time.perf_counter()
-        result = engine.run(query, workers=workers)
+        result = engine.run(query, EvalSpec(workers=workers))
         times.append(time.perf_counter() - start)
         fingerprint = _fingerprint_rows(result)
         assert result.stats.get("parallel_fallback") is None, result.stats

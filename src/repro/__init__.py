@@ -22,9 +22,8 @@ The library implements the paper's full stack:
   SQL front-end;
 * :mod:`repro.engine` — the SPROUT-style engine plus brute-force and
   Monte-Carlo baselines;
-* :mod:`repro.parallel` — multi-core compilation: fork-based worker
-  pools with graceful serial fallback and order-independent result
-  merging behind the ``workers`` knob;
+* :mod:`repro.parallel` — multi-core compilation: one fork-pool round
+  per run with graceful serial fallback, behind the ``workers`` knob;
 * :mod:`repro.workloads` — the Eq.-11 random expression generator and a
   TPC-H-shaped data generator with the paper's two queries.
 

@@ -372,12 +372,12 @@ def distribution_task(context, annotations):
     still share d-tree memo entries.  Compilation is deterministic, so
     any chunking (and any worker count) yields identical distributions.
 
-    Returns ``(distributions, stats_delta)``; the caller merges the
+    Returns ``(distributions, mutex_nodes)``; the caller merges the
     distributions into the session's
-    :class:`~repro.cache.CompilationCache` and the stats delta into
-    the run diagnostics.
+    :class:`~repro.cache.CompilationCache` and sums the ⊔-node counts
+    into the run diagnostics.
     """
     registry, semiring, options = context
     compiler = Compiler(registry, semiring, **options)
     distributions = [compiler.distribution(expr) for expr in annotations]
-    return distributions, {"mutex_nodes": compiler.mutex_nodes_created}
+    return distributions, compiler.mutex_nodes_created

@@ -79,7 +79,7 @@ from repro.algebra.valuation import (
 )
 from repro.cache import capture_stamp
 from repro.db.pvc_table import PVCDatabase
-from repro.engine.spec import EvalSpec, ProbInterval
+from repro.engine.spec import EvalSpec, ProbInterval, is_positive_int
 from repro.engine.sprout import QueryResult, Run, concrete_result
 from repro.errors import AlgebraError, QueryValidationError
 from repro.query.ast import Query
@@ -262,6 +262,10 @@ class MonteCarloEngine:
 
     def _snapshots(self, run: Run, query: Query, samples: int | None):
         """The results behind :meth:`run` and :meth:`run_iter`."""
+        if samples is not None and not is_positive_int(samples):
+            raise QueryValidationError(
+                f"samples must be a positive integer, got {samples!r}"
+            )
         spec = run.spec
         if run.mode is None:
             # No spec, or one that only tunes execution: the fixed-budget

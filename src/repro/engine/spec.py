@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from repro.errors import QueryValidationError
-from repro.parallel.shards import validate_workers
+from repro.parallel import validate_workers
 
 __all__ = [
     "EvalSpec",
@@ -76,7 +76,7 @@ _TWO_STEPS = ("rewrite_seconds", "probability_seconds")
 #: server's load shedding read it (README "Engines" prints it).
 ENGINE_TABLE = {
     "sprout": EngineRow(
-        ("exact",), "exact", ("compute_probabilities", "workers"), _TWO_STEPS
+        ("exact",), "exact", ("compute_probabilities",), _TWO_STEPS
     ),
     "approx": EngineRow(("exact", "approx"), "approx", (), _TWO_STEPS),
     "naive": EngineRow(("exact",), "exact", (), ("enumeration_seconds",)),
@@ -238,7 +238,8 @@ class EvalSpec:
         ignore it: they return the ``workers=None`` answer, bit for bit.
         Sprout's answers are bit-identical for any worker count too (see
         :mod:`repro.parallel`), so ``workers`` changes *how fast* an
-        answer arrives, never *what* it is.
+        answer arrives, never *what* it is; a ``max_mutex_nodes`` budget,
+        spent across all rows, keeps the fan-out serial.
     ``on_timeout``:
         What happens when the ``time_limit`` deadline trips:
         ``"partial"`` (default) degrades to the best *sound* answer

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro import parallel
 from repro.algebra.expressions import ONE, SemiringExpr
 from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import Valuation
@@ -29,9 +30,6 @@ from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.engine.spec import ENGINE_TABLE, EvalSpec, ProbInterval, accept
 from repro.errors import CompilationError, QueryTimeoutError
-from repro.parallel import pool as parallel_pool
-from repro.parallel.reducer import merge_stat_sums
-from repro.parallel.shards import resolve_workers
 from repro.prob.distribution import Distribution
 from repro.query.ast import Query
 from repro.resilience.deadline import (
@@ -502,12 +500,11 @@ class SproutEngine:
         spec: EvalSpec | None = None,
         *,
         compute_probabilities: bool = True,
-        workers: int | str | None = None,
         **options,
     ) -> QueryResult:
         """Evaluate ``query``; returns rows, probabilities and timings.
 
-        ``workers`` (or ``spec.workers``) parallelises step II:
+        ``spec.workers`` parallelises step II:
         independent result-row annotations (per-group aggregates,
         multi-tuple answers) compile concurrently on a process pool, and
         the per-chunk distributions merge back into the session's
@@ -520,8 +517,6 @@ class SproutEngine:
         ``"raise"`` policy raises with that partial attached.
         """
         run = Run(self, spec, options)
-        if workers is None and spec is not None:
-            workers = spec.workers
         with run.scope():
             table, reused = self._step_one(query)
             run.lap("rewrite_seconds")
@@ -534,7 +529,9 @@ class SproutEngine:
             stats: dict = {"step1_reused": reused}
             rows_exact = len(rows)
             if compute_probabilities:
-                effective = resolve_workers(workers)
+                effective = parallel.resolve_workers(
+                    None if spec is None else spec.workers
+                )
                 if effective is not None:
                     stats.update(
                         self._parallel_distributions(rows, compiler, effective)
@@ -585,8 +582,14 @@ class SproutEngine:
         annotations; results are written onto the rows' distribution
         memo and absorbed into the distribution source (so later runs,
         ``pretty()`` calls, and accessor lookups hit the cache exactly
-        as if the compile had happened in-process).
+        as if the compile had happened in-process).  A round that runs
+        out of time marks ``deadline_hit`` and the per-row loop reports
+        the serial partial.  A ``max_mutex_nodes`` budget is spent across
+        all rows in order, and a compiler per chunk would give each chunk
+        all of it: under one the fan-out declines.
         """
+        if self.compiler_options.get("max_mutex_nodes") is not None:
+            return {"workers": 1}
         # Read the registry epoch before anything is looked up or fanned
         # out: workers fork with the current registry, and absorb() drops
         # a result one of whose variables was reassigned after this.
@@ -609,19 +612,20 @@ class SproutEngine:
         chunk_count = min(len(pending), workers * 4)
         chunks = [pending[i::chunk_count] for i in range(chunk_count)]
         context = (self.db.registry, self.db.semiring, self.compiler_options)
-        results, info = parallel_pool.execute(
-            distribution_task, context, chunks, workers
-        )
+        try:
+            results, info = parallel.execute(
+                distribution_task, context, chunks, workers
+            )
+        except DeadlineExceeded:
+            stats["deadline_hit"] = True
+            return stats
         stats.update(info)
         for chunk, (distributions, _) in zip(chunks, results):
             for key, distribution in zip(chunk, distributions):
                 for row in by_key[key]:
                     row._annotation_dist = distribution
                 source.absorb(key, distribution, epoch)
-        deltas = merge_stat_sums(
-            (delta for _, delta in results), ("mutex_nodes",)
-        )
-        stats["parallel_mutex_nodes"] = deltas["mutex_nodes"]
+        stats["parallel_mutex_nodes"] = sum(nodes for _, nodes in results)
         return stats
 
     def deterministic_baseline(self, query: Query) -> tuple[Relation, float]:

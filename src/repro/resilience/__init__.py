@@ -21,7 +21,7 @@ dependency-free modules:
   and the server).  When no plan is installed every fault
   point is a strict no-op.
 
-Together with the pool watchdog (``parallel.pool``), server drain
+Together with the pool watchdog (:mod:`repro.parallel`), server drain
 (``server.app``) and the client retry policy (``server.client``) these
 give the stack one contract: every request either completes, returns a
 sound partial answer, or fails with a typed error — within a bounded

@@ -12,10 +12,11 @@ different executor threads each see their own deadline.
 Checkpoints are *cooperative*: an expired deadline raises
 :class:`DeadlineExceeded`, which callers catch at a sound degradation
 boundary (a fully-compiled row, a completed sampling round).  Forked
-pool workers do not inherit the scope — cross-process enforcement is
-the pool watchdog's job (``parallel.pool``), which bounds every
-submitted task by the ambient deadline's remaining time plus a small
-grace period.
+pool workers inherit the scope with the fork, so their checkpoints fire
+too; a worker wedged where no checkpoint reaches is the pool watchdog's
+job (:mod:`repro.parallel`), which bounds the round by the ambient
+deadline's remaining time plus a small grace period and does not rerun
+a round that fails after expiry.
 
 ``DeadlineExceeded`` is internal control flow; user-facing timeout
 failures are :class:`repro.errors.QueryTimeoutError`, raised by the

@@ -13,7 +13,7 @@ Fault kinds
     ``os._exit`` — an abrupt worker death (SIGKILL-like).
 ``hang``
     Sleep for a very long time — a wedged worker, caught only by the
-    pool watchdog.
+    pool watchdog of :mod:`repro.parallel`.
 ``slow``
     Sleep ``delay`` seconds — injected latency.
 ``pickle``
@@ -39,7 +39,7 @@ hits independently.
 Fault-point catalogue (instrumented in this codebase):
 
 ==========================  ====================================================
-``pool.worker``             per task, inside the forked worker (``_invoke``)
+``pool.worker``             per task, inside the forked worker (``repro.parallel._invoke``)
 ``engine.sprout.row``       per result row, before compiling its probability
 ``engine.approx.round``     per approximate refinement round
 ``engine.montecarlo.round`` per Monte-Carlo doubling round

@@ -26,7 +26,7 @@ tenants:
 * **A non-blocking event loop.**  Reads and streams compile/evaluate
   on a thread pool; within a tenant they serialise on a per-tenant lock
   (sessions hold engine state), while different tenants execute
-  concurrently — and can fan out to the :mod:`repro.parallel` process
+  concurrently — and can fan out to a :mod:`repro.parallel` process
   pool via the usual ``workers`` spec field.  Writes and kept replies,
   which compile nothing, run on the loop itself.
 

@@ -89,17 +89,14 @@ class TestSelfHost:
             ("cache.py", "BoundedLRU"),
             ("cache.py", "CompilationCache"),
             ("engine/base.py", "PlanCache"),
-            ("parallel/pool.py", "SharedPool"),
             ("server/app.py", "QueryServer"),
         }
         from repro.engine.base import CompilationCache, PlanCache
-        from repro.parallel.pool import SharedPool
         from repro.server.app import QueryServer
         from repro.server.statements import StatementCache
 
         for owner in (CompilationCache, PlanCache, StatementCache):
             assert "_lock" in owner._shared_state_
-        assert "_state_lock" in SharedPool._shared_state_
         assert "_counters_lock" in QueryServer._shared_state_
 
 

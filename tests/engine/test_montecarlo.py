@@ -18,6 +18,7 @@ from repro.engine import montecarlo
 from repro.engine.montecarlo import MonteCarloEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.spec import EvalSpec
+from repro.errors import QueryValidationError
 from repro.prob import kernels
 from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
@@ -72,6 +73,14 @@ class TestEstimation:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             MonteCarloEngine(simple_db()).tuple_probabilities(relation("R"), 0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, 0])
+    def test_a_bad_samples_budget_is_a_validation_error(self, samples):
+        engine = MonteCarloEngine(simple_db(), seed=1)
+        with pytest.raises(QueryValidationError, match="samples"):
+            engine.run(relation("R"), samples=samples)
+        with pytest.raises(QueryValidationError, match="samples"):
+            next(engine.run_iter(relation("R"), samples=samples))
 
     def test_sample_valuation_covers_all_variables(self):
         db = simple_db()

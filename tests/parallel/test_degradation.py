@@ -14,10 +14,11 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro import NATURALS, connect, count_
+from benchmarks.bench_parallel import build_compile_database, compile_query
+from repro import NATURALS, EvalSpec, SproutEngine, connect, count_, parallel
 from repro.algebra.expressions import Var
-from repro.parallel import pool
-from repro.parallel.pool import ParallelUnavailable
+from repro.errors import CompilationError, QueryTimeoutError
+from repro.parallel import ParallelUnavailable
 
 from tests.conftest import batch_evaluator_off
 
@@ -44,10 +45,10 @@ def _probs(result):
 
 
 def _broken_pool(monkeypatch, reason):
-    def broken(executor, payloads):
+    def broken(executor, payloads, timeout):
         raise ParallelUnavailable(reason, "simulated")
 
-    monkeypatch.setattr(pool, "_gather", broken)
+    monkeypatch.setattr(parallel, "_gather", broken)
 
 
 class _UnpicklableVar(Var):
@@ -63,7 +64,7 @@ class TestCompilationDegradation:
     ):
         """A real end-to-end pickle failure: payload chunks reach the
         call queue, fail to serialize, and the run completes serially."""
-        if not pool.fork_available():
+        if not parallel.fork_available():
             pytest.skip("no fork on this platform")
         from repro.core.compile import Compiler
 
@@ -94,6 +95,46 @@ class TestCompilationDegradation:
         degraded = s2.run(query, engine="sprout", workers=2)
         assert degraded.stats["parallel_fallback"] == "worker_crash"
         assert _probs(degraded) == serial
+
+
+class TestTheSerialContracts:
+    """A pooled round answers what the serial loop answers: under the
+    timeout policy and under a ⊔ budget alike."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_a_round_out_of_time_gives_the_serial_partial(self, workers):
+        db = build_compile_database(8, 25, 14)
+        query = compile_query(150)
+        exact = {row.values: row.probability() for row in SproutEngine(db).run(query)}
+        spec = EvalSpec(time_limit=0.05, workers=workers)
+        partial = SproutEngine(db).run(query, spec)
+        assert partial.stats["deadline_hit"] is True
+        assert partial.stats["rows_exact"] < len(partial.rows)
+        for row in partial:
+            interval = row.probability()
+            if interval.width:
+                assert (interval.low, interval.high) == (0.0, 1.0)
+            else:
+                assert interval.low == exact[row.values].low
+        with pytest.raises(QueryTimeoutError) as caught:
+            SproutEngine(db).run(query, EvalSpec(
+                time_limit=0.05, workers=workers, on_timeout="raise"
+            ))
+        assert caught.value.partial.stats["deadline_hit"] is True
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_a_mutex_budget_fails_where_the_serial_loop_fails(
+        self, workers, algorithm1_verbatim
+    ):
+        """Serial needs 111 ⊔ nodes; a compiler per chunk would give each
+        chunk the whole budget of 66."""
+        db = build_compile_database(4, 10, 8)
+        session = connect(database=db, max_mutex_nodes=66)
+        with pytest.raises(CompilationError, match="budget"):
+            session.run(compile_query(60), engine="sprout", workers=workers)
+        roomy = connect(database=db, max_mutex_nodes=200)
+        result = roomy.run(compile_query(60), engine="sprout", workers=workers)
+        assert result.stats.get("workers") == (None if workers is None else 1)
 
 
 class TestSeamsWithoutAPool:
@@ -150,7 +191,7 @@ class TestNoForkPlatforms:
     def test_all_parallel_engines_degrade_without_fork(
         self, monkeypatch, session, per_world_monte_carlo
     ):
-        monkeypatch.setattr(pool, "fork_available", lambda: False)
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
         query = session.table("R").group_by("kind").agg(n=count_())
         result = session.run(query, engine="sprout", workers=2)
         assert result.stats["parallel_fallback"] == "no_fork"

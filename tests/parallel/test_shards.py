@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QueryValidationError
-from repro.parallel.shards import resolve_workers
+from repro.parallel import resolve_workers
 
 
 class TestResolveWorkers:

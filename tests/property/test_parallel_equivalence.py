@@ -145,9 +145,9 @@ def test_parallel_sprout_matches_brute_force_oracle(db):
     oracle = NaiveEngine(db)
     for query in queries:
         expected = oracle.tuple_probabilities(query)
-        result = SproutEngine(db).run(query, workers=2)
+        result = SproutEngine(db).run(query, EvalSpec(workers=2))
         assert result.stats.get("parallel_fallback") is None
-        inline = SproutEngine(db).run(query, workers=1)
+        inline = SproutEngine(db).run(query, EvalSpec(workers=1))
         assert fingerprint(inline) == fingerprint(result)
         actual = result.tuple_probabilities()
         assert set(actual) == set(expected)

@@ -8,9 +8,11 @@ of the same ``(engine, workers)`` configuration.  Worker-only faults
 rerun of the same pure payloads then reproduces the exact answer.
 """
 
+import time
+
 import pytest
 
-from repro.parallel import pool
+from repro import EvalSpec, cmp_, parallel, sum_
 from repro.resilience import FaultPlan, fault_plan
 from repro.resilience.faults import clear_plan
 from repro.server.bootstrap import demo_session
@@ -74,12 +76,51 @@ def test_hung_worker_degrades_without_changing_answers(
     """A wedged worker is the nastiest leg: only the watchdog can catch
     it.  With a short process-wide task timeout the round is abandoned,
     the pool killed, and the inline rerun must still be bit-identical."""
-    monkeypatch.setattr(pool, "DEFAULT_TASK_TIMEOUT", 1.0)
+    monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 1.0)
     baseline = run_once(engine_key, 2)
     plan = FaultPlan().add("pool.worker", "hang", delay=30.0, times=1)
     with fault_plan(plan):
         chaotic = run_once(engine_key, 2)
     assert chaotic == baseline
+
+
+def test_hung_worker_under_a_time_limit_returns_a_sound_partial():
+    """No task timeout is set: the deadline alone bounds the round.  The
+    hung round is killed at ``time_limit`` + grace, is not recompiled
+    after expiry, and the run returns the serial loop's partial in time;
+    every row it still reports exact is the fault-free answer."""
+    assert parallel.DEFAULT_TASK_TIMEOUT is None
+    time_limit = 1.0
+
+    def run():
+        session = demo_session(scale=2)
+        query = (
+            session.table("R")
+            .group_by("kind")
+            .agg(total=sum_("value"))
+            .where(cmp_("total", ">=", 60))
+            .select("kind")
+        )
+        spec = EvalSpec(time_limit=time_limit, workers=2)
+        return session.run(query, engine="sprout", spec=spec)
+
+    baseline = {row.values: row.probability() for row in run()}
+    plan = FaultPlan().add("pool.worker", "hang", delay=30.0, times=1)
+    start = time.perf_counter()
+    with fault_plan(plan):
+        partial = run()
+    elapsed = time.perf_counter() - start
+    assert elapsed < time_limit + parallel._DEADLINE_GRACE + 5.0
+    assert partial.stats["deadline_hit"] is True
+    assert "rows_exact" in partial.stats
+    assert {row.values for row in partial} == set(baseline)
+    for row in partial:
+        interval = row.probability()
+        exact = baseline[row.values]
+        if interval.width == 0:
+            assert (interval.low, interval.high) == (exact.low, exact.high)
+        else:
+            assert interval.low <= exact.low and exact.high <= interval.high
 
 
 def test_serial_runs_ignore_pool_faults():

@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from repro.parallel import pool
-from repro.parallel.pool import SharedPool
+from repro import parallel
 from repro.resilience import Deadline, deadline_scope
 
 
@@ -22,37 +21,35 @@ def _good_worker(context, payload):
 
 
 pytestmark = pytest.mark.skipif(
-    not pool.fork_available(), reason="fork-based pools unavailable"
+    not parallel.fork_available(), reason="fork-based pools unavailable"
 )
 
 
 class TestWatchdogTimeout:
-    def test_explicit_task_timeout_wins_when_smaller(self):
-        handle = SharedPool(_good_worker, 0, 2, task_timeout=0.2)
-        assert handle._watchdog_timeout() == 0.2
+    def test_module_default_wins_when_smaller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 0.2)
+        assert parallel._watchdog_timeout() == 0.2
         with deadline_scope(Deadline(100.0)):
-            assert handle._watchdog_timeout() == 0.2
+            assert parallel._watchdog_timeout() == 0.2
 
     def test_ambient_deadline_bounds_an_unarmed_pool(self):
-        handle = SharedPool(_good_worker, 0, 2)
-        assert handle._watchdog_timeout() is None
+        assert parallel._watchdog_timeout() is None
         with deadline_scope(Deadline(1.0)):
-            timeout = handle._watchdog_timeout()
+            timeout = parallel._watchdog_timeout()
             # remaining (<= 1s) + the 2s grace period
             assert 1.0 < timeout <= 3.0 + 0.1
 
     def test_module_default_arms_every_pool(self, monkeypatch):
-        monkeypatch.setattr(pool, "DEFAULT_TASK_TIMEOUT", 5.0)
-        handle = SharedPool(_good_worker, 0, 2)
-        assert handle._watchdog_timeout() == 5.0
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 5.0)
+        assert parallel._watchdog_timeout() == 5.0
 
 
 class TestHungWorkerRecovery:
-    def test_hang_is_detected_killed_and_rerun_inline(self):
-        with SharedPool(_hang_worker, None, 2, task_timeout=0.5) as handle:
-            start = time.perf_counter()
-            results, info = handle.run([1, 2, 3])
-            elapsed = time.perf_counter() - start
+    def test_hang_is_detected_killed_and_rerun_inline(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 0.5)
+        start = time.perf_counter()
+        results, info = parallel.execute(_hang_worker, None, [1, 2, 3], 2)
+        elapsed = time.perf_counter() - start
         # Detected within the timeout (plus kill/fork slack), nowhere
         # near the worker's 60s sleep — and the answers are correct.
         assert elapsed < 10.0
@@ -60,31 +57,9 @@ class TestHungWorkerRecovery:
         assert info["parallel_fallback"] == "worker_hang"
         assert info["workers"] == 1
 
-    def test_one_rebuild_then_permanent_fallback(self):
-        with SharedPool(_hang_worker, None, 2, task_timeout=0.5) as handle:
-            _, first = handle.run([1, 2])
-            assert first["parallel_fallback"] == "worker_hang"
-            assert handle._fallback_reason is None  # one rebuild allowed
-            _, second = handle.run([3, 4])
-            assert second["parallel_fallback"] == "worker_hang"
-            assert handle._fallback_reason == "worker_hang"  # now permanent
-            start = time.perf_counter()
-            results, third = handle.run([5, 6])
-            # Permanent fallback: straight inline, no watchdog wait.
-            assert time.perf_counter() - start < 0.3
-            assert results == [10, 12]
-            assert third["parallel_fallback"] == "worker_hang"
-
-    def test_healthy_pool_is_untouched_by_the_watchdog(self):
-        with SharedPool(_good_worker, 10, 2, task_timeout=5.0) as handle:
-            results, info = handle.run([1, 2, 3, 4])
+    def test_healthy_pool_is_untouched_by_the_watchdog(self, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 5.0)
+        results, info = parallel.execute(_good_worker, 10, [1, 2, 3, 4], 2)
         assert results == [11, 12, 13, 14]
         assert "parallel_fallback" not in info
         assert info["workers"] == 2
-
-    def test_execute_accepts_task_timeout(self):
-        results, info = pool.execute(
-            _hang_worker, None, [7, 8], 2, task_timeout=0.5
-        )
-        assert results == [14, 16]
-        assert info["parallel_fallback"] == "worker_hang"
