@@ -81,12 +81,10 @@ from repro.core import (
     ApproximateCompiler,
     Compiler,
     DTree,
-    JointCompiler,
     ProbabilityBounds,
     approximate_probability,
     collect_stats,
     compile_expression,
-    joint_distribution,
     prune,
 )
 from repro.db import (
@@ -175,8 +173,7 @@ __all__ = [
     # prob
     "Distribution", "VariableRegistry", "ProbabilitySpace",
     # core
-    "Compiler", "compile_expression", "DTree", "JointCompiler",
-    "joint_distribution", "prune", "collect_stats",
+    "Compiler", "compile_expression", "DTree", "prune", "collect_stats",
     "ApproximateCompiler", "ProbabilityBounds", "approximate_probability",
     # db
     "Schema", "Relation", "PVCRow", "PVCTable", "PVCDatabase",

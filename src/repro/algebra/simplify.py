@@ -25,6 +25,7 @@ from repro.algebra.bounds import fold_comparison_by_bounds
 from repro.algebra.conditions import Compare, compare
 from repro.algebra.expressions import (
     ONE,
+    ZERO,
     Expr,
     Prod,
     SConst,
@@ -51,12 +52,12 @@ class Normalizer:
 
     A node no rule applies to is handed back as the object it was (see
     :meth:`_normalize`), so normalising a step-I annotation allocates
-    only what a rule changes.  A rebuilt node is memoised under itself
-    too, so normalising it again (a cache key, the compiler's second
-    pass) is one dictionary hit.  That entry holds the node's own normal
-    form, which need not be the node: folding comes before the smart
-    constructors flatten, so in B ``(a + b)·(a + b) + a`` normalises to
-    ``a + a + b`` and only then to ``a + b``.
+    only what a rule changes.  The result is a fixpoint: every
+    ``_combine_*`` rule flattens children of its own kind (and in B
+    drops their duplicates) *before* it folds, so a rebuilt node is its
+    own normal form and is memoised under itself — normalising it again
+    (a cache key, the compiler's second pass) is one dictionary hit that
+    hands back the same object.
 
     :meth:`restrict` is the fused fast path for Shannon expansion: it
     computes the normalised restriction ``Φ|x←s`` in one pass (with its
@@ -76,24 +77,9 @@ class Normalizer:
         if cached is None:
             cached = self._normalize(expr)
             if cached is not expr:
-                cached = self._settle(cached)
+                cached = self._cache.setdefault(cached, cached)
             self._cache[expr] = cached
         return cached
-
-    def _settle(self, built: Expr) -> Expr:
-        """Record the rebuilt normal form ``built`` under itself.
-
-        Returns the memo's representative of ``built`` when it is a
-        fixpoint (so ``n(n(e)) is n(e)``), else ``built`` itself, whose
-        own normal form is then what the memo holds for it.
-        """
-        known = self._cache.get(built)
-        if known is None:
-            known = self._normalize(built)
-            if known == built:
-                known = built
-            self._cache[built] = known
-        return known if known == built else built
 
     def _normalize(self, expr: Expr) -> Expr:
         """One normalisation step over already-normalised children.
@@ -158,22 +144,29 @@ class Normalizer:
 
     # -- Shannon restriction ----------------------------------------------
 
-    def restrict(self, expr: Expr, name: str, constant: SConst) -> Expr:
+    def restrict(
+        self, expr: Expr, name: str, constant: SConst, memo: dict | None = None
+    ) -> Expr:
         """The normalised restriction ``expr|name←constant`` (Eq. 10).
 
         Precondition: ``expr`` is already in normal form (everything the
         compiler Shannon-expands is).  Subtrees not mentioning ``name``
-        are therefore returned as-is, without re-normalisation.
+        are therefore returned as-is, without re-normalisation, and the
+        result is the normal form of ``expr.substitute({name: constant})``
+        — the one Shannon step of both rule 6 and the joint compile.
 
         Results are memoised per ``(name, value)`` branch, keyed directly
         on the (shared) subexpressions, so sibling Shannon branches pay a
-        dictionary hit per reused summand instead of a re-restriction.
+        dictionary hit per reused summand instead of a re-restriction;
+        in ``memo`` if given, else in the normaliser's own memo.
         """
         if name not in expr.variables:
             return self(expr)
-        branch = self._restrict_cache.get((name, constant.value))
+        if memo is None:
+            memo = self._restrict_cache
+        branch = memo.get((name, constant.value))
         if branch is None:
-            branch = self._restrict_cache[(name, constant.value)] = {}
+            branch = memo[(name, constant.value)] = {}
         cached = branch.get(expr)
         if cached is None:
             cached = self._restrict(expr, name, constant, branch)
@@ -186,36 +179,26 @@ class Normalizer:
         kind = type(expr)
         if kind is Var:
             return self._fold_const(constant)
-        if kind is Sum or kind is Prod or kind is AggSum:
-            out = []
-            for child in expr.children:
-                if name not in child._vars:
-                    out.append(child)
-                    continue
+        out = []
+        for child in expr.children:
+            if name in child._vars:
                 restricted = branch.get(child)
                 if restricted is None:
-                    restricted = self._restrict(child, name, constant, branch)
-                    branch[child] = restricted
-                out.append(restricted)
-            if kind is Sum:
-                return self._combine_sum(out)
-            if kind is Prod:
-                return self._combine_prod(out)
+                    restricted = branch[child] = self._restrict(
+                        child, name, constant, branch
+                    )
+                child = restricted
+            out.append(child)
+        if kind is Sum:
+            return self._combine_sum(out)
+        if kind is Prod:
+            return self._combine_prod(out)
+        if kind is AggSum:
             return self._combine_aggsum(expr.monoid, out)
-        if kind is Tensor or kind is Compare:
-            pair = []
-            for child in expr.children:
-                if name not in child._vars:
-                    pair.append(child)
-                    continue
-                restricted = branch.get(child)
-                if restricted is None:
-                    restricted = self._restrict(child, name, constant, branch)
-                    branch[child] = restricted
-                pair.append(restricted)
-            if kind is Tensor:
-                return self._combine_tensor(pair[0], pair[1])
-            return self._combine_compare(pair[0], expr.op, pair[1])
+        if kind is Tensor:
+            return self._combine_tensor(out[0], out[1])
+        if kind is Compare:
+            return self._combine_compare(out[0], expr.op, out[1])
         raise AlgebraError(
             f"cannot restrict expression of type {type(expr).__name__}"
         )
@@ -229,44 +212,36 @@ class Normalizer:
         return expr
 
     def _combine_sum(self, children: list) -> SemiringExpr:
+        # In B, ⊤ absorbs a sum (⊤ + Φ = ⊤); in ℕ nothing does.
         semiring = self.semiring
-        const_acc = semiring.zero
-        symbolic: list[SemiringExpr] = []
-        seen: set = set()
-        for child in children:
-            if isinstance(child, SConst):
-                const_acc = semiring.add(const_acc, semiring.coerce(child.value))
-            elif semiring.is_boolean:
-                if child not in seen:  # idempotence: Φ + Φ = Φ
-                    seen.add(child)
-                    symbolic.append(child)
-            else:
-                symbolic.append(child)
-        if semiring.is_boolean and const_acc:
-            return ONE  # absorption: ⊤ + Φ = ⊤
-        if const_acc != semiring.zero:
-            symbolic.append(SConst(int(const_acc)))
-        return ssum(symbolic)
+        absorbing = semiring.one if semiring.is_boolean else None
+        return self._combine(children, Sum, semiring.zero, semiring.add, absorbing)
 
     def _combine_prod(self, children: list) -> SemiringExpr:
         semiring = self.semiring
-        const_acc = semiring.one
+        return self._combine(children, Prod, semiring.one, semiring.mul, semiring.zero)
+
+    def _combine(self, children, kind, neutral, operation, absorbing) -> SemiringExpr:
+        """A sum or product (``kind``) of normal ``children``: flatten,
+        fold the constants with ``operation``, and in B drop duplicate
+        children (idempotence: ``Φ + Φ = Φ · Φ = Φ``)."""
+        semiring = self.semiring
+        const_acc = neutral
         symbolic: list[SemiringExpr] = []
         seen: set = set()
-        for child in children:
+        for child in _flatten(children, kind):
             if isinstance(child, SConst):
-                const_acc = semiring.mul(const_acc, semiring.coerce(child.value))
-                if const_acc == semiring.zero:
-                    return SConst(0)
-            elif semiring.is_boolean:
-                if child not in seen:  # idempotence: Φ · Φ = Φ
-                    seen.add(child)
-                    symbolic.append(child)
-            else:
+                const_acc = operation(const_acc, semiring.coerce(child.value))
+            elif not semiring.is_boolean:
                 symbolic.append(child)
-        if const_acc != semiring.one:
+            elif child not in seen:
+                seen.add(child)
+                symbolic.append(child)
+        if const_acc == absorbing:
+            return ONE if absorbing else ZERO
+        if const_acc != neutral:
             symbolic.append(SConst(int(const_acc)))
-        return sprod(symbolic)
+        return ssum(symbolic) if kind is Sum else sprod(symbolic)
 
     def _combine_compare(self, left: Expr, op, right: Expr) -> SemiringExpr:
         folded = compare(left, op, right)
@@ -291,6 +266,8 @@ class Normalizer:
         return folded
 
     def _combine_tensor(self, phi: SemiringExpr, arg: ModuleExpr) -> ModuleExpr:
+        if type(arg) is Tensor:  # s₁ ⊗ (s₂ ⊗ α) = (s₁ · s₂) ⊗ α, s₁ · s₂ normal
+            phi, arg = self._combine_prod([phi, arg.phi]), arg.arg
         if isinstance(phi, SConst) and isinstance(arg, MConst):
             scalar = self.semiring.coerce(phi.value)
             return MConst(arg.monoid, arg.monoid.act(scalar, arg.value, self.semiring))
@@ -309,16 +286,9 @@ class Normalizer:
         # the per-term validation is skipped on this very hot path.
         flat: list[ModuleExpr] = []
         const_acc = monoid.zero
-        for term in children:
-            kind = type(term)
-            if kind is MConst:
+        for term in _flatten(children, AggSum):
+            if type(term) is MConst:
                 const_acc = monoid.add(const_acc, term.value)
-            elif kind is AggSum:
-                for sub in term.children:
-                    if type(sub) is MConst:
-                        const_acc = monoid.add(const_acc, sub.value)
-                    else:
-                        flat.append(sub)
             else:
                 flat.append(term)
         if const_acc != monoid.zero:
@@ -332,6 +302,19 @@ class Normalizer:
         if folded is not None:
             return folded
         return expr
+
+
+def _flatten(children: list, kind: type) -> list:
+    """``children`` with each child of type ``kind`` replaced by its own
+    children: a rule folds and de-duplicates what the smart constructor
+    would otherwise splice in only afterwards."""
+    flat: list = []
+    for child in children:
+        if type(child) is kind:
+            flat.extend(child.children)
+        else:
+            flat.append(child)
+    return flat
 
 
 def _unchanged(child: Expr, normal: Expr) -> bool:

@@ -327,6 +327,12 @@ class CompilationCache(BoundedLRU):
                 self._store_locked(key, cached)
             return cached
 
+    def joint_distribution(self, exprs) -> Distribution:
+        """:meth:`Compiler.joint_distribution` by the reconciled compiler,
+        under the lock (joints are not stored)."""
+        with self._lock:
+            return self._reconcile_locked().joint_distribution(exprs)
+
     def normalize(self, expr: Expr) -> Expr:
         """The cache's key function (the compiler's normal form)."""
         with self._lock:

@@ -27,7 +27,6 @@ from repro.core.dtree import (
     TimesNode,
     VarLeaf,
 )
-from repro.core.joint import JointCompiler, joint_distribution
 from repro.core.pruning import prune, prune_comparison
 from repro.core.stats import DTreeStats, collect_stats
 
@@ -46,8 +45,6 @@ __all__ = [
     "TensorNode",
     "CompareNode",
     "MutexNode",
-    "JointCompiler",
-    "joint_distribution",
     "prune",
     "prune_comparison",
     "DTreeStats",

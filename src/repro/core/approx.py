@@ -53,6 +53,7 @@ from repro.core.compile import HEURISTICS, Compiler, table_leaf
 from repro.core.dtree import CompileContext
 from repro.errors import CompilationError
 from repro.prob.variables import VariableRegistry
+from repro.resilience.deadline import current_deadline
 
 __all__ = [
     "ProbabilityBounds",
@@ -128,15 +129,10 @@ class ApproximateCompiler:
         semiring: Semiring = BOOLEAN,
         normalizer: Normalizer | None = None,
         seed_bounds: dict | None = None,
-        deadline=None,
     ):
         self.registry = registry
         self.budget = budget
         self.semiring = semiring
-        #: Optional :class:`repro.resilience.deadline.Deadline`; once it
-        #: expires further Shannon expansions return unknown bounds, the
-        #: same sound degradation as budget exhaustion.
-        self.deadline = deadline
         #: Budget units actually spent — residuals resolved, by one
         #: expansion step or one table each (for diagnostics; the
         #: remaining allowance is ``budget``).
@@ -232,11 +228,12 @@ class ApproximateCompiler:
             return self._bounds(expr)
         if self.budget <= 0:
             return ProbabilityBounds.unknown()
-        if self.deadline is not None and self.deadline.expired():
-            # An expired deadline behaves exactly like an exhausted
-            # budget: stop expanding and report the (sound) vacuous
-            # bounds, letting the caller keep whatever tightness the
-            # completed expansions bought.
+        deadline = current_deadline()
+        if deadline is not None and deadline.expired():
+            # An expired ambient deadline behaves exactly like an
+            # exhausted budget: stop expanding and report the (sound)
+            # vacuous bounds, letting the caller keep whatever tightness
+            # the completed expansions bought.
             return ProbabilityBounds.unknown()
         self.budget -= 1
         self.expansions += 1

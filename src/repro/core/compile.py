@@ -35,7 +35,8 @@ residual it does not cover — compilation is Algorithm 1 verbatim.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import Counter
+from typing import Callable, Sequence
 
 from repro.algebra.conditions import Compare
 from repro.algebra.expressions import (
@@ -71,7 +72,7 @@ from repro.errors import CompilationError
 from repro.prob import kernels
 from repro.prob.distribution import Distribution
 from repro.prob.variables import VariableRegistry
-from repro.resilience.deadline import check_deadline
+from repro.resilience.deadline import DeadlineExceeded, check_deadline
 
 __all__ = [
     "Compiler",
@@ -163,7 +164,8 @@ class Compiler:
         Apply the Section-5 pruning rules to conditional expressions
         before compilation (on by default).
     max_mutex_nodes:
-        Optional safety budget on the number of ``⊔`` nodes created;
+        Optional safety budget on the ``⊔`` nodes *one* top-level call
+        (``compile``, ``distribution``, ``joint_distribution``) creates;
         exceeding it raises :class:`CompilationError`.  A caller's
         guard against a blow-up: nothing in the library sets it (the
         approximation module budgets its own Shannon expansions), and
@@ -193,6 +195,8 @@ class Compiler:
         self.pruning = pruning
         self.max_mutex_nodes = max_mutex_nodes
         self.mutex_nodes_created = 0
+        #: ``mutex_nodes_created`` when the current top-level call began.
+        self._call_start = 0
         self.context = CompileContext(registry, semiring)
         self._normalizer = Normalizer(semiring)
         self._memo: dict[Expr, DTree] = {}
@@ -201,10 +205,8 @@ class Compiler:
 
     def compile(self, expr: Expr) -> DTree:
         """Compile ``expr`` into an equivalent d-tree (Proposition 4)."""
-        expr = self._normalizer(expr)
-        if self.pruning:
-            expr = self._normalizer(prune(expr, self.semiring))
-        return self._compile(expr)
+        self._call_start = self.mutex_nodes_created
+        return self._compile_input(expr)
 
     def normalize(self, expr: Expr) -> Expr:
         """Semiring-aware normal form of ``expr``.
@@ -223,6 +225,56 @@ class Compiler:
         if value is None:
             value = self.semiring.one
         return self.distribution(expr)[value]
+
+    def joint_distribution(self, exprs: Sequence[Expr]) -> Distribution:
+        """The joint distribution of ``exprs`` over value tuples ordered
+        like them (Section 5): shared variables are expanded with rule
+        6's restriction until the expressions are independent, and the
+        joint is then the product of their distributions.  Restricted
+        tuples and restrictions are memoised for this call only."""
+        self._call_start = self.mutex_nodes_created
+        normal = tuple(self._normalizer(expr) for expr in exprs)
+        return self._joint(normal, {}, {})
+
+    def _compile_input(self, expr: Expr) -> DTree:
+        expr = self._normalizer(expr)
+        if self.pruning:
+            expr = self._normalizer(prune(expr, self.semiring))
+        return self._compile(expr)
+
+    def _joint(self, exprs: tuple, memo: dict, restrictions: dict) -> Distribution:
+        # Keyed on the normal forms themselves: their hashes are cached,
+        # where hashing their nested key tuples walks every node.
+        joint = memo.get(exprs)
+        if joint is not None:
+            return joint
+        seen: set = set()
+        shared: set = set()
+        for expr in exprs:
+            shared |= expr.variables & seen
+            seen |= expr.variables
+        if not shared:  # independent: the product distribution
+            joint = Distribution.point(())
+            for expr in exprs:
+                component = self._compile_input(expr).distribution(self.context)
+                joint = joint.convolve(component, lambda acc, v: acc + (v,))
+        else:  # expand a shared variable with the most occurrences
+            check_deadline("joint compilation")
+            self._spend_mutex_node()
+            counts: Counter = Counter()
+            for expr in exprs:
+                counts.update(count_occurrences(expr))
+            name = max(shared, key=lambda shared_name: (counts[shared_name], shared_name))
+            restrict = self._normalizer.restrict
+            branches = [
+                (p, tuple(restrict(e, name, c, restrictions) for e in exprs))
+                for _, p, c in self._branches(name)
+            ]
+            joint = Distribution.mixture(
+                (p, self._joint(branch, memo, restrictions)) for p, branch in branches
+            )
+        memo[exprs] = joint
+        return joint
 
     # -- Algorithm 1 ----------------------------------------------------------
 
@@ -320,22 +372,37 @@ class Compiler:
         table = table_leaf(expr, self.registry, self.semiring)
         if table is not None:  # base case: no ⊔ node, no budget spent
             return table
+        self._spend_mutex_node()
+        name = self.choose_variable(expr, expr.variables)
+        return MutexNode(
+            name,
+            [
+                (value, probability, self._compile(
+                    self._normalizer.restrict(expr, name, constant)
+                ))
+                for value, probability, constant in self._branches(name)
+            ],
+        )
+
+    def _spend_mutex_node(self) -> None:
+        """Count one ``⊔`` node against the current call's budget."""
         if self.max_mutex_nodes is not None and (
-            self.mutex_nodes_created >= self.max_mutex_nodes
+            self.mutex_nodes_created - self._call_start >= self.max_mutex_nodes
         ):
             raise CompilationError(
                 f"compilation budget of {self.max_mutex_nodes} ⊔-nodes exhausted"
             )
         self.mutex_nodes_created += 1
-        name = self.choose_variable(expr, expr.variables)
-        branches = []
-        for value, prob in sorted(
-            self.registry[name].items(), key=lambda kv: repr(kv[0])
-        ):
-            constant = SConst(int(value))
-            restricted = self._normalizer.restrict(expr, name, constant)
-            branches.append((value, prob, self._compile(restricted)))
-        return MutexNode(name, branches)
+
+    def _branches(self, name: str) -> list:
+        """``(value, probability, constant)`` per value of ``name``, in
+        the one order both Shannon steps expand it."""
+        return [
+            (value, probability, SConst(int(value)))
+            for value, probability in sorted(
+                self.registry[name].items(), key=lambda kv: repr(kv[0])
+            )
+        ]
 
 
 #: Exact-type dispatch table for :meth:`Compiler._compile_uncached` — one
@@ -372,12 +439,18 @@ def distribution_task(context, annotations):
     still share d-tree memo entries.  Compilation is deterministic, so
     any chunking (and any worker count) yields identical distributions.
 
-    Returns ``(distributions, mutex_nodes)``; the caller merges the
+    Returns ``(distributions, mutex_nodes)``, ``None`` for each
+    annotation the ambient deadline left uncompiled; the caller merges the
     distributions into the session's
     :class:`~repro.cache.CompilationCache` and sums the ⊔-node counts
     into the run diagnostics.
     """
     registry, semiring, options = context
     compiler = Compiler(registry, semiring, **options)
-    distributions = [compiler.distribution(expr) for expr in annotations]
+    distributions: list = []
+    try:
+        for expr in annotations:
+            distributions.append(compiler.distribution(expr))
+    except DeadlineExceeded:
+        distributions += [None] * (len(annotations) - len(distributions))
     return distributions, compiler.mutex_nodes_created

@@ -82,9 +82,9 @@ class ApproxEngine(SproutEngine):
         epsilon = spec.epsilon if spec.mode == "approx" else 0.0
 
         # One deadline for the whole run (rewriting included): ambient
-        # for step I and for each round, and handed to the
-        # ApproximateCompiler's Shannon loop (mid-row expiry degrades to
-        # unknown bounds, the same soundness as budget exhaustion).
+        # for step I and for each round, where the ApproximateCompiler's
+        # Shannon loop reads it (mid-row expiry degrades to unknown
+        # bounds, the same soundness as budget exhaustion).
         with run.scope():
             table, reused = self._step_one(query)
         run.lap("rewrite_seconds")
@@ -167,7 +167,6 @@ class ApproxEngine(SproutEngine):
                         semiring,
                         normalizer=normalizer,
                         seed_bounds=seeds[index],
-                        deadline=run.deadline,
                     )
                     bounds = approximator.bounds(annotations[index])
                     seeds[index] = approximator.exact_bounds()

@@ -238,8 +238,8 @@ class EvalSpec:
         ignore it: they return the ``workers=None`` answer, bit for bit.
         Sprout's answers are bit-identical for any worker count too (see
         :mod:`repro.parallel`), so ``workers`` changes *how fast* an
-        answer arrives, never *what* it is; a ``max_mutex_nodes`` budget,
-        spent across all rows, keeps the fan-out serial.
+        answer arrives, never *what* it is; a ``max_mutex_nodes`` budget
+        keeps the fan-out serial.
     ``on_timeout``:
         What happens when the ``time_limit`` deadline trips:
         ``"partial"`` (default) degrades to the best *sound* answer

@@ -24,7 +24,6 @@ from repro.algebra.semimodule import ModuleExpr
 from repro.algebra.valuation import Valuation
 from repro.cache import CompilationCache
 from repro.core.compile import Compiler, distribution_task
-from repro.core.joint import JointCompiler
 from repro.db.pvc_table import PVCDatabase, PVCTable
 from repro.db.relation import Relation
 from repro.db.schema import Schema
@@ -142,9 +141,7 @@ class ResultRow:
         if not isinstance(value, ModuleExpr):
             return Distribution.point(value)
         zero = self._compiler.semiring.zero
-        joint = JointCompiler(self._compiler.compiler).joint_distribution(
-            [self.annotation, value]
-        )
+        joint = self._compiler.joint_distribution([self.annotation, value])
         conditioned = joint.condition(lambda outcome: outcome[0] != zero)
         return conditioned.map(lambda outcome: outcome[1])
 
@@ -168,7 +165,7 @@ class ResultRow:
             return {self.values: probability}
         zero = self._compiler.semiring.zero
         exprs = [self.annotation] + list(module_attrs.values())
-        joint = JointCompiler(self._compiler.compiler).joint_distribution(exprs)
+        joint = self._compiler.joint_distribution(exprs)
         results: dict[tuple, float] = {}
         names = list(module_attrs)
         for outcome, probability in joint.items():
@@ -538,13 +535,14 @@ class SproutEngine:
                     )
                 # Per-row cooperative deadline loop.  Step I enumerated the
                 # *complete* candidate row set above, so degrading here is
-                # sound: rows compiled before the deadline keep their exact
-                # zero-width intervals, the rest report the vacuous [0, 1].
+                # sound: rows compiled before the deadline (by the pool too)
+                # keep their exact zero-width intervals, the rest [0, 1].
                 deadline = current_deadline()
                 rows_exact = 0
                 for row in rows:
-                    if "deadline_hit" in stats or (
-                        deadline is not None and deadline.expired()
+                    if row._annotation_dist is None and (
+                        "deadline_hit" in stats
+                        or (deadline is not None and deadline.expired())
                     ):
                         stats["deadline_hit"] = True
                         row._probability = ProbInterval.unknown()
@@ -583,10 +581,10 @@ class SproutEngine:
         memo and absorbed into the distribution source (so later runs,
         ``pretty()`` calls, and accessor lookups hit the cache exactly
         as if the compile had happened in-process).  A round that runs
-        out of time marks ``deadline_hit`` and the per-row loop reports
-        the serial partial.  A ``max_mutex_nodes`` budget is spent across
-        all rows in order, and a compiler per chunk would give each chunk
-        all of it: under one the fan-out declines.
+        out of time keeps what its chunks finished and marks
+        ``deadline_hit``.  Under a ``max_mutex_nodes`` budget the fan-out
+        declines: what a row spends depends on the d-tree memo it runs
+        against, and a chunk's memo is not the serial loop's.
         """
         if self.compiler_options.get("max_mutex_nodes") is not None:
             return {"workers": 1}
@@ -622,6 +620,9 @@ class SproutEngine:
         stats.update(info)
         for chunk, (distributions, _) in zip(chunks, results):
             for key, distribution in zip(chunk, distributions):
+                if distribution is None:  # the chunk ran out of time here
+                    stats["deadline_hit"] = True
+                    continue
                 for row in by_key[key]:
                     row._annotation_dist = distribution
                 source.absorb(key, distribution, epoch)

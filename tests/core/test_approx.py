@@ -138,14 +138,13 @@ class TestTabulatedResiduals:
         assert (bounds.low, bounds.high) == (0.0, 1.0)
 
     def test_expired_deadline_is_unknown(self, numpy_kernels):
-        from repro.resilience.deadline import Deadline
+        from repro.resilience.deadline import Deadline, deadline_scope
 
         deadline = Deadline(1e-9)
         assert deadline.expired()
-        approximator = ApproximateCompiler(
-            registry_for("abcd"), budget=8, deadline=deadline
-        )
-        bounds = approximator.bounds(parse_expr(self.SMALL))
+        approximator = ApproximateCompiler(registry_for("abcd"), budget=8)
+        with deadline_scope(deadline):
+            bounds = approximator.bounds(parse_expr(self.SMALL))
         assert (bounds.low, bounds.high) == (0.0, 1.0)
         assert approximator.expansions == 0
 

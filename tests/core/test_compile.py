@@ -290,6 +290,21 @@ class TestBudget:
         with pytest.raises(CompilationError, match="budget"):
             compiler.compile(parse_expr(ENTANGLED))
 
+    def test_a_budget_belongs_to_one_call(self, algorithm1_verbatim):
+        """What one compile spent is not taken from the next one's
+        budget, and a joint call has the whole budget too."""
+        probs = {f"v{i}": 0.5 for i in range(8)}
+        need = boolean_compiler(probs)
+        need.compile(parse_expr(ENTANGLED))
+        compiler = boolean_compiler(probs, max_mutex_nodes=need.mutex_nodes_created)
+        compiler.compile(parse_expr(ENTANGLED))
+        other = parse_expr("(v0+v7)*(v1+v6)*(v2+v5)*(v3+v4)*(v0+v4)*(v1+v5)")
+        assert boolean_compiler(probs).distribution(other).almost_equals(
+            compiler.distribution(other)
+        )
+        compiler.joint_distribution([parse_expr("(v0+v1)*(v0+v2)"), parse_expr("v0*v3")])
+        assert compiler.mutex_nodes_created > need.mutex_nodes_created
+
     def test_a_table_spends_no_mutex_budget(self, numpy_kernels):
         probs = {f"v{i}": 0.5 for i in range(8)}
         assert_tabulated_twin(

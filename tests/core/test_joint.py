@@ -1,4 +1,7 @@
-"""Tests for joint distribution compilation (Section 5)."""
+"""Tests for joint distribution compilation (Section 5):
+:meth:`Compiler.joint_distribution`."""
+
+from unittest import mock
 
 import pytest
 
@@ -8,7 +11,6 @@ from repro.algebra.monoid import MAX, SUM
 from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.core.compile import Compiler
-from repro.core.joint import JointCompiler, joint_distribution
 from repro.errors import CompilationError
 from repro.prob.space import ProbabilitySpace
 from repro.prob.variables import VariableRegistry
@@ -22,7 +24,7 @@ class TestPaperExample:
         for name in "abc":
             reg.integer(name, {1: 0.5, 2: 0.5})
         compiler = Compiler(reg, NATURALS)
-        joint = joint_distribution([Var("a") + Var("b"), Var("a") * Var("c")], compiler)
+        joint = compiler.joint_distribution([Var("a") + Var("b"), Var("a") * Var("c")])
         # P⟨3, 2⟩ = Pa[2]Pb[1]Pc[1] + Pa[1]Pb[2]Pc[2]
         assert joint[(3, 2)] == pytest.approx(0.125 + 0.125)
 
@@ -32,7 +34,7 @@ class TestPaperExample:
             reg.integer(name, {1: 0.3, 2: 0.7})
         compiler = Compiler(reg, NATURALS)
         exprs = [Var("a") + Var("b"), Var("a") * Var("c")]
-        joint = joint_distribution(exprs, compiler)
+        joint = compiler.joint_distribution(exprs)
         expected = ProbabilitySpace(reg, NATURALS).joint_distribution_of(exprs)
         assert joint.almost_equals(expected)
 
@@ -43,7 +45,7 @@ class TestIndependentComponents:
         reg.bernoulli("x", 0.3)
         reg.bernoulli("y", 0.8)
         compiler = Compiler(reg, BOOLEAN)
-        joint = joint_distribution([Var("x"), Var("y")], compiler)
+        joint = compiler.joint_distribution([Var("x"), Var("y")])
         assert joint[(True, True)] == pytest.approx(0.24)
         assert joint[(False, True)] == pytest.approx(0.56)
 
@@ -51,15 +53,15 @@ class TestIndependentComponents:
         reg = VariableRegistry()
         reg.bernoulli("x", 0.3)
         reg.bernoulli("y", 0.8)
-        jc = JointCompiler(Compiler(reg, BOOLEAN))
-        jc.joint_distribution([Var("x"), Var("y")])
-        assert jc.mutex_nodes_created == 0
+        compiler = Compiler(reg, BOOLEAN)
+        compiler.joint_distribution([Var("x"), Var("y")])
+        assert compiler.mutex_nodes_created == 0
 
     def test_single_expression(self):
         reg = VariableRegistry()
         reg.bernoulli("x", 0.3)
         compiler = Compiler(reg, BOOLEAN)
-        joint = joint_distribution([Var("x")], compiler)
+        joint = compiler.joint_distribution([Var("x")])
         assert joint[(True,)] == pytest.approx(0.3)
 
 
@@ -76,7 +78,7 @@ class TestAnnotationValueJoint:
             [tensor(Var("x"), MConst(MAX, 10)), tensor(Var("y"), MConst(MAX, 20))],
         )
         guard = compare(Var("x") + Var("y"), "!=", ZERO)
-        joint = joint_distribution([guard, alpha], compiler)
+        joint = compiler.joint_distribution([guard, alpha])
         expected = ProbabilitySpace(reg, BOOLEAN).joint_distribution_of(
             [guard, alpha]
         )
@@ -88,27 +90,39 @@ class TestAnnotationValueJoint:
         assert present_mass == pytest.approx(0.75)
 
     def test_memoisation_shares_restrictions(self):
+        """⟨(a+b)·c, (a+b)·d⟩ reaches ⟨c, d⟩ at b ← 1 and again at
+        b ← 0, a ← 1: one call computes it once."""
         reg = VariableRegistry()
-        for name in "ab":
+        for name in "abcd":
             reg.bernoulli(name, 0.5)
-        jc = JointCompiler(Compiler(reg, BOOLEAN))
-        exprs = [Var("a") * Var("b"), Var("a") + Var("b")]
-        first = jc.joint_distribution(exprs)
-        second = jc.joint_distribution(exprs)
-        assert first is second  # cached
+        compiler = Compiler(reg, BOOLEAN)
+        a, b, c, d = (Var(name) for name in "abcd")
+        exprs = [(a + b) * c, (a + b) * d]
+        compiled = []
+        original = Compiler._compile_input
+
+        def spy(self, expr):
+            compiled.append(expr)
+            return original(self, expr)
+
+        with mock.patch.object(Compiler, "_compile_input", spy):
+            joint = compiler.joint_distribution(exprs)
+        assert compiled.count(c) == 1 and compiled.count(d) == 1
+        assert compiler.mutex_nodes_created == 2
+        expected = ProbabilitySpace(reg, BOOLEAN).joint_distribution_of(exprs)
+        assert joint.almost_equals(expected)
 
     def test_budget_enforced(self):
         reg = VariableRegistry()
         for i in range(6):
             reg.bernoulli(f"v{i}", 0.5)
-        compiler = Compiler(reg, BOOLEAN)
-        jc = JointCompiler(compiler, max_mutex_nodes=0)
+        compiler = Compiler(reg, BOOLEAN, max_mutex_nodes=0)
         entangled = [
             (Var("v0") + Var("v1")) * (Var("v0") + Var("v2")),
             Var("v0") * Var("v3"),
         ]
         with pytest.raises(CompilationError, match="budget"):
-            jc.joint_distribution(entangled)
+            compiler.joint_distribution(entangled)
 
     def test_three_way_joint(self):
         reg = VariableRegistry()
@@ -116,7 +130,7 @@ class TestAnnotationValueJoint:
             reg.bernoulli(name, 0.4)
         compiler = Compiler(reg, BOOLEAN)
         exprs = [Var("a"), Var("a") + Var("b"), Var("b") * Var("c")]
-        joint = joint_distribution(exprs, compiler)
+        joint = compiler.joint_distribution(exprs)
         expected = ProbabilitySpace(reg, BOOLEAN).joint_distribution_of(exprs)
         assert joint.almost_equals(expected)
 
@@ -133,7 +147,7 @@ class TestAnnotationValueJoint:
             SUM,
             [tensor(Var("x"), MConst(SUM, 1)), tensor(Var("y"), MConst(SUM, 1))],
         )
-        joint = joint_distribution([total, count], compiler)
+        joint = compiler.joint_distribution([total, count])
         assert joint[(12, 2)] == pytest.approx(0.25)
         assert joint[(5, 1)] == pytest.approx(0.25)
         assert joint[(0, 0)] == pytest.approx(0.25)

@@ -19,6 +19,7 @@ from repro import NATURALS, EvalSpec, SproutEngine, connect, count_, parallel
 from repro.algebra.expressions import Var
 from repro.errors import CompilationError, QueryTimeoutError
 from repro.parallel import ParallelUnavailable
+from repro.resilience import FaultPlan, fault_plan
 
 from tests.conftest import batch_evaluator_off
 
@@ -126,15 +127,55 @@ class TestTheSerialContracts:
     def test_a_mutex_budget_fails_where_the_serial_loop_fails(
         self, workers, algorithm1_verbatim
     ):
-        """Serial needs 111 ⊔ nodes; a compiler per chunk would give each
-        chunk the whole budget of 66."""
+        """A budget belongs to one row's compile, and the costliest row
+        needs 39 ⊔ nodes: 30 fails and 40 does not.  The fan-out
+        declines under either, since a chunk's fresh memo is not the
+        serial loop's and could spend differently."""
         db = build_compile_database(4, 10, 8)
-        session = connect(database=db, max_mutex_nodes=66)
+        session = connect(database=db, max_mutex_nodes=30)
         with pytest.raises(CompilationError, match="budget"):
             session.run(compile_query(60), engine="sprout", workers=workers)
-        roomy = connect(database=db, max_mutex_nodes=200)
+        roomy = connect(database=db, max_mutex_nodes=40)
         result = roomy.run(compile_query(60), engine="sprout", workers=workers)
         assert result.stats.get("workers") == (None if workers is None else 1)
+
+    def test_a_budget_is_not_spent_by_an_earlier_query(self, algorithm1_verbatim):
+        """``compile_query(60)`` spends 110 ⊔ nodes in all; a session
+        with a budget of 120 then still compiles ``compile_query(50)``,
+        as a fresh one does."""
+        db = build_compile_database(4, 10, 8)
+        session = connect(database=db, max_mutex_nodes=120)
+        session.run(compile_query(60), engine="sprout")
+        used = session.run(compile_query(50), engine="sprout")
+        fresh = connect(database=db, max_mutex_nodes=120).run(
+            compile_query(50), engine="sprout"
+        )
+        assert _probs(used) == _probs(fresh)
+
+    def test_a_pooled_round_out_of_time_keeps_the_chunks_it_finished(self):
+        """Each worker compiles its first chunk at full speed and then
+        stalls past the deadline (injected latency, not the wall clock):
+        the finished chunks stay exact, as the serial loop keeps the rows
+        it finished, and the rest report ``[0, 1]``."""
+        if not parallel.fork_available():
+            pytest.skip("no fork on this platform")
+        db = build_compile_database(8, 25, 14)
+        query = compile_query(150)
+        exact = {row.values: row.probability() for row in SproutEngine(db).run(query)}
+        plan = FaultPlan().add("pool.worker", "slow", delay=0.8, after=1, times=1)
+        with fault_plan(plan):
+            partial = SproutEngine(db).run(
+                query, EvalSpec(time_limit=0.5, workers=2)
+            )
+        assert partial.stats["deadline_hit"] is True
+        assert 1 <= partial.stats["rows_exact"] < len(partial.rows)
+        assert partial.stats["workers"] == 2
+        for row in partial:
+            interval = row.probability()
+            if interval.width:
+                assert (interval.low, interval.high) == (0.0, 1.0)
+            else:
+                assert interval.low == exact[row.values].low
 
 
 class TestSeamsWithoutAPool:

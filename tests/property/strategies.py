@@ -78,6 +78,29 @@ def semiring_exprs(draw, depth=3):
 
 
 @st.composite
+def repetitive_exprs(draw, depth=2):
+    """Random semiring expressions built to repeat and nest their
+    children: ``t + t`` and ``t · t`` (nodes that normalise to a child of
+    the other kind), and ``t ∘ v`` beside a child of ``t`` (a variable
+    ``v`` whose restriction does the same).  A parent then meets what it
+    must flatten, de-duplicate or fold only once its children are normal
+    — ``(a + b)·(a + b) + a``, and ``(c·d + a)·c`` at ``a ← 0`` — shapes
+    :func:`semiring_exprs` seldom draws."""
+    def combine(children):
+        return ssum(children) if draw(st.booleans()) else sprod(children)
+
+    expr = draw(variables())
+    for _ in range(depth):
+        terms = draw(st.lists(semiring_exprs(depth=1), min_size=1, max_size=2))
+        children = [combine([t, t]) if draw(st.booleans()) else t for t in terms]
+        children.append(combine([expr, expr]))
+        children.append(combine([expr, draw(variables())]))
+        children.append(draw(st.sampled_from(expr.children or (expr,))))
+        expr = combine(children)
+    return expr
+
+
+@st.composite
 def monomials(draw, max_factors=3):
     """Products of variables — the Φᵢ of tuple-independent provenance."""
     factors = draw(st.lists(variables(), min_size=1, max_size=max_factors))

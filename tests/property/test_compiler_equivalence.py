@@ -7,26 +7,28 @@ conditional expressions, under both set (B) and bag (N) semantics, with
 and without pruning, and across all Shannon heuristics.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.conditions import Compare, compare
-from repro.algebra.expressions import Prod, Sum, Var, sprod, ssum
-from repro.algebra.semimodule import AggSum, Tensor, aggsum, tensor
+from repro.algebra.expressions import Prod, SConst, Sum, Var, sprod, ssum
+from repro.algebra.monoid import SUM
+from repro.algebra.semimodule import AggSum, MConst, Tensor, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.algebra.simplify import Normalizer, normalize
 from repro.core.compile import Compiler
-from repro.core.joint import JointCompiler
 from repro.core.pruning import prune, prune_comparison
 from repro.prob.space import ProbabilitySpace
 
 from tests.property.strategies import (
+    NAMES,
     boolean_registries,
     conditions,
     integer_registries,
     module_exprs,
     queries,
     query_databases,
+    repetitive_exprs,
     semiring_exprs,
 )
 
@@ -121,7 +123,7 @@ class TestJointEquivalence:
     )
     def test_joint_matches_enumeration(self, registry, e1, e2):
         compiler = Compiler(registry, BOOLEAN)
-        joint = JointCompiler(compiler).joint_distribution([e1, e2])
+        joint = compiler.joint_distribution([e1, e2])
         brute = ProbabilitySpace(registry, BOOLEAN).joint_distribution_of([e1, e2])
         assert joint.almost_equals(brute)
 
@@ -304,16 +306,75 @@ class TestStepTwoHandsBackWhatNoRuleChanges:
         if not any(isinstance(node, Compare) for node in expr.walk()):
             assert pruned is expr
 
-    def test_normalisation_is_not_idempotent_everywhere(self):
-        """Folding comes before the smart constructors flatten: in B,
-        ``(a + b)·(a + b) + a`` normalises to ``a + a + b`` and only
-        then to ``a + b``.  The memo keeps both steps apart, as a
-        memo-free second pass would."""
-        a, b = Var("a"), Var("b")
+    def test_normalisation_is_a_fixpoint_on_both_pinned_examples(self):
+        """Each rule flattens before it folds.  In B, ``(a + b)·(a + b)
+        + a`` normalises to ``a + b`` in one pass; and ``(c·d + a)·c``
+        restricted at ``a ← 0`` is ``c·d``, its normalised
+        substitution."""
+        a, b, c, d = (Var(name) for name in "abcd")
         normalizer = Normalizer(BOOLEAN)
         first = normalizer(ssum([sprod([a + b, a + b]), a]))
-        assert first.children == (a, a, b)
-        assert normalizer(first) == a + b
+        assert first == a + b
+        assert normalizer(first) is first
+        phi = normalizer((c * d + a) * c)
+        restricted = normalizer.restrict(phi, "a", SConst(0))
+        assert restricted == c * d
+        assert restricted == normalizer(phi.substitute({"a": SConst(0)}))
+
+
+#: Step II's inputs plus sums and products that repeat their children,
+#: directly and inside scalar actions and aggregation sums.
+fixpoint_exprs = st.one_of(
+    step_two_exprs,
+    repetitive_exprs(),
+    st.tuples(repetitive_exprs(), module_exprs()).map(lambda pair: tensor(*pair)),
+    st.tuples(repetitive_exprs(), conditions()).map(sprod),
+    st.lists(repetitive_exprs(), min_size=1, max_size=3).map(
+        lambda phis: aggsum(SUM, [tensor(phi, MConst(SUM, 2)) for phi in phis])
+    ),
+)
+
+_a, _b, _c, _d = (Var(name) for name in "abcd")
+#: The two shapes that were not fixpoints, pinned as explicit examples.
+_SQUARED_SUM = ssum([sprod([_a + _b, _a + _b]), _a])
+_GUARDED_PRODUCT = (_c * _d + _a) * _c
+
+
+class TestNormalFormIsAFixpoint:
+    """One normal form: normalising a normal form hands it back, and the
+    Shannon step (:meth:`Normalizer.restrict`) is the normalised
+    substitution — in B and in ℕ, on semiring, semimodule and
+    condition expressions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fixpoint_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    @example(_SQUARED_SUM, BOOLEAN)
+    def test_normalising_twice_is_normalising_once(self, expr, semiring):
+        normalizer = Normalizer(semiring)
+        normal = normalizer(expr)
+        assert normalizer(normal) is normal
+        assert Normalizer(semiring)(normal) == normal
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fixpoint_exprs,
+        st.sampled_from([BOOLEAN, NATURALS]),
+        st.sampled_from(NAMES),
+        st.integers(0, 3),
+    )
+    @example(_GUARDED_PRODUCT, BOOLEAN, "a", 0)
+    def test_restrict_is_the_normalised_substitution(
+        self, expr, semiring, name, value
+    ):
+        normalizer = Normalizer(semiring)
+        normal = normalizer(expr)
+        if semiring.is_boolean:
+            value = min(value, 1)
+        constant = SConst(value)
+        restricted = normalizer.restrict(normal, name, constant)
+        assert restricted == Normalizer(semiring)(
+            normal.substitute({name: constant})
+        )
 
 
 def _restrict(expr, registry):

@@ -39,13 +39,13 @@ class TestQ1Full:
     def test_joint_aggregates_are_consistent(self, tiny_db):
         # In every world, sum_qty ≥ count_order (each counted line has
         # quantity ≥ 1); check via the joint distribution.
-        from repro.core import Compiler, JointCompiler
+        from repro.core import Compiler
 
         result = SproutEngine(tiny_db).run(tpch_q1_full())
         row = result.rows[0]
         modules = row.module_attributes()
         compiler = Compiler(tiny_db.registry, tiny_db.semiring)
-        joint = JointCompiler(compiler).joint_distribution(
+        joint = compiler.joint_distribution(
             [modules["sum_qty"], modules["count_order"]]
         )
         for (qty, count), probability in joint.items():
