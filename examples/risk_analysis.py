@@ -20,7 +20,6 @@ import random
 from repro import (
     BOOLEAN,
     SUM,
-    ApproximateCompiler,
     MConst,
     Var,
     aggsum,
@@ -86,11 +85,14 @@ def main():
     print("\nBounds for P(at least one shipment delayed):")
     exact_delay = session.probability(any_delay)
     for budget in (0, 1, 2, 4, 16):
-        bounds = ApproximateCompiler(registry, budget).bounds(any_delay)
+        bounds, _ = session.cache.bounds(any_delay, budget, {})
         marker = "=" if bounds.width < 1e-9 else "∈"
-        print(f"  budget {budget:>3}: P {marker} {bounds}")
+        print(f"  budget {budget:>3}: P {marker} [{bounds.low:.6g}, {bounds.high:.6g}]")
     refined = approximate_probability(any_delay, registry, epsilon=1e-6)
-    print(f"  refined     : {refined}  (exact {exact_delay:.6f})")
+    print(
+        f"  refined     : [{refined.low:.6g}, {refined.high:.6g}]"
+        f"  (exact {exact_delay:.6f})"
+    )
 
     # 3. Monte-Carlo comparison on the service-level condition.
     from repro import Valuation

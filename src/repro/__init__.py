@@ -78,10 +78,8 @@ from repro.algebra import (
     tensor,
 )
 from repro.core import (
-    ApproximateCompiler,
     Compiler,
     DTree,
-    ProbabilityBounds,
     approximate_probability,
     collect_stats,
     compile_expression,
@@ -174,7 +172,7 @@ __all__ = [
     "Distribution", "VariableRegistry", "ProbabilitySpace",
     # core
     "Compiler", "compile_expression", "DTree", "prune", "collect_stats",
-    "ApproximateCompiler", "ProbabilityBounds", "approximate_probability",
+    "approximate_probability",
     # db
     "Schema", "Relation", "PVCRow", "PVCTable", "PVCDatabase",
     "tuple_independent_table", "bid_table", "enumerate_database_worlds",

@@ -333,6 +333,12 @@ class CompilationCache(BoundedLRU):
         with self._lock:
             return self._reconcile_locked().joint_distribution(exprs)
 
+    def bounds(self, expr: Expr, budget: int, proven: dict) -> tuple:
+        """:meth:`Compiler.bounds` by the reconciled compiler, under the
+        lock (bounds are not stored)."""
+        with self._lock:
+            return self._reconcile_locked().bounds(expr, budget, proven)
+
     def normalize(self, expr: Expr) -> Expr:
         """The cache's key function (the compiler's normal form)."""
         with self._lock:

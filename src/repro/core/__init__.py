@@ -7,11 +7,7 @@ convolution (Theorem 2), the pruning rules for conditional expressions,
 joint distributions by mutex decomposition, and budgeted approximation.
 """
 
-from repro.core.approx import (
-    ApproximateCompiler,
-    ProbabilityBounds,
-    approximate_probability,
-)
+from repro.core.approx import approximate_probability
 from repro.core.compile import HEURISTICS, Compiler, compile_expression
 from repro.core.export import to_dot
 from repro.core.dtree import (
@@ -49,8 +45,6 @@ __all__ = [
     "prune_comparison",
     "DTreeStats",
     "collect_stats",
-    "ApproximateCompiler",
-    "ProbabilityBounds",
     "approximate_probability",
     "to_dot",
 ]

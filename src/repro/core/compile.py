@@ -21,6 +21,8 @@ semiring or semimodule expression (Section 5):
 
 Rules 1-5 run in polynomial time; rule 6 is the potential exponential
 blow-up, which the tractable query classes of Section 6 never trigger.
+:meth:`Compiler.bounds` runs the same rules, and the same Shannon step,
+within a budget: the approximation of Section 1's reference [18].
 The compiler memoises structurally equal sub-expressions, so repeated
 sub-problems across Shannon branches compile once and the resulting
 "tree" is a DAG.  That d-tree memo is its only state: rules 1-2
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Sequence
 
+from repro.algebra.bounds import fold_comparison_by_bounds
 from repro.algebra.conditions import Compare
 from repro.algebra.expressions import (
     Expr,
@@ -71,6 +74,7 @@ from repro.core.pruning import prune
 from repro.errors import CompilationError
 from repro.prob import kernels
 from repro.prob.distribution import Distribution
+from repro.prob.interval import ProbInterval
 from repro.prob.variables import VariableRegistry
 from repro.resilience.deadline import DeadlineExceeded, check_deadline
 
@@ -100,7 +104,8 @@ def table_leaf(
     """Rule 6's base case: ``expr`` as a :class:`TableLeaf`, or ``None``
     when it must be Shannon-expanded.
 
-    Shared by every Shannon loop (exact and approximate).  Applies when
+    Read by the compiler's one Shannon step (a table costs
+    :meth:`Compiler.bounds` one unit and compilation none).  Applies when
     the numpy kernels are on, valuations are Boolean (semiring and every
     variable's distribution), the batch evaluator reproduces
     :func:`~repro.algebra.valuation.evaluate` exactly on ``expr``, and
@@ -167,8 +172,8 @@ class Compiler:
         Optional safety budget on the ``⊔`` nodes *one* top-level call
         (``compile``, ``distribution``, ``joint_distribution``) creates;
         exceeding it raises :class:`CompilationError`.  A caller's
-        guard against a blow-up: nothing in the library sets it (the
-        approximation module budgets its own Shannon expansions), and
+        guard against a blow-up: nothing in the library sets it (an
+        approximation's budget is an argument of :meth:`bounds`), and
         sessions pass it through ``connect(max_mutex_nodes=...)``.  A
         tabulated residual (:func:`table_leaf`) creates none.
     """
@@ -194,9 +199,13 @@ class Compiler:
         self.choose_variable = heuristic
         self.pruning = pruning
         self.max_mutex_nodes = max_mutex_nodes
+        #: ⊔ steps over the compiler's life (:meth:`bounds` counts a
+        #: table as one too: its units).
         self.mutex_nodes_created = 0
-        #: ``mutex_nodes_created`` when the current top-level call began.
+        #: ``mutex_nodes_created`` when the current top-level call began,
+        #: and the steps that call may take (``None``: unbounded).
         self._call_start = 0
+        self._call_budget = max_mutex_nodes
         self.context = CompileContext(registry, semiring)
         self._normalizer = Normalizer(semiring)
         self._memo: dict[Expr, DTree] = {}
@@ -205,7 +214,7 @@ class Compiler:
 
     def compile(self, expr: Expr) -> DTree:
         """Compile ``expr`` into an equivalent d-tree (Proposition 4)."""
-        self._call_start = self.mutex_nodes_created
+        self._open_call(self.max_mutex_nodes)
         return self._compile_input(expr)
 
     def normalize(self, expr: Expr) -> Expr:
@@ -232,9 +241,36 @@ class Compiler:
         6's restriction until the expressions are independent, and the
         joint is then the product of their distributions.  Restricted
         tuples and restrictions are memoised for this call only."""
-        self._call_start = self.mutex_nodes_created
+        self._open_call(self.max_mutex_nodes)
         normal = tuple(self._normalizer(expr) for expr in exprs)
         return self._joint(normal, {}, {})
+
+    def bounds(
+        self, expr: Expr, budget: int, proven: dict
+    ) -> tuple[ProbInterval, int]:
+        """Bounds on ``P[expr ≠ 0_S]`` within ``budget`` units, and the
+        units spent: Algorithm 1 run partially, the approximation the
+        paper cites as [18].
+
+        Independent groups of a sum or product combine as a disjunction
+        or a conjunction; a comparison whose sides' value intervals
+        separate is decided outright (the Experiment-E effect).  A
+        connected residual costs one unit: its truth table
+        (:func:`table_leaf`) or one Shannon step, whose branches are
+        bounded recursively.  Past the budget or the ambient deadline a
+        residual is ``[0, 1]``.  More budget never widens the interval.
+
+        ``proven`` maps normal forms to the zero-width bounds found so
+        far, which are exact however many residuals stayed open (an open
+        ``[0, 1]`` only ever shows as width).  The caller owns it, as
+        with ``Normalizer.restrict(memo=)``: refining round by round, it
+        hands every round the same dict.  Bounds with width live for
+        this call only.  Semimodule expressions may appear only inside
+        comparisons; a bare one raises :class:`CompilationError`.
+        """
+        self._open_call(budget)
+        interval = self._bounds(self._normalizer(expr), {}, proven)
+        return interval, self.mutex_nodes_created - self._call_start
 
     def _compile_input(self, expr: Expr) -> DTree:
         expr = self._normalizer(expr)
@@ -364,16 +400,11 @@ class Compiler:
 
     def _shannon(self, expr: Expr) -> DTree:
         """Rule 6: mutually exclusive expansion ``⊔ₓ`` (Eq. 10)."""
-        # Rule 6 is the only potentially exponential rule, so the ⊔-node
-        # loop is where a compile that will never finish spends its time:
-        # the ambient-deadline checkpoint lives here (one ContextVar read
-        # per ⊔-node when no deadline is active).
-        check_deadline("exact compilation")
-        table = table_leaf(expr, self.registry, self.semiring)
+        table, name = self._shannon_step(
+            expr, "exact compilation", tables_cost=False
+        )
         if table is not None:  # base case: no ⊔ node, no budget spent
             return table
-        self._spend_mutex_node()
-        name = self.choose_variable(expr, expr.variables)
         return MutexNode(
             name,
             [
@@ -384,25 +415,130 @@ class Compiler:
             ],
         )
 
+    def _shannon_step(self, expr: Expr, where: str, *, tables_cost: bool) -> tuple:
+        """Rule 6's prelude, the one both :meth:`_shannon` and
+        :meth:`_bounds_shannon` run: ``(table, None)`` when the base case
+        tabulates ``expr``, else ``(None, name)`` to eliminate ``name``.
+        A ⊔ step spends one unit of the call's budget, and so does a
+        table when ``tables_cost`` (the approximation's unit is one
+        resolved residual).  Raises :class:`DeadlineExceeded` past the
+        ambient deadline and :class:`CompilationError` past the budget."""
+        # Rule 6 is the only potentially exponential rule, so the ⊔-node
+        # loop is where a compile that will never finish spends its time:
+        # the ambient-deadline checkpoint lives here (one ContextVar read
+        # per ⊔-node when no deadline is active).
+        check_deadline(where)
+        if tables_cost:
+            self._spend_mutex_node()
+        table = table_leaf(expr, self.registry, self.semiring)
+        if table is not None:
+            return table, None
+        if not tables_cost:
+            self._spend_mutex_node()
+        return None, self.choose_variable(expr, expr.variables)
+
+    def _open_call(self, budget: int | None) -> None:
+        """Start a top-level call that may take ``budget`` ⊔ steps."""
+        self._call_start = self.mutex_nodes_created
+        self._call_budget = budget
+
     def _spend_mutex_node(self) -> None:
-        """Count one ``⊔`` node against the current call's budget."""
-        if self.max_mutex_nodes is not None and (
-            self.mutex_nodes_created - self._call_start >= self.max_mutex_nodes
+        """Count one ``⊔`` step against the current call's budget."""
+        budget = self._call_budget
+        if budget is not None and (
+            self.mutex_nodes_created - self._call_start >= budget
         ):
             raise CompilationError(
-                f"compilation budget of {self.max_mutex_nodes} ⊔-nodes exhausted"
+                f"compilation budget of {budget} ⊔-nodes exhausted"
             )
         self.mutex_nodes_created += 1
 
     def _branches(self, name: str) -> list:
         """``(value, probability, constant)`` per value of ``name``, in
-        the one order both Shannon steps expand it."""
+        the one order compilation and the joint expand it."""
         return [
             (value, probability, SConst(int(value)))
             for value, probability in sorted(
                 self.registry[name].items(), key=lambda kv: repr(kv[0])
             )
         ]
+
+    # -- the approximation ----------------------------------------------------
+
+    def _bounds(self, expr: Expr, memo: dict, proven: dict) -> ProbInterval:
+        known = proven.get(expr)
+        if known is None:
+            known = memo.get(expr)
+        if known is None:
+            known = self._bounds_uncached(expr, memo, proven)
+            if known.width == 0.0:
+                proven[expr] = known
+            else:
+                memo[expr] = known
+        return known
+
+    def _bounds_uncached(self, expr: Expr, memo: dict, proven: dict):
+        zero = self.semiring.zero
+        if isinstance(expr, SConst):
+            present = self.semiring.coerce(expr.value) != zero
+            return ProbInterval.point(float(present))
+        if isinstance(expr, Var):
+            marginal = self.context.var_distribution(expr.name)
+            return ProbInterval.point(
+                sum(p for value, p in marginal.items() if value != zero)
+            )
+        if isinstance(expr, (Sum, Prod)):
+            groups = decompose.independent_groups(expr.children)
+            if len(groups) == 1:  # connected: no independence rule applies
+                return self._bounds_shannon(expr, memo, proven)
+            if isinstance(expr, Sum):
+                rebuild, combine = ssum, ProbInterval.disjunction
+            else:
+                rebuild, combine = sprod, ProbInterval.conjunction
+            result = None
+            for group in groups:
+                if len(group) == 1:
+                    bounds = self._bounds(group[0], memo, proven)
+                else:
+                    bounds = self._bounds_shannon(rebuild(group), memo, proven)
+                result = bounds if result is None else combine(result, bounds)
+            return result
+        if isinstance(expr, Compare):
+            decided = fold_comparison_by_bounds(
+                expr.left, expr.op.symbol, expr.right, self.semiring.is_boolean
+            )
+            if decided is not None:
+                return ProbInterval.point(float(decided))
+            if expr.variables:
+                return self._bounds_shannon(expr, memo, proven)
+            return ProbInterval.unknown()
+        raise CompilationError(
+            f"approximation supports semiring expressions (with semimodule "
+            f"comparisons) only, got {type(expr).__name__}"
+        )
+
+    def _bounds_shannon(self, expr: Expr, memo: dict, proven: dict):
+        try:
+            table, name = self._shannon_step(
+                expr, "approximation", tables_cost=True
+            )
+        except (CompilationError, DeadlineExceeded):
+            # The budget is spent or the deadline passed: stop expanding
+            # and keep the sound vacuous bounds.
+            return ProbInterval.unknown()
+        if table is not None:
+            absent = table.distribution(self.context)[self.semiring.zero]
+            return ProbInterval.point(1.0 - absent)
+        # The registry's order, not ``_branches``'s: with a finite budget
+        # the first branch gets the units first, and in ``repr`` order
+        # the bench tails come out wider at equal budget (EXPERIMENTS.md).
+        low = high = 0.0
+        for value, probability in self.registry[name].items():
+            branch = self._normalizer.restrict(expr, name, SConst(int(value)))
+            child = self._bounds(branch, memo, proven)
+            low += probability * child.low
+            high += probability * child.high
+        return ProbInterval(low, high)
 
 
 #: Exact-type dispatch table for :meth:`Compiler._compile_uncached` — one

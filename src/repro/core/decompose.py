@@ -50,8 +50,8 @@ def independent_groups(exprs: Sequence[Expr]) -> list[list[Expr]]:
     union-find indexed by variable: each variable remembers the first
     expression owning it and later owners union with it, so the total
     cost is near-linear in ``Σ |vars(Φᵢ)|``.  This runs on *every* sum
-    and product the exact and approximate compilers decompose (rules 1
-    and 2), so the inner loops are kept free of helper calls.
+    and product the compiler decomposes (rules 1 and 2, exactly or
+    within an approximation's budget), so the inner loops are kept free of helper calls.
     """
     count = len(exprs)
     if count == 1:

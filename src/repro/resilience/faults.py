@@ -41,7 +41,7 @@ Fault-point catalogue (instrumented in this codebase):
 ==========================  ====================================================
 ``pool.worker``             per task, inside the forked worker (``repro.parallel._invoke``)
 ``engine.sprout.row``       per result row, before compiling its probability
-``engine.approx.round``     per approximate refinement round
+``engine.approx.round``     per approximate refinement round (``repro.core.approx.deepen``)
 ``engine.montecarlo.round`` per Monte-Carlo doubling round
 ``engine.montecarlo.world`` per sample of the per-world loop (stored
                             semimodule values, inexact aggregates);

@@ -17,7 +17,11 @@ def hard_session():
     so the independence rules alone cannot resolve them: real Shannon
     expansions are needed and a tiny budget leaves genuine width.
     """
-    s = connect(seed=7)
+    return build_hard_session(seed=7)
+
+
+def build_hard_session(**options):
+    s = connect(**options)
     for name, p in [("w1", 0.45), ("w2", 0.6), ("w3", 0.3), ("w4", 0.7)]:
         s.registry.bernoulli(name, p)
     w1, w2, w3, w4 = (Var(f"w{i}") for i in (1, 2, 3, 4))
@@ -146,3 +150,22 @@ class TestRunIter:
                 break
         assert top.stats["top_k_decided"]
         assert top.rows[0].values == winner
+
+
+class TestCompilerOptions:
+    def test_approx_follows_the_session_heuristic(self, algorithm1_verbatim):
+        """The approximation's Shannon step is the compiler's: it picks
+        variables with the session's ``heuristic=``."""
+        chosen = []
+
+        def lexicographic_spy(expr, candidates):
+            chosen.append(min(candidates))
+            return chosen[-1]
+
+        s = build_hard_session(seed=7, heuristic=lexicographic_spy)
+        q = hard_query(s)
+        exact = s.run(q, engine="naive").tuple_probabilities()
+        result = s.run(q, engine="approx", epsilon=0.01)
+        assert chosen
+        for row in result:
+            assert row.probability().contains(exact[row.values])

@@ -141,9 +141,9 @@ class TestPicklabilityOfCorePayloads:
         assert clone.almost_equals(dist)
 
     def test_probability_bounds_pickle(self):
-        from repro.core.approx import ProbabilityBounds
+        from repro.prob.interval import ProbInterval
 
-        bounds = ProbabilityBounds(0.25, 0.75)
+        bounds = ProbInterval(0.25, 0.75)
         clone = pickle.loads(pickle.dumps(bounds))
         assert (clone.low, clone.high) == (0.25, 0.75)
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.semiring import BOOLEAN
-from repro.core.approx import ApproximateCompiler
 from repro.core.compile import Compiler
 from repro.engine.base import create_engine
 from repro.engine.naive import NaiveEngine
@@ -36,6 +35,11 @@ SETTINGS = settings(max_examples=50, deadline=None)
 ENGINE_SETTINGS = settings(max_examples=25, deadline=None)
 
 
+def bounds_of(registry, expr, budget):
+    """:meth:`Compiler.bounds` on a fresh compiler: the interval alone."""
+    return Compiler(registry, BOOLEAN).bounds(expr, budget, {})[0]
+
+
 class TestBoundsBracketExact:
     @SETTINGS
     @given(
@@ -45,7 +49,7 @@ class TestBoundsBracketExact:
     )
     def test_bounds_contain_exact_probability(self, registry, expr, budget):
         exact = Compiler(registry, BOOLEAN).probability(expr)
-        bounds = ApproximateCompiler(registry, budget).bounds(expr)
+        bounds = bounds_of(registry, expr, budget)
         assert bounds.contains(exact, tol=1e-7)
 
     @SETTINGS
@@ -53,7 +57,7 @@ class TestBoundsBracketExact:
     def test_bounds_monotone_in_budget(self, registry, expr):
         widths = []
         for budget in (0, 2, 8, 64):
-            bounds = ApproximateCompiler(registry, budget).bounds(expr)
+            bounds = bounds_of(registry, expr, budget)
             widths.append(bounds.width)
         # Widths never increase as the budget grows.
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
@@ -61,7 +65,7 @@ class TestBoundsBracketExact:
     @SETTINGS
     @given(boolean_registries(), semiring_exprs(depth=2))
     def test_large_budget_is_exact(self, registry, expr):
-        bounds = ApproximateCompiler(registry, 1 << 12).bounds(expr)
+        bounds = bounds_of(registry, expr, 1 << 12)
         exact = ProbabilitySpace(registry, BOOLEAN).probability(expr)
         assert bounds.width < 1e-9
         assert abs(bounds.low - exact) < 1e-7
@@ -78,7 +82,7 @@ class TestSemimoduleComparisons:
     )
     def test_condition_bounds_contain_exact(self, registry, condition, budget):
         exact = ProbabilitySpace(registry, BOOLEAN).probability(condition)
-        bounds = ApproximateCompiler(registry, budget).bounds(condition)
+        bounds = bounds_of(registry, condition, budget)
         assert bounds.contains(exact, tol=1e-7)
 
     @SETTINGS
@@ -86,14 +90,14 @@ class TestSemimoduleComparisons:
     def test_condition_bounds_monotone_in_budget(self, registry, condition):
         widths = []
         for budget in (0, 1, 4, 32, 256):
-            bounds = ApproximateCompiler(registry, budget).bounds(condition)
+            bounds = bounds_of(registry, condition, budget)
             widths.append(bounds.width)
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
 
     @SETTINGS
     @given(boolean_registries(), conditions())
     def test_condition_large_budget_is_exact(self, registry, condition):
-        bounds = ApproximateCompiler(registry, 1 << 12).bounds(condition)
+        bounds = bounds_of(registry, condition, 1 << 12)
         exact = ProbabilitySpace(registry, BOOLEAN).probability(condition)
         assert bounds.width < 1e-9
         assert abs(bounds.low - exact) < 1e-7
@@ -110,7 +114,7 @@ class TestSemimoduleComparisons:
 
         expr = sprod(conds)
         exact = ProbabilitySpace(registry, BOOLEAN).probability(expr)
-        bounds = ApproximateCompiler(registry, budget).bounds(expr)
+        bounds = bounds_of(registry, expr, budget)
         assert bounds.contains(exact, tol=1e-7)
 
 

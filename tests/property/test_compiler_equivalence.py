@@ -274,12 +274,17 @@ def _rebuilt_prune(expr, semiring):
     return expr
 
 
+#: Step II's inputs, and sums and products that repeat or nest their
+#: children: the shapes normalisation must flatten.
+handed_back_exprs = st.one_of(step_two_exprs, repetitive_exprs())
+
+
 class TestStepTwoHandsBackWhatNoRuleChanges:
     """Normalisation and pruning return their input object when no rule
     fires, and that shortcut never skips a rule that would have."""
 
     @settings(max_examples=150, deadline=None)
-    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    @given(handed_back_exprs, st.sampled_from([BOOLEAN, NATURALS]))
     def test_a_handed_back_node_is_what_its_rule_would_build(self, expr, semiring):
         normalizer = Normalizer(semiring)
         normalizer(expr)
@@ -288,7 +293,7 @@ class TestStepTwoHandsBackWhatNoRuleChanges:
                 assert _combined(Normalizer(semiring), node) == node, node
 
     @settings(max_examples=150, deadline=None)
-    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    @given(handed_back_exprs, st.sampled_from([BOOLEAN, NATURALS]))
     def test_a_normal_form_is_its_own_memo_entry(self, expr, semiring):
         normalizer = Normalizer(semiring)
         first = normalizer(expr)
@@ -299,7 +304,7 @@ class TestStepTwoHandsBackWhatNoRuleChanges:
             assert again is first
 
     @settings(max_examples=150, deadline=None)
-    @given(step_two_exprs, st.sampled_from([BOOLEAN, NATURALS]))
+    @given(handed_back_exprs, st.sampled_from([BOOLEAN, NATURALS]))
     def test_prune_rebuilds_only_what_a_rule_changes(self, expr, semiring):
         pruned = prune(expr, semiring)
         assert pruned == _rebuilt_prune(expr, semiring)
