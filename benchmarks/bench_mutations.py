@@ -5,9 +5,9 @@ threw away *every* cache (compiled distributions, the persistent
 compiler's d-tree memo, memoised plans) — the ``flush_all`` series
 reproduces that discipline by closing the session after each write.
 The ``incremental`` series keeps every cache across writes: each
-table's one epoch-stamped ``(scan, positions, indexes)`` record is
-carried forward by an insert and dropped (rebuilt on the next read) by
-an update or delete, the independence facts ``auto`` dispatch reads are
+table's one epoch-stamped ``(scan, indexes)`` record is dropped by
+every write and rebuilt on the next read, the independence facts
+``auto`` dispatch reads are
 maintained on the write path (no row is scanned to classify a query),
 and the shared distribution cache, reconciling with the registry's
 reassignment record on its next read, drops only the compiled

@@ -232,10 +232,14 @@ class CompilationCache(BoundedLRU):
     anything; ``db.update(p=)``, ``reassign_probability`` and a bare
     ``registry.reassign`` are the same event.
 
-    ``max_entries`` bounds the cache (see :class:`BoundedLRU`).  ``None``
-    keeps the legacy unbounded behavior of a private per-session cache;
-    the query server shares one *bounded* instance across every tenant
-    session.
+    ``max_entries`` bounds the cache (see :class:`BoundedLRU`) and its
+    compiler: the compiler's memos (d-trees, normal forms, restrictions)
+    grow with every call that reaches it — ``distribution`` (hit or
+    miss), ``normalize``, ``joint_distribution``, ``bounds``,
+    ``compile`` — so a bounded cache replaces it once it has served
+    ``max_entries`` of them.  ``None`` keeps both unbounded, as a private
+    per-session cache is; the query server shares one *bounded* instance
+    across every tenant session.
 
     All operations are safe under concurrent access from threads (the
     server's executor pool): the LRU's reentrant lock also serializes
@@ -253,6 +257,7 @@ class CompilationCache(BoundedLRU):
             "misses",
             "invalidations",
             "_compiler",
+            "_served",
             "_lineage",
             "_reconciled",
         ),
@@ -267,6 +272,8 @@ class CompilationCache(BoundedLRU):
         self._lineage = LineageIndex()
         super().__init__(max_entries, on_evict=self._lineage.discard)
         self._compiler = compiler
+        #: Calls the wrapped compiler has served (see :meth:`_serving_locked`).
+        self._served = 0
         #: Entries dropped by lineage invalidation (vs LRU ``evictions``).
         self.invalidations = 0
         #: The registry epoch this cache last reconciled at.  An empty
@@ -319,7 +326,7 @@ class CompilationCache(BoundedLRU):
 
     def distribution(self, expr: Expr) -> Distribution:
         with self._lock:
-            compiler = self._reconcile_locked()
+            compiler = self._serving_locked()
             key = compiler.normalize(expr)
             cached = super().lookup(key)
             if cached is None:
@@ -331,18 +338,18 @@ class CompilationCache(BoundedLRU):
         """:meth:`Compiler.joint_distribution` by the reconciled compiler,
         under the lock (joints are not stored)."""
         with self._lock:
-            return self._reconcile_locked().joint_distribution(exprs)
+            return self._serving_locked().joint_distribution(exprs)
 
     def bounds(self, expr: Expr, budget: int, proven: dict) -> tuple:
         """:meth:`Compiler.bounds` by the reconciled compiler, under the
         lock (bounds are not stored)."""
         with self._lock:
-            return self._reconcile_locked().bounds(expr, budget, proven)
+            return self._serving_locked().bounds(expr, budget, proven)
 
     def normalize(self, expr: Expr) -> Expr:
         """The cache's key function (the compiler's normal form)."""
         with self._lock:
-            return self._compiler.normalize(expr)
+            return self._serving_locked().normalize(expr)
 
     def cached(self, key: Expr) -> Distribution | None:
         """The stored distribution of an already-normalized key, if any."""
@@ -375,10 +382,25 @@ class CompilationCache(BoundedLRU):
 
     def compile(self, expr: Expr):
         with self._lock:
-            return self._reconcile_locked().compile(expr)
+            return self._serving_locked().compile(expr)
+
+    def _serving_locked(self) -> Compiler:
+        """The reconciled compiler for one call that reaches it (lock
+        held).  Its memos grow with every call it serves, so with
+        ``max_entries`` set a compiler that has served that many is
+        replaced first: the memos are bounded like the entries, and
+        :attr:`compiler` is the one that did the work."""
+        compiler = self._reconcile_locked()
+        if self.max_entries is not None:
+            if self._served >= self.max_entries:
+                self._rebuild_compiler_locked()
+                compiler = self._compiler
+            self._served += 1
+        return compiler
 
     def _rebuild_compiler_locked(self) -> None:
-        """Replace the wrapped compiler, dropping its d-tree memo."""
+        """Replace the wrapped compiler, dropping its memos."""
+        self._served = 0
         self._compiler = Compiler(
             self._compiler.registry,
             self._compiler.semiring,

@@ -52,6 +52,12 @@ distribution           normalised annotation; the  LRU eviction, and on the
                                                    ``registry.reassign`` alike;
                                                    value edits, inserts and
                                                    deletes drop nothing
+compiler memos         normalised expression       the whole compiler: on a
+(``CompilationCache``)                             reconcile that drops
+                                                   entries, on ``clear()``,
+                                                   and with ``max_entries``
+                                                   set once it has served
+                                                   that many calls
 accessors on plan      the prepared plan object    never: the
 (``op_cache``)         and the operator            interpreter's compiled
                                                    accessors are
@@ -68,11 +74,11 @@ engine choice on plan  stamp: every table          the stamp moves
 (``Classification``)
 independence memo      stamp: every table          the stamp moves
 (``PVCDatabase``)
-table record           the table's epoch, read     any row change: ``add``
-(``PVCTable._views``)  before the rows             patches a current record
-                                                   forward, update/delete and
-                                                   ``invalidate_caches`` drop
-                                                   it; rebuilt on next read
+table record           the table's epoch, read     any row change: every
+(``PVCTable._views``)  before the rows             writer drops it (``add``
+                                                   too) and the next read
+                                                   rebuilds it; a published
+                                                   record is never edited
 table facts            the table's epoch, read     never dropped by the
 (``PVCTable.facts``)   before the rows             mutators, which adjust and
                                                    re-stamp it; recounted

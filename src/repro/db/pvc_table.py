@@ -183,14 +183,14 @@ class PVCTable:
         #: it unchanged while changing the data, which used to serve stale
         #: scans.
         self._version = 0
-        #: ``(epoch, scan, positions, indexes)`` — everything the physical
-        #: executor derives lazily from ``rows``, as one record under one
-        #: stamp: the merged set-of-tuples scan, its values→position map
-        #: (for patching an append in), and the hash indexes over the scan
-        #: by key set.  Only :meth:`_current_views` judges the stamp.
-        #: Mutate rows through :meth:`add` (carries a current record
-        #: forward) or :meth:`update_rows`/:meth:`delete_rows` (drop it);
-        #: any other in-place edit of ``rows`` must call
+        #: ``(epoch, scan, indexes)`` — everything the physical executor
+        #: derives lazily from ``rows``, as one record under one stamp:
+        #: the merged set-of-tuples scan and the hash indexes over it by
+        #: key set.  Only :meth:`_views` builds a record, and nothing edits
+        #: one once it is published: every writer (:meth:`add`,
+        #: :meth:`update_rows`, :meth:`delete_rows`) drops it and the next
+        #: read rebuilds it, so a reader holding a scan or a bucket keeps
+        #: the rows it read.  Any other in-place edit of ``rows`` must call
         #: :meth:`invalidate_caches` after it (the ``cache-epoch`` checker
         #: of :mod:`repro.analysis` holds every bump to after the change).
         self._view_cache = None
@@ -239,12 +239,10 @@ class PVCTable:
             )
         row = PVCRow(values, annotation)
         facts = self._facts
-        views = self._view_cache  # None throughout a bulk load
-        if views is not None:
-            views = self._current_views()
         self.rows.append(row)
         previous = self._version
         self._version += 1
+        self._view_cache = None
         if facts is not None and facts[0] == previous:
             facts = facts[1]
             plain = type(annotation) is Var
@@ -263,76 +261,29 @@ class PVCTable:
             else:
                 facts.count_row(row, 1)
             self._facts = (self._version, facts)
-        if views is not None:
-            self._patch_append(views, row)
 
-    def _patch_append(self, views: tuple, row: PVCRow) -> None:
-        """Carry ``views`` — the record :meth:`add` read before touching
-        ``rows``, current at that point — across the append.
-
-        An appended row merges into the scan at its existing entry (the
-        first-occurrence position is unchanged) or lands at the end —
-        exactly where a from-scratch :func:`merge_annotated_rows` would
-        put it, because the new row is last in row order.  ``ssum``
-        flattens nested sums and canonicalises child order, so the
-        incrementally merged annotation is structurally identical to the
-        rebuilt one.  Only the record read beforehand is patched: one a
-        reader published since may already contain the row.
-        """
-        _, scan, positions, indexes = views
-        if not row.annotation.is_zero():  # else the merged view is unchanged
-            # The new record gets its own index map, taken before the scan
-            # changes: an index a reader is still building from the old
-            # scan lands in the old map and is never served as current.
-            indexes = dict(indexes)
-            position = positions.get(row.values)
-            if position is None:
-                entry = (row.values, row.annotation)
-                positions[row.values] = len(scan)
-                scan.append(entry)
-            else:
-                entry = (row.values, ssum([scan[position][1], row.annotation]))
-                scan[position] = entry
-            for key_indices, buckets in indexes.items():
-                key = tuple_getter(key_indices)(row.values)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [entry]
-                elif position is None:
-                    bucket.append(entry)
-                else:
-                    for i, existing in enumerate(bucket):
-                        if existing[0] == row.values:
-                            bucket[i] = entry
-                            break
-        self._view_cache = (self._version, scan, positions, indexes)
-
-    def update_rows(self, predicate, rewrite) -> dict:
+    def update_rows(self, predicate, rewrite) -> int:
         """Rewrite every row matching ``predicate`` via ``rewrite(row)``.
 
         ``rewrite`` returns the replacement :class:`PVCRow`.  The rows
         list is rebuilt and swapped atomically (concurrent readers keep a
         consistent pre-mutation snapshot), the epoch is bumped and the
         scan/index record is dropped — the next read rebuilds it from
-        the rows, like a fresh table.  Returns mutation info (``rows``
-        matched and the touched ``variables``).
+        the rows, like a fresh table.  Returns the number of rows matched.
         """
         rows = self.rows
         facts = self._facts
         new_rows: list[PVCRow] = []
         replaced: list[tuple[PVCRow, PVCRow]] = []
-        variables: set = set()
         matched = 0
         for row in rows:
             if predicate(row):
                 matched += 1
                 new_row = rewrite(row)
-                variables |= row.annotation.variables
                 if (
                     new_row.values != row.values
                     or new_row.annotation is not row.annotation
                 ):
-                    variables |= new_row.annotation.variables
                     replaced.append((row, new_row))
                     row = new_row
             new_rows.append(row)
@@ -342,11 +293,11 @@ class PVCTable:
             self._version += 1
             self._view_cache = None
             self._maintain_facts(facts, previous, replaced)
-        return {"rows": matched, "variables": frozenset(variables)}
+        return matched
 
-    def delete_rows(self, predicate) -> dict:
-        """Remove every row matching ``predicate``; drops the scan/index
-        record.  Returns mutation info like :meth:`update_rows`."""
+    def delete_rows(self, predicate) -> int:
+        """Remove every row matching ``predicate`` and drop the scan/index
+        record.  Returns the number of rows removed."""
         rows = self.rows
         facts = self._facts
         kept: list[PVCRow] = []
@@ -364,12 +315,7 @@ class PVCTable:
             self._maintain_facts(
                 facts, previous, [(row, None) for row in removed]
             )
-        return {
-            "rows": len(removed),
-            "variables": frozenset().union(
-                *(row.annotation.variables for row in removed)
-            ),
-        }
+        return len(removed)
 
     def _maintain_facts(self, cached, previous: int, replaced) -> None:
         """Carry the facts entry ``cached`` (read before the mutation)
@@ -418,31 +364,23 @@ class PVCTable:
                 continue
             self.add(tuple(values), compare(Var(name), "=", i + 1))
 
-    def _current_views(self) -> tuple | None:
-        """The scan/index record if its stamp is current, else ``None`` —
-        the one place that stamp is compared with the epoch."""
-        views = self._view_cache
-        if views is not None and views[0] == self._version:
-            return views
-        return None
-
     def _views(self) -> tuple:
-        """The current ``(epoch, scan, positions, indexes)`` record,
-        built from the rows when there is none.
+        """The current ``(epoch, scan, indexes)`` record, built from the
+        rows when there is none — the one place a record is made and the
+        one place its stamp is compared with the epoch.
 
         The stamp is the epoch read *before* the rows (writers change
         rows, then bump), so a write landing mid-build leaves a record
         stamped older than its content: the next call rejects and
         rebuilds it, and a stale view can never be stamped current.
         """
-        views = self._current_views()
-        if views is None:
-            version = self._version
+        views = self._view_cache
+        version = self._version
+        if views is None or views[0] != version:
             scan = merge_annotated_rows(
                 (row.values, row.annotation) for row in self.rows
             )
-            positions = {values: i for i, (values, _) in enumerate(scan)}
-            views = self._view_cache = (version, scan, positions, {})
+            views = self._view_cache = (version, scan, {})
         return views
 
     def scan_rows(self) -> list:
@@ -463,7 +401,7 @@ class PVCTable:
         built from; the physical executor uses it so repeated hash joins
         against a base table never rebuild the table's hash index.
         """
-        _, scan, _, indexes = self._views()
+        _, scan, indexes = self._views()
         buckets = indexes.get(key_indices)
         if buckets is None:
             key_of = tuple_getter(key_indices)
@@ -797,7 +735,7 @@ class PVCDatabase:
                     values[attributes.index(name)] = value
                 return PVCRow(tuple(values), row.annotation)
 
-            matched = table.update_rows(predicate, rewrite)["rows"]
+            matched = table.update_rows(predicate, rewrite)
         else:
             matched = sum(1 for row in table.rows if predicate(row))
         if matched:
@@ -815,7 +753,7 @@ class PVCDatabase:
         """
         table = self[table_name]
         predicate = self._row_predicate(table, where)
-        removed = table.delete_rows(predicate)["rows"]
+        removed = table.delete_rows(predicate)
         if removed:
             self.mutations["delete"] += 1
         return removed

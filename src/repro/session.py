@@ -218,8 +218,10 @@ class Session:
         """The cache's current persistent compiler.
 
         A property rather than a snapshot: the cache replaces its
-        compiler when it finds variable distributions reassigned, and a
-        stale reference would compile against dead distributions.
+        compiler when it finds variable distributions reassigned (a
+        stale reference would compile against dead distributions) and,
+        when it has a ``max_entries`` bound, once the compiler has
+        served that many calls, which bounds its memos.
         """
         return self.cache.compiler
 

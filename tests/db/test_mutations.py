@@ -68,7 +68,7 @@ class TestEpochDiscipline:
             lambda row: row.values[1] == "M&S",
             lambda row: row.__class__((1, "Ocado"), row.annotation),
         )
-        assert matched["rows"] == 1
+        assert matched == 1
         assert len(table) == 3  # unchanged cardinality
         after = table.scan_rows()
         assert ((1, "Ocado"), Var("x1")) in after
@@ -102,16 +102,72 @@ class TestEpochDiscipline:
         assert db.generation > generation
 
 
-class TestIncrementalPatching:
-    def test_append_patches_cached_scan_in_place(self):
+def _rebuilt_index(table, key_indices) -> dict:
+    """``hash_index(key_indices)`` as a from-scratch merge of the rows."""
+    key_of = tuple_getter(key_indices)
+    buckets: dict = {}
+    for entry in merge_annotated_rows(
+        (row.values, row.annotation) for row in table.rows
+    ):
+        buckets.setdefault(key_of(entry[0]), []).append(entry)
+    return buckets
+
+
+_INSERTS = {
+    "new values": ((4, "Spar"), Var("x4")),
+    "duplicate values": ((1, "M&S"), Var("y0")),
+    "zero annotation": ((9, "Ghost"), ssum([])),
+}
+
+
+class TestAnInsertDropsTheRecord:
+    """``add`` drops the scan/index record like every other writer: a
+    record is never edited once published, so what a reader holds keeps
+    the rows it read, and the next read is a rebuild from the rows."""
+
+    @pytest.mark.parametrize("insert", list(_INSERTS), ids=list(_INSERTS))
+    def test_a_held_scan_and_bucket_survive_an_insert(self, insert):
         table = small_table()
-        table.scan_rows()
-        table.hash_index((1,))
-        table.add((4, "Spar"), Var("x4"))
-        # Patched caches are current (no rebuild) and correct.
-        assert table._view_cache[0] == table.epoch
-        assert table.scan_rows()[-1] == ((4, "Spar"), Var("x4"))
-        assert table.hash_index((1,))[("Spar",)] == [((4, "Spar"), Var("x4"))]
+        scan = table.scan_rows()
+        index = table.hash_index((1,))
+        bucket = index[("M&S",)]
+        scan_before = list(scan)
+        index_before = {key: list(entries) for key, entries in index.items()}
+        table.add(*_INSERTS[insert])
+        assert scan == scan_before
+        assert index == index_before
+        assert bucket == [((1, "M&S"), Var("x1"))]
+
+    def test_every_insert_reads_like_a_rebuild(self):
+        table = small_table()
+        for values, annotation in [
+            *_INSERTS.values(),
+            ((4, "Spar"), Var("x5")),
+            ((1, "M&S"), Var("y1")),
+        ]:
+            table.hash_index((1,))
+            table.add(values, annotation)
+            assert table.scan_rows() == merge_annotated_rows(
+                (row.values, row.annotation) for row in table.rows
+            )
+            assert table.hash_index((1,)) == _rebuilt_index(table, (1,))
+
+    def test_every_writer_drops_the_record(self):
+        table = small_table()
+        for write in [
+            lambda: table.add((4, "Spar"), Var("x4")),
+            lambda: table.add((4, "Spar"), Var("x5")),
+            lambda: table.add((9, "Ghost"), ssum([])),
+            lambda: table.update_rows(
+                lambda row: row.values[0] == 4,
+                lambda row: row.__class__((4, "Lidl"), row.annotation),
+            ),
+            lambda: table.delete_rows(lambda row: row.values[0] == 4),
+            table.invalidate_caches,
+        ]:
+            table.hash_index((1,))
+            write()
+            assert table._view_cache is None
 
     def test_append_duplicate_merges_annotations_like_fresh_build(self):
         table = small_table()
@@ -135,15 +191,15 @@ class TestIncrementalPatching:
         table = small_table()
         table.scan_rows()
         table.hash_index((1,))
-        info = table.delete_rows(lambda row: row.values[1] == "Boots")
-        assert info["rows"] == 1
+        removed = table.delete_rows(lambda row: row.values[1] == "Boots")
+        assert removed == 1
         assert ("Boots",) not in table.hash_index((1,))
         assert [values for values, _ in table.scan_rows()] == [
             (1, "M&S"),
             (3, "Tesco"),
         ]
 
-    def test_patched_caches_match_fresh_table(self):
+    def test_caches_after_every_writer_match_fresh_table(self):
         table = small_table()
         table.scan_rows()
         table.hash_index((1,))

@@ -1,13 +1,22 @@
-"""The shared engine-layer caches: bounded LRU, counters, thread-safety."""
+"""The shared engine-layer caches: bounded LRU, counters, thread-safety,
+and the bound a shared distribution cache puts on its compiler."""
 
+import gc
+import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 
+from benchmarks.bench_parallel import build_compile_database, compile_query
 from repro import CompilationCache, PlanCache, connect
 from repro.algebra.expressions import Var, ssum
 from repro.algebra.semiring import BOOLEAN
 from repro.core.compile import Compiler
+from repro.engine.approximate import ApproxEngine
+from repro.engine.spec import EvalSpec
+from repro.engine.sprout import SproutEngine
 from repro.errors import QueryValidationError
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import Project, relation
@@ -85,6 +94,126 @@ class TestCompilationCacheLRU:
         assert len(cache) == 0
         result = cache.distribution(ssum([Var("x0"), Var("x1")]))
         assert result is not None
+
+
+class TestTheCompilerIsBounded:
+    """With ``max_entries`` set, the wrapped compiler is replaced once it
+    has served that many calls, so its memos (d-trees, normal forms,
+    restrictions) are bounded like the stored distributions."""
+
+    @pytest.mark.parametrize(
+        "engine_class, spec",
+        [(SproutEngine, None), (ApproxEngine, EvalSpec(mode="approx"))],
+        ids=["sprout", "approx"],
+    )
+    def test_retained_memory_does_not_grow_with_the_statements(
+        self, engine_class, spec
+    ):
+        db = build_compile_database(2, 14, 8)
+        cache = CompilationCache(
+            Compiler(db.registry, db.semiring), max_entries=16
+        )
+        engine = engine_class(db, distribution_source=cache)  # no plan cache
+        retained = {}
+        tracemalloc.start()
+        try:
+            for threshold in range(1, 161):
+                engine.run(compile_query(threshold), spec)
+                if threshold in (40, 160):
+                    gc.collect()
+                    retained[threshold] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained[160] <= 2 * retained[40], retained
+
+    def test_a_compiler_serves_at_most_max_entries_calls(self):
+        cache = make_cache(max_entries=2)
+        compilers = []
+        for i in range(6):
+            cache.distribution(ssum([Var(f"x{i}"), Var(f"x{i + 1}")]))
+            compilers.append(cache.compiler)
+        assert [c is compilers[0] for c in compilers[:2]] == [True, True]
+        assert compilers[2] is not compilers[1]
+        assert compilers[3] is compilers[2]
+        assert len({id(c) for c in compilers}) == 3
+
+    def test_a_hit_is_served_too(self):
+        """A hit still normalises its input through the compiler, whose
+        normal-form memo keeps every new input, so it counts as a call."""
+        cache = make_cache(max_entries=2)
+        expr = ssum([Var("x0"), Var("x1")])
+        cache.distribution(expr)
+        first = cache.compiler
+        cache.distribution(expr)
+        assert cache.compiler is first
+        cache.distribution(expr)
+        assert cache.compiler is not first
+        assert cache.stats()["hits"] == 2
+
+    def test_the_compiler_that_did_the_work_is_the_current_one(self):
+        cache = make_cache(max_entries=1)
+        normal_form = Compiler(cache.registry, cache.semiring).normalize
+        for i in range(3):
+            expr = ssum([Var(f"x{i}"), Var(f"x{i + 1}")])
+            tree = cache.compile(expr)
+            memo = cache.compiler._memo
+            assert memo[normal_form(expr)] is tree
+            assert len(memo) == 3  # this call's sum and its two leaves
+
+    def test_threads_sharing_a_bounded_cache_answer_like_a_fresh_compiler(self):
+        """Four threads on two cores replace the compiler every third
+        call under a short switch interval: every answer still equals a
+        from-scratch compiler's, and the call count never passes the
+        bound (a lost update of it would)."""
+        cache = make_cache(max_entries=3)
+        exprs = [
+            ssum([Var(f"x{i}"), Var(f"x{(7 * i + 3) % 32}")]) for i in range(12)
+        ]
+        fresh = Compiler(cache.registry, cache.semiring)
+        expected = {expr: dict(fresh.distribution(expr).items()) for expr in exprs}
+        errors: list = []
+        done = threading.Event()
+
+        def work(offset):
+            try:
+                step = offset
+                while not done.is_set():
+                    expr = exprs[step % len(exprs)]
+                    step += 1
+                    got = dict(cache.distribution(expr).items())
+                    assert got.keys() == expected[expr].keys()
+                    assert all(
+                        abs(got[v] - expected[expr][v]) <= 1e-12 for v in got
+                    )
+                    interval, _ = cache.bounds(expr, 8, {})
+                    assert interval.contains(1.0 - got[False])
+                    assert cache._served <= cache.max_entries
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                done.set()
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert cache.stats()["hits"] > 0
+
+    def test_an_unbounded_cache_keeps_its_compiler(self):
+        cache = make_cache()
+        compiler = cache.compiler
+        for i in range(30):
+            cache.distribution(ssum([Var(f"x{i}"), Var(f"x{i + 1}")]))
+        assert cache.compiler is compiler
 
 
 class TestCompilationCacheThreads:

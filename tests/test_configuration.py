@@ -22,7 +22,9 @@ the kernels switch is read only where it makes the compiler
 Algorithm 1 verbatim; a cached variable set, a tuple until first
 asked for as a set, is read elsewhere only through ``in`` and truth
 tests; and composite expression nodes are built only by the smart
-constructors and the normaliser, so every one is canonical.  All of
+constructors and the normaliser, so every one is canonical; and a
+table's scan/index record is built in one function and only dropped
+everywhere else.  All of
 these facts are structural, so they are
 checked on the syntax tree of every module under ``src/repro``.
 """
@@ -458,3 +460,26 @@ def test_composite_nodes_are_built_only_canonically():
         and name not in _NODE_CONSTRUCTORS[called]
     )
     assert not offending, offending
+
+
+def test_only_views_builds_a_table_record():
+    """A table's scan/index record has one write rule: ``_views`` builds
+    it, and every other assignment to ``_view_cache`` drops it — no
+    writer carries a published record forward by editing it."""
+    builders, droppers = set(), set()
+    for function in ast.walk(MODULES["db/pvc_table.py"]):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not any(
+                isinstance(target, ast.Attribute) and target.attr == "_view_cache"
+                for target in targets
+            ):
+                continue
+            drops = isinstance(node.value, ast.Constant) and node.value.value is None
+            (droppers if drops else builders).add(function.name)
+    assert builders == {"_views"}
+    assert {"add", "update_rows", "delete_rows", "invalidate_caches"} <= droppers
