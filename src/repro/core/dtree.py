@@ -59,7 +59,7 @@ class CompileContext:
     """Everything a d-tree needs to turn into numbers.
 
     Bundles the variable registry (leaf distributions) with the concrete
-    target semiring, and caches the coerced per-variable distributions.
+    target semiring, and caches the per-variable distributions over it.
     """
 
     def __init__(self, registry: VariableRegistry, semiring: Semiring):
@@ -68,10 +68,21 @@ class CompileContext:
         self._var_cache: dict[str, Distribution] = {}
 
     def var_distribution(self, name: str) -> Distribution:
-        """The distribution of variable ``name`` over semiring values."""
+        """The distribution of variable ``name`` over semiring values.
+
+        The registry's distribution pushed forward along
+        ``semiring.coerce`` — except a Boolean marginal over ``{⊤, ⊥}``
+        in B, on which ``coerce`` is the identity: it is returned as the
+        registry gives it.
+        """
         cached = self._var_cache.get(name)
         if cached is None:
-            cached = self.registry[name].map(self.semiring.coerce)
+            cached = self.registry[name]
+            if not (
+                self.semiring.is_boolean
+                and all(type(value) is bool for value in cached)
+            ):
+                cached = cached.map(self.semiring.coerce)
             self._var_cache[name] = cached
         return cached
 

@@ -20,10 +20,21 @@ the matching vectorized kernel (:mod:`repro.prob.kernels`) once per call
 instead of re-recognizing the op callable, and falls back to the generic
 dict loop for symbolic semirings or non-numeric supports.
 
-The ``*_many`` variants are the n-ary entry points used by d-tree nodes:
-they reduce their operands smallest-first (the convolution-tree
-optimization), which for SUM/COUNT aggregates avoids re-convolving the
-full running support at every step of a left-to-right fold.
+The ``*_many`` variants are the n-ary entry points used by d-tree nodes.
+Theorem 2 prices a node at the sizes of its children's distributions, so
+each of them is one pass over its children where it can be:
+
+* over the Boolean semiring, ``semiring_add_many``/``semiring_mul_many``
+  are Eqs. (4)/(5) in closed form — the neutral value (⊥ for ``∨``, ⊤
+  for ``∧``) has the product of its masses, the absorbing value the rest
+  of the product of the totals — with the kernels on or off;
+* a plain SUM/COUNT ``monoid_add_many`` (and ℕ's ``semiring_add_many``)
+  over integer supports is one dense fold (:func:`kernels.sum_many`)
+  when the kernels are on and the supports are not sparse;
+* everything else reduces pairwise, smallest operands first (the
+  convolution-tree optimization), which for capped sums and sparse
+  supports avoids re-convolving the full running support at every step
+  of a left-to-right fold.  The dense fold keeps that order.
 """
 
 from __future__ import annotations
@@ -76,42 +87,64 @@ def monoid_add(
     )
 
 
-def semiring_add_many(
-    dists: Sequence[Distribution], semiring: Semiring
-) -> Distribution:
-    """n-ary Eq. (4), reduced smallest-supports-first."""
-    spec = kernels.semiring_add_op(semiring)
-    op = semiring.add
+def _boolean_fold(dists: Sequence[Distribution], neutral: bool) -> Distribution:
+    """Eq. (4) (``neutral`` ⊥) or Eq. (5) (``neutral`` ⊤) over B.
+
+    Only the support tuple of all-``neutral`` values yields ``neutral``,
+    so its mass is the product of those masses; every other tuple yields
+    the absorbing value, whose mass is the product of the totals minus
+    that product — exact for sub-normalized operands too.  Masses are
+    dropped at ``TOLERANCE`` once, on the result, not at every step.
+    """
+    neutral_mass = total = 1.0
+    for dist in dists:
+        probs = dist._probs
+        neutral_mass *= probs.get(neutral, 0.0)
+        total *= sum(probs.values())
+    return Distribution(
+        {not neutral: total - neutral_mass, neutral: neutral_mass}
+    )
+
+
+def _fold(dists, op, spec) -> Distribution:
+    """Reduce pairwise, smallest supports first — or, for plain ``+``
+    over integers, as one dense fold."""
+    fast = kernels.sum_many([d._probs for d in dists], spec, TOLERANCE)
+    if fast is not None:
+        return Distribution._from_clean(fast)
     return kernels.convolve_many(
         dists, lambda a, b: a.convolve_with_spec(b, op, spec)
     )
+
+
+def semiring_add_many(
+    dists: Sequence[Distribution], semiring: Semiring
+) -> Distribution:
+    """n-ary Eq. (4): closed form over B, else one fold (see above)."""
+    if semiring.is_boolean:
+        return _boolean_fold(dists, semiring.zero)
+    return _fold(dists, semiring.add, kernels.semiring_add_op(semiring))
 
 
 def semiring_mul_many(
     dists: Sequence[Distribution], semiring: Semiring
 ) -> Distribution:
-    """n-ary Eq. (5), reduced smallest-supports-first."""
-    spec = kernels.semiring_mul_op(semiring)
-    op = semiring.mul
-    return kernels.convolve_many(
-        dists, lambda a, b: a.convolve_with_spec(b, op, spec)
-    )
+    """n-ary Eq. (5): closed form over B, else reduced pairwise."""
+    if semiring.is_boolean:
+        return _boolean_fold(dists, semiring.one)
+    return _fold(dists, semiring.mul, kernels.semiring_mul_op(semiring))
 
 
 def monoid_add_many(
     dists: Sequence[Distribution], monoid: Monoid
 ) -> Distribution:
-    """n-ary Eq. (6), reduced smallest-supports-first.
+    """n-ary Eq. (6) in the convolution-tree order.
 
-    This is the classic convolution-tree order for SUM/COUNT aggregates:
-    convolving the two smallest operand distributions first keeps every
-    intermediate support as small as possible.
+    Convolving the two smallest operand distributions first keeps every
+    intermediate support as small as possible; a plain SUM/COUNT over
+    integer supports runs that order as one dense fold.
     """
-    spec = kernels.monoid_op(monoid)
-    op = monoid.add
-    return kernels.convolve_many(
-        dists, lambda a, b: a.convolve_with_spec(b, op, spec)
-    )
+    return _fold(dists, monoid.add, kernels.monoid_op(monoid))
 
 
 def scalar_action(

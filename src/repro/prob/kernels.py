@@ -7,7 +7,12 @@ values.  When the supports are numeric and the combining operation is a
 recognized arithmetic (``+``, ``*``, ``min``, ``max``, a saturating capped
 sum, or a comparison), the O(|Φ|·|Ψ|) support-pair sum of Proposition 1
 can be evaluated as an outer product over value/probability arrays and
-re-binned with ``np.unique`` + ``np.bincount``.
+re-binned with ``np.unique`` + ``np.bincount``.  A plain SUM/COUNT node
+(and an ℕ ``⊕``) over integer supports goes further: :func:`sum_many`
+folds all its children as offset mass arrays with ``np.convolve`` and
+builds one dict at the end, instead of one per pairwise step.  The
+Boolean semiring has no kernel here: its ``⊕``/``⊙`` folds are a closed
+form in :mod:`repro.prob.convolution`, which needs none.
 
 Every entry point returns ``None`` when it does not apply (non-numeric
 supports, unrecognized operation, a support too small to be worth it) and
@@ -68,11 +73,18 @@ __all__ = [
     "expectation",
     "bin_images",
     "convolve_many",
+    "sum_many",
     "MIN_CELLS",
+    "DENSE_SPAN_RATIO",
 ]
 
 #: Below this many support pairs the dict loop beats the numpy overhead.
 MIN_CELLS = 64
+
+#: The dense SUM fold (:func:`sum_many`) takes a node only when its
+#: children's supports span at most this many integers per support value,
+#: holes included; sparser supports (prices) keep the pairwise fold.
+DENSE_SPAN_RATIO = 4
 
 #: Magnitude guard keeping integer arithmetic exact in float64.
 _EXACT_INT_BOUND = 2**52
@@ -150,7 +162,8 @@ def semiring_add_op(semiring: Semiring) -> OpSpec | None:
     """The kernel spec of a semiring's addition, if recognized.
 
     The Boolean semiring is intentionally unrecognized: its supports have
-    at most two elements, where the dict loop always wins.
+    at most two elements, and its n-ary folds have their own closed form
+    (:mod:`repro.prob.convolution`), on with the kernels or without.
     """
     if _enabled and isinstance(semiring, NaturalsSemiring):
         return _ADD
@@ -440,3 +453,98 @@ def convolve_many(distributions: Iterable, pairwise: Callable):
         heapq.heappush(heap, (len(combined), counter, combined))
         counter += 1
     return heap[0][2]
+
+
+class _Dense:
+    """An integer-support distribution: ``masses[i]`` is the mass of
+    ``offset + i``; ``size`` counts the non-zero entries (its ``len``, the
+    fold's heap key, as a :class:`Distribution`'s length is).  ``floor``
+    bounds every non-zero mass from below (0 when unknown)."""
+
+    __slots__ = ("offset", "masses", "size", "floor")
+
+    def __init__(self, offset: int, masses, size: int, floor: float):
+        self.offset = offset
+        self.masses = masses
+        self.size = size
+        self.floor = floor
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def _dense_add(a: _Dense, b: _Dense, tolerance: float) -> _Dense:
+    """One step of the dense fold: convolve, then zero and trim the
+    entries of mass ≤ ``tolerance``, as ``Distribution`` drops them.
+
+    Every non-zero entry of the convolution is at least one product of
+    non-zero masses, so when the operands' floors multiply to well above
+    ``tolerance`` nothing can drop and the scan is skipped; two operands
+    without holes then convolve to one without holes.
+    """
+    if not (a.size and b.size):
+        return a if not a.size else b  # an empty operand stays empty
+    masses = _np.convolve(a.masses, b.masses)
+    offset = a.offset + b.offset
+    floor = a.floor * b.floor
+    if floor > 2.0 * tolerance:
+        if a.size == len(a.masses) and b.size == len(b.masses):
+            return _Dense(offset, masses, len(masses), floor)
+        return _Dense(offset, masses, int(_np.count_nonzero(masses)), floor)
+    masses[masses <= tolerance] = 0.0
+    kept = _np.flatnonzero(masses)
+    if not len(kept):
+        return _Dense(0, masses[:0], 0, 0.0)
+    low = int(kept[0])
+    return _Dense(
+        offset + low, masses[low : int(kept[-1]) + 1], len(kept), 0.0
+    )
+
+
+def sum_many(
+    probs_list: list, spec: OpSpec | None, tolerance: float = 0.0
+) -> dict | None:
+    """n-ary integer ``+`` (Eq. 6 for SUM/COUNT, Eq. 4 over ℕ) as one
+    dense fold.
+
+    Each operand becomes an offset mass array; :func:`convolve_many`
+    combines them in its heap order (smallest non-zero count first), one
+    ``np.convolve`` per step, and the result becomes a dict once.  Every
+    step drops what the pairwise fold drops, so the support is that
+    fold's exactly; values stay Python ints (offset + index).  Returns
+    ``None`` — the caller folds pairwise — unless ``spec`` is plain
+    ``+`` (so never with the kernels off, nor for a capped sum), there
+    are two or more operands, every value is an ``int``, and the spans
+    cover at least :data:`MIN_CELLS` cells but no more than
+    :data:`DENSE_SPAN_RATIO` per support value.
+    """
+    if spec is not _ADD or len(probs_list) < 2:
+        return None
+    size = sum(map(len, probs_list))
+    if DENSE_SPAN_RATIO * size < MIN_CELLS:
+        return None  # too few cells to pay for the arrays
+    cells = 0
+    for probs in probs_list:
+        for value in probs:
+            if type(value) is not int:
+                return None
+        cells += max(probs) - min(probs) + 1
+    if not MIN_CELLS <= cells <= DENSE_SPAN_RATIO * size:
+        return None
+    operands = []
+    for probs in probs_list:
+        low = min(probs)
+        masses = [0.0] * (max(probs) - low + 1)
+        for value, p in probs.items():
+            masses[value - low] = p
+        operands.append(
+            _Dense(low, _np.array(masses), len(probs), min(probs.values()))
+        )
+    result = convolve_many(operands, lambda a, b: _dense_add(a, b, tolerance))
+    masses, offset = result.masses, result.offset
+    if result.size == len(masses):  # no holes
+        return dict(zip(range(offset, offset + len(masses)), masses.tolist()))
+    kept = _np.flatnonzero(masses)
+    return dict(
+        zip([offset + index for index in kept.tolist()], masses[kept].tolist())
+    )

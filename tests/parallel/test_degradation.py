@@ -10,6 +10,7 @@ touch them.
 """
 
 import pickle
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -156,16 +157,28 @@ class TestTheSerialContracts:
         """Each worker compiles its first chunk at full speed and then
         stalls past the deadline (injected latency, not the wall clock):
         the finished chunks stay exact, as the serial loop keeps the rows
-        it finished, and the rest report ``[0, 1]``."""
+        it finished, and the rest report ``[0, 1]``.
+
+        The limit is read off a serial run of the same query, timed by
+        the test itself: a worker's first chunk is one of that run's
+        rows, so a few serial runs' worth leaves it time to finish even
+        on a loaded machine.  The stall starts after the run does and
+        lasts longer than the limit, so it always ends past the
+        deadline — and inside the watchdog's grace (the deadline plus
+        2 s), which would otherwise call the round hung."""
         if not parallel.fork_available():
             pytest.skip("no fork on this platform")
         db = build_compile_database(8, 25, 14)
         query = compile_query(150)
+        start = time.perf_counter()
         exact = {row.values: row.probability() for row in SproutEngine(db).run(query)}
-        plan = FaultPlan().add("pool.worker", "slow", delay=0.8, after=1, times=1)
+        limit = 0.5 + 3 * (time.perf_counter() - start)
+        plan = FaultPlan().add(
+            "pool.worker", "slow", delay=limit + 0.1, after=1, times=1
+        )
         with fault_plan(plan):
             partial = SproutEngine(db).run(
-                query, EvalSpec(time_limit=0.5, workers=2)
+                query, EvalSpec(time_limit=limit, workers=2)
             )
         assert partial.stats["deadline_hit"] is True
         assert 1 <= partial.stats["rows_exact"] < len(partial.rows)

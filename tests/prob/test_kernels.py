@@ -5,8 +5,8 @@ distribution as the pure-Python loop it replaces — same support values
 (including Python value types for integer supports) and probabilities
 within 1e-12.  The suite drives randomized numeric distributions through
 both implementations by toggling :func:`kernels.set_numpy_enabled`, and
-also pins down the size-aware n-ary fold and the batched Monte-Carlo
-sampler's determinism and statistical behaviour.
+also pins down the size-aware n-ary fold, the Boolean ⊕/⊙ closed form
+and the dense SUM/COUNT fold against the pairwise folds they replace.
 """
 
 from __future__ import annotations
@@ -39,6 +39,25 @@ def random_distribution(rng, size, values="int", low=0, high=60):
         support[v] = rng.uniform(0.01, 1.0)
     total = sum(support.values())
     return Distribution({v: p / total for v, p in support.items()})
+
+
+def random_boolean(rng, total=1.0):
+    """A distribution over {⊤, ⊥} of mass ``total``; one in four is a
+    point distribution."""
+    if rng.random() < 0.25:
+        return Distribution({rng.random() < 0.5: total})
+    p = rng.uniform(0.1, 0.9)
+    return Distribution({True: p * total, False: (1 - p) * total})
+
+
+def bernoulli_terms(rng, values, count, low=0.2, high=0.9):
+    """``count`` two-point distributions ``{0: 1 − p, v: p}``, ``v``
+    drawn from ``values``."""
+    out = []
+    for _ in range(count):
+        p = rng.uniform(low, high)
+        out.append(Distribution({0: 1 - p, rng.choice(values): p}))
+    return out
 
 
 def with_dict_path(fn):
@@ -208,13 +227,181 @@ class TestSizeAwareFold:
         d = Distribution({1: 1.0})
         assert convolution.monoid_add_many([d], SUM) is d
 
-    def test_semiring_folds(self, rng):
-        dists = [random_distribution(rng, rng.randint(2, 12), high=6) for _ in range(5)]
-        balanced = convolution.semiring_add_many(dists, NATURALS)
+    @pytest.mark.parametrize("semiring", [NATURALS, BOOLEAN], ids=["N", "B"])
+    def test_semiring_folds(self, rng, semiring):
+        if semiring is BOOLEAN:
+            dists = [random_boolean(rng) for _ in range(5)]
+        else:
+            dists = [
+                random_distribution(rng, rng.randint(2, 12), high=6)
+                for _ in range(5)
+            ]
+        balanced = convolution.semiring_add_many(dists, semiring)
         sequential = dists[0]
         for other in dists[1:]:
-            sequential = convolution.semiring_add(sequential, other, NATURALS)
+            sequential = convolution.semiring_add(sequential, other, semiring)
         assert balanced.almost_equals(sequential, tol=1e-12)
+
+
+class TestBooleanClosedForm:
+    """Eqs. (4)/(5) over B are a closed form, with the kernels on or off:
+    the same masses as a left-to-right pairwise fold."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["kernels", "verbatim"])
+    @pytest.mark.parametrize(
+        "many, pairwise",
+        [
+            (convolution.semiring_add_many, convolution.semiring_add),
+            (convolution.semiring_mul_many, convolution.semiring_mul),
+        ],
+        ids=["add", "mul"],
+    )
+    def test_folds_match_left_to_right(self, rng, enabled, many, pairwise):
+        previous = kernels.set_numpy_enabled(enabled)
+        try:
+            for _ in range(200):
+                dists = [
+                    random_boolean(rng, rng.choice([1.0, 1.0, 0.7, 0.35]))
+                    for _ in range(rng.randint(1, 5))
+                ]
+                folded = many(dists, BOOLEAN)
+                expected = dists[0]
+                for other in dists[1:]:
+                    expected = pairwise(expected, other, BOOLEAN)
+                for value in (True, False):
+                    assert folded[value] == pytest.approx(
+                        expected[value], abs=1e-12
+                    )
+                assert set(folded.support()) <= {True, False}
+        finally:
+            kernels.set_numpy_enabled(previous)
+
+    def test_tiny_disjuncts_keep_their_mass(self):
+        # Each pairwise step drops a ⊤ mass ≤ TOLERANCE, so the pairwise
+        # fold loses every one of these; the closed form drops only what
+        # is left at the end, and 1 − (1 − p)^1000 ≈ 1e-7 is kept.
+        p = 1e-10
+        dists = [
+            Distribution._from_clean({True: p, False: 1.0 - p})
+            for _ in range(1000)
+        ]
+        pairwise = kernels.convolve_many(
+            dists, lambda a, b: convolution.semiring_add(a, b, BOOLEAN)
+        )
+        assert pairwise[True] == 0.0
+        folded = convolution.semiring_add_many(dists, BOOLEAN)
+        expected = -math.expm1(1000 * math.log1p(-p))
+        assert folded[True] == pytest.approx(expected, abs=1e-12)
+        assert folded[True] + folded[False] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDenseSumFold:
+    """A plain SUM/COUNT node over integer supports folds as offset
+    arrays; its support is the pairwise fold's exactly.  The fold is a
+    kernel, so these tests switch the kernels on (the verbatim leg runs
+    the whole suite with them off)."""
+
+    @pytest.fixture(autouse=True)
+    def kernels_on(self):
+        previous = kernels.set_numpy_enabled(True)
+        yield
+        kernels.set_numpy_enabled(previous)
+
+    @staticmethod
+    def shapes(rng):
+        return {
+            # 100 COUNT terms: the tails fall below TOLERANCE mid-fold.
+            "count": bernoulli_terms(rng, [1], 100),
+            # Multiples of 3 leave holes; {0, 17} is a wide hole.
+            "holes": bernoulli_terms(rng, [3], 30)
+            + [Distribution({0: 0.4, 17: 0.6})],
+            # Masses just above and below TOLERANCE once multiplied.
+            "near_tolerance": bernoulli_terms(rng, [1, 2], 30)
+            + [
+                Distribution({0: 0.5, 1: 0.5 - 3e-9, 2: 3e-9}),
+                Distribution({0: 1 - 2.5e-9, 5: 2.5e-9}),
+            ],
+            "negative": [
+                random_distribution(rng, rng.randint(2, 6), low=-5, high=5)
+                for _ in range(25)
+            ],
+            "sub_normalized": bernoulli_terms(rng, [1, 2], 30)
+            + [Distribution({0: 0.3, 1: 0.2})],
+            # Past float64's exact integers and int64: offsets stay ints.
+            "huge": [
+                Distribution({2**62: 1 - p, 2**62 + 3: p})
+                for p in (rng.uniform(0.2, 0.9) for _ in range(40))
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["count", "holes", "near_tolerance", "negative", "sub_normalized", "huge"],
+    )
+    @pytest.mark.parametrize("monoid", [SUM, COUNT], ids=["SUM", "COUNT"])
+    def test_dense_fold_equals_pairwise(self, rng, monkeypatch, shape, monoid):
+        dists = self.shapes(rng)[shape]
+        steps = []
+        dense_add = kernels._dense_add
+        monkeypatch.setattr(
+            kernels, "_dense_add", lambda *args: steps.append(1) or dense_add(*args)
+        )
+        dense = convolution.monoid_add_many(dists, monoid)
+        assert len(steps) == len(dists) - 1
+        pairwise = kernels.convolve_many(
+            dists, lambda a, b: convolution.monoid_add(a, b, monoid)
+        )
+        verbatim = with_dict_path(lambda: convolution.monoid_add_many(dists, monoid))
+        for reference in (pairwise, verbatim):
+            assert list(dense) == sorted(reference.support())
+            assert_distributions_identical(dense, reference)
+
+    def test_an_emptied_fold_raises_like_the_pairwise_fold(self):
+        # Every product of two operands is 1e-10 ≤ TOLERANCE, so the
+        # first step leaves nothing, on either path.
+        from repro.errors import DistributionError
+
+        dists = [Distribution({0: 1e-5, 1: 1e-5}) for _ in range(40)]
+        with pytest.raises(DistributionError, match="empty support"):
+            convolution.monoid_add_many(dists, SUM)
+        with pytest.raises(DistributionError, match="empty support"):
+            with_dict_path(lambda: convolution.monoid_add_many(dists, SUM))
+
+    def test_naturals_sum_uses_the_dense_fold(self, rng, monkeypatch):
+        dists = [Distribution({0: 0.3, 1: 0.5, 2: 0.2}) for _ in range(30)]
+        steps = []
+        dense_add = kernels._dense_add
+        monkeypatch.setattr(
+            kernels, "_dense_add", lambda *args: steps.append(1) or dense_add(*args)
+        )
+        dense = convolution.semiring_add_many(dists, NATURALS)
+        assert steps
+        verbatim = with_dict_path(
+            lambda: convolution.semiring_add_many(dists, NATURALS)
+        )
+        assert_distributions_identical(dense, verbatim)
+
+    @pytest.mark.parametrize(
+        "case", ["kernels_off", "capped", "sparse", "floats", "small"]
+    )
+    def test_the_pairwise_fold_is_kept(self, rng, monkeypatch, case):
+        monoid = SUM
+        dists = bernoulli_terms(rng, [1, 2], 40)
+        if case == "capped":
+            monoid = CappedSumMonoid(12)
+        elif case == "sparse":  # prices: spans far wider than supports
+            dists = bernoulli_terms(rng, list(range(100, 1000, 7)), 40)
+        elif case == "floats":
+            dists = bernoulli_terms(rng, [1.5, 2.0], 40)
+        elif case == "small":
+            dists = dists[:3]
+        monkeypatch.setattr(
+            kernels, "_dense_add", lambda *args: pytest.fail("dense fold taken")
+        )
+        if case == "kernels_off":
+            with_dict_path(lambda: convolution.monoid_add_many(dists, monoid))
+        else:
+            convolution.monoid_add_many(dists, monoid)
 
 
 class TestPathParityEdgeCases:
