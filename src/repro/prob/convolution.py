@@ -109,7 +109,7 @@ def _boolean_fold(dists: Sequence[Distribution], neutral: bool) -> Distribution:
 def _fold(dists, op, spec) -> Distribution:
     """Reduce pairwise, smallest supports first — or, for plain ``+``
     over integers, as one dense fold."""
-    fast = kernels.sum_many([d._probs for d in dists], spec, TOLERANCE)
+    fast = kernels.sum_many(dists, spec, TOLERANCE)
     if fast is not None:
         return Distribution._from_clean(fast)
     return kernels.convolve_many(

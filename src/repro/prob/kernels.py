@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as _np
 
@@ -83,7 +83,11 @@ MIN_CELLS = 64
 
 #: The dense SUM fold (:func:`sum_many`) takes a node only when its
 #: children's supports span at most this many integers per support value,
-#: holes included; sparser supports (prices) keep the pairwise fold.
+#: holes included; sparser supports (prices) keep the pairwise fold.  On
+#: synthetic nodes whose supports step by r, the dense fold's time over
+#: the pairwise fold's rises with r on every shape measured and reaches
+#: 1.0–1.6 at r = 16 on three shapes of four (EXPERIMENTS.md, "One pass
+#: per ⊕/⊙/⊕M node"); 4 stays well below that.
 DENSE_SPAN_RATIO = 4
 
 #: Magnitude guard keeping integer arithmetic exact in float64.
@@ -458,16 +462,14 @@ def convolve_many(distributions: Iterable, pairwise: Callable):
 class _Dense:
     """An integer-support distribution: ``masses[i]`` is the mass of
     ``offset + i``; ``size`` counts the non-zero entries (its ``len``, the
-    fold's heap key, as a :class:`Distribution`'s length is).  ``floor``
-    bounds every non-zero mass from below (0 when unknown)."""
+    fold's heap key, as a :class:`Distribution`'s length is)."""
 
-    __slots__ = ("offset", "masses", "size", "floor")
+    __slots__ = ("offset", "masses", "size")
 
-    def __init__(self, offset: int, masses, size: int, floor: float):
+    def __init__(self, offset: int, masses, size: int):
         self.offset = offset
         self.masses = masses
         self.size = size
-        self.floor = floor
 
     def __len__(self) -> int:
         return self.size
@@ -475,39 +477,29 @@ class _Dense:
 
 def _dense_add(a: _Dense, b: _Dense, tolerance: float) -> _Dense:
     """One step of the dense fold: convolve, then zero and trim the
-    entries of mass ≤ ``tolerance``, as ``Distribution`` drops them.
-
-    Every non-zero entry of the convolution is at least one product of
-    non-zero masses, so when the operands' floors multiply to well above
-    ``tolerance`` nothing can drop and the scan is skipped; two operands
-    without holes then convolve to one without holes.
-    """
+    entries of mass ≤ ``tolerance``, as ``Distribution`` drops them."""
     if not (a.size and b.size):
         return a if not a.size else b  # an empty operand stays empty
     masses = _np.convolve(a.masses, b.masses)
-    offset = a.offset + b.offset
-    floor = a.floor * b.floor
-    if floor > 2.0 * tolerance:
-        if a.size == len(a.masses) and b.size == len(b.masses):
-            return _Dense(offset, masses, len(masses), floor)
-        return _Dense(offset, masses, int(_np.count_nonzero(masses)), floor)
     masses[masses <= tolerance] = 0.0
     kept = _np.flatnonzero(masses)
     if not len(kept):
-        return _Dense(0, masses[:0], 0, 0.0)
+        return _Dense(0, masses[:0], 0)
     low = int(kept[0])
     return _Dense(
-        offset + low, masses[low : int(kept[-1]) + 1], len(kept), 0.0
+        a.offset + b.offset + low, masses[low : int(kept[-1]) + 1], len(kept)
     )
 
 
 def sum_many(
-    probs_list: list, spec: OpSpec | None, tolerance: float = 0.0
+    distributions: Sequence, spec: OpSpec | None, tolerance: float = 0.0
 ) -> dict | None:
     """n-ary integer ``+`` (Eq. 6 for SUM/COUNT, Eq. 4 over ℕ) as one
     dense fold.
 
-    Each operand becomes an offset mass array; :func:`convolve_many`
+    ``distributions`` are ``{value: probability}`` mappings (a
+    ``Distribution`` is one); nothing but their lengths is read before
+    ``spec`` and the sizes pass.  Each becomes an offset mass array; :func:`convolve_many`
     combines them in its heap order (smallest non-zero count first), one
     ``np.convolve`` per step, and the result becomes a dict once.  Every
     step drops what the pairwise fold drops, so the support is that
@@ -518,33 +510,31 @@ def sum_many(
     cover at least :data:`MIN_CELLS` cells but no more than
     :data:`DENSE_SPAN_RATIO` per support value.
     """
-    if spec is not _ADD or len(probs_list) < 2:
+    if spec is not _ADD or len(distributions) < 2:
         return None
-    size = sum(map(len, probs_list))
+    size = sum(map(len, distributions))
     if DENSE_SPAN_RATIO * size < MIN_CELLS:
         return None  # too few cells to pay for the arrays
     cells = 0
-    for probs in probs_list:
-        for value in probs:
+    for dist in distributions:
+        for value in dist:
             if type(value) is not int:
                 return None
-        cells += max(probs) - min(probs) + 1
+        cells += max(dist) - min(dist) + 1
     if not MIN_CELLS <= cells <= DENSE_SPAN_RATIO * size:
         return None
     operands = []
-    for probs in probs_list:
-        low = min(probs)
-        masses = [0.0] * (max(probs) - low + 1)
-        for value, p in probs.items():
+    for dist in distributions:
+        low = min(dist)
+        masses = [0.0] * (max(dist) - low + 1)
+        for value, p in dist.items():
             masses[value - low] = p
-        operands.append(
-            _Dense(low, _np.array(masses), len(probs), min(probs.values()))
-        )
+        operands.append(_Dense(low, _np.array(masses), len(dist)))
     result = convolve_many(operands, lambda a, b: _dense_add(a, b, tolerance))
-    masses, offset = result.masses, result.offset
-    if result.size == len(masses):  # no holes
-        return dict(zip(range(offset, offset + len(masses)), masses.tolist()))
-    kept = _np.flatnonzero(masses)
+    kept = _np.flatnonzero(result.masses)
     return dict(
-        zip([offset + index for index in kept.tolist()], masses[kept].tolist())
+        zip(
+            [result.offset + index for index in kept.tolist()],
+            result.masses[kept].tolist(),
+        )
     )
