@@ -90,6 +90,7 @@ class Compare(SemiringExpr):
     """
 
     __slots__ = ("left", "op", "right", "children")
+    has_comparison = True
 
     def __init__(self, left: Expr, op: ComparisonOp, right: Expr):
         self.left = left

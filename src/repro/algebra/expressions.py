@@ -24,7 +24,9 @@ Design notes
   commutativity — which Remark 2 of the paper identifies as essential for
   structural decomposition — into the representation itself.
 * Every node caches its variable set, so the independence checks performed
-  by the compiler are cheap set operations.
+  by the compiler are cheap set operations, and knows whether a
+  conditional ``[Φ θ Ψ]`` occurs in it, so the pruning pass goes down
+  only the paths that lead to one.
 * Only *semiring-agnostic* simplifications happen in the constructors
   (dropping neutral elements, annihilation by zero).  Semiring-*specific*
   rewrites such as Boolean absorption live in
@@ -62,6 +64,10 @@ class Expr:
     sorts its children by key anyway, and expressions spend their lives as
     dictionary keys in the compiler's memo tables, so laziness would only
     add per-access property overhead on the hottest paths in the library.
+    The fourth structural fact, :attr:`has_comparison`, is read only by
+    the compiler's pruning pass, so a composite computes it on first need
+    (its slot starts as ``None``): the server builds expressions on every
+    read that never reach it.
     """
 
     __slots__ = ("_key", "_vars", "_hash")
@@ -101,6 +107,26 @@ class Expr:
     def variables(self) -> frozenset:
         """The set of variable names occurring in this expression."""
         return self._vars
+
+    @property
+    def has_comparison(self) -> bool:
+        """Whether a conditional ``[Φ θ Ψ]`` occurs in this expression.
+
+        Leaves answer ``False`` and
+        :class:`~repro.algebra.conditions.Compare` ``True``, as class
+        attributes; a composite (``Sum``, ``Prod``, ``Tensor``,
+        ``AggSum``) asks its children the first time and keeps the answer
+        in its ``_compares`` slot.
+        """
+        compares = self._compares
+        if compares is None:
+            compares = False
+            for child in self.children:
+                if child.has_comparison:
+                    compares = True
+                    break
+            self._compares = compares
+        return compares
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Return this expression with variables replaced per ``mapping``.
@@ -188,6 +214,7 @@ class Var(SemiringExpr):
     """
 
     __slots__ = ("name",)
+    has_comparison = False
 
     def __init__(self, name: str):
         if not name or not isinstance(name, str):
@@ -227,6 +254,7 @@ class SConst(SemiringExpr):
     """
 
     __slots__ = ("value",)
+    has_comparison = False
 
     def __init__(self, value):
         if isinstance(value, bool):
@@ -265,7 +293,7 @@ ONE = SConst(1)
 class Sum(SemiringExpr):
     """An n-ary semiring sum; use :func:`ssum` to construct."""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_compares")
 
     def __init__(self, children: tuple):
         # What ``_finalize`` computes, inline: the join loops build one
@@ -274,6 +302,7 @@ class Sum(SemiringExpr):
         self._key = ("+",) + tuple([c._key for c in children])
         self._vars = frozenset().union(*[c._vars for c in children])
         self._hash = hash(("+",) + tuple([c._hash for c in children]))
+        self._compares = None
 
     def substitute(self, mapping):
         variables = self.variables
@@ -288,13 +317,14 @@ class Sum(SemiringExpr):
 class Prod(SemiringExpr):
     """An n-ary semiring product; use :func:`sprod` to construct."""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_compares")
 
     def __init__(self, children: tuple):
         self.children = children  # inline ``_finalize``, as in Sum
         self._key = ("*",) + tuple([c._key for c in children])
         self._vars = frozenset().union(*[c._vars for c in children])
         self._hash = hash(("*",) + tuple([c._hash for c in children]))
+        self._compares = None
 
     def substitute(self, mapping):
         variables = self.variables

@@ -61,6 +61,7 @@ class MConst(ModuleExpr):
     """A constant value ``m`` from the aggregation monoid ``M``."""
 
     __slots__ = ("monoid", "value")
+    has_comparison = False
 
     def __init__(self, monoid: Monoid, value):
         self.monoid = monoid
@@ -91,13 +92,14 @@ class Tensor(ModuleExpr):
     :class:`MConst`, matching the grammar of Figure 2.
     """
 
-    __slots__ = ("monoid", "phi", "arg", "children")
+    __slots__ = ("monoid", "phi", "arg", "children", "_compares")
 
     def __init__(self, phi: SemiringExpr, arg: ModuleExpr):
         self.phi = phi
         self.arg = arg
         self.monoid = arg.monoid
         self.children = (phi, arg)
+        self._compares = None
         self._finalize()
 
     def _compute_key(self):
@@ -122,11 +124,12 @@ class Tensor(ModuleExpr):
 class AggSum(ModuleExpr):
     """An n-ary monoid sum ``α₁ +_op ... +_op αₙ``; use :func:`aggsum`."""
 
-    __slots__ = ("monoid", "children")
+    __slots__ = ("monoid", "children", "_compares")
 
     def __init__(self, monoid: Monoid, children: tuple):
         self.monoid = monoid
         self.children = children
+        self._compares = None
         self._finalize()
 
     def _compute_key(self):

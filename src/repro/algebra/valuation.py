@@ -19,7 +19,8 @@ naturals (int64 columns).  It is an accelerator in the style of
 expressions it reproduces :func:`evaluate` exactly — same values, same
 Python types — and callers keep the scalar path for everything else.
 The batch is either sampled (Monte-Carlo) or, for a handful of Boolean
-variables, *every* valuation there is (:func:`all_valuations`).
+variables, *every* valuation there is (:func:`all_valuations` as
+columns, :func:`all_valuation_bitsets` as Python-int bitsets).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = [
     "evaluate_batch",
     "support_column",
     "all_valuations",
+    "all_valuation_bitsets",
+    "bitset_column",
     "batch_values",
 ]
 
@@ -260,19 +263,28 @@ def evaluate_batch(
 ):
     """Evaluate ``expr`` in ``size`` worlds of ``semiring`` at once.
 
-    ``presence`` maps each variable to its value per world: a bool
-    vector under 𝔹, an int64 multiplicity vector under ℕ.  The
-    homomorphisms of :func:`evaluate` become column operations: ⊕ →
-    ``+``, ⊗ → ``*`` (numpy's ``|`` and ``&`` on bool columns, so one
-    operator set serves both semirings), ``[Φ θ Ψ]`` → element-wise
-    compare as ``0_S``/``1_S``, ``Φ⊗m`` → ``n·m`` under SUM and presence
-    ``n > 0`` under MIN/MAX, ``Σ_M`` → matrix product or min/max fold.
-    Semiring expressions yield carrier vectors, semimodule expressions
-    float64 vectors (see :func:`batch_values`).  ``memo`` caches
-    sub-expression vectors across the calls of one batch — factors
-    shared between result rows are common after joins — so returned
-    vectors must not be written to.  Requires :func:`batch_exact`
-    expressions.
+    ``presence`` maps each variable to its value per world, in one of
+    two carriers:
+
+    * **columns** — a bool vector under 𝔹, an int64 multiplicity vector
+      under ℕ (Monte-Carlo's sampled worlds);
+    * **bitsets** — under 𝔹 only, a Python ``int`` whose bit ``w`` is
+      the variable's value in world ``w`` (:func:`all_valuation_bitsets`,
+      a table leaf's truth table).
+
+    The homomorphisms of :func:`evaluate` become column operations: ⊕ →
+    ``|`` and ⊗ → ``&`` under 𝔹 (on bool columns and bitsets alike), ``+``
+    and ``*`` under ℕ; ``[Φ θ Ψ]`` → element-wise compare as
+    ``0_S``/``1_S``, ``Φ⊗m`` → ``n·m`` under SUM and presence ``n > 0``
+    under MIN/MAX, ``Σ_M`` → matrix product or min/max fold.  Only
+    ``[θ]`` and ``Σ_M`` nodes unpack bitsets to bool columns
+    (:func:`bitset_column`), and a ``[θ]`` packs its answer back, so
+    both carriers give the same numbers.  Semiring expressions yield
+    carrier values, semimodule expressions float64 vectors (see
+    :func:`batch_values`).  ``memo`` caches sub-expression values across
+    the calls of one batch — factors shared between result rows are
+    common after joins — so returned vectors must not be written to.
+    Requires :func:`batch_exact` expressions.
     """
     if isinstance(expr, Var):
         try:
@@ -285,22 +297,39 @@ def evaluate_batch(
     if result is not None:
         return result
     if isinstance(expr, SConst):
-        result = _np.full(size, expr.value, dtype=_carrier(semiring))
-    elif isinstance(expr, Sum):
-        result = reduce(
-            operator.add,
-            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
-        )
-    elif isinstance(expr, Prod):
-        result = reduce(
-            operator.mul,
-            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
-        )
+        if _on_bitsets(presence):
+            result = (1 << size) - 1 if expr.value else 0
+        else:
+            result = _np.full(size, expr.value, dtype=_carrier(semiring))
+    elif isinstance(expr, (Sum, Prod)):
+        if isinstance(expr, Sum):
+            combine = operator.or_ if semiring.is_boolean else operator.add
+        else:
+            combine = operator.and_ if semiring.is_boolean else operator.mul
+        try:  # variables inline: they are most children
+            values = [
+                presence[c.name]
+                if type(c) is Var
+                else evaluate_batch(c, presence, size, memo, semiring)
+                for c in expr.children
+            ]
+        except KeyError as missing:
+            raise AlgebraError(
+                f"valuation does not assign variable {missing.args[0]!r}"
+            ) from None
+        result = reduce(combine, values)
     elif isinstance(expr, Compare):
-        result = expr.op(
-            evaluate_batch(expr.left, presence, size, memo, semiring),
-            evaluate_batch(expr.right, presence, size, memo, semiring),
-        ).astype(_carrier(semiring), copy=False)
+        left = evaluate_batch(expr.left, presence, size, memo, semiring)
+        right = evaluate_batch(expr.right, presence, size, memo, semiring)
+        if type(left) is int:
+            left = bitset_column(left, size)
+        if type(right) is int:
+            right = bitset_column(right, size)
+        result = expr.op(left, right).astype(_carrier(semiring), copy=False)
+        if _on_bitsets(presence):
+            result = int.from_bytes(
+                _np.packbits(result, bitorder="little").tobytes(), "little"
+            )
     elif isinstance(expr, MConst):
         result = _np.full(size, expr.value, dtype=float)
     elif isinstance(expr, ModuleExpr):
@@ -313,14 +342,36 @@ def evaluate_batch(
     return result
 
 
+def _on_bitsets(presence: Mapping) -> bool:
+    """Whether ``presence`` holds bitsets rather than columns."""
+    return type(next(iter(presence.values()), None)) is int
+
+
+def bitset_column(bits: int, size: int):
+    """The bool column of a bitset over ``size`` worlds (world ``w`` is
+    bit ``w``)."""
+    return _unpack([bits], size)[0]
+
+
+def _unpack(rows: list, size: int):
+    """``len(rows) × size`` bools, row ``i`` the worlds of bitset ``rows[i]``."""
+    width = (size + 7) >> 3
+    raw = b"".join(bits.to_bytes(width, "little") for bits in rows)
+    return _np.unpackbits(
+        _np.frombuffer(raw, dtype=_np.uint8).reshape(len(rows), width),
+        axis=1,
+        count=size,
+        bitorder="little",
+    ).view(bool)
+
+
 def _aggregate_batch(expr: ModuleExpr, presence, size: int, memo, semiring):
     """``Σ_M Φᵢ⊗mᵢ`` over the batch: one ``terms × worlds`` matrix of
     the ``Φᵢ``, multiplicities under ℕ."""
     terms = _weighted_terms(expr)
     weights = _np.asarray([value for _, value in terms], dtype=float)
-    matrix = _np.vstack(
-        [evaluate_batch(phi, presence, size, memo, semiring) for phi, _ in terms]
-    )
+    rows = [evaluate_batch(phi, presence, size, memo, semiring) for phi, _ in terms]
+    matrix = _unpack(rows, size) if type(rows[0]) is int else _np.vstack(rows)
     monoid = expr.monoid
     if isinstance(monoid, SumMonoid):
         totals = weights @ matrix
@@ -351,6 +402,21 @@ def all_valuations(names) -> dict:
     :func:`evaluate_batch`: ``2^k`` worlds, world ``w`` setting
     ``names[i]`` to bit ``i`` of ``w``."""
     return dict(zip(names, _world_bits(len(names))))
+
+
+@lru_cache(maxsize=16)
+def _world_bitsets(count: int) -> tuple:
+    """:func:`_world_bits`' rows as ints: bit ``w`` of row ``i`` is bit
+    ``i`` of ``w``."""
+    packed = _np.packbits(_world_bits(count), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def all_valuation_bitsets(names) -> dict:
+    """:func:`all_valuations` in the bitset carrier of
+    :func:`evaluate_batch`: ``names[i]`` is the int whose bit ``w`` is
+    bit ``i`` of ``w``."""
+    return dict(zip(names, _world_bitsets(len(names))))
 
 
 def batch_values(expr: ModuleExpr, column) -> list:

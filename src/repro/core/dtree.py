@@ -34,7 +34,12 @@ from repro.algebra.conditions import ComparisonOp
 from repro.algebra.expressions import Expr
 from repro.algebra.monoid import Monoid
 from repro.algebra.semiring import Semiring
-from repro.algebra.valuation import all_valuations, batch_values, evaluate_batch
+from repro.algebra.valuation import (
+    all_valuation_bitsets,
+    batch_values,
+    bitset_column,
+    evaluate_batch,
+)
 from repro.errors import CompilationError
 from repro.prob import convolution
 from repro.prob.distribution import TOLERANCE, Distribution
@@ -196,9 +201,13 @@ class TableLeaf(DTree):
 
     Rule 6's base case (:func:`repro.core.compile.table_leaf`): instead
     of a ``⊔`` sub-tree the leaf keeps the expression and valuates it in
-    all ``2^k`` worlds of its variables as one numpy batch.  The world
-    weights come from ``ctx``'s marginals when the distribution is asked
-    for, like a :class:`VarLeaf`'s — nothing is frozen at compile time.
+    all ``2^k`` worlds of its variables as one batch, on Python-int
+    bitsets (:func:`~repro.algebra.valuation.all_valuation_bitsets`):
+    ⊕ and ⊗ are one ``|`` or ``&`` over all worlds, and only ``[θ]``
+    and ``Σ_M`` nodes unpack to numpy.  The world weights come from
+    ``ctx``'s marginals when the distribution is asked for, like a
+    :class:`VarLeaf`'s — nothing is frozen at compile time — and each
+    mass is a masked sum of them.
     """
 
     __slots__ = ("expr", "names")
@@ -213,16 +222,18 @@ class TableLeaf(DTree):
         return 1 << len(self.names)
 
     def _compute_distribution(self, ctx):
-        # World w sets names[i] to bit i of w (as ``all_valuations``), so
-        # each variable doubles the weight vector: [absent half, present half].
+        # World w sets names[i] to bit i of w (as ``all_valuation_bitsets``),
+        # so each variable doubles the weight vector: [absent half, present
+        # half].
         weights = _np.ones(1)
         for name in self.names:
             p = ctx.var_distribution(name)[True]
             weights = _np.multiply.outer((1.0 - p, p), weights).ravel()
         column = evaluate_batch(
-            self.expr, all_valuations(self.names), self.worlds, {}
+            self.expr, all_valuation_bitsets(self.names), self.worlds, {}
         )
-        if column.dtype == bool:  # a semiring residual: two masked sums
+        if type(column) is int:  # a semiring residual: two masked sums
+            column = bitset_column(column, self.worlds)
             values = [False, True]
             masses = [float(weights[~column].sum()), float(weights[column].sum())]
         else:

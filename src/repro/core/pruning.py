@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from repro.algebra.conditions import Compare, compare
-from repro.algebra.expressions import Expr, Prod, SConst, Sum, Var, sprod, ssum
+from repro.algebra.expressions import Expr, Prod, SConst, Sum, sprod, ssum
 from repro.algebra.monoid import (
     MAX,
     MIN,
@@ -57,9 +57,12 @@ def prune(expr: Expr, semiring: Semiring) -> Expr:
     Returns ``expr`` itself when no rule fires anywhere in it, and
     otherwise rebuilds only the nodes on the path to a rewritten
     comparison: a node whose pruned children are all the originals is
-    handed back as it was.
+    handed back as it was.  A (sub)expression in which no conditional
+    occurs (:attr:`~repro.algebra.expressions.Expr.has_comparison`) is
+    handed back without a walk, so the pass goes down only the paths
+    that lead to a comparison.
     """
-    if isinstance(expr, (Var, SConst, MConst)):
+    if not expr.has_comparison:
         return expr
     if isinstance(expr, (Sum, Prod, AggSum)):
         children = [prune(c, semiring) for c in expr.children]

@@ -258,6 +258,21 @@ class TestBatchedValuation:
             [True, True, True] if semiring.is_boolean else [1, 1, 2]
         )
 
+    def test_a_missing_variable_raises_on_both_carriers(self):
+        """Variable children of a sum or product are read inline; an
+        unassigned one is still named."""
+        from repro.algebra.valuation import (
+            all_valuation_bitsets,
+            all_valuations,
+            evaluate_batch,
+        )
+
+        x, y = Var("x"), Var("y")
+        for presence in (all_valuations(["x"]), all_valuation_bitsets(["x"])):
+            for expr in (x + y, x * y, y):
+                with pytest.raises(AlgebraError, match="does not assign variable 'y'"):
+                    evaluate_batch(expr, presence, 2, {})
+
     def test_bag_semiring_expressions(self):
         x, y, z = Var("x"), Var("y"), Var("z")
         self.assert_matches_evaluate(x * y + z, NATURALS)

@@ -15,12 +15,18 @@ agree on every generated expression, to 1e-12, with identical support
 :func:`repro.core.compile.table_leaf` falls through to the verbatim
 path with the same answer, and above the compiler a ``p=`` update or a
 worker pool sees nothing new.
+
+A table leaf valuates its worlds on Python-int bitsets; the truth table
+valuated on ``all_valuations``' numpy columns is kept here as the oracle,
+and the two must agree bit for bit on every mass.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 from fractions import Fraction
 
 import pytest
@@ -33,12 +39,19 @@ from repro.algebra.expressions import Var, sprod, ssum
 from repro.algebra.monoid import COUNT, MAX, MIN, PROD, SUM, CappedSumMonoid
 from repro.algebra.semimodule import MConst, aggsum, tensor
 from repro.algebra.semiring import BOOLEAN, NATURALS
-from repro.algebra.valuation import batch_exact, evaluate
+from repro.algebra.valuation import (
+    all_valuations,
+    batch_exact,
+    batch_values,
+    evaluate,
+    evaluate_batch,
+)
 from repro.core.compile import _TABLE_VARIABLES, Compiler, table_leaf
 from repro.core.dtree import TableLeaf
 from repro.core.stats import collect_stats
 from repro.db.pvc_table import PVCDatabase
 from repro.errors import AlgebraError
+from repro.prob.distribution import TOLERANCE
 from repro.prob.variables import VariableRegistry
 from repro.query.ast import AggSpec, GroupAgg, Product, Project, Select, relation
 from repro.query.predicates import cmp_, eq
@@ -216,6 +229,111 @@ class TestDifferential:
         slow, mutex_nodes = verbatim(registry, expr)
         assert compiler.mutex_nodes_created < mutex_nodes / 10
         assert_same_distribution(tree.distribution(compiler.context), slow)
+
+
+# -- bitsets: the same masses as numpy columns, bit for bit ----------------------
+
+
+def numpy_table(leaf, ctx) -> dict:
+    """The oracle: ``leaf``'s truth table valuated by ``evaluate_batch``
+    over ``all_valuations``' numpy columns, with the same world weights
+    and masked sums; ``{(type name, value): mass}``."""
+    weights = np.ones(1)
+    for name in leaf.names:
+        p = ctx.var_distribution(name)[True]
+        weights = np.multiply.outer((1.0 - p, p), weights).ravel()
+    column = evaluate_batch(leaf.expr, all_valuations(leaf.names), leaf.worlds, {})
+    if column.dtype == bool:
+        values = [False, True]
+        masses = [float(weights[~column].sum()), float(weights[column].sum())]
+    else:
+        values, world_value = np.unique(column, return_inverse=True)
+        masses = np.bincount(world_value, weights=weights).tolist()
+        values = batch_values(leaf.expr, values)
+    return typed({v: m for v, m in zip(values, masses) if m > TOLERANCE})
+
+
+def assert_bit_identical(registry, expr):
+    ctx = Compiler(registry, BOOLEAN).context
+    leaf = TableLeaf(expr, sorted(expr.variables))
+    bitsets = typed(leaf.distribution(ctx))
+    assert bitsets == numpy_table(leaf, ctx)  # == on every mass
+    return bitsets
+
+
+MONOIDS = {
+    "SUM": SUM,
+    "COUNT": COUNT,
+    "capped": CappedSumMonoid(20),
+    "MIN": MIN,
+    "MAX": MAX,
+}
+
+
+def shaped(rng, names, monoid, floats=False):
+    """``Σ_M Φᵢ⊗mᵢ`` over every name, as :func:`aggregates` draws it."""
+    terms = []
+    for left, right in zip(names, names[1:] + names[:1]):
+        phi = sprod([Var(left) + Var(right), Var(rng.choice(names))])
+        value = 1 if monoid is COUNT else rng.randint(0, 12)
+        terms.append(tensor(phi, MConst(monoid, value + 0.5 if floats else value)))
+    return aggsum(monoid, terms)
+
+
+class TestBitsetTables:
+    @SETTINGS
+    @given(cases())
+    def test_every_drawn_residual(self, case):
+        registry, expr = case
+        expr = Compiler(registry, BOOLEAN).normalize(expr)
+        if expr.variables:
+            assert_bit_identical(registry, expr)
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    @pytest.mark.parametrize("monoid", list(MONOIDS), ids=list(MONOIDS))
+    def test_every_monoid_under_every_comparison(self, monoid, op):
+        monoid = MONOIDS[monoid]
+        rng = random.Random(f"{monoid.name}{op}")
+        for count in (3, 6, 9):
+            names = [f"x{i}" for i in range(count)]
+            registry = registry_of({n: rng.choice([0.0, 1.0, rng.uniform(0.2, 0.8)])
+                                    for n in names})
+            for floats in {False, monoid in (MIN, MAX)}:
+                alpha = shaped(rng, names, monoid, floats)
+                assert_bit_identical(registry, alpha)
+                constant = MConst(monoid, rng.randint(0, 3 * count))
+                condition = compare(alpha, op, constant)
+                assert_bit_identical(registry, condition)
+                # A semiring residual: a condition guarding a disjunction.
+                assert_bit_identical(registry, sprod([condition, Var(names[0]) + Var(names[-1])]))
+
+    def test_a_single_variable(self):
+        registry = registry_of({"x0": 0.3})
+        x = Var("x0")
+        assert assert_bit_identical(registry, x) == {
+            ("bool", False): 0.7, ("bool", True): 0.3,
+        }
+        assert_bit_identical(registry, tensor(x, MConst(SUM, 5)))
+        assert_bit_identical(registry, compare(tensor(x, MConst(MAX, 5)), ">=", 3))
+
+    def test_every_variable_the_table_allows(self):
+        # 4 096 worlds: only the last one, bit 4 095, has all present.
+        names = [f"x{i}" for i in range(_TABLE_VARIABLES)]
+        registry = registry_of({n: 0.5 + 0.03 * i for i, n in enumerate(names)})
+        everyone = sprod(Var(n) for n in names)
+        table = assert_bit_identical(registry, everyone)
+        assert table[("bool", True)] == pytest.approx(
+            float(np.prod([0.5 + 0.03 * i for i in range(len(names))])), rel=1e-12
+        )
+        alpha = aggsum(SUM, [
+            tensor(everyone, MConst(SUM, 100)),
+            *(tensor(Var(n), MConst(SUM, 1)) for n in names),
+        ])
+        assert ("int", 100 + len(names)) in assert_bit_identical(registry, alpha)
+        condition = compare(alpha, ">", 100)
+        assert assert_bit_identical(registry, condition)[("bool", True)] == table[
+            ("bool", True)
+        ]
 
 
 # -- guards: each falls through to Algorithm 1 verbatim --------------------------
