@@ -301,23 +301,16 @@ def evaluate_batch(
             result = (1 << size) - 1 if expr.value else 0
         else:
             result = _np.full(size, expr.value, dtype=_carrier(semiring))
-    elif isinstance(expr, (Sum, Prod)):
-        if isinstance(expr, Sum):
-            combine = operator.or_ if semiring.is_boolean else operator.add
-        else:
-            combine = operator.and_ if semiring.is_boolean else operator.mul
-        try:  # variables inline: they are most children
-            values = [
-                presence[c.name]
-                if type(c) is Var
-                else evaluate_batch(c, presence, size, memo, semiring)
-                for c in expr.children
-            ]
-        except KeyError as missing:
-            raise AlgebraError(
-                f"valuation does not assign variable {missing.args[0]!r}"
-            ) from None
-        result = reduce(combine, values)
+    elif isinstance(expr, Sum):
+        result = reduce(
+            operator.or_ if semiring.is_boolean else operator.add,
+            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
+        )
+    elif isinstance(expr, Prod):
+        result = reduce(
+            operator.and_ if semiring.is_boolean else operator.mul,
+            (evaluate_batch(c, presence, size, memo, semiring) for c in expr.children),
+        )
     elif isinstance(expr, Compare):
         left = evaluate_batch(expr.left, presence, size, memo, semiring)
         right = evaluate_batch(expr.right, presence, size, memo, semiring)

@@ -9,11 +9,10 @@ sum, or a comparison), the O(|Φ|·|Ψ|) support-pair sum of Proposition 1
 can be evaluated as an outer product over value/probability arrays and
 re-binned with ``np.unique`` + ``np.bincount``.  A plain SUM/COUNT node
 (and an ℕ ``⊕``) over integer supports goes further: :func:`sum_many`
-folds all its children as mass arrays over the lattice their values
-step by, with ``np.convolve``, and builds one dict at the end, instead
-of one per pairwise step.  The Boolean semiring has no kernel here: its
-``⊕``/``⊙`` folds are a closed form in :mod:`repro.prob.convolution`,
-which needs none.
+folds all its children as offset mass arrays with ``np.convolve`` and
+builds one dict at the end, instead of one per pairwise step.  The
+Boolean semiring has no kernel here: its ``⊕``/``⊙`` folds are a closed
+form in :mod:`repro.prob.convolution`, which needs none.
 
 Every entry point returns ``None`` when it does not apply (non-numeric
 supports, unrecognized operation, a support too small to be worth it) and
@@ -83,14 +82,12 @@ __all__ = [
 MIN_CELLS = 64
 
 #: The dense SUM fold (:func:`sum_many`) takes a node only when its
-#: children's supports span at most this many lattice points per support
-#: value, holes included; sparser supports (prices) keep the pairwise
-#: fold.  Supports that step by r are counted on the lattice of step r,
-#: so they span 1 point per value, not r.  Over the integers, the dense
-#: fold's time over the pairwise fold's rose with the span on every
-#: synthetic shape measured and reached 1.0–1.6 at 16 per value on three
-#: shapes of four (EXPERIMENTS.md, "One pass per ⊕/⊙/⊕M node"); 4 stays
-#: well below that.
+#: children's supports span at most this many integers per support value,
+#: holes included; sparser supports (prices) keep the pairwise fold.  On
+#: synthetic nodes whose supports step by r, the dense fold's time over
+#: the pairwise fold's rises with r on every shape measured and reaches
+#: 1.0–1.6 at r = 16 on three shapes of four (EXPERIMENTS.md, "One pass
+#: per ⊕/⊙/⊕M node"); 4 stays well below that.
 DENSE_SPAN_RATIO = 4
 
 #: Magnitude guard keeping integer arithmetic exact in float64.
@@ -463,9 +460,8 @@ def convolve_many(distributions: Iterable, pairwise: Callable):
 
 
 class _Dense:
-    """An integer-support distribution on a lattice: ``masses[i]`` is the
-    mass of lattice point ``offset + i`` (:func:`sum_many` maps points to
-    values); ``size`` counts the non-zero entries (its ``len``, the
+    """An integer-support distribution: ``masses[i]`` is the mass of
+    ``offset + i``; ``size`` counts the non-zero entries (its ``len``, the
     fold's heap key, as a :class:`Distribution`'s length is)."""
 
     __slots__ = ("offset", "masses", "size")
@@ -483,9 +479,12 @@ def _dense_add(a: _Dense, b: _Dense, tolerance: float) -> _Dense:
     """One step of the dense fold: convolve, then zero and trim the
     entries of mass ≤ ``tolerance``, as ``Distribution`` drops them.
 
-    Operands without holes (every entry non-zero) convolve to a result
-    without holes, so when none of its entries drops there is nothing
-    to zero, trim or count: the array is kept as it is.
+    When no entry drops, every entry is positive and the convolution is
+    kept as it is: there is nothing to zero, trim or count.  That holds
+    whatever the operands look like; the hole test in front of the
+    ``any()`` only spares a scan that would almost surely find a drop,
+    since operands with empty cells convolve to empty cells
+    (EXPERIMENTS.md, "Bitset truth tables …").
     """
     if not (a.size and b.size):
         return a if not a.size else b  # an empty operand stays empty
@@ -515,54 +514,42 @@ def sum_many(
 
     ``distributions`` are ``{value: probability}`` mappings (a
     ``Distribution`` is one); nothing but their lengths is read before
-    ``spec`` and the sizes pass.  Each becomes a mass array over the
-    lattice its values step by — ``step``, the gcd of every value's
-    distance from its own distribution's smallest value, so supports of
-    multiples of ``r`` hold no ``r − 1`` empty cells between values;
-    :func:`convolve_many` combines them in its heap order (smallest
-    non-zero count first), one ``np.convolve`` per step, and the result
-    becomes a dict once.  Every step drops what the pairwise fold drops,
-    so the support is that fold's exactly; values stay Python ints
-    (the smallest values' sum + ``step`` · index).  Returns ``None`` —
-    the caller folds pairwise — unless ``spec`` is plain ``+`` (so never
-    with the kernels off, nor for a capped sum), there are two or more
-    operands, every value is an ``int``, and the arrays cover at least
-    :data:`MIN_CELLS` cells but no more than :data:`DENSE_SPAN_RATIO` per
-    support value.
+    ``spec`` and the sizes pass.  Each becomes an offset mass array; :func:`convolve_many`
+    combines them in its heap order (smallest non-zero count first), one
+    ``np.convolve`` per step, and the result becomes a dict once.  Every
+    step drops what the pairwise fold drops, so the support is that
+    fold's exactly; values stay Python ints (offset + index).  Returns
+    ``None`` — the caller folds pairwise — unless ``spec`` is plain
+    ``+`` (so never with the kernels off, nor for a capped sum), there
+    are two or more operands, every value is an ``int``, and the spans
+    cover at least :data:`MIN_CELLS` cells but no more than
+    :data:`DENSE_SPAN_RATIO` per support value.
     """
     if spec is not _ADD or len(distributions) < 2:
         return None
     size = sum(map(len, distributions))
     if DENSE_SPAN_RATIO * size < MIN_CELLS:
         return None  # too few cells to pay for the arrays
-    step = 0
-    bounds = []
+    cells = 0
     for dist in distributions:
         for value in dist:
             if type(value) is not int:
                 return None
-        low = min(dist)
-        bounds.append((low, max(dist) - low))
-        if step != 1:
-            for value in dist:
-                step = math.gcd(step, value - low)
-    step = step or 1  # every operand a point mass
-    cells = sum(span // step + 1 for _, span in bounds)
+        cells += max(dist) - min(dist) + 1
     if not MIN_CELLS <= cells <= DENSE_SPAN_RATIO * size:
         return None
-    base = 0
     operands = []
-    for (low, span), dist in zip(bounds, distributions):
-        masses = [0.0] * (span // step + 1)
+    for dist in distributions:
+        low = min(dist)
+        masses = [0.0] * (max(dist) - low + 1)
         for value, p in dist.items():
-            masses[(value - low) // step] = p
-        operands.append(_Dense(0, _np.array(masses), len(dist)))
-        base += low
+            masses[value - low] = p
+        operands.append(_Dense(low, _np.array(masses), len(dist)))
     result = convolve_many(operands, lambda a, b: _dense_add(a, b, tolerance))
     kept = _np.flatnonzero(result.masses)
     return dict(
         zip(
-            [base + step * (result.offset + index) for index in kept.tolist()],
+            [result.offset + index for index in kept.tolist()],
             result.masses[kept].tolist(),
         )
     )

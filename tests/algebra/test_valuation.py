@@ -259,8 +259,8 @@ class TestBatchedValuation:
         )
 
     def test_a_missing_variable_raises_on_both_carriers(self):
-        """Variable children of a sum or product are read inline; an
-        unassigned one is still named."""
+        """An unassigned variable is named, inside a sum or a product
+        too, on columns and on bitsets alike."""
         from repro.algebra.valuation import (
             all_valuation_bitsets,
             all_valuations,

@@ -404,39 +404,6 @@ class TestDenseSumFold:
             convolution.monoid_add_many(dists, monoid)
 
 
-class TestDenseLattice:
-    """Children whose values step by ``r`` fold on the lattice of step
-    ``r``: the node goes dense as its ``r = 1`` twin does, and its
-    support is still the pairwise fold's exactly."""
-
-    @pytest.fixture(autouse=True)
-    def kernels_on(self):
-        previous = kernels.set_numpy_enabled(True)
-        yield
-        kernels.set_numpy_enabled(previous)
-
-    @pytest.mark.parametrize("step", [2, 5, 16])
-    def test_multiples_fold_dense_on_their_lattice(self, rng, monkeypatch, step):
-        # Lows differ per child (7, 7 + step, …): only the distances
-        # from each child's own smallest value share the step.
-        dists = [
-            Distribution({7 + i + step * j: p for j, p in enumerate((0.5, 0.3, 0.2))})
-            for i in range(0, 40, step)
-        ] + [Distribution({v: 0.5 for v in (0, step)}) for _ in range(30)]
-        steps = []
-        dense_add = kernels._dense_add
-        monkeypatch.setattr(
-            kernels, "_dense_add", lambda *args: steps.append(1) or dense_add(*args)
-        )
-        dense = convolution.monoid_add_many(dists, SUM)
-        assert len(steps) == len(dists) - 1
-        pairwise = kernels.convolve_many(
-            dists, lambda a, b: convolution.monoid_add(a, b, SUM)
-        )
-        assert list(dense) == sorted(pairwise.support())
-        assert_distributions_identical(dense, pairwise)
-
-
 class TestPathParityEdgeCases:
     """Divergences between the numpy and dict paths found by review:
     both configurations must behave identically on edge inputs too."""
